@@ -106,8 +106,8 @@ func run(ctx context.Context, args []string) error {
 		cpaSizes    = fs.String("cpa", "", "comma-separated CPA campaign sizes for traces-to-disclosure (empty: skip)")
 		seed        = fs.Uint64("seed", 1, "campaign seed (reruns replay bit-identically)")
 		workers     = fs.Int("workers", 0, "campaign workers (0 = GOMAXPROCS)")
-		shards      = fs.Int("shards", 0, "reduction shards (0 = engine default)")
-		lanes       = fs.Int("lanes", design.DefaultLanes, "traces per interpreter pass (1 = serial per-trace path); any value gives bit-identical results")
+		shards      = fs.Int("shards", 0, "reduction shards (0 = engine default; must be >= 0)")
+		lanes       = fs.Int("lanes", design.DefaultLanes, "traces per interpreter pass (1 = width-1 lane interpreter); any value gives bit-identical results")
 		manifestDir = fs.String("manifest-dir", "", "write one run manifest per frontier point into this directory")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -115,6 +115,9 @@ func run(ctx context.Context, args []string) error {
 	}
 	if *reps <= 0 {
 		return fmt.Errorf("-reps must be positive")
+	}
+	if *shards < 0 {
+		return fmt.Errorf("-shards must be >= 0 (0 = engine default), got %d", *shards)
 	}
 
 	pts, err := buildGrid(*gridFile, *dList, *logicList, *rpcList, *maskList, *channel, *loss, *dist)
@@ -148,17 +151,17 @@ func run(ctx context.Context, args []string) error {
 	fmt.Printf("designlab: seed=%d points=%d reps=%d tvla=%d cpa=%q\n\n",
 		*seed, len(pts), *reps, *tvlaN, *cpaSizes)
 
-	// Evaluate the grid on the sharded campaign engine: acquisition is
-	// a pure function of (seed, idx) and folds are positional writes,
-	// so the table is byte-identical for any worker count.
+	// Evaluate the grid on the campaign engine: acquisition is a pure
+	// function of (seed, idx) and folds are positional writes, so the
+	// table is byte-identical for any worker count.
 	results := make([]result, len(pts))
 	eval := func(idx int) (result, error) {
 		return evalPoint(stacks[idx], idx, *seed, *reps, *tvlaN, *lanes, sizes)
 	}
-	_, err = campaign.RunSharded(0, len(pts),
-		campaign.ShardedConfig{Workers: *workers, Shards: *shards, Ctx: ctx},
+	_, err = campaign.Run(0, len(pts),
+		campaign.Config{Workers: *workers, Shards: *shards, Ctx: ctx},
 		func(idx int) (int, error) { return idx, nil },
-		func(worker, idx int, _ int) (result, error) { return eval(idx) },
+		campaign.PerSample(func(worker, idx int, _ int) (result, error) { return eval(idx) }),
 		func(shard int) int { return shard },
 		func(shard int, _ int, idx int, _ int, out result) error {
 			results[idx] = out

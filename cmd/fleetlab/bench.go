@@ -34,8 +34,8 @@ type benchResult struct {
 	Value   float64 `json:"value,omitempty"`
 }
 
-// benchReport is the BENCH_fleet.json schema (provenance fields match
-// BENCH_simcore.json so report tooling reads both).
+// benchReport is the BENCH_fleet.json schema (go version,
+// GOMAXPROCS, CPU count and git SHA stamp its provenance).
 type benchReport struct {
 	Suite       string `json:"suite"`
 	Description string `json:"description"`

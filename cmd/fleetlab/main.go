@@ -155,7 +155,7 @@ func runCmd(ctx context.Context, args []string) error {
 	load := fleetFlags(fs)
 	var (
 		workers   = fs.Int("workers", 0, "simulation workers (0 = GOMAXPROCS); any value gives byte-identical reports")
-		shards    = fs.Int("shards", 0, "reduction shards (0 = engine default); any layout gives byte-identical reports")
+		shards    = fs.Int("shards", 0, "reduction shards (0 = engine default; must be >= 0); any layout gives byte-identical reports")
 		shardSpec = fs.String("shard", "", "simulate device block i/N (e.g. 0/4) and write a mergeable shard checkpoint to -o")
 		out       = fs.String("o", "", "output path: full runs write the rendered report; -shard runs write the shard checkpoint")
 		ckpt      = fs.String("checkpoint", "", "write crash-safe accumulator snapshots to this file")
@@ -167,6 +167,9 @@ func runCmd(ctx context.Context, args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *shards < 0 {
+		return fmt.Errorf("-shards must be >= 0 (0 = engine default), got %d", *shards)
 	}
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {

@@ -37,9 +37,9 @@
 // throughput (traces/s and simulated cycles/s) is printed after the
 // dpa and tvla runs.
 //
-// -shards selects the reduction layout: 0 picks the engine default,
-// a positive value fixes the per-shard accumulator count, and a
-// negative value falls back to the legacy serial consumer. Results
+// -shards selects the reduction layout: 0 picks the engine default, a
+// positive value fixes the per-shard accumulator count (1 is the
+// serial in-order fold), and a negative value is refused. Results
 // are bit-identical across worker counts at any fixed shard count;
 // different shard counts reassociate the floating-point fold and so
 // agree only to rounding (see internal/campaign). Campaign headers
@@ -52,7 +52,7 @@
 // (coproc.LaneCPU), amortizing microcode decode and dispatch. Results
 // are bit-identical at any lane count — like -workers, the flag only
 // changes wall-clock time. The default is the measured saturation
-// point (design.DefaultLanes); -lanes 1 restores the serial per-trace
+// point (design.DefaultLanes); -lanes 1 runs the width-1 lane
 // interpreter.
 //
 // The dpa and tvla campaigns are crash-safe: with -checkpoint the run
@@ -63,8 +63,8 @@
 // produces the byte-identical final report an uninterrupted run would
 // have printed; a -resume against a checkpoint from a different seed,
 // design point, campaign kind or code revision is refused by name.
-// Growing -traces between runs extends a completed serial campaign
-// in a new process.
+// Growing -traces between runs extends a completed tvla -early
+// campaign in a new process.
 //
 // Every subcommand accepts -metrics out.json: the run then carries a
 // live internal/obs registry through the acquisition stack and writes
@@ -173,15 +173,23 @@ func workersFlag(fs *flag.FlagSet) *int {
 }
 
 // shardsFlag registers the shared -shards flag (reduction layout for
-// the sharded campaign engine).
+// the campaign engine).
 func shardsFlag(fs *flag.FlagSet) *int {
-	return fs.Int("shards", 0, "reduction shards (0 = engine default, < 0 = legacy serial consumer); statistics agree across shard counts to rounding")
+	return fs.Int("shards", 0, "reduction shards (0 = engine default, 1 = serial fold; must be >= 0); statistics agree across shard counts to rounding")
+}
+
+// checkShards refuses a negative -shards value.
+func checkShards(shards int) error {
+	if shards < 0 {
+		return fmt.Errorf("-shards must be >= 0 (0 = engine default), got %d", shards)
+	}
+	return nil
 }
 
 // lanesFlag registers the shared -lanes flag (lane-batched
 // acquisition width).
 func lanesFlag(fs *flag.FlagSet) *int {
-	return fs.Int("lanes", design.DefaultLanes, "traces per interpreter pass (1 = serial per-trace path); any value gives bit-identical results")
+	return fs.Int("lanes", design.DefaultLanes, "traces per interpreter pass (1 = width-1 lane interpreter); any value gives bit-identical results")
 }
 
 // maskingFlag registers the shared -masking flag (datapath masking
@@ -347,6 +355,9 @@ func dpaCmd(ctx context.Context, args []string) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkShards(*shards); err != nil {
+		return err
+	}
 	stop, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
 		return err
@@ -427,6 +438,9 @@ func spaCmd(ctx context.Context, args []string) (err error) {
 	metrics := metricsFlag(fs)
 	cpuProf, memProf := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkShards(*shards); err != nil {
 		return err
 	}
 	stop, err := profiling.Start(*cpuProf, *memProf)
@@ -620,6 +634,9 @@ func leakmapCmd(ctx context.Context, args []string) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkShards(*shards); err != nil {
+		return err
+	}
 	stop, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
 		return err
@@ -695,6 +712,9 @@ func tvlaCmd(ctx context.Context, args []string) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := checkShards(*shards); err != nil {
+		return err
+	}
 	stop, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
 		return err
@@ -721,9 +741,9 @@ func tvlaCmd(ctx context.Context, args []string) (err error) {
 	tgt.Lanes = *lanes
 	tgt.Metrics = reg
 	tgt.Ctx = ctx
-	// The early-stop variant folds through a different consumer and
-	// stops at a different watermark, so its checkpoints are a
-	// distinct kind: a -resume must replay the same campaign flavor.
+	// The early-stop variant folds serially and stops at a different
+	// watermark, so its checkpoints are a distinct kind: a -resume must
+	// replay the same campaign flavor.
 	// The statistical order is likewise part of the kind (on top of the
 	// accumulators' own welch/welch2 blob namespacing).
 	kind := "tvla"

@@ -1,6 +1,7 @@
 package campaign_test
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -9,61 +10,16 @@ import (
 	"medsec/internal/trace"
 )
 
-// fakeAcquireBatch is fakeAcquire lifted to the batch contract: each
-// lane's result is still a pure function of its index and job.
-func fakeAcquireBatch(shake bool) AcquireBatchFunc[uint64, trace.Trace] {
-	serial := fakeAcquire(shake)
-	return func(worker, start int, jobs []uint64, out []trace.Trace) error {
-		for i := range jobs {
-			tr, err := serial(worker, start+i, jobs[i])
-			if err != nil {
-				return err
-			}
-			out[i] = tr
-		}
-		return nil
-	}
-}
-
-func batchPrepare() PrepareFunc[uint64] {
-	stream := uint64(7)
-	return func(idx int) (uint64, error) {
-		stream = stream*6364136223846793005 + 1442695040888963407
-		return stream % 97, nil
-	}
-}
-
-// runAllBatch collects the consumed (idx, job, sample0) sequence
-// through RunBatch.
-func runAllBatch(t *testing.T, workers, lanes, from, to, resume int) [][3]float64 {
-	t.Helper()
-	var seq [][3]float64
-	consume := func(idx int, job uint64, tr trace.Trace) (bool, error) {
-		seq = append(seq, [3]float64{float64(idx), float64(job), tr.Samples[0]})
-		return false, nil
-	}
-	n, err := RunBatch(from, to, lanes, Config{Workers: workers, ResumeFrom: resume},
-		batchPrepare(), fakeAcquireBatch(workers > 1), consume)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != to-from-resume {
-		t.Fatalf("consumed %d, want %d", n, to-from-resume)
-	}
-	return seq
-}
-
-// TestRunBatchMatchesRunAcrossLanes pins the batched engine's
-// determinism contract: the consumed sequence is identical to Run's
-// for every lanes x workers combination, including lane counts that do
-// not divide the trace count.
+// TestRunBatchMatchesRunAcrossLanes pins lane batching: the folded
+// sequence of the S = 1 engine is the serial reference's for every
+// lanes x workers combination, including lane counts that do not
+// divide the trace count.
 func TestRunBatchMatchesRunAcrossLanes(t *testing.T) {
-	want := runAll(t, 1, 0, 64, false)
+	want := serialSeq(t, 0, 64)
 	for _, lanes := range []int{1, 2, 3, 4, 8} {
 		for _, w := range []int{1, 2, 7} {
-			got := runAllBatch(t, w, lanes, 0, 64, 0)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("lanes=%d workers=%d: consumed sequence diverged from serial Run", lanes, w)
+			if got := runAll(t, w, lanes, 0, 64, w > 1); !reflect.DeepEqual(got, want) {
+				t.Fatalf("lanes=%d workers=%d: folded sequence diverged from the serial reference", lanes, w)
 			}
 		}
 	}
@@ -71,44 +27,50 @@ func TestRunBatchMatchesRunAcrossLanes(t *testing.T) {
 
 // TestRunBatchResumeRegroups pins resume safety: resuming mid-range —
 // at an offset that is not a multiple of the lane count, so every
-// batch boundary shifts — consumes exactly the suffix of the
+// batch boundary shifts — folds exactly the suffix of the
 // uninterrupted sequence.
 func TestRunBatchResumeRegroups(t *testing.T) {
-	want := runAll(t, 1, 0, 64, false)
+	want := serialSeq(t, 0, 64)
 	for _, resume := range []int{1, 7, 33} {
-		got := runAllBatch(t, 3, 4, 0, 64, resume)
-		if !reflect.DeepEqual(got, want[resume:]) {
-			t.Fatalf("resume=%d: suffix diverged", resume)
-		}
-	}
-}
-
-// TestRunBatchEarlyStop pins per-sample early stop: the consumed
-// prefix ends exactly at the stop index even when the stop lands
-// mid-batch.
-func TestRunBatchEarlyStop(t *testing.T) {
-	const stopAt = 23
-	for _, lanes := range []int{1, 4, 8} {
-		var consumed []int
-		consume := func(idx int, job uint64, tr trace.Trace) (bool, error) {
-			consumed = append(consumed, idx)
-			return idx == stopAt, nil
-		}
-		n, err := RunBatch(0, 64, lanes, Config{Workers: 3},
-			batchPrepare(), fakeAcquireBatch(true), consume)
+		var seq [][3]float64
+		n, err := runFold(0, 64, Config{Workers: 3, Lanes: 4, Resume: []int{resume}},
+			streamPrepare(), fakeAcquire(true), record(&seq))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != stopAt+1 || len(consumed) != stopAt+1 || consumed[len(consumed)-1] != stopAt {
-			t.Fatalf("lanes=%d: stopped after %d consumed (last %d), want %d", lanes, n, consumed[len(consumed)-1], stopAt+1)
+		if n != 64-resume || !reflect.DeepEqual(seq, want[resume:]) {
+			t.Fatalf("resume=%d: suffix diverged (folded %d)", resume, n)
 		}
 	}
 }
 
-// shardedFold runs a sum-reduction over the fake acquisition through
-// either RunSharded or RunShardedBatch and returns the merged
-// per-shard sums (shard order).
-func shardedFold(t *testing.T, workers, shards, lanes, from, to int, resume []int, init []float64, batched bool) []float64 {
+// TestRunBatchEarlyStop pins per-sample early stop: the fold ends
+// exactly at the stop index even when the stop lands mid-batch.
+func TestRunBatchEarlyStop(t *testing.T) {
+	const stopAt = 23
+	for _, lanes := range []int{1, 4, 8} {
+		var folded []int
+		n, err := runFold(0, 64, Config{Workers: 3, Lanes: lanes},
+			streamPrepare(), fakeAcquire(true),
+			func(idx int, job uint64, tr trace.Trace) error {
+				folded = append(folded, idx)
+				if idx == stopAt {
+					return errStop
+				}
+				return nil
+			})
+		if !errors.Is(err, errStop) {
+			t.Fatalf("lanes=%d: err = %v, want the stop sentinel", lanes, err)
+		}
+		if n != stopAt || len(folded) != stopAt+1 || folded[len(folded)-1] != stopAt {
+			t.Fatalf("lanes=%d: stopped after %d folded (last %d), want %d", lanes, n, folded[len(folded)-1], stopAt+1)
+		}
+	}
+}
+
+// shardedFold runs a sum-reduction over the fake acquisition and
+// returns the merged per-shard sums (shard order).
+func shardedFold(t *testing.T, workers, shards, lanes, from, to int, resume []int, init []float64) []float64 {
 	t.Helper()
 	lay := ShardingFor(from, to, shards)
 	sums := make([]float64, lay.N)
@@ -132,30 +94,23 @@ func shardedFold(t *testing.T, workers, shards, lanes, from, to int, resume []in
 		merged = append(merged, *acc)
 		return nil
 	}
-	cfg := ShardedConfig{Workers: workers, Shards: shards, Resume: resume}
-	var err error
-	if batched {
-		_, err = RunShardedBatch(from, to, lanes, cfg, batchPrepare(), fakeAcquireBatch(false), newShard, fold, merge)
-	} else {
-		_, err = RunSharded(from, to, cfg, batchPrepare(), fakeAcquire(false), newShard, fold, merge)
-	}
-	if err != nil {
+	cfg := Config{Workers: workers, Shards: shards, Lanes: lanes, Resume: resume}
+	if _, err := Run(from, to, cfg, streamPrepare(), PerSample(fakeAcquire(false)), newShard, fold, merge); err != nil {
 		t.Fatal(err)
 	}
 	return merged
 }
 
 // TestRunShardedBatchMatchesRunSharded pins the sharded batch path:
-// merged per-shard reductions are bit-identical to RunSharded's for
-// every lanes x workers x shards combination (same shard blocks, same
-// in-shard fold order).
+// merged per-shard reductions are bit-identical for every lanes x
+// workers x shards combination (same shard blocks, same in-shard fold
+// order).
 func TestRunShardedBatchMatchesRunSharded(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		want := shardedFold(t, 1, shards, 0, 0, 61, nil, nil, false)
+		want := shardedFold(t, 1, shards, 1, 0, 61, nil, nil)
 		for _, lanes := range []int{1, 3, 8} {
 			for _, w := range []int{1, 2, 7} {
-				got := shardedFold(t, w, shards, lanes, 0, 61, nil, nil, true)
-				if !reflect.DeepEqual(got, want) {
+				if got := shardedFold(t, w, shards, lanes, 0, 61, nil, nil); !reflect.DeepEqual(got, want) {
 					t.Fatalf("shards=%d lanes=%d workers=%d: merged reduction diverged", shards, lanes, w)
 				}
 			}
@@ -169,28 +124,26 @@ func TestRunShardedBatchMatchesRunSharded(t *testing.T) {
 // still merge bit-identically to the uninterrupted run.
 func TestRunShardedBatchResume(t *testing.T) {
 	const from, to, shards = 0, 61, 4
-	want := shardedFold(t, 1, shards, 0, from, to, nil, nil, false)
+	want := shardedFold(t, 1, shards, 1, from, to, nil, nil)
 	lay := ShardingFor(from, to, shards)
 	resume := make([]int, lay.N)
 	for s := range resume {
 		lo, hi := lay.Bounds(s)
 		resume[s] = lo + (s*3+1)%(hi-lo)
 	}
-	// Compute the checkpointed accumulator state: the fold of each
-	// shard's already-consumed prefix, in index order — what a real
-	// checkpoint blob would restore.
+	// The checkpointed accumulator state: the fold of each shard's
+	// already-folded prefix, in index order — what a real checkpoint
+	// blob would restore.
 	prefix := make([]float64, lay.N)
-	serial := fakeAcquire(false)
-	prep := batchPrepare()
-	for idx := from; idx < to; idx++ {
-		job, _ := prep(idx)
+	if err := serialRef(from, to, streamPrepare(), fakeAcquire(false), func(idx int, job uint64, tr trace.Trace) error {
 		if s := lay.Shard(idx); idx < resume[s] {
-			tr, _ := serial(0, idx, job)
 			prefix[s] += tr.Samples[0] * float64(idx+1)
 		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	got := shardedFold(t, 3, shards, 4, from, to, resume, prefix, true)
-	if !reflect.DeepEqual(got, want) {
+	if got := shardedFold(t, 3, shards, 4, from, to, resume, prefix); !reflect.DeepEqual(got, want) {
 		t.Fatalf("resumed merge diverged: got %v want %v", got, want)
 	}
 }

@@ -1,43 +1,61 @@
 // Package campaign is the deterministic, parallel acquisition engine
 // behind the repo's simulation experiments: side-channel trace
-// campaigns (internal/sca), fault-space sweeps (internal/fault) and
-// lossy-link session sweeps (internal/linksim). The serial workflow —
-// one simulator pass per sample, every sample retained before any
-// statistic is computed — is replaced by a three-stage pipeline:
+// campaigns (internal/sca), fault-space sweeps (internal/fault),
+// lossy-link session sweeps (internal/linksim), fleet simulations
+// (internal/fleet) and design-space grids (cmd/designlab). There is
+// one engine, Run, a three-stage pipeline:
 //
-//	prepare (serial, index order)  →  acquire (worker pool)  →  consume (serial, index order)
+//	prepare (serial, index order)  →  acquire (worker pool, lane batches)  →  fold (per shard, index order)  →  merge (shard order)
 //
-// The engine is generic in both the job type J (what prepare hands to
-// a worker) and the result type R (what a worker hands back): a
-// trace.Trace for power acquisitions, a fault classification for
-// injection sweeps, a session outcome for link campaigns.
+// The engine is generic in the job type J (what prepare hands to a
+// worker), the result type R (what a worker hands back) and the
+// accumulator type A (what a shard folds into): a trace.Trace into a
+// Welch accumulator for power campaigns, a fault classification into a
+// tally for injection sweeps, a device outcome into a fleet
+// accumulator.
 //
 // Determinism contract (the property every test in internal/sca,
-// internal/fault and internal/linksim pins):
+// internal/fault, internal/fleet and internal/linksim pins):
 //
 //   - prepare(idx) runs on a single dispatcher goroutine in strictly
 //     increasing index order, so it may draw from shared stateful RNG
-//     streams (attacker point selection, per-trace random keys) exactly
-//     as the serial loop did;
-//   - acquire(worker, idx, job) must be a pure function of (idx, job):
-//     every per-sample random substream (device TRNG, measurement
-//     noise, channel faults) derives from the sample index, never from
-//     worker identity or scheduling. The worker id exists only so
-//     workers can own scratch state (a coproc CPU, reset per sample);
-//   - consume(idx, job, out) runs on the caller's goroutine in strictly
-//     increasing index order, fed through a small reorder buffer.
+//     streams (attacker point selection, per-trace random keys);
+//   - acquire must be a pure function of the indices and jobs it is
+//     handed: every per-sample random substream (device TRNG,
+//     measurement noise, channel faults) derives from the sample index,
+//     never from worker identity, batch grouping or scheduling. The
+//     worker id exists only so workers can own scratch state (a lane
+//     CPU bank, reset per batch);
+//   - the range [from, to) is cut into S contiguous shard blocks
+//     (ShardingFor), so shard membership is a pure function of the
+//     index; each shard folds its results in strictly increasing index
+//     order, and the shard accumulators are merged on the caller's
+//     goroutine in shard order 0, 1, …, S-1.
 //
-// Under this contract the consumed sequence — and therefore every
-// streaming statistic folded over it — is bit-identical for any worker
-// count, while memory stays O(workers·sample) instead of O(n·sample).
+// The reduction is therefore a fixed tree over the sample indices,
+// determined entirely by (from, to, S): the merged result is
+// bit-identical for any worker count and any lane count. S = 1 is the
+// serial fold — one shard, one cursor, every sample folded in global
+// index order — and is what order-sensitive callers (linksim's float
+// sums, early-stop TVLA) select. Different S reassociate
+// floating-point sums, so statistics agree across shard counts only to
+// rounding.
 //
-// Early stopping: consume may return stop=true (e.g. |t| > 4.5 reached,
-// CPA scores separated) and the engine halts after that trace; the
-// consumed prefix is still identical across worker counts. Note that
-// after an early stop, prepare may already have run for up to
-// O(workers) indices past the stopping point — callers sharing an RNG
-// stream across separate campaigns should not combine that sharing
-// with early stopping.
+// Early stopping is a fold sentinel: a fold that decides the campaign
+// is over (TVLA's |t| threshold) returns an error of its own, and the
+// error contract below makes the stopping index — and with S = 1 the
+// folded prefix — the same at any worker or lane count. After a stop,
+// prepare may already have run for a few indices past the stopping
+// point; callers sharing an RNG stream across separate campaigns should
+// not combine that sharing with early stopping.
+//
+// Error contract: when prepare, acquire or fold fails, the engine stops
+// dispatching new work but still acquires and folds the indices below
+// the failure that were already dispatched, then returns the error of
+// the lowest failing index (a batch error counts at the batch's first
+// index). Because every index below that point is processed, the
+// returned error does not depend on scheduling. Cancellation (Ctx) and
+// Checkpoint hook errors stop the run at once.
 package campaign
 
 import (
@@ -46,30 +64,39 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"medsec/internal/obs"
 )
 
-// ErrInterrupted is returned by Run/RunSharded when the configured
-// context is cancelled (SIGINT/SIGTERM in the CLIs). The final
-// checkpoint hook has already run by the time it is returned: the
-// caller's accumulator state is exactly the reported watermark, ready
-// to be persisted or discarded.
+// ErrInterrupted is returned by Run when the configured context is
+// cancelled (SIGINT/SIGTERM in the CLIs). The final checkpoint hook
+// has already run by the time it is returned: the caller's
+// accumulators are exactly the reported cursors, ready to be persisted
+// or discarded.
 var ErrInterrupted = errors.New("campaign: interrupted")
 
 // MaxWorkers caps the pool: campaign throughput saturates the memory
-// hierarchy well before this, and the reorder buffer grows with the
+// hierarchy well before this, and the reorder buffers grow with the
 // worker count.
 const MaxWorkers = 64
 
+// MaxLanes caps the batch width. Beyond this the lane bank's working
+// set outgrows the cache levels that make batching profitable.
+const MaxLanes = 64
+
+// DefaultShards is the shard count selected by Config.Shards == 0.
+// Eight shards keep the merge cost trivial while giving the reduction
+// enough independent accumulators that workers almost never contend on
+// a shard lock.
+const DefaultShards = 8
+
 // BufferPool is a typed free list for the per-sample buffers that flow
 // through a campaign (power samples, iteration indices). Acquirers Get
-// a zero-length buffer, fill it, and hand the result to the consumer;
-// the consumer calls Put once the statistics have been folded. In
-// steady state every trace reuses a buffer retired a few indices
-// earlier, so the acquisition loop allocates ~nothing per trace no
-// matter how long the campaign runs.
+// a zero-length buffer, fill it, and hand the result to the fold; the
+// fold calls Put once the statistics have been folded. In steady state
+// every trace reuses a buffer retired a few indices earlier, so the
+// acquisition loop allocates ~nothing per trace no matter how long the
+// campaign runs.
 //
 // A Put buffer must not be used afterwards; Get truncates to length 0
 // but does not zero memory.
@@ -145,51 +172,73 @@ func Workers(requested int) int {
 	return w
 }
 
+// Lanes resolves a requested batch width: values <= 0 select 1, and
+// the result is capped at MaxLanes.
+func Lanes(requested int) int {
+	l := requested
+	if l <= 0 {
+		l = 1
+	}
+	if l > MaxLanes {
+		l = MaxLanes
+	}
+	return l
+}
+
 // Config tunes one engine run.
 type Config struct {
 	// Workers is the pool size; <= 0 selects GOMAXPROCS (capped at
-	// MaxWorkers).
+	// MaxWorkers). The worker count never affects the merged result.
 	Workers int
-	// Progress, when non-nil, is invoked from the consuming goroutine
-	// after each consumed trace with the absolute index+1 — campaign
-	// progress reporting for the long acquisitions.
-	//
-	// Contract: progress values are strictly increasing, and on a
-	// successful bounded run (no error, no early stop) the final call
-	// always reports the total sample count, even if the engine's
-	// internal accounting would otherwise skip it.
+	// Shards is the number of reduction shards S; 0 selects
+	// DefaultShards and negative values are refused. S is part of the
+	// experiment definition: S = 1 is the serial in-order fold, and
+	// changing S reassociates floating-point reductions (results agree
+	// across S only to rounding).
+	Shards int
+	// Lanes is the acquisition batch width: the dispatcher groups up to
+	// Lanes consecutive indices of one shard into a batch, and the
+	// acquirer retires a batch at a time. <= 0 selects 1. Batch
+	// grouping is unobservable in the results.
+	Lanes int
+	// Progress, when non-nil, is invoked with the number of folded
+	// samples (including a resumed prefix) after each fold batch.
+	// Values are strictly increasing but may skip counts; on a
+	// successful run the final call reports to-from.
 	Progress func(done int)
 	// Metrics, when non-nil, receives campaign instrumentation:
-	// counters campaign_prepared / campaign_acquired /
-	// campaign_consumed, gauge campaign_workers, and histogram
-	// campaign_worker_samples (per-worker sample counts observed at
-	// pool exit — a flatness check on work distribution). Instruments
-	// are resolved once per Run; the per-sample cost is one atomic add
-	// each, and a nil registry costs nothing (every obs method is a
-	// nil-safe no-op).
+	// counters campaign_prepared / campaign_acquired / campaign_folded
+	// / campaign_batch_underfill, gauges campaign_workers /
+	// campaign_shards / campaign_lanes / campaign_run_ns /
+	// campaign_merge_ns, and histograms campaign_fold_batch (drain
+	// batch sizes) and campaign_batch_fill (acquisition batch widths).
+	// The run and merge timings are published by every run. A nil
+	// registry costs nothing (every obs method is a nil-safe no-op).
 	Metrics *obs.Registry
 	// Ctx, when non-nil, makes the run interruptible: on cancellation
-	// the engine stops feeding the pool, calls the Checkpoint hook one
-	// final time at the exact consumed watermark, and returns
-	// ErrInterrupted. A nil Ctx (the default) is never checked.
+	// the pool drains, the Checkpoint hook runs one final time with the
+	// per-shard cursors, and Run returns ErrInterrupted (the merge
+	// phase is skipped). A nil Ctx is never checked.
 	Ctx context.Context
-	// ResumeFrom resumes a checkpointed run: the first ResumeFrom
-	// indices of the range were already consumed by a previous
-	// process. prepare still runs for them, serially and in index
-	// order, so shared stateful RNG streams (random keys, attacker
-	// point selection) advance exactly as in an uninterrupted run —
-	// but their jobs are discarded without acquisition or consumption.
-	// The return value counts only newly consumed samples.
-	ResumeFrom int
-	// Checkpoint, when non-nil, is called on the consuming goroutine
-	// with the current watermark w — indices [from, from+w) consumed,
-	// every streaming statistic folded over exactly that prefix —
-	// whenever w crosses a CheckpointEvery multiple, and once more on
-	// interrupt. A hook error aborts the run.
-	Checkpoint func(watermark int) error
-	// CheckpointEvery is the consumed-trace interval between periodic
-	// Checkpoint calls; <= 0 disables them (the interrupt-path call
-	// still happens).
+	// Resume holds per-shard global cursors from a checkpoint: shard s
+	// has already folded indices [lo_s, Resume[s]) in a previous
+	// process. prepare replays the folded indices in order (shared RNG
+	// streams advance identically); acquire and fold skip them. The
+	// length must equal the resolved shard count and every cursor must
+	// lie inside its shard's block.
+	Resume []int
+	// Checkpoint, when non-nil together with CheckpointEvery > 0, is
+	// called whenever the folded count (resumed + new) crosses a
+	// CheckpointEvery multiple, and once more after an interrupt. The
+	// hook receives the per-shard cursors, taken and held under every
+	// shard lock — the accumulators the caller closes over are exactly
+	// the folded prefixes [lo_s, cursors[s]) for the whole call.
+	// Periodic calls arrive on a worker goroutine (all folding pauses
+	// meanwhile; keep the hook short), the interrupt call on the
+	// caller's. A hook error aborts the run.
+	Checkpoint func(cursors []int) error
+	// CheckpointEvery is the folded-sample interval between periodic
+	// Checkpoint calls; <= 0 disables them.
 	CheckpointEvery int
 }
 
@@ -197,216 +246,74 @@ type Config struct {
 // order; may draw from shared stateful streams.
 type PrepareFunc[J any] func(idx int) (J, error)
 
-// AcquireFunc runs one simulated acquisition and returns its result.
-// Called concurrently; must depend only on (idx, job). worker
-// identifies the calling worker for worker-owned scratch state.
+// AcquireBatchFunc acquires results for the contiguous index run
+// [start, start+len(jobs)), writing out[i] for index start+i. Called
+// concurrently; must depend only on the indices and jobs — worker
+// exists for worker-owned scratch. len(out) == len(jobs) >= 1; an
+// error poisons the whole batch.
+type AcquireBatchFunc[J, R any] func(worker, start int, jobs []J, out []R) error
+
+// AcquireFunc acquires the result for one sample. Called concurrently;
+// must depend only on (idx, job).
 type AcquireFunc[J, R any] func(worker, idx int, job J) (R, error)
 
-// ConsumeFunc folds one completed result into the campaign statistics.
-// Called serially in index order; returning stop=true ends the run
-// after this sample.
-type ConsumeFunc[J, R any] func(idx int, job J, out R) (stop bool, err error)
-
-type item[J any] struct {
-	idx int
-	job J
+// PerSample lifts a per-sample acquirer onto the batch contract, for
+// campaigns whose samples have no lane-batched simulator (fleet
+// devices, fault injections, link sessions, design points). The batch
+// stops at its first failing sample and reports that sample's error.
+func PerSample[J, R any](acquire AcquireFunc[J, R]) AcquireBatchFunc[J, R] {
+	return func(worker, start int, jobs []J, out []R) error {
+		for i := range jobs {
+			r, err := acquire(worker, start+i, jobs[i])
+			if err != nil {
+				return err
+			}
+			out[i] = r
+		}
+		return nil
+	}
 }
 
-type outcome[J, R any] struct {
-	idx int
-	job J
-	out R
-	err error
+// Sharding describes how a bounded index range [From, To) is cut into
+// contiguous shard blocks. Callers that build per-shard accumulators
+// keyed by global index use it to recover each shard's index block.
+type Sharding struct {
+	From, To int
+	// Block is the nominal block length; shard s covers
+	// [From+s·Block, min(From+(s+1)·Block, To)).
+	Block int
+	// N is the number of (all non-empty) shards.
+	N int
 }
 
-// Run acquires results for indices [from, to) — to < 0 means
-// unbounded, in which case consume MUST eventually stop the run. It
-// returns the number of samples consumed. Errors (from prepare,
-// acquire, or consume) surface in index order, so even failure is
-// deterministic.
-func Run[J, R any](from, to int, cfg Config, prepare PrepareFunc[J], acquire AcquireFunc[J, R], consume ConsumeFunc[J, R]) (int, error) {
-	if cfg.ResumeFrom < 0 {
-		cfg.ResumeFrom = 0
+// ShardingFor resolves a requested shard count over [from, to):
+// requested <= 0 selects DefaultShards, and the count is reduced so
+// every shard is non-empty. An empty range yields N == 0.
+func ShardingFor(from, to, requested int) Sharding {
+	n := to - from
+	if n <= 0 {
+		return Sharding{From: from, To: to, Block: 1, N: 0}
 	}
-	// start is the first index actually acquired; [from, start) is the
-	// resumed prefix, replayed through prepare only.
-	start := from + cfg.ResumeFrom
-	if to >= 0 && start >= to {
-		return 0, nil
+	s := requested
+	if s <= 0 {
+		s = DefaultShards
 	}
-	workers := Workers(cfg.Workers)
-	if to >= 0 && workers > to-start {
-		workers = to - start
+	if s > n {
+		s = n
 	}
+	block := (n + s - 1) / s
+	return Sharding{From: from, To: to, Block: block, N: (n + block - 1) / block}
+}
 
-	// Resolve instruments once per run: the per-sample cost is a single
-	// atomic add per counter, and every call is a nil-safe no-op when
-	// cfg.Metrics is nil.
-	var (
-		mPrepared      = cfg.Metrics.Counter("campaign_prepared")
-		mAcquired      = cfg.Metrics.Counter("campaign_acquired")
-		mConsumed      = cfg.Metrics.Counter("campaign_consumed")
-		mWorkerSamples = cfg.Metrics.Histogram("campaign_worker_samples", []float64{1, 10, 100, 1e3, 1e4, 1e5, 1e6})
-		runStart       time.Time
-	)
-	cfg.Metrics.Gauge("campaign_workers").Set(float64(workers))
-	if cfg.Metrics != nil {
-		runStart = time.Now()
-	}
+// Shard returns the shard owning global index idx.
+func (sh Sharding) Shard(idx int) int { return (idx - sh.From) / sh.Block }
 
-	jobs := make(chan item[J], workers)
-	results := make(chan outcome[J, R], workers)
-	quit := make(chan struct{})
-
-	// Dispatcher: prepares jobs serially in index order.
-	go func() {
-		defer close(jobs)
-		for idx := from; to < 0 || idx < to; idx++ {
-			j, err := prepare(idx)
-			if err != nil {
-				// Deliver the error as this index's outcome so the
-				// consumer surfaces it in order.
-				select {
-				case results <- outcome[J, R]{idx: idx, err: err}:
-				case <-quit:
-				}
-				return
-			}
-			mPrepared.Inc()
-			if idx < start {
-				// Resumed prefix: prepare ran (the shared RNG streams
-				// must advance), the job is not re-acquired.
-				continue
-			}
-			select {
-			case jobs <- item[J]{idx: idx, job: j}:
-			case <-quit:
-				return
-			}
-		}
-	}()
-
-	// Worker pool: each worker owns scratch state keyed by its id. The
-	// per-worker sample count lands in campaign_worker_samples at pool
-	// exit — the histogram's spread is a flatness check on how evenly
-	// the dispatcher fed the pool.
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			samples := 0
-			for it := range jobs {
-				out, err := acquire(w, it.idx, it.job)
-				mAcquired.Inc()
-				samples++
-				select {
-				case results <- outcome[J, R]{idx: it.idx, job: it.job, out: out, err: err}:
-				case <-quit:
-					return
-				}
-			}
-			mWorkerSamples.Observe(float64(samples))
-		}(w)
+// Bounds returns the half-open global index range [lo, hi) of shard s.
+func (sh Sharding) Bounds(s int) (lo, hi int) {
+	lo = sh.From + s*sh.Block
+	hi = lo + sh.Block
+	if hi > sh.To {
+		hi = sh.To
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Consumer: reorder buffer feeding consume in index order. The
-	// buffer holds at most O(workers) results: in-flight work is
-	// bounded by the two channel capacities plus the workers
-	// themselves.
-	pending := make(map[int]outcome[J, R], 3*workers+2)
-	cursor := start
-	consumed := 0
-	lastProgress := start // highest index+1 reported via cfg.Progress
-	var runErr error
-	stopped := false
-	interrupted := false
-	var ctxDone <-chan struct{}
-	if cfg.Ctx != nil {
-		ctxDone = cfg.Ctx.Done()
-	}
-
-	defer close(quit) // unblock dispatcher/workers parked on sends
-
-loop:
-	for to < 0 || cursor < to {
-		// Non-blocking cancellation check between consumes (a nil
-		// ctxDone never fires).
-		select {
-		case <-ctxDone:
-			interrupted = true
-		default:
-		}
-		if interrupted {
-			break
-		}
-		if r, ok := pending[cursor]; ok {
-			delete(pending, cursor)
-			if r.err != nil {
-				runErr = r.err
-				break
-			}
-			stop, err := consume(cursor, r.job, r.out)
-			cursor++
-			consumed++
-			mConsumed.Inc()
-			if cfg.Progress != nil {
-				cfg.Progress(cursor)
-				lastProgress = cursor
-			}
-			if err != nil {
-				runErr = err
-				break
-			}
-			if stop {
-				stopped = true
-				break
-			}
-			if cfg.Checkpoint != nil && cfg.CheckpointEvery > 0 && (cursor-from)%cfg.CheckpointEvery == 0 {
-				if err := cfg.Checkpoint(cursor - from); err != nil {
-					runErr = err
-					break
-				}
-			}
-			continue
-		}
-		select {
-		case r, ok := <-results:
-			if !ok {
-				// Producers exhausted with the cursor unreached: only
-				// possible when an error outcome was consumed already
-				// or the dispatcher stopped — nothing left to do.
-				break loop
-			}
-			pending[r.idx] = r
-		case <-ctxDone:
-			interrupted = true
-			break loop
-		}
-	}
-	if interrupted && runErr == nil {
-		// Final checkpoint at the exact consumed watermark, then
-		// surface the interruption.
-		runErr = ErrInterrupted
-		if cfg.Checkpoint != nil {
-			if err := cfg.Checkpoint(cursor - from); err != nil {
-				runErr = err
-			}
-		}
-	}
-	// Progress contract: a successful bounded run always reports the
-	// total as its final call. The consume loop already does so when it
-	// walks the full range; this covers any future restructuring of the
-	// loop (and documents the invariant the progress test pins).
-	if cfg.Progress != nil && runErr == nil && !stopped && to >= 0 && cursor == to && lastProgress != to {
-		cfg.Progress(to)
-	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.Gauge("campaign_run_ns").Set(float64(time.Since(runStart).Nanoseconds()))
-	}
-	return consumed, runErr
+	return lo, hi
 }

@@ -1,7 +1,7 @@
-// External test package: trace now imports campaign (for the pooled
-// per-trace buffers), so an in-package test can no longer use
-// trace.Trace as a result type without an import cycle. The dot-import
-// keeps the test bodies unchanged.
+// External test package: trace imports campaign (for the pooled
+// per-trace buffers), so an in-package test could not use trace.Trace
+// as a result type without an import cycle. The dot-import keeps the
+// test bodies short.
 package campaign_test
 
 import (
@@ -17,9 +17,42 @@ import (
 	"medsec/internal/trace"
 )
 
+// serialRef is the reference every engine shape is checked against:
+// the historical serial loop — prepare, acquire and fold each index in
+// order on the caller's goroutine.
+func serialRef[J, R any](from, to int, prepare PrepareFunc[J], acquire AcquireFunc[J, R], fold func(idx int, job J, out R) error) error {
+	for idx := from; idx < to; idx++ {
+		job, err := prepare(idx)
+		if err != nil {
+			return err
+		}
+		out, err := acquire(0, idx, job)
+		if err != nil {
+			return err
+		}
+		if err := fold(idx, job, out); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runFold runs the engine as the serial fold (S = 1): fold sees every
+// sample in global index order.
+func runFold[J, R any](from, to int, cfg Config, prepare PrepareFunc[J], acquire AcquireFunc[J, R], fold func(idx int, job J, out R) error) (int, error) {
+	cfg.Shards = 1
+	return Run(from, to, cfg, prepare, PerSample(acquire),
+		func(int) struct{} { return struct{}{} },
+		func(_ int, _ struct{}, idx int, job J, out R) error { return fold(idx, job, out) },
+		func(int, struct{}) error { return nil })
+}
+
+// errStop is the tests' early-stop fold sentinel.
+var errStop = errors.New("stop")
+
 // fakeAcquire derives a small trace purely from the index — the
 // determinism contract — with an optional scheduling shake so the
-// reorder buffer actually reorders under -race.
+// reorder buffers actually reorder under -race.
 func fakeAcquire(shake bool) AcquireFunc[uint64, trace.Trace] {
 	return func(worker, idx int, job uint64) (trace.Trace, error) {
 		if shake && idx%3 == 0 {
@@ -30,41 +63,59 @@ func fakeAcquire(shake bool) AcquireFunc[uint64, trace.Trace] {
 	}
 }
 
-// runAll collects the consumed (idx, job, sample0) sequence.
-func runAll(t *testing.T, workers, from, to int, shake bool) [][3]float64 {
-	t.Helper()
-	var seq [][3]float64
-	stream := uint64(7) // shared stateful "RNG" advanced by prepare
-	prepare := func(idx int) (uint64, error) {
+// streamPrepare is a shared stateful "RNG" advanced by prepare.
+func streamPrepare() PrepareFunc[uint64] {
+	stream := uint64(7)
+	return func(idx int) (uint64, error) {
 		stream = stream*6364136223846793005 + 1442695040888963407
 		return stream % 97, nil
 	}
-	consume := func(idx int, job uint64, tr trace.Trace) (bool, error) {
-		seq = append(seq, [3]float64{float64(idx), float64(job), tr.Samples[0]})
-		return false, nil
+}
+
+// record appends the (idx, job, sample0) triple of each fold.
+func record(seq *[][3]float64) func(idx int, job uint64, tr trace.Trace) error {
+	return func(idx int, job uint64, tr trace.Trace) error {
+		*seq = append(*seq, [3]float64{float64(idx), float64(job), tr.Samples[0]})
+		return nil
 	}
-	n, err := Run(from, to, Config{Workers: workers}, prepare, fakeAcquire(shake), consume)
+}
+
+// serialSeq is the reference fold sequence over [from, to).
+func serialSeq(t *testing.T, from, to int) [][3]float64 {
+	t.Helper()
+	var seq [][3]float64
+	if err := serialRef(from, to, streamPrepare(), fakeAcquire(false), record(&seq)); err != nil {
+		t.Fatal(err)
+	}
+	return seq
+}
+
+// runAll collects the folded (idx, job, sample0) sequence of the S = 1
+// engine.
+func runAll(t *testing.T, workers, lanes, from, to int, shake bool) [][3]float64 {
+	t.Helper()
+	var seq [][3]float64
+	n, err := runFold(from, to, Config{Workers: workers, Lanes: lanes}, streamPrepare(), fakeAcquire(shake), record(&seq))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != to-from {
-		t.Fatalf("consumed %d, want %d", n, to-from)
+		t.Fatalf("folded %d, want %d", n, to-from)
 	}
 	return seq
 }
 
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	want := runAll(t, 1, 0, 64, false)
-	for _, w := range []int{2, 3, 7, 16} {
-		got := runAll(t, w, 0, 64, true)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: consumed sequence diverged from serial", w)
+	want := serialSeq(t, 0, 64)
+	for _, w := range []int{1, 2, 3, 7, 16} {
+		if got := runAll(t, w, 1, 0, 64, w > 1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: folded sequence diverged from the serial reference", w)
 		}
 	}
 }
 
 func TestRunRangeOffset(t *testing.T) {
-	seq := runAll(t, 4, 10, 25, true)
+	seq := runAll(t, 4, 1, 10, 25, true)
 	if len(seq) != 15 {
 		t.Fatalf("len = %d", len(seq))
 	}
@@ -75,101 +126,162 @@ func TestRunRangeOffset(t *testing.T) {
 	}
 }
 
+// TestRunEarlyStopDeterministic pins early stop as a fold sentinel: the
+// S = 1 fold ends exactly at the stopping index for any worker or lane
+// count, and the sentinel is what the run returns.
 func TestRunEarlyStopDeterministic(t *testing.T) {
 	const stopAt = 23
-	run := func(workers, to int) (int, []int) {
-		var order []int
-		consume := func(idx int, job uint64, tr trace.Trace) (bool, error) {
-			order = append(order, idx)
-			return idx == stopAt, nil
-		}
-		n, err := Run(0, to, Config{Workers: workers},
-			func(idx int) (uint64, error) { return uint64(idx), nil },
-			fakeAcquire(true), consume)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n, order
-	}
-	wantN, wantOrder := run(1, 1000)
-	if wantN != stopAt+1 {
-		t.Fatalf("serial early stop consumed %d, want %d", wantN, stopAt+1)
-	}
-	for _, w := range []int{2, 7, 16} {
-		// Bounded and unbounded runs must stop at the same trace.
-		for _, to := range []int{1000, -1} {
-			n, order := run(w, to)
-			if n != wantN || !reflect.DeepEqual(order, wantOrder) {
-				t.Fatalf("workers=%d to=%d: consumed %d traces, want %d", w, to, n, wantN)
+	for _, w := range []int{1, 2, 7, 16} {
+		for _, lanes := range []int{1, 4} {
+			var order []int
+			n, err := runFold(0, 1000, Config{Workers: w, Lanes: lanes},
+				func(idx int) (uint64, error) { return uint64(idx), nil },
+				fakeAcquire(true),
+				func(idx int, job uint64, tr trace.Trace) error {
+					order = append(order, idx)
+					if idx == stopAt {
+						return errStop
+					}
+					return nil
+				})
+			if !errors.Is(err, errStop) {
+				t.Fatalf("workers=%d lanes=%d: err = %v, want the stop sentinel", w, lanes, err)
+			}
+			// The stopping fold is not counted: the engine only knows it
+			// failed.
+			if n != stopAt || len(order) != stopAt+1 || order[stopAt] != stopAt {
+				t.Fatalf("workers=%d lanes=%d: folded %d (seen %d), want stop at %d", w, lanes, n, len(order), stopAt)
 			}
 		}
 	}
 }
 
-func TestRunAcquireErrorSurfacesInOrder(t *testing.T) {
-	boom := errors.New("boom")
-	for _, w := range []int{1, 4} {
-		var consumed []int
-		n, err := Run(0, 50, Config{Workers: w},
-			func(idx int) (int, error) { return idx, nil },
-			func(worker, idx int, job int) (trace.Trace, error) {
-				if idx == 17 {
-					return trace.Trace{}, boom
-				}
-				return trace.Trace{Samples: []float64{1}}, nil
-			},
-			func(idx int, job int, tr trace.Trace) (bool, error) {
-				consumed = append(consumed, idx)
-				return false, nil
-			})
-		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: err = %v, want boom", w, err)
-		}
-		if n != 17 || len(consumed) != 17 {
-			t.Fatalf("workers=%d: consumed %d traces before the error, want 17", w, n)
+// errorMatrix is the engine-shape grid the error contract is pinned on.
+func errorMatrix(t *testing.T, check func(t *testing.T, cfg Config)) {
+	for _, w := range []int{1, 2, 7} {
+		for _, shards := range []int{1, 4} {
+			for _, lanes := range []int{1, 3} {
+				cfg := Config{Workers: w, Shards: shards, Lanes: lanes}
+				t.Run(fmt.Sprintf("workers=%d/shards=%d/lanes=%d", w, shards, lanes), func(t *testing.T) { check(t, cfg) })
+			}
 		}
 	}
 }
 
-func TestRunPrepareErrorSurfacesInOrder(t *testing.T) {
-	boom := errors.New("prep")
-	for _, w := range []int{1, 4} {
-		n, err := Run(0, 50, Config{Workers: w},
-			func(idx int) (int, error) {
-				if idx == 9 {
-					return 0, boom
+// errorRun runs [0, n) through the engine recording every folded index
+// and whether the merge ran.
+func errorRun(cfg Config, n int, prepare PrepareFunc[int], acquire AcquireFunc[int, int]) (map[int]bool, bool, error) {
+	var mu sync.Mutex
+	folded := map[int]bool{}
+	merged := false
+	_, err := Run(0, n, cfg, prepare, PerSample(acquire),
+		func(int) int { return 0 },
+		func(_, _, idx, _, _ int) error {
+			mu.Lock()
+			folded[idx] = true
+			mu.Unlock()
+			return nil
+		},
+		func(int, int) error { merged = true; return nil })
+	return folded, merged, err
+}
+
+// batchStart returns the first index of the acquisition batch holding
+// idx: batches start at each shard's block start and advance by lanes.
+func batchStart(cfg Config, n, idx int) int {
+	lay := ShardingFor(0, n, cfg.Shards)
+	lo, _ := lay.Bounds(lay.Shard(idx))
+	return lo + (idx-lo)/cfg.Lanes*cfg.Lanes
+}
+
+// TestRunAcquireErrorSurfacesInOrder pins the deterministic error
+// contract: with two failing samples, the lower one's error is returned
+// at every engine shape, every index below its batch was still folded,
+// and the merge never runs.
+func TestRunAcquireErrorSurfacesInOrder(t *testing.T) {
+	errLow, errHigh := errors.New("boom17"), errors.New("boom40")
+	errorMatrix(t, func(t *testing.T, cfg Config) {
+		folded, merged, err := errorRun(cfg, 50,
+			func(idx int) (int, error) { return idx, nil },
+			func(worker, idx int, job int) (int, error) {
+				switch idx {
+				case 17:
+					time.Sleep(2 * time.Millisecond) // let the higher failure land first
+					return 0, errLow
+				case 40:
+					return 0, errHigh
 				}
-				return idx, nil
-			},
-			fakeAcquireInt,
-			func(idx int, job int, tr trace.Trace) (bool, error) { return false, nil })
-		if !errors.Is(err, boom) || n != 9 {
-			t.Fatalf("workers=%d: (n, err) = (%d, %v), want (9, prep)", w, n, err)
+				return job, nil
+			})
+		if !errors.Is(err, errLow) {
+			t.Fatalf("err = %v, want the lowest-index error", err)
 		}
-	}
+		if merged {
+			t.Fatal("merge ran despite a failed campaign")
+		}
+		for idx := 0; idx < batchStart(cfg, 50, 17); idx++ {
+			if !folded[idx] {
+				t.Fatalf("index %d below the failure was never folded", idx)
+			}
+		}
+	})
+}
+
+// TestRunPrepareErrorSurfacesInOrder: a prepare failure stops dispatch,
+// but every index before it is still acquired and folded — and a lower
+// acquire failure outranks it.
+func TestRunPrepareErrorSurfacesInOrder(t *testing.T) {
+	prepErr, acqErr := errors.New("prep"), errors.New("acquire")
+	errorMatrix(t, func(t *testing.T, cfg Config) {
+		prepare := func(idx int) (int, error) {
+			if idx == 9 {
+				return 0, prepErr
+			}
+			return idx, nil
+		}
+		folded, _, err := errorRun(cfg, 50, prepare, func(worker, idx int, job int) (int, error) { return job, nil })
+		if !errors.Is(err, prepErr) {
+			t.Fatalf("err = %v, want prep", err)
+		}
+		for idx := 0; idx < 9; idx++ {
+			if !folded[idx] {
+				t.Fatalf("index %d before the prepare failure was never folded", idx)
+			}
+		}
+		_, _, err = errorRun(cfg, 50, prepare, func(worker, idx int, job int) (int, error) {
+			if idx == 4 {
+				return 0, acqErr
+			}
+			return job, nil
+		})
+		if !errors.Is(err, acqErr) {
+			t.Fatalf("err = %v, want the lower acquire error", err)
+		}
+	})
 }
 
 func fakeAcquireInt(worker, idx int, job int) (trace.Trace, error) {
 	return trace.Trace{Samples: []float64{float64(job)}}, nil
 }
 
+// TestRunConsumeErrorStops: a fold error ends the S = 1 fold at the
+// failing index.
 func TestRunConsumeErrorStops(t *testing.T) {
-	boom := errors.New("consume")
-	n, err := Run(0, 40, Config{Workers: 5},
+	boom := errors.New("fold")
+	n, err := runFold(0, 40, Config{Workers: 5},
 		func(idx int) (int, error) { return idx, nil },
 		fakeAcquireInt,
-		func(idx int, job int, tr trace.Trace) (bool, error) {
+		func(idx int, job int, tr trace.Trace) error {
 			if idx == 12 {
-				return false, boom
+				return boom
 			}
-			return false, nil
+			return nil
 		})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	// The failing trace was consumed (and counted) before the error.
-	if n != 13 {
-		t.Fatalf("n = %d, want 13", n)
+	if n != 12 {
+		t.Fatalf("n = %d, want 12", n)
 	}
 }
 
@@ -179,8 +291,7 @@ func TestRunWorkerIdsAreStable(t *testing.T) {
 	// overlap (each worker is a single goroutine).
 	const workers = 6
 	var active [workers]int32
-	var maxSeen int32
-	_, err := Run(0, 200, Config{Workers: workers},
+	_, err := runFold(0, 200, Config{Workers: workers},
 		func(idx int) (int, error) { return idx, nil },
 		func(worker, idx int, job int) (trace.Trace, error) {
 			if worker < 0 || worker >= workers {
@@ -189,14 +300,11 @@ func TestRunWorkerIdsAreStable(t *testing.T) {
 			if atomic.AddInt32(&active[worker], 1) != 1 {
 				return trace.Trace{}, errors.New("two acquisitions on one worker id")
 			}
-			if int32(worker) > atomic.LoadInt32(&maxSeen) {
-				atomic.StoreInt32(&maxSeen, int32(worker))
-			}
 			time.Sleep(50 * time.Microsecond)
 			atomic.AddInt32(&active[worker], -1)
 			return trace.Trace{Samples: []float64{0}}, nil
 		},
-		func(idx int, job int, tr trace.Trace) (bool, error) { return false, nil })
+		func(idx int, job int, tr trace.Trace) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,18 +312,18 @@ func TestRunWorkerIdsAreStable(t *testing.T) {
 
 func TestRunProgressMonotone(t *testing.T) {
 	var done []int
-	_, err := Run(3, 20, Config{Workers: 4, Progress: func(d int) { done = append(done, d) }},
+	_, err := runFold(3, 20, Config{Workers: 4, Progress: func(d int) { done = append(done, d) }},
 		func(idx int) (int, error) { return idx, nil },
 		fakeAcquireInt,
-		func(idx int, job int, tr trace.Trace) (bool, error) { return false, nil })
+		func(idx int, job int, tr trace.Trace) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(done) != 17 || done[0] != 4 || done[len(done)-1] != 20 {
-		t.Fatalf("progress sequence %v", done)
+	if len(done) == 0 || done[len(done)-1] != 17 {
+		t.Fatalf("progress sequence %v does not end at the sample count 17", done)
 	}
 	for i := 1; i < len(done); i++ {
-		if done[i] != done[i-1]+1 {
+		if done[i] <= done[i-1] {
 			t.Fatalf("progress not monotone: %v", done)
 		}
 	}
@@ -225,45 +333,46 @@ func TestRunStreamingIntoOnlineStats(t *testing.T) {
 	// End-to-end shape of the real pipeline: parallel acquisition
 	// streaming into an order-sensitive accumulator must be bit-equal
 	// to the serial fold.
-	fold := func(workers int) []float64 {
-		o := trace.NewOnlineStats()
-		_, err := Run(0, 128, Config{Workers: workers},
-			func(idx int) (uint64, error) { return uint64(idx * idx), nil },
-			fakeAcquire(true),
-			func(idx int, job uint64, tr trace.Trace) (bool, error) {
-				return false, o.Add(tr.Samples)
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
+	prepare := func(idx int) (uint64, error) { return uint64(idx * idx), nil }
+	mean := func(o *trace.OnlineStats) []float64 {
 		m, err := o.Mean()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	want := fold(1)
-	for _, w := range []int{2, 8} {
-		if got := fold(w); !reflect.DeepEqual(got, want) {
+	ref := trace.NewOnlineStats()
+	if err := serialRef(0, 128, prepare, fakeAcquire(false),
+		func(idx int, job uint64, tr trace.Trace) error { return ref.Add(tr.Samples) }); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2, 8} {
+		o := trace.NewOnlineStats()
+		if _, err := runFold(0, 128, Config{Workers: w, Lanes: 3}, prepare, fakeAcquire(true),
+			func(idx int, job uint64, tr trace.Trace) error { return o.Add(tr.Samples) }); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(mean(o), mean(ref)) {
 			t.Fatalf("workers=%d: streaming mean not bit-identical to serial", w)
 		}
 	}
 }
 
 func TestRunEmptyAndDegenerateRanges(t *testing.T) {
-	n, err := Run(5, 5, Config{},
-		func(idx int) (int, error) { return 0, nil },
-		fakeAcquireInt,
-		func(idx int, job int, tr trace.Trace) (bool, error) { return false, nil })
-	if n != 0 || err != nil {
+	prepare := func(idx int) (int, error) { return 0, nil }
+	fold := func(idx int, job int, tr trace.Trace) error { return nil }
+	if n, err := runFold(5, 5, Config{}, prepare, fakeAcquireInt, fold); n != 0 || err != nil {
 		t.Fatalf("empty range: (%d, %v)", n, err)
 	}
-	n, err = Run(9, 3, Config{},
-		func(idx int) (int, error) { return 0, nil },
-		fakeAcquireInt,
-		func(idx int, job int, tr trace.Trace) (bool, error) { return false, nil })
-	if n != 0 || err != nil {
-		t.Fatalf("inverted range: (%d, %v)", n, err)
+	if _, err := runFold(9, 3, Config{}, prepare, fakeAcquireInt, fold); err == nil {
+		t.Fatal("inverted range accepted")
+	}
+	_, err := Run(0, 10, Config{Shards: -1}, prepare, PerSample(fakeAcquireInt),
+		func(int) int { return 0 },
+		func(_, _, _, _ int, _ trace.Trace) error { return nil },
+		func(int, int) error { return nil })
+	if err == nil {
+		t.Fatal("negative shard count accepted")
 	}
 }
 
@@ -277,24 +386,30 @@ func TestWorkersResolution(t *testing.T) {
 	if Workers(10_000) != MaxWorkers {
 		t.Fatal("cap not applied")
 	}
+	if Lanes(0) != 1 || Lanes(-2) != 1 || Lanes(8) != 8 || Lanes(1000) != MaxLanes {
+		t.Fatal("lane resolution wrong")
+	}
 }
 
 func TestRunNoGoroutineLeakOnEarlyStop(t *testing.T) {
 	// Stress teardown: many early-stopped runs; if workers or the
-	// dispatcher leaked on quit, -race and the runtime would notice the
+	// dispatcher leaked on stop, -race and the runtime would notice the
 	// unbounded growth long before this finishes.
 	var wg sync.WaitGroup
 	for i := 0; i < 20; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := Run(0, -1, Config{Workers: 4},
+			_, err := runFold(0, 1<<20, Config{Workers: 4, Lanes: 2},
 				func(idx int) (int, error) { return idx, nil },
 				fakeAcquireInt,
-				func(idx int, job int, tr trace.Trace) (bool, error) {
-					return idx >= 10+i, nil
+				func(idx int, job int, tr trace.Trace) error {
+					if idx >= 10+i {
+						return errStop
+					}
+					return nil
 				})
-			if err != nil {
+			if !errors.Is(err, errStop) {
 				t.Error(err)
 			}
 		}(i)
@@ -305,7 +420,7 @@ func TestRunNoGoroutineLeakOnEarlyStop(t *testing.T) {
 func TestRunGenericResultTypes(t *testing.T) {
 	// The engine is generic in the result type: a fault sweep returns
 	// classifications, a link sweep returns session outcomes. Pin that
-	// a non-trace result flows through the reorder buffer unchanged
+	// a non-trace result flows through the reorder buffers unchanged
 	// and in index order for several worker counts.
 	type verdict struct {
 		Idx  int
@@ -314,7 +429,7 @@ func TestRunGenericResultTypes(t *testing.T) {
 	}
 	run := func(workers int) []verdict {
 		var out []verdict
-		_, err := Run(0, 40, Config{Workers: workers},
+		_, err := runFold(0, 40, Config{Workers: workers},
 			func(idx int) (int, error) { return idx * 3, nil },
 			func(worker, idx int, job int) (verdict, error) {
 				if idx%4 == 0 {
@@ -322,9 +437,9 @@ func TestRunGenericResultTypes(t *testing.T) {
 				}
 				return verdict{Idx: idx, Tag: fmt.Sprintf("j%d", job), Bits: job * 8}, nil
 			},
-			func(idx int, job int, v verdict) (bool, error) {
+			func(idx int, job int, v verdict) error {
 				out = append(out, v)
-				return false, nil
+				return nil
 			})
 		if err != nil {
 			t.Fatal(err)

@@ -1,23 +1,25 @@
-package campaign
+package campaign_test
 
 import (
 	"context"
 	"errors"
 	"sync"
 	"testing"
+
+	. "medsec/internal/campaign"
 )
 
 // Checkpoint/resume engine tests. The statistical wiring lives in
 // internal/sca; here the contract itself is pinned on synthetic
 // campaigns:
 //
-//   - resume-at-watermark reproduces the uninterrupted fold exactly,
-//     including the shared-RNG prepare replay;
-//   - the periodic hook fires at every CheckpointEvery multiple with
-//     the accumulator state equal to the watermark prefix;
+//   - resume at the checkpointed cursors reproduces the uninterrupted
+//     fold exactly, including the shared-RNG prepare replay;
+//   - the periodic hook fires at every CheckpointEvery crossing with the
+//     accumulator state equal to the cursor prefixes;
 //   - context cancellation surfaces as ErrInterrupted after a final
-//     hook call, and resuming from that hook's watermark completes
-//     the campaign identically.
+//     hook call, and resuming from that hook's cursors completes the
+//     campaign identically.
 
 // seqRNG is a deterministic stateful stream shared by prepare calls —
 // the stand-in for the random-key schedule a TVLA campaign draws
@@ -42,130 +44,8 @@ func serialFold(n int) []uint64 {
 	return out
 }
 
-func runCampaign(t *testing.T, n, workers, resumeFrom int, every int, ckpt func(int) error, ctx context.Context) ([]uint64, int, error) {
-	t.Helper()
-	rng := &seqRNG{state: 1}
-	var folded []uint64
-	consumed, err := Run(0, n,
-		Config{Workers: workers, Ctx: ctx, ResumeFrom: resumeFrom, Checkpoint: ckpt, CheckpointEvery: every},
-		func(idx int) (uint64, error) { return rng.next() ^ uint64(idx), nil },
-		func(worker, idx int, job uint64) (uint64, error) { return job * 3, nil },
-		func(idx int, job, out uint64) (bool, error) {
-			folded = append(folded, out)
-			return false, nil
-		})
-	return folded, consumed, err
-}
-
-func TestRunResumeMatchesUninterrupted(t *testing.T) {
-	const n = 40
-	want := serialFold(n)
-	for _, workers := range []int{1, 7} {
-		for _, watermark := range []int{0, 1, 13, 39, 40} {
-			folded, consumed, err := runCampaign(t, n, workers, watermark, 0, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if consumed != n-watermark {
-				t.Fatalf("w=%d resume=%d: consumed %d, want %d", workers, watermark, consumed, n-watermark)
-			}
-			for i, v := range folded {
-				if v != want[watermark+i] {
-					t.Fatalf("w=%d resume=%d: fold %d is %d, want %d (prepare replay broken?)",
-						workers, watermark, i, v, want[watermark+i])
-				}
-			}
-		}
-	}
-}
-
-func TestRunCheckpointCadence(t *testing.T) {
-	const n, every = 23, 5
-	var marks []int
-	_, _, err := runCampaign(t, n, 4, 0, every, func(w int) error {
-		marks = append(marks, w)
-		return nil
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{5, 10, 15, 20}
-	if len(marks) != len(want) {
-		t.Fatalf("checkpoint watermarks %v, want %v", marks, want)
-	}
-	for i := range want {
-		if marks[i] != want[i] {
-			t.Fatalf("checkpoint watermarks %v, want %v", marks, want)
-		}
-	}
-
-	// A hook error aborts the run deterministically.
-	boom := errors.New("disk full")
-	_, consumed, err := runCampaign(t, n, 4, 0, every, func(w int) error {
-		if w == 10 {
-			return boom
-		}
-		return nil
-	}, nil)
-	if !errors.Is(err, boom) {
-		t.Fatalf("hook error not surfaced: %v", err)
-	}
-	if consumed != 10 {
-		t.Fatalf("consumed %d after hook abort at watermark 10", consumed)
-	}
-}
-
-func TestRunInterruptWritesFinalCheckpointAndResumes(t *testing.T) {
-	const n = 60
-	want := serialFold(n)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	var lastMark int
-	var firstHalf []uint64
-	rng := &seqRNG{state: 1}
-	_, err := Run(0, n,
-		Config{Workers: 7, Ctx: ctx, Checkpoint: func(w int) error { lastMark = w; return nil }},
-		func(idx int) (uint64, error) { return rng.next() ^ uint64(idx), nil },
-		func(worker, idx int, job uint64) (uint64, error) { return job * 3, nil },
-		func(idx int, job, out uint64) (bool, error) {
-			firstHalf = append(firstHalf, out)
-			if idx == 24 {
-				cancel() // "SIGINT" mid-campaign
-			}
-			return false, nil
-		})
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
-	}
-	if lastMark != len(firstHalf) {
-		t.Fatalf("final checkpoint watermark %d, consumed %d", lastMark, len(firstHalf))
-	}
-	if lastMark < 25 {
-		t.Fatalf("watermark %d below the cancellation point", lastMark)
-	}
-
-	// Second process: resume from the watermark.
-	secondHalf, consumed, err := runCampaign(t, n, 3, lastMark, 0, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if consumed != n-lastMark {
-		t.Fatalf("resumed consumed %d, want %d", consumed, n-lastMark)
-	}
-	got := append(append([]uint64(nil), firstHalf...), secondHalf...)
-	if len(got) != n {
-		t.Fatalf("stitched campaign has %d folds, want %d", len(got), n)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("stitched fold %d is %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
-// Sharded equivalents. The fold target is a per-shard slice of values
-// so the test can verify exact per-shard prefixes.
-
+// shardAcc is a per-shard slice of folded values, so the tests can
+// verify exact per-shard prefixes.
 type shardAcc struct {
 	vals []uint64
 }
@@ -176,10 +56,10 @@ func runShardedCampaign(t *testing.T, n, workers, shards int, resume []int, ever
 	rng := &seqRNG{state: 1}
 	lay := ShardingFor(0, n, shards)
 	accs := make([]*shardAcc, lay.N)
-	folded, err := RunSharded(0, n,
-		ShardedConfig{Workers: workers, Shards: shards, Ctx: ctx, Resume: resume, Checkpoint: ckpt, CheckpointEvery: every},
+	folded, err := Run(0, n,
+		Config{Workers: workers, Shards: shards, Lanes: 2, Ctx: ctx, Resume: resume, Checkpoint: ckpt, CheckpointEvery: every},
 		func(idx int) (uint64, error) { return rng.next() ^ uint64(idx), nil },
-		func(worker, idx int, job uint64) (uint64, error) { return job * 3, nil },
+		PerSample(func(worker, idx int, job uint64) (uint64, error) { return job * 3, nil }),
 		func(shard int) *shardAcc {
 			accs[shard] = &shardAcc{}
 			return accs[shard]
@@ -196,6 +76,123 @@ func runShardedCampaign(t *testing.T, n, workers, shards int, resume []int, ever
 		}
 	}
 	return out, folded, err
+}
+
+// runCampaign is the S = 1 campaign: one cursor, the serial fold.
+func runCampaign(t *testing.T, n, workers, resumeFrom int, every int, ckpt func([]int) error, ctx context.Context) ([]uint64, int, error) {
+	t.Helper()
+	folded, consumed, err := runShardedCampaign(t, n, workers, 1, []int{resumeFrom}, every, ckpt, ctx)
+	return folded[0], consumed, err
+}
+
+func TestRunResumeMatchesUninterrupted(t *testing.T) {
+	const n = 40
+	want := serialFold(n)
+	for _, workers := range []int{1, 7} {
+		for _, watermark := range []int{0, 1, 13, 39, 40} {
+			folded, consumed, err := runCampaign(t, n, workers, watermark, 0, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if consumed != n-watermark {
+				t.Fatalf("w=%d resume=%d: folded %d, want %d", workers, watermark, consumed, n-watermark)
+			}
+			for i, v := range folded {
+				if v != want[watermark+i] {
+					t.Fatalf("w=%d resume=%d: fold %d is %d, want %d (prepare replay broken?)",
+						workers, watermark, i, v, want[watermark+i])
+				}
+			}
+		}
+	}
+}
+
+func TestRunCheckpointCadence(t *testing.T) {
+	const n, every = 23, 5
+	var marks []int
+	// One worker folds one batch at a time, so the hook sees every
+	// multiple exactly.
+	_, _, err := runCampaign(t, n, 1, 0, every, func(c []int) error {
+		marks = append(marks, c[0])
+		return nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{6, 10, 16, 20}
+	if len(marks) != len(want) {
+		t.Fatalf("checkpoint cursors %v, want %v", marks, want)
+	}
+	for i := range want {
+		if marks[i] != want[i] {
+			t.Fatalf("checkpoint cursors %v, want %v", marks, want)
+		}
+	}
+
+	// A hook error aborts the run.
+	boom := errors.New("disk full")
+	_, consumed, err := runCampaign(t, n, 1, 0, every, func(c []int) error {
+		if c[0] >= 10 {
+			return boom
+		}
+		return nil
+	}, nil)
+	if !errors.Is(err, boom) {
+		t.Fatalf("hook error not surfaced: %v", err)
+	}
+	if consumed != 10 {
+		t.Fatalf("folded %d after hook abort at cursor 10", consumed)
+	}
+}
+
+func TestRunInterruptWritesFinalCheckpointAndResumes(t *testing.T) {
+	const n = 60
+	want := serialFold(n)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var lastMark int
+	var firstHalf []uint64
+	rng := &seqRNG{state: 1}
+	_, err := Run(0, n,
+		Config{Workers: 7, Shards: 1, Lanes: 3, Ctx: ctx, Checkpoint: func(c []int) error { lastMark = c[0]; return nil }},
+		func(idx int) (uint64, error) { return rng.next() ^ uint64(idx), nil },
+		PerSample(func(worker, idx int, job uint64) (uint64, error) { return job * 3, nil }),
+		func(int) struct{} { return struct{}{} },
+		func(_ int, _ struct{}, idx int, job, out uint64) error {
+			firstHalf = append(firstHalf, out)
+			if idx == 24 {
+				cancel() // "SIGINT" mid-campaign
+			}
+			return nil
+		},
+		func(int, struct{}) error { return nil })
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
+	}
+	if lastMark != len(firstHalf) {
+		t.Fatalf("final checkpoint cursor %d, folded %d", lastMark, len(firstHalf))
+	}
+	if lastMark < 25 {
+		t.Fatalf("cursor %d below the cancellation point", lastMark)
+	}
+
+	// Second process: resume from the cursor.
+	secondHalf, consumed, err := runCampaign(t, n, 3, lastMark, 0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if consumed != n-lastMark {
+		t.Fatalf("resumed folded %d, want %d", consumed, n-lastMark)
+	}
+	got := append(append([]uint64(nil), firstHalf...), secondHalf...)
+	if len(got) != n {
+		t.Fatalf("stitched campaign has %d folds, want %d", len(got), n)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("stitched fold %d is %d, want %d", i, got[i], want[i])
+		}
+	}
 }
 
 func TestRunShardedResumeMatchesUninterrupted(t *testing.T) {
@@ -218,12 +215,12 @@ func TestRunShardedResumeMatchesUninterrupted(t *testing.T) {
 				t.Fatal(err)
 			}
 			for s := range got {
-				lo, hi := lay.Bounds(s)
+				_, hi := lay.Bounds(s)
 				if len(got[s]) != hi-resume[s] {
 					t.Fatalf("w=%d frac=%d shard %d folded %d, want %d", workers, frac, s, len(got[s]), hi-resume[s])
 				}
 				for i, v := range got[s] {
-					if v != want[resume[s]-lo+lo+i] {
+					if v != want[resume[s]+i] {
 						t.Fatalf("w=%d frac=%d shard %d fold %d is %d, want %d",
 							workers, frac, s, i, v, want[resume[s]+i])
 					}
@@ -291,19 +288,18 @@ func TestRunShardedInterruptWritesFinalCheckpointAndResumes(t *testing.T) {
 	firstHalves := make([][]uint64, lay.N)
 	rng := &seqRNG{state: 1}
 	seen := 0
-	_, err := RunSharded(0, n,
-		ShardedConfig{Workers: 7, Shards: shards, Ctx: ctx, Checkpoint: func(cursors []int) error {
+	_, err := Run(0, n,
+		Config{Workers: 7, Shards: shards, Ctx: ctx, Checkpoint: func(cursors []int) error {
 			mu.Lock()
 			finalCursors = append([]int(nil), cursors...)
 			mu.Unlock()
 			return nil
 		}},
 		func(idx int) (uint64, error) { return rng.next() ^ uint64(idx), nil },
-		func(worker, idx int, job uint64) (uint64, error) { return job * 3, nil },
+		PerSample(func(worker, idx int, job uint64) (uint64, error) { return job * 3, nil }),
 		func(shard int) *shardAcc { return &shardAcc{} },
 		func(shard int, acc *shardAcc, idx int, job, out uint64) error {
-			// The acc passed here is per-shard; mirror folds into the
-			// test-visible slices under the shard's implicit ordering.
+			// Mirror folds into test-visible per-shard slices.
 			mu.Lock()
 			firstHalves[shard] = append(firstHalves[shard], out)
 			if seen++; seen == n/3 {

@@ -10,16 +10,11 @@ import (
 	"medsec/internal/trace"
 )
 
-// shardedStats runs a RunSharded campaign folding into per-shard
-// trace.OnlineStats accumulators and returns the merged (mean,
-// variance) — the exact reduction shape the SCA campaigns use.
+// shardedStats runs a campaign folding into per-shard trace.OnlineStats
+// accumulators and returns the merged (mean, variance) — the exact
+// reduction shape the SCA campaigns use.
 func shardedStats(t *testing.T, workers, shards, from, to int, shake bool) ([]float64, []float64) {
 	t.Helper()
-	stream := uint64(7)
-	prepare := func(idx int) (uint64, error) {
-		stream = stream*6364136223846793005 + 1442695040888963407
-		return stream % 97, nil
-	}
 	acquire := func(worker, idx int, job uint64) (trace.Trace, error) {
 		if shake && idx%3 == 0 {
 			time.Sleep(time.Duration(idx%5) * 50 * time.Microsecond)
@@ -28,8 +23,8 @@ func shardedStats(t *testing.T, workers, shards, from, to int, shake bool) ([]fl
 		return trace.Trace{Samples: []float64{v, v * v, v / 3}, Iter: []int32{0, 0, 0}}, nil
 	}
 	final := trace.NewOnlineStats()
-	n, err := RunSharded(from, to, ShardedConfig{Workers: workers, Shards: shards},
-		prepare, acquire,
+	n, err := Run(from, to, Config{Workers: workers, Shards: shards},
+		streamPrepare(), PerSample(acquire),
 		func(shard int) *trace.OnlineStats { return trace.NewOnlineStats() },
 		func(shard int, acc *trace.OnlineStats, idx int, job uint64, tr trace.Trace) error {
 			return acc.Add(tr.Samples)
@@ -73,29 +68,20 @@ func TestRunShardedDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // TestRunShardedSingleShardDeterminismMatchesSerial pins that S=1
-// reproduces the serial Run fold bit for bit: one shard means one
-// cursor over the whole range — exactly Run's reorder consumer.
+// reproduces the serial reference loop bit for bit: one shard means one
+// cursor over the whole range.
 func TestRunShardedSingleShardDeterminismMatchesSerial(t *testing.T) {
-	mkPrepare := func() PrepareFunc[uint64] {
-		stream := uint64(7)
-		return func(idx int) (uint64, error) {
-			stream = stream*6364136223846793005 + 1442695040888963407
-			return stream % 97, nil
-		}
-	}
 	acquire := func(worker, idx int, job uint64) (trace.Trace, error) {
 		v := float64(idx)*1.5 + float64(job)
 		return trace.Trace{Samples: []float64{v, v * v}, Iter: []int32{0, 0}}, nil
 	}
 	serial := trace.NewOnlineStats()
-	if _, err := Run(0, 80, Config{Workers: 5}, mkPrepare(), acquire,
-		func(idx int, job uint64, tr trace.Trace) (bool, error) {
-			return false, serial.Add(tr.Samples)
-		}); err != nil {
+	if err := serialRef(0, 80, streamPrepare(), acquire,
+		func(idx int, job uint64, tr trace.Trace) error { return serial.Add(tr.Samples) }); err != nil {
 		t.Fatal(err)
 	}
 	sharded := trace.NewOnlineStats()
-	if _, err := RunSharded(0, 80, ShardedConfig{Workers: 5, Shards: 1}, mkPrepare(), acquire,
+	if _, err := Run(0, 80, Config{Workers: 5, Shards: 1, Lanes: 3}, streamPrepare(), PerSample(acquire),
 		func(shard int) *trace.OnlineStats { return trace.NewOnlineStats() },
 		func(shard int, acc *trace.OnlineStats, idx int, job uint64, tr trace.Trace) error {
 			return acc.Add(tr.Samples)
@@ -149,47 +135,49 @@ func TestRunShardedCrossShardAgreement(t *testing.T) {
 // TestRunShardedFoldOrderDeterminism asserts the mechanical invariants
 // behind the determinism argument: every fold lands in the shard that
 // owns its index block, and folds within a shard arrive in strictly
-// increasing index order, regardless of worker count.
+// increasing index order, regardless of worker or lane count.
 func TestRunShardedFoldOrderDeterminism(t *testing.T) {
 	const from, to, shards = 5, 130, 6
 	lay := ShardingFor(from, to, shards)
 	for _, workers := range []int{1, 4, 9} {
-		var mu sync.Mutex
-		perShard := make(map[int][]int)
-		_, err := RunSharded(from, to, ShardedConfig{Workers: workers, Shards: shards},
-			func(idx int) (int, error) { return idx, nil },
-			func(worker, idx int, job int) (int, error) {
-				if idx%4 == 1 {
-					time.Sleep(time.Duration(idx%7) * 30 * time.Microsecond)
-				}
-				return job * 2, nil
-			},
-			func(shard int) int { return shard },
-			func(shard int, acc int, idx int, job, out int) error {
-				mu.Lock()
-				perShard[shard] = append(perShard[shard], idx)
-				mu.Unlock()
-				return nil
-			},
-			func(shard int, acc int) error { return nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(perShard) != lay.N {
-			t.Fatalf("workers=%d: folds touched %d shards, want %d", workers, len(perShard), lay.N)
-		}
-		for s := 0; s < lay.N; s++ {
-			lo, hi := lay.Bounds(s)
-			idxs := perShard[s]
-			if len(idxs) != hi-lo {
-				t.Fatalf("workers=%d shard %d: %d folds, want %d", workers, s, len(idxs), hi-lo)
+		for _, lanes := range []int{1, 4} {
+			var mu sync.Mutex
+			perShard := make(map[int][]int)
+			_, err := Run(from, to, Config{Workers: workers, Shards: shards, Lanes: lanes},
+				func(idx int) (int, error) { return idx, nil },
+				PerSample(func(worker, idx int, job int) (int, error) {
+					if idx%4 == 1 {
+						time.Sleep(time.Duration(idx%7) * 30 * time.Microsecond)
+					}
+					return job * 2, nil
+				}),
+				func(shard int) int { return shard },
+				func(shard int, acc int, idx int, job, out int) error {
+					mu.Lock()
+					perShard[shard] = append(perShard[shard], idx)
+					mu.Unlock()
+					return nil
+				},
+				func(shard int, acc int) error { return nil })
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i, idx := range idxs {
-				if idx != lo+i {
-					t.Fatalf("workers=%d shard %d: fold %d has index %d, want %d (in-order contract)", workers, s, i, idx, lo+i)
+			if len(perShard) != lay.N {
+				t.Fatalf("workers=%d: folds touched %d shards, want %d", workers, len(perShard), lay.N)
+			}
+			for s := 0; s < lay.N; s++ {
+				lo, hi := lay.Bounds(s)
+				idxs := perShard[s]
+				if len(idxs) != hi-lo {
+					t.Fatalf("workers=%d shard %d: %d folds, want %d", workers, s, len(idxs), hi-lo)
 				}
-				if lay.Shard(idx) != s {
-					t.Fatalf("index %d folded into shard %d, owned by %d", idx, s, lay.Shard(idx))
+				for i, idx := range idxs {
+					if idx != lo+i {
+						t.Fatalf("workers=%d shard %d: fold %d has index %d, want %d (in-order contract)", workers, s, i, idx, lo+i)
+					}
+					if lay.Shard(idx) != s {
+						t.Fatalf("index %d folded into shard %d, owned by %d", idx, s, lay.Shard(idx))
+					}
 				}
 			}
 		}
@@ -201,7 +189,7 @@ func TestRunShardedFoldOrderDeterminism(t *testing.T) {
 func TestShardingForLayout(t *testing.T) {
 	cases := []struct{ from, to, req int }{
 		{0, 1, 8}, {0, 7, 8}, {0, 8, 8}, {0, 9, 8}, {3, 120, 0},
-		{5, 6, 1}, {0, 100, 16}, {10, 11, -3}, {0, 64, 7},
+		{5, 6, 1}, {0, 100, 16}, {10, 11, 0}, {0, 64, 7},
 	}
 	for _, c := range cases {
 		lay := ShardingFor(c.from, c.to, c.req)
@@ -231,22 +219,35 @@ func TestShardingForLayout(t *testing.T) {
 	}
 }
 
+// intRun is a no-op-fold campaign over int jobs for the contract tests.
+func intRun(from, to int, cfg Config, acquire AcquireFunc[int, int],
+	fold func(shard, acc, idx, job, out int) error, merge func(shard, acc int) error) (int, error) {
+	return Run(from, to, cfg,
+		func(idx int) (int, error) { return idx, nil },
+		PerSample(acquire),
+		func(shard int) int { return 0 }, fold, merge)
+}
+
+func echo(worker, idx, job int) (int, error) { return job, nil }
+
+func noFold(shard, acc, idx, job, out int) error { return nil }
+
+func noMerge(shard, acc int) error { return nil }
+
 // TestRunShardedErrorSkipsMerge pins the failure contract: an acquire
-// error aborts the run, surfaces out, and the merge phase never runs
-// on a partial reduction.
+// or fold error aborts the run, surfaces out, and the merge phase never
+// runs on a partial reduction.
 func TestRunShardedErrorSkipsMerge(t *testing.T) {
 	boom := errors.New("boom")
 	merged := false
-	_, err := RunSharded(0, 50, ShardedConfig{Workers: 4, Shards: 4},
-		func(idx int) (int, error) { return idx, nil },
+	_, err := intRun(0, 50, Config{Workers: 4, Shards: 4},
 		func(worker, idx, job int) (int, error) {
 			if idx == 23 {
 				return 0, boom
 			}
 			return job, nil
 		},
-		func(shard int) int { return 0 },
-		func(shard, acc, idx, job, out int) error { return nil },
+		noFold,
 		func(shard, acc int) error { merged = true; return nil })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -255,36 +256,23 @@ func TestRunShardedErrorSkipsMerge(t *testing.T) {
 		t.Fatal("merge ran despite an aborted campaign")
 	}
 	// A fold error surfaces the same way.
-	_, err = RunSharded(0, 50, ShardedConfig{Workers: 4, Shards: 4},
-		func(idx int) (int, error) { return idx, nil },
-		func(worker, idx, job int) (int, error) { return job, nil },
-		func(shard int) int { return 0 },
+	_, err = intRun(0, 50, Config{Workers: 4, Shards: 4}, echo,
 		func(shard, acc, idx, job, out int) error {
 			if idx == 31 {
 				return boom
 			}
 			return nil
 		},
-		func(shard, acc int) error { return nil })
+		noMerge)
 	if !errors.Is(err, boom) {
 		t.Fatalf("fold err = %v, want boom", err)
 	}
 	// An inverted range is rejected outright.
-	if _, err := RunSharded(10, 5, ShardedConfig{},
-		func(idx int) (int, error) { return idx, nil },
-		func(worker, idx, job int) (int, error) { return job, nil },
-		func(shard int) int { return 0 },
-		func(shard, acc, idx, job, out int) error { return nil },
-		func(shard, acc int) error { return nil }); err == nil {
+	if _, err := intRun(10, 5, Config{}, echo, noFold, noMerge); err == nil {
 		t.Fatal("inverted range accepted")
 	}
 	// An empty range is a no-op success.
-	n, err := RunSharded(5, 5, ShardedConfig{},
-		func(idx int) (int, error) { return idx, nil },
-		func(worker, idx, job int) (int, error) { return job, nil },
-		func(shard int) int { return 0 },
-		func(shard, acc, idx, job, out int) error { return nil },
-		func(shard, acc int) error { return nil })
+	n, err := intRun(5, 5, Config{}, echo, noFold, noMerge)
 	if n != 0 || err != nil {
 		t.Fatalf("empty range: (%d, %v), want (0, nil)", n, err)
 	}
@@ -295,16 +283,11 @@ func TestRunShardedErrorSkipsMerge(t *testing.T) {
 func TestRunShardedProgressMonotone(t *testing.T) {
 	var seen []int
 	var mu sync.Mutex
-	n, err := RunSharded(0, 64, ShardedConfig{Workers: 4, Shards: 4, Progress: func(done int) {
+	n, err := intRun(0, 64, Config{Workers: 4, Shards: 4, Progress: func(done int) {
 		mu.Lock()
 		seen = append(seen, done)
 		mu.Unlock()
-	}},
-		func(idx int) (int, error) { return idx, nil },
-		func(worker, idx, job int) (int, error) { return job, nil },
-		func(shard int) int { return 0 },
-		func(shard, acc, idx, job, out int) error { return nil },
-		func(shard, acc int) error { return nil })
+	}}, echo, noFold, noMerge)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,8 +117,8 @@ const (
 	// convert PHY bits into air time for latency accounting.
 	DefaultBitrateBps = 250e3
 	// DefaultLanes is the lane-batched acquisition width (traces per
-	// interpreter pass, sca.Target.Lanes). The benchlab lane sweep on
-	// the reference host saturates by 8 lanes — decode/dispatch
+	// interpreter pass, sca.Target.Lanes). A lane sweep on the
+	// reference host saturates by 8 lanes — decode/dispatch
 	// amortization has flattened while the per-lane state still fits
 	// the cache comfortably — and results are bit-identical at any
 	// width, so the default sits at the saturation point.

@@ -42,7 +42,7 @@ func traceHash(s *trace.Set) uint64 {
 	return h.Sum64()
 }
 
-// The scalab/dpalab/benchlab target mapping: a design point with
+// The scalab/dpalab target mapping: a design point with
 // bench noise, x-only traces and the historical TRNG stream must
 // acquire the exact traces the hand-wired sca.NewTarget did. The
 // hashes are pinned so the legacy reference and the design path

@@ -191,19 +191,24 @@ func CampaignWorkers(curve *ec.Curve, tim coproc.Timing, n int, seed uint64, wor
 	acquire := func(worker, idx int, job campaignJob) (Result, error) {
 		return RunWithFault(curve, tim, job.k, job.p, job.inj, job.trng)
 	}
-	consume := func(idx int, job campaignJob, res Result) (bool, error) {
-		rep.Runs++
-		switch res {
-		case Benign:
-			rep.Benign++
-		case Detected:
-			rep.Detected++
-		case Escaped:
-			rep.Escaped++
-		}
-		return false, nil
-	}
-	if _, err := campaign.Run(0, n, campaign.Config{Workers: workers}, prepare, acquire, consume); err != nil {
+	// The integer tallies commute, but the serial fold (one shard) keeps
+	// the run a plain in-order loop.
+	_, err := campaign.Run(0, n, campaign.Config{Workers: workers, Shards: 1}, prepare, campaign.PerSample(acquire),
+		func(int) *CampaignReport { return rep },
+		func(_ int, rep *CampaignReport, _ int, _ campaignJob, res Result) error {
+			rep.Runs++
+			switch res {
+			case Benign:
+				rep.Benign++
+			case Detected:
+				rep.Detected++
+			case Escaped:
+				rep.Escaped++
+			}
+			return nil
+		},
+		func(int, *CampaignReport) error { return nil })
+	if err != nil {
 		return nil, err
 	}
 	return rep, nil

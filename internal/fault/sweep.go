@@ -50,19 +50,16 @@ type SweepConfig struct {
 	Workers int
 	// Shards selects the sharded reduction of the sweep tallies: 0
 	// selects campaign.DefaultShards, a positive value fixes the shard
-	// count (the integer tallies are identical for any value), and a
-	// negative value selects the legacy serial consumer. In every mode
-	// the report is bit-identical for any worker count; the only
-	// shard-dependent detail is nothing at all here — the fold is pure
-	// integer counting and escape-list concatenation, so unlike the
-	// floating-point campaigns the sweep report does not even vary at
-	// the rounding level across shard counts.
+	// count, and negative values are refused. The fold is pure integer
+	// counting and escape-list concatenation, so unlike the
+	// floating-point campaigns the sweep report is bit-identical for any
+	// worker AND any shard count.
 	Shards int
 	// Seed derives the swept computation: scalar, base point and the
 	// device TRNG stream.
 	Seed uint64
-	// Progress, when non-nil, is called serially after each consumed
-	// injection with (done, total).
+	// Progress, when non-nil, is called serially as injections are
+	// folded with (done, total); done is monotone but may skip counts.
 	Progress func(done, total int)
 	// Metrics, when non-nil, receives sweep instrumentation: counters
 	// fault_injections (completed faulted runs),
@@ -128,6 +125,9 @@ func (r *SweepReport) String() string {
 func Sweep(curve *ec.Curve, tim coproc.Timing, cfg SweepConfig) (*SweepReport, error) {
 	if cfg.FromIter < cfg.ToIter || cfg.ToIter < 0 || cfg.FromIter > 162 {
 		return nil, fmt.Errorf("fault: iteration window %d..%d invalid", cfg.FromIter, cfg.ToIter)
+	}
+	if cfg.Shards < 0 {
+		return nil, fmt.Errorf("fault: SweepConfig.Shards = %d is negative (0 selects campaign.DefaultShards)", cfg.Shards)
 	}
 	strideOr1 := func(s int) int {
 		if s <= 0 {
@@ -223,8 +223,7 @@ func Sweep(curve *ec.Curve, tim coproc.Timing, cfg SweepConfig) (*SweepReport, e
 		return Escaped, nil
 	}
 	// tallyIn classifies one injection's result into a tally triple and
-	// the per-opcode breakdown — shared by the serial consumer and the
-	// per-shard fold.
+	// the per-opcode breakdown.
 	tallyIn := func(t *Tally, ops map[coproc.Op]*Tally, escapes *[]Injection, inj Injection, res Result) {
 		op := opAtCycle(spans, inj.Cycle)
 		ot := ops[op]
@@ -246,60 +245,45 @@ func Sweep(curve *ec.Curve, tim coproc.Timing, cfg SweepConfig) (*SweepReport, e
 		}
 	}
 
-	if cfg.Shards < 0 {
-		// Legacy serial consumer.
-		consume := func(idx int, inj Injection, res Result) (bool, error) {
-			tallyIn(&rep.Tally, byOp, &rep.Escapes, inj, res)
-			if cfg.Progress != nil {
-				cfg.Progress(idx+1, total)
-			}
-			return false, nil
-		}
-		if _, err := campaign.Run(0, total, campaign.Config{Workers: cfg.Workers, Metrics: cfg.Metrics, Ctx: cfg.Ctx}, prepare, acquire, consume); err != nil {
-			return nil, err
-		}
-	} else {
-		// Sharded reduction: per-shard tallies, opcode maps and escape
-		// lists fold on the worker goroutines and merge in shard order.
-		// Counts add and the escape lists concatenate (each shard's in
-		// grid order), so the merged report is bit-identical to the
-		// serial consumer's for any worker or shard count.
-		type shardTally struct {
-			Tally
-			byOp    map[coproc.Op]*Tally
-			escapes []Injection
-		}
-		var progress func(done int)
-		if cfg.Progress != nil {
-			progress = func(done int) { cfg.Progress(done, total) }
-		}
-		scfg := campaign.ShardedConfig{Workers: cfg.Workers, Shards: cfg.Shards, Progress: progress, Metrics: cfg.Metrics, Ctx: cfg.Ctx}
-		_, err := campaign.RunSharded(0, total, scfg, prepare, acquire,
-			func(shard int) *shardTally { return &shardTally{byOp: map[coproc.Op]*Tally{}} },
-			func(shard int, st *shardTally, idx int, inj Injection, res Result) error {
-				tallyIn(&st.Tally, st.byOp, &st.escapes, inj, res)
-				return nil
-			},
-			func(shard int, st *shardTally) error {
-				rep.Benign += st.Benign
-				rep.Detected += st.Detected
-				rep.Escaped += st.Escaped
-				for op, t := range st.byOp {
-					agg := byOp[op]
-					if agg == nil {
-						agg = &Tally{}
-						byOp[op] = agg
-					}
-					agg.Benign += t.Benign
-					agg.Detected += t.Detected
-					agg.Escaped += t.Escaped
+	// Sharded reduction: per-shard tallies, opcode maps and escape lists
+	// fold on the worker goroutines and merge in shard order. Counts add
+	// and the escape lists concatenate (each shard's in grid order), so
+	// the merged report is bit-identical for any worker or shard count.
+	type shardTally struct {
+		Tally
+		byOp    map[coproc.Op]*Tally
+		escapes []Injection
+	}
+	var progress func(done int)
+	if cfg.Progress != nil {
+		progress = func(done int) { cfg.Progress(done, total) }
+	}
+	ccfg := campaign.Config{Workers: cfg.Workers, Shards: cfg.Shards, Progress: progress, Metrics: cfg.Metrics, Ctx: cfg.Ctx}
+	_, err = campaign.Run(0, total, ccfg, prepare, campaign.PerSample(acquire),
+		func(shard int) *shardTally { return &shardTally{byOp: map[coproc.Op]*Tally{}} },
+		func(shard int, st *shardTally, idx int, inj Injection, res Result) error {
+			tallyIn(&st.Tally, st.byOp, &st.escapes, inj, res)
+			return nil
+		},
+		func(shard int, st *shardTally) error {
+			rep.Benign += st.Benign
+			rep.Detected += st.Detected
+			rep.Escaped += st.Escaped
+			for op, t := range st.byOp {
+				agg := byOp[op]
+				if agg == nil {
+					agg = &Tally{}
+					byOp[op] = agg
 				}
-				rep.Escapes = append(rep.Escapes, st.escapes...)
-				return nil
-			})
-		if err != nil {
-			return nil, err
-		}
+				agg.Benign += t.Benign
+				agg.Detected += t.Detected
+				agg.Escaped += t.Escaped
+			}
+			rep.Escapes = append(rep.Escapes, st.escapes...)
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	for op, t := range byOp {
 		rep.ByOp = append(rep.ByOp, OpTally{Op: op, Tally: *t})

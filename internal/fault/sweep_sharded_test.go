@@ -11,9 +11,9 @@ import (
 // TestSweepShardedDeterminismMatchesLegacy pins the sweep's reduction
 // contract: because the fold is pure integer counting plus in-order
 // escape-list concatenation, the sharded report is bit-identical to
-// the legacy serial consumer's for EVERY (worker, shard) combination —
-// stronger than the floating-point campaigns, which agree across shard
-// counts only to rounding.
+// the serial fold's (one worker, one shard) for EVERY (worker, shard)
+// combination — stronger than the floating-point campaigns, which
+// agree across shard counts only to rounding.
 func TestSweepShardedDeterminismMatchesLegacy(t *testing.T) {
 	curve := ec.K163()
 	tim := coproc.DefaultTiming()
@@ -24,7 +24,7 @@ func TestSweepShardedDeterminismMatchesLegacy(t *testing.T) {
 	}
 
 	legacy := base
-	legacy.Shards = -1
+	legacy.Shards = 1
 	legacy.Workers = 1
 	ref, err := Sweep(curve, tim, legacy)
 	if err != nil {
@@ -44,14 +44,14 @@ func TestSweepShardedDeterminismMatchesLegacy(t *testing.T) {
 				t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
 			}
 			if !reflect.DeepEqual(rep, ref) {
-				t.Fatalf("workers=%d shards=%d report diverged from legacy serial consumer:\n%+v\nvs\n%+v",
+				t.Fatalf("workers=%d shards=%d report diverged from the serial fold:\n%+v\nvs\n%+v",
 					workers, shards, rep, ref)
 			}
 		}
 	}
 }
 
-// TestSweepShardedProgress pins that the sharded consumer still drives
+// TestSweepShardedProgress pins that the sharded fold drives
 // the Progress callback monotonically up to the grid size.
 func TestSweepShardedProgress(t *testing.T) {
 	curve := ec.K163()

@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"medsec/internal/coproc"
@@ -147,6 +148,12 @@ func TestSweepConfigValidation(t *testing.T) {
 	}
 	if _, err := Sweep(curve, tim, SweepConfig{ToIter: -1, FromIter: -1}); err == nil {
 		t.Fatal("negative window accepted")
+	}
+	for _, shards := range []int{-1, -8} {
+		_, err := Sweep(curve, tim, SweepConfig{Shards: shards})
+		if err == nil || !strings.Contains(err.Error(), "SweepConfig.Shards") {
+			t.Fatalf("Shards=%d: err = %v, want a refusal naming SweepConfig.Shards", shards, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"medsec/internal/battery"
@@ -19,16 +20,16 @@ import (
 type RunOptions struct {
 	// Workers is the acquisition pool size (<= 0: GOMAXPROCS).
 	Workers int
-	// Shards is the internal reduction shard count (<= 0:
-	// campaign.DefaultShards). Because the fleet accumulator is
-	// integer-exact, results are bit-identical across shard counts,
-	// not merely rounding-equal.
+	// Shards is the internal reduction shard count (0:
+	// campaign.DefaultShards; negative values are refused). Because the
+	// fleet accumulator is integer-exact, results are bit-identical
+	// across shard counts, not merely rounding-equal.
 	Shards int
 	// ShardIndex/ShardCount select a cross-process slice: this
 	// invocation simulates the ShardIndex-th of ShardCount contiguous
 	// device blocks (0/0 or 0/1 means the whole fleet).
 	ShardIndex, ShardCount int
-	// Metrics, Ctx, Progress follow campaign.ShardedConfig semantics.
+	// Metrics, Ctx, Progress follow campaign.Config semantics.
 	Metrics  *obs.Registry
 	Ctx      context.Context
 	Progress func(done int)
@@ -226,12 +227,15 @@ func (l *lab) device(cfg Config, noms []cohortNominal, idx int) (deviceOutcome, 
 
 // Run simulates this invocation's device range and returns its
 // report. The result is bit-identical for any Workers and Shards
-// (integer accumulators; campaign.RunSharded index-order folds), and
+// (integer accumulators; campaign.Run index-order folds), and
 // a full-fleet report equals the merge of any cross-process shard
 // partition byte for byte.
 func Run(cfg Config, opt RunOptions) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if opt.Shards < 0 {
+		return nil, fmt.Errorf("fleet: RunOptions.Shards = %d is negative (0 selects campaign.DefaultShards)", opt.Shards)
 	}
 	cache := design.NewCache()
 	noms, err := nominals(cfg, cache)
@@ -249,7 +253,7 @@ func Run(cfg Config, opt RunOptions) (*Report, error) {
 	lay := campaign.ShardingFor(lo, hi, opt.Shards)
 	accums := make([]*Accum, lay.N)
 
-	scfg := campaign.ShardedConfig{
+	scfg := campaign.Config{
 		Workers:  opt.Workers,
 		Shards:   opt.Shards,
 		Progress: opt.Progress,
@@ -274,11 +278,11 @@ func Run(cfg Config, opt RunOptions) (*Report, error) {
 	}
 
 	merged := newAccum(cfg)
-	_, err = campaign.RunSharded(lo, hi, scfg,
+	_, err = campaign.Run(lo, hi, scfg,
 		func(idx int) (int, error) { return idx, nil },
-		func(w, idx int, _ int) (deviceOutcome, error) {
+		campaign.PerSample(func(w, idx int, _ int) (deviceOutcome, error) {
 			return labs[w].device(cfg, noms, idx)
-		},
+		}),
 		func(s int) *Accum {
 			if accums[s] == nil {
 				accums[s] = newAccum(cfg)

@@ -32,7 +32,7 @@
 // once (devices differ per-cohort only in specialization knobs — loss
 // jitter, distance, seeds); each worker owns a pooled session lab
 // whose link pair is Reset in place instead of reallocated; and
-// execution runs on campaign.RunSharded with per-shard accumulators.
+// execution runs on campaign.Run with per-shard accumulators.
 package fleet
 
 import (

@@ -363,3 +363,14 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatalf("test fleet invalid: %v", err)
 	}
 }
+
+// TestRunRefusesNegativeShards: a negative reduction shard count is an
+// error naming the knob, not a silent fallback to the default layout.
+func TestRunRefusesNegativeShards(t *testing.T) {
+	for _, shards := range []int{-1, -4} {
+		_, err := Run(testFleet(4), RunOptions{Workers: 1, Shards: shards})
+		if err == nil || !strings.Contains(err.Error(), "RunOptions.Shards") {
+			t.Fatalf("Shards=%d: err = %v, want a refusal naming RunOptions.Shards", shards, err)
+		}
+	}
+}

@@ -118,7 +118,7 @@ func (e Element) normalize() Element {
 //
 // The window width is pinned at 4 by measurement, not convention: the
 // configuration sweep in mulsweep_test.go (BenchmarkMulSweep; numbers
-// in its header and in BENCH_simcore.json's gf2m/Mul row) puts the
+// in its header) puts the
 // 2-bit window ~1.4x slower (twice the lookups) and the 8-bit window
 // ~6x slower (a 256-entry table build per operand word amortizes only
 // after ~10 reuses, which one-shot multiplication never reaches).

@@ -18,8 +18,8 @@ import (
 //     8 lookups).
 //
 // The variants below re-implement the rejected configurations so the
-// crossover stays measured, not asserted. On the reference host
-// (BENCH_simcore.json, gf2m/Mul row) the sweep reads:
+// crossover stays measured, not asserted. On the reference host the
+// sweep reads:
 //
 //	karatsuba-w4 (pinned)   ~269 ns/op
 //	karatsuba-w2            ~387 ns/op  (2x lookups dominate)

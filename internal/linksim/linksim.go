@@ -149,7 +149,9 @@ func Run(cfg GridConfig) (*GridReport, error) {
 	mSessions := cfg.Metrics.Counter("linksim_sessions")
 	mCompleted := cfg.Metrics.Counter("linksim_completed")
 	mAborts := cfg.Metrics.Counter("linksim_aborts")
-	consume := func(idx int, j job, out design.SessionOutcome) (bool, error) {
+	// The per-cell float sums are order-sensitive, so the sweep folds
+	// serially (one shard): every session in index order.
+	fold := func(_ int, _ struct{}, idx int, j job, out design.SessionOutcome) error {
 		c := &cells[j.cell]
 		c.Sessions++
 		mSessions.Inc()
@@ -171,10 +173,13 @@ func Run(cfg GridConfig) (*GridReport, error) {
 		if cfg.Progress != nil {
 			cfg.Progress(idx+1, total)
 		}
-		return false, nil
+		return nil
 	}
 
-	if _, err := campaign.Run(0, total, campaign.Config{Workers: cfg.Workers, Metrics: cfg.Metrics, Ctx: cfg.Ctx}, prepare, acquire, consume); err != nil {
+	ccfg := campaign.Config{Workers: cfg.Workers, Shards: 1, Metrics: cfg.Metrics, Ctx: cfg.Ctx}
+	if _, err := campaign.Run(0, total, ccfg, prepare, campaign.PerSample(acquire),
+		func(int) struct{} { return struct{}{} }, fold,
+		func(int, struct{}) error { return nil }); err != nil {
 		return nil, err
 	}
 

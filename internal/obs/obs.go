@@ -9,7 +9,7 @@
 // the simulator (campaign engine, ARQ link, fault sweep) deserves the
 // same treatment: unified counters instead of ad-hoc prints, so that
 // throughput regressions and behavioural drift are visible in every
-// run, not only when someone remembers to run cmd/benchlab.
+// run, not only when someone remembers to run the benchmark.
 //
 // # Design constraints
 //

@@ -5,31 +5,41 @@ import (
 
 	"medsec/internal/ec"
 	"medsec/internal/rng"
+	"medsec/internal/trace"
 )
 
+// acquireJobs runs one lane batch on scratch s and returns its traces.
+func acquireJobs(t *testing.T, tgt *Target, s *laneScratch, plan *acqPlan, jobs []acqJob) []trace.Trace {
+	t.Helper()
+	out := make([]trace.Trace, len(jobs))
+	if err := tgt.acquireBatch(s, plan, jobs, out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestAcquireSteadyStateAllocs pins the campaign hot path's allocation
-// budget: with worker-owned scratch state (re-seeded DRBG, re-inited
-// power model, pooled collector buffers, pre-bound probe closures), a
-// steady-state acquisition must not allocate beyond the two small
+// budget: with worker-owned lane scratch (re-seeded DRBGs, re-inited
+// power models, pooled collector buffers, pre-bound sinks), a
+// steady-state width-1 batch must not allocate beyond the two small
 // pool-header boxes Release pays when recycling the sample buffers.
-// This is the "cut steady-state allocations to ~zero per trace"
-// acceptance criterion; before the scratch rework the same loop cost
-// ~35 heap objects (CPU probes, fresh DRBG + model + collector and
-// growing sample slices per trace).
 func TestAcquireSteadyStateAllocs(t *testing.T) {
 	tgt := newDPATarget(t, true, 9)
 	p := tgt.Curve.RandomPoint(rng.NewDRBG(3).Uint64)
 	start, end := tgt.Window(162, 159) // small early window: fast runs
-	s := tgt.newScratch()
+	plan := tgt.planWindow(start, end)
+	s := tgt.newLaneScratch(1)
+	jobs := []acqJob{{key: tgt.Key, point: p}}
+	out := make([]trace.Trace, 1)
 	acquireRelease := func(idx uint64) {
-		tr, err := tgt.acquireOn(s, tgt.Key, p, start, end, idx)
-		if err != nil {
+		jobs[0].dev = idx
+		if err := tgt.acquireBatch(s, plan, jobs, out); err != nil {
 			t.Fatal(err)
 		}
-		if len(tr.Samples) == 0 {
+		if len(out[0].Samples) == 0 {
 			t.Fatal("empty acquisition")
 		}
-		tr.Release()
+		out[0].Release()
 	}
 	// Warm the pools and the scratch state.
 	for i := uint64(0); i < 3; i++ {
@@ -45,33 +55,33 @@ func TestAcquireSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestAcquireScratchReuseBitIdentical pins that one scratch state
-// reused across many traces reproduces exactly what fresh per-trace
-// state produces — the equivalence the allocation win rests on.
+// TestAcquireScratchReuseBitIdentical pins that one lane scratch reused
+// across many batches reproduces exactly what fresh width-1 state
+// produces per trace — the equivalence both the allocation win and the
+// lane-count independence rest on.
 func TestAcquireScratchReuseBitIdentical(t *testing.T) {
 	tgt := newDPATarget(t, true, 4)
 	p := tgt.Curve.RandomPoint(rng.NewDRBG(8).Uint64)
 	start, end := tgt.Window(162, 160)
-	s := tgt.newScratch()
-	for idx := uint64(0); idx < 6; idx++ {
-		reused, err := tgt.acquireOn(s, tgt.Key, p, start, end, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := tgt.AcquireWithKey(tgt.Key, ec.Point{X: p.X, Y: p.Y}, start, end, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(reused.Samples) != len(fresh.Samples) || len(reused.Samples) == 0 {
-			t.Fatalf("idx %d: shape %d != %d", idx, len(reused.Samples), len(fresh.Samples))
-		}
-		for i := range fresh.Samples {
-			if reused.Samples[i] != fresh.Samples[i] {
-				t.Fatalf("idx %d sample %d: reused scratch %.18g != fresh %.18g",
-					idx, i, reused.Samples[i], fresh.Samples[i])
+	plan := tgt.planWindow(start, end)
+	s := tgt.newLaneScratch(3)
+	for first := uint64(0); first < 6; first += 3 {
+		jobs := []acqJob{{key: tgt.Key, point: p, dev: first}, {key: tgt.Key, point: p, dev: first + 1}, {key: tgt.Key, point: p, dev: first + 2}}
+		reused := acquireJobs(t, tgt, s, plan, jobs)
+		for i, j := range jobs {
+			j.point = ec.Point{X: p.X, Y: p.Y}
+			fresh := acquireJobs(t, tgt, tgt.newLaneScratch(1), plan, []acqJob{j})[0]
+			if len(reused[i].Samples) != len(fresh.Samples) || len(fresh.Samples) == 0 {
+				t.Fatalf("idx %d: shape %d != %d", j.dev, len(reused[i].Samples), len(fresh.Samples))
 			}
+			for k := range fresh.Samples {
+				if reused[i].Samples[k] != fresh.Samples[k] {
+					t.Fatalf("idx %d sample %d: reused scratch %.18g != fresh %.18g",
+						j.dev, k, reused[i].Samples[k], fresh.Samples[k])
+				}
+			}
+			reused[i].Release()
+			fresh.Release()
 		}
-		reused.Release()
-		fresh.Release()
 	}
 }

@@ -1,11 +1,13 @@
 package sca
 
 import (
+	"errors"
 	"fmt"
 	"os"
 
 	"medsec/internal/campaign"
 	"medsec/internal/store"
+	"medsec/internal/trace"
 )
 
 // CampaignCheckpoint configures durable crash-safe checkpointing for
@@ -23,7 +25,7 @@ import (
 // stored watermark. Resumed campaigns are bit-identical to
 // uninterrupted ones: the engine replays the prepare stream over the
 // already-folded prefix so shared RNG streams advance exactly as they
-// did the first time (see campaign.Config.ResumeFrom).
+// did the first time (see campaign.Config.Resume).
 type CampaignCheckpoint struct {
 	// Path is the checkpoint file. Writes are atomic (temp + fsync +
 	// rename), so the file is always either the previous checkpoint or
@@ -78,13 +80,24 @@ func (c *CampaignCheckpoint) write(h store.Header, blobs map[string][]byte) erro
 	return store.Write(c.Path, &store.Checkpoint{Header: h, Blobs: blobs})
 }
 
-// tvlaSerial runs the serial-consumer TVLA engine leg with optional
+// errEarlyStop is the early-stop fold sentinel: the running t-curve
+// crossed TVLAThreshold at a check point, so the campaign is over.
+var errEarlyStop = errors.New("sca: early stop")
+
+// tvlaUntil runs the early-stop TVLA leg with optional
 // checkpoint/resume and returns the total folded trace count,
-// including any prefix restored from a checkpoint. blobKey names the
-// accumulator's checkpoint blob ("welch" for the first-order campaign,
-// "welch2" for the second-order one), so a checkpoint written by one
-// statistical order can never silently seed the other.
-func tvlaSerial[W welchStat[W]](t *Target, w W, blobKey string, to, checkEvery int, plan *acqPlan, prepare campaign.PrepareFunc[acqJob]) (int, error) {
+// including any prefix restored from a checkpoint. The leg is the
+// engine's serial fold (one shard) straight into w: after every
+// checkEvery-th completed pair (but not before 10 pairs) the fold
+// evaluates the running t-curve and returns errEarlyStop once |t|
+// exceeds TVLAThreshold, so the stopping pair and w are the same at any
+// worker or lane count. Its checkpoints carry a single watermark and
+// no shard cursors, which is what lets a Complete checkpoint at a
+// smaller budget seed a larger campaign in a later process. blobKey
+// names the accumulator's checkpoint blob ("welch" for the first-order
+// campaign, "welch2" for the second-order one), so a checkpoint written
+// by one statistical order can never silently seed the other.
+func tvlaUntil[W welchStat[W]](t *Target, w W, blobKey string, to, checkEvery int, plan *acqPlan, prepare campaign.PrepareFunc[acqJob]) (int, error) {
 	ck := t.Ckpt
 	resumed := 0
 	prev, err := ck.load(0, to, 0)
@@ -102,11 +115,12 @@ func tvlaSerial[W welchStat[W]](t *Target, w W, blobKey string, to, checkEvery i
 			return prev.Header.Watermark, nil
 		}
 		// Complete checkpoints of a SMALLER full campaign fall through:
-		// that is the cross-process extension case — the serial fold
-		// continues from the stored watermark up to the new budget.
+		// that is the cross-process extension case — the fold continues
+		// from the stored watermark up to the new budget.
 		resumed = prev.Header.Watermark
 	}
 	cfg := t.engineConfig()
+	cfg.Shards = 1
 	writeAt := func(mark int, complete bool) error {
 		blob, err := w.MarshalBinary()
 		if err != nil {
@@ -117,24 +131,39 @@ func tvlaSerial[W welchStat[W]](t *Target, w W, blobKey string, to, checkEvery i
 		return ck.write(h, map[string][]byte{blobKey: blob})
 	}
 	if ck.enabled() {
-		cfg.ResumeFrom = resumed
+		cfg.Resume = []int{resumed}
 		cfg.CheckpointEvery = ck.Every
-		// The hook runs on the consuming goroutine: w is exactly the
-		// folded prefix [0, mark) when it fires.
-		cfg.Checkpoint = func(mark int) error { return writeAt(mark, false) }
+		// The hook runs holding the shard lock: w is exactly the folded
+		// prefix [0, cursors[0]) when it fires.
+		cfg.Checkpoint = func(cursors []int) error { return writeAt(cursors[0], false) }
 	}
-	consumed, err := t.runPlanned(0, to, cfg, plan, prepare,
-		welchConsume(w, checkEvery, 10, t.Metrics.Counter("sca_earlystop_checks")))
-	total := consumed + resumed
-	if err != nil {
-		return total, err
+	checks := t.Metrics.Counter("sca_earlystop_checks")
+	stopAt := to
+	_, err = runCampaign(t, 0, to, cfg, plan, prepare,
+		func(int) W { return w },
+		func(shard int, acc W, idx int, j acqJob, tr trace.Trace) error {
+			if err := welchShardFold(shard, acc, idx, j, tr); err != nil || idx%2 == 0 {
+				return err
+			}
+			if pairs := idx/2 + 1; pairs >= 10 && pairs%checkEvery == 0 {
+				checks.Inc()
+				if mx, _ := acc.MaxT(); mx > TVLAThreshold {
+					stopAt = idx + 1
+					return errEarlyStop
+				}
+			}
+			return nil
+		},
+		func(int, W) error { return nil })
+	if err != nil && !errors.Is(err, errEarlyStop) {
+		return 0, err
 	}
 	if ck.enabled() {
-		if err := writeAt(total, true); err != nil {
-			return total, err
+		if err := writeAt(stopAt, true); err != nil {
+			return stopAt, err
 		}
 	}
-	return total, nil
+	return stopAt, nil
 }
 
 // tvlaSharded runs the sharded-reduction TVLA engine leg with optional
@@ -144,7 +173,7 @@ func tvlaSerial[W welchStat[W]](t *Target, w W, blobKey string, to, checkEvery i
 // cursors; the completion checkpoint stores the merged accumulator.
 // mk constructs an empty accumulator of the campaign's statistical
 // order; blobKey namespaces the checkpoint blobs exactly as in
-// tvlaSerial (per-shard blobs are "<blobKey>.<shard>").
+// tvlaUntil (per-shard blobs are "<blobKey>.<shard>").
 func tvlaSharded[W welchStat[W]](t *Target, w W, blobKey string, mk func() W, to int, plan *acqPlan, prepare campaign.PrepareFunc[acqJob]) (int, error) {
 	ck := t.Ckpt
 	lay := campaign.ShardingFor(0, to, t.Shards)
@@ -175,9 +204,9 @@ func tvlaSharded[W welchStat[W]](t *Target, w W, blobKey string, mk func() W, to
 		}
 		resumed = prev.Header.Watermark
 	}
-	scfg := t.shardedConfig()
+	scfg := t.engineConfig()
 	// The shard bank is retained so the checkpoint hook — which runs
-	// holding every shard lock (campaign.ShardedConfig.Checkpoint) —
+	// holding every shard lock (campaign.Config.Checkpoint) —
 	// can snapshot accumulators consistent with the cursor vector.
 	accs := make([]W, lay.N)
 	newShard := func(s int) W {
@@ -210,7 +239,7 @@ func tvlaSharded[W welchStat[W]](t *Target, w W, blobKey string, mk func() W, to
 			return ck.write(h, blobs)
 		}
 	}
-	folded, err := runShardedPlanned(t, 0, to, scfg, plan, prepare,
+	folded, err := runCampaign(t, 0, to, scfg, plan, prepare,
 		newShard, welchShardFold[W], welchShardMerge(w))
 	total := folded + resumed
 	if err != nil {

@@ -17,8 +17,8 @@ import (
 // The checkpoint/resume contract these tests pin: a campaign killed
 // mid-run (context cancellation — the CLIs' SIGINT path) and resumed
 // by a fresh process produces results bit-identical to an
-// uninterrupted run, for serial and sharded reductions and across
-// worker counts.
+// uninterrupted run, for serial (S = 1) and sharded reductions and
+// across worker counts.
 
 func ckptHeader(seed uint64) store.Header {
 	return store.Header{
@@ -68,8 +68,8 @@ func TestTVLAKillResumeMatchesUninterrupted(t *testing.T) {
 		killW, resumeW int
 		cancelAt       int
 	}{
-		{"serial", -1, 1, 7, 9},
-		{"serial-wide-kill", -1, 7, 1, 9},
+		{"serial", 1, 1, 7, 5},
+		{"serial-wide-kill", 1, 7, 1, 9},
 		{"sharded-1", 1, 1, 7, 9},
 		{"sharded-4", 4, 7, 1, 9},
 	}
@@ -173,25 +173,34 @@ func TestTVLAUntilKillResumeMatchesUninterrupted(t *testing.T) {
 	sameTVLA(t, "until-short-circuit", res2, ref)
 }
 
-// TestTVLASerialCrossProcessExtend: a Complete serial checkpoint at a
-// smaller budget seeds a larger campaign — the cross-process extension
-// case — and the extended result is bit-identical to a single
-// uninterrupted run at the larger budget.
+// TestTVLASerialCrossProcessExtend: a Complete checkpoint of the
+// serial early-stop leg at a smaller budget seeds a larger campaign —
+// the cross-process extension case — and the extended result is
+// bit-identical to a single uninterrupted run at the larger budget. A
+// check interval beyond the budget never fires, so both runs are
+// full-budget serial folds, equal to TVLA at one shard.
 func TestTVLASerialCrossProcessExtend(t *testing.T) {
-	ref, err := tvlaCkpt(t, 79, 8, 3, -1, 14, nil, nil, nil)
+	ref, err := tvlaCkpt(t, 79, 8, 3, 1, 14, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	hdr := ckptHeader(79)
+	hdr.Kind = "tvla-until"
+	run := func(nPerSet int, ck *CampaignCheckpoint) *TVLAResult {
+		tgt := newDPATarget(t, false, 79)
+		tgt.Workers = 3
+		tgt.Ckpt = ck
+		src := rng.NewDRBG(8).Uint64
+		res, err := TVLAUntil(tgt, FixedPoint(tgt.Curve), nPerSet, 1000, 160, 158,
+			func() modn.Scalar { return AlgorithmOneScalar(tgt.Curve, src) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 	path := filepath.Join(t.TempDir(), "extend.ckpt")
-	ck := &CampaignCheckpoint{Path: path, Every: 5, Header: ckptHeader(79)}
-	if _, err := tvlaCkpt(t, 79, 8, 3, -1, 10, nil, ck, nil); err != nil {
-		t.Fatal(err)
-	}
-	rck := &CampaignCheckpoint{Path: path, Every: 5, Header: ckptHeader(79), Resume: true}
-	res, err := tvlaCkpt(t, 79, 8, 3, -1, 14, nil, rck, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run(10, &CampaignCheckpoint{Path: path, Every: 5, Header: hdr})
+	res := run(14, &CampaignCheckpoint{Path: path, Every: 5, Header: hdr, Resume: true})
 	sameTVLA(t, "extend", res, ref)
 }
 
@@ -202,7 +211,7 @@ func TestTVLASerialCrossProcessExtend(t *testing.T) {
 func TestTVLACheckpointProvenanceMismatchRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tvla.ckpt")
 	ck := &CampaignCheckpoint{Path: path, Every: 5, Header: ckptHeader(79)}
-	if _, err := tvlaCkpt(t, 79, 8, 2, -1, 10, nil, ck, nil); err != nil {
+	if _, err := tvlaCkpt(t, 79, 8, 2, 1, 10, nil, ck, nil); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -218,7 +227,7 @@ func TestTVLACheckpointProvenanceMismatchRefused(t *testing.T) {
 		hdr := ckptHeader(79)
 		tc.mut(&hdr)
 		rck := &CampaignCheckpoint{Path: path, Every: 5, Header: hdr, Resume: true}
-		_, err := tvlaCkpt(t, 79, 8, 2, -1, 10, nil, rck, nil)
+		_, err := tvlaCkpt(t, 79, 8, 2, 1, 10, nil, rck, nil)
 		var me *store.MismatchError
 		if !errors.As(err, &me) {
 			t.Fatalf("%s drift returned %v, want *store.MismatchError", tc.field, err)
@@ -227,7 +236,8 @@ func TestTVLACheckpointProvenanceMismatchRefused(t *testing.T) {
 			t.Errorf("mismatch named %q, want %q", me.Field, tc.field)
 		}
 	}
-	// Shard-shape drift: a serial checkpoint refused by a sharded run.
+	// Shard-shape drift: a single-shard checkpoint refused by a 4-shard
+	// run.
 	rck := &CampaignCheckpoint{Path: path, Every: 5, Header: ckptHeader(79), Resume: true}
 	tgt := newDPATarget(t, false, 79)
 	tgt.Shards = 4
@@ -254,7 +264,6 @@ func TestTracesToSuccessKillResume(t *testing.T) {
 	run := func(ctx context.Context, ck *CampaignCheckpoint, progress func(int)) (int, *CPAResult, error) {
 		tgt := newDPATarget(t, false, 8)
 		tgt.Workers = 3
-		tgt.Shards = -1 // serial consumer: deterministic interrupt point
 		tgt.Ctx = ctx
 		tgt.Ckpt = ck
 		tgt.Progress = progress

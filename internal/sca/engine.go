@@ -1,40 +1,35 @@
 package sca
 
 import (
+	"fmt"
+
 	"medsec/internal/campaign"
-	"medsec/internal/coproc"
 	"medsec/internal/ec"
 	"medsec/internal/modn"
 	"medsec/internal/obs"
-	"medsec/internal/power"
-	"medsec/internal/rng"
 	"medsec/internal/trace"
 )
 
-// This file glues the target device onto the parallel campaign engine
+// This file glues the target device onto the campaign engine
 // (internal/campaign). The engine's determinism contract maps onto the
 // acquisition model like this:
 //
 //   - everything a trace depends on besides its index is packed into
 //     an acqJob by a prepare callback that runs serially in index
 //     order — so shared attacker streams (point selection, random TVLA
-//     keys) are drawn in exactly the order the old serial loops drew
-//     them;
+//     keys) are drawn in a fixed order;
 //   - the device-side randomness (TRNG masks, measurement noise) never
-//     depended on acquisition order to begin with: Target derives both
-//     purely from the trace index (traceSeed / Power.Seed mixing), the
-//     same derivation the serial path used;
-//   - each worker owns one coproc.CPU, Reset before every trace; the
-//     power.Model and collector are instantiated per trace because the
-//     noise DRBG is part of the per-trace substream.
+//     depends on acquisition order: Target derives both purely from
+//     the trace index (traceSeed / Power.Seed mixing);
+//   - each worker owns one lane bank (lanes.go), re-seeded per batch.
 //
-// Consequently a campaign is bit-identical for any worker count.
+// Consequently a campaign is bit-identical for any worker or lane
+// count.
 
 // acqJob is one prepared acquisition: the scalar, the base point, and
 // the device/trace index dev that selects the TRNG and noise
-// substreams (it can differ from the engine index, e.g. TVLA
-// interleaves fixed/random acquisitions and SPA offsets the victim's
-// stream).
+// substreams (it can differ from the engine index, e.g. SPA offsets
+// the victim's stream).
 type acqJob struct {
 	key   modn.Scalar
 	point ec.Point
@@ -43,7 +38,21 @@ type acqJob struct {
 
 // engineConfig builds the campaign.Config for this target.
 func (t *Target) engineConfig() campaign.Config {
-	return campaign.Config{Workers: t.Workers, Progress: t.Progress, Metrics: t.Metrics, Ctx: t.Ctx}
+	return campaign.Config{Workers: t.Workers, Shards: t.Shards, Lanes: t.Lanes, Progress: t.Progress, Metrics: t.Metrics, Ctx: t.Ctx}
+}
+
+// runCampaign runs one campaign leg over a plan on the engine, with the
+// target's lane-batched acquirer. (A free function because Go methods
+// cannot take the accumulator type parameter.)
+func runCampaign[A any](t *Target, from, to int, cfg campaign.Config, plan *acqPlan,
+	prepare campaign.PrepareFunc[acqJob],
+	newShard func(shard int) A,
+	fold func(shard int, acc A, idx int, job acqJob, out trace.Trace) error,
+	merge func(shard int, acc A) error) (int, error) {
+	if t.Shards < 0 {
+		return 0, fmt.Errorf("sca: Target.Shards = %d is negative (0 selects campaign.DefaultShards)", t.Shards)
+	}
+	return campaign.Run(from, to, cfg, prepare, t.acquirerPool(plan), newShard, fold, merge)
 }
 
 // acqMetrics is the per-campaign bundle of acquisition counters,
@@ -72,58 +81,10 @@ func (t *Target) acqMetrics() acqMetrics {
 	}
 }
 
-// acqScratch is one worker's reusable acquisition state: a CPU, a
-// device-TRNG DRBG, a power model, and a batch collector, all re-seeded
-// / re-initialized in place per trace. The two func fields are bound
-// once at construction (binding a method value or building a probe
-// closure allocates; copying an existing func value does not), so the
-// steady-state acquisition loop performs zero heap allocations per
-// trace — the gain the campaign AllocsPerRun test pins.
-type acqScratch struct {
-	cpu      *coproc.CPU
-	drbg     *rng.DRBG
-	maskDrbg *rng.DRBG
-	model    *power.Model
-	col      *trace.Collector
-	randFn   func() uint64
-	maskFn   func() uint64
-	batchFn  coproc.BatchProbe
-}
-
-func (t *Target) newScratch() *acqScratch {
-	s := &acqScratch{
-		cpu:      coproc.NewCPU(t.Timing),
-		drbg:     rng.NewDRBG(0),
-		maskDrbg: rng.NewDRBG(0),
-		model:    power.NewModel(t.Power),
-	}
-	s.col = trace.NewCollector(s.model, 0, 0)
-	s.randFn = s.drbg.Uint64
-	s.maskFn = s.maskDrbg.Uint64
-	s.batchFn = s.col.BatchProbe()
-	return s
-}
-
-// acquirerPool returns the engine's acquire callback over cycle window
-// [start, end): a pool of worker-owned scratch states, lazily
-// constructed, each re-initialized per trace.
-func (t *Target) acquirerPool(start, end int) campaign.AcquireFunc[acqJob, trace.Trace] {
-	scratch := make([]*acqScratch, campaign.Workers(t.Workers))
-	return func(worker, idx int, j acqJob) (trace.Trace, error) {
-		s := scratch[worker]
-		if s == nil {
-			s = t.newScratch()
-			scratch[worker] = s
-		}
-		return t.acquireOn(s, j.key, j.point, start, end, j.dev)
-	}
-}
-
 // fixedRandomPrepare builds the alternating fixed-key/random-key job
 // stream the TVLA-style campaigns use: even engine indices acquire
-// under the target's key, odd ones under a fresh scalar from randKey —
-// the same interleaving (and the same randKey call order) as the old
-// serial loops, so the key stream is reproduced exactly.
+// under the target's key, odd ones under a fresh scalar from randKey,
+// drawn in index order.
 func (t *Target) fixedRandomPrepare(p ec.Point, randKey func() modn.Scalar) campaign.PrepareFunc[acqJob] {
 	return func(idx int) (acqJob, error) {
 		j := acqJob{point: p, dev: uint64(idx)}
@@ -138,11 +99,11 @@ func (t *Target) fixedRandomPrepare(p ec.Point, randKey func() modn.Scalar) camp
 
 // welchStat abstracts the two streaming fixed-vs-random accumulators —
 // first-order trace.OnlineWelch and second-order trace.OnlineWelch2 —
-// so the TVLA campaign legs (serial early-stop fold, sharded
-// reduction, checkpoint marshal/restore) are written once and
-// instantiated per statistical order. The self-referential constraint
-// (W appears in its own Merge parameter) is the usual Go shape for
-// "pointer type with these methods".
+// so the TVLA campaign legs (early-stop fold, sharded reduction,
+// checkpoint marshal/restore) are written once and instantiated per
+// statistical order. The self-referential constraint (W appears in its
+// own Merge parameter) is the usual Go shape for "pointer type with
+// these methods".
 type welchStat[W any] interface {
 	AddA(samples []float64) error
 	AddB(samples []float64) error
@@ -153,10 +114,9 @@ type welchStat[W any] interface {
 	UnmarshalBinary(data []byte) error
 }
 
-// welchShardFold is the sharded counterpart of welchConsume: it folds
-// the alternating fixed/random stream into a per-shard Welch
-// accumulator on the worker goroutines. There is no early-stop
-// variant — that is precisely what the sharded reduction gives up.
+// welchShardFold folds the alternating fixed/random stream into a
+// Welch accumulator: even indices into set A, odd into set B. The
+// trace is not retained, so its pooled buffers go back for reuse.
 func welchShardFold[W welchStat[W]](shard int, acc W, idx int, j acqJob, tr trace.Trace) error {
 	var err error
 	if idx%2 == 0 {
@@ -172,38 +132,4 @@ func welchShardFold[W welchStat[W]](shard int, acc W, idx int, j acqJob, tr trac
 // order — the campaign's final reduction.
 func welchShardMerge[W welchStat[W]](w W) func(shard int, acc W) error {
 	return func(shard int, acc W) error { return w.Merge(acc) }
-}
-
-// welchConsume feeds the alternating fixed/random stream into a
-// streaming Welch accumulator. checkEvery > 0 enables the early-stop
-// predicate: after every checkEvery-th completed pair (but not before
-// minPairs pairs), the running t-curve is evaluated and the campaign
-// stops as soon as |t| exceeds TVLAThreshold. checks (nil-safe) counts
-// the predicate evaluations — how many rounds an early-stopped
-// campaign needed.
-func welchConsume[W welchStat[W]](w W, checkEvery, minPairs int, checks *obs.Counter) campaign.ConsumeFunc[acqJob, trace.Trace] {
-	return func(idx int, j acqJob, tr trace.Trace) (bool, error) {
-		// The accumulator folds the samples immediately; the trace is
-		// not retained, so its pooled buffers go back for reuse.
-		if idx%2 == 0 {
-			err := w.AddA(tr.Samples)
-			tr.Release()
-			return false, err
-		}
-		err := w.AddB(tr.Samples)
-		tr.Release()
-		if err != nil {
-			return false, err
-		}
-		if checkEvery > 0 {
-			pairs := idx/2 + 1
-			if pairs >= minPairs && pairs%checkEvery == 0 {
-				checks.Inc()
-				if mx, _ := w.MaxT(); mx > TVLAThreshold {
-					return true, nil
-				}
-			}
-		}
-		return false, nil
-	}
 }

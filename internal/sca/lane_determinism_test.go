@@ -39,12 +39,12 @@ func tvlaLanes(t *testing.T, workers, shards, lanes int) *TVLAResult {
 }
 
 // TestTVLALaneDeterminism pins the tentpole contract over the full
-// engine-shape grid: lanes x workers x shards (legacy serial consumer
-// included), all bit-identical to the serial per-trace path. The TVLA
+// engine-shape grid: lanes x workers x shards, all bit-identical to
+// the width-1 single-worker run at the same shard count. The TVLA
 // job stream interleaves fixed and random keys, so batches mix
 // snapshot-resumed and quiet-run lanes.
 func TestTVLALaneDeterminism(t *testing.T) {
-	for _, shards := range []int{-1, 1, 4} {
+	for _, shards := range []int{1, 4} {
 		base := tvlaLanes(t, 1, shards, 0)
 		for _, lanes := range determinismLanes {
 			for _, w := range determinismWorkers {
@@ -54,7 +54,7 @@ func TestTVLALaneDeterminism(t *testing.T) {
 						shards, lanes, w, res.TracesPerSet, base.TracesPerSet)
 				}
 				if !reflect.DeepEqual(res.TCurve, base.TCurve) {
-					t.Errorf("shards=%d lanes=%d workers=%d: t-curve differs bit-for-bit from the serial per-trace path",
+					t.Errorf("shards=%d lanes=%d workers=%d: t-curve differs bit-for-bit from the width-1 path",
 						shards, lanes, w)
 				}
 			}
@@ -64,8 +64,9 @@ func TestTVLALaneDeterminism(t *testing.T) {
 
 // TestCampaignLaneDeterminism pins lane batching over per-trace random
 // base points (quiet-only plan, per-lane operand constants): the
-// retained trace set and point stream are bit-identical to the serial
-// path, for the serial consumer and the positional sharded reduction.
+// retained trace set and point stream are bit-identical to the
+// width-1 path, for the serial fold and the positional sharded
+// reduction.
 func TestCampaignLaneDeterminism(t *testing.T) {
 	acquire := func(shards, lanes int) *Campaign {
 		tgt := newDPATarget(t, false, 95)
@@ -78,16 +79,16 @@ func TestCampaignLaneDeterminism(t *testing.T) {
 		}
 		return c
 	}
-	for _, shards := range []int{-1, 4} {
+	for _, shards := range []int{1, 4} {
 		base := acquire(shards, 0)
 		want := campaignFingerprint(base)
 		for _, lanes := range determinismLanes[1:] {
 			c := acquire(shards, lanes)
 			if !reflect.DeepEqual(campaignFingerprint(c), want) {
-				t.Errorf("shards=%d lanes=%d: campaign traces differ from the serial per-trace path", shards, lanes)
+				t.Errorf("shards=%d lanes=%d: campaign traces differ from the width-1 path", shards, lanes)
 			}
 			if !reflect.DeepEqual(c.Points, base.Points) {
-				t.Errorf("shards=%d lanes=%d: campaign points differ from the serial per-trace path", shards, lanes)
+				t.Errorf("shards=%d lanes=%d: campaign points differ from the width-1 path", shards, lanes)
 			}
 		}
 	}
@@ -161,8 +162,8 @@ func TestTVLALaneKillResume(t *testing.T) {
 		killW, resumeW      int
 		cancelAt            int
 	}{
-		{"serial-lanes4-to-1", -1, 4, 1, 3, 2, 9},
-		{"serial-lanes1-to-8", -1, 1, 8, 1, 7, 9},
+		{"serial-lanes4-to-1", 1, 4, 1, 3, 2, 9},
+		{"serial-lanes1-to-8", 1, 1, 8, 1, 7, 9},
 		{"sharded4-lanes8-to-4", 4, 8, 4, 7, 2, 9},
 	}
 	for _, tc := range cases {

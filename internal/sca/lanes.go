@@ -12,20 +12,20 @@ import (
 
 // Lane-batched acquisition: one decoded instruction stream driving N
 // traces at once (coproc.LaneCPU), amortizing the interpreter's decode
-// and dispatch across the batch. Each lane still owns the full
-// per-trace device state — TRNG DRBG, power model with its noise
-// substream, collector — re-seeded per trace exactly like the serial
-// scratch, so a lane's recorded trace is bit-identical to the serial
-// path's for the same index. The campaign engine's batch legs
-// (campaign.RunBatch / RunShardedBatch) preserve the consumption order
-// and checkpoint semantics of the serial legs, so every campaign
-// statistic is bit-identical at any lane count; Target.Lanes merely
+// and dispatch across the batch. Each lane owns the full per-trace
+// device state — TRNG DRBG, power model with its noise substream,
+// collector — re-seeded per trace from the trace index, so a lane's
+// recorded trace does not depend on which batch or lane retired it.
+// Target.Lanes <= 1 runs width-1 batches; coproc's lane property tests
+// and the trace-hash goldens pin that width bit-identical to the
+// per-trace coproc.CPU interpreter. Every campaign statistic is
+// therefore bit-identical at any lane count; Target.Lanes merely
 // selects the throughput trade-off.
 
-// laneSlot is one lane's reusable per-trace device state: the
-// counterpart of acqScratch minus the CPU (the LaneCPU is shared by
-// the whole batch). Both func fields are bound once at construction so
-// the steady-state batch loop allocates nothing per trace.
+// laneSlot is one lane's reusable per-trace device state (the LaneCPU
+// is shared by the whole batch). The func fields are bound once at
+// construction so the steady-state batch loop allocates nothing per
+// trace.
 type laneSlot struct {
 	drbg     *rng.DRBG
 	maskDrbg *rng.DRBG
@@ -69,11 +69,11 @@ func (t *Target) newLaneScratch(lanes int) *laneScratch {
 	return s
 }
 
-// acquireBatchPlanned is acquirePlanned lifted to a batch: per lane the
-// same per-trace re-seeding, window setup, noise-stream alignment and
-// checkpoint-vs-quiet decision as the serial path, then one LaneCPU
-// run retires the whole batch in lockstep.
-func (t *Target) acquireBatchPlanned(s *laneScratch, plan *acqPlan, jobs []acqJob, out []trace.Trace) error {
+// acquireBatch runs one batch of acquisitions under a plan: per lane
+// the per-trace re-seeding, window setup, noise-stream alignment and
+// checkpoint-vs-quiet decision, then one LaneCPU run retires the whole
+// batch in lockstep.
+func (t *Target) acquireBatch(s *laneScratch, plan *acqPlan, jobs []acqJob, out []trace.Trace) error {
 	n := len(jobs)
 	for i := 0; i < n; i++ {
 		j := &jobs[i]
@@ -86,7 +86,8 @@ func (t *Target) acquireBatchPlanned(s *laneScratch, plan *acqPlan, jobs []acqJo
 		sl.col.Begin()
 		// The skipped prefix emits no cycle events, so each lane's noise
 		// stream must be advanced past the draws those events would have
-		// consumed (same alignment as acquirePlanned).
+		// consumed to keep the window bit-identical to a full evented
+		// run.
 		sl.model.SkipCycles(plan.quiet)
 		r := &s.runs[i]
 		*r = coproc.LaneRun{Key: j.key, Rand: sl.randFn, Sink: sl.sinkFn}
@@ -123,9 +124,10 @@ func (t *Target) acquireBatchPlanned(s *laneScratch, plan *acqPlan, jobs []acqJo
 	return nil
 }
 
-// plannedBatchAcquirerPool is plannedAcquirerPool's batch counterpart:
-// a pool of worker-owned lane scratch states, lazily constructed.
-func (t *Target) plannedBatchAcquirerPool(plan *acqPlan, lanes int) campaign.AcquireBatchFunc[acqJob, trace.Trace] {
+// acquirerPool returns the engine's batch acquirer executing a plan: a
+// pool of worker-owned lane scratch states, lazily constructed.
+func (t *Target) acquirerPool(plan *acqPlan) campaign.AcquireBatchFunc[acqJob, trace.Trace] {
+	lanes := campaign.Lanes(t.Lanes)
 	scratch := make([]*laneScratch, campaign.Workers(t.Workers))
 	return func(worker, start int, jobs []acqJob, out []trace.Trace) error {
 		s := scratch[worker]
@@ -133,36 +135,6 @@ func (t *Target) plannedBatchAcquirerPool(plan *acqPlan, lanes int) campaign.Acq
 			s = t.newLaneScratch(lanes)
 			scratch[worker] = s
 		}
-		return t.acquireBatchPlanned(s, plan, jobs, out)
+		return t.acquireBatch(s, plan, jobs, out)
 	}
-}
-
-// laneCount resolves Target.Lanes (<= 1 selects the serial per-trace
-// path).
-func (t *Target) laneCount() int { return campaign.Lanes(t.Lanes) }
-
-// runPlanned dispatches a serial-consumer campaign leg over a plan:
-// the lane-batched engine when Target.Lanes > 1, the per-trace engine
-// otherwise. Results are bit-identical either way (the lane and batch
-// test suites pin this); only throughput differs.
-func (t *Target) runPlanned(from, to int, cfg campaign.Config, plan *acqPlan,
-	prepare campaign.PrepareFunc[acqJob], consume campaign.ConsumeFunc[acqJob, trace.Trace]) (int, error) {
-	if lanes := t.laneCount(); lanes > 1 {
-		return campaign.RunBatch(from, to, lanes, cfg, prepare, t.plannedBatchAcquirerPool(plan, lanes), consume)
-	}
-	return campaign.Run(from, to, cfg, prepare, t.plannedAcquirerPool(plan), consume)
-}
-
-// runShardedPlanned is runPlanned for the sharded-reduction legs. (A
-// free function because Go methods cannot take the accumulator type
-// parameter.)
-func runShardedPlanned[A any](t *Target, from, to int, cfg campaign.ShardedConfig, plan *acqPlan,
-	prepare campaign.PrepareFunc[acqJob],
-	newShard func(shard int) A,
-	fold func(shard int, acc A, idx int, job acqJob, out trace.Trace) error,
-	merge func(shard int, acc A) error) (int, error) {
-	if lanes := t.laneCount(); lanes > 1 {
-		return campaign.RunShardedBatch(from, to, lanes, cfg, prepare, t.plannedBatchAcquirerPool(plan, lanes), newShard, fold, merge)
-	}
-	return campaign.RunSharded(from, to, cfg, prepare, t.plannedAcquirerPool(plan), newShard, fold, merge)
 }

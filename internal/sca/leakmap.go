@@ -52,18 +52,12 @@ func LeakageMap(t *Target, p ec.Point, nPerSet, firstIter, lastIter int, randKey
 		return nil, err
 	}
 	w := trace.NewOnlineWelch()
-	if t.useSharded() {
-		// Same sharded Welch reduction as the full-budget TVLA: fold
-		// per shard on the workers, merge in shard order.
-		_, err = runShardedPlanned(t, 0, 2*nPerSet, t.shardedConfig(), plan,
-			t.fixedRandomPrepare(p, randKey),
-			func(shard int) *trace.OnlineWelch { return trace.NewOnlineWelch() },
-			welchShardFold[*trace.OnlineWelch], welchShardMerge(w))
-	} else {
-		_, err = t.runPlanned(0, 2*nPerSet, t.engineConfig(), plan,
-			t.fixedRandomPrepare(p, randKey),
-			welchConsume(w, 0, 0, nil))
-	}
+	// Same sharded Welch reduction as the full-budget TVLA: fold per
+	// shard on the workers, merge in shard order.
+	_, err = runCampaign(t, 0, 2*nPerSet, t.engineConfig(), plan,
+		t.fixedRandomPrepare(p, randKey),
+		func(shard int) *trace.OnlineWelch { return trace.NewOnlineWelch() },
+		welchShardFold[*trace.OnlineWelch], welchShardMerge(w))
 	if err != nil {
 		return nil, err
 	}

@@ -84,7 +84,7 @@ func TestLaneBatchMetrics(t *testing.T) {
 	run := func(lanes int, reg *obs.Registry) *TVLAResult {
 		tgt := newDPATarget(t, false, 91)
 		tgt.Workers = 3
-		tgt.Shards = -1
+		tgt.Shards = 1
 		tgt.Lanes = lanes
 		tgt.Metrics = reg
 		src := rng.NewDRBG(13).Uint64

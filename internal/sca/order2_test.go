@@ -163,7 +163,7 @@ func TestMaskedTVLADeterminismMatrix(t *testing.T) {
 		tgt.Workers = workers
 		tgt.Shards = shards
 		tgt.Lanes = lanes
-		tgt.NoPrologueSkip = noSkip
+		tgt.noPrologueSkip = noSkip
 		randKey := algKeyStream(tgt.Curve, 11)
 		var res *TVLAResult
 		var err error
@@ -194,7 +194,7 @@ func TestMaskedTVLADeterminismMatrix(t *testing.T) {
 			// draws are replayed, never snapshotted).
 			noskip := run(order, 2, shards, 4, true)
 			if !reflect.DeepEqual(noskip.TCurve, ref.TCurve) {
-				t.Errorf("order=%d shards=%d: NoPrologueSkip t-curve differs — masked quiet prologue drifts", order, shards)
+				t.Errorf("order=%d shards=%d: full-pipeline t-curve differs — masked quiet prologue drifts", order, shards)
 			}
 		}
 	}
@@ -261,7 +261,7 @@ func TestMaskedTVLA2KillResume(t *testing.T) {
 		name   string
 		shards int
 	}{
-		{"serial", -1},
+		{"serial", 1},
 		{"sharded-4", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -295,13 +295,13 @@ func TestMaskedTVLA2KillResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "order1.ckpt")
 	ck := &CampaignCheckpoint{Path: path, Every: 4, Header: hdr}
 	tgt := newMaskedTarget(t, 905, true)
-	tgt.Shards = -1
+	tgt.Shards = 1
 	tgt.Ckpt = ck
 	if _, err := TVLA(tgt, FixedPoint(tgt.Curve), nPerSet, 160, 158, algKeyStream(tgt.Curve, 13)); err != nil {
 		t.Fatal(err)
 	}
 	rck := &CampaignCheckpoint{Path: path, Every: 4, Header: hdr, Resume: true}
-	if _, err := run(1, -1, nil, rck, nil); err == nil || !strings.Contains(err.Error(), "welch2") {
+	if _, err := run(1, 1, nil, rck, nil); err == nil || !strings.Contains(err.Error(), "welch2") {
 		t.Fatalf("second-order campaign resumed from a first-order checkpoint (err=%v)", err)
 	}
 }
@@ -317,7 +317,6 @@ func TestMaskedTracesToSuccessKillResume(t *testing.T) {
 	run := func(ctx context.Context, ck *CampaignCheckpoint, progress func(int)) (int, *CPAResult, error) {
 		tgt := newMaskedTarget(t, 906, true)
 		tgt.Workers = 3
-		tgt.Shards = -1 // serial consumer: deterministic interrupt point
 		tgt.Ctx = ctx
 		tgt.Ckpt = ck
 		tgt.Progress = progress

@@ -1,13 +1,9 @@
 package sca
 
 import (
-	"errors"
-
-	"medsec/internal/campaign"
 	"medsec/internal/coproc"
 	"medsec/internal/ec"
 	"medsec/internal/modn"
-	"medsec/internal/trace"
 )
 
 // Acquisition plans — the checkpointed/quiet prologue.
@@ -20,9 +16,9 @@ import (
 // keeping the recorded samples bit-identical:
 //
 //   - quiet prefix: cycles [0, start) execute architecturally but emit
-//     no events (coproc.CPU.QuietCycles). The field values are exactly
-//     the evented pipeline's; only the per-cycle bookkeeping and the
-//     power evaluation disappear. The measurement-noise stream is
+//     no events (coproc.LaneCPU.QuietCycles). The field values are
+//     exactly the evented pipeline's; only the per-cycle bookkeeping and
+//     the power evaluation disappear. The measurement-noise stream is
 //     re-aligned with power.Model.SkipCycles, which replays the
 //     skipped draws' consumption pattern exactly;
 //   - checkpoint: for a campaign over a FIXED base point, the longest
@@ -38,8 +34,9 @@ import (
 //
 // Snapshot state depends on the base point (operand constants), so
 // campaigns with per-trace random points (CPA) get quiet-only plans.
-// Target.NoPrologueSkip disables both layers for A/B benchmarking and
-// paranoid re-verification.
+// The unexported Target.noPrologueSkip hook disables both layers so
+// the tests can pin the planned window against the full evented
+// pipeline.
 
 // acqPlan is one campaign's acquisition plan over a fixed cycle
 // window.
@@ -69,7 +66,7 @@ type acqPlan struct {
 // whose base point varies per trace.
 func (t *Target) planWindow(start, end int) *acqPlan {
 	p := &acqPlan{start: start, end: end, met: t.acqMetrics()}
-	if !t.NoPrologueSkip && start > 0 {
+	if !t.noPrologueSkip && start > 0 {
 		p.quiet = start
 	}
 	return p
@@ -133,78 +130,3 @@ func (p *acqPlan) usable(key modn.Scalar) bool {
 // removes from the evented simulation pipeline (whether
 // checkpoint-restored or quietly executed).
 func (p *acqPlan) skippedCycles() int { return p.quiet }
-
-// acquirePlanned runs one acquisition under a plan on the given
-// scratch state. With a zero-skip plan it is behaviorally identical to
-// the historical full-pipeline path; with skipping enabled the
-// recorded window is still bit-identical (the coproc and sca test
-// suites pin sample equality against full runs).
-func (t *Target) acquirePlanned(s *acqScratch, key modn.Scalar, p ec.Point, plan *acqPlan, idx uint64) (trace.Trace, error) {
-	cpu := s.cpu
-	cpu.Reset()
-	cpu.Timing = t.Timing
-	s.drbg.Reseed(t.traceSeed(idx))
-	cpu.Rand = s.randFn
-	if t.Masked {
-		s.maskDrbg.Reseed(t.maskSeed(idx))
-		cpu.Masked = true
-		cpu.MaskRand = s.maskFn
-	}
-	pcfg := t.Power
-	pcfg.Seed ^= (idx + 1) * 0xbf58476d1ce4e5b9
-	s.model.Reinit(pcfg)
-	s.col.Start, s.col.End = plan.start, plan.end
-	s.col.Begin()
-	cpu.Batch = s.batchFn
-	cpu.SetOperandConstants(p.X, t.Curve.B, p.Y)
-	if plan.end > 0 {
-		cpu.MaxCycles = plan.end
-	}
-	cpu.QuietCycles = plan.quiet
-	// The skipped prefix emits no cycle events, so the noise stream
-	// must be advanced past the draws those events would have consumed
-	// to keep the window bit-identical to a full evented run.
-	s.model.SkipCycles(plan.quiet)
-	var err error
-	if plan.usable(key) {
-		plan.met.checkpointResumes.Inc()
-		_, err = cpu.Resume(t.prog, key, *plan.snap)
-	} else {
-		if plan.quiet > 0 {
-			plan.met.quietRuns.Inc()
-		}
-		_, err = cpu.Run(t.prog, key)
-	}
-	if err != nil && !errors.Is(err, coproc.ErrStopped) {
-		return trace.Trace{}, err
-	}
-	plan.met.traces.Inc()
-	plan.met.prologueSkipped.Add(int64(plan.quiet))
-	return s.col.Take(), nil
-}
-
-// plannedAcquirerPool returns the engine acquire callback executing a
-// plan: a pool of worker-owned scratch states, lazily constructed,
-// each re-initialized per trace.
-func (t *Target) plannedAcquirerPool(plan *acqPlan) campaign.AcquireFunc[acqJob, trace.Trace] {
-	scratch := make([]*acqScratch, campaign.Workers(t.Workers))
-	return func(worker, idx int, j acqJob) (trace.Trace, error) {
-		s := scratch[worker]
-		if s == nil {
-			s = t.newScratch()
-			scratch[worker] = s
-		}
-		return t.acquirePlanned(s, j.key, j.point, plan, j.dev)
-	}
-}
-
-// shardedConfig builds the campaign.ShardedConfig for this target.
-func (t *Target) shardedConfig() campaign.ShardedConfig {
-	return campaign.ShardedConfig{Workers: t.Workers, Shards: t.Shards, Progress: t.Progress, Metrics: t.Metrics, Ctx: t.Ctx}
-}
-
-// useSharded reports whether bounded statistics campaigns reduce
-// through the sharded engine (Target.Shards >= 0) or the legacy serial
-// consumer (negative Shards — kept for A/B benchmarking and bit-exact
-// reproduction of pre-sharding campaign results).
-func (t *Target) useSharded() bool { return t.Shards >= 0 }

@@ -1,6 +1,7 @@
 package sca
 
 import (
+	"strings"
 	"testing"
 
 	"medsec/internal/coproc"
@@ -376,5 +377,31 @@ func TestSuccessRateCurveMonotoneIsh(t *testing.T) {
 	}
 	if _, err := SuccessRateCurve(mk, nil, 4, 3, CPAOptions{}, 1); err == nil {
 		t.Fatal("empty sizes accepted")
+	}
+}
+
+// TestNegativeShardsRefused: every campaign entry point refuses a
+// negative Target.Shards by name instead of falling back to the
+// default layout.
+func TestNegativeShardsRefused(t *testing.T) {
+	tgt := newDPATarget(t, false, 11)
+	tgt.Shards = -1
+	src := rng.NewDRBG(1).Uint64
+	randKey := func() modn.Scalar { return AlgorithmOneScalar(tgt.Curve, src) }
+	p := FixedPoint(tgt.Curve)
+	for name, run := range map[string]func() error{
+		"TVLA":      func() error { _, err := TVLA(tgt, p, 10, 160, 158, randKey); return err },
+		"TVLAUntil": func() error { _, err := TVLAUntil(tgt, p, 10, 5, 160, 158, randKey); return err },
+		"LeakageMap": func() error {
+			_, err := LeakageMap(tgt, p, 10, 160, 158, randKey)
+			return err
+		},
+		"AcquireCampaign": func() error { _, err := tgt.AcquireCampaign(4, 160, 158, src); return err },
+		"SPAProfiled":     func() error { _, err := SPAProfiled(tgt, p, 2); return err },
+		"BuildTemplate":   func() error { _, err := BuildTemplate(tgt, p, 2); return err },
+	} {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "Target.Shards") {
+			t.Errorf("%s: err = %v, want a refusal naming Target.Shards", name, err)
+		}
 	}
 }

@@ -7,21 +7,21 @@ import (
 
 	"medsec/internal/modn"
 	"medsec/internal/rng"
+	"medsec/internal/trace"
 )
 
-// PR 4 determinism pins: the sharded reduction must be bit-identical
-// across worker counts at a fixed shard count, reproduce the legacy
-// serial consumer exactly at S=1, and agree across shard counts to
-// floating-point rounding; the checkpointed/quiet acquisition prologue
-// must leave every recorded sample bit-identical to the historical
-// full-pipeline path.
+// Determinism pins: the sharded reduction must be bit-identical across
+// worker counts at a fixed shard count, reproduce the serial reference
+// loop exactly at S=1, and agree across shard counts to floating-point
+// rounding; the checkpointed/quiet acquisition prologue must leave
+// every recorded sample bit-identical to the full evented pipeline.
 
 func tvlaWith(t *testing.T, workers, shards int, noSkip bool, firstIter, lastIter int) *TVLAResult {
 	t.Helper()
 	tgt := newDPATarget(t, false, 91)
 	tgt.Workers = workers
 	tgt.Shards = shards
-	tgt.NoPrologueSkip = noSkip
+	tgt.noPrologueSkip = noSkip
 	src := rng.NewDRBG(14).Uint64
 	randKey := func() modn.Scalar { return AlgorithmOneScalar(tgt.Curve, src) }
 	res, err := TVLA(tgt, FixedPoint(tgt.Curve), 20, firstIter, lastIter, randKey)
@@ -43,18 +43,43 @@ func TestTVLAShardedDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestTVLAShardedSingleShardDeterminismMatchesLegacy pins that one
-// shard reproduces the legacy serial consumer (Shards < 0) bit for
-// bit: both fold every trace in global index order into one Welch
-// accumulator.
-func TestTVLAShardedSingleShardDeterminismMatchesLegacy(t *testing.T) {
-	legacy := tvlaWith(t, 3, -1, false, 159, 157)
-	oneShard := tvlaWith(t, 3, 1, false, 159, 157)
-	if !reflect.DeepEqual(oneShard.TCurve, legacy.TCurve) {
-		t.Fatal("Shards=1 t-curve differs from the legacy serial consumer")
+// serialTVLA is the reference the engine is pinned against: every
+// trace acquired in index order on one width-1 lane bank and folded
+// straight into one Welch accumulator — the historical serial loop.
+func serialTVLA(t *testing.T, tgt *Target, nPerSet, firstIter, lastIter int, randKey func() modn.Scalar) []float64 {
+	t.Helper()
+	p := FixedPoint(tgt.Curve)
+	start, end := tgt.Window(firstIter, lastIter)
+	plan, err := tgt.planFixedPoint(p, tgt.Key, start, end)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if oneShard.TracesPerSet != legacy.TracesPerSet {
-		t.Fatalf("trace counts differ: %d vs %d", oneShard.TracesPerSet, legacy.TracesPerSet)
+	prepare := tgt.fixedRandomPrepare(p, randKey)
+	s := tgt.newLaneScratch(1)
+	w := trace.NewOnlineWelch()
+	for idx := 0; idx < 2*nPerSet; idx++ {
+		j, _ := prepare(idx)
+		if err := welchShardFold(0, w, idx, j, acquireJobs(t, tgt, s, plan, []acqJob{j})[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts, err := w.T()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ts
+}
+
+// TestTVLAShardedSingleShardDeterminismMatchesLegacy pins that one
+// shard reproduces the serial reference loop bit for bit: both fold
+// every trace in global index order into one Welch accumulator.
+func TestTVLAShardedSingleShardDeterminismMatchesLegacy(t *testing.T) {
+	oneShard := tvlaWith(t, 3, 1, false, 159, 157)
+	tgt := newDPATarget(t, false, 91)
+	src := rng.NewDRBG(14).Uint64
+	legacy := serialTVLA(t, tgt, 20, 159, 157, func() modn.Scalar { return AlgorithmOneScalar(tgt.Curve, src) })
+	if !reflect.DeepEqual(oneShard.TCurve, legacy) {
+		t.Fatal("Shards=1 t-curve differs from the serial reference loop")
 	}
 }
 
@@ -92,8 +117,7 @@ func TestPrologueSkipDeterminismBitIdentical(t *testing.T) {
 		// Campaign acquisition (random base points, quiet-only plan).
 		camp := func(noSkip bool) *Campaign {
 			tgt := newDPATarget(t, rpc, 92)
-			tgt.Shards = -1 // isolate the prologue: identical serial consumer
-			tgt.NoPrologueSkip = noSkip
+			tgt.noPrologueSkip = noSkip
 			c, err := tgt.AcquireCampaign(12, 158, 156, rng.NewDRBG(21).Uint64)
 			if err != nil {
 				t.Fatalf("rpc=%v noSkip=%v: %v", rpc, noSkip, err)
@@ -113,8 +137,7 @@ func TestPrologueSkipDeterminismBitIdentical(t *testing.T) {
 		// the non-RPC program, quiet-only on RPC).
 		tvla := func(noSkip bool) *TVLAResult {
 			tgt := newDPATarget(t, rpc, 93)
-			tgt.Shards = -1
-			tgt.NoPrologueSkip = noSkip
+			tgt.noPrologueSkip = noSkip
 			src := rng.NewDRBG(22).Uint64
 			randKey := func() modn.Scalar { return AlgorithmOneScalar(tgt.Curve, src) }
 			res, err := TVLA(tgt, FixedPoint(tgt.Curve), 15, 156, 154, randKey)
@@ -129,7 +152,7 @@ func TestPrologueSkipDeterminismBitIdentical(t *testing.T) {
 			t.Errorf("rpc=%v: TVLA t-curve differs between planned and full-pipeline acquisition", rpc)
 		}
 		if tRef.PrologueCyclesSkipped != 0 {
-			t.Errorf("rpc=%v: NoPrologueSkip run reports %d skipped cycles", rpc, tRef.PrologueCyclesSkipped)
+			t.Errorf("rpc=%v: full-pipeline run reports %d skipped cycles", rpc, tRef.PrologueCyclesSkipped)
 		}
 		if tOpt.PrologueCyclesSkipped <= 0 {
 			t.Errorf("rpc=%v: planned TVLA reports %d skipped cycles, want > 0", rpc, tOpt.PrologueCyclesSkipped)
@@ -138,8 +161,7 @@ func TestPrologueSkipDeterminismBitIdentical(t *testing.T) {
 		// SPA full-ladder averaging (short prologue, fixed key).
 		spa := func(noSkip bool) *SPAResult {
 			tgt := newDPATarget(t, rpc, 94)
-			tgt.Shards = -1
-			tgt.NoPrologueSkip = noSkip
+			tgt.noPrologueSkip = noSkip
 			p := tgt.Curve.RandomPoint(rng.NewDRBG(23).Uint64)
 			res, err := SPAProfiled(tgt, p, 6)
 			if err != nil {
@@ -156,9 +178,9 @@ func TestPrologueSkipDeterminismBitIdentical(t *testing.T) {
 }
 
 // TestShardedCampaignDeterminismAcrossWorkers pins the positional-write
-// campaign reduction: under the sharded engine the retained trace set
-// is identical for any worker count and identical to the legacy
-// serial-consumer path.
+// campaign reduction: the retained trace set is identical for any
+// worker and shard count and identical to the serial single-worker,
+// single-shard run.
 func TestShardedCampaignDeterminismAcrossWorkers(t *testing.T) {
 	acquire := func(workers, shards int) *Campaign {
 		tgt := newDPATarget(t, false, 95)
@@ -170,16 +192,16 @@ func TestShardedCampaignDeterminismAcrossWorkers(t *testing.T) {
 		}
 		return c
 	}
-	legacy := acquire(1, -1)
+	legacy := acquire(1, 1)
 	want := campaignFingerprint(legacy)
 	for _, w := range determinismWorkers {
 		for _, shards := range []int{1, 4} {
 			c := acquire(w, shards)
 			if !reflect.DeepEqual(campaignFingerprint(c), want) {
-				t.Errorf("workers=%d shards=%d: campaign traces differ from legacy serial acquisition", w, shards)
+				t.Errorf("workers=%d shards=%d: campaign traces differ from the serial acquisition", w, shards)
 			}
 			if !reflect.DeepEqual(c.Points, legacy.Points) {
-				t.Errorf("workers=%d shards=%d: campaign points differ from legacy serial acquisition", w, shards)
+				t.Errorf("workers=%d shards=%d: campaign points differ from the serial acquisition", w, shards)
 			}
 		}
 	}
@@ -187,7 +209,8 @@ func TestShardedCampaignDeterminismAcrossWorkers(t *testing.T) {
 
 // TestTemplateShardedDeterminismMatchesLegacy pins that the sharded
 // template build (append-only features, concatenated in shard order)
-// reproduces the legacy serial template bit for bit.
+// reproduces the serial single-worker, single-shard template bit for
+// bit.
 func TestTemplateShardedDeterminismMatchesLegacy(t *testing.T) {
 	build := func(workers, shards int) *Template {
 		tgt := newDPATarget(t, false, 96)
@@ -200,12 +223,12 @@ func TestTemplateShardedDeterminismMatchesLegacy(t *testing.T) {
 		}
 		return tm
 	}
-	legacy := build(1, -1)
+	legacy := build(1, 1)
 	for _, w := range determinismWorkers {
 		for _, shards := range []int{1, 4} {
 			tm := build(w, shards)
 			if *tm != *legacy {
-				t.Errorf("workers=%d shards=%d: template %+v differs from legacy serial %+v", w, shards, tm, legacy)
+				t.Errorf("workers=%d shards=%d: template %+v differs from serial %+v", w, shards, tm, legacy)
 			}
 		}
 	}

@@ -120,10 +120,9 @@ func spaAveraged(t *Target, p ec.Point, idx uint64, n int) (*SPAResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Average through the campaign engine. Sharded mode sums per shard
-	// on the worker goroutines and adds the shard sums in shard order;
-	// serial mode sums in index order (bit-identical to the historical
-	// loop). The two agree to floating-point rounding.
+	// Average through the campaign engine: each shard sums its traces
+	// in index order on the worker goroutines, and the shard sums are
+	// added in shard order.
 	var acc []float64
 	addInto := func(dst *[]float64, samples []float64) error {
 		if *dst == nil {
@@ -140,28 +139,19 @@ func spaAveraged(t *Target, p ec.Point, idx uint64, n int) (*SPAResult, error) {
 	prepare := func(i int) (acqJob, error) {
 		return acqJob{key: t.Key, point: p, dev: idx + uint64(i)}, nil
 	}
-	if t.useSharded() {
-		_, err = runShardedPlanned(t, 0, n, t.shardedConfig(), plan, prepare,
-			func(shard int) *[]float64 { return new([]float64) },
-			func(shard int, sum *[]float64, i int, j acqJob, tr trace.Trace) error {
-				err := addInto(sum, tr.Samples)
-				tr.Release() // folded, not retained
-				return err
-			},
-			func(shard int, sum *[]float64) error {
-				if *sum == nil {
-					return nil
-				}
-				return addInto(&acc, *sum)
-			})
-	} else {
-		consume := func(i int, j acqJob, tr trace.Trace) (bool, error) {
-			err := addInto(&acc, tr.Samples)
+	_, err = runCampaign(t, 0, n, t.engineConfig(), plan, prepare,
+		func(shard int) *[]float64 { return new([]float64) },
+		func(shard int, sum *[]float64, i int, j acqJob, tr trace.Trace) error {
+			err := addInto(sum, tr.Samples)
 			tr.Release() // folded, not retained
-			return false, err
-		}
-		_, err = t.runPlanned(0, n, t.engineConfig(), plan, prepare, consume)
-	}
+			return err
+		},
+		func(shard int, sum *[]float64) error {
+			if *sum == nil {
+				return nil
+			}
+			return addInto(&acc, *sum)
+		})
 	if err != nil {
 		return nil, err
 	}

@@ -84,34 +84,25 @@ type Target struct {
 	Workers int
 	// Lanes selects lane-batched acquisition: campaigns execute this
 	// many traces per interpreter pass (coproc.LaneCPU), amortizing
-	// microcode decode and dispatch across the batch. <= 1 selects the
-	// serial per-trace path; design.DefaultLanes is the stack default.
-	// Campaign results are bit-identical for any lane count — batching
-	// changes only which interpreter retires a trace's cycles, never
-	// the per-trace data streams or the statistics' fold order.
+	// microcode decode and dispatch across the batch. <= 1 runs width-1
+	// batches; design.DefaultLanes is the stack default. Campaign
+	// results are bit-identical for any lane count — batching changes
+	// only how many traces one interpreter pass retires, never the
+	// per-trace data streams or the statistics' fold order.
 	Lanes int
 	// Shards selects the reduction sharding of the bounded statistics
 	// campaigns (TVLA, leakage maps, SPA averaging, template
 	// profiling, campaign acquisition): 0 selects
-	// campaign.DefaultShards; a positive value is part of the
+	// campaign.DefaultShards, and a positive value is part of the
 	// experiment definition (statistics agree across shard counts only
 	// to floating-point rounding, though never across worker counts,
-	// which are always bit-identical at fixed Shards); a negative
-	// value selects the legacy serial consumer, which reproduces
-	// pre-sharding results bit for bit. Early-stop campaigns
-	// (TVLAUntil, traces-to-success searches) always use the serial
-	// consumer regardless of this field.
+	// which are always bit-identical at fixed Shards). Negative values
+	// are refused. Early-stop campaigns (TVLAUntil, TVLA2Until) always
+	// fold serially, as one shard.
 	Shards int
-	// NoPrologueSkip disables the checkpointed/quiet acquisition
-	// prologue (see plan.go): every campaign trace then re-simulates
-	// all cycles before its window through the full evented pipeline,
-	// as the historical path did. The recorded samples are
-	// bit-identical either way; the knob exists for A/B benchmarking
-	// and re-verification.
-	NoPrologueSkip bool
-	// Progress, when non-nil, is invoked after each consumed campaign
-	// trace with the cumulative trace count — wire it to a progress
-	// reporter for the long acquisitions.
+	// Progress, when non-nil, is invoked as campaign traces are folded
+	// with the cumulative trace count (monotone; it may skip counts) —
+	// wire it to a progress reporter for the long acquisitions.
 	Progress func(done int)
 	// Metrics, when non-nil, receives acquisition instrumentation:
 	// counters sca_traces_acquired / sca_prologue_cycles_skipped /
@@ -119,10 +110,10 @@ type Target struct {
 	// sca_earlystop_checks, TVLA gauges (sca_tvla_pairs,
 	// sca_tvla_max_t, sca_tvla_early_stopped), plus the campaign_*
 	// engine instruments (the registry is forwarded into
-	// campaign.Config / ShardedConfig). Metrics observe, never
-	// perturb: acquisitions are bit-identical with or without a
-	// registry, and the nil default costs zero allocations per trace
-	// (the campaign AllocsPerRun pin covers this path).
+	// campaign.Config). Metrics observe, never perturb: acquisitions
+	// are bit-identical with or without a registry, and the nil default
+	// costs zero allocations per trace (the campaign AllocsPerRun pin
+	// covers this path).
 	Metrics *obs.Registry
 	// Ctx, when non-nil, makes every campaign over this target
 	// interruptible: on cancellation (SIGINT/SIGTERM in the CLIs) the
@@ -136,6 +127,11 @@ type Target struct {
 	Ckpt *CampaignCheckpoint
 
 	prog *coproc.Program
+	// noPrologueSkip disables the checkpointed/quiet acquisition
+	// prologue (see plan.go), so every trace re-simulates all cycles
+	// before its window through the full evented pipeline. A test hook:
+	// the tests pin the planned window bit-identical against it.
+	noPrologueSkip bool
 }
 
 // NewTarget builds a target device.
@@ -175,37 +171,6 @@ func (t *Target) Masks(idx uint64) (lambda, mu gf2m.Element) {
 	lambda = coproc.RandNonZeroElement(d.Uint64)
 	mu = coproc.RandNonZeroElement(d.Uint64)
 	return lambda, mu
-}
-
-// Acquire runs one point multiplication on base point p and records
-// the power over cycle window [start, end) (end <= 0: full run).
-// idx individualizes the device TRNG stream and the measurement
-// noise, as consecutive oscilloscope captures would.
-func (t *Target) Acquire(p ec.Point, start, end int, idx uint64) (trace.Trace, error) {
-	return t.AcquireWithKey(t.Key, p, start, end, idx)
-}
-
-// AcquireWithKey acquires with an explicit scalar — the TVLA
-// fixed-vs-random-key campaign needs per-trace keys.
-func (t *Target) AcquireWithKey(key modn.Scalar, p ec.Point, start, end int, idx uint64) (trace.Trace, error) {
-	return t.acquireOn(t.newScratch(), key, p, start, end, idx)
-}
-
-// acquireOn runs one acquisition on the given scratch state (reset in
-// place first, so a worker-owned scratch behaves exactly like freshly
-// constructed per-trace state). The device TRNG stream, the power
-// model and its noise DRBG are re-derived per trace purely from idx,
-// which is what makes parallel campaigns bit-identical to serial ones;
-// the re-derivation is in-place re-seeding (rng.DRBG.Reseed,
-// power.Model.Reinit), which is what makes the steady-state loop
-// allocation-free. Events reach the collector through the coproc batch
-// probe — one callback per retired instruction instead of one per
-// cycle — and samples land in pooled buffers (trace.Collector.Begin).
-// Every pre-window cycle runs through the full evented pipeline — the
-// reference behavior the planned acquisition paths (plan.go) must
-// reproduce bit for bit.
-func (t *Target) acquireOn(s *acqScratch, key modn.Scalar, p ec.Point, start, end int, idx uint64) (trace.Trace, error) {
-	return t.acquirePlanned(s, key, p, &acqPlan{start: start, end: end, met: t.acqMetrics()}, idx)
 }
 
 // Window exposes the acquisition cycle window covering ladder
@@ -265,12 +230,11 @@ func (t *Target) AcquireCampaign(n int, firstIter, lastIter int, pointSrc func()
 // is identical to one acquired at size n in a single call.
 //
 // The campaign retains every trace, so the "reduction" is a positional
-// write: under the sharded engine (Target.Shards >= 0) each completed
-// acquisition lands directly in its own slot of the preallocated set
-// from the worker goroutine — trivially order-independent — instead of
-// filing through the serial reorder consumer. The base points vary per
-// trace, so the acquisition plan is quiet-prologue only (no
-// checkpoint; see plan.go).
+// write: each completed acquisition lands directly in its own slot of
+// the preallocated set from the worker goroutine — trivially
+// order-independent. The base points vary per trace, so the
+// acquisition plan is quiet-prologue only (no checkpoint; see
+// plan.go). Target.Progress reports the campaign's cumulative size.
 func (t *Target) ExtendCampaign(c *Campaign, n int, pointSrc func() uint64) error {
 	from := c.Set.Len()
 	if n <= from {
@@ -280,26 +244,13 @@ func (t *Target) ExtendCampaign(c *Campaign, n int, pointSrc func() uint64) erro
 	prepare := func(idx int) (acqJob, error) {
 		return acqJob{key: t.Key, point: t.Curve.RandomPoint(pointSrc), dev: uint64(idx)}, nil
 	}
-	if !t.useSharded() {
-		consume := func(idx int, j acqJob, tr trace.Trace) (bool, error) {
-			c.Set.Add(tr)
-			c.Points = append(c.Points, j.point)
-			return false, nil
-		}
-		if _, err := t.runPlanned(from, n, t.engineConfig(), plan, prepare, consume); err != nil {
-			// Leave the campaign exactly as it was before the failed
-			// (or interrupted) extension; the consumed partial prefix
-			// is dropped — extensions checkpoint only at size
-			// boundaries (TracesToSuccess).
-			c.Set.Traces = c.Set.Traces[:from]
-			c.Points = c.Points[:from]
-			return err
-		}
-		return nil
+	cfg := t.engineConfig()
+	if t.Progress != nil {
+		cfg.Progress = func(done int) { t.Progress(from + done) }
 	}
 	c.Set.Traces = append(c.Set.Traces, make([]trace.Trace, n-from)...)
 	c.Points = append(c.Points, make([]ec.Point, n-from)...)
-	_, err := runShardedPlanned(t, from, n, t.shardedConfig(), plan, prepare,
+	_, err := runCampaign(t, from, n, cfg, plan, prepare,
 		func(shard int) struct{} { return struct{}{} },
 		func(shard int, _ struct{}, idx int, j acqJob, tr trace.Trace) error {
 			c.Set.Traces[idx] = tr
@@ -308,8 +259,10 @@ func (t *Target) ExtendCampaign(c *Campaign, n int, pointSrc func() uint64) erro
 		},
 		func(shard int, _ struct{}) error { return nil })
 	if err != nil {
-		// Leave the campaign exactly as it was before the failed
-		// extension; partially filled slots are dropped.
+		// Leave the campaign exactly as it was before the failed (or
+		// interrupted) extension; partially filled slots are dropped —
+		// extensions checkpoint only at size boundaries
+		// (TracesToSuccess).
 		c.Set.Traces = c.Set.Traces[:from]
 		c.Points = c.Points[:from]
 		return err
@@ -319,8 +272,7 @@ func (t *Target) ExtendCampaign(c *Campaign, n int, pointSrc func() uint64) erro
 
 // PrologueCyclesSkipped reports how many leading cycles per trace the
 // campaign's acquisition plan removes from the evented simulation
-// pipeline (0 when Target.NoPrologueSkip is set or the window starts
-// at cycle 0) — campaign throughput accounting for progress headers.
+// pipeline (0 when the window starts at cycle 0) — campaign throughput accounting for progress headers.
 func (c *Campaign) PrologueCyclesSkipped() int {
 	return c.Target.planWindow(c.Start, c.End).skippedCycles()
 }

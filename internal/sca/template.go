@@ -54,13 +54,12 @@ func BuildTemplate(profiler *Target, p ec.Point, nProfile int) (*Template, error
 	if err != nil {
 		return nil, err
 	}
-	// Profiling acquisitions fan out over the campaign engine; the
-	// labeled features are appended in index order. Sharded mode
-	// appends into per-shard slices and concatenates them in shard
-	// order — since every feature is appended, not summed, the sharded
-	// template is bit-identical to the serial one. Each job carries its
-	// known profiling key so the fold can label the features without
-	// re-deriving the key stream.
+	// Profiling acquisitions fan out over the campaign engine: each
+	// shard appends its labeled features in index order and the shard
+	// slices are concatenated in shard order — since every feature is
+	// appended, not summed, the template is bit-identical for any shard
+	// count. Each job carries its known profiling key so the fold can
+	// label the features without re-deriving the key stream.
 	var f0, f1 []float64
 	extract := func(j acqJob, tr trace.Trace, f0, f1 *[]float64) {
 		for iter := 162; iter >= 0; iter-- {
@@ -84,28 +83,19 @@ func BuildTemplate(profiler *Target, p ec.Point, nProfile int) (*Template, error
 		k := AlgorithmOneScalar(profiler.Curve, rngSourceFor(profiler, uint64(i)))
 		return acqJob{key: k, point: p, dev: uint64(1000 + i)}, nil
 	}
-	if profiler.useSharded() {
-		type classes struct{ f0, f1 []float64 }
-		_, err = runShardedPlanned(profiler, 0, nProfile, profiler.shardedConfig(), plan, prepare,
-			func(shard int) *classes { return &classes{} },
-			func(shard int, cl *classes, i int, j acqJob, tr trace.Trace) error {
-				extract(j, tr, &cl.f0, &cl.f1)
-				tr.Release() // folded, not retained
-				return nil
-			},
-			func(shard int, cl *classes) error {
-				f0 = append(f0, cl.f0...)
-				f1 = append(f1, cl.f1...)
-				return nil
-			})
-	} else {
-		consume := func(i int, j acqJob, tr trace.Trace) (bool, error) {
-			extract(j, tr, &f0, &f1)
+	type classes struct{ f0, f1 []float64 }
+	_, err = runCampaign(profiler, 0, nProfile, profiler.engineConfig(), plan, prepare,
+		func(shard int) *classes { return &classes{} },
+		func(shard int, cl *classes, i int, j acqJob, tr trace.Trace) error {
+			extract(j, tr, &cl.f0, &cl.f1)
 			tr.Release() // folded, not retained
-			return false, nil
-		}
-		_, err = profiler.runPlanned(0, nProfile, profiler.engineConfig(), plan, prepare, consume)
-	}
+			return nil
+		},
+		func(shard int, cl *classes) error {
+			f0 = append(f0, cl.f0...)
+			f1 = append(f1, cl.f1...)
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}

@@ -115,11 +115,11 @@ func pearsonScalar(a, b []float64) float64 {
 // static model, this measures the executed instruction stream.
 func VerifyConstantTime(t *Target, keys []modn.Scalar, p ec.Point) ([]int, error) {
 	distinct := map[int]bool{}
+	lc := coproc.NewLaneCPU(t.Timing)
+	consts := coproc.OperandConstants(p.X, t.Curve.B, p.Y)
 	for i, k := range keys {
-		cpu := coproc.NewCPU(t.Timing)
-		cpu.Rand = func() uint64 { return 0xabcdef123456789 ^ uint64(i) | 1 }
-		cpu.SetOperandConstants(p.X, t.Curve.B, p.Y)
-		cycles, err := cpu.Run(t.prog, k)
+		rand := func() uint64 { return 0xabcdef123456789 ^ uint64(i) | 1 }
+		cycles, err := lc.Run(t.prog, []coproc.LaneRun{{Key: k, Rand: rand, Consts: consts}})
 		if err != nil {
 			return nil, err
 		}

@@ -38,8 +38,7 @@ type TVLAResult struct {
 	EarlyStopped bool
 	// PrologueCyclesSkipped is the number of leading cycles per trace
 	// the acquisition plan removed from the evented simulation
-	// pipeline — checkpoint-restored or quietly executed (see
-	// Target.NoPrologueSkip).
+	// pipeline — checkpoint-restored or quietly executed (see plan.go).
 	PrologueCyclesSkipped int
 	// Order is the statistical order of the t-test: 1 for the plain
 	// Welch test on the samples, 2 for the centered-product
@@ -90,12 +89,13 @@ func TVLA2Until(t *Target, p ec.Point, maxPerSet, checkEvery int, firstIter, las
 	return tvlaRun(t, p, maxPerSet, checkEvery, firstIter, lastIter, 2, randKey)
 }
 
-// TVLAUntil is TVLA with the engine's early-stop predicate enabled: it
-// evaluates the streaming t-curve after every checkEvery-th completed
-// fixed/random pair (starting at the 10-pair minimum) and ends the
-// campaign as soon as |t| > TVLAThreshold — leaky designs are
-// convicted in tens of traces instead of the full budget. The stopping
-// point is deterministic for any worker count. Because the engine may
+// TVLAUntil is TVLA with an early-stop predicate: it evaluates the
+// streaming t-curve after every checkEvery-th completed fixed/random
+// pair (starting at the 10-pair minimum) and ends the campaign as soon
+// as |t| > TVLAThreshold — leaky designs are convicted in tens of
+// traces instead of the full budget. The campaign folds serially (one
+// shard, whatever Target.Shards says), so the stopping point is
+// deterministic for any worker or lane count. Because the engine may
 // prepare a few indices past the stop, randKey's stream is advanced by
 // a bounded, scheduling-dependent amount once the campaign stops; do
 // not share randKey's source with a later campaign after an
@@ -107,22 +107,22 @@ func TVLAUntil(t *Target, p ec.Point, maxPerSet, checkEvery int, firstIter, last
 	return tvlaRun(t, p, maxPerSet, checkEvery, firstIter, lastIter, 1, randKey)
 }
 
-// tvlaLeg dispatches one order's campaign between the sharded and
-// serial engine legs — the generic core shared by both statistical
-// orders (blobKey namespaces the checkpoint blobs per order).
+// tvlaLeg dispatches one order's campaign between the early-stop and
+// full-budget engine legs — the generic core shared by both
+// statistical orders (blobKey namespaces the checkpoint blobs per
+// order).
 func tvlaLeg[W welchStat[W]](t *Target, w W, blobKey string, mk func() W, nPerSet, checkEvery int, plan *acqPlan, prepare campaign.PrepareFunc[acqJob]) (int, []float64, error) {
 	var total int
 	var err error
-	if checkEvery == 0 && t.useSharded() {
+	if checkEvery > 0 {
+		// "Stop once |t| exceeds the threshold after pair k" needs one
+		// in-order fold: the serial (single-shard) leg.
+		total, err = tvlaUntil(t, w, blobKey, 2*nPerSet, checkEvery, plan, prepare)
+	} else {
 		// Full-budget campaign: reduce through per-shard Welch
 		// accumulators folded on the worker goroutines and merged in
-		// shard order (campaign.RunSharded's determinism argument).
+		// shard order.
 		total, err = tvlaSharded(t, w, blobKey, mk, 2*nPerSet, plan, prepare)
-	} else {
-		// Early-stop campaigns stay on the serial consumer: "stop once
-		// |t| exceeds the threshold after pair k" needs a single
-		// in-order fold, which is exactly what sharding gives up.
-		total, err = tvlaSerial(t, w, blobKey, 2*nPerSet, checkEvery, plan, prepare)
 	}
 	if err != nil {
 		return total, nil, err

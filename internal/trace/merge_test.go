@@ -11,7 +11,7 @@ import (
 // single serial fold to 1e-12 *relative* accuracy — for random,
 // constant and huge-dynamic-range streams, on all four accumulators.
 // This is the contract the sharded campaign reduction
-// (campaign.RunSharded) leans on.
+// (campaign.Run) leans on.
 
 // closeRelSlices compares with tolerance 1e-12 · max(1, |a|, |b|) per
 // element — the absolute streamTol would be meaningless for the
