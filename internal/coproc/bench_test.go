@@ -1,7 +1,6 @@
 package coproc
 
 import (
-	"errors"
 	"testing"
 
 	"medsec/internal/ec"
@@ -18,19 +17,19 @@ var benchScalar = modn.MustScalarFromHex("2fe13c0537bbc11acaa07d793de4e6d5e5c94e
 // writeback — the single most executed code path in the simulator
 // (11 MALU ops per ladder iteration, 163 iterations per point mul).
 func BenchmarkRunMALU(b *testing.B) {
-	curve := ec.K163()
 	cpu := NewCPU(DefaultTiming())
-	cpu.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
+	cpu.Probe = func(*CycleEvent) {}
 	d := rng.NewDRBG(7)
-	cpu.Regs[0] = ec.K163().RandomPoint(d.Uint64).X
-	cpu.Regs[1] = ec.K163().RandomPoint(d.Uint64).Y
+	var snap Snapshot
+	snap.Regs[0] = ec.K163().RandomPoint(d.Uint64).X
+	snap.Regs[1] = ec.K163().RandomPoint(d.Uint64).Y
 	prog := &Program{Instrs: []Instr{
 		{Op: OpMul, Rd: 2, Ra: 0, Rb: 1, KeyBit: -1, Iteration: -1},
 	}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cpu.Run(prog, benchScalar); err != nil {
+		if _, err := cpu.Resume(prog, benchScalar, snap); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -38,17 +37,16 @@ func BenchmarkRunMALU(b *testing.B) {
 
 // BenchmarkPointMul measures a full unprotected x-only point
 // multiplication (163 ladder iterations + Itoh–Tsujii conversion,
-// ~86k simulated cycles) with no probe attached: the pure simulation
-// cost every campaign trace pays before any power modeling.
+// ~86k simulated cycles) with a no-op probe attached: the evented
+// simulation cost every campaign trace pays before any power modeling.
 func BenchmarkPointMul(b *testing.B) {
 	curve := ec.K163()
 	prog := BuildLadderProgram(ProgramOptions{XOnly: true})
 	cpu := NewCPU(DefaultTiming())
+	cpu.Probe = func(*CycleEvent) {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cpu.Reset()
-		cpu.Timing = DefaultTiming()
 		cpu.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
 		n, err := cpu.Run(prog, benchScalar)
 		if err != nil {
@@ -67,14 +65,13 @@ func BenchmarkPointMulRPC(b *testing.B) {
 	curve := ec.K163()
 	prog := BuildLadderProgram(ProgramOptions{RPC: true, XOnly: true})
 	cpu := NewCPU(DefaultTiming())
+	cpu.Probe = func(*CycleEvent) {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cpu.Reset()
-		cpu.Timing = DefaultTiming()
 		cpu.Rand = rng.NewDRBG(uint64(i)).Uint64
 		cpu.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
-		if _, err := cpu.Run(prog, benchScalar); err != nil && !errors.Is(err, ErrStopped) {
+		if _, err := cpu.Run(prog, benchScalar); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -142,26 +142,27 @@ func TestRegisterPressure(t *testing.T) {
 
 func TestDigitSerialMALUMatchesFieldMul(t *testing.T) {
 	// The MALU's digit-serial algorithm must agree with gf2m.Mul for
-	// every supported digit size.
+	// every supported digit size. The Probe keeps the run evented, so
+	// the product comes from the digit pipeline, not the quiet path.
 	r := rand.New(rand.NewSource(3))
+	prog := &Program{Instrs: []Instr{
+		{Op: OpMul, Rd: 2, Ra: 0, Rb: 1, KeyBit: -1, Iteration: -1},
+		{Op: OpSqr, Rd: 3, Ra: 0, KeyBit: -1, Iteration: -1},
+	}}
 	for _, d := range []int{1, 2, 4, 8, 16, 32, 61} {
 		tim := Timing{DigitSize: d, MulOverhead: 2, SingleCycle: 1}
 		cpu := NewCPU(tim)
+		cpu.Probe = func(*CycleEvent) {}
 		for i := 0; i < 5; i++ {
 			a := gf2m.FromWords(r.Uint64(), r.Uint64(), r.Uint64())
 			b := gf2m.FromWords(r.Uint64(), r.Uint64(), r.Uint64())
-			cpu.Regs[0], cpu.Regs[1] = a, b
-			prog := &Program{Instrs: []Instr{
-				{Op: OpMul, Rd: 2, Ra: 0, Rb: 1, KeyBit: -1, Iteration: -1},
-				{Op: OpSqr, Rd: 3, Ra: 0, KeyBit: -1, Iteration: -1},
-			}}
-			if _, err := cpu.Run(prog, modn.Zero()); err != nil {
+			if _, err := cpu.Resume(prog, modn.Zero(), Snapshot{Regs: [NumRegs]gf2m.Element{a, b}}); err != nil {
 				t.Fatal(err)
 			}
-			if !cpu.Regs[2].Equal(gf2m.Mul(a, b)) {
+			if !cpu.Reg(2).Equal(gf2m.Mul(a, b)) {
 				t.Fatalf("d=%d: MALU product wrong", d)
 			}
-			if !cpu.Regs[3].Equal(gf2m.Sqr(a)) {
+			if !cpu.Reg(3).Equal(gf2m.Sqr(a)) {
 				t.Fatalf("d=%d: MALU square wrong", d)
 			}
 		}
@@ -234,10 +235,11 @@ func TestCSwapEventsCarryKeyBit(t *testing.T) {
 func TestMaxCyclesStopsEarly(t *testing.T) {
 	curve := ec.K163()
 	prog := BuildLadderProgram(ProgramOptions{})
-	cpu := newTestCPU(DefaultTiming(), 7)
-	setupPoint(cpu, curve, curve.Generator())
-	cpu.MaxCycles = 1000
-	cycles, err := cpu.Run(prog, modn.FromUint64(99))
+	lc := NewLaneCPU(DefaultTiming())
+	lc.MaxCycles = 1000
+	runs := []LaneRun{{Key: modn.FromUint64(99), Rand: rng.NewDRBG(7).Uint64,
+		Consts: OperandConstants(curve.Gx, curve.B, curve.Gy)}}
+	cycles, err := lc.Run(prog, runs)
 	if err != ErrStopped {
 		t.Fatalf("expected ErrStopped, got %v", err)
 	}
@@ -277,24 +279,27 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestCSwapSemantics(t *testing.T) {
-	cpu := NewCPU(DefaultTiming())
 	a := gf2m.FromUint64(0xaaaa)
 	b := gf2m.FromUint64(0x5555)
-	cpu.Regs[0], cpu.Regs[1] = a, b
 	prog := &Program{Instrs: []Instr{{Op: OpCSwap, Rd: 0, Ra: 1, KeyBit: 0, Iteration: 0}}}
-	// Key bit 0 clear: no swap.
-	if _, err := cpu.Run(prog, modn.FromUint64(0)); err != nil {
-		t.Fatal(err)
-	}
-	if !cpu.Regs[0].Equal(a) || !cpu.Regs[1].Equal(b) {
-		t.Fatal("CSWAP with clear bit swapped")
-	}
-	// Key bit 0 set: swap.
-	if _, err := cpu.Run(prog, modn.FromUint64(1)); err != nil {
-		t.Fatal(err)
-	}
-	if !cpu.Regs[0].Equal(b) || !cpu.Regs[1].Equal(a) {
-		t.Fatal("CSWAP with set bit did not swap")
+	start := Snapshot{Regs: [NumRegs]gf2m.Element{a, b}}
+	for _, tc := range []struct {
+		key            uint64
+		wantR0, wantR1 gf2m.Element
+	}{
+		{0, a, b}, // key bit 0 clear: no swap
+		{1, b, a}, // key bit 0 set: swap
+	} {
+		for _, probe := range []Probe{nil, func(*CycleEvent) {}} {
+			cpu := NewCPU(DefaultTiming())
+			cpu.Probe = probe
+			if _, err := cpu.Resume(prog, modn.FromUint64(tc.key), start); err != nil {
+				t.Fatal(err)
+			}
+			if !cpu.Reg(0).Equal(tc.wantR0) || !cpu.Reg(1).Equal(tc.wantR1) {
+				t.Fatalf("key bit %d (evented=%v): CSWAP result wrong", tc.key, probe != nil)
+			}
+		}
 	}
 }
 
@@ -330,7 +335,7 @@ func TestRPCChangesIntermediatesNotResults(t *testing.T) {
 		captured := false
 		cpu.Probe = func(ev *CycleEvent) {
 			if !captured && ev.Iteration == 100 {
-				mid = cpu.Regs[0]
+				mid = cpu.Reg(0)
 				captured = true
 			}
 		}
@@ -353,6 +358,7 @@ func BenchmarkPointMulSimulation(b *testing.B) {
 	curve := ec.K163()
 	prog := BuildLadderProgram(ProgramOptions{RPC: true})
 	cpu := newTestCPU(DefaultTiming(), 1)
+	cpu.Probe = func(*CycleEvent) {}
 	setupPoint(cpu, curve, curve.Generator())
 	k := curve.Order.RandNonZero(rng.NewDRBG(2).Uint64)
 	b.ResetTimer()

@@ -1,9 +1,8 @@
 package coproc
 
 import (
-	"errors"
 	"fmt"
-	"math/bits"
+	"math"
 
 	"medsec/internal/gf2m"
 	"medsec/internal/modn"
@@ -53,88 +52,27 @@ type CycleEvent struct {
 // Probe receives one callback per simulated clock cycle.
 type Probe func(ev *CycleEvent)
 
-// BatchProbe receives the CycleEvents of whole instructions at a time:
-// the executor buffers each instruction's cycles and flushes the batch
-// at the instruction boundary (and at the end of the run, including
-// MaxCycles stops and errors). The event sequence is exactly the
-// per-cycle Probe stream — same events, same order, same field values
-// (pinned by TestGoldenTraceHash) — but the consumer amortizes one
-// indirect call over an instruction's worth of cycles instead of
-// paying it per cycle. The slice is reused across flushes: consumers
-// must fold the events before returning and must not retain the
-// slice.
-type BatchProbe func(evs []CycleEvent)
-
-// CPU is the co-processor execution model. Zero value is not usable:
-// construct with NewCPU.
+// CPU is the per-trace co-processor: a LaneCPU of width one. Every run
+// starts from the power-on state (zeroed registers and RAM) or from a
+// Snapshot. Zero value is not usable: construct with NewCPU.
 type CPU struct {
 	Timing Timing
 	// Rand feeds the OpLoadRnd TRNG port. Required when running RPC
 	// programs.
 	Rand func() uint64
-	// Probe, when non-nil, is invoked every cycle.
+	// Probe, when non-nil, is invoked every cycle. Without a Probe the
+	// program executes quietly (LaneCPU.QuietCycles): same
+	// architectural result, no event bookkeeping.
 	Probe Probe
-	// Batch, when non-nil, receives buffered events flushed per
-	// instruction — the fast path for power metering and trace
-	// acquisition. Probe and Batch may be set together; both then see
-	// the full stream.
-	Batch BatchProbe
-	// MaxCycles stops execution early when positive — the SCA
-	// acquisition path uses it to capture only the first ladder
-	// iterations instead of simulating all ~86k cycles per trace.
-	MaxCycles int
-	// QuietCycles, when positive, executes every instruction that
-	// retires entirely before this cycle in "quiet" mode: the
-	// architectural effects (register writes, TRNG draws, MALU results)
-	// are identical, but no CycleEvents are computed or delivered to
-	// Probe/Batch. Quiet MUL/SQR use the one-shot field multiplier
-	// instead of the digit pipeline — same result element, none of the
-	// per-digit switching-activity bookkeeping. This is the acquisition
-	// fast path for the cycles before a trace window starts: an observer
-	// that was not recording them anyway only needs its noise stream
-	// advanced (power.Model.SkipCycles) to stay bit-identical.
-	//
-	// QuietCycles must lie on an instruction boundary (e.g. a value from
-	// Program.Spans/IterationWindow) and, when MaxCycles is set, satisfy
-	// QuietCycles <= MaxCycles; an instruction straddling the boundary
-	// falls back to normal (evented) execution for all its cycles, which
-	// would desynchronize an observer that skipped its noise stream to
-	// QuietCycles.
-	QuietCycles int
-	// Masked enables the first-order Boolean-masked datapath: every
-	// register-file and RAM location is carried as two shares
-	// (value XOR mask, mask), with the mask refreshed from the MaskRand
-	// stream on every writeback and on every MALU digit cycle. The
-	// architectural state (Regs/RAM) still holds the raw values — share
-	// splitting only changes the switching activity reported in
-	// CycleEvents, which is summed over both share datapaths (and
-	// RegsClocked, which doubles: both share registers take the clock
-	// edge). Cycle counts, Rand draws and results are identical to the
-	// unmasked datapath; only the power side-channel changes.
+	// Masked enables the first-order Boolean-masked datapath (see
+	// LaneCPU.Masked).
 	Masked bool
 	// MaskRand feeds the mask-refresh TRNG port; required when Masked.
-	// It is deliberately a separate stream from Rand so the RPC mask
-	// re-derivation contract (sca.Target.Masks, Snapshot.RandDraws)
-	// keeps holding on masked runs.
 	MaskRand func() uint64
 
-	Regs   [NumRegs]gf2m.Element
-	Consts [NumConsts]gf2m.Element
-	RAM    [NumRAM]gf2m.Element
-
-	// masks / ramMasks hold the current share-1 value of each masked
-	// location; the constant ROM is public and rides the operand bus
-	// unmasked.
-	masks     [NumRegs]gf2m.Element
-	ramMasks  [NumRAM]gf2m.Element
-	maskDraws int
-
-	cycle     int
-	randDraws int
-	ev        CycleEvent
-	// batch is the reused event buffer behind Batch; its capacity
-	// survives Reset so steady-state acquisition does not reallocate.
-	batch []CycleEvent
+	consts [NumConsts]gf2m.Element
+	lc     LaneCPU
+	lane   [1]LaneRun
 }
 
 // NewCPU returns a CPU with the given timing.
@@ -142,327 +80,88 @@ func NewCPU(t Timing) *CPU {
 	return &CPU{Timing: t}
 }
 
-// Reset restores the CPU to its power-on state — register file, RAM,
-// constant ROM and cycle counter zeroed — while keeping the configured
-// timing. The parallel campaign engine reuses one CPU per worker
-// across traces; Reset makes each acquisition start from exactly the
-// state a freshly constructed CPU would, which matters because write
-// power depends on the destination register's previous contents.
-func (c *CPU) Reset() {
-	c.Regs = [NumRegs]gf2m.Element{}
-	c.Consts = [NumConsts]gf2m.Element{}
-	c.RAM = [NumRAM]gf2m.Element{}
-	c.masks = [NumRegs]gf2m.Element{}
-	c.ramMasks = [NumRAM]gf2m.Element{}
-	c.maskDraws = 0
-	c.cycle = 0
-	c.randDraws = 0
-	c.ev = CycleEvent{}
-	c.Rand = nil
-	c.Probe = nil
-	c.Batch = nil
-	c.batch = c.batch[:0]
-	c.MaxCycles = 0
-	c.QuietCycles = 0
-	c.Masked = false
-	c.MaskRand = nil
-}
-
-// drawRand feeds OpLoadRnd while counting TRNG words so a Snapshot can
-// record how far into the stream the run has advanced.
-func (c *CPU) drawRand() uint64 {
-	c.randDraws++
-	return c.Rand()
-}
-
-// drawMaskElement draws one fresh 163-bit mask (three words, counted so
-// a Snapshot can fast-forward the stream on resume). Zero is a legal
-// mask: share refresh needs the masks uniform, not merely nonzero, or
-// the excluded value itself becomes a first-order bias.
-func (c *CPU) drawMaskElement() gf2m.Element {
-	c.maskDraws += 3
-	return gf2m.FromWords(c.MaskRand(), c.MaskRand(), c.MaskRand())
-}
-
-// maskPtr returns the mask slot backing a writable address, nil for the
-// (public, unmasked) constant ROM.
-func (c *CPU) maskPtr(a uint8) *gf2m.Element {
-	switch {
-	case a < NumRegs:
-		return &c.masks[a]
-	case a >= ramBase && a < ramBase+NumRAM:
-		return &c.ramMasks[a-ramBase]
-	}
-	return nil
-}
-
-// maskOf returns the current mask of an operand address (zero for the
-// constant ROM: public values ride the bus unmasked).
-func (c *CPU) maskOf(a uint8) gf2m.Element {
-	if p := c.maskPtr(a); p != nil {
-		return *p
-	}
-	return gf2m.Element{}
-}
-
-// maskedBusHW is the operand-bus Hamming weight of value v carried as
-// the share pair (v XOR m, m): both share buses present their weight.
-func maskedBusHW(v, m gf2m.Element) int {
-	return gf2m.Add(v, m).Weight() + m.Weight()
-}
-
-// setMaskedWrite fills the write-port activity fields for the masked
-// update (old under mask om) -> (v under mask nm), summing the flips of
-// both share registers. With nm drawn fresh and uniform, the expected
-// activity is constant (each share transition is uniformly random), so
-// the first-order mean carries no data — the data survives only in the
-// joint distribution of the two shares, i.e. in the variance, which is
-// what second-order (centered-product) statistics recover.
-func setMaskedWrite(ev *CycleEvent, old, om, v, nm gf2m.Element) {
-	os0, ns0 := gf2m.Add(old, om), gf2m.Add(v, nm)
-	ev.WriteHD = gf2m.HammingDistance(os0, ns0) + gf2m.HammingDistance(om, nm)
-	ev.Write01 = zeroToOne(os0, ns0) + zeroToOne(om, nm)
-}
-
 // SetOperandConstants loads the constant ROM for a point
 // multiplication on base point (x, y) over a curve with parameter b.
 func (c *CPU) SetOperandConstants(x, b, y gf2m.Element) {
-	c.Consts = [NumConsts]gf2m.Element{x, b, y, gf2m.One(), gf2m.Zero()}
+	c.consts = OperandConstants(x, b, y)
 }
 
-// ErrStopped is returned when MaxCycles aborted the run (expected
-// during SCA trace acquisition).
-var ErrStopped = errors.New("coproc: execution stopped at MaxCycles")
-
-func (c *CPU) readOperand(a uint8) (gf2m.Element, error) {
-	switch {
-	case a < NumRegs:
-		return c.Regs[a], nil
-	case a >= constBase && a < constBase+NumConsts:
-		return c.Consts[a-constBase], nil
-	case a >= ramBase && a < ramBase+NumRAM:
-		return c.RAM[a-ramBase], nil
-	default:
-		return gf2m.Element{}, fmt.Errorf("coproc: invalid operand address %d", a)
+// exec runs p on the single lane, from the power-on state or resume.
+// It executes quietly when asked to or when no Probe is attached.
+func (c *CPU) exec(p *Program, key modn.Scalar, resume *Snapshot, quiet bool, atBoundary func(instr, cycle int) bool) (int, error) {
+	c.lc.Timing, c.lc.Masked, c.lc.AtBoundary = c.Timing, c.Masked, atBoundary
+	sink := c.Probe
+	c.lc.QuietCycles = 0
+	if quiet || sink == nil {
+		c.lc.QuietCycles, sink = math.MaxInt, nil
 	}
+	c.lane[0] = LaneRun{Key: key, Rand: c.Rand, Sink: sink, Consts: c.consts, Resume: resume, MaskRand: c.MaskRand}
+	return c.lc.Run(p, c.lane[:])
 }
 
-func (c *CPU) writeOperand(a uint8, v gf2m.Element) (old gf2m.Element, err error) {
-	switch {
-	case a < NumRegs:
-		old = c.Regs[a]
-		c.Regs[a] = v
-	case a >= ramBase && a < ramBase+NumRAM:
-		old = c.RAM[a-ramBase]
-		c.RAM[a-ramBase] = v
-	default:
-		return gf2m.Element{}, fmt.Errorf("coproc: invalid write address %d", a)
-	}
-	return old, nil
+// Run executes the program against the given scalar and returns the
+// total cycle count.
+func (c *CPU) Run(p *Program, key modn.Scalar) (int, error) {
+	return c.exec(p, key, nil, false, nil)
 }
 
-// tick emits one cycle to the probe(s) and advances the clock. It
-// returns false when MaxCycles is reached.
-func (c *CPU) tick() bool {
-	c.ev.Cycle = c.cycle
-	if c.Probe != nil {
-		c.Probe(&c.ev)
-	}
-	if c.Batch != nil {
-		c.batch = append(c.batch, c.ev)
-	}
-	c.cycle++
-	return c.MaxCycles <= 0 || c.cycle < c.MaxCycles
-}
-
-// flushBatch delivers and recycles the buffered batch events.
-func (c *CPU) flushBatch() {
-	if c.Batch != nil && len(c.batch) > 0 {
-		c.Batch(c.batch)
-		c.batch = c.batch[:0]
-	}
-}
-
-// resetEvent clears the per-cycle fields and stamps instruction
-// context.
-func (c *CPU) resetEvent(idx int, in *Instr) {
-	c.ev = CycleEvent{
-		InstrIndex: idx,
-		Op:         in.Op,
-		Iteration:  in.Iteration,
-		KeyBit:     -1,
-	}
-}
-
-// extractDigit returns bits [j*d, (j+1)*d) of e as a small integer,
-// reading whole words instead of single bits: the digit straddles at
-// most two words since d <= 61.
-func extractDigit(e gf2m.Element, j, d int) uint64 {
-	lo := j * d
-	w, s := lo>>6, uint(lo)&63
-	v := e[w] >> s
-	if s+uint(d) > 64 && w+1 < gf2m.Words {
-		v |= e[w+1] << (64 - s)
-	}
-	return v & (1<<uint(d) - 1)
-}
-
-// extractDigitRef is the original bit-loop extraction, kept as the
-// reference the tests cross-check the word-level path against.
-func extractDigitRef(e gf2m.Element, j, d int) uint64 {
-	lo := j * d
-	var v uint64
-	for i := 0; i < d; i++ {
-		v |= uint64(e.Bit(lo+i)) << i
-	}
-	return v
-}
-
-// mulSmall returns a * digit mod f where digit is a polynomial of
-// degree < d (d <= 61): the MALU's per-cycle partial product. It is
-// the reference implementation; runMALU uses the precomputed shift
-// table instead (same element values, O(d) shifted-operand work per
-// instruction instead of per digit cycle).
-func mulSmall(a gf2m.Element, digit uint64) gf2m.Element {
-	var acc gf2m.Element
-	for i := 0; digit != 0; i++ {
-		if digit&1 == 1 {
-			acc = gf2m.Add(acc, gf2m.ShlMod(a, uint(i)))
+// RunCheckpointed executes the whole program like Run while capturing
+// a Snapshot before every instruction for which keep(instrIndex,
+// startCycle) returns true (keep == nil keeps every boundary). The
+// snapshots are returned in execution order.
+func (c *CPU) RunCheckpointed(p *Program, key modn.Scalar, keep func(instrIndex, startCycle int) bool) ([]Snapshot, int, error) {
+	var snaps []Snapshot
+	n, err := c.exec(p, key, nil, false, func(instr, cycle int) bool {
+		if keep == nil || keep(instr, cycle) {
+			snaps = append(snaps, c.lc.Snapshot(0))
 		}
-		digit >>= 1
-	}
-	return acc
+		return true
+	})
+	return snaps, n, err
 }
 
-// maxDigitSize bounds Timing.DigitSize; shift tables are stack arrays
-// of this size.
-const maxDigitSize = 61
-
-// runMALU executes a MUL or SQR through the digit-serial multiplier,
-// emitting the load cycle(s), one cycle per digit (MSD first), and the
-// writeback cycle. Returns (result, ok) where ok=false means the run
-// hit MaxCycles.
-//
-// The per-digit recurrence acc' = acc·x^d + a·digit is computed from a
-// shift table S[i] = a·x^i mod f precomputed once per instruction —
-// exactly the partial products the hardware MALU wires into its
-// digit-serial array — so each digit cycle pays one accumulator shift
-// plus at most d table XORs instead of rebuilding every shifted
-// operand. The accumulator values, and therefore the AccHD/Acc01
-// switching activity derived from them, are bit-identical to the
-// reference mulSmall path (pinned by TestGoldenTraceHash and the MALU
-// cross-check tests).
-func (c *CPU) runMALU(idx int, in *Instr, a, b gf2m.Element) (gf2m.Element, bool, error) {
-	t := c.Timing
-	if t.DigitSize <= 0 || t.DigitSize > maxDigitSize {
-		return gf2m.Element{}, false, fmt.Errorf("coproc: unsupported digit size %d", t.DigitSize)
+// SnapshotPrefix executes only instructions [0, nInstr), quietly, and
+// returns the Snapshot at that boundary — the checkpointed-acquisition
+// prologue. A campaign over a fixed base point runs this once (with the
+// campaign reference key) for the longest prefix that is
+// TRNG-independent and whose key-bit decisions can be verified per
+// trace (Program.PrefixBoundary computes that prefix), then every
+// acquisition resumes from the snapshot instead of re-simulating the
+// prefix.
+func (c *CPU) SnapshotPrefix(p *Program, key modn.Scalar, nInstr int) (Snapshot, error) {
+	if nInstr < 0 || nInstr > len(p.Instrs) {
+		return Snapshot{}, fmt.Errorf("coproc: prefix boundary %d out of program range", nInstr)
 	}
-	// Masked mode: the digit-serial array is duplicated per share, the
-	// accumulator mask is refreshed every digit cycle, and the operand
-	// shares are derived from the architectural (raw) state plus the
-	// live mask slots. All activity fields below sum both shares.
-	var ma, mb, maskedA, maskedB gf2m.Element
-	if c.Masked {
-		ma, mb = c.maskOf(in.Ra), c.maskOf(in.Rb)
-		if in.Op == OpSqr {
-			mb = ma
-		}
-		maskedA, maskedB = gf2m.Add(a, ma), gf2m.Add(b, mb)
+	if _, err := c.exec(p, key, nil, true, func(instr, _ int) bool { return instr < nInstr }); err != nil {
+		return Snapshot{}, err
 	}
-	// Operand-load cycles (MulOverhead-1 of them; the final overhead
-	// cycle is the writeback).
-	for k := 0; k < t.MulOverhead-1; k++ {
-		c.resetEvent(idx, in)
-		if c.Masked {
-			c.ev.BusHW = maskedA.Weight() + ma.Weight() + maskedB.Weight() + mb.Weight()
-			c.ev.RegsClocked = 4 // both shares' operand latches
-		} else {
-			c.ev.BusHW = a.Weight() + b.Weight()
-			c.ev.RegsClocked = 2 // MALU operand latches
-		}
-		if !c.tick() {
-			return gf2m.Element{}, false, nil
-		}
-	}
-	// Shift table: S[i] = a·x^i mod f for i < d, built incrementally
-	// (each entry is the previous shifted by one bit position mod f).
-	var shifts [maxDigitSize]gf2m.Element
-	shifts[0] = a
-	for i := 1; i < t.DigitSize; i++ {
-		shifts[i] = gf2m.ShlMod(shifts[i-1], 1)
-	}
-	var acc gf2m.Element
-	// accMask is the accumulator's live share-1 value (masked mode);
-	// starts at zero with the zeroed accumulator and is refreshed every
-	// digit cycle.
-	var accMask gf2m.Element
-	digits := t.Digits()
-	for j := digits - 1; j >= 0; j-- {
-		digit := extractDigit(b, j, t.DigitSize)
-		// Partial product a·digit as an XOR over the shift table (the
-		// set bits of the digit select rows of the MALU array).
-		next := gf2m.ShlMod(acc, uint(t.DigitSize))
-		for dg := digit; dg != 0; dg &= dg - 1 {
-			next = gf2m.Add(next, shifts[bits.TrailingZeros64(dg)])
-		}
-		c.resetEvent(idx, in)
-		if c.Masked {
-			nm := c.drawMaskElement()
-			c.ev.AccHD = gf2m.HammingDistance(gf2m.Add(acc, accMask), gf2m.Add(next, nm)) +
-				gf2m.HammingDistance(accMask, nm)
-			c.ev.Acc01 = zeroToOne(gf2m.Add(acc, accMask), gf2m.Add(next, nm)) +
-				zeroToOne(accMask, nm)
-			// Each share's digit selects rows of its own MALU array.
-			c.ev.DigitHW = bits.OnesCount64(extractDigit(maskedB, j, t.DigitSize)) +
-				bits.OnesCount64(extractDigit(mb, j, t.DigitSize))
-			c.ev.BusHW = c.ev.DigitHW
-			c.ev.RegsClocked = 2 // both accumulator shares
-			accMask = nm
-		} else {
-			c.ev.AccHD = gf2m.HammingDistance(acc, next)
-			c.ev.Acc01 = zeroToOne(acc, next)
-			c.ev.DigitHW = bits.OnesCount64(digit)
-			c.ev.BusHW = c.ev.DigitHW // the digit bus toggles with the operand
-			c.ev.RegsClocked = 1      // accumulator
-		}
-		acc = next
-		if !c.tick() {
-			return gf2m.Element{}, false, nil
-		}
-	}
-	// Writeback cycle.
-	old, err := c.readOperand(in.Rd)
-	if err != nil {
-		return gf2m.Element{}, false, err
-	}
-	c.resetEvent(idx, in)
-	if c.Masked {
-		mp := c.maskPtr(in.Rd)
-		nm := c.drawMaskElement()
-		setMaskedWrite(&c.ev, old, *mp, acc, nm)
-		*mp = nm
-		c.ev.RegsClocked = 2
-	} else {
-		c.ev.WriteHD = gf2m.HammingDistance(old, acc)
-		c.ev.Write01 = zeroToOne(old, acc)
-		c.ev.RegsClocked = 1
-	}
-	if _, err := c.writeOperand(in.Rd, acc); err != nil {
-		return gf2m.Element{}, false, err
-	}
-	ok := c.tick()
-	return acc, ok, nil
+	return c.lc.Snapshot(0), nil
 }
 
-// zeroToOne counts 0->1 transitions in the update old -> new: the
-// transitions a static CMOS gate draws supply current for.
-func zeroToOne(old, new gf2m.Element) int {
-	n := 0
-	for i := 0; i < gf2m.Words; i++ {
-		n += bits.OnesCount64(^old[i] & new[i])
-	}
-	return n
+// Resume restores a Snapshot and executes the rest of the program.
+// The caller must install the same Timing (the snapshot's Cycle is
+// checked against it) and a fresh TRNG stream seeded identically to
+// the original run: Resume fast-forwards it by snap.RandDraws words so
+// OpLoadRnd sees exactly the values the full run would. Cycle
+// numbering is global, continuing from snap.Cycle.
+func (c *CPU) Resume(p *Program, key modn.Scalar, snap Snapshot) (int, error) {
+	return c.exec(p, key, &snap, false, nil)
 }
+
+// Reg returns working register r: the final value after a run, or the
+// live value when called from the Probe.
+func (c *CPU) Reg(r int) gf2m.Element { return c.lc.Result(0, uint8(r)) }
+
+// FlipBit flips bit bit of working register reg. Called from the Probe
+// it injects a single-bit fault at that cycle (see LaneCPU.FlipBit).
+func (c *CPU) FlipBit(reg, bit int) { c.lc.FlipBit(0, reg, bit) }
+
+// ResultX returns the affine x result register after a completed run.
+func (c *CPU) ResultX(p *Program) gf2m.Element { return c.Reg(int(p.ResultX)) }
+
+// ResultY returns the affine y result register after a completed run
+// of a y-recovery program.
+func (c *CPU) ResultY(p *Program) gf2m.Element { return c.Reg(int(p.ResultY)) }
 
 // RandNonZeroElement draws a nonzero field element exactly the way the
 // OpLoadRnd port does: three words from src, normalized, redrawn on
@@ -480,15 +179,16 @@ func RandNonZeroElement(src func() uint64) gf2m.Element {
 // Snapshot captures the full architectural state of a run at an
 // instruction boundary: the register file, constant ROM, scratch RAM,
 // the global cycle counter, and how many TRNG words the run has drawn
-// so far. Resuming from a Snapshot with the same program, scalar and
-// TRNG stream reproduces the remainder of the run bit-identically —
-// the fault-sweep engine uses this to simulate only the suffix of the
-// program after each injection point instead of re-running the ~86k
-// cycle prefix for every point in the fault space.
+// so far. Resuming from a Snapshot with the same program, timing,
+// scalar and TRNG stream reproduces the remainder of the run
+// bit-identically — the fault-sweep engine uses this to simulate only
+// the suffix of the program after each injection point instead of
+// re-running the ~86k cycle prefix for every point in the fault space.
 type Snapshot struct {
 	// Instr is the index of the next instruction to execute.
 	Instr int
-	// Cycle is the global cycle counter at the boundary.
+	// Cycle is the global cycle counter at the boundary: the static
+	// start cycle of Instr under the snapshotted run's Timing.
 	Cycle int
 	// RandDraws is the number of TRNG words drawn so far; Resume
 	// fast-forwards a fresh stream by this many draws.
@@ -507,410 +207,3 @@ type Snapshot struct {
 	Masks    [NumRegs]gf2m.Element
 	RAMMasks [NumRAM]gf2m.Element
 }
-
-// snapshot captures the state with nextInstr as the resume point.
-func (c *CPU) snapshot(nextInstr int) Snapshot {
-	return Snapshot{
-		Instr:     nextInstr,
-		Cycle:     c.cycle,
-		RandDraws: c.randDraws,
-		MaskDraws: c.maskDraws,
-		Regs:      c.Regs,
-		Consts:    c.Consts,
-		RAM:       c.RAM,
-		Masks:     c.masks,
-		RAMMasks:  c.ramMasks,
-	}
-}
-
-// Run executes the program against the given scalar. It returns the
-// total cycle count. If MaxCycles stops the run early it returns
-// ErrStopped (the registers then hold the in-flight state, which is
-// exactly what trace acquisition wants).
-func (c *CPU) Run(p *Program, key modn.Scalar) (int, error) {
-	c.cycle = 0
-	c.randDraws = 0
-	c.maskDraws = 0
-	return c.run(p, key, 0, nil)
-}
-
-// RunCheckpointed executes the whole program like Run while capturing
-// a Snapshot before every instruction for which keep(instrIndex,
-// startCycle) returns true (keep == nil keeps every boundary). The
-// snapshots are returned in execution order.
-func (c *CPU) RunCheckpointed(p *Program, key modn.Scalar, keep func(instrIndex, startCycle int) bool) ([]Snapshot, int, error) {
-	c.cycle = 0
-	c.randDraws = 0
-	c.maskDraws = 0
-	var snaps []Snapshot
-	n, err := c.run(p, key, 0, func(idx int) bool {
-		if keep == nil || keep(idx, c.cycle) {
-			snaps = append(snaps, c.snapshot(idx))
-		}
-		return true
-	})
-	return snaps, n, err
-}
-
-// SnapshotPrefix executes only instructions [0, nInstr) and returns the
-// Snapshot at that boundary — the checkpointed-acquisition prologue.
-// A campaign over a fixed base point runs this once (with the campaign
-// reference key) for the longest prefix that is TRNG-independent and
-// whose key-bit decisions can be verified per trace
-// (Program.PrefixBoundary computes that prefix), then every acquisition
-// Resumes from the snapshot instead of re-simulating the prefix.
-func (c *CPU) SnapshotPrefix(p *Program, key modn.Scalar, nInstr int) (Snapshot, error) {
-	if nInstr < 0 || nInstr > len(p.Instrs) {
-		return Snapshot{}, fmt.Errorf("coproc: prefix boundary %d out of program range", nInstr)
-	}
-	c.cycle = 0
-	c.randDraws = 0
-	c.maskDraws = 0
-	if _, err := c.run(p, key, 0, func(idx int) bool { return idx < nInstr }); err != nil {
-		return Snapshot{}, err
-	}
-	return c.snapshot(nInstr), nil
-}
-
-// Resume restores a Snapshot and executes the rest of the program.
-// The caller must install the same Timing and a fresh TRNG stream
-// seeded identically to the original run: Resume fast-forwards it by
-// snap.RandDraws words so OpLoadRnd sees exactly the values the full
-// run would. Probe and MaxCycles behave as in Run (cycle numbering is
-// global, continuing from snap.Cycle).
-func (c *CPU) Resume(p *Program, key modn.Scalar, snap Snapshot) (int, error) {
-	if snap.Instr < 0 || snap.Instr > len(p.Instrs) {
-		return 0, fmt.Errorf("coproc: snapshot instruction %d out of program range", snap.Instr)
-	}
-	if snap.RandDraws > 0 && c.Rand == nil {
-		return 0, errors.New("coproc: resume of a randomized run requires a TRNG source")
-	}
-	if snap.MaskDraws > 0 && c.MaskRand == nil {
-		return 0, errors.New("coproc: resume of a masked run requires a mask TRNG source")
-	}
-	c.Regs = snap.Regs
-	c.Consts = snap.Consts
-	c.RAM = snap.RAM
-	c.masks = snap.Masks
-	c.ramMasks = snap.RAMMasks
-	c.cycle = snap.Cycle
-	c.randDraws = snap.RandDraws
-	c.maskDraws = snap.MaskDraws
-	for i := 0; i < snap.RandDraws; i++ {
-		c.Rand()
-	}
-	for i := 0; i < snap.MaskDraws; i++ {
-		c.MaskRand()
-	}
-	return c.run(p, key, snap.Instr, nil)
-}
-
-// run executes instructions [fromInstr, len(p.Instrs)) with the
-// current architectural state, invoking onInstr (when non-nil) at each
-// instruction boundary before it executes; onInstr returning false
-// stops cleanly at that boundary (SnapshotPrefix). Batched probe events
-// are flushed per instruction; the deferred flush delivers the
-// in-flight partial instruction when execution stops early (MaxCycles,
-// errors).
-func (c *CPU) run(p *Program, key modn.Scalar, fromInstr int, onInstr func(idx int) bool) (int, error) {
-	if c.Masked && c.MaskRand == nil {
-		return c.cycle, errors.New("coproc: masked execution requires a mask TRNG source (MaskRand)")
-	}
-	defer c.flushBatch()
-	for idx := fromInstr; idx < len(p.Instrs); idx++ {
-		if onInstr != nil && !onInstr(idx) {
-			return c.cycle, nil
-		}
-		in := &p.Instrs[idx]
-		// Quiet prefix: instructions that retire entirely before
-		// QuietCycles execute architecturally with no event bookkeeping.
-		if c.QuietCycles > 0 && c.cycle < c.QuietCycles {
-			cost := c.Timing.InstrCycles(in.Op)
-			if c.cycle+cost <= c.QuietCycles && (c.MaxCycles <= 0 || c.cycle+cost <= c.MaxCycles) {
-				if err := c.quietExec(in, key); err != nil {
-					return c.cycle, err
-				}
-				c.cycle += cost
-				continue
-			}
-		}
-		switch in.Op {
-		case OpNop:
-			c.resetEvent(idx, in)
-			if !c.tick() {
-				return c.cycle, ErrStopped
-			}
-
-		case OpAdd, OpMove, OpLoadConst, OpLoadRnd:
-			var v gf2m.Element
-			var busHW int
-			switch in.Op {
-			case OpAdd:
-				a, err := c.readOperand(in.Ra)
-				if err != nil {
-					return c.cycle, err
-				}
-				b, err := c.readOperand(in.Rb)
-				if err != nil {
-					return c.cycle, err
-				}
-				v = gf2m.Add(a, b)
-				if c.Masked {
-					busHW = maskedBusHW(a, c.maskOf(in.Ra)) + maskedBusHW(b, c.maskOf(in.Rb))
-				} else {
-					busHW = a.Weight() + b.Weight()
-				}
-			case OpMove:
-				a, err := c.readOperand(in.Ra)
-				if err != nil {
-					return c.cycle, err
-				}
-				v = a
-				if c.Masked {
-					busHW = maskedBusHW(a, c.maskOf(in.Ra))
-				} else {
-					busHW = a.Weight()
-				}
-			case OpLoadConst:
-				a, err := c.readOperand(in.Ra)
-				if err != nil {
-					return c.cycle, err
-				}
-				v = a
-				if c.Masked {
-					busHW = maskedBusHW(a, c.maskOf(in.Ra))
-				} else {
-					busHW = a.Weight()
-				}
-			case OpLoadRnd:
-				if c.Rand == nil {
-					return c.cycle, errors.New("coproc: OpLoadRnd requires a TRNG source")
-				}
-				v = RandNonZeroElement(c.drawRand)
-				// The TRNG port delivers the raw word stream; share
-				// splitting happens at the register-file write below.
-				busHW = v.Weight()
-			}
-			old, err := c.writeOperand(in.Rd, v)
-			if err != nil {
-				return c.cycle, err
-			}
-			c.resetEvent(idx, in)
-			if c.Masked {
-				mp := c.maskPtr(in.Rd)
-				nm := c.drawMaskElement()
-				setMaskedWrite(&c.ev, old, *mp, v, nm)
-				*mp = nm
-				c.ev.RegsClocked = 2 // both share registers
-			} else {
-				c.ev.WriteHD = gf2m.HammingDistance(old, v)
-				c.ev.Write01 = zeroToOne(old, v)
-				c.ev.RegsClocked = 1
-			}
-			c.ev.BusHW = busHW
-			if !c.tick() {
-				return c.cycle, ErrStopped
-			}
-
-		case OpCSwap:
-			if in.KeyBit < 0 {
-				return c.cycle, errors.New("coproc: CSWAP without key bit")
-			}
-			sel := key.Bit(in.KeyBit)
-			a, err := c.readOperand(in.Rd)
-			if err != nil {
-				return c.cycle, err
-			}
-			b, err := c.readOperand(in.Ra)
-			if err != nil {
-				return c.cycle, err
-			}
-			c.resetEvent(idx, in)
-			c.ev.KeyBit = in.KeyBit
-			c.ev.CtrlSel = sel
-			if c.Masked {
-				// The swap muxes operate per share; masks travel with
-				// their values (no refresh — CSWAP draws nothing, so the
-				// mask-draw schedule stays key-independent).
-				ma, mb := c.maskOf(in.Rd), c.maskOf(in.Ra)
-				c.ev.SwapHD = gf2m.HammingDistance(gf2m.Add(a, ma), gf2m.Add(b, mb)) +
-					gf2m.HammingDistance(ma, mb)
-				c.ev.RegsClocked = 4
-			} else {
-				c.ev.SwapHD = gf2m.HammingDistance(a, b)
-				c.ev.RegsClocked = 2
-			}
-			if sel == 1 {
-				// Functionally the swap always takes effect; whether it
-				// is a physical register exchange or a mux renaming is
-				// a circuit-level choice the power model charges for.
-				if _, err := c.writeOperand(in.Rd, b); err != nil {
-					return c.cycle, err
-				}
-				if _, err := c.writeOperand(in.Ra, a); err != nil {
-					return c.cycle, err
-				}
-				if c.Masked {
-					pa, pb := c.maskPtr(in.Rd), c.maskPtr(in.Ra)
-					*pa, *pb = *pb, *pa
-				}
-			}
-			if !c.tick() {
-				return c.cycle, ErrStopped
-			}
-
-		case OpMul, OpSqr:
-			a, err := c.readOperand(in.Ra)
-			if err != nil {
-				return c.cycle, err
-			}
-			b := a
-			if in.Op == OpMul {
-				if b, err = c.readOperand(in.Rb); err != nil {
-					return c.cycle, err
-				}
-			}
-			_, ok, err := c.runMALU(idx, in, a, b)
-			if err != nil {
-				return c.cycle, err
-			}
-			if !ok {
-				return c.cycle, ErrStopped
-			}
-
-		default:
-			return c.cycle, fmt.Errorf("coproc: unknown opcode %v", in.Op)
-		}
-		c.flushBatch()
-	}
-	return c.cycle, nil
-}
-
-// quietExec performs one instruction's architectural effects without
-// any event bookkeeping — the QuietCycles fast path. Register writes,
-// conditional swaps, TRNG draws and (on masked runs) mask-stream draws
-// and mask-slot updates are exactly those of the evented path; MUL/SQR
-// results come from the one-shot field multiplier, which the MALU
-// cross-check tests pin to the digit-serial pipeline's result element.
-// The caller advances the cycle counter by the instruction's static
-// cost.
-func (c *CPU) quietExec(in *Instr, key modn.Scalar) error {
-	switch in.Op {
-	case OpNop:
-		return nil
-
-	case OpAdd:
-		a, err := c.readOperand(in.Ra)
-		if err != nil {
-			return err
-		}
-		b, err := c.readOperand(in.Rb)
-		if err != nil {
-			return err
-		}
-		if _, err := c.writeOperand(in.Rd, gf2m.Add(a, b)); err != nil {
-			return err
-		}
-		c.quietMaskWrite(in.Rd)
-		return nil
-
-	case OpMove, OpLoadConst:
-		a, err := c.readOperand(in.Ra)
-		if err != nil {
-			return err
-		}
-		if _, err := c.writeOperand(in.Rd, a); err != nil {
-			return err
-		}
-		c.quietMaskWrite(in.Rd)
-		return nil
-
-	case OpLoadRnd:
-		if c.Rand == nil {
-			return errors.New("coproc: OpLoadRnd requires a TRNG source")
-		}
-		if _, err := c.writeOperand(in.Rd, RandNonZeroElement(c.drawRand)); err != nil {
-			return err
-		}
-		c.quietMaskWrite(in.Rd)
-		return nil
-
-	case OpCSwap:
-		if in.KeyBit < 0 {
-			return errors.New("coproc: CSWAP without key bit")
-		}
-		if key.Bit(in.KeyBit) == 1 {
-			a, err := c.readOperand(in.Rd)
-			if err != nil {
-				return err
-			}
-			b, err := c.readOperand(in.Ra)
-			if err != nil {
-				return err
-			}
-			if _, err := c.writeOperand(in.Rd, b); err != nil {
-				return err
-			}
-			if _, err := c.writeOperand(in.Ra, a); err != nil {
-				return err
-			}
-			if c.Masked {
-				pa, pb := c.maskPtr(in.Rd), c.maskPtr(in.Ra)
-				*pa, *pb = *pb, *pa
-			}
-		}
-		return nil
-
-	case OpMul, OpSqr:
-		a, err := c.readOperand(in.Ra)
-		if err != nil {
-			return err
-		}
-		var v gf2m.Element
-		if in.Op == OpSqr {
-			v = gf2m.Sqr(a)
-		} else {
-			b, err := c.readOperand(in.Rb)
-			if err != nil {
-				return err
-			}
-			v = gf2m.Mul(a, b)
-		}
-		if _, err := c.writeOperand(in.Rd, v); err != nil {
-			return err
-		}
-		if c.Masked {
-			// Match the evented digit pipeline's draw schedule: one
-			// accumulator refresh per digit cycle (discarded — the
-			// accumulator mask dies with the instruction), then the
-			// writeback refresh that becomes the destination's mask.
-			for j := c.Timing.Digits(); j > 0; j-- {
-				c.drawMaskElement()
-			}
-			c.quietMaskWrite(in.Rd)
-		}
-		return nil
-
-	default:
-		return fmt.Errorf("coproc: unknown opcode %v", in.Op)
-	}
-}
-
-// quietMaskWrite applies the masked write-port refresh (fresh mask into
-// the destination's mask slot) on the quiet path; a no-op when the
-// datapath is unmasked.
-func (c *CPU) quietMaskWrite(rd uint8) {
-	if !c.Masked {
-		return
-	}
-	if mp := c.maskPtr(rd); mp != nil {
-		*mp = c.drawMaskElement()
-	}
-}
-
-// ResultX returns the affine x result register after a completed run.
-func (c *CPU) ResultX(p *Program) gf2m.Element { return c.Regs[p.ResultX] }
-
-// ResultY returns the affine y result register after a completed run
-// of a y-recovery program.
-func (c *CPU) ResultY(p *Program) gf2m.Element { return c.Regs[p.ResultY] }

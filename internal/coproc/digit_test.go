@@ -7,6 +7,32 @@ import (
 	"medsec/internal/gf2m"
 )
 
+// extractDigitRef is the original bit-loop digit extraction, the
+// reference the word-level extractDigit is cross-checked against.
+func extractDigitRef(e gf2m.Element, j, d int) uint64 {
+	lo := j * d
+	var v uint64
+	for i := 0; i < d; i++ {
+		v |= uint64(e.Bit(lo+i)) << i
+	}
+	return v
+}
+
+// mulSmall returns a * digit mod f where digit is a polynomial of
+// degree < d (d <= 61): the MALU's per-cycle partial product, computed
+// by rebuilding every shifted operand — the reference for the
+// interpreter's precomputed shift table.
+func mulSmall(a gf2m.Element, digit uint64) gf2m.Element {
+	var acc gf2m.Element
+	for i := 0; digit != 0; i++ {
+		if digit&1 == 1 {
+			acc = gf2m.Add(acc, gf2m.ShlMod(a, uint(i)))
+		}
+		digit >>= 1
+	}
+	return acc
+}
+
 func randomElement(r *rand.Rand) gf2m.Element {
 	return gf2m.FromWords(r.Uint64(), r.Uint64(), r.Uint64()&(1<<35-1))
 }
@@ -43,7 +69,7 @@ func TestExtractDigitMatchesRef(t *testing.T) {
 }
 
 // TestShiftTablePartialProductMatchesMulSmall pins the precomputed
-// shift-table partial product (what runMALU now XORs together per digit
+// shift-table partial product (what runMALULane XORs together per digit
 // cycle) against the reference mulSmall, for every digit size.
 func TestShiftTablePartialProductMatchesMulSmall(t *testing.T) {
 	r := rand.New(rand.NewSource(0xa15))

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"testing"
 
-	"medsec/internal/ec"
 	"medsec/internal/gf2m"
 )
 
@@ -75,73 +74,52 @@ func checkPin(t *testing.T, name, got, want string) {
 	}
 }
 
-// TestGoldenMaskedLadderHash pins the masked datapath end to end.
+// TestGoldenMaskedLadderHash pins the masked datapath end to end,
+// through the per-trace CPU.
 func TestGoldenMaskedLadderHash(t *testing.T) {
 	p := BuildLadderProgram(ProgramOptions{RPC: true, XOnly: true})
-	evs, regs, _ := captureMaskedSerial(t, p, benchScalar, 42, 7, 0, 0, nil)
+	evs, regs, _ := captureMasked(t, p, benchScalar, 42, 7, nil)
 	eh := newEventHasher()
 	eh.addEvents(evs)
 	eh.addRegs(regs)
 	checkPin(t, "masked ladder hash", eh.sum(), goldenMaskedLadderHash)
 }
 
-// TestGoldenPlainLadderHash pins the unprotected microcode end to end.
+// TestGoldenPlainLadderHash pins the unprotected microcode end to end,
+// through the per-trace CPU.
 func TestGoldenPlainLadderHash(t *testing.T) {
 	p := BuildLadderProgram(ProgramOptions{XOnly: true})
-	evs, regs, _ := captureSerial(t, p, benchScalar, 42, 0, 0, nil)
+	evs, regs, _ := captureCPU(t, p, benchScalar, 42, nil)
 	eh := newEventHasher()
 	eh.addEvents(evs)
 	eh.addRegs(regs)
 	checkPin(t, "plain ladder hash", eh.sum(), goldenPlainLadderHash)
 }
 
-// TestGoldenWindowedHash pins the campaign acquisition shape.
+// TestGoldenWindowedHash pins the campaign acquisition shape on one
+// 8-lane batch.
 func TestGoldenWindowedHash(t *testing.T) {
-	p := BuildLadderProgram(ProgramOptions{RPC: false, XOnly: true})
-	tim := DefaultTiming()
-	start, end := p.IterationWindow(tim, 160, 158)
-	snap := windowedPrefixSnapshot(t, p, start)
+	p, start, end, snap := windowedFixture(t)
+	streams, _, _ := runLanes(t, NewLaneCPU(DefaultTiming()), p, 8, start, end, windowedSnaps(&snap, 8))
 	eh := newEventHasher()
-	for l := 0; l < 8; l++ {
-		var s *Snapshot
-		if l%2 == 0 {
-			s = &snap
-		}
-		evs, _, _ := captureSerial(t, p, laneTestKey(t, l), laneTestSeed(l), start, end, s)
+	for _, evs := range streams {
 		eh.addEvents(evs)
 	}
 	checkPin(t, "windowed acquisition hash", eh.sum(), goldenWindowedHash)
 }
 
-// TestGoldenTruncationHashes pins every mid-MALU cut point.
+// TestGoldenTruncationHashes pins every mid-MALU cut point on one
+// 3-lane batch.
 func TestGoldenTruncationHashes(t *testing.T) {
 	p := opcodePrograms()["mul"]
 	for i, max := range truncationCuts(DefaultTiming()) {
+		lc := NewLaneCPU(DefaultTiming())
+		streams, _, _ := runLanes(t, lc, p, 3, 0, max, nil)
 		eh := newEventHasher()
-		for l := 0; l < 3; l++ {
-			evs, regs, _ := captureSerial(t, p, laneTestKey(t, l), laneTestSeed(l), 0, max, nil)
+		for l, evs := range streams {
 			eh.addEvents(evs)
-			eh.addRegs(regs)
+			eh.addRegs(regsOf(lc, l))
 		}
 		checkPin(t, "truncation hash", eh.sum(), goldenTruncationHashes[i])
 	}
-}
-
-// windowedPrefixSnapshot captures the reference prefix snapshot of the
-// windowed acquisition (benchScalar, K-163 generator).
-func windowedPrefixSnapshot(t *testing.T, p *Program, start int) Snapshot {
-	t.Helper()
-	tim := DefaultTiming()
-	nInstr, cycle, _ := p.PrefixBoundary(tim, start)
-	if cycle == 0 {
-		t.Fatal("expected a nonzero prefix boundary")
-	}
-	curve := ec.K163()
-	ref := NewCPU(tim)
-	ref.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
-	snap, err := ref.SnapshotPrefix(p, benchScalar, nInstr)
-	if err != nil {
-		t.Fatalf("SnapshotPrefix: %v", err)
-	}
-	return snap
 }

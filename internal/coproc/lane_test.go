@@ -1,6 +1,7 @@
 package coproc
 
 import (
+	"strings"
 	"testing"
 
 	"medsec/internal/ec"
@@ -23,16 +24,24 @@ func laneTestKey(t *testing.T, l int) modn.Scalar {
 	return curve.Order.Rand(rng.NewDRBG(uint64(1000 + l)).Uint64)
 }
 
-// captureSerial runs one trace on a serial CPU and returns its event
-// stream and final register file.
-func captureSerial(t *testing.T, p *Program, key modn.Scalar, seed uint64, quiet, max int, snap *Snapshot) ([]CycleEvent, [NumRegs]gf2m.Element, int) {
+// cpuRegs reads a CPU's working register file.
+func cpuRegs(cpu *CPU) [NumRegs]gf2m.Element {
+	var r [NumRegs]gf2m.Element
+	for i := range r {
+		r[i] = cpu.Reg(i)
+	}
+	return r
+}
+
+// captureCPU runs one whole trace on the per-trace CPU (from snap when
+// non-nil) and returns its event stream, final register file and cycle
+// count.
+func captureCPU(t *testing.T, p *Program, key modn.Scalar, seed uint64, snap *Snapshot) ([]CycleEvent, [NumRegs]gf2m.Element, int) {
 	t.Helper()
 	curve := ec.K163()
 	cpu := NewCPU(DefaultTiming())
 	cpu.Rand = rng.NewDRBG(seed).Uint64
 	cpu.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
-	cpu.QuietCycles = quiet
-	cpu.MaxCycles = max
 	var evs []CycleEvent
 	cpu.Probe = func(ev *CycleEvent) { evs = append(evs, *ev) }
 	var err error
@@ -42,10 +51,10 @@ func captureSerial(t *testing.T, p *Program, key modn.Scalar, seed uint64, quiet
 	} else {
 		n, err = cpu.Run(p, key)
 	}
-	if err != nil && err != ErrStopped {
-		t.Fatalf("serial run: %v", err)
+	if err != nil {
+		t.Fatalf("cpu run: %v", err)
 	}
-	return evs, cpu.Regs, n
+	return evs, cpuRegs(cpu), n
 }
 
 func regsOf(lc *LaneCPU, l int) [NumRegs]gf2m.Element {
@@ -56,8 +65,9 @@ func regsOf(lc *LaneCPU, l int) [NumRegs]gf2m.Element {
 	return r
 }
 
-// runLanes executes the same traces through a LaneCPU and returns the
-// per-lane captured streams.
+// runLanes executes the test traces (lane l: laneTestKey(l),
+// laneTestSeed(l)) through a LaneCPU and returns the per-lane captured
+// streams.
 func runLanes(t *testing.T, lc *LaneCPU, p *Program, nLanes int, quiet, max int, snaps []*Snapshot) ([][]CycleEvent, int, error) {
 	t.Helper()
 	curve := ec.K163()
@@ -87,11 +97,11 @@ func runLanes(t *testing.T, lc *LaneCPU, p *Program, nLanes int, quiet, max int,
 func diffStreams(t *testing.T, label string, got, want []CycleEvent) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: %d events, serial has %d", label, len(got), len(want))
+		t.Fatalf("%s: %d events, reference has %d", label, len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("%s: event %d diverged:\n lane   %+v\n serial %+v", label, i, got[i], want[i])
+			t.Fatalf("%s: event %d diverged:\n lane      %+v\n reference %+v", label, i, got[i], want[i])
 		}
 	}
 }
@@ -117,20 +127,20 @@ func opcodePrograms() map[string]*Program {
 	}
 }
 
-// TestLaneMatchesSerialPerOpcode pins the lane executor against the
-// serial CPU for every ISA opcode at several lane counts: identical
+// TestLaneMatchesSerialPerOpcode pins the lane executor at several
+// widths against the per-trace CPU for every ISA opcode: identical
 // event streams (every field, every cycle) and identical final
-// register files per lane.
+// register files per lane, whatever the lane's position in the batch.
 func TestLaneMatchesSerialPerOpcode(t *testing.T) {
 	for name, p := range opcodePrograms() {
 		for _, nLanes := range []int{1, 2, 3, 4, 8} {
 			lc := NewLaneCPU(DefaultTiming())
 			streams, laneN, _ := runLanes(t, lc, p, nLanes, 0, 0, nil)
 			for l := 0; l < nLanes; l++ {
-				want, wantRegs, serialN := captureSerial(t, p, laneTestKey(t, l), laneTestSeed(l), 0, 0, nil)
+				want, wantRegs, serialN := captureCPU(t, p, laneTestKey(t, l), laneTestSeed(l), nil)
 				diffStreams(t, name, streams[l], want)
 				if laneN != serialN {
-					t.Fatalf("%s: lane cycle count %d, serial %d", name, laneN, serialN)
+					t.Fatalf("%s: lane cycle count %d, CPU %d", name, laneN, serialN)
 				}
 				if got := regsOf(lc, l); got != wantRegs {
 					t.Fatalf("%s lane %d/%d: register file diverged", name, l, nLanes)
@@ -141,8 +151,8 @@ func TestLaneMatchesSerialPerOpcode(t *testing.T) {
 }
 
 // TestLanePointMulMatchesSerial pins full point multiplications (RPC
-// on and off) at lane counts {1,2,3,4,8}: event streams, final cycle
-// counts, and result registers all bit-identical to per-trace serial
+// on and off) at lane counts {1,3,8}: event streams, final cycle
+// counts, and result registers all bit-identical to per-trace CPU
 // runs — including lanes with mixed fixed/random scalars.
 func TestLanePointMulMatchesSerial(t *testing.T) {
 	if testing.Short() {
@@ -154,10 +164,10 @@ func TestLanePointMulMatchesSerial(t *testing.T) {
 			lc := NewLaneCPU(DefaultTiming())
 			streams, laneN, _ := runLanes(t, lc, p, nLanes, 0, 0, nil)
 			for l := 0; l < nLanes; l++ {
-				want, wantRegs, serialN := captureSerial(t, p, laneTestKey(t, l), laneTestSeed(l), 0, 0, nil)
+				want, wantRegs, serialN := captureCPU(t, p, laneTestKey(t, l), laneTestSeed(l), nil)
 				diffStreams(t, "pointmul", streams[l], want)
 				if laneN != serialN {
-					t.Fatalf("rpc=%v: lane cycles %d serial %d", rpc, laneN, serialN)
+					t.Fatalf("rpc=%v: lane cycles %d CPU %d", rpc, laneN, serialN)
 				}
 				if got := regsOf(lc, l); got != wantRegs {
 					t.Fatalf("rpc=%v lane %d/%d: result registers diverged", rpc, l, nLanes)
@@ -167,17 +177,15 @@ func TestLanePointMulMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestLaneWindowedAcquisitionMatchesSerial pins the acquisition
-// configuration the campaigns use: QuietCycles prologue + MaxCycles
-// window, with a prefix snapshot fanned out to the usable lanes (the
-// even, fixed-key ones) while the random-key lanes replay the quiet
-// prefix — the exact mixed-resume shape of a TVLA batch. Lane counts
-// include 3 and 8 with 4 lanes' worth of window so non-dividing
-// shapes are covered at the campaign layer's batch remainder.
-func TestLaneWindowedAcquisitionMatchesSerial(t *testing.T) {
-	p := BuildLadderProgram(ProgramOptions{RPC: false, XOnly: true})
+// windowedFixture is the acquisition configuration the campaigns use
+// on the unprotected microcode: iterations 160..158 recorded, and the
+// reference prefix snapshot (benchScalar, K-163 generator) that the
+// fixed-key lanes resume from.
+func windowedFixture(t *testing.T) (p *Program, start, end int, snap Snapshot) {
+	t.Helper()
+	p = BuildLadderProgram(ProgramOptions{RPC: false, XOnly: true})
 	tim := DefaultTiming()
-	start, end := p.IterationWindow(tim, 160, 158)
+	start, end = p.IterationWindow(tim, 160, 158)
 	nInstr, cycle, _ := p.PrefixBoundary(tim, start)
 	if cycle == 0 {
 		t.Fatal("expected a nonzero prefix boundary")
@@ -189,56 +197,117 @@ func TestLaneWindowedAcquisitionMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SnapshotPrefix: %v", err)
 	}
-	for _, nLanes := range []int{1, 3, 8} {
-		snaps := make([]*Snapshot, nLanes)
-		for l := range snaps {
-			if l%2 == 0 { // fixed-key lanes may resume from the shared prefix
-				snaps[l] = &snap
-			}
+	return p, start, end, snap
+}
+
+// windowedSnaps fans the prefix snapshot out to the even (fixed-key)
+// lanes of an nLanes batch; the random-key lanes replay the prefix.
+func windowedSnaps(snap *Snapshot, nLanes int) []*Snapshot {
+	snaps := make([]*Snapshot, nLanes)
+	for l := range snaps {
+		if l%2 == 0 {
+			snaps[l] = snap
 		}
-		lc := NewLaneCPU(tim)
-		streams, _, laneErr := runLanes(t, lc, p, nLanes, start, end, snaps)
+	}
+	return snaps
+}
+
+// TestLaneWindowedAcquisitionMatchesSerial pins the acquisition
+// configuration the campaigns use: QuietCycles prologue + MaxCycles
+// window, with a prefix snapshot fanned out to the usable lanes (the
+// even, fixed-key ones) while the random-key lanes replay the quiet
+// prefix — the exact mixed-resume shape of a TVLA batch. Each lane's
+// window must equal the same slice of a whole evented run. Lane counts
+// include 3 and 8 so non-dividing shapes are covered at the campaign
+// layer's batch remainder.
+func TestLaneWindowedAcquisitionMatchesSerial(t *testing.T) {
+	p, start, end, snap := windowedFixture(t)
+	for _, nLanes := range []int{1, 3, 8} {
+		lc := NewLaneCPU(DefaultTiming())
+		streams, _, laneErr := runLanes(t, lc, p, nLanes, start, end, windowedSnaps(&snap, nLanes))
 		if laneErr != ErrStopped {
 			t.Fatalf("lanes=%d: want ErrStopped at MaxCycles, got %v", nLanes, laneErr)
 		}
 		for l := 0; l < nLanes; l++ {
-			want, _, _ := captureSerial(t, p, laneTestKey(t, l), laneTestSeed(l), start, end, snaps[l])
-			diffStreams(t, "windowed", streams[l], want)
-			if len(want) != end-start {
-				t.Fatalf("window should cover %d cycles, got %d", end-start, len(want))
-			}
+			full, _, _ := captureCPU(t, p, laneTestKey(t, l), laneTestSeed(l), nil)
+			diffStreams(t, "windowed", streams[l], full[start:end])
 		}
 	}
 }
 
 // TestLaneMidMALUTruncation pins the budget-truncation semantics when
 // MaxCycles lands inside a multiply: the lanes must emit events for
-// exactly cycles [0, MaxCycles) and withhold the MALU writeback, like
-// the serial CPU's early return mid-instruction.
+// exactly cycles [0, MaxCycles) and withhold the MALU writeback.
 func TestLaneMidMALUTruncation(t *testing.T) {
 	p := opcodePrograms()["mul"]
 	tim := DefaultTiming()
-	mulCycles := tim.InstrCycles(OpMul)
-	// Cut at every phase of the multiply: during load, mid-digit-loop,
-	// just before writeback, and exactly at the boundary.
-	for _, max := range []int{3, 2 + tim.MulOverhead, 2 + mulCycles/2, 2 + mulCycles - 1, 2 + mulCycles} {
+	total := p.CycleCount(tim)
+	for _, max := range truncationCuts(tim) {
 		for _, nLanes := range []int{1, 3} {
 			lc := NewLaneCPU(tim)
 			streams, laneN, err := runLanes(t, lc, p, nLanes, 0, max, nil)
-			if max < 2+mulCycles && err != ErrStopped {
+			if max < total && err != ErrStopped {
 				t.Fatalf("max=%d: want ErrStopped, got %v", max, err)
 			}
+			if laneN != max {
+				t.Fatalf("max=%d: lanes stopped at cycle %d", max, laneN)
+			}
 			for l := 0; l < nLanes; l++ {
-				want, wantRegs, serialN := captureSerial(t, p, laneTestKey(t, l), laneTestSeed(l), 0, max, nil)
-				diffStreams(t, "trunc", streams[l], want)
-				if laneN != serialN {
-					t.Fatalf("max=%d: lane cycles %d serial %d", max, laneN, serialN)
+				full, wantRegs, _ := captureCPU(t, p, laneTestKey(t, l), laneTestSeed(l), nil)
+				diffStreams(t, "trunc", streams[l], full[:max])
+				if max < total {
+					wantRegs[2] = gf2m.Element{} // the MUL's destination, never written
 				}
 				if got := regsOf(lc, l); got != wantRegs {
 					t.Fatalf("max=%d lane %d: register file diverged (writeback withheld?)", max, l)
 				}
 			}
 		}
+	}
+}
+
+// TestLaneResumePastQuietPrefix pins mid-program resumes: lanes that
+// all start from the same snapshot past the quiet prefix run in
+// lockstep from it and reproduce the whole run's suffix, while a batch
+// that mixes such a start with a lane that would have to replay evented
+// instructions is refused by name.
+func TestLaneResumePastQuietPrefix(t *testing.T) {
+	p := BuildLadderProgram(ProgramOptions{RPC: true, XOnly: true})
+	tim := DefaultTiming()
+	mid, _ := p.IterationWindow(tim, 100, 100)
+	curve := ec.K163()
+	ref := NewCPU(tim)
+	ref.Rand = rng.NewDRBG(laneTestSeed(0)).Uint64
+	ref.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
+	snaps, _, err := ref.RunCheckpointed(p, laneTestKey(t, 0), func(_, cycle int) bool { return cycle == mid })
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("checkpoint at cycle %d: %d snapshots, err %v", mid, len(snaps), err)
+	}
+	full, wantRegs, _ := captureCPU(t, p, laneTestKey(t, 0), laneTestSeed(0), nil)
+
+	// Lanes 0 and 2 carry the same key, TRNG seed and snapshot.
+	lc := NewLaneCPU(tim)
+	streams := make([][]CycleEvent, 2)
+	runs := make([]LaneRun, 2)
+	for i := range runs {
+		i := i
+		runs[i] = LaneRun{Key: laneTestKey(t, 0), Rand: rng.NewDRBG(laneTestSeed(0)).Uint64, Resume: &snaps[0],
+			Sink: func(ev *CycleEvent) { streams[i] = append(streams[i], *ev) }}
+	}
+	if _, err := lc.Run(p, runs); err != nil {
+		t.Fatal(err)
+	}
+	for i := range runs {
+		diffStreams(t, "resume", streams[i], full[mid:])
+		if regsOf(lc, i) != wantRegs {
+			t.Fatalf("lane %d: resumed register file diverged", i)
+		}
+	}
+
+	runs[1] = LaneRun{Key: laneTestKey(t, 0), Rand: rng.NewDRBG(laneTestSeed(0)).Uint64,
+		Consts: OperandConstants(curve.Gx, curve.B, curve.Gy)}
+	if _, err := lc.Run(p, runs); err == nil || !strings.Contains(err.Error(), "outside the quiet prefix") {
+		t.Fatalf("mixed start past the quiet prefix: got %v", err)
 	}
 }
 

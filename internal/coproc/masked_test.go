@@ -14,8 +14,9 @@ import (
 // device TRNG stream the same lane draws.
 func maskTestSeed(l int) uint64 { return 7777 ^ (uint64(l)+1)*0xbf58476d1ce4e5b9 }
 
-// captureMaskedSerial runs one masked trace on a serial CPU.
-func captureMaskedSerial(t *testing.T, p *Program, key modn.Scalar, seed, maskSeed uint64, quiet, max int, snap *Snapshot) ([]CycleEvent, [NumRegs]gf2m.Element, int) {
+// captureMasked runs one whole masked trace on the per-trace CPU
+// (from snap when non-nil).
+func captureMasked(t *testing.T, p *Program, key modn.Scalar, seed, maskSeed uint64, snap *Snapshot) ([]CycleEvent, [NumRegs]gf2m.Element, int) {
 	t.Helper()
 	curve := ec.K163()
 	cpu := NewCPU(DefaultTiming())
@@ -23,8 +24,6 @@ func captureMaskedSerial(t *testing.T, p *Program, key modn.Scalar, seed, maskSe
 	cpu.Masked = true
 	cpu.MaskRand = rng.NewDRBG(maskSeed).Uint64
 	cpu.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
-	cpu.QuietCycles = quiet
-	cpu.MaxCycles = max
 	var evs []CycleEvent
 	cpu.Probe = func(ev *CycleEvent) { evs = append(evs, *ev) }
 	var err error
@@ -34,10 +33,33 @@ func captureMaskedSerial(t *testing.T, p *Program, key modn.Scalar, seed, maskSe
 	} else {
 		n, err = cpu.Run(p, key)
 	}
-	if err != nil && err != ErrStopped {
-		t.Fatalf("masked serial run: %v", err)
+	if err != nil {
+		t.Fatalf("masked cpu run: %v", err)
 	}
-	return evs, cpu.Regs, n
+	return evs, cpuRegs(cpu), n
+}
+
+// captureMaskedWindow runs one masked trace on a width-1 LaneCPU with a
+// quiet prologue and a MaxCycles window.
+func captureMaskedWindow(t *testing.T, p *Program, key modn.Scalar, seed, maskSeed uint64, quiet, max int, snap *Snapshot) []CycleEvent {
+	t.Helper()
+	curve := ec.K163()
+	lc := NewLaneCPU(DefaultTiming())
+	lc.Masked = true
+	lc.QuietCycles, lc.MaxCycles = quiet, max
+	var evs []CycleEvent
+	runs := []LaneRun{{
+		Key:      key,
+		Rand:     rng.NewDRBG(seed).Uint64,
+		MaskRand: rng.NewDRBG(maskSeed).Uint64,
+		Sink:     func(ev *CycleEvent) { evs = append(evs, *ev) },
+		Consts:   OperandConstants(curve.Gx, curve.B, curve.Gy),
+		Resume:   snap,
+	}}
+	if _, err := lc.Run(p, runs); err != nil && err != ErrStopped {
+		t.Fatalf("masked window: %v", err)
+	}
+	return evs
 }
 
 // TestMaskedMatchesUnmaskedArchitecture pins the core masking contract:
@@ -64,7 +86,7 @@ func TestMaskedMatchesUnmaskedArchitecture(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s masked=%v: %v", name, masked, err)
 			}
-			return cpu.Regs, n, draws
+			return cpuRegs(cpu), n, draws
 		}
 		plainRegs, plainN, plainDraws := run(false)
 		maskRegs, maskN, maskDraws := run(true)
@@ -86,7 +108,7 @@ func TestMaskedMatchesUnmaskedArchitecture(t *testing.T) {
 // masks differ from zero.
 func TestMaskedEventInvariants(t *testing.T) {
 	p := opcodePrograms()["cswap"]
-	evs, _, _ := captureMaskedSerial(t, p, laneTestKey(t, 0), 42, 7, 0, 0, nil)
+	evs, _, _ := captureMasked(t, p, laneTestKey(t, 0), 42, 7, nil)
 	for i, ev := range evs {
 		switch ev.Op {
 		case OpLoadConst:
@@ -101,9 +123,10 @@ func TestMaskedEventInvariants(t *testing.T) {
 	}
 }
 
-// TestMaskedLaneMatchesSerial pins the masked lane executor against the
-// masked serial CPU: per-opcode and full-ladder event streams, cycle
-// counts, and register files bit-identical per lane.
+// TestMaskedLaneMatchesSerial pins the masked lane executor at several
+// widths against the masked per-trace CPU: per-opcode and full-ladder
+// event streams, cycle counts, and register files bit-identical per
+// lane.
 func TestMaskedLaneMatchesSerial(t *testing.T) {
 	progs := opcodePrograms()
 	if !testing.Short() {
@@ -131,7 +154,7 @@ func TestMaskedLaneMatchesSerial(t *testing.T) {
 				t.Fatalf("%s lanes=%d: %v", name, nLanes, err)
 			}
 			for l := 0; l < nLanes; l++ {
-				want, wantRegs, serialN := captureMaskedSerial(t, p, laneTestKey(t, l), laneTestSeed(l), maskTestSeed(l), 0, 0, nil)
+				want, wantRegs, serialN := captureMasked(t, p, laneTestKey(t, l), laneTestSeed(l), maskTestSeed(l), nil)
 				diffStreams(t, "masked-"+name, streams[l], want)
 				if laneN != serialN {
 					t.Fatalf("%s: masked lane cycles %d, serial %d", name, laneN, serialN)
@@ -150,22 +173,18 @@ func TestMaskedLaneMatchesSerial(t *testing.T) {
 // stream matches the corresponding slice of a full evented run.
 func TestMaskedQuietPrefixMatchesEvented(t *testing.T) {
 	p := BuildLadderProgram(ProgramOptions{RPC: false, XOnly: true})
-	tim := DefaultTiming()
-	start, end := p.IterationWindow(tim, 160, 158)
+	start, end := p.IterationWindow(DefaultTiming(), 160, 158)
 	key := laneTestKey(t, 0)
-	full, fullRegs, _ := captureMaskedSerial(t, p, key, 42, 7, 0, 0, nil)
-	win, _, _ := captureMaskedSerial(t, p, key, 42, 7, start, end, nil)
-	if len(win) != end-start {
-		t.Fatalf("window emitted %d events, want %d", len(win), end-start)
-	}
+	full, _, _ := captureMasked(t, p, key, 42, 7, nil)
+	win := captureMaskedWindow(t, p, key, 42, 7, start, end, nil)
 	diffStreams(t, "masked-window", win, full[start:end])
-	_ = fullRegs
 }
 
 // TestMaskedSnapshotResume pins masked prefix snapshots: SnapshotPrefix
-// on a masked CPU captures mask state and stream positions, and Resume
-// fast-forwards both TRNG streams so the downstream event window is
-// bit-identical to a straight-through masked run.
+// on a masked CPU captures mask state and stream positions, and a
+// resume fast-forwards both TRNG streams so the downstream events are
+// bit-identical to a straight-through masked run — on the per-trace
+// CPU and on a windowed lane.
 func TestMaskedSnapshotResume(t *testing.T) {
 	p := BuildLadderProgram(ProgramOptions{RPC: false, XOnly: true})
 	tim := DefaultTiming()
@@ -190,35 +209,18 @@ func TestMaskedSnapshotResume(t *testing.T) {
 		t.Fatal("masked prefix snapshot recorded zero mask draws")
 	}
 
-	want, wantRegs, wantN := captureMaskedSerial(t, p, key, 42, 7, start, end, nil)
-	got, gotRegs, gotN := captureMaskedSerial(t, p, key, 42, 7, start, end, &snap)
-	diffStreams(t, "masked-resume", got, want)
-	if gotN != wantN || gotRegs != wantRegs {
-		t.Fatalf("masked resume diverged: cycles %d/%d", gotN, wantN)
+	full, fullRegs, fullN := captureMasked(t, p, key, 42, 7, nil)
+	got, gotRegs, gotN := captureMasked(t, p, key, 42, 7, &snap)
+	diffStreams(t, "masked-resume", got, full[cycle:])
+	if gotN != fullN || gotRegs != fullRegs {
+		t.Fatalf("masked resume diverged: cycles %d/%d", gotN, fullN)
 	}
-
-	// The same snapshot must fan out to masked lanes.
-	lc := NewLaneCPU(tim)
-	lc.Masked = true
-	lc.QuietCycles = start
-	lc.MaxCycles = end
-	var stream []CycleEvent
-	runs := []LaneRun{{
-		Key:      key,
-		Rand:     rng.NewDRBG(42).Uint64,
-		MaskRand: rng.NewDRBG(7).Uint64,
-		Sink:     func(ev *CycleEvent) { stream = append(stream, *ev) },
-		Consts:   OperandConstants(curve.Gx, curve.B, curve.Gy),
-		Resume:   &snap,
-	}}
-	if _, err := lc.Run(p, runs); err != nil && err != ErrStopped {
-		t.Fatalf("masked lane resume: %v", err)
-	}
-	diffStreams(t, "masked-lane-resume", stream, want)
+	win := captureMaskedWindow(t, p, key, 42, 7, start, end, &snap)
+	diffStreams(t, "masked-lane-resume", win, full[start:end])
 }
 
 // TestMaskedRequiresMaskRand pins the configuration errors: masked
-// execution (serial, lane, and masked-snapshot resume) without a mask
+// execution (per-trace CPU, lane, and masked-snapshot resume) without a mask
 // TRNG source must fail loudly, not silently run unmasked.
 func TestMaskedRequiresMaskRand(t *testing.T) {
 	p := opcodePrograms()["add"]
@@ -228,7 +230,7 @@ func TestMaskedRequiresMaskRand(t *testing.T) {
 	cpu.Masked = true
 	cpu.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
 	if _, err := cpu.Run(p, benchScalar); err == nil || !strings.Contains(err.Error(), "mask TRNG") {
-		t.Fatalf("serial masked run without MaskRand: got %v", err)
+		t.Fatalf("CPU masked run without MaskRand: got %v", err)
 	}
 
 	lc := NewLaneCPU(DefaultTiming())

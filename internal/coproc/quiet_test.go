@@ -10,65 +10,60 @@ import (
 
 // suffixHashEvented runs the pinned golden computation (same fixture as
 // TestGoldenTraceHash) through the full evented pipeline and hashes only
-// the events at cycle >= q — the reference the quiet-prologue fast path
-// must reproduce bit for bit. maxCycles > 0 additionally bounds the run
-// (ErrStopped expected), matching the SCA acquisition windows.
+// the events in [q, maxCycles) — the reference the quiet-prologue fast
+// path must reproduce bit for bit (maxCycles <= 0: to the end).
 func suffixHashEvented(t *testing.T, q, maxCycles int) string {
 	t.Helper()
-	curve := ec.K163()
-	prog := BuildLadderProgram(ProgramOptions{RPC: true, XOnly: true})
-	cpu := NewCPU(DefaultTiming())
-	cpu.Rand = rng.NewDRBG(42).Uint64
-	cpu.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
-	cpu.MaxCycles = maxCycles
 	eh := newEventHasher()
-	cpu.Probe = func(ev *CycleEvent) {
-		if ev.Cycle >= q {
-			eh.add(ev)
+	goldenRun(t, func(cpu *CPU) {
+		cpu.Probe = func(ev *CycleEvent) {
+			if ev.Cycle >= q && (maxCycles <= 0 || ev.Cycle < maxCycles) {
+				eh.add(ev)
+			}
 		}
-	}
-	_, err := cpu.Run(prog, benchScalar)
-	if maxCycles > 0 {
-		if !errors.Is(err, ErrStopped) {
-			t.Fatalf("windowed run: got err %v, want ErrStopped", err)
-		}
-	} else if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	})
 	return eh.sum()
 }
 
+// quietHash runs the golden computation on a width-1 LaneCPU with the
+// given QuietCycles and MaxCycles, hashing every event the sink sees
+// and counting those delivered before q.
+func quietHash(t *testing.T, q, maxCycles int) (string, int) {
+	t.Helper()
+	curve := ec.K163()
+	prog := BuildLadderProgram(ProgramOptions{RPC: true, XOnly: true})
+	lc := NewLaneCPU(DefaultTiming())
+	lc.QuietCycles, lc.MaxCycles = q, maxCycles
+	eh := newEventHasher()
+	leaked := 0
+	runs := []LaneRun{{Key: benchScalar, Rand: rng.NewDRBG(42).Uint64,
+		Consts: OperandConstants(curve.Gx, curve.B, curve.Gy),
+		Sink: func(ev *CycleEvent) {
+			if ev.Cycle < q {
+				leaked++
+			}
+			eh.add(ev)
+		}}}
+	_, err := lc.Run(prog, runs)
+	if maxCycles > 0 {
+		if !errors.Is(err, ErrStopped) {
+			t.Fatalf("quiet windowed run: got err %v, want ErrStopped", err)
+		}
+	} else if err != nil {
+		t.Fatalf("quiet Run: %v", err)
+	}
+	return eh.sum(), leaked
+}
+
 // TestQuietPrefixSuffixBitIdentical pins the QuietCycles contract: with
-// the quiet prologue enabled, the event stream the probes see from
-// cycle q on is bit-identical to the full evented run's suffix — in
-// per-cycle, batched and dual probe wiring, with and without MaxCycles
-// bounding the window. The boundaries are span-aligned iteration-window
+// the quiet prologue enabled, the event stream the sink sees from
+// cycle q on is bit-identical to the full evented run's suffix, with
+// and without MaxCycles bounding the window, and no event at all is
+// delivered before q. The boundaries are span-aligned iteration-window
 // starts, exactly what the SCA acquisition planner feeds in.
 func TestQuietPrefixSuffixBitIdentical(t *testing.T) {
-	curve := ec.K163()
 	tim := DefaultTiming()
 	prog := BuildLadderProgram(ProgramOptions{RPC: true, XOnly: true})
-
-	run := func(t *testing.T, q, maxCycles int, attach func(cpu *CPU, eh *eventHasher)) string {
-		t.Helper()
-		cpu := NewCPU(tim)
-		cpu.Rand = rng.NewDRBG(42).Uint64
-		cpu.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
-		cpu.QuietCycles = q
-		cpu.MaxCycles = maxCycles
-		eh := newEventHasher()
-		attach(cpu, eh)
-		_, err := cpu.Run(prog, benchScalar)
-		if maxCycles > 0 {
-			if !errors.Is(err, ErrStopped) {
-				t.Fatalf("quiet windowed run: got err %v, want ErrStopped", err)
-			}
-		} else if err != nil {
-			t.Fatalf("quiet Run: %v", err)
-		}
-		return eh.sum()
-	}
-
 	start162, _ := prog.IterationWindow(tim, 162, 0)
 	start150, end150 := prog.IterationWindow(tim, 150, 147)
 	start10, _ := prog.IterationWindow(tim, 10, 0)
@@ -84,42 +79,9 @@ func TestQuietPrefixSuffixBitIdentical(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := suffixHashEvented(t, tc.q, tc.maxCycles)
-			modes := map[string]func(cpu *CPU, eh *eventHasher){
-				"probe": func(cpu *CPU, eh *eventHasher) {
-					cpu.Probe = func(ev *CycleEvent) { eh.add(ev) }
-				},
-				"batch": func(cpu *CPU, eh *eventHasher) {
-					cpu.Batch = func(evs []CycleEvent) {
-						for i := range evs {
-							eh.add(&evs[i])
-						}
-					}
-				},
-				"dual": func(cpu *CPU, eh *eventHasher) {
-					cpu.Probe = func(ev *CycleEvent) { eh.add(ev) }
-					cpu.Batch = func(evs []CycleEvent) {}
-				},
-			}
-			for name, attach := range modes {
-				if got := run(t, tc.q, tc.maxCycles, attach); got != want {
-					t.Fatalf("%s: quiet suffix hash diverged from evented run\n  got  %s\n  want %s", name, got, want)
-				}
-			}
-			// A quiet run must deliver no events before q at all: hashing
-			// events with Cycle < q must accumulate nothing.
-			cpu := NewCPU(tim)
-			cpu.Rand = rng.NewDRBG(42).Uint64
-			cpu.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
-			cpu.QuietCycles = tc.q
-			cpu.MaxCycles = tc.maxCycles
-			leaked := 0
-			cpu.Probe = func(ev *CycleEvent) {
-				if ev.Cycle < tc.q {
-					leaked++
-				}
-			}
-			if _, err := cpu.Run(prog, benchScalar); err != nil && !errors.Is(err, ErrStopped) {
-				t.Fatal(err)
+			got, leaked := quietHash(t, tc.q, tc.maxCycles)
+			if got != want {
+				t.Fatalf("quiet suffix hash diverged from evented run\n  got  %s\n  want %s", got, want)
 			}
 			if leaked != 0 {
 				t.Fatalf("quiet run delivered %d events before cycle %d", leaked, tc.q)
@@ -130,9 +92,9 @@ func TestQuietPrefixSuffixBitIdentical(t *testing.T) {
 
 // TestQuietFullRunMatchesEvented pins that quiet execution is
 // architecturally exact: silencing the entire program (QuietCycles =
-// total cycle count) produces the same result and cycle count as the
-// fully evented run under the same TRNG stream, for both the protected
-// and the unprotected microcode.
+// total cycle count, or a CPU without a Probe) produces the same
+// result and cycle count as the fully evented run under the same TRNG
+// stream, for both the protected and the unprotected microcode.
 func TestQuietFullRunMatchesEvented(t *testing.T) {
 	curve := ec.K163()
 	tim := DefaultTiming()
@@ -141,33 +103,39 @@ func TestQuietFullRunMatchesEvented(t *testing.T) {
 	p := curve.RandomPoint(d.Uint64)
 	for _, opt := range []ProgramOptions{{RPC: true, XOnly: true}, {XOnly: true}, {RPC: true}, {}} {
 		prog := BuildLadderProgram(opt)
-
-		ev := NewCPU(tim)
-		ev.Rand = rng.NewDRBG(99).Uint64
-		ev.SetOperandConstants(p.X, curve.B, p.Y)
-		nEv, err := ev.Run(prog, k)
-		if err != nil {
-			t.Fatal(err)
+		run := func(probe Probe) (*CPU, int) {
+			cpu := NewCPU(tim)
+			cpu.Rand = rng.NewDRBG(99).Uint64
+			cpu.SetOperandConstants(p.X, curve.B, p.Y)
+			cpu.Probe = probe
+			n, err := cpu.Run(prog, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cpu, n
 		}
+		ev, nEv := run(func(*CycleEvent) {})
+		qt, nQt := run(nil)
 
-		qt := NewCPU(tim)
-		qt.Rand = rng.NewDRBG(99).Uint64
-		qt.SetOperandConstants(p.X, curve.B, p.Y)
-		qt.QuietCycles = prog.CycleCount(tim)
+		lc := NewLaneCPU(tim)
+		lc.QuietCycles = prog.CycleCount(tim)
 		called := false
-		qt.Probe = func(*CycleEvent) { called = true }
-		nQt, err := qt.Run(prog, k)
+		runs := []LaneRun{{Key: k, Rand: rng.NewDRBG(99).Uint64, Consts: OperandConstants(p.X, curve.B, p.Y),
+			Sink: func(*CycleEvent) { called = true }}}
+		nLane, err := lc.Run(prog, runs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if called {
 			t.Fatalf("%+v: fully quiet run delivered events", opt)
 		}
-		if nEv != nQt {
-			t.Fatalf("%+v: cycle counts differ: evented %d, quiet %d", opt, nEv, nQt)
+		if nEv != nQt || nEv != nLane {
+			t.Fatalf("%+v: cycle counts differ: evented %d, quiet CPU %d, quiet lane %d", opt, nEv, nQt, nLane)
 		}
-		if !ev.ResultX(prog).Equal(qt.ResultX(prog)) || !ev.ResultY(prog).Equal(qt.ResultY(prog)) {
-			t.Fatalf("%+v: quiet run result diverged", opt)
+		for _, r := range []uint8{prog.ResultX, prog.ResultY} {
+			if !ev.Reg(int(r)).Equal(qt.Reg(int(r))) || !ev.Reg(int(r)).Equal(lc.Result(0, r)) {
+				t.Fatalf("%+v: quiet run result diverged", opt)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package coproc
 
 import (
+	"strings"
 	"testing"
 
 	"medsec/internal/ec"
@@ -128,5 +129,75 @@ func TestRunCheckpointedMatchesRun(t *testing.T) {
 		if snaps[i].Cycle <= snaps[i-1].Cycle || snaps[i].Instr != i {
 			t.Fatalf("snapshot %d malformed: %+v", i, snaps[i])
 		}
+	}
+}
+
+// TestResumeRefusesForeignTimingSnapshot pins the snapshot/timing
+// check: a snapshot's Cycle must be the static start cycle of its
+// instruction under the resuming Timing. A snapshot taken at d = 4 and
+// resumed at d = 2 would otherwise number its cycles (and, masked,
+// fast-forward its mask stream) for the wrong schedule, so it is
+// refused by name on every resume path; the same snapshot under its
+// own Timing is accepted.
+func TestResumeRefusesForeignTimingSnapshot(t *testing.T) {
+	curve := ec.K163()
+	prog := BuildLadderProgram(ProgramOptions{RPC: true, XOnly: true})
+	d4 := DefaultTiming()
+	d2 := d4
+	d2.DigitSize = 2
+	take := func(masked bool) Snapshot {
+		ref := NewCPU(d4)
+		ref.Rand = rng.NewDRBG(3).Uint64
+		ref.Masked = masked
+		ref.MaskRand = rng.NewDRBG(4).Uint64
+		ref.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
+		snaps, _, err := ref.RunCheckpointed(prog, benchScalar, func(idx, _ int) bool { return idx == 40 })
+		if err != nil || len(snaps) != 1 {
+			t.Fatalf("checkpoint: %d snapshots, err %v", len(snaps), err)
+		}
+		return snaps[0]
+	}
+	resumeCPU := func(tim Timing, masked bool, snap Snapshot) error {
+		cpu := NewCPU(tim)
+		cpu.Rand = rng.NewDRBG(3).Uint64
+		cpu.Masked = masked
+		cpu.MaskRand = rng.NewDRBG(4).Uint64
+		cpu.Probe = func(*CycleEvent) {}
+		_, err := cpu.Resume(prog, benchScalar, snap)
+		return err
+	}
+	resumeLane := func(tim Timing, masked bool, snap Snapshot) error {
+		lc := NewLaneCPU(tim)
+		lc.Masked = masked
+		_, err := lc.Run(prog, []LaneRun{{Key: benchScalar, Rand: rng.NewDRBG(3).Uint64,
+			MaskRand: rng.NewDRBG(4).Uint64, Resume: &snap}})
+		return err
+	}
+	for _, tc := range []struct {
+		name    string
+		tim     Timing
+		masked  bool
+		resume  func(Timing, bool, Snapshot) error
+		refused bool
+	}{
+		{"cpu-d4-under-d2", d2, false, resumeCPU, true},
+		{"cpu-masked-d4-under-d2", d2, true, resumeCPU, true},
+		{"lane-d4-under-d2", d2, false, resumeLane, true},
+		{"lane-masked-d4-under-d2", d2, true, resumeLane, true},
+		{"cpu-d4-under-d4", d4, false, resumeCPU, false},
+		{"lane-masked-d4-under-d4", d4, true, resumeLane, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.resume(tc.tim, tc.masked, take(tc.masked))
+			if !tc.refused {
+				if err != nil {
+					t.Fatalf("own-Timing resume refused: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "snapshot Cycle") {
+				t.Fatalf("got %v, want a refusal naming the snapshot Cycle", err)
+			}
+		})
 	}
 }

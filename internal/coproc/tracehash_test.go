@@ -16,8 +16,8 @@ import (
 // a fixed scalar and TRNG seed. It was pinned on the pre-optimization
 // schoolbook/bit-serial simulator (PR 3) and is the repo's
 // bit-identical contract for the hot-path rewrites: Karatsuba field
-// multiplication, the precomputed MALU digit pipeline and the batched
-// probe delivery must all reproduce this exact stream, cycle by cycle,
+// multiplication, the precomputed MALU digit pipeline and the lane
+// interpreter must all reproduce this exact stream, cycle by cycle,
 // field by field.
 const goldenTraceHash = "67f8b3da5321373cec770bf5d04d3c75dcddabe361aa72968385c1b9ac36e7f8"
 
@@ -55,22 +55,22 @@ func (e *eventHasher) sum() string {
 	return hex.EncodeToString(e.st.Sum(nil))
 }
 
-// goldenRun executes the pinned protected point multiplication with
-// the given probe wiring and returns (hash, cycles).
-func goldenRun(t *testing.T, attach func(cpu *CPU, eh *eventHasher)) (string, int) {
+// goldenRun executes the pinned protected point multiplication on the
+// per-trace CPU with the given probe wiring and returns the cycle
+// count.
+func goldenRun(t *testing.T, attach func(cpu *CPU)) int {
 	t.Helper()
 	curve := ec.K163()
 	prog := BuildLadderProgram(ProgramOptions{RPC: true, XOnly: true})
 	cpu := NewCPU(DefaultTiming())
 	cpu.Rand = rng.NewDRBG(42).Uint64
 	cpu.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
-	eh := newEventHasher()
-	attach(cpu, eh)
+	attach(cpu)
 	n, err := cpu.Run(prog, benchScalar)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	return eh.sum(), n
+	return n
 }
 
 // TestGoldenTraceHash pins the full per-cycle event stream of a
@@ -79,34 +79,37 @@ func goldenRun(t *testing.T, attach func(cpu *CPU, eh *eventHasher)) (string, in
 // which invalidates every power number, SCA result and golden ledger
 // in the repo. Fix the optimization, never the constant.
 func TestGoldenTraceHash(t *testing.T) {
-	check := func(t *testing.T, name string, attach func(cpu *CPU, eh *eventHasher)) {
-		t.Run(name, func(t *testing.T) {
-			got, cycles := goldenRun(t, attach)
-			if cycles == 0 {
-				t.Fatal("no cycles simulated")
-			}
-			if got != goldenTraceHash {
-				t.Fatalf("%s event stream hash changed:\n  got    %s\n  pinned %s\n(%d cycles)", name, got, goldenTraceHash, cycles)
-			}
-		})
-	}
-	// Per-cycle compat path.
-	check(t, "probe", func(cpu *CPU, eh *eventHasher) {
-		cpu.Probe = func(ev *CycleEvent) { eh.add(ev) }
-	})
-	// Batched delivery (one callback per retired instruction) must
-	// produce the exact same event sequence.
-	check(t, "batch", func(cpu *CPU, eh *eventHasher) {
-		cpu.Batch = func(evs []CycleEvent) {
-			for i := range evs {
-				eh.add(&evs[i])
-			}
+	check := func(t *testing.T, got string, cycles int) {
+		t.Helper()
+		if cycles == 0 {
+			t.Fatal("no cycles simulated")
 		}
+		if got != goldenTraceHash {
+			t.Fatalf("event stream hash changed:\n  got    %s\n  pinned %s\n(%d cycles)", got, goldenTraceHash, cycles)
+		}
+	}
+	// The per-trace CPU's Probe.
+	t.Run("probe", func(t *testing.T) {
+		eh := newEventHasher()
+		n := goldenRun(t, func(cpu *CPU) { cpu.Probe = eh.add })
+		check(t, eh.sum(), n)
 	})
-	// Both probes attached: the per-cycle stream is undisturbed by the
-	// batch buffer riding along.
-	check(t, "probe-with-batch-attached", func(cpu *CPU, eh *eventHasher) {
-		cpu.Probe = func(ev *CycleEvent) { eh.add(ev) }
-		cpu.Batch = func(evs []CycleEvent) {}
+	// The golden trace as the middle lane of a 3-wide batch whose other
+	// lanes carry different keys and TRNG streams.
+	t.Run("batch", func(t *testing.T) {
+		curve := ec.K163()
+		prog := BuildLadderProgram(ProgramOptions{RPC: true, XOnly: true})
+		eh := newEventHasher()
+		runs := make([]LaneRun, 3)
+		for l := range runs {
+			runs[l] = LaneRun{Key: laneTestKey(t, l+1), Rand: rng.NewDRBG(laneTestSeed(l)).Uint64,
+				Consts: OperandConstants(curve.Gx, curve.B, curve.Gy)}
+		}
+		runs[1].Key, runs[1].Rand, runs[1].Sink = benchScalar, rng.NewDRBG(42).Uint64, eh.add
+		n, err := NewLaneCPU(DefaultTiming()).Run(prog, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, eh.sum(), n)
 	})
 }

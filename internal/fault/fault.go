@@ -111,7 +111,7 @@ func RunWithFault(curve *ec.Curve, tim coproc.Timing, k modn.Scalar, p ec.Point,
 	injected := false
 	cpu.Probe = func(ev *coproc.CycleEvent) {
 		if !injected && ev.Cycle == inj.Cycle {
-			cpu.Regs[inj.Reg] = cpu.Regs[inj.Reg].SetBit(inj.Bit, cpu.Regs[inj.Reg].Bit(inj.Bit)^1)
+			cpu.FlipBit(inj.Reg, inj.Bit)
 			injected = true
 		}
 	}

@@ -203,7 +203,7 @@ func Sweep(curve *ec.Curve, tim coproc.Timing, cfg SweepConfig) (*SweepReport, e
 		injected := false
 		cpu.Probe = func(ev *coproc.CycleEvent) {
 			if !injected && ev.Cycle == inj.Cycle {
-				cpu.Regs[inj.Reg] = cpu.Regs[inj.Reg].SetBit(inj.Bit, cpu.Regs[inj.Reg].Bit(inj.Bit)^1)
+				cpu.FlipBit(inj.Reg, inj.Bit)
 				injected = true
 			}
 		}

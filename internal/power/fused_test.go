@@ -103,3 +103,22 @@ func TestFillNoiseMatchesSerialDraws(t *testing.T) {
 		}
 	}
 }
+
+// TestCycleEnergyMatchesComponentsTotal pins the metering path:
+// CycleEnergy (the noise-free sum plus one noise draw, what Meter
+// accumulates) must be bit-identical to CycleComponents' Total (what
+// BreakdownMeter splits), noise stream included, for every
+// configuration.
+func TestCycleEnergyMatchesComponentsTotal(t *testing.T) {
+	evs := fusedTestEvents(2000)
+	for ci, cfg := range fusedTestConfigs() {
+		ref := NewModel(cfg)
+		m := NewModel(cfg)
+		for i := range evs {
+			want := ref.CycleComponents(&evs[i]).Total()
+			if got := m.CycleEnergy(&evs[i]); got != want {
+				t.Fatalf("cfg %d ev %d: CycleEnergy %.18g != components total %.18g", ci, i, got, want)
+			}
+		}
+	}
+}

@@ -254,10 +254,10 @@ func (m *Model) SkipCycles(n int) {
 }
 
 // CycleEnergy returns the energy in joules consumed during the cycle
-// described by ev, including measurement noise.
+// described by ev, including measurement noise: CycleComponents' Total,
+// summed in the same order.
 func (m *Model) CycleEnergy(ev *coproc.CycleEvent) float64 {
-	c := m.CycleComponents(ev)
-	return c.Total()
+	return m.CycleBaseEnergy(ev) + m.noiseTerm()
 }
 
 // Components is the per-cycle energy split by circuit block (joules).
@@ -285,11 +285,44 @@ func (c *Components) Add(o Components) {
 	c.Noise += o.Noise
 }
 
-// CycleComponents returns the cycle energy split by circuit block.
+// CycleComponents returns the cycle energy split by circuit block,
+// drawing the cycle's measurement-noise term.
 func (m *Model) CycleComponents(ev *coproc.CycleEvent) Components {
 	var out Components
+	m.cycleEnergy(ev, &out)
+	out.Noise = m.noiseTerm()
+	return out
+}
+
+// noiseTerm draws the cycle's measurement-noise energy (joules): one
+// Gaussian sample when NoiseSigma > 0, nothing drawn otherwise.
+func (m *Model) noiseTerm() float64 {
+	if m.cfg.NoiseSigma <= 0 {
+		return 0
+	}
+	return m.noise.Sample() * m.cfg.NoiseSigma * m.nominalJ
+}
+
+// CycleBaseEnergy returns the cycle's energy in joules excluding the
+// measurement-noise term, as a single scalar: the lane sink's fast
+// form of CycleComponents, summed in the association order of
+// Components.Total (leakage, clock, datapath, control left to right),
+// so that callers adding a separately drawn noise term reproduce
+// CycleEnergy bit-for-bit. It inlines, leaving one call per cycle on
+// the sink's hot path.
+func (m *Model) CycleBaseEnergy(ev *coproc.CycleEvent) float64 {
+	return m.cycleEnergy(ev, nil)
+}
+
+// cycleEnergy is the model's one energy formula: the noise-free
+// leakage, clock-tree, datapath and control energies (joules) of the
+// cycle described by ev, returned summed as
+// ((leakage+clock)+datapath)+control and, when terms is non-nil, also
+// stored one by one in it (Noise untouched). Returning the sum keeps
+// the sink's hot path to a single call with no terms spilled to memory.
+func (m *Model) cycleEnergy(ev *coproc.CycleEvent, terms *Components) float64 {
 	scale := unitEnergyJ * m.cfg.Vdd * m.cfg.Vdd
-	out.Leakage = leakageUnits * scale
+	leak := leakageUnits * scale
 
 	// --- Clock tree. ---
 	regs := float64(ev.RegsClocked)
@@ -305,9 +338,10 @@ func (m *Model) CycleComponents(ev *coproc.CycleEvent) Components {
 		// the clock-tree power now *is* the key bit.
 		regs = float64(ev.RegsClocked) * float64(ev.CtrlSel)
 	}
-	out.Clock = regs * clockPerReg * clockMul * scale
+	clock := regs * clockPerReg * clockMul * scale
 
 	// --- Datapath. ---
+	var datapath float64
 	switch m.cfg.Style {
 	case CMOS:
 		data := float64(ev.Write01+ev.Acc01) * dataUnit
@@ -321,94 +355,36 @@ func (m *Model) CycleComponents(ev *coproc.CycleEvent) Components {
 			// transitions racing through the combinational cloud.
 			data += glitchFactor * float64(ev.AccHD+ev.WriteHD)
 		}
-		out.Datapath = data * scale
+		datapath = data * scale
 	case WDDL:
 		// Precharge/evaluate: one transition per differential pair per
 		// cycle regardless of data.
-		out.Datapath = wddlDataUnits * scale
+		datapath = wddlDataUnits * scale
 	case SABL:
-		out.Datapath = sablDataUnits * scale
+		datapath = sablDataUnits * scale
 	}
 
 	// --- Conditional-swap circuitry (CSWAP cycles only). ---
+	var control float64
 	if ev.Op == coproc.OpCSwap {
 		if m.cfg.BalancedMux {
 			// Fig. 3's protected design: the swap is a renaming through
 			// multiplexers whose select lines are encoded as
 			// complementary pairs — constant control weight, no
 			// register writes — plus the residual layout imbalance.
-			out.Control = NumMuxLines * ctrlLineUnit * (1 + m.cfg.ResidualImbalance*float64(ev.CtrlSel)) * scale
+			control = NumMuxLines * ctrlLineUnit * (1 + m.cfg.ResidualImbalance*float64(ev.CtrlSel)) * scale
 		} else {
 			// Naive design: the raw select value drives all 164 lines,
 			// and the registers physically exchange contents when the
 			// swap fires, paying the full data toggles.
-			out.Control = NumMuxLines * ctrlLineUnit * float64(ev.CtrlSel) * scale
-			if m.cfg.Style == CMOS {
-				out.Datapath += float64(2*ev.SwapHD) * dataUnit * float64(ev.CtrlSel) * scale
-			}
-		}
-	}
-
-	if m.cfg.NoiseSigma > 0 {
-		out.Noise = m.noise.Sample() * m.cfg.NoiseSigma * m.nominalJ
-	}
-	return out
-}
-
-// CycleBaseEnergy returns the cycle's energy in joules excluding the
-// measurement-noise term, as a single scalar. It is the lane-batched
-// acquisition path's fast form of CycleComponents: same component
-// expressions, summed in the same association order as
-// Components.Total (leakage, clock, datapath, control left to right),
-// so that callers adding a separately drawn noise term reproduce
-// CycleEnergy bit-for-bit. Pinned against CycleComponents across
-// styles and configurations by TestCycleBaseEnergyMatchesComponents.
-func (m *Model) CycleBaseEnergy(ev *coproc.CycleEvent) float64 {
-	scale := unitEnergyJ * m.cfg.Vdd * m.cfg.Vdd
-	leak := leakageUnits * scale
-
-	regs := float64(ev.RegsClocked)
-	clockMul := 1.0
-	switch m.cfg.Style {
-	case WDDL:
-		clockMul = wddlClockMul
-	case SABL:
-		clockMul = sablClockMul
-	}
-	if m.cfg.DataDepClockGating && ev.Op == coproc.OpCSwap {
-		regs = float64(ev.RegsClocked) * float64(ev.CtrlSel)
-	}
-	clock := regs * clockPerReg * clockMul * scale
-
-	var datapath float64
-	switch m.cfg.Style {
-	case CMOS:
-		data := float64(ev.Write01+ev.Acc01) * dataUnit
-		if m.cfg.InputIsolation {
-			data += float64(ev.BusHW) * busIsolated
-		} else {
-			data += float64(ev.BusHW) * busUnit
-		}
-		if !m.cfg.GlitchFree {
-			data += glitchFactor * float64(ev.AccHD+ev.WriteHD)
-		}
-		datapath = data * scale
-	case WDDL:
-		datapath = wddlDataUnits * scale
-	case SABL:
-		datapath = sablDataUnits * scale
-	}
-
-	var control float64
-	if ev.Op == coproc.OpCSwap {
-		if m.cfg.BalancedMux {
-			control = NumMuxLines * ctrlLineUnit * (1 + m.cfg.ResidualImbalance*float64(ev.CtrlSel)) * scale
-		} else {
 			control = NumMuxLines * ctrlLineUnit * float64(ev.CtrlSel) * scale
 			if m.cfg.Style == CMOS {
 				datapath += float64(2*ev.SwapHD) * dataUnit * float64(ev.CtrlSel) * scale
 			}
 		}
+	}
+	if terms != nil {
+		terms.Leakage, terms.Clock, terms.Datapath, terms.Control = leak, clock, datapath, control
 	}
 	return ((leak + clock) + datapath) + control
 }
@@ -460,20 +436,6 @@ func (bm *BreakdownMeter) Probe() coproc.Probe {
 	}
 }
 
-// BatchProbe returns the coproc.BatchProbe to attach to a CPU. It is
-// the batch-mode fast path: one call per instruction instead of one
-// closure invocation per cycle, with the event slice walked in a tight
-// loop. Bit-identical to the per-cycle Probe (the model is consulted
-// in the same cycle order).
-func (bm *BreakdownMeter) BatchProbe() coproc.BatchProbe {
-	return func(evs []coproc.CycleEvent) {
-		for i := range evs {
-			bm.total.Add(bm.model.CycleComponents(&evs[i]))
-		}
-		bm.cycles += len(evs)
-	}
-}
-
 // Totals returns the accumulated component energies.
 func (bm *BreakdownMeter) Totals() Components { return bm.total }
 
@@ -501,19 +463,6 @@ func (mt *Meter) Probe() coproc.Probe {
 	return func(ev *coproc.CycleEvent) {
 		mt.totalJ += mt.model.CycleEnergy(ev)
 		mt.cycles++
-	}
-}
-
-// BatchProbe returns the coproc.BatchProbe to attach to a CPU — the
-// batch-mode fast path (one call per instruction, see
-// coproc.BatchProbe). Energy totals are bit-identical to the per-cycle
-// Probe: the same model methods run in the same cycle order.
-func (mt *Meter) BatchProbe() coproc.BatchProbe {
-	return func(evs []coproc.CycleEvent) {
-		for i := range evs {
-			mt.totalJ += mt.model.CycleEnergy(&evs[i])
-		}
-		mt.cycles += len(evs)
 	}
 }
 

@@ -17,10 +17,10 @@ import (
 // collector — re-seeded per trace from the trace index, so a lane's
 // recorded trace does not depend on which batch or lane retired it.
 // Target.Lanes <= 1 runs width-1 batches; coproc's lane property tests
-// and the trace-hash goldens pin that width bit-identical to the
-// per-trace coproc.CPU interpreter. Every campaign statistic is
-// therefore bit-identical at any lane count; Target.Lanes merely
-// selects the throughput trade-off.
+// pin every lane's stream independent of the batch width and of its
+// position in the batch. Every campaign statistic is therefore
+// bit-identical at any lane count; Target.Lanes merely selects the
+// throughput trade-off.
 
 // laneSlot is one lane's reusable per-trace device state (the LaneCPU
 // is shared by the whole batch). The func fields are bound once at

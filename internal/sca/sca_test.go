@@ -65,7 +65,9 @@ func TestMirrorTracksMicrocodeRegisters(t *testing.T) {
 				return
 			}
 			if sawLadder && !taken {
-				copy(snap[:], cpu.Regs[:4])
+				for ri := range snap {
+					snap[ri] = cpu.Reg(ri)
+				}
 				taken = true
 			}
 		}

@@ -67,7 +67,7 @@ type Target struct {
 	// uses an independent per-trace substream.
 	TRNGSeed uint64
 	// Masked runs the co-processor with the first-order Boolean masking
-	// countermeasure enabled (coproc.CPU.Masked): every register and
+	// countermeasure enabled (coproc.LaneCPU.Masked): every register and
 	// RAM word is carried as two shares refreshed from a dedicated TRNG
 	// substream, so single-sample (first-order) statistics go flat and
 	// the evaluation must move to the second-order attacks (TVLA2,

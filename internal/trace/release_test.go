@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"medsec/internal/coproc"
+	"medsec/internal/ec"
+	"medsec/internal/modn"
 	"medsec/internal/power"
 )
 
@@ -57,7 +59,7 @@ func TestReleaseSteadyStateReuseNotMisdetected(t *testing.T) {
 	cfg.NoiseSigma = 0
 	model := power.NewModel(cfg)
 	col := NewCollector(model, 0, 0)
-	probe := col.BatchProbe()
+	sink := col.LaneSink()
 	evs := make([]coproc.CycleEvent, 16)
 	for i := range evs {
 		evs[i].Cycle = i
@@ -68,7 +70,9 @@ func TestReleaseSteadyStateReuseNotMisdetected(t *testing.T) {
 	var last *float64
 	for round := 0; round < 3; round++ {
 		col.Begin()
-		probe(evs)
+		for i := range evs {
+			sink(&evs[i])
+		}
 		tr := col.Take()
 		p := backingPtr(tr.Samples)
 		if p == nil {
@@ -79,5 +83,50 @@ func TestReleaseSteadyStateReuseNotMisdetected(t *testing.T) {
 		}
 		last = p
 		tr.Release()
+	}
+}
+
+// TestReleaseRecyclesBuffers pins the pooling contract: after a
+// Release, a Begin-acquired trace reuses capacity instead of
+// allocating, and the released header is cleared.
+func TestReleaseRecyclesBuffers(t *testing.T) {
+	curve := ec.K163()
+	col := NewCollector(power.NewModel(power.ProtectedChip(77)), 150, 900)
+	cpu := coproc.NewCPU(coproc.DefaultTiming())
+	cpu.Probe = col.LaneSink()
+	cpu.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
+	if _, err := cpu.Run(coproc.BuildLadderProgram(coproc.ProgramOptions{XOnly: true}), modn.FromUint64(0xf00d)); err != nil {
+		t.Fatal(err)
+	}
+	tr := col.Take()
+	if len(tr.Samples) == 0 {
+		t.Fatal("empty acquisition")
+	}
+	tr.Release()
+	if tr.Samples != nil || tr.Iter != nil {
+		t.Fatal("Release did not clear the trace header")
+	}
+	// A full Get/fill/Release cycle in steady state should cost at most
+	// the two small pool-header boxes sync.Pool.Put needs — no sample
+	// storage allocation.
+	model := power.NewModel(power.ProtectedChip(1))
+	col = NewCollector(model, 0, 0)
+	sink := col.LaneSink()
+	evs := make([]coproc.CycleEvent, 64)
+	for i := range evs {
+		evs[i].Cycle = i
+	}
+	park := col.Take()
+	park.Release() // park the construction-time buffers
+	allocs := testing.AllocsPerRun(50, func() {
+		col.Begin()
+		for i := range evs {
+			sink(&evs[i])
+		}
+		tr := col.Take()
+		tr.Release()
+	})
+	if allocs > 4 {
+		t.Fatalf("steady-state collect/release allocates %.1f objects per trace, want <= 4", allocs)
 	}
 }

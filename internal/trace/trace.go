@@ -39,7 +39,7 @@ type Trace struct {
 }
 
 // Process-wide free lists for per-trace buffers. Traces recorded via
-// Collector.BatchProbe draw from these pools and return to them via
+// Collector.LaneSink draw from these pools and return to them via
 // Release; in a steady-state streaming campaign every trace reuses a
 // buffer retired a few indices earlier, so acquisition allocates
 // ~nothing per trace.
@@ -123,8 +123,8 @@ func (t *Trace) SegmentByIteration() map[int][2]int {
 // Gaussian sample per cycle.
 const noiseRingLen = 256
 
-// Collector is a coproc.Probe that records a power trace through a
-// power model over a cycle window.
+// Collector records a power trace through a power model over a cycle
+// window (see LaneSink).
 type Collector struct {
 	Model *power.Model
 	// Start and End bound the recorded cycle window [Start, End);
@@ -133,8 +133,7 @@ type Collector struct {
 
 	trace Trace
 
-	// Noise ring for the lane sink (see LaneSink); ringPos ==
-	// noiseRingLen means empty.
+	// Noise ring of the sink; ringPos == noiseRingLen means empty.
 	ring    [noiseRingLen]float64
 	ringPos int
 }
@@ -144,59 +143,20 @@ func NewCollector(model *power.Model, start, end int) *Collector {
 	return &Collector{Model: model, Start: start, End: end}
 }
 
-// Probe returns the probe to attach to a CPU.
-func (c *Collector) Probe() coproc.Probe {
-	c.trace = Trace{StartCycle: c.Start}
-	return func(ev *coproc.CycleEvent) {
-		if ev.Cycle < c.Start || (c.End > 0 && ev.Cycle >= c.End) {
-			// The model still consumes noise samples outside the
-			// window so that windowing does not shift the noise
-			// stream; a real scope also keeps sampling.
-			_ = c.Model.CycleEnergy(ev)
-			return
-		}
-		c.trace.Samples = append(c.trace.Samples, c.Model.CyclePower(ev))
-		c.trace.Iter = append(c.trace.Iter, int32(ev.Iteration))
-	}
-}
-
-// BatchProbe returns the batch-mode probe to attach to a CPU — one
-// call per retired instruction instead of one closure invocation per
-// cycle (see coproc.BatchProbe). The recorded trace is bit-identical
-// to the per-cycle Probe's: the window test, the power model calls and
-// — crucially — the noise-stream draws for out-of-window cycles happen
-// in the same cycle order. Sample buffers come from a process-wide
-// pool; hand them back with Trace.Release once the trace has been
-// consumed.
-func (c *Collector) BatchProbe() coproc.BatchProbe {
-	c.Begin()
-	return func(evs []coproc.CycleEvent) {
-		for i := range evs {
-			ev := &evs[i]
-			if ev.Cycle < c.Start || (c.End > 0 && ev.Cycle >= c.End) {
-				// Keep the noise stream aligned with the unwindowed
-				// run (see Probe).
-				_ = c.Model.CycleEnergy(ev)
-				continue
-			}
-			c.trace.Samples = append(c.trace.Samples, c.Model.CyclePower(ev))
-			c.trace.Iter = append(c.trace.Iter, int32(ev.Iteration))
-		}
-	}
-}
-
-// LaneSink returns the per-cycle sink for one lane of a
-// coproc.LaneCPU. It records the same trace Probe/BatchProbe would —
-// same window test, same sample values, same noise draws in the same
-// cycle order — but through the power model's fused scalar path: the
-// noise-free base energy per cycle plus a block-refilled noise ring.
-// Out-of-window cycles advance the ring cursor instead of evaluating
-// the model; together with the ring's end-of-trace overdraw this
-// leaves the noise source in a different final state than the serial
-// path, which is unobservable because every trace re-seeds its model
-// before acquiring. Call Begin before each trace, as with BatchProbe.
-// Bit-identity with the serial path is pinned by
-// TestLaneSinkMatchesBatchProbe.
+// LaneSink returns the per-cycle sink that records the trace: attach
+// it to one lane of a coproc.LaneCPU (or to a coproc.CPU as its Probe).
+// Each cycle costs the power model's noise-free base energy plus a
+// measurement-noise term taken from a block-refilled ring; cycles
+// outside the window advance the ring cursor without evaluating the
+// model, so windowing never shifts the noise stream (a real scope also
+// keeps sampling). Together with the ring's end-of-trace overdraw this
+// leaves the noise source in a different final state than per-cycle
+// CycleEnergy calls would, which is unobservable because every trace
+// re-seeds its model before acquiring. Call Begin before each trace.
+// Bit-identity with per-cycle CycleEnergy evaluation is pinned by
+// TestLaneSinkMatchesReferenceProbe. Sample buffers come from a
+// process-wide pool; hand them back with Trace.Release once the trace
+// has been consumed.
 func (c *Collector) LaneSink() coproc.Probe {
 	c.Begin()
 	return func(ev *coproc.CycleEvent) {
@@ -220,7 +180,7 @@ func (c *Collector) LaneSink() coproc.Probe {
 // Begin resets the collector for a fresh acquisition, drawing
 // zero-length sample buffers from the shared pool. The campaign
 // engine's per-worker scratch collectors call Begin once per trace and
-// reuse the probe closure returned by an earlier BatchProbe call, so
+// reuse the sink closure returned by an earlier LaneSink call, so
 // steady-state acquisition allocates nothing.
 func (c *Collector) Begin() {
 	s := samplePool.Get(batchInitCap)
