@@ -11,8 +11,6 @@
 //	               [-shards 0] [-shard i/N] [-o out] [-checkpoint f]
 //	               [-checkpoint-interval 1000] [-resume] [-metrics m.json]
 //	fleetlab merge [-o out] [-metrics m.json] shard.ckpt...
-//	fleetlab bench [-devices 1000] [-sessions 1] [-loss 0.1] [-seed 1]
-//	               [-workers 0] [-o BENCH_fleet.json]
 //
 // The engine's contract is byte-identity: the rendered report is the
 // same for any -workers count, any -shards reduction layout, and any
@@ -28,8 +26,10 @@
 // hardware configuration pays Point.Build once per process; the
 // thousands of devices sharing it get a cheap specialized copy) and
 // from pooled per-worker session state (the link pair is reset in
-// place between sessions, never reallocated). `bench` measures both
-// against the naive path and writes a provenance-stamped JSON record.
+// place between sessions, never reallocated). The bench/ module's
+// fleet_hospital workload times the fleet end to end, with the build
+// cost and the cache-hit path as their own ledger rows
+// (design.build_us, design.cache_buildinto_ns).
 //
 // Long runs are crash-safe: -checkpoint + -checkpoint-interval write
 // durable accumulator snapshots every N devices and once more on
@@ -50,7 +50,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -87,19 +86,17 @@ func run(ctx context.Context, args []string) error {
 		return runCmd(ctx, rest)
 	case "merge":
 		return mergeCmd(rest)
-	case "bench":
-		return benchCmd(ctx, rest)
 	default:
 		return usageError()
 	}
 }
 
 func usageError() error {
-	return fmt.Errorf("usage: fleetlab <run|merge|bench> [flags]")
+	return fmt.Errorf("usage: fleetlab <run|merge> [flags]")
 }
 
-// fleetFlags registers the flags shared by run and bench and returns
-// a loader that resolves them into a fleet config after fs.Parse.
+// fleetFlags registers run's fleet-config flags and returns a loader
+// that resolves them into a fleet config after fs.Parse.
 func fleetFlags(fs *flag.FlagSet) func() (fleet.Config, error) {
 	fleetFile := fs.String("fleet", "", "JSON fleet config file (overrides -devices/-loss; -sessions/-storm/-seed still apply if set)")
 	devices := fs.Int("devices", 1000, "total device population for the built-in hospital fleet")
@@ -352,20 +349,4 @@ func sessionCount(rep *fleet.Report) int64 {
 		n += c.Sessions + c.StormSessions
 	}
 	return n
-}
-
-// cpuModel reads the CPU model for bench provenance.
-func cpuModel() string {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return runtime.GOOS
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.HasPrefix(line, "model name") {
-			if _, val, ok := strings.Cut(line, ":"); ok {
-				return strings.TrimSpace(val)
-			}
-		}
-	}
-	return runtime.GOOS
 }

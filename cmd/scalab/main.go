@@ -280,14 +280,14 @@ func newRegistry(path string) *obs.Registry {
 	return obs.New()
 }
 
-// writeManifest stamps the shared buffer-pool gauges and writes the
-// run's provenance manifest. A no-op when -metrics was not given.
+// writeManifest stamps the sample buffer pool's hit-rate gauge and
+// writes the run's provenance manifest. A no-op when -metrics was not
+// given.
 func writeManifest(path, sub string, seed uint64, fs *flag.FlagSet, reg *obs.Registry) error {
 	if path == "" {
 		return nil
 	}
 	reg.Gauge("trace_sample_pool_hit_rate").Set(trace.SamplePoolStats().HitRate())
-	reg.Gauge("trace_iter_pool_hit_rate").Set(trace.IterPoolStats().HitRate())
 	return obs.NewManifest("scalab", sub, seed, fs, reg).Write(path)
 }
 

@@ -59,7 +59,7 @@ func fakeAcquire(shake bool) AcquireFunc[uint64, trace.Trace] {
 			time.Sleep(time.Duration(idx%5) * 100 * time.Microsecond)
 		}
 		v := float64(idx)*1.5 + float64(job)
-		return trace.Trace{Samples: []float64{v, v * v}, Iter: []int32{0, 0}}, nil
+		return trace.Trace{Samples: []float64{v, v * v}}, nil
 	}
 }
 

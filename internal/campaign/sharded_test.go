@@ -20,7 +20,7 @@ func shardedStats(t *testing.T, workers, shards, from, to int, shake bool) ([]fl
 			time.Sleep(time.Duration(idx%5) * 50 * time.Microsecond)
 		}
 		v := float64(idx)*1.5 + float64(job)
-		return trace.Trace{Samples: []float64{v, v * v, v / 3}, Iter: []int32{0, 0, 0}}, nil
+		return trace.Trace{Samples: []float64{v, v * v, v / 3}}, nil
 	}
 	final := trace.NewOnlineStats()
 	n, err := Run(from, to, Config{Workers: workers, Shards: shards},
@@ -73,7 +73,7 @@ func TestRunShardedDeterminismAcrossWorkers(t *testing.T) {
 func TestRunShardedSingleShardDeterminismMatchesSerial(t *testing.T) {
 	acquire := func(worker, idx int, job uint64) (trace.Trace, error) {
 		v := float64(idx)*1.5 + float64(job)
-		return trace.Trace{Samples: []float64{v, v * v}, Iter: []int32{0, 0}}, nil
+		return trace.Trace{Samples: []float64{v, v * v}}, nil
 	}
 	serial := trace.NewOnlineStats()
 	if err := serialRef(0, 80, streamPrepare(), acquire,

@@ -120,8 +120,8 @@ func (m *Manifest) Validate() error {
 
 // GitSHA best-effort stamps the working-tree revision: the short HEAD
 // SHA, "-dirty" suffixed when uncommitted changes are present, or
-// "unknown" outside a git checkout. (Shared by the fleetlab bench
-// report header and every manifest.)
+// "unknown" outside a git checkout. Every manifest and checkpoint
+// header carries it.
 func GitSHA() string {
 	out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output()
 	if err != nil {

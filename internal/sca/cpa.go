@@ -34,11 +34,11 @@ type CPAOptions struct {
 	// correlation. The default ("" / PreprocessNone) correlates the raw
 	// samples — the first-order attack. PreprocessCenteredProduct
 	// replaces each sample by its centered square (x−µ)² with µ the
-	// per-column campaign mean (trace.CenterSquare), the univariate
-	// second-order attack against a Boolean-masked target: masking pins
-	// each write's mean activity but its variance still follows
-	// HD(old, new), so the centered products are correlated against
-	// Hamming-distance predictions instead of 0→1 counts.
+	// per-column campaign mean, the univariate second-order attack
+	// against a Boolean-masked target: masking pins each write's mean
+	// activity but its variance still follows HD(old, new), so the
+	// centered products are correlated against Hamming-distance
+	// predictions instead of 0→1 counts.
 	Preprocess string
 }
 
@@ -304,9 +304,9 @@ func CPA(c *Campaign, opt CPAOptions) (*CPAResult, error) {
 	}
 
 	// Centered-product preprocessing: per-column campaign means once,
-	// then memoized centered-square columns ((x−µ)², trace.CenterSquare
-	// applied column-wise) materialized only for the write cycles the
-	// attack actually correlates.
+	// then memoized centered-square columns ((x−µ)², the products
+	// trace.CenterSquare forms for a whole trace) materialized only for
+	// the write cycles the attack actually correlates.
 	centered := opt.Preprocess == PreprocessCenteredProduct
 	var colMean []float64
 	zCols := map[int][]float64{}

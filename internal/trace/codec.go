@@ -8,8 +8,9 @@ import (
 	"math"
 )
 
-// Binary codecs for the streaming accumulators — the serialization
-// boundary of the durable campaign store (internal/store).
+// Binary codecs for the streaming accumulators and the retained trace
+// set — the serialization boundary of the durable campaign store
+// (internal/store).
 //
 // Every blob is one self-describing frame:
 //
@@ -27,27 +28,31 @@ import (
 // (asserted to 1e-12, and in fact exact, by the merge property tests).
 //
 // Decoding is defensive: any truncation, length inconsistency, CRC
-// mismatch, unknown version/kind, or internally inconsistent state
-// (class counts that do not sum, a trace count without samples)
-// returns an error wrapping ErrCodec — never a panic, never a
-// silently corrupt accumulator. The checkpoint fuzz target
-// (internal/store) leans on this.
+// mismatch, unknown version/kind, or internally inconsistent state (a
+// trace count without samples, an out-of-range start cycle) returns an
+// error wrapping ErrCodec — never a panic, never a silently corrupt
+// accumulator. The checkpoint fuzz target (internal/store) and
+// FuzzSetDecode lean on this.
 
-// CodecVersion is the current accumulator wire-format version. Bump it
-// when a payload layout changes; decoders reject other versions.
+// CodecVersion is the frame envelope's wire-format version, shared by
+// every kind — the checkpoint store's container frames included.
+// Decoders reject other versions. A change to one kind's payload
+// layout takes a new kind number instead, so the envelope and every
+// other kind stay readable.
 const CodecVersion = 1
 
 // Frame kinds. Kinds 1–15 are reserved for package trace; other
 // packages framing their state with EncodeFrame (internal/fault's
-// sweep tallies) use kinds from 16 up.
+// sweep tallies) use kinds from 16 up. Kinds 3–5 are retired and
+// never reused, so an old frame is refused as a kind mismatch: 3 and 4
+// held the deleted difference-of-means and correlation accumulators,
+// 5 the trace set with per-sample iteration labels.
 const (
 	KindOnlineStats   byte = 1
 	KindOnlineWelch   byte = 2
-	KindOnlineDoM     byte = 3
-	KindOnlineCPA     byte = 4
-	KindSet           byte = 5
 	KindOnlineMoments byte = 6
 	KindOnlineWelch2  byte = 7
+	KindSet           byte = 8
 )
 
 // ErrCodec is wrapped by every accumulator decoding failure, so
@@ -133,10 +138,6 @@ func (r *payloadReader) uint32(what string) uint32 {
 	return v
 }
 
-func (r *payloadReader) float64(what string) float64 {
-	return math.Float64frombits(r.uint64(what))
-}
-
 // floats reads n float64 values. The remaining-length check precedes
 // the allocation, so a corrupt length cannot provoke an allocation
 // bomb — the slice is never larger than the input that carried it.
@@ -157,25 +158,6 @@ func (r *payloadReader) floats(n int, what string) []float64 {
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
 		r.off += 8
-	}
-	return out
-}
-
-func (r *payloadReader) int32s(n int, what string) []int32 {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+4*n > len(r.b) || 4*n < 0 {
-		r.fail(what)
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(r.b[r.off:]))
-		r.off += 4
 	}
 	return out
 }
@@ -403,110 +385,13 @@ func (w *OnlineWelch2) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// MarshalBinary serializes the difference-of-means accumulator. The
-// partition callback is NOT part of the encoding — it is code, not
-// state; a decoded accumulator has a nil partition and must be rebound
-// with SetPartition before further Adds (Merge and Diff need no
-// callback).
-func (o *OnlineDoM) MarshalBinary() ([]byte, error) {
-	p := make([]byte, 0, 36+16*len(o.sum1))
-	p = binary.LittleEndian.AppendUint64(p, uint64(o.count))
-	p = binary.LittleEndian.AppendUint64(p, uint64(o.c1))
-	p = binary.LittleEndian.AppendUint64(p, uint64(o.c0))
-	p = binary.LittleEndian.AppendUint64(p, uint64(o.base))
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(o.sum1)))
-	p = appendFloats(p, o.sum1)
-	p = appendFloats(p, o.sum0)
-	return EncodeFrame(KindOnlineDoM, p), nil
-}
-
-// UnmarshalBinary restores the difference-of-means accumulator with a
-// nil partition callback (see MarshalBinary).
-func (o *OnlineDoM) UnmarshalBinary(data []byte) error {
-	payload, err := DecodeFrame(data, KindOnlineDoM)
-	if err != nil {
-		return err
-	}
-	r := &payloadReader{b: payload}
-	count := r.uint64("trace count")
-	c1 := r.uint64("class-1 count")
-	c0 := r.uint64("class-0 count")
-	base := int64(r.uint64("base index"))
-	l := r.uint32("sample length")
-	sum1 := r.floats(int(l), "class-1 sums")
-	sum0 := r.floats(int(l), "class-0 sums")
-	if err := r.done(); err != nil {
-		return err
-	}
-	if err := countLen(count, l); err != nil {
-		return err
-	}
-	if c1+c0 != count || c1 > count || c0 > count {
-		return fmt.Errorf("%w: class counts %d+%d disagree with trace count %d", ErrCodec, c1, c0, count)
-	}
-	if base < math.MinInt32 || base > math.MaxInt32 {
-		return fmt.Errorf("%w: implausible base index %d", ErrCodec, base)
-	}
-	o.part = nil
-	o.count = int(count)
-	o.c1, o.c0 = int(c1), int(c0)
-	o.base = int(base)
-	o.sum1, o.sum0 = sum1, sum0
-	return nil
-}
-
-// SetPartition rebinds the partition callback — required before a
-// deserialized accumulator (whose callback is nil, classifying
-// everything as class 0) consumes further traces. The callback sees
-// arrival indices continuing from base + N().
-func (o *OnlineDoM) SetPartition(part func(idx int, samples []float64) bool) { o.part = part }
-
-// MarshalBinary serializes the correlation accumulator.
-func (o *OnlineCPA) MarshalBinary() ([]byte, error) {
-	p := make([]byte, 0, 28+24*len(o.sx))
-	p = binary.LittleEndian.AppendUint64(p, uint64(o.n))
-	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(o.sh))
-	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(o.shh))
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(o.sx)))
-	p = appendFloats(p, o.sx)
-	p = appendFloats(p, o.sxx)
-	p = appendFloats(p, o.shx)
-	return EncodeFrame(KindOnlineCPA, p), nil
-}
-
-// UnmarshalBinary restores the correlation accumulator.
-func (o *OnlineCPA) UnmarshalBinary(data []byte) error {
-	payload, err := DecodeFrame(data, KindOnlineCPA)
-	if err != nil {
-		return err
-	}
-	r := &payloadReader{b: payload}
-	n := r.uint64("pair count")
-	sh := r.float64("hypothesis sum")
-	shh := r.float64("hypothesis square sum")
-	l := r.uint32("sample length")
-	sx := r.floats(int(l), "sample sums")
-	sxx := r.floats(int(l), "sample square sums")
-	shx := r.floats(int(l), "cross sums")
-	if err := r.done(); err != nil {
-		return err
-	}
-	if err := countLen(n, l); err != nil {
-		return err
-	}
-	o.n = int(n)
-	o.sh, o.shh = sh, shh
-	o.sx, o.sxx, o.shx = sx, sxx, shx
-	return nil
-}
-
 // MarshalBinary serializes a retained trace set — the durable form of
 // the multi-pass campaigns (CPA keeps every trace). Pooled buffers are
 // copied out; the encoding owns its memory.
 func (s *Set) MarshalBinary() ([]byte, error) {
 	size := 4
 	for _, tr := range s.Traces {
-		size += 16 + 8*len(tr.Samples) + 4*len(tr.Iter)
+		size += 12 + 8*len(tr.Samples)
 	}
 	p := make([]byte, 0, size)
 	p = binary.LittleEndian.AppendUint32(p, uint32(len(s.Traces)))
@@ -514,10 +399,6 @@ func (s *Set) MarshalBinary() ([]byte, error) {
 		p = binary.LittleEndian.AppendUint64(p, uint64(int64(tr.StartCycle)))
 		p = binary.LittleEndian.AppendUint32(p, uint32(len(tr.Samples)))
 		p = appendFloats(p, tr.Samples)
-		p = binary.LittleEndian.AppendUint32(p, uint32(len(tr.Iter)))
-		for _, it := range tr.Iter {
-			p = binary.LittleEndian.AppendUint32(p, uint32(it))
-		}
 	}
 	return EncodeFrame(KindSet, p), nil
 }
@@ -540,15 +421,13 @@ func (s *Set) UnmarshalBinary(data []byte) error {
 		start := int64(r.uint64("start cycle"))
 		ns := r.uint32("sample length")
 		samples := r.floats(int(ns), "samples")
-		ni := r.uint32("iteration length")
-		iter := r.int32s(int(ni), "iterations")
 		if r.err != nil {
 			break
 		}
 		if start < math.MinInt32 || start > math.MaxInt32 {
 			return fmt.Errorf("%w: implausible start cycle %d", ErrCodec, start)
 		}
-		traces = append(traces, Trace{Samples: samples, Iter: iter, StartCycle: int(start)})
+		traces = append(traces, Trace{Samples: samples, StartCycle: int(start)})
 	}
 	if err := r.done(); err != nil {
 		return err

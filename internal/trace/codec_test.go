@@ -56,30 +56,6 @@ func populatedWelch(t *testing.T) *OnlineWelch {
 	return w
 }
 
-func populatedDoM(t *testing.T) *OnlineDoM {
-	t.Helper()
-	o := NewOnlineDoMAt(func(idx int, _ []float64) bool { return idx%3 == 0 }, 17)
-	x := xorshift64(0xD0D0)
-	for i := 0; i < 8; i++ {
-		if err := o.Add([]float64{x.float(), x.float()}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return o
-}
-
-func populatedCPA(t *testing.T) *OnlineCPA {
-	t.Helper()
-	o := NewOnlineCPA()
-	x := xorshift64(0xC9A)
-	for i := 0; i < 7; i++ {
-		if err := o.Add(x.float()*4-2, []float64{x.float(), x.float() * 1e8}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return o
-}
-
 func populatedSet(t *testing.T) *Set {
 	t.Helper()
 	x := xorshift64(0x5E7)
@@ -135,37 +111,6 @@ func TestCodecRoundTripBitExact(t *testing.T) {
 		}
 	}
 
-	dom := populatedDoM(t)
-	var dom2 OnlineDoM
-	roundTrip(t, "OnlineDoM", dom, &dom2)
-	dd, _ := dom.Diff()
-	dd2, err := dom2.Diff()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range dd {
-		if dd[i] != dd2[i] {
-			t.Fatalf("dom diff drifted at %d: %g vs %g", i, dd[i], dd2[i])
-		}
-	}
-	if dom2.base != dom.base || dom2.c1 != dom.c1 || dom2.c0 != dom.c0 {
-		t.Fatalf("dom counters drifted: base=%d c1=%d c0=%d", dom2.base, dom2.c1, dom2.c0)
-	}
-
-	cpa := populatedCPA(t)
-	var cpa2 OnlineCPA
-	roundTrip(t, "OnlineCPA", cpa, &cpa2)
-	cc, _ := cpa.Corr()
-	cc2, err := cpa2.Corr()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cc {
-		if cc[i] != cc2[i] {
-			t.Fatalf("cpa corr drifted at %d: %g vs %g", i, cc[i], cc2[i])
-		}
-	}
-
 	set := populatedSet(t)
 	var set2 Set
 	roundTrip(t, "Set", set, &set2)
@@ -174,17 +119,12 @@ func TestCodecRoundTripBitExact(t *testing.T) {
 	}
 	for i, tr := range set.Traces {
 		tr2 := set2.Traces[i]
-		if tr2.StartCycle != tr.StartCycle || len(tr2.Samples) != len(tr.Samples) || len(tr2.Iter) != len(tr.Iter) {
+		if tr2.StartCycle != tr.StartCycle || len(tr2.Samples) != len(tr.Samples) {
 			t.Fatalf("trace %d shape drifted", i)
 		}
 		for j := range tr.Samples {
 			if tr.Samples[j] != tr2.Samples[j] {
 				t.Fatalf("trace %d sample %d drifted", i, j)
-			}
-		}
-		for j := range tr.Iter {
-			if tr.Iter[j] != tr2.Iter[j] {
-				t.Fatalf("trace %d iter %d drifted", i, j)
 			}
 		}
 	}
@@ -200,10 +140,6 @@ func TestCodecEmptyRoundTrip(t *testing.T) {
 	}
 	var w, w2 OnlineWelch
 	roundTrip(t, "empty OnlineWelch", &w, &w2)
-	var d, d2 OnlineDoM
-	roundTrip(t, "empty OnlineDoM", &d, &d2)
-	var c, c2 OnlineCPA
-	roundTrip(t, "empty OnlineCPA", &c, &c2)
 	var set, set2 Set
 	roundTrip(t, "empty Set", &set, &set2)
 }
@@ -220,8 +156,6 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	}{
 		{"OnlineStats", mustMarshal(t, populatedStats(t)), func() marshaler { return &OnlineStats{} }},
 		{"OnlineWelch", mustMarshal(t, populatedWelch(t)), func() marshaler { return &OnlineWelch{} }},
-		{"OnlineDoM", mustMarshal(t, populatedDoM(t)), func() marshaler { return &OnlineDoM{} }},
-		{"OnlineCPA", mustMarshal(t, populatedCPA(t)), func() marshaler { return &OnlineCPA{} }},
 		{"Set", mustMarshal(t, populatedSet(t)), func() marshaler { return &Set{} }},
 	}
 	check := func(name string, data []byte) {
@@ -288,12 +222,7 @@ func TestCodecRejectsInconsistentState(t *testing.T) {
 		// Sample length claims more floats than the payload carries —
 		// the allocation-bomb probe.
 		{"stats length bomb", KindOnlineStats, &OnlineStats{}, le32(le(nil, 3), 0xFFFF_FFFF)},
-		// DoM class counts that do not sum to the trace count.
-		{"dom class counts disagree", KindOnlineDoM, &OnlineDoM{},
-			le32(le(nil, 4 /*count*/, 3 /*c1*/, 2 /*c0*/, 0 /*base*/), 1 /*len*/)},
 	}
-	// The DoM payload above still needs its sum vectors (len 1 each).
-	cases[3].p = le(cases[3].p, 0, 0)
 	for _, tc := range cases {
 		err := tc.dst.UnmarshalBinary(EncodeFrame(tc.kind, tc.p))
 		if err == nil {
@@ -302,60 +231,6 @@ func TestCodecRejectsInconsistentState(t *testing.T) {
 		if !errors.Is(err, ErrCodec) {
 			t.Fatalf("%s: returned %v, not ErrCodec", tc.name, err)
 		}
-	}
-}
-
-// TestOnlineDoMSetPartition: a decoded DoM accumulator continues the
-// stream exactly once the partition callback is rebound — the arrival
-// indices pick up where the checkpoint left off.
-func TestOnlineDoMSetPartition(t *testing.T) {
-	part := func(idx int, _ []float64) bool { return idx%2 == 0 }
-	x := xorshift64(0xFACE)
-	data := make([][]float64, 10)
-	for i := range data {
-		data[i] = []float64{x.float(), x.float(), x.float()}
-	}
-
-	whole := NewOnlineDoM(part)
-	for _, s := range data {
-		if err := whole.Add(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	first := NewOnlineDoM(part)
-	for _, s := range data[:6] {
-		if err := first.Add(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	blob, err := first.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resumed OnlineDoM
-	if err := resumed.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
-	resumed.SetPartition(part)
-	for _, s := range data[6:] {
-		if err := resumed.Add(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, _ := whole.Diff()
-	got, err := resumed.Diff()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("resumed DoM diverged at %d: %g vs %g", i, got[i], want[i])
-		}
-	}
-	if resumed.c1 != whole.c1 || resumed.c0 != whole.c0 {
-		t.Fatalf("resumed DoM class counts diverged: (%d,%d) vs (%d,%d)",
-			resumed.c1, resumed.c0, whole.c1, whole.c0)
 	}
 }
 

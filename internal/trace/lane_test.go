@@ -51,9 +51,6 @@ func TestLaneSinkMatchesReferenceProbe(t *testing.T) {
 			if got.Samples[i] != want.Samples[i] {
 				t.Fatalf("cfg %d sample %d: lane %.18g != reference %.18g", ci, i, got.Samples[i], want.Samples[i])
 			}
-			if got.Iter[i] != want.Iter[i] {
-				t.Fatalf("cfg %d sample %d: iteration %d != %d", ci, i, got.Iter[i], want.Iter[i])
-			}
 		}
 		got.Release()
 		want.Release()
@@ -64,8 +61,8 @@ func TestLaneSinkMatchesReferenceProbe(t *testing.T) {
 // in the campaign acquisition shape — quiet prologue up to the window,
 // MaxCycles at its end, each lane's noise stream advanced past the
 // skipped cycles with SkipCycles — against per-trace reference probes
-// that evaluate every cycle of a whole run: same samples, same
-// iteration tags, with and without noise.
+// that evaluate every cycle of a whole run: same samples, with and
+// without noise.
 func TestBatchCollectorBitIdentical(t *testing.T) {
 	curve := ec.K163()
 	prog := coproc.BuildLadderProgram(coproc.ProgramOptions{RPC: true, XOnly: true})
@@ -103,9 +100,9 @@ func TestBatchCollectorBitIdentical(t *testing.T) {
 			t.Fatalf("lane %d: %d samples, reference %d, window %d", l, len(got.Samples), len(want.Samples), end-start)
 		}
 		for i := range want.Samples {
-			if got.Samples[i] != want.Samples[i] || got.Iter[i] != want.Iter[i] {
-				t.Fatalf("lane %d sample %d: batch (%.18g, %d) != reference (%.18g, %d)",
-					l, i, got.Samples[i], got.Iter[i], want.Samples[i], want.Iter[i])
+			if got.Samples[i] != want.Samples[i] {
+				t.Fatalf("lane %d sample %d: batch %.18g != reference %.18g",
+					l, i, got.Samples[i], want.Samples[i])
 			}
 		}
 		got.Release()

@@ -9,7 +9,9 @@ import (
 // ANY way, folding each segment into its own accumulator, and merging
 // the per-segment accumulators in segment order must agree with the
 // single serial fold to 1e-12 *relative* accuracy — for random,
-// constant and huge-dynamic-range streams, on all four accumulators.
+// constant and huge-dynamic-range streams, on OnlineStats and
+// OnlineWelch (stream2_test.go holds OnlineMoments and OnlineWelch2 to
+// the same property).
 // This is the contract the sharded campaign reduction
 // (campaign.Run) leans on.
 
@@ -170,156 +172,22 @@ func TestOnlineWelchMergeDeterminismMatchesSerialFold(t *testing.T) {
 	}
 }
 
-func TestOnlineDoMMergeDeterminismMatchesSerialFold(t *testing.T) {
-	part := func(idx int, samples []float64) bool {
-		// Mix an index-based and a data-based clause so the partition
-		// exercises both inputs yet never degenerates to one class on
-		// the constant stream.
-		return (idx%3 == 0) != (samples[0] > 1e6)
-	}
-	for _, kind := range mergeKinds {
-		for _, sh := range mergeShapes {
-			if sh.n < 3 {
-				continue // degenerate single-class partitions
-			}
-			data := mergeStream(kind, sh.n, sh.m, 0x5eed3)
-			serial := NewOnlineDoM(part)
-			for _, s := range data {
-				if err := serial.Add(s); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := serial.Diff()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, split := range mergeSplits(sh.n) {
-				merged := NewOnlineDoM(nil)
-				lo := 0
-				for _, seg := range split {
-					// Each segment classifies under the GLOBAL arrival
-					// index — the NewOnlineDoMAt base — exactly like a
-					// shard covering index block [lo, lo+seg).
-					shard := NewOnlineDoMAt(part, lo)
-					for _, s := range data[lo : lo+seg] {
-						if err := shard.Add(s); err != nil {
-							t.Fatal(err)
-						}
-					}
-					lo += seg
-					if err := merged.Merge(shard); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if merged.N() != serial.N() {
-					t.Fatalf("%s split %v: N %d != %d", kind, split, merged.N(), serial.N())
-				}
-				got, err := merged.Diff()
-				if err != nil {
-					t.Fatal(err)
-				}
-				closeRelSlices(t, kind+" dom", got, want)
-			}
-		}
-	}
-}
-
-func TestOnlineCPAMergeDeterminismMatchesSerialFold(t *testing.T) {
-	for _, kind := range mergeKinds {
-		for _, sh := range mergeShapes {
-			data := mergeStream(kind, sh.n, sh.m, 0x5eed4)
-			hx := xorshift64(0x5eed5)
-			hyp := make([]float64, sh.n)
-			for i := range hyp {
-				hyp[i] = hx.float()*4 - 2
-			}
-			serial := NewOnlineCPA()
-			for i, s := range data {
-				if err := serial.Add(hyp[i], s); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := serial.Corr()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, split := range mergeSplits(sh.n) {
-				merged := NewOnlineCPA()
-				lo := 0
-				for _, seg := range split {
-					part := NewOnlineCPA()
-					for i := lo; i < lo+seg; i++ {
-						if err := part.Add(hyp[i], data[i]); err != nil {
-							t.Fatal(err)
-						}
-					}
-					lo += seg
-					if err := merged.Merge(part); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if merged.N() != serial.N() {
-					t.Fatalf("%s split %v: N %d != %d", kind, split, merged.N(), serial.N())
-				}
-				got, err := merged.Corr()
-				if err != nil {
-					t.Fatal(err)
-				}
-				closeRelSlices(t, kind+" corr", got, want)
-			}
-		}
-	}
-	// Constant hypothesis: zero hypothesis variance must yield all-zero
-	// correlations from both the serial and any merged fold.
-	data := mergeStream("random", 6, 3, 0x5eed6)
-	serial := NewOnlineCPA()
-	a, b := NewOnlineCPA(), NewOnlineCPA()
-	for i, s := range data {
-		serial.Add(7.5, s)
-		if i < 3 {
-			a.Add(7.5, s)
-		} else {
-			b.Add(7.5, s)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := serial.Corr()
-	got, _ := a.Corr()
-	closeRelSlices(t, "constant-hypothesis corr", got, want)
-	for i, v := range got {
-		if v != 0 {
-			t.Fatalf("constant hypothesis produced nonzero correlation at %d: %g", i, v)
-		}
-	}
-}
-
 // TestMergeAfterCodecRoundTripMatchesSerialFold is the checkpoint
 // variant of the split-any-way property: fold each segment, encode →
 // decode the per-segment accumulator (the disk round trip a resumed
 // campaign performs), then merge. The result must match the in-memory
 // merge bit for bit — the codec is lossless — and therefore the
-// serial fold to the same 1e-12 the in-memory property pins, for all
-// four accumulators and all three stream regimes.
+// serial fold to the same 1e-12 the in-memory property pins, for both
+// accumulators and all three stream regimes.
 func TestMergeAfterCodecRoundTripMatchesSerialFold(t *testing.T) {
-	part := func(idx int, samples []float64) bool {
-		return (idx%3 == 0) != (samples[0] > 1e6)
-	}
 	for _, kind := range mergeKinds {
 		for _, sh := range mergeShapes {
 			if sh.n < 3 {
-				continue // degenerate single-class DoM partitions
+				continue // Welch's t needs both populations populated
 			}
 			data := mergeStream(kind, sh.n, sh.m, 0x5eed7)
-			hx := xorshift64(0x5eed8)
-			hyp := make([]float64, sh.n)
-			for i := range hyp {
-				hyp[i] = hx.float()*4 - 2
-			}
 
 			serialStats, serialWelch := NewOnlineStats(), NewOnlineWelch()
-			serialDoM, serialCPA := NewOnlineDoM(part), NewOnlineCPA()
 			for i, s := range data {
 				if err := serialStats.Add(s); err != nil {
 					t.Fatal(err)
@@ -329,21 +197,13 @@ func TestMergeAfterCodecRoundTripMatchesSerialFold(t *testing.T) {
 				} else {
 					serialWelch.AddB(s)
 				}
-				if err := serialDoM.Add(s); err != nil {
-					t.Fatal(err)
-				}
-				if err := serialCPA.Add(hyp[i], s); err != nil {
-					t.Fatal(err)
-				}
 			}
 
 			for _, split := range mergeSplits(sh.n) {
 				mStats, mWelch := NewOnlineStats(), NewOnlineWelch()
-				mDoM, mCPA := NewOnlineDoM(nil), NewOnlineCPA()
 				lo := 0
 				for _, seg := range split {
 					pStats, pWelch := NewOnlineStats(), NewOnlineWelch()
-					pDoM, pCPA := NewOnlineDoMAt(part, lo), NewOnlineCPA()
 					for i := lo; i < lo+seg; i++ {
 						pStats.Add(data[i])
 						if i%2 == 0 {
@@ -351,30 +211,18 @@ func TestMergeAfterCodecRoundTripMatchesSerialFold(t *testing.T) {
 						} else {
 							pWelch.AddB(data[i])
 						}
-						pDoM.Add(data[i])
-						pCPA.Add(hyp[i], data[i])
 					}
 					lo += seg
 
 					// Disk round trip, then merge the decoded copy.
 					var rStats OnlineStats
 					var rWelch OnlineWelch
-					var rDoM OnlineDoM
-					var rCPA OnlineCPA
 					codecCycle(t, pStats, &rStats)
 					codecCycle(t, pWelch, &rWelch)
-					codecCycle(t, pDoM, &rDoM)
-					codecCycle(t, pCPA, &rCPA)
 					if err := mStats.Merge(&rStats); err != nil {
 						t.Fatal(err)
 					}
 					if err := mWelch.Merge(&rWelch); err != nil {
-						t.Fatal(err)
-					}
-					if err := mDoM.Merge(&rDoM); err != nil {
-						t.Fatal(err)
-					}
-					if err := mCPA.Merge(&rCPA); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -392,20 +240,6 @@ func TestMergeAfterCodecRoundTripMatchesSerialFold(t *testing.T) {
 				}
 				wantT, _ := serialWelch.T()
 				closeRelSlices(t, kind+" codec welch t", gotT, wantT)
-
-				gotD, err := mDoM.Diff()
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantD, _ := serialDoM.Diff()
-				closeRelSlices(t, kind+" codec dom diff", gotD, wantD)
-
-				gotC, err := mCPA.Corr()
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantC, _ := serialCPA.Corr()
-				closeRelSlices(t, kind+" codec cpa corr", gotC, wantC)
 			}
 		}
 	}
@@ -427,8 +261,8 @@ func codecCycle(t *testing.T, src, dst marshaler) {
 // TestMergeEdgeCases pins the boundary behaviour every caller of the
 // sharded reduction relies on: nil/empty merges are no-ops, merging
 // into an empty accumulator deep-copies (the source can be mutated or
-// discarded afterwards), and sample-length mismatches surface as
-// ErrSampleMismatch.
+// discarded afterwards), sample-length mismatches surface as
+// ErrSampleMismatch, and empty accumulators report ErrEmptySet.
 func TestMergeEdgeCases(t *testing.T) {
 	// No-ops.
 	s := NewOnlineStats()
@@ -455,20 +289,6 @@ func TestMergeEdgeCases(t *testing.T) {
 	if err := s.Merge(o); err != ErrSampleMismatch {
 		t.Fatalf("mismatched merge: err = %v, want ErrSampleMismatch", err)
 	}
-	c := NewOnlineCPA()
-	c.Add(1, []float64{1, 2})
-	c2 := NewOnlineCPA()
-	c2.Add(1, []float64{1, 2, 3})
-	if err := c.Merge(c2); err != ErrSampleMismatch {
-		t.Fatalf("mismatched CPA merge: err = %v, want ErrSampleMismatch", err)
-	}
-	d := NewOnlineDoM(nil)
-	d.Add([]float64{1})
-	d2 := NewOnlineDoM(nil)
-	d2.Add([]float64{1, 2})
-	if err := d.Merge(d2); err != ErrSampleMismatch {
-		t.Fatalf("mismatched DoM merge: err = %v, want ErrSampleMismatch", err)
-	}
 
 	// Merge into empty deep-copies: mutating the source afterwards must
 	// not leak into the destination.
@@ -483,24 +303,12 @@ func TestMergeEdgeCases(t *testing.T) {
 	if dst.N() != 1 || m[0] != 1 || m[1] != 2 {
 		t.Fatalf("empty-merge aliased source state: n=%d mean=%v", dst.N(), m)
 	}
-	csrc := NewOnlineCPA()
-	csrc.Add(2, []float64{4, 8})
-	cdst := NewOnlineCPA()
-	if err := cdst.Merge(csrc); err != nil {
-		t.Fatal(err)
+
+	// Empty accumulators report ErrEmptySet.
+	if _, err := NewOnlineStats().Mean(); err != ErrEmptySet {
+		t.Fatalf("empty OnlineStats: %v", err)
 	}
-	csrc.Add(3, []float64{1, 1})
-	if cdst.N() != 1 || cdst.sx[0] != 4 || cdst.sx[1] != 8 {
-		t.Fatalf("empty CPA merge aliased source state: n=%d sx=%v", cdst.N(), cdst.sx)
-	}
-	dsrc := NewOnlineDoMAt(func(int, []float64) bool { return true }, 5)
-	dsrc.Add([]float64{6})
-	ddst := NewOnlineDoM(nil)
-	if err := ddst.Merge(dsrc); err != nil {
-		t.Fatal(err)
-	}
-	dsrc.Add([]float64{9})
-	if ddst.N() != 1 || ddst.sum1[0] != 6 {
-		t.Fatalf("empty DoM merge aliased source state: n=%d sum1=%v", ddst.N(), ddst.sum1)
+	if _, err := NewOnlineWelch().T(); err != ErrEmptySet {
+		t.Fatalf("empty OnlineWelch: %v", err)
 	}
 }

@@ -14,6 +14,5 @@ func (c *Collector) referenceProbe() coproc.Probe {
 			return
 		}
 		c.trace.Samples = append(c.trace.Samples, c.Model.CyclePower(ev))
-		c.trace.Iter = append(c.trace.Iter, int32(ev.Iteration))
 	}
 }

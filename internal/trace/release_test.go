@@ -29,12 +29,11 @@ func TestReleaseDoubleReleaseIsNoOp(t *testing.T) {
 	for i := range s {
 		s[i] = float64(i)
 	}
-	it := iterPool.Get(batchInitCap)
-	tr := Trace{Samples: s, Iter: it[:32]}
+	tr := Trace{Samples: s}
 	cp := tr // stale copy, as a by-value consumer would hold
 
 	tr.Release()
-	if tr.Samples != nil || tr.Iter != nil {
+	if tr.Samples != nil {
 		t.Fatal("Release did not clear the header")
 	}
 	cp.Release() // double release through the copy — must not double-Put
@@ -65,7 +64,7 @@ func TestReleaseSteadyStateReuseNotMisdetected(t *testing.T) {
 		evs[i].Cycle = i
 	}
 	park := col.Take()
-	park.Release() // park the construction-time buffers in the pool
+	park.Release() // park the construction-time buffer in the pool
 
 	var last *float64
 	for round := 0; round < 3; round++ {
@@ -103,12 +102,12 @@ func TestReleaseRecyclesBuffers(t *testing.T) {
 		t.Fatal("empty acquisition")
 	}
 	tr.Release()
-	if tr.Samples != nil || tr.Iter != nil {
+	if tr.Samples != nil {
 		t.Fatal("Release did not clear the trace header")
 	}
 	// A full Get/fill/Release cycle in steady state should cost at most
-	// the two small pool-header boxes sync.Pool.Put needs — no sample
-	// storage allocation.
+	// the small pool-header box sync.Pool.Put needs — no sample storage
+	// allocation.
 	model := power.NewModel(power.ProtectedChip(1))
 	col = NewCollector(model, 0, 0)
 	sink := col.LaneSink()
@@ -117,7 +116,7 @@ func TestReleaseRecyclesBuffers(t *testing.T) {
 		evs[i].Cycle = i
 	}
 	park := col.Take()
-	park.Release() // park the construction-time buffers
+	park.Release() // park the construction-time buffer
 	allocs := testing.AllocsPerRun(50, func() {
 		col.Begin()
 		for i := range evs {

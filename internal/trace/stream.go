@@ -7,21 +7,20 @@ import (
 
 // Streaming accumulators.
 //
-// The batch statistics in this package (WelchT, DiffOfMeans, Pearson)
-// hold every trace of a campaign in memory — O(n·window) — and make a
-// second pass to form the statistic. The TVLA/DPA/CPA mathematics are
-// all order-independent one-pass statistics, so large campaigns (the
-// paper's 20 000-trace regime) stream instead: each accumulator below
-// consumes one trace at a time, keeps O(window) state, and reproduces
-// the corresponding batch result to floating-point rounding (the
-// property tests assert agreement to 1e-12).
+// A batch statistic over a retained Set (WelchT) holds every trace of
+// a campaign in memory — O(n·window) — and makes a second pass to form
+// the statistic. TVLA's moments are order-independent one-pass
+// statistics, so TVLA campaigns (10 000 traces per set at paper scale)
+// stream instead: each accumulator below consumes one trace at a
+// time, keeps O(window) state, and reproduces its batch oracle to
+// floating-point rounding (the property tests assert agreement to
+// 1e-12).
 //
-// Numerical notes: OnlineStats uses Welford's algorithm, which is
-// numerically *better* conditioned than the two-pass batch mean/var;
-// OnlineCPA keeps raw cross-moments, matching the batch PearsonAt
-// formula term for term. Feeding traces in a fixed order (the campaign
-// engine's determinism contract) makes every accumulator bit-for-bit
-// reproducible regardless of how many workers acquired the traces.
+// Numerical note: OnlineStats uses Welford's algorithm, which is
+// numerically *better* conditioned than the two-pass batch mean/var.
+// Feeding traces in a fixed order (the campaign engine's determinism
+// contract) makes every accumulator bit-for-bit reproducible
+// regardless of how many workers acquired the traces.
 
 // ErrSampleMismatch is returned when a streamed trace's sample count
 // disagrees with the accumulator's.
@@ -189,224 +188,4 @@ func (w *OnlineWelch) MaxT() (float64, int) {
 		return 0, -1
 	}
 	return MaxAbs(ts)
-}
-
-// OnlineDoM is the streaming difference-of-means (classic Kocher DPA
-// statistic). The partition callback classifies each trace as it
-// arrives — selection-function DPA without retaining the set.
-type OnlineDoM struct {
-	part   func(idx int, samples []float64) bool
-	sum1   []float64
-	sum0   []float64
-	c1, c0 int
-	base   int
-	count  int
-}
-
-// NewOnlineDoM returns an accumulator whose partition callback is
-// invoked once per streamed trace with the trace's arrival index.
-func NewOnlineDoM(part func(idx int, samples []float64) bool) *OnlineDoM {
-	return &OnlineDoM{part: part}
-}
-
-// NewOnlineDoMAt returns an accumulator whose partition callback sees
-// arrival indices starting at base — a shard of a larger campaign
-// covering the contiguous index block [base, base+n) classifies its
-// traces under the campaign's global indices, so merging the shards
-// reproduces the single-accumulator partition exactly.
-func NewOnlineDoMAt(part func(idx int, samples []float64) bool, base int) *OnlineDoM {
-	return &OnlineDoM{part: part, base: base}
-}
-
-// Add consumes one trace, classifying it through the partition
-// callback.
-func (o *OnlineDoM) Add(samples []float64) error {
-	if o.sum1 == nil {
-		if len(samples) == 0 {
-			return ErrEmptySet
-		}
-		o.sum1 = make([]float64, len(samples))
-		o.sum0 = make([]float64, len(samples))
-	}
-	if len(samples) != len(o.sum1) {
-		return ErrSampleMismatch
-	}
-	idx := o.base + o.count
-	o.count++
-	if o.part != nil && o.part(idx, samples) {
-		o.c1++
-		for i, v := range samples {
-			o.sum1[i] += v
-		}
-		return nil
-	}
-	o.c0++
-	for i, v := range samples {
-		o.sum0[i] += v
-	}
-	return nil
-}
-
-// Merge folds another difference-of-means accumulator into o: class
-// sums and counts add. Intended as the final reduction over per-shard
-// accumulators whose index blocks partition the campaign (build them
-// with NewOnlineDoMAt and merge in shard order); further Adds after a
-// merge would continue from o's own base+count, which no longer
-// corresponds to a global arrival index.
-func (o *OnlineDoM) Merge(other *OnlineDoM) error {
-	if other == nil || other.count == 0 {
-		return nil
-	}
-	if o.count == 0 && o.sum1 == nil {
-		o.sum1 = append([]float64(nil), other.sum1...)
-		o.sum0 = append([]float64(nil), other.sum0...)
-		o.c1, o.c0, o.count = other.c1, other.c0, other.count
-		return nil
-	}
-	if len(other.sum1) != len(o.sum1) {
-		return ErrSampleMismatch
-	}
-	for i := range o.sum1 {
-		o.sum1[i] += other.sum1[i]
-		o.sum0[i] += other.sum0[i]
-	}
-	o.c1 += other.c1
-	o.c0 += other.c0
-	o.count += other.count
-	return nil
-}
-
-// N returns the number of traces consumed.
-func (o *OnlineDoM) N() int { return o.count }
-
-// Diff returns the per-sample difference of means between the two
-// classes, matching the batch DiffOfMeans.
-func (o *OnlineDoM) Diff() ([]float64, error) {
-	if o.count == 0 {
-		return nil, ErrEmptySet
-	}
-	if o.c1 == 0 || o.c0 == 0 {
-		return nil, errors.New("trace: degenerate partition")
-	}
-	out := make([]float64, len(o.sum1))
-	for i := range out {
-		out[i] = o.sum1[i]/float64(o.c1) - o.sum0[i]/float64(o.c0)
-	}
-	return out, nil
-}
-
-// OnlineCPA is the streaming per-sample Pearson correlation between a
-// scalar hypothesis per trace and the measured power — one-pass CPA.
-// It keeps the raw cross-moments (Σh, Σh², Σx, Σx², Σhx per sample),
-// exactly the terms the batch PearsonAt forms, so the two agree to
-// rounding.
-type OnlineCPA struct {
-	n        int
-	sh, shh  float64
-	sx       []float64
-	sxx, shx []float64
-}
-
-// NewOnlineCPA returns an empty accumulator.
-func NewOnlineCPA() *OnlineCPA { return &OnlineCPA{} }
-
-// Add consumes one trace and its scalar hypothesis (e.g. a predicted
-// register write's 0→1 transition count).
-func (o *OnlineCPA) Add(h float64, samples []float64) error {
-	if o.sx == nil {
-		if len(samples) == 0 {
-			return ErrEmptySet
-		}
-		o.sx = make([]float64, len(samples))
-		o.sxx = make([]float64, len(samples))
-		o.shx = make([]float64, len(samples))
-	}
-	if len(samples) != len(o.sx) {
-		return ErrSampleMismatch
-	}
-	o.n++
-	o.sh += h
-	o.shh += h * h
-	for i, v := range samples {
-		o.sx[i] += v
-		o.sxx[i] += v * v
-		o.shx[i] += h * v
-	}
-	return nil
-}
-
-// Merge folds another correlation accumulator into o. The state is raw
-// sums (Σh, Σh², Σx, Σx², Σhx), so the merge is exact elementwise
-// addition — the only rounding difference from a serial fold is the
-// reassociation of the sums themselves, which the property tests pin
-// to 1e-12. other is not modified.
-func (o *OnlineCPA) Merge(other *OnlineCPA) error {
-	if other == nil || other.n == 0 {
-		return nil
-	}
-	if o.n == 0 {
-		o.n = other.n
-		o.sh, o.shh = other.sh, other.shh
-		o.sx = append(o.sx[:0], other.sx...)
-		o.sxx = append(o.sxx[:0], other.sxx...)
-		o.shx = append(o.shx[:0], other.shx...)
-		return nil
-	}
-	if len(other.sx) != len(o.sx) {
-		return ErrSampleMismatch
-	}
-	o.n += other.n
-	o.sh += other.sh
-	o.shh += other.shh
-	for i := range o.sx {
-		o.sx[i] += other.sx[i]
-		o.sxx[i] += other.sxx[i]
-		o.shx[i] += other.shx[i]
-	}
-	return nil
-}
-
-// N returns the number of (hypothesis, trace) pairs consumed.
-func (o *OnlineCPA) N() int { return o.n }
-
-// Corr returns the per-sample Pearson correlation, 0 where either
-// variance vanishes — the same convention as the batch Pearson.
-func (o *OnlineCPA) Corr() ([]float64, error) {
-	if o.n == 0 {
-		return nil, ErrEmptySet
-	}
-	n := float64(o.n)
-	vh := o.shh - o.sh*o.sh/n
-	out := make([]float64, len(o.sx))
-	if vh <= 0 {
-		return out, nil
-	}
-	for i := range out {
-		vx := o.sxx[i] - o.sx[i]*o.sx[i]/n
-		if vx <= 0 {
-			continue
-		}
-		cov := o.shx[i] - o.sh*o.sx[i]/n
-		out[i] = cov / math.Sqrt(vh*vx)
-	}
-	return out, nil
-}
-
-// CorrAt returns the correlation at a single sample column, matching
-// the batch PearsonAt.
-func (o *OnlineCPA) CorrAt(col int) (float64, error) {
-	if o.n == 0 {
-		return 0, ErrEmptySet
-	}
-	if col < 0 || col >= len(o.sx) {
-		return 0, errors.New("trace: column out of range")
-	}
-	n := float64(o.n)
-	vh := o.shh - o.sh*o.sh/n
-	vx := o.sxx[col] - o.sx[col]*o.sx[col]/n
-	if vh <= 0 || vx <= 0 {
-		return 0, nil
-	}
-	cov := o.shx[col] - o.sh*o.sx[col]/n
-	return cov / math.Sqrt(vh*vx), nil
 }

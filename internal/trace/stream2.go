@@ -221,13 +221,12 @@ func (w *OnlineWelch2) MaxT() (float64, int) {
 	return MaxAbs(ts)
 }
 
-// CenterSquare preprocesses a retained trace set for the batch
-// second-order statistics: given the per-column means over the whole
-// set, each trace sample is replaced by its centered product
-// (x−μ)·(x−μ). The multi-pass CPA campaigns (which retain their Set
-// anyway) use this to turn the first-order Pearson machinery into the
-// univariate second-order attack; the streaming TVLA path uses
-// OnlineWelch2 instead and never materializes the products.
+// CenterSquare replaces each sample by its centered product
+// (x−μ)·(x−μ) about the given per-column means. It is OnlineWelch2's
+// test oracle: Welch's t on a retained set centered this way is what
+// the second-order t-test computes from moment state alone. The
+// centered-product CPA (internal/sca) forms the same products itself,
+// only for the write cycles it correlates.
 func CenterSquare(samples, mean []float64) error {
 	if len(samples) != len(mean) {
 		return ErrSampleMismatch

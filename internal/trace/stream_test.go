@@ -26,7 +26,7 @@ func (x *xorshift64) float() float64 {
 func randomSet(x *xorshift64, n, m int) *Set {
 	s := &Set{}
 	for i := 0; i < n; i++ {
-		tr := Trace{Samples: make([]float64, m), Iter: make([]int32, m)}
+		tr := Trace{Samples: make([]float64, m)}
 		for j := range tr.Samples {
 			tr.Samples[j] = x.float()
 		}
@@ -39,7 +39,7 @@ func randomSet(x *xorshift64, n, m int) *Set {
 func constantSet(n, m int, c float64) *Set {
 	s := &Set{}
 	for i := 0; i < n; i++ {
-		tr := Trace{Samples: make([]float64, m), Iter: make([]int32, m)}
+		tr := Trace{Samples: make([]float64, m)}
 		for j := range tr.Samples {
 			tr.Samples[j] = c
 		}
@@ -180,124 +180,6 @@ func TestOnlineWelchConstantPopulations(t *testing.T) {
 	closeSlices(t, "welch-const", got, want)
 	if mx, idx := w.MaxT(); mx != 0 || idx != -1 {
 		t.Fatalf("MaxT on all-zero t-curve = (%g, %d), want (0, -1)", mx, idx)
-	}
-}
-
-func TestOnlineDoMMatchesBatch(t *testing.T) {
-	x := xorshift64(0xD00D)
-	for _, sh := range shapes {
-		if sh.n < 2 {
-			continue // batch DiffOfMeans needs both classes populated
-		}
-		s := randomSet(&x, sh.n, sh.m)
-		part := make([]bool, sh.n)
-		for i := range part {
-			part[i] = i%2 == 0
-		}
-		o := NewOnlineDoM(func(idx int, _ []float64) bool { return part[idx] })
-		for _, tr := range s.Traces {
-			if err := o.Add(tr.Samples); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := DiffOfMeans(s, part)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := o.Diff()
-		if err != nil {
-			t.Fatal(err)
-		}
-		closeSlices(t, "dom", got, want)
-	}
-}
-
-func TestOnlineDoMDegeneratePartition(t *testing.T) {
-	o := NewOnlineDoM(func(int, []float64) bool { return true })
-	_ = o.Add([]float64{1, 2})
-	if _, err := o.Diff(); err == nil {
-		t.Fatal("single-class partition accepted")
-	}
-}
-
-func TestOnlineCPAMatchesBatch(t *testing.T) {
-	x := xorshift64(0xCAFE)
-	for _, sh := range shapes {
-		s := randomSet(&x, sh.n, sh.m)
-		h := make([]float64, sh.n)
-		for i := range h {
-			h[i] = math.Floor(x.float() * 64) // integer-ish hypotheses, like 0->1 counts
-		}
-		o := NewOnlineCPA()
-		for i, tr := range s.Traces {
-			if err := o.Add(h[i], tr.Samples); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := Pearson(s, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := o.Corr()
-		if err != nil {
-			t.Fatal(err)
-		}
-		closeSlices(t, "cpa-corr", got, want)
-		for _, col := range []int{0, sh.m / 2, sh.m - 1} {
-			wantAt, err := PearsonAt(s, h, col)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotAt, err := o.CorrAt(col)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(gotAt-wantAt) > streamTol {
-				t.Fatalf("CorrAt(%d): %.17g vs %.17g", col, gotAt, wantAt)
-			}
-		}
-	}
-}
-
-func TestOnlineCPAEdgeCases(t *testing.T) {
-	// n = 1: zero hypothesis variance => rho = 0, like the batch path.
-	o := NewOnlineCPA()
-	if err := o.Add(3, []float64{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := o.Corr()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != 0 {
-			t.Fatalf("n=1 rho[%d] = %g, want 0", i, v)
-		}
-	}
-	// Constant samples: zero trace variance => rho = 0.
-	o2 := NewOnlineCPA()
-	_ = o2.Add(1, []float64{5, 5})
-	_ = o2.Add(2, []float64{5, 5})
-	r, err := o2.CorrAt(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != 0 {
-		t.Fatalf("constant-sample rho = %g, want 0", r)
-	}
-	// Ragged stream rejected.
-	if err := o2.Add(3, []float64{1}); err != ErrSampleMismatch {
-		t.Fatalf("ragged add: err = %v, want ErrSampleMismatch", err)
-	}
-	// Empty accumulators report ErrEmptySet.
-	if _, err := NewOnlineCPA().Corr(); err != ErrEmptySet {
-		t.Fatalf("empty OnlineCPA: %v", err)
-	}
-	if _, err := NewOnlineStats().Mean(); err != ErrEmptySet {
-		t.Fatalf("empty OnlineStats: %v", err)
-	}
-	if _, err := NewOnlineWelch().T(); err != ErrEmptySet {
-		t.Fatalf("empty OnlineWelch: %v", err)
 	}
 }
 

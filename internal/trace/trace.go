@@ -1,18 +1,22 @@
 // Package trace implements power-trace acquisition from the
 // co-processor simulator and the statistics the side-channel workflow
-// of the paper's Fig. 4 needs: per-sample means/variances, Welch's
-// t-test (TVLA leakage assessment), difference of means (classic DPA),
-// and Pearson correlation (CPA).
+// of the paper's Fig. 4 runs on it: per-sample means and variances,
+// Welch's t-test (TVLA leakage assessment) at first and second order,
+// and Pearson correlation at a known point of interest (CPA).
 //
-// Each statistic exists in two forms: a batch form over a retained
-// trace Set (this file) and a streaming form (stream.go: OnlineStats,
-// OnlineWelch, OnlineDoM, OnlineCPA) that consumes one trace at a time
-// in O(window) memory. The streaming forms back the parallel campaign
-// engine in internal/campaign and agree with the batch forms to
-// floating-point rounding (cross-tested to 1e-12).
+// Campaigns fold traces into the streaming accumulators (stream.go:
+// OnlineStats, OnlineWelch; stream2.go: OnlineMoments, OnlineWelch2),
+// which consume one trace at a time in O(window) memory and back the
+// parallel campaign engine in internal/campaign. The batch forms over
+// a retained Set (WelchT, MeanTrace, CenterSquare) are the oracles the
+// streaming forms are tested against, to 1e-12; PearsonAt is the one
+// batch statistic a campaign runs, on the Set a CPA campaign retains.
 //
 // A Trace is the simulated counterpart of one oscilloscope capture:
 // one power sample per clock cycle over a configurable cycle window.
+// Attacks locate their points of interest from the microcode's static
+// timing (coproc.Program's spans and iteration windows), so a trace
+// carries samples only.
 package trace
 
 import (
@@ -26,38 +30,30 @@ import (
 )
 
 // Trace is one acquisition: power samples for consecutive clock
-// cycles, plus the ladder-iteration index of each sample so attacks
-// can segment by iteration.
+// cycles.
 type Trace struct {
 	// Samples holds instantaneous power (watts), one per cycle.
 	Samples []float64
-	// Iter holds the ladder iteration of each sample (-1 outside the
-	// ladder loop). Aligned with Samples.
-	Iter []int32
 	// StartCycle is the global cycle index of Samples[0].
 	StartCycle int
 }
 
-// Process-wide free lists for per-trace buffers. Traces recorded via
-// Collector.LaneSink draw from these pools and return to them via
-// Release; in a steady-state streaming campaign every trace reuses a
-// buffer retired a few indices earlier, so acquisition allocates
-// ~nothing per trace.
-var (
-	samplePool campaign.BufferPool[float64]
-	iterPool   campaign.BufferPool[int32]
-)
+// samplePool is the process-wide free list of per-trace sample
+// buffers. Traces recorded via Collector.LaneSink draw from it and
+// return to it via Release; in a steady-state streaming campaign every
+// trace reuses a buffer retired a few indices earlier, so acquisition
+// allocates ~nothing per trace.
+var samplePool campaign.BufferPool[float64]
 
 // batchInitCap sizes a pooled buffer's first allocation. Later Gets
 // reuse whatever capacity the campaign's traces actually needed.
 const batchInitCap = 4096
 
-// SamplePoolStats and IterPoolStats expose the process-wide free
-// lists' hit/miss accounting (campaign.BufferPool.Stats) — the
-// observability layer stamps their hit rates into run manifests as
-// evidence the steady-state acquisition loop recycles its buffers.
+// SamplePoolStats exposes the sample free list's hit/miss accounting
+// (campaign.BufferPool.Stats) — the observability layer stamps its hit
+// rate into run manifests as evidence the steady-state acquisition
+// loop recycles its buffers.
 func SamplePoolStats() campaign.PoolStats { return samplePool.Stats() }
-func IterPoolStats() campaign.PoolStats   { return iterPool.Stats() }
 
 // lastReleased remembers the backing array of the most recently
 // released sample buffer. Trace flows through consumers by value, so a
@@ -72,50 +68,30 @@ func IterPoolStats() campaign.PoolStats   { return iterPool.Stats() }
 // release again — is not mistaken for a double free.
 var lastReleased atomic.Pointer[float64]
 
-// Release returns the trace's buffers to the shared pool and clears
-// the header. Only call it on traces that are NOT retained (streaming
-// statistics that have already folded the samples); a released trace
-// must not be read again. Releasing a trace recorded outside the
-// pooled path is harmless — its buffers simply join the pool.
+// Release returns the trace's sample buffer to the shared pool and
+// clears the header. Only call it on traces that are NOT retained
+// (streaming statistics that have already folded the samples); a
+// released trace must not be read again. Releasing a trace recorded
+// outside the pooled path is harmless — its buffer simply joins the
+// pool.
 //
 // Releasing the same trace twice (including through a copied header
-// whose slices still point at the retired buffers) is a no-op on the
+// whose slice still points at the retired buffer) is a no-op on the
 // second call rather than pool corruption.
 func (t *Trace) Release() {
-	s, it := t.Samples, t.Iter
-	t.Samples, t.Iter = nil, nil
+	s := t.Samples
+	t.Samples = nil
 	if cap(s) > 0 {
 		p := &s[:cap(s)][0]
 		if lastReleased.Swap(p) == p {
 			// This backing array was the previous release and has not
-			// been re-acquired since: a double release. The buffers
-			// are already in the pool; putting them again would hand
-			// the same memory to two future traces.
+			// been re-acquired since: a double release. The buffer is
+			// already in the pool; putting it again would hand the
+			// same memory to two future traces.
 			return
 		}
 	}
 	samplePool.Put(s)
-	iterPool.Put(it)
-}
-
-// SegmentByIteration returns the half-open sample ranges
-// [start, end) of each ladder iteration present in the trace, keyed by
-// iteration index.
-func (t *Trace) SegmentByIteration() map[int][2]int {
-	seg := map[int][2]int{}
-	for i, it := range t.Iter {
-		if it < 0 {
-			continue
-		}
-		r, ok := seg[int(it)]
-		if !ok {
-			seg[int(it)] = [2]int{i, i + 1}
-			continue
-		}
-		r[1] = i + 1
-		seg[int(it)] = r
-	}
-	return seg
 }
 
 // noiseRingLen is the block size of the lane sink's measurement-noise
@@ -173,12 +149,11 @@ func (c *Collector) LaneSink() coproc.Probe {
 			return
 		}
 		c.trace.Samples = append(c.trace.Samples, (c.Model.CycleBaseEnergy(ev)+n)*c.Model.ClockHz())
-		c.trace.Iter = append(c.trace.Iter, int32(ev.Iteration))
 	}
 }
 
-// Begin resets the collector for a fresh acquisition, drawing
-// zero-length sample buffers from the shared pool. The campaign
+// Begin resets the collector for a fresh acquisition, drawing a
+// zero-length sample buffer from the shared pool. The campaign
 // engine's per-worker scratch collectors call Begin once per trace and
 // reuse the sink closure returned by an earlier LaneSink call, so
 // steady-state acquisition allocates nothing.
@@ -189,11 +164,7 @@ func (c *Collector) Begin() {
 		// future Release of it is legitimate (see lastReleased).
 		lastReleased.CompareAndSwap(&s[:cap(s)][0], nil)
 	}
-	c.trace = Trace{
-		StartCycle: c.Start,
-		Samples:    s,
-		Iter:       iterPool.Get(batchInitCap),
-	}
+	c.trace = Trace{StartCycle: c.Start, Samples: s}
 	c.ringPos = noiseRingLen
 }
 
@@ -322,88 +293,6 @@ func WelchT(a, b *Set) ([]float64, error) {
 			continue
 		}
 		out[i] = (ma[i] - mb[i]) / denom
-	}
-	return out, nil
-}
-
-// DiffOfMeans computes the per-sample difference of means between the
-// traces selected by part (true) and the rest — the original DPA
-// statistic of Kocher, Jaffe and Jun [8].
-func DiffOfMeans(s *Set, part []bool) ([]float64, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	if len(part) != s.Len() {
-		return nil, errors.New("trace: partition length mismatch")
-	}
-	n := s.SampleLen()
-	sum1 := make([]float64, n)
-	sum0 := make([]float64, n)
-	c1, c0 := 0, 0
-	for ti, t := range s.Traces {
-		if part[ti] {
-			c1++
-			for i, v := range t.Samples {
-				sum1[i] += v
-			}
-		} else {
-			c0++
-			for i, v := range t.Samples {
-				sum0[i] += v
-			}
-		}
-	}
-	if c1 == 0 || c0 == 0 {
-		return nil, errors.New("trace: degenerate partition")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = sum1[i]/float64(c1) - sum0[i]/float64(c0)
-	}
-	return out, nil
-}
-
-// Pearson computes the per-sample Pearson correlation between the
-// hypothesis vector h (one prediction per trace) and the measured
-// power — the CPA statistic.
-func Pearson(s *Set, h []float64) ([]float64, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	if len(h) != s.Len() {
-		return nil, errors.New("trace: hypothesis length mismatch")
-	}
-	n := s.SampleLen()
-	nt := float64(s.Len())
-	var hMean float64
-	for _, v := range h {
-		hMean += v
-	}
-	hMean /= nt
-	var hVar float64
-	for _, v := range h {
-		d := v - hMean
-		hVar += d * d
-	}
-	mean, variance, err := s.meanVar()
-	if err != nil {
-		return nil, err
-	}
-	cov := make([]float64, n)
-	for ti, t := range s.Traces {
-		hd := h[ti] - hMean
-		for i, v := range t.Samples {
-			cov[i] += hd * (v - mean[i])
-		}
-	}
-	out := make([]float64, n)
-	for i := range out {
-		denom := math.Sqrt(hVar * variance[i] * nt)
-		if denom == 0 {
-			out[i] = 0
-			continue
-		}
-		out[i] = cov[i] / denom
 	}
 	return out, nil
 }

@@ -14,7 +14,7 @@ import (
 func synthSet(nTraces, nSamples int, gen func(t, s int) float64) *Set {
 	set := &Set{}
 	for i := 0; i < nTraces; i++ {
-		tr := Trace{Samples: make([]float64, nSamples), Iter: make([]int32, nSamples)}
+		tr := Trace{Samples: make([]float64, nSamples)}
 		for j := 0; j < nSamples; j++ {
 			tr.Samples[j] = gen(i, j)
 		}
@@ -90,39 +90,6 @@ func TestWelchTNoLeakStaysBelowThreshold(t *testing.T) {
 	}
 }
 
-func TestDiffOfMeans(t *testing.T) {
-	set := synthSet(100, 2, func(ti, si int) float64 {
-		if si == 1 && ti%2 == 0 {
-			return 2
-		}
-		return 1
-	})
-	part := make([]bool, 100)
-	for i := range part {
-		part[i] = i%2 == 0
-	}
-	dom, err := DiffOfMeans(set, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dom[0] != 0 {
-		t.Fatalf("sample 0 diff %v, want 0", dom[0])
-	}
-	if dom[1] != 1 {
-		t.Fatalf("sample 1 diff %v, want 1", dom[1])
-	}
-	if _, err := DiffOfMeans(set, part[:10]); err == nil {
-		t.Fatal("partition length mismatch accepted")
-	}
-	allTrue := make([]bool, 100)
-	for i := range allTrue {
-		allTrue[i] = true
-	}
-	if _, err := DiffOfMeans(set, allTrue); err == nil {
-		t.Fatal("degenerate partition accepted")
-	}
-}
-
 func TestPearsonFindsCorrelatedSample(t *testing.T) {
 	g := rng.NewGaussian(3)
 	h := make([]float64, 300)
@@ -135,9 +102,13 @@ func TestPearsonFindsCorrelatedSample(t *testing.T) {
 		}
 		return g.Sample()
 	})
-	rho, err := Pearson(set, h)
-	if err != nil {
-		t.Fatal(err)
+	rho := make([]float64, set.SampleLen())
+	for col := range rho {
+		r, err := PearsonAt(set, h, col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rho[col] = r
 	}
 	best, idx := MaxAbs(rho)
 	if idx != 3 {
@@ -146,20 +117,25 @@ func TestPearsonFindsCorrelatedSample(t *testing.T) {
 	if best < 0.9 {
 		t.Fatalf("peak correlation %.3f too weak", best)
 	}
-	if _, err := Pearson(set, h[:5]); err == nil {
+	if _, err := PearsonAt(set, h[:5], 3); err == nil {
 		t.Fatal("hypothesis length mismatch accepted")
+	}
+	for _, col := range []int{-1, set.SampleLen()} {
+		if _, err := PearsonAt(set, h, col); err == nil {
+			t.Fatalf("column %d out of range accepted", col)
+		}
 	}
 }
 
 func TestPearsonConstantInputs(t *testing.T) {
 	set := synthSet(10, 2, func(ti, si int) float64 { return 1 })
 	h := make([]float64, 10)
-	rho, err := Pearson(set, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range rho {
-		if v != 0 {
+	for col := 0; col < set.SampleLen(); col++ {
+		rho, err := PearsonAt(set, h, col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rho != 0 {
 			t.Fatal("constant data should give zero correlation, not NaN")
 		}
 	}
@@ -185,29 +161,16 @@ func TestCollectorWindowing(t *testing.T) {
 	if tr.StartCycle != 100 {
 		t.Fatalf("StartCycle %d", tr.StartCycle)
 	}
-	if len(tr.Iter) != len(tr.Samples) {
-		t.Fatal("iteration annotation misaligned")
-	}
 	// Take must reset.
 	if again := col.Take(); len(again.Samples) != 0 {
 		t.Fatal("Take did not reset the collector")
 	}
 }
 
-func TestSegmentByIteration(t *testing.T) {
-	tr := Trace{
-		Samples: make([]float64, 10),
-		Iter:    []int32{-1, -1, 5, 5, 5, 4, 4, -1, 3, 3},
-	}
-	seg := tr.SegmentByIteration()
-	if len(seg) != 3 {
-		t.Fatalf("found %d segments, want 3", len(seg))
-	}
-	if seg[5] != [2]int{2, 5} || seg[4] != [2]int{5, 7} || seg[3] != [2]int{8, 10} {
-		t.Fatalf("segments wrong: %v", seg)
-	}
-}
-
+// TestFullPMTraceHasAllIterations records a whole point
+// multiplication and counts its cycles per ladder iteration: all 163
+// iterations appear, each takes the same number of cycles (constant
+// time), and the trace holds one sample per cycle.
 func TestFullPMTraceHasAllIterations(t *testing.T) {
 	curve := ec.K163()
 	prog := coproc.BuildLadderProgram(coproc.ProgramOptions{})
@@ -215,26 +178,36 @@ func TestFullPMTraceHasAllIterations(t *testing.T) {
 	cfg.NoiseSigma = 0
 	model := power.NewModel(cfg)
 	col := NewCollector(model, 0, 0)
+	sink := col.LaneSink()
+	perIter := map[int]int{}
+	cycles := 0
 	cpu := coproc.NewCPU(coproc.DefaultTiming())
-	cpu.Probe = col.LaneSink()
+	cpu.Probe = func(ev *coproc.CycleEvent) {
+		cycles++
+		if ev.Iteration >= 0 {
+			perIter[ev.Iteration]++
+		}
+		sink(ev)
+	}
 	cpu.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
 	if _, err := cpu.Run(prog, modn.FromUint64(0x1234)); err != nil {
 		t.Fatal(err)
 	}
 	tr := col.Take()
-	seg := tr.SegmentByIteration()
-	if len(seg) != coproc.LadderIterations {
-		t.Fatalf("trace contains %d iterations, want %d", len(seg), coproc.LadderIterations)
+	if len(tr.Samples) != cycles {
+		t.Fatalf("trace holds %d samples for %d cycles", len(tr.Samples), cycles)
 	}
-	// All iteration segments have the same length (constant time).
-	var segLen int
-	for _, r := range seg {
-		l := r[1] - r[0]
-		if segLen == 0 {
-			segLen = l
+	if len(perIter) != coproc.LadderIterations {
+		t.Fatalf("run contains %d iterations, want %d", len(perIter), coproc.LadderIterations)
+	}
+	// All iterations take the same number of cycles (constant time).
+	iterLen := 0
+	for it, l := range perIter {
+		if iterLen == 0 {
+			iterLen = l
 		}
-		if l != segLen {
-			t.Fatalf("iteration segments differ in length: %d vs %d", l, segLen)
+		if l != iterLen {
+			t.Fatalf("iteration %d takes %d cycles, another takes %d", it, l, iterLen)
 		}
 	}
 }
