@@ -5,16 +5,26 @@
 // and SHA-1 (the hash whose 5 527-gate implementation [12] anchors the
 // implementation-size argument of Section 4).
 //
-// The implementations favour clarity and testability over speed; they
-// are cross-checked against crypto/aes and crypto/sha1 in the tests.
-// Gate-count and energy figures for these primitives live in
-// internal/area and internal/radio, where the protocol-level energy
-// trade-off experiments (E6, E7) consume them.
+// AES Encrypt is the standard 32-bit table-driven cipher, one 256-entry
+// round table built at init from the S-box, because every internal/rng
+// DRBG draw runs it: mask refresh, RPC masks, nonces and link faults
+// all sit on that stream. Decrypt and SHA-1 favour clarity over speed.
+// Both primitives are cross-checked against crypto/aes and crypto/sha1
+// in the tests.
+//
+// Neither Encrypt nor the byte-at-a-time rounds it replaced is
+// constant-time against cache-timing attacks: table indices depend on
+// key bytes. This is simulator software that draws simulation
+// randomness, not a model of the device's cipher. Gate-count and
+// energy figures for the device's primitives live in internal/area and
+// internal/radio, where the protocol-level energy trade-off experiments
+// (E6, E7) consume them.
 package lightcrypto
 
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 )
 
 // AESBlockSize is the AES block size in bytes.
@@ -75,17 +85,26 @@ func gmul(a, b byte) byte {
 	return r
 }
 
-// mul2 and mul3 tabulate gmul(·, 2) and gmul(·, 3): MixColumns is on
-// the DRBG hot path (every campaign trace rekeys and runs several AES
-// blocks), and a table lookup replaces the eight-iteration shift-and-
-// add loop per coefficient. Filled at init from gmul itself, so the
-// values cannot drift from the definitional multiply.
+// mul2 and mul3 tabulate gmul(·, 2) and gmul(·, 3), the two
+// non-trivial MixColumns coefficients, for building te0. Filled at
+// init from gmul itself, so the values cannot drift from the
+// definitional multiply.
 var mul2, mul3 [256]byte
+
+// te0 is the encryption round table: te0[x] is the MixColumns column
+// (2·S(x), S(x), S(x), 3·S(x)) of an S-boxed byte in row 0, packed
+// big-endian. A byte in row r contributes the same column rotated
+// right by 8r bits, so one table serves all four rows.
+var te0 [256]uint32
 
 func init() {
 	for i := 0; i < 256; i++ {
 		mul2[i] = gmul(byte(i), 2)
 		mul3[i] = gmul(byte(i), 3)
+	}
+	for i := 0; i < 256; i++ {
+		s := sbox[i]
+		te0[i] = uint32(mul2[s])<<24 | uint32(s)<<16 | uint32(s)<<8 | uint32(mul3[s])
 	}
 }
 
@@ -150,19 +169,6 @@ func (s *state) subBytes(box *[256]byte) {
 	}
 }
 
-func (s *state) shiftRows() {
-	// Row r (bytes r, r+4, r+8, r+12) rotates left by r.
-	for r := 1; r < 4; r++ {
-		var row [4]byte
-		for c := 0; c < 4; c++ {
-			row[c] = s[4*((c+r)%4)+r]
-		}
-		for c := 0; c < 4; c++ {
-			s[4*c+r] = row[c]
-		}
-	}
-}
-
 func (s *state) invShiftRows() {
 	for r := 1; r < 4; r++ {
 		var row [4]byte
@@ -172,16 +178,6 @@ func (s *state) invShiftRows() {
 		for c := 0; c < 4; c++ {
 			s[4*c+r] = row[c]
 		}
-	}
-}
-
-func (s *state) mixColumns() {
-	for c := 0; c < 4; c++ {
-		a0, a1, a2, a3 := s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]
-		s[4*c+0] = mul2[a0] ^ mul3[a1] ^ a2 ^ a3
-		s[4*c+1] = a0 ^ mul2[a1] ^ mul3[a2] ^ a3
-		s[4*c+2] = a0 ^ a1 ^ mul2[a2] ^ mul3[a3]
-		s[4*c+3] = mul3[a0] ^ a1 ^ a2 ^ mul2[a3]
 	}
 }
 
@@ -197,23 +193,44 @@ func (s *state) invMixColumns() {
 
 // Encrypt encrypts one 16-byte block: dst = AES-128(src). dst and src
 // may overlap.
+//
+// The state is four big-endian column words. A full round is
+// SubBytes, ShiftRows and MixColumns folded into te0 lookups: output
+// column c takes row r from input column c+r (ShiftRows), and that
+// byte's column contribution is te0 rotated into row r. The final
+// round has no MixColumns and uses the S-box alone.
 func (a *AES) Encrypt(dst, src []byte) {
 	if len(src) < AESBlockSize || len(dst) < AESBlockSize {
 		panic("lightcrypto: short AES block")
 	}
-	var s state
-	copy(s[:], src[:16])
-	s.addRoundKey(a.rk[0:4])
-	for round := 1; round < 10; round++ {
-		s.subBytes(&sbox)
-		s.shiftRows()
-		s.mixColumns()
-		s.addRoundKey(a.rk[4*round : 4*round+4])
+	rk := &a.rk
+	s0 := binary.BigEndian.Uint32(src[0:4]) ^ rk[0]
+	s1 := binary.BigEndian.Uint32(src[4:8]) ^ rk[1]
+	s2 := binary.BigEndian.Uint32(src[8:12]) ^ rk[2]
+	s3 := binary.BigEndian.Uint32(src[12:16]) ^ rk[3]
+	for k := 4; k < 40; k += 4 {
+		t0 := te0[s0>>24] ^ bits.RotateLeft32(te0[byte(s1>>16)], -8) ^
+			bits.RotateLeft32(te0[byte(s2>>8)], -16) ^ bits.RotateLeft32(te0[byte(s3)], -24)
+		t1 := te0[s1>>24] ^ bits.RotateLeft32(te0[byte(s2>>16)], -8) ^
+			bits.RotateLeft32(te0[byte(s3>>8)], -16) ^ bits.RotateLeft32(te0[byte(s0)], -24)
+		t2 := te0[s2>>24] ^ bits.RotateLeft32(te0[byte(s3>>16)], -8) ^
+			bits.RotateLeft32(te0[byte(s0>>8)], -16) ^ bits.RotateLeft32(te0[byte(s1)], -24)
+		t3 := te0[s3>>24] ^ bits.RotateLeft32(te0[byte(s0>>16)], -8) ^
+			bits.RotateLeft32(te0[byte(s1>>8)], -16) ^ bits.RotateLeft32(te0[byte(s2)], -24)
+		r := rk[k : k+4 : k+4]
+		s0, s1, s2, s3 = t0^r[0], t1^r[1], t2^r[2], t3^r[3]
 	}
-	s.subBytes(&sbox)
-	s.shiftRows()
-	s.addRoundKey(a.rk[40:44])
-	copy(dst[:16], s[:])
+	binary.BigEndian.PutUint32(dst[0:4], finalColumn(s0, s1, s2, s3)^rk[40])
+	binary.BigEndian.PutUint32(dst[4:8], finalColumn(s1, s2, s3, s0)^rk[41])
+	binary.BigEndian.PutUint32(dst[8:12], finalColumn(s2, s3, s0, s1)^rk[42])
+	binary.BigEndian.PutUint32(dst[12:16], finalColumn(s3, s0, s1, s2)^rk[43])
+}
+
+// finalColumn is one output column of the last round's SubBytes and
+// ShiftRows: row r comes from the r-th argument's row-r byte.
+func finalColumn(c0, c1, c2, c3 uint32) uint32 {
+	return uint32(sbox[c0>>24])<<24 | uint32(sbox[byte(c1>>16)])<<16 |
+		uint32(sbox[byte(c2>>8)])<<8 | uint32(sbox[byte(c3)])
 }
 
 // Decrypt decrypts one 16-byte block.

@@ -1,10 +1,11 @@
 // Package rng provides the random-number machinery the paper lists
 // among the non-algorithmic protocol primitives: a deterministic,
 // seedable DRBG built on AES-128 in counter mode (used for protocol
-// nonces and the randomized-projective-coordinates masks), a fast
-// xorshift generator with a Box–Muller Gaussian sampler (used by the
-// power model for measurement noise), and SP 800-90B-style health
-// tests for an on-chip entropy source.
+// nonces, the randomized-projective-coordinates masks, the masked
+// datapath's per-cycle mask refresh and the lossy link's fault and
+// jitter draws), a fast xorshift generator with a Box–Muller Gaussian
+// sampler (used by the power model for measurement noise), and
+// SP 800-90B-style health tests for an on-chip entropy source.
 //
 // Everything is deterministic given a seed so that every experiment in
 // this module is exactly reproducible.
