@@ -75,12 +75,15 @@ func FuzzAccumulatorDecode(f *testing.F) {
 	stats, moments := &OnlineStats{}, &OnlineMoments{}
 	welch, welch2 := &OnlineWelch{}, &OnlineWelch2{}
 	for _, row := range rows {
-		stats.Add(row)
-		moments.Add(row)
-		welch.AddA(row)
-		welch2.AddB(row)
+		for _, err := range []error{stats.Add(row), moments.Add(row), welch.AddA(row), welch2.AddB(row)} {
+			if err != nil {
+				f.Fatal(err)
+			}
+		}
 	}
-	welch.AddB(rows[0])
+	if err := welch.AddB(rows[0]); err != nil {
+		f.Fatal(err)
+	}
 	for _, acc := range []accumulatorCodec{stats, moments, welch, welch2, &OnlineStats{}, &OnlineWelch2{}} {
 		valid, err := acc.MarshalBinary()
 		if err != nil {
