@@ -347,48 +347,6 @@ func (c *Curve) ScalarBaseMul(k modn.Scalar, opt LadderOptions) (Point, error) {
 	return c.ScalarMulLadder(k, c.Generator(), opt)
 }
 
-// BlindedLadderBits is the fixed iteration count of the blinded
-// ladder: 163-bit order plus a 32-bit blinding factor plus headroom.
-const BlindedLadderBits = 200
-
-// ScalarMulBlinded computes k*P with scalar blinding on top of
-// randomized projective coordinates: the device actually processes
-// k' = k + m·n for a fresh 32-bit random m, so even the *bit pattern*
-// walked by the ladder changes per execution — an additional DPA
-// countermeasure beyond the paper's selected set (its "more details
-// about the countermeasures" family). Requires src non-nil.
-func (c *Curve) ScalarMulBlinded(k modn.Scalar, p Point, src func() uint64) (Point, error) {
-	if src == nil {
-		return Point{}, errors.New("ec: scalar blinding needs a randomness source")
-	}
-	if p.Inf || p.X.IsZero() {
-		return Point{}, errors.New("ec: ladder requires a finite point with x != 0")
-	}
-	if k.Cmp(c.Order.N()) >= 0 {
-		return Point{}, errors.New("ec: scalar not reduced modulo the group order")
-	}
-	factor := src()&0xffffffff | 1 // nonzero 32-bit blinding factor
-	kb, err := c.Order.AddMulSmall(k, factor)
-	if err != nil {
-		return Point{}, err
-	}
-	lambda := randNonZero(src)
-	mu := randNonZero(src)
-	s := NewLadderState(p.X, lambda, mu)
-	for i := BlindedLadderBits - 1; i >= 0; i-- {
-		s.Step(kb.Bit(i), p.X, c.B)
-	}
-	switch {
-	case s.Z0.IsZero():
-		return Infinity(), nil
-	case s.Z1.IsZero():
-		return c.Neg(p), nil
-	}
-	x0 := gf2m.Div(s.X0, s.Z0)
-	x1 := gf2m.Div(s.X1, s.Z1)
-	return c.RecoverY(p, x0, x1), nil
-}
-
 // SolveY returns a y-coordinate for the given x if one exists:
 // substituting z = y/x reduces the curve equation to
 // z^2 + z = x + a + b/x^2, solvable iff Tr(x + a + b/x^2) = 0.

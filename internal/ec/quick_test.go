@@ -111,17 +111,6 @@ func TestQuickMAddProjectiveInvariance(t *testing.T) {
 	}
 }
 
-func TestQuickTNAFValid(t *testing.T) {
-	f := func(k0, k1 uint64) bool {
-		k := modn.Scalar{k0, k1, 0, 0}
-		d := TNAF(k, 1)
-		return TNAFIsValid(d)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuickCompressionRoundTrip(t *testing.T) {
 	c := K163()
 	f := func(w0, w1, w2 uint64) bool {

@@ -12,7 +12,6 @@ import (
 var (
 	benchA, benchB Element
 	benchSink      Element
-	benchSinkRaw   [6]uint64
 )
 
 func init() {
@@ -21,15 +20,8 @@ func init() {
 	benchB = FromWords(d.Uint64(), d.Uint64(), d.Uint64())
 }
 
-// BenchmarkMul/Sqr/Inv live in gf2m_test.go; this file adds the ones
-// that were missing plus benches for the Karatsuba building blocks.
-
-func BenchmarkMulNoReduce(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSinkRaw = MulNoReduce(benchA, benchB)
-	}
-}
+// BenchmarkMul/Sqr/Inv live in gf2m_test.go and the multiplier sweep in
+// mulsweep_test.go; this file adds the remaining field operations.
 
 func BenchmarkSqrt(b *testing.B) {
 	b.ReportAllocs()

@@ -285,16 +285,6 @@ func MulAcc(acc *[6]uint64, a, b Element) {
 	}
 }
 
-// SqrNoReduce returns the unreduced 6-word carry-less square of e, for
-// lazy-reduction sums mixing squares with products.
-func SqrNoReduce(e Element) [6]uint64 {
-	var c [6]uint64
-	c[1], c[0] = spread64(e[0])
-	c[3], c[2] = spread64(e[1])
-	c[5], c[4] = spread64(e[2])
-	return c
-}
-
 // reduce reduces a 6-word polynomial (degree <= 324) modulo
 // f(x) = x^163 + x^7 + x^6 + x^3 + 1 using the congruence
 // x^163 = x^7 + x^6 + x^3 + 1. Two folding rounds suffice because the
@@ -578,10 +568,6 @@ func MustFromHex(s string) Element {
 	}
 	return e
 }
-
-// MulNoReduce exposes the raw 6-word carry-less product for tests and
-// for the digit-serial multiplier model's cross-checks.
-func MulNoReduce(e, f Element) [6]uint64 { return mul320(e, f) }
 
 // Reduce exposes polynomial reduction of a 6-word value for tests.
 func Reduce(c [6]uint64) Element { return reduce(c) }

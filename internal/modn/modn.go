@@ -322,31 +322,6 @@ func (m *Modulus) Inv(s Scalar) Scalar {
 	return m.Exp(s, nm2)
 }
 
-// AddMulSmall returns k + factor*n WITHOUT modular reduction — the
-// scalar-blinding form k' = k + m·n used as an additional DPA
-// countermeasure (k'·P = k·P but the processed bit pattern is fresh
-// per execution). Errors if the result would overflow 256 bits.
-func (m *Modulus) AddMulSmall(k Scalar, factor uint64) (Scalar, error) {
-	var prod [Words + 1]uint64
-	var carry uint64
-	for i := 0; i < Words; i++ {
-		hi, lo := bits.Mul64(m.n[i], factor)
-		lo, c := bits.Add64(lo, carry, 0)
-		prod[i] = lo
-		carry = hi + c
-	}
-	prod[Words] = carry
-	var out Scalar
-	var c uint64
-	for i := 0; i < Words; i++ {
-		out[i], c = bits.Add64(prod[i], k[i], c)
-	}
-	if prod[Words] != 0 || c != 0 {
-		return Scalar{}, errors.New("modn: blinded scalar overflows 256 bits")
-	}
-	return out, nil
-}
-
 // Rand returns a uniformly random scalar in [0, n) by rejection
 // sampling from src, a function yielding uniform uint64 values.
 func (m *Modulus) Rand(src func() uint64) Scalar {

@@ -82,18 +82,3 @@ func TestQuickBytesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestQuickAddMulSmallCongruence(t *testing.T) {
-	m := k163()
-	f := func(a0, a1, a2 uint64, factor uint32) bool {
-		a := qscalar(m, a0, a1, a2, 0)
-		b, err := m.AddMulSmall(a, uint64(factor))
-		if err != nil {
-			return false
-		}
-		return m.Reduce(b).Equal(a)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -59,36 +59,6 @@ func (s *SoftwareMultiplier) XOnlyMul(k modn.Scalar, p ec.Point) (gf2m.Element, 
 	return x, nil
 }
 
-// ReaderMultiplier is the energy-rich verifier's scalar
-// multiplication: τNAF on Koblitz curves (Frobenius instead of
-// doublings), projective double-and-add otherwise. Roughly 2-4x
-// faster than the protected ladder and NOT constant time — reader
-// side only, never on a tag (the asymmetry rule of §4 cuts both
-// ways: the reader may spend speed tricks the tag must not).
-type ReaderMultiplier struct {
-	Curve *ec.Curve
-}
-
-// ScalarMul implements PointMultiplier.
-func (r *ReaderMultiplier) ScalarMul(k modn.Scalar, p ec.Point) (ec.Point, error) {
-	if r.Curve.IsKoblitz() && !p.Inf {
-		return r.Curve.ScalarMulTNAF(k, p)
-	}
-	return r.Curve.ScalarMulProjective(k, p)
-}
-
-// XOnlyMul implements PointMultiplier.
-func (r *ReaderMultiplier) XOnlyMul(k modn.Scalar, p ec.Point) (gf2m.Element, error) {
-	q, err := r.ScalarMul(k, p)
-	if err != nil {
-		return gf2m.Element{}, err
-	}
-	if q.Inf {
-		return gf2m.Element{}, errors.New("protocol: x-only result is the point at infinity")
-	}
-	return q.X, nil
-}
-
 // Ledger counts the operations a party performs so experiments can
 // price a protocol run (computation via the co-processor energy model,
 // communication via the radio model).

@@ -362,57 +362,3 @@ func TestSoftwareMultiplierAgainstBaseline(t *testing.T) {
 		t.Fatal("x-only of infinity accepted")
 	}
 }
-
-func TestReaderMultiplierMatchesSoftware(t *testing.T) {
-	src := rng.NewDRBG(77).Uint64
-	for _, curve := range []*ec.Curve{ec.K163(), ec.B163()} {
-		soft := &SoftwareMultiplier{Curve: curve, Rand: src}
-		fast := &ReaderMultiplier{Curve: curve}
-		for i := 0; i < 5; i++ {
-			k := curve.Order.RandNonZero(src)
-			p := curve.RandomPoint(src)
-			want, err := soft.ScalarMul(k, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := fast.ScalarMul(k, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("%s: ReaderMultiplier disagrees", curve.Name)
-			}
-			x, err := fast.XOnlyMul(k, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !x.Equal(want.X) {
-				t.Fatal("XOnlyMul wrong")
-			}
-		}
-	}
-	fast := &ReaderMultiplier{Curve: ec.K163()}
-	if _, err := fast.XOnlyMul(modn.Zero(), ec.K163().Generator()); err == nil {
-		t.Fatal("x-only of O accepted")
-	}
-}
-
-func TestFullSessionWithReaderMultiplier(t *testing.T) {
-	// The reader running on the fast path must interoperate with a
-	// tag on the protected software ladder.
-	curve := ec.K163()
-	src := rng.NewDRBG(78).Uint64
-	rdr, err := NewReader(curve, &ReaderMultiplier{Curve: curve}, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tag, err := NewTag(curve, &SoftwareMultiplier{Curve: curve, Rand: src}, src, rdr.Pub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rdr.Register(tag.Pub)
-	idx, err := RunIdentification(tag, rdr)
-	if err != nil || idx != 0 {
-		t.Fatalf("mixed-multiplier session failed: %d %v", idx, err)
-	}
-}
