@@ -200,7 +200,10 @@ func NewLadderState(x, lambda, mu gf2m.Element) LadderState {
 //	X3 = x*Z3 + (Xa*Zb)*(Xb*Za)
 //
 // 4 field multiplications and 1 squaring — the operation counts the
-// co-processor microcode reproduces cycle for cycle.
+// co-processor microcode reproduces cycle for cycle. MAdd, MDouble and
+// Step are the documented formulas; the ladder runs an equivalent
+// step that reaches the same state with fewer field operations, and
+// these are its test oracle.
 func MAdd(xa, za, xb, zb, x gf2m.Element) (x3, z3 gf2m.Element) {
 	t1 := gf2m.Mul(xa, zb)
 	t2 := gf2m.Mul(xb, za)
@@ -272,8 +275,64 @@ func randNonZero(src func() uint64) gf2m.Element {
 	}
 }
 
+// ladder is what one ladder run precomputes: the comb table of the
+// fixed affine x(P) and, unless √b = 1, that of √b. In characteristic 2,
+// X⁴ + b·Z⁴ = (X² + √b·Z²)², so MDouble's X' costs one squaring plus a
+// multiplication by √b, and none when √b = 1. That holds on K-163,
+// whose b = 1 is what the paper's Koblitz choice buys. The branch reads
+// a public curve constant, never key or mask data.
+type ladder struct {
+	x          gf2m.Precomp
+	sqrtB      gf2m.Precomp
+	sqrtBIsOne bool
+}
+
+func newLadder(x, b gf2m.Element) ladder {
+	l := ladder{x: gf2m.Precompute(x)}
+	sqrtB := gf2m.Sqrt(b)
+	l.sqrtBIsOne = sqrtB.IsOne()
+	if !l.sqrtBIsOne {
+		l.sqrtB = gf2m.Precompute(sqrtB)
+	}
+	return l
+}
+
+// add is MAdd with x(P)'s comb table, reducing x*Z3 + t1*t2 once.
+func (l *ladder) add(xa, za, xb, zb gf2m.Element) (x3, z3 gf2m.Element) {
+	t1 := gf2m.Mul(xa, zb)
+	t2 := gf2m.Mul(xb, za)
+	z3 = gf2m.Sqr(gf2m.Add(t1, t2))
+	acc := l.x.MulNoReduce(z3)
+	gf2m.MulAcc(&acc, t1, t2)
+	return gf2m.Reduce(acc), z3
+}
+
+// double is MDouble with X' = (X² + √b·Z²)².
+func (l *ladder) double(x, z gf2m.Element) (x2, z2 gf2m.Element) {
+	xx := gf2m.Sqr(x)
+	zz := gf2m.Sqr(z)
+	z2 = gf2m.Mul(xx, zz)
+	if !l.sqrtBIsOne {
+		zz = l.sqrtB.Mul(zz)
+	}
+	return gf2m.Sqr(gf2m.Add(xx, zz)), z2
+}
+
+// step is Step on the ladder's precomputed tables. Every field
+// operation is exact, so it yields the same projective state as Step.
+func (l *ladder) step(s *LadderState, bit uint) {
+	if bit == 1 {
+		s.X0, s.Z0 = l.add(s.X0, s.Z0, s.X1, s.Z1)
+		s.X1, s.Z1 = l.double(s.X1, s.Z1)
+	} else {
+		s.X1, s.Z1 = l.add(s.X0, s.Z0, s.X1, s.Z1)
+		s.X0, s.Z0 = l.double(s.X0, s.Z0)
+	}
+}
+
 // ladderX runs the complete x-only ladder over all 163 bit positions
-// and returns the final projective state.
+// and returns the final projective state. λ and μ are drawn before
+// anything else, so the caller's random stream is consumed as always.
 func (c *Curve) ladderX(k modn.Scalar, x gf2m.Element, opt LadderOptions) LadderState {
 	var lambda, mu gf2m.Element
 	switch {
@@ -284,8 +343,9 @@ func (c *Curve) ladderX(k modn.Scalar, x gf2m.Element, opt LadderOptions) Ladder
 		lambda, mu = opt.FixedLambda, opt.FixedMu
 	}
 	s := NewLadderState(x, lambda, mu)
+	l := newLadder(x, c.B)
 	for i := LadderBits - 1; i >= 0; i-- {
-		s.Step(k.Bit(i), x, c.B)
+		l.step(&s, k.Bit(i))
 	}
 	return s
 }
@@ -303,17 +363,26 @@ func (c *Curve) XOnlyScalarMul(k modn.Scalar, x gf2m.Element, opt LadderOptions)
 }
 
 // RecoverY recovers the affine result of the ladder including the
-// y-coordinate (paper Algorithm 1, "RecoverY(P, R)"), using the
-// López–Dahab recovery formula
+// y-coordinate (paper Algorithm 1, "RecoverY(P, R)") from the final
+// state s, using the López–Dahab recovery formula
 //
 //	y0 = (x0 + x) * [ (x0 + x)(x1 + x) + x^2 + y ] / x  +  y
 //
-// where (x, y) = P, x0 = x(kP) and x1 = x((k+1)P).
-func (c *Curve) RecoverY(p Point, x0, x1 gf2m.Element) Point {
+// where (x, y) = P, x0 = X0/Z0 = x(kP) and x1 = X1/Z1 = x((k+1)P).
+// The three divisions share one inversion of Z0·Z1·x (Montgomery's
+// trick); inversion is exact, so each quotient is the one Div gives.
+// It requires Z0, Z1 and x nonzero.
+func (c *Curve) RecoverY(p Point, s LadderState) Point {
+	z01 := gf2m.Mul(s.Z0, s.Z1)
+	inv := gf2m.Inv(gf2m.Mul(z01, p.X))
+	invZ01 := gf2m.Mul(inv, p.X) // 1/(Z0·Z1)
+	invX := gf2m.Mul(inv, z01)   // 1/x
+	x0 := gf2m.Mul(gf2m.Mul(s.X0, s.Z1), invZ01)
+	x1 := gf2m.Mul(gf2m.Mul(s.X1, s.Z0), invZ01)
 	t0 := gf2m.Add(x0, p.X)
 	t1 := gf2m.Add(x1, p.X)
 	acc := gf2m.Add(gf2m.Mul(t0, t1), gf2m.Add(gf2m.Sqr(p.X), p.Y))
-	y0 := gf2m.Add(gf2m.Div(gf2m.Mul(t0, acc), p.X), p.Y)
+	y0 := gf2m.Add(gf2m.Mul(gf2m.Mul(t0, acc), invX), p.Y)
 	return Point{X: x0, Y: y0}
 }
 
@@ -337,9 +406,7 @@ func (c *Curve) ScalarMulLadder(k modn.Scalar, p Point, opt LadderOptions) (Poin
 		// k+1 = 0, i.e. kP = -P.
 		return c.Neg(p), nil
 	}
-	x0 := gf2m.Div(s.X0, s.Z0)
-	x1 := gf2m.Div(s.X1, s.Z1)
-	return c.RecoverY(p, x0, x1), nil
+	return c.RecoverY(p, s), nil
 }
 
 // ScalarBaseMul computes k*G on the base point.

@@ -34,11 +34,11 @@ func FuzzFromBytes(f *testing.F) {
 	})
 }
 
-// FuzzMulCross: the Karatsuba/windowed fixed-path multiplier (and its
-// precomputed and lazy-reduction variants) must agree with the generic
-// bit-serial field on arbitrary canonical operands. Seeds cover the
-// structural corners: zero, identity, all-ones, single top bit, the
-// comb window pattern, and the reduction-polynomial tail.
+// FuzzMulCross: the comb multiplier (Mul, a Precompute table reused
+// across products, and MulAcc's lazy reduction) must agree with the
+// generic bit-serial field on arbitrary canonical operands. Seeds
+// cover the structural corners: zero, identity, all-ones, single top
+// bit, a repeated-window pattern, and the reduction-polynomial tail.
 func FuzzMulCross(f *testing.F) {
 	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0))
 	f.Add(uint64(1), uint64(0), uint64(0), uint64(1), uint64(0), uint64(0))

@@ -13,11 +13,16 @@
 //     across security levels and doubles as an independent reference
 //     implementation for cross-testing the fast path.
 //
+// Multiplication is a whole-operand left-to-right comb with 4-bit
+// windows (see Precomp); mulsweep_test.go keeps the configurations it
+// replaced, among them the 3-word Karatsuba, measured against it.
+//
 // All fixed-path operations are branch-free with respect to operand
 // values (data-dependent branches are what the paper's timing- and
 // SPA-countermeasures forbid); table lookups are indexed by public loop
-// counters or operand bytes, which the simulator's leakage model
-// accounts for explicitly.
+// counters or operand bytes and nibbles. This is the simulator's host
+// arithmetic: the device's leakage is modelled in the coproc and power
+// packages, not in the timing of this code.
 package gf2m
 
 import "math/bits"
@@ -108,178 +113,114 @@ func (e Element) normalize() Element {
 	return e
 }
 
-// wordTab is the 4-bit windowed comb table of one 64-bit operand:
-// entry i holds the truncated carry-less product i·x for the sixteen
-// 4-bit window values. Building it costs 7 shift/XOR pairs; a word
-// product then needs only the 16 comb lookups plus the high-bits
-// correction. Hoisting the table out of the word product is what lets
-// one operand's precomputation be shared across every word product
-// using that operand (the Karatsuba left-operand tables below).
+// Precomp is the comb table of one operand b for the left-to-right
+// comb multiplier with 4-bit windows (Hankerson–Menezes–Vanstone,
+// Alg. 2.36): entry u holds the product u·b for each of the sixteen
+// polynomials u of degree below 4. A canonical b has degree at most
+// 162, so every entry has degree at most 165 and fits in 3 words. The
+// entries are stored as three 16-word planes, one per product word.
 //
-// The window width is pinned at 4 by measurement, not convention: the
-// configuration sweep in mulsweep_test.go (BenchmarkMulSweep; numbers
-// in its header) puts the
-// 2-bit window ~1.4x slower (twice the lookups) and the 8-bit window
-// ~6x slower (a 256-entry table build per operand word amortizes only
-// after ~10 reuses, which one-shot multiplication never reaches).
-// Likewise one level of 3-word Karatsuba (6 word products) beats
-// schoolbook's 9 by ~15% — and there is no deeper recursion to sweep:
-// the next level would split single words.
-type wordTab [16]uint64
-
-// combTab builds the window table of x.
-func combTab(x uint64) wordTab {
-	var u wordTab
-	u[1] = x
-	for i := 2; i < 16; i += 2 {
-		u[i] = u[i/2] << 1
-		u[i+1] = u[i] ^ x
-	}
-	return u
-}
-
-// clmulTab returns the 128-bit carry-less product of x and y as
-// (hi, lo), given x's precomputed window table. It is the standard
-// 4-bit windowed comb with the high-bits correction, and contains no
-// data-dependent branches.
-func clmulTab(u *wordTab, x, y uint64) (hi, lo uint64) {
-	lo = u[y&0xf]
-	for i := uint(4); i < 64; i += 4 {
-		v := u[(y>>i)&0xf]
-		lo ^= v << i
-		hi ^= v >> (64 - i)
-	}
-	// The table entries truncate x<<1, x<<2, x<<3 to 64 bits. For each
-	// window bit k in {1,2,3} the lost high part is (x >> (64-k)),
-	// contributed at every window position whose k-th bit of y is set.
-	const comb = 0x1111111111111111
-	for k := uint(1); k < 4; k++ {
-		z := x >> (64 - k)
-		w := (y >> k) & comb
-		t := w & (-(z & 1))
-		t ^= (w << 1) & (-(z >> 1 & 1))
-		t ^= (w << 2) & (-(z >> 2 & 1))
-		hi ^= t
-	}
-	return hi, lo
-}
-
-// clmulTabTop is clmulTab specialized for the top-word product of two
-// canonical elements: x and y both carry at most 35 bits (degrees
-// 128..162 live in word 2), so the windows above bit 35 of y and the
-// truncated-shift correction (which needs bits 61..63 of x) vanish.
-// This is a structural property of the element encoding, not of the
-// operand values, so the specialization stays branch-free with respect
-// to data.
-func clmulTabTop(u *wordTab, y uint64) (hi, lo uint64) {
-	lo = u[y&0xf]
-	for i := uint(4); i < 36; i += 4 {
-		v := u[(y>>i)&0xf]
-		lo ^= v << i
-		hi ^= v >> (64 - i)
-	}
-	return hi, lo
-}
-
-// clmul64 returns the 128-bit carry-less product of x and y, building
-// the window table on the fly (the one-shot path; multi-product
-// callers go through Precomp so the tables are built once).
-func clmul64(x, y uint64) (hi, lo uint64) {
-	u := combTab(x)
-	return clmulTab(&u, x, y)
-}
-
-// Precomp is the per-operand half of a 3-word Karatsuba
-// multiplication: the six left-operand words a0, a1, a2, a0^a1, a0^a2,
-// a1^a2 together with their window tables. Precomputing it once and
-// reusing it across multiplications by the same operand (Precomp.Mul)
-// skips the table construction entirely — the software analogue of
-// wiring one multiplicand into the MALU's partial-product array.
+// Mul builds a table per call. Precompute keeps one alive across every
+// product by a fixed operand (Sqrt's constant sqrt(x), the ladder's
+// x(P)), which skips the table construction entirely — the software
+// analogue of wiring one multiplicand into the MALU's partial-product
+// array. The whole-operand scan and the plane layout are pinned by
+// measurement: mulsweep_test.go keeps the rejected configurations,
+// the 3-word Karatsuba over per-word combs among them
+// (BenchmarkMulSweep; numbers in its header).
 type Precomp struct {
-	x [6]uint64
-	t [6]wordTab
+	w0, w1, w2 [16]uint64
 }
 
-// Precompute builds the Karatsuba tables of a.
-func Precompute(a Element) Precomp {
-	var p Precomp
-	p.x = [6]uint64{a[0], a[1], a[2], a[0] ^ a[1], a[0] ^ a[2], a[1] ^ a[2]}
-	for i, w := range p.x {
-		p.t[i] = combTab(w)
+// build fills p with the comb table of b. Entry 0 stays zero; each even
+// entry is half its index's entry shifted up one bit, each odd entry
+// the even one below it plus b.
+func (p *Precomp) build(b Element) {
+	p.w0[1], p.w1[1], p.w2[1] = b[0], b[1], b[2]
+	for u := 2; u < 16; u += 2 {
+		h := u >> 1
+		p.w0[u] = p.w0[h] << 1
+		p.w1[u] = p.w1[h]<<1 | p.w0[h]>>63
+		p.w2[u] = p.w2[h]<<1 | p.w1[h]>>63
+		p.w0[u+1] = p.w0[u] ^ b[0]
+		p.w1[u+1] = p.w1[u] ^ b[1]
+		p.w2[u+1] = p.w2[u] ^ b[2]
 	}
+}
+
+// Precompute builds the comb table of b.
+func Precompute(b Element) Precomp {
+	var p Precomp
+	p.build(b)
 	return p
 }
 
-// MulNoReduce returns the unreduced 6-word carry-less product p·b
-// using the 3-word Karatsuba decomposition of Dyka & Langendoerfer:
-// six word products instead of schoolbook's nine. With
-// A = a0 + a1·X + a2·X² over X = x^64 and Dij = (ai+aj)(bi+bj):
-//
-//	A·B = D00 + (D01+D00+D11)·X + (D02+D00+D11+D22)·X²
-//	          + (D12+D11+D22)·X³ + D22·X⁴
-func (p *Precomp) MulNoReduce(b Element) [6]uint64 {
-	h0, l0 := clmulTab(&p.t[0], p.x[0], b[0])
-	h1, l1 := clmulTab(&p.t[1], p.x[1], b[1])
-	h2, l2 := clmulTabTop(&p.t[2], b[2])
-	h01, l01 := clmulTab(&p.t[3], p.x[3], b[0]^b[1])
-	h02, l02 := clmulTab(&p.t[4], p.x[4], b[0]^b[2])
-	h12, l12 := clmulTab(&p.t[5], p.x[5], b[1]^b[2])
-
-	// Middle coefficients (each 128 bits).
-	m1l, m1h := l01^l0^l1, h01^h0^h1       // X term: a0b1+a1b0
-	m2l, m2h := l02^l0^l1^l2, h02^h0^h1^h2 // X² term: a0b2+a2b0+a1b1
-	m3l, m3h := l12^l1^l2, h12^h1^h2       // X³ term: a1b2+a2b1
-
-	return [6]uint64{
-		l0,
-		h0 ^ m1l,
-		m1h ^ m2l,
-		m2h ^ m3l,
-		m3h ^ l2,
-		h2,
+// MulNoReduce returns the unreduced 6-word carry-less product a·b,
+// where p is b's comb table. It scans a's 4-bit windows from the top:
+// window s of every word selects one table entry, added at that word's
+// offset, and the 6-word accumulator shifts up 4 bits between window
+// positions. Word 2 of a canonical element holds only bits 0..34, so
+// its windows from bit 36 up are zero and skipped: 41 lookups and 15
+// shifts. That skip depends on the element encoding, not on operand
+// values, so the scan has no data-dependent branches.
+func (p *Precomp) MulNoReduce(a Element) [6]uint64 {
+	var c0, c1, c2, c3, c4, c5 uint64
+	for s := uint(60); s > 32; s -= 4 {
+		u := a[0] >> s & 15
+		c0 ^= p.w0[u]
+		c1 ^= p.w1[u]
+		c2 ^= p.w2[u]
+		u = a[1] >> s & 15
+		c1 ^= p.w0[u]
+		c2 ^= p.w1[u]
+		c3 ^= p.w2[u]
+		c5 = c5<<4 | c4>>60
+		c4 = c4<<4 | c3>>60
+		c3 = c3<<4 | c2>>60
+		c2 = c2<<4 | c1>>60
+		c1 = c1<<4 | c0>>60
+		c0 <<= 4
+	}
+	for s := uint(32); ; s -= 4 {
+		u := a[0] >> s & 15
+		c0 ^= p.w0[u]
+		c1 ^= p.w1[u]
+		c2 ^= p.w2[u]
+		u = a[1] >> s & 15
+		c1 ^= p.w0[u]
+		c2 ^= p.w1[u]
+		c3 ^= p.w2[u]
+		u = a[2] >> s & 15
+		c2 ^= p.w0[u]
+		c3 ^= p.w1[u]
+		c4 ^= p.w2[u]
+		if s == 0 {
+			return [6]uint64{c0, c1, c2, c3, c4, c5}
+		}
+		c5 = c5<<4 | c4>>60
+		c4 = c4<<4 | c3>>60
+		c3 = c3<<4 | c2>>60
+		c2 = c2<<4 | c1>>60
+		c1 = c1<<4 | c0>>60
+		c0 <<= 4
 	}
 }
 
-// Mul returns the reduced product p·b.
-func (p *Precomp) Mul(b Element) Element {
-	return reduce(p.MulNoReduce(b))
-}
-
-// mul320 computes the 6-word carry-less product of two 3-word operands
-// via 3-word Karatsuba (6 word products, down from schoolbook's 9).
-// The window tables live in locals so the compiler keeps them on the
-// stack; long-lived per-operand tables go through Precomp instead.
-func mul320(a, b Element) [6]uint64 {
-	x01, x02, x12 := a[0]^a[1], a[0]^a[2], a[1]^a[2]
-	t0 := combTab(a[0])
-	t1 := combTab(a[1])
-	t2 := combTab(a[2])
-	t01 := combTab(x01)
-	t02 := combTab(x02)
-	t12 := combTab(x12)
-
-	h0, l0 := clmulTab(&t0, a[0], b[0])
-	h1, l1 := clmulTab(&t1, a[1], b[1])
-	h2, l2 := clmulTabTop(&t2, b[2])
-	h01, l01 := clmulTab(&t01, x01, b[0]^b[1])
-	h02, l02 := clmulTab(&t02, x02, b[0]^b[2])
-	h12, l12 := clmulTab(&t12, x12, b[1]^b[2])
-
-	m1l, m1h := l01^l0^l1, h01^h0^h1
-	m2l, m2h := l02^l0^l1^l2, h02^h0^h1^h2
-	m3l, m3h := l12^l1^l2, h12^h1^h2
-
-	return [6]uint64{l0, h0 ^ m1l, m1h ^ m2l, m2h ^ m3l, m3h ^ l2, h2}
+// Mul returns the reduced product a·b, where p is b's comb table.
+func (p *Precomp) Mul(a Element) Element {
+	return reduce(p.MulNoReduce(a))
 }
 
 // MulAcc accumulates the unreduced product a·b into acc: acc ^= a·b.
 // Reduction mod f(x) is GF(2)-linear, so a multi-term sum can be
 // accumulated unreduced and folded once at the end —
 // Reduce(Σ aᵢ·bᵢ) == Σ Mul(aᵢ, bᵢ) bit-for-bit. The curve layer's
-// projective formulas use this to pay one reduction per sum instead of
-// one per product.
+// ladder uses this to pay one reduction per sum instead of one per
+// product.
 func MulAcc(acc *[6]uint64, a, b Element) {
-	c := mul320(a, b)
+	var t Precomp
+	t.build(b)
+	c := t.MulNoReduce(a)
 	for i := range acc {
 		acc[i] ^= c[i]
 	}
@@ -316,9 +257,11 @@ func reduce(c [6]uint64) Element {
 	return r
 }
 
-// Mul returns e * f in GF(2^163).
+// Mul returns e * f in GF(2^163): f's comb table, e's windows.
 func Mul(e, f Element) Element {
-	return reduce(mul320(e, f))
+	var t Precomp
+	t.build(f)
+	return reduce(t.MulNoReduce(e))
 }
 
 // sqrSpread maps a byte b0..b7 to the 16-bit value with b's bits
@@ -394,7 +337,7 @@ func Div(e, f Element) Element { return Mul(e, Inv(f)) }
 // bits — the inverse of sqrSpread restricted to one parity class.
 var sqrtCompact [256]byte
 
-// sqrtXTab holds the multiplication tables of the constant
+// sqrtXTab holds the comb table of the constant
 // sqrt(x) = x^(2^(m-1)), built once at init from the repeated-squaring
 // definition (the only place that definition is still evaluated).
 var sqrtXTab Precomp

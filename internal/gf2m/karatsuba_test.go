@@ -5,19 +5,20 @@ import (
 	"testing"
 )
 
-// This file pins the Karatsuba/windowed multiplication rewrite against
-// the generic bit-serial field (generic.go), which shares no code with
-// the fixed path: different multiplication algorithm (shift-and-add
-// with interleaved reduction vs 3-word Karatsuba over a 4-bit comb),
-// different inversion, different reduction. Any systematic error in the
-// comb tables, the Karatsuba recombination, or the lazy-reduction
-// helpers shows up as a divergence here.
+// This file pins the fixed-path multiplier against the generic
+// bit-serial field (generic.go), which shares no code with it:
+// different multiplication algorithm (shift-and-add with interleaved
+// reduction vs a whole-operand 4-bit comb), different inversion,
+// different reduction. Any systematic error in the comb table, the
+// window scan, or the lazy-reduction helpers shows up as a divergence
+// here. The file keeps its name, and its tests theirs, from the 3-word
+// Karatsuba multiplier the comb replaced (mulsweep_test.go).
 
 // structuredElements returns the adversarial corner inputs for the
 // multiplier: zero, one, every single-bit element, the all-ones
 // canonical element, and elements hugging the x^163 reduction
-// boundary, where the comb's high-bits correction and the top-word
-// specialization (clmulTabTop) earn their keep.
+// boundary, where the table's carries across words and the scan's
+// skipped top-word windows earn their keep.
 func structuredElements() []Element {
 	es := []Element{
 		Zero(),
@@ -80,8 +81,8 @@ func TestKaratsubaCrossGenericRandom(t *testing.T) {
 	}
 }
 
-// TestMulAccLazyReduction pins the identity the ec projective formulas
-// rely on: because reduction mod f is GF(2)-linear,
+// TestMulAccLazyReduction pins the identity the ec ladder's addition
+// relies on: because reduction mod f is GF(2)-linear,
 // Reduce(Σ aᵢ·bᵢ unreduced) must be bit-identical to Σ Mul(aᵢ, bᵢ).
 func TestMulAccLazyReduction(t *testing.T) {
 	r := rand.New(rand.NewSource(0xacc))

@@ -6,36 +6,201 @@ import (
 	"medsec/internal/rng"
 )
 
-// Multiplier-configuration sweep. The production multiplier pins two
-// tuning choices:
+// Multiplier-configuration sweep. The production multiplier (Mul, the
+// comb-w4 row) pins three choices:
 //
-//   - one level of 3-word Karatsuba (6 word products) over schoolbook
-//     (9 word products) — deeper recursion is structurally unavailable
-//     at 163 bits: the operands are only 3 words, so the next level
-//     would split single words;
-//   - a 4-bit comb window (16-entry table, 16 lookups per word
-//     product) over 2-bit (4-entry, 32 lookups) and 8-bit (256-entry,
-//     8 lookups).
+//   - a whole-operand left-to-right comb (Hankerson–Menezes–Vanstone
+//     Alg. 2.36): one 16-entry table of u·b, 3 words per entry, then 41
+//     4-bit window lookups over a and 15 shifts of a 6-word
+//     accumulator;
+//   - its table stored as three 16-word planes, one per product word,
+//     rather than as [16][3]uint64 rows;
+//   - 4-bit windows, the width the per-word rows below also favour.
 //
 // The variants below re-implement the rejected configurations so the
-// crossover stays measured, not asserted. On the reference host the
-// sweep reads:
+// crossover stays measured, not asserted:
 //
-//	karatsuba-w4 (pinned)   ~269 ns/op
-//	karatsuba-w2            ~387 ns/op  (2x lookups dominate)
-//	karatsuba-w8           ~1627 ns/op  (127 shift/XOR table builds
-//	                                     per operand word swamp the
-//	                                     halved lookups at one-shot
-//	                                     use; an 8-bit window could
-//	                                     only win if a table were
-//	                                     reused ~10+ times, which the
-//	                                     MALU's operand churn never
-//	                                     reaches)
-//	schoolbook-w4           ~312 ns/op  (9 vs 6 word products)
+//   - karatsuba-w4 is the previous production multiplier: one level of
+//     3-word Karatsuba (Dyka–Langendoerfer: 6 word products instead of
+//     schoolbook's 9), each word product a 4-bit windowed comb over its
+//     own 16-entry table with a high-bits correction. That is six table
+//     builds and 89 lookups per product. Karatsuba's saving is in
+//     hardware area; a software comb over the whole operand needs one
+//     table and no word products;
+//   - karatsuba-w2 and karatsuba-w8 change its window width;
+//   - schoolbook-w4 is the 9-product per-word comb;
+//   - comb-w4-rows is the production comb with [16][3]uint64 rows.
+//
+// On a shared 2-vCPU x86-64 host (go test -bench MulSweep -count 5,
+// medians) the sweep reads:
+//
+//	comb-w4 (pinned)    ~187 ns/op
+//	comb-w4-rows        ~268 ns/op  (same scan; the planes index one
+//	                                 16-word array per product word)
+//	karatsuba-w4        ~430 ns/op
+//	karatsuba-w2        ~578 ns/op  (2x lookups dominate)
+//	karatsuba-w8       ~2403 ns/op  (127 shift/XOR table builds
+//	                                 per operand word swamp the
+//	                                 halved lookups at one-shot use)
+//	schoolbook-w4       ~719 ns/op  (9 vs 6 word products)
 //
 // Correctness of every variant is pinned against the production path
 // in TestMulSweepVariantsAgree, so the benchmark numbers compare
 // equal-output implementations.
+
+// --- comb with [16][3]uint64 rows ---
+
+type combRows [16][3]uint64
+
+func buildCombRows(b Element) combRows {
+	var t combRows
+	t[1] = b
+	for u := 2; u < 16; u += 2 {
+		h := t[u>>1]
+		t[u] = [3]uint64{h[0] << 1, h[1]<<1 | h[0]>>63, h[2]<<1 | h[1]>>63}
+		t[u+1] = [3]uint64{t[u][0] ^ b[0], t[u][1] ^ b[1], t[u][2] ^ b[2]}
+	}
+	return t
+}
+
+// mulCombRows is Precomp.MulNoReduce over the row layout: the same
+// 41 lookups and 15 shifts, only the table indexing differs.
+func mulCombRows(a, b Element) [6]uint64 {
+	t := buildCombRows(b)
+	var c0, c1, c2, c3, c4, c5 uint64
+	for s := uint(60); s > 32; s -= 4 {
+		e := &t[a[0]>>s&15]
+		c0 ^= e[0]
+		c1 ^= e[1]
+		c2 ^= e[2]
+		e = &t[a[1]>>s&15]
+		c1 ^= e[0]
+		c2 ^= e[1]
+		c3 ^= e[2]
+		c5 = c5<<4 | c4>>60
+		c4 = c4<<4 | c3>>60
+		c3 = c3<<4 | c2>>60
+		c2 = c2<<4 | c1>>60
+		c1 = c1<<4 | c0>>60
+		c0 <<= 4
+	}
+	for s := uint(32); ; s -= 4 {
+		e := &t[a[0]>>s&15]
+		c0 ^= e[0]
+		c1 ^= e[1]
+		c2 ^= e[2]
+		e = &t[a[1]>>s&15]
+		c1 ^= e[0]
+		c2 ^= e[1]
+		c3 ^= e[2]
+		e = &t[a[2]>>s&15]
+		c2 ^= e[0]
+		c3 ^= e[1]
+		c4 ^= e[2]
+		if s == 0 {
+			return [6]uint64{c0, c1, c2, c3, c4, c5}
+		}
+		c5 = c5<<4 | c4>>60
+		c4 = c4<<4 | c3>>60
+		c3 = c3<<4 | c2>>60
+		c2 = c2<<4 | c1>>60
+		c1 = c1<<4 | c0>>60
+		c0 <<= 4
+	}
+}
+
+// --- per-word 4-bit window comb and 3-word Karatsuba (karatsuba-w4) ---
+
+// wordTab is the 4-bit window table of one 64-bit operand x: entry i
+// holds the truncated carry-less product i·x.
+type wordTab [16]uint64
+
+func combTab(x uint64) wordTab {
+	var u wordTab
+	u[1] = x
+	for i := 2; i < 16; i += 2 {
+		u[i] = u[i/2] << 1
+		u[i+1] = u[i] ^ x
+	}
+	return u
+}
+
+// clmulTab returns the 128-bit carry-less product of x and y as
+// (hi, lo), given x's window table, with the high-bits correction.
+func clmulTab(u *wordTab, x, y uint64) (hi, lo uint64) {
+	lo = u[y&0xf]
+	for i := uint(4); i < 64; i += 4 {
+		v := u[(y>>i)&0xf]
+		lo ^= v << i
+		hi ^= v >> (64 - i)
+	}
+	// The table entries truncate x<<1, x<<2, x<<3 to 64 bits. For each
+	// window bit k in {1,2,3} the lost high part is (x >> (64-k)),
+	// contributed at every window position whose k-th bit of y is set.
+	const comb = 0x1111111111111111
+	for k := uint(1); k < 4; k++ {
+		z := x >> (64 - k)
+		w := (y >> k) & comb
+		t := w & (-(z & 1))
+		t ^= (w << 1) & (-(z >> 1 & 1))
+		t ^= (w << 2) & (-(z >> 2 & 1))
+		hi ^= t
+	}
+	return hi, lo
+}
+
+// clmulTabTop is clmulTab for the top words of two canonical elements:
+// both carry at most 35 bits, so the windows above bit 35 of y and the
+// truncation correction (bits 61..63 of x) vanish.
+func clmulTabTop(u *wordTab, y uint64) (hi, lo uint64) {
+	lo = u[y&0xf]
+	for i := uint(4); i < 36; i += 4 {
+		v := u[(y>>i)&0xf]
+		lo ^= v << i
+		hi ^= v >> (64 - i)
+	}
+	return hi, lo
+}
+
+// clmul64 returns the 128-bit carry-less product of x and y, building
+// the window table on the fly.
+func clmul64(x, y uint64) (hi, lo uint64) {
+	u := combTab(x)
+	return clmulTab(&u, x, y)
+}
+
+// karatsubaCombine assembles the 6-word product from the six word
+// products of 3-word Karatsuba. With A = a0 + a1·X + a2·X² over
+// X = x^64 and Dij = (ai+aj)(bi+bj):
+//
+//	A·B = D00 + (D01+D00+D11)·X + (D02+D00+D11+D22)·X²
+//	          + (D12+D11+D22)·X³ + D22·X⁴
+func karatsubaCombine(h0, l0, h1, l1, h2, l2, h01, l01, h02, l02, h12, l12 uint64) [6]uint64 {
+	m1l, m1h := l01^l0^l1, h01^h0^h1
+	m2l, m2h := l02^l0^l1^l2, h02^h0^h1^h2
+	m3l, m3h := l12^l1^l2, h12^h1^h2
+	return [6]uint64{l0, h0 ^ m1l, m1h ^ m2l, m2h ^ m3l, m3h ^ l2, h2}
+}
+
+// mulKaratsubaW4 is the previous production multiplier: the six window
+// tables live in locals and the top-word product is specialized.
+func mulKaratsubaW4(a, b Element) [6]uint64 {
+	x01, x02, x12 := a[0]^a[1], a[0]^a[2], a[1]^a[2]
+	t0 := combTab(a[0])
+	t1 := combTab(a[1])
+	t2 := combTab(a[2])
+	t01 := combTab(x01)
+	t02 := combTab(x02)
+	t12 := combTab(x12)
+
+	h0, l0 := clmulTab(&t0, a[0], b[0])
+	h1, l1 := clmulTab(&t1, a[1], b[1])
+	h2, l2 := clmulTabTop(&t2, b[2])
+	h01, l01 := clmulTab(&t01, x01, b[0]^b[1])
+	h02, l02 := clmulTab(&t02, x02, b[0]^b[2])
+	h12, l12 := clmulTab(&t12, x12, b[1]^b[2])
+	return karatsubaCombine(h0, l0, h1, l1, h2, l2, h01, l01, h02, l02, h12, l12)
+}
 
 // --- 2-bit window comb ---
 
@@ -99,7 +264,7 @@ func clmulTab8(u *wordTab8, x, y uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// mulKaratsubaW builds the 6-word product with the production Karatsuba
+// mulKaratsubaW builds the 6-word product with the 3-word Karatsuba
 // structure over a pluggable word multiplier.
 func mulKaratsubaW(a, b Element, clmul func(x, y uint64) (hi, lo uint64)) [6]uint64 {
 	h0, l0 := clmul(a[0], b[0])
@@ -108,10 +273,7 @@ func mulKaratsubaW(a, b Element, clmul func(x, y uint64) (hi, lo uint64)) [6]uin
 	h01, l01 := clmul(a[0]^a[1], b[0]^b[1])
 	h02, l02 := clmul(a[0]^a[2], b[0]^b[2])
 	h12, l12 := clmul(a[1]^a[2], b[1]^b[2])
-	m1l, m1h := l01^l0^l1, h01^h0^h1
-	m2l, m2h := l02^l0^l1^l2, h02^h0^h1^h2
-	m3l, m3h := l12^l1^l2, h12^h1^h2
-	return [6]uint64{l0, h0 ^ m1l, m1h ^ m2l, m2h ^ m3l, m3h ^ l2, h2}
+	return karatsubaCombine(h0, l0, h1, l1, h2, l2, h01, l01, h02, l02, h12, l12)
 }
 
 // mulSchoolbook is the 9-product comparison point, sharing one comb
@@ -147,6 +309,8 @@ func TestMulSweepVariantsAgree(t *testing.T) {
 		b := FromWords(d.Uint64(), d.Uint64(), d.Uint64())
 		want := Mul(a, b)
 		for name, raw := range map[string][6]uint64{
+			"comb-w4-rows": mulCombRows(a, b),
+			"karatsuba-w4": mulKaratsubaW4(a, b),
 			"karatsuba-w2": mulKaratsubaW(a, b, clmul64W2),
 			"karatsuba-w8": mulKaratsubaW(a, b, clmul64W8),
 			"schoolbook":   mulSchoolbook(a, b),
@@ -159,9 +323,19 @@ func TestMulSweepVariantsAgree(t *testing.T) {
 }
 
 func BenchmarkMulSweep(b *testing.B) {
-	b.Run("karatsuba-w4", func(b *testing.B) {
+	b.Run("comb-w4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			benchSink = Mul(benchA, benchB)
+		}
+	})
+	b.Run("comb-w4-rows", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink = reduce(mulCombRows(benchA, benchB))
+		}
+	})
+	b.Run("karatsuba-w4", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink = reduce(mulKaratsubaW4(benchA, benchB))
 		}
 	})
 	b.Run("karatsuba-w2", func(b *testing.B) {
