@@ -6,16 +6,13 @@
 //     NIST reduction pentanomial f(x) = x^163 + x^7 + x^6 + x^3 + 1, the
 //     field underlying the Koblitz curve K-163 used by the paper's
 //     elliptic-curve co-processor. Elements are stored as three 64-bit
-//     words in little-endian word order.
+//     words in little-endian word order; multiplication is a
+//     whole-operand left-to-right comb with 4-bit windows (Precomp).
 //
 //   - Field / FE: a generic, variable-degree implementation supporting
 //     arbitrary reduction polynomials. It is used for parameter sweeps
 //     across security levels and doubles as an independent reference
 //     implementation for cross-testing the fast path.
-//
-// Multiplication is a whole-operand left-to-right comb with 4-bit
-// windows (see Precomp); mulsweep_test.go keeps the configurations it
-// replaced, among them the 3-word Karatsuba, measured against it.
 //
 // All fixed-path operations are branch-free with respect to operand
 // values (data-dependent branches are what the paper's timing- and

@@ -6,7 +6,8 @@ import (
 	"testing/quick"
 )
 
-// clmul64Slow is the obviously-correct 64-step reference for clmul64.
+// clmul64Slow is the obviously-correct 64-step reference for clmul64,
+// the word product of the karatsuba-w4 sweep row (mulsweep_test.go).
 func clmul64Slow(x, y uint64) (hi, lo uint64) {
 	for i := uint(0); i < 64; i++ {
 		mask := -(y >> i & 1)
