@@ -45,8 +45,9 @@ func FuzzDecompress(f *testing.F) {
 	})
 }
 
-// recoverYFromAffine is the two-affine-x form of RecoverY: the ladder's
-// y-recovery before its divisions shared one inversion.
+// recoverYFromAffine is RecoverY's formula on two affine
+// x-coordinates, dividing by x on its own: the oracle for the
+// shared-inversion form.
 func recoverYFromAffine(p Point, x0, x1 gf2m.Element) Point {
 	t0 := gf2m.Add(x0, p.X)
 	t1 := gf2m.Add(x1, p.X)
@@ -61,9 +62,8 @@ func recoverYFromAffine(p Point, x0, x1 gf2m.Element) Point {
 // Div, Div and the two-x recovery formula give — on K-163, where the
 // doubling skips its multiply by √b = 1, and on B-163, where it does
 // not. The scalar is reduced mod n, or mirrored to n−1−k; the seeds
-// reach k = 0, 1, n−2 and n−1, the ladder's early returns and both
-// sides of the shared inversion. λ = 0 or μ = 0 is the unit
-// representation.
+// reach k = 0, 1, n−2 and n−1, so both early returns and the shared
+// inversion run. λ = 0 or μ = 0 is the unit representation.
 func FuzzLadderMatchesStep(f *testing.F) {
 	for _, mirror := range []bool{false, true} {
 		f.Add(uint64(0), uint64(0), uint64(0), mirror, uint64(1), uint64(0), uint64(0))
