@@ -177,6 +177,23 @@ func TestRandomizedProjectiveCoordinatesInvariance(t *testing.T) {
 	}
 }
 
+func TestIsKoblitz(t *testing.T) {
+	// The ladder's doubling skips its multiplication by √b only on a
+	// Koblitz curve (b = 1); elsewhere it must keep a table of √b.
+	k := K163()
+	if l := newLadder(k.Gx, k.B); !l.sqrtBIsOne {
+		t.Fatal("K-163 not recognized as Koblitz")
+	}
+	b := B163()
+	l := newLadder(b.Gx, b.B)
+	if l.sqrtBIsOne {
+		t.Fatal("B-163 wrongly recognized as Koblitz")
+	}
+	if !gf2m.Sqr(l.sqrtB.Mul(gf2m.One())).Equal(b.B) {
+		t.Fatal("B-163 ladder's √b table does not square to b")
+	}
+}
+
 func TestLadderStateIntermediateInvariant(t *testing.T) {
 	// After processing the top j bits of k, the state must represent
 	// x(k_j * P) and x((k_j + 1) * P) where k_j is the partial scalar.

@@ -111,6 +111,33 @@ func TestQuickMAddProjectiveInvariance(t *testing.T) {
 	}
 }
 
+func TestQuickProjectiveRepresentativeInvariance(t *testing.T) {
+	// The ladder's own doubling, with √b folded in, must take any
+	// representative (λ·x : λ) of x(G) to x(2G), and a ladder started
+	// from random representatives must agree with double-and-add.
+	for _, c := range curvesUnderTest() {
+		g := c.Generator()
+		l := newLadder(g.X, c.B)
+		f := func(l0, m0 uint64, k uint16) bool {
+			lam := gf2m.FromUint64(l0 | 1)
+			mu := gf2m.FromUint64(m0 | 1)
+			x2, z2 := l.double(gf2m.Mul(g.X, lam), lam)
+			if z2.IsZero() || !gf2m.Div(x2, z2).Equal(c.Double(g).X) {
+				return false
+			}
+			s := modn.FromUint64(uint64(k))
+			got, err := c.ScalarMulLadder(s, g, LadderOptions{FixedLambda: lam, FixedMu: mu})
+			if err != nil {
+				return false
+			}
+			return got.Equal(c.ScalarMulDoubleAndAdd(s, g))
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+	}
+}
+
 func TestQuickCompressionRoundTrip(t *testing.T) {
 	c := K163()
 	f := func(w0, w1, w2 uint64) bool {
