@@ -25,7 +25,7 @@ func labPower(seed uint64) power.Config {
 	return cfg
 }
 
-func newDPATarget(t *testing.T, rpc bool, seed uint64) *Target {
+func newDPATarget(t testing.TB, rpc bool, seed uint64) *Target {
 	t.Helper()
 	curve := ec.K163()
 	key := generateKey(curve, rng.NewDRBG(seed).Uint64)

@@ -76,11 +76,14 @@ type Target struct {
 	// stream's (maskSeed vs traceSeed), so enabling masking changes
 	// neither the RPC masks Masks replays nor any architectural value.
 	Masked bool
-	// Workers sets the acquisition parallelism: campaigns fan
+	// Workers sets the campaign parallelism: acquisitions fan
 	// simulator passes over this many workers (<= 0 selects
-	// GOMAXPROCS, capped at campaign.MaxWorkers). Results are
-	// bit-identical for any value — per-trace randomness derives from
-	// the trace index, and statistics consume traces in index order.
+	// GOMAXPROCS, capped at campaign.MaxWorkers), and CPA fans its
+	// analysis (mirror replays and correlations) over the same pool.
+	// Results are bit-identical for any value — per-trace randomness
+	// derives from the trace index, statistics consume traces in index
+	// order, and every CPA correlation is one serial sum in trace
+	// order.
 	Workers int
 	// Lanes selects lane-batched acquisition: campaigns execute this
 	// many traces per interpreter pass (coproc.LaneCPU), amortizing
