@@ -1,11 +1,13 @@
-// Command reportgen runs the full experiment suite and writes a
+// Command reportgen runs the paper's experiments and writes a
 // self-contained markdown reproduction report (default: REPORT.md) —
-// every paper claim next to this run's measured value. The DPA
-// campaigns are the slow part; -quick caps them at test-suite sizes,
-// -full runs the paper-scale 20 000-trace campaign.
+// every paper claim next to this run's measured value. It is the only
+// place an experiment (E1–E17) is computed: one compute function per
+// E-number returns the values its section prints, and render turns
+// them into markdown. The DPA campaigns are the slow part; E2's
+// secret-randomness row attacks the paper's full 20 000 traces.
 //
 // With -manifests a,b.json,... the run manifests emitted by the lab
-// CLIs (-metrics out.json on scalab/linklab/eccsim/sweeptab) are validated
+// CLIs (-metrics out.json on scalab/linklab/eccsim) are validated
 // and folded into the report as a provenance appendix: per run, the
 // tool, seed, git SHA and flag set, plus the metric snapshot — so the
 // report records not only the numbers but the exact instrumented runs
@@ -13,6 +15,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -25,7 +28,9 @@ import (
 
 	"medsec/internal/area"
 	"medsec/internal/cliutil"
+	"medsec/internal/core"
 	"medsec/internal/design"
+	"medsec/internal/ec"
 	"medsec/internal/fault"
 	"medsec/internal/modn"
 	"medsec/internal/obs"
@@ -52,7 +57,6 @@ func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("reportgen", flag.ContinueOnError)
 	var (
 		out       = fs.String("o", "REPORT.md", "output file")
-		full      = fs.Bool("full", false, "run the paper-scale 20 000-trace DPA campaign")
 		seed      = fs.Uint64("seed", 1, "experiment seed")
 		manifests = fs.String("manifests", "", "comma-separated run-manifest JSON files (or globs) to fold into the report")
 	)
@@ -61,410 +65,689 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	// Load and validate the manifests up front: a truncated or foreign
-	// file should fail the run before an hour of campaigns, not after.
+	// file should fail the run before the campaigns, not after.
 	mans, err := loadManifests(*manifests)
 	if err != nil {
 		return err
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := func(format string, a ...interface{}) { fmt.Fprintf(f, format+"\n", a...) }
-
 	start := time.Now()
-	w("# Reproduction report")
-	w("")
-	w("Generated by `cmd/reportgen` (seed %d). Paper: Fan, Reparaz,", *seed)
-	w("Rožić, Verbauwhede — *Low-Energy Encryption for Medical Devices*,")
-	w("DAC 2013. Simulated clock: 847.5 kHz, Vdd 1 V, K-163, d = 4 MALU.")
-	w("")
-
-	// --- E1 ---
-	log.Print("E1: operating point")
-	chipPt := design.Defaults()
-	chipPt.Seed = *seed
-	chipPt.TRNGSeed = *seed
-	chipPt.NoiseSigma = 0
-	chipSt, err := chipPt.Build()
+	r, err := compute(ctx, *seed)
 	if err != nil {
 		return err
 	}
-	chip, err := chipSt.Chip()
-	if err != nil {
+	if err := writeReport(*out, r, mans, time.Since(start)); err != nil {
 		return err
+	}
+	log.Printf("wrote %s in %s", *out, time.Since(start).Round(time.Millisecond))
+	return nil
+}
+
+// writeReport renders the report and writes it to path in one call,
+// so a failed write or close is the run's error.
+func writeReport(path string, r *results, mans []loadedManifest, elapsed time.Duration) error {
+	return os.WriteFile(path, render(r, mans, elapsed), 0o644)
+}
+
+// results holds every value the report prints, one field per E-number.
+type results struct {
+	seed uint64
+	e1   core.Report
+	e2   e2Result
+	e3   *sca.TimingReport
+	e4   e4Result
+	e5   e5Result
+	e6   []area.ModuleGE
+	e7   e7Result
+	e8   e8Result
+	e9   e9Result
+	e10  []e10Row
+	e11  e11Result
+	e12  e12Result
+	e13  []e13Row
+	e14  *fault.CampaignReport
+	e16  e16Result
+	e17  e17Result
+}
+
+// lab is the state several experiments share: the E2 lab stack, the
+// device key, and the key stream that E11, E12 and E17 draw from in
+// that order (the order is part of the report's bytes).
+type lab struct {
+	ctx  context.Context
+	seed uint64
+	pt   design.Point
+	st   *design.Stack
+	key  modn.Scalar
+	src  func() uint64
+}
+
+// compute runs every experiment at seed, in E-number order.
+func compute(ctx context.Context, seed uint64) (*results, error) {
+	pt := design.Defaults()
+	pt.Seed = seed
+	pt.TRNGSeed = seed + 99
+	pt.XOnly = true
+	pt.NoiseSigma = design.LabNoiseSigma
+	st, err := pt.Build()
+	if err != nil {
+		return nil, err
+	}
+	l := &lab{ctx: ctx, seed: seed, pt: pt, st: st, key: st.DeviceKey(seed), src: rng.NewDRBG(seed + 6).Uint64}
+
+	r := &results{seed: seed}
+	steps := []struct {
+		name string
+		run  func() error
+	}{
+		{"E1: operating point", func() (err error) { r.e1, err = computeE1(seed); return }},
+		{"E2: DPA campaigns", func() (err error) { r.e2, err = computeE2(l); return }},
+		{"E3: timing", func() error {
+			r.e3 = sca.TimingAttack(st.Curve, st.Timing, 500, rng.NewDRBG(seed+4).Uint64)
+			return nil
+		}},
+		{"E4: digit sweep", func() (err error) { r.e4, err = computeE4(); return }},
+		{"E5: register pressure", func() error { r.e5 = computeE5(l); return nil }},
+		{"E6: gate counts", func() error { r.e6 = area.ModuleGateCounts(); return nil }},
+		{"E7: radio crossover", func() (err error) { r.e7, err = computeE7(); return }},
+		{"E8: privacy games", func() (err error) { r.e8, err = computeE8(seed); return }},
+		{"E9: SPA ablation", func() (err error) { r.e9, err = computeE9(l); return }},
+		{"E10: countermeasure cost", func() (err error) { r.e10, err = computeE10(l); return }},
+		{"E11: session ordering", func() (err error) { r.e11, err = computeE11(l); return }},
+		{"E12: TVLA", func() (err error) { r.e12, err = computeE12(l); return }},
+		{"E13: security level", func() error { r.e13 = computeE13(); return nil }},
+		{"E14: fault campaign", func() (err error) { r.e14, err = fault.Campaign(st.Curve, st.Timing, 20, seed); return }},
+		{"E16: PUF", func() (err error) { r.e16, err = computeE16(seed); return }},
+		{"E17: masked datapath vs higher-order attacks", func() (err error) { r.e17, err = computeE17(l); return }},
+	}
+	for _, s := range steps {
+		log.Print(s.name)
+		if err := s.run(); err != nil {
+			return nil, fmt.Errorf("%s: %w", s.name, err)
+		}
+	}
+	return r, nil
+}
+
+// target mints a lab target at the given RPC setting. ^C against the
+// report run cancels the campaign in flight instead of leaving a
+// zombie acquisition pool.
+func (l *lab) target(rpc bool) (*sca.Target, error) {
+	p := l.pt
+	p.RPC = rpc
+	st, err := p.Build()
+	if err != nil {
+		return nil, err
+	}
+	tgt, err := st.Target(l.key)
+	if err != nil {
+		return nil, err
+	}
+	tgt.Ctx = l.ctx
+	return tgt, nil
+}
+
+// randKey draws a TVLA random-set key from the shared stream.
+func (l *lab) randKey() modn.Scalar { return sca.AlgorithmOneScalar(l.st.Curve, l.src) }
+
+// computeE1 meters one noise-free point multiplication on the chip.
+func computeE1(seed uint64) (core.Report, error) {
+	p := design.Defaults()
+	p.Seed = seed
+	p.TRNGSeed = seed
+	p.NoiseSigma = 0
+	st, err := p.Build()
+	if err != nil {
+		return core.Report{}, err
+	}
+	chip, err := st.Chip()
+	if err != nil {
+		return core.Report{}, err
 	}
 	if _, err := chip.PointMul(chip.GenerateScalar(), chip.Curve().Generator()); err != nil {
-		return err
+		return core.Report{}, err
 	}
-	w("## E1 — operating point")
-	w("")
-	w("| quantity | paper | measured |")
-	w("|---|---|---|")
-	w("| power | 50.4 µW | %.2f µW |", chip.Last.AvgPowerW*1e6)
-	w("| energy / PM | 5.1 µJ | %.3f µJ |", chip.Last.EnergyJ*1e6)
-	w("| throughput | 9.8 PM/s | %.2f PM/s |", 1/chip.Last.DurationS)
-	w("| cycles / PM | ~86 480 | %d |", chip.Last.Cycles)
-	w("")
+	return chip.Last, nil
+}
 
-	// --- E2 ---
-	log.Print("E2: DPA campaigns")
-	labPt := design.Defaults()
-	labPt.Seed = *seed
-	labPt.TRNGSeed = *seed + 99
-	labPt.XOnly = true
-	labPt.NoiseSigma = design.LabNoiseSigma
-	labSt, err := labPt.Build()
-	if err != nil {
-		return err
-	}
-	curve := labSt.Curve
-	key := labSt.DeviceKey(*seed)
-	mkTarget := func(rpc bool) (*sca.Target, error) {
-		p := labPt
-		p.RPC = rpc
-		st, err := p.Build()
-		if err != nil {
-			return nil, err
-		}
-		tgt, err := st.Target(key)
-		if err != nil {
-			return nil, err
-		}
-		// ^C against an hour-long report run cancels the campaign in
-		// flight instead of leaving a zombie acquisition pool.
-		tgt.Ctx = ctx
-		return tgt, nil
-	}
-	sizes := []int{50, 100, 150, 200, 300, 450, 700}
-	failN := 4000
-	if *full {
-		failN = 20000
-	}
-	tgtOff, err := mkTarget(false)
-	if err != nil {
-		return err
-	}
-	n, _, err := sca.TracesToSuccess(tgtOff, sizes, 6, sca.CPAOptions{}, rng.NewDRBG(*seed+1).Uint64)
-	if err != nil {
-		return err
-	}
-	tgtOn, err := mkTarget(true)
-	if err != nil {
-		return err
-	}
-	nKnown, _, err := sca.TracesToSuccess(tgtOn, []int{100, 300, 700, 1500}, 6,
-		sca.CPAOptions{KnownMasks: true}, rng.NewDRBG(*seed+2).Uint64)
-	if err != nil {
-		return err
-	}
-	tgtFail, err := mkTarget(true)
-	if err != nil {
-		return err
-	}
-	campFail, err := tgtFail.AcquireCampaign(failN, 160, 155, rng.NewDRBG(*seed+3).Uint64)
-	if err != nil {
-		return err
-	}
-	resFail, err := sca.CPA(campFail, sca.CPAOptions{Bits: 6})
-	if err != nil {
-		return err
-	}
-	w("## E2 — DPA (first 6 key bits)")
-	w("")
-	w("| setting | paper | measured |")
-	w("|---|---|---|")
-	w("| RPC off | succeeds, ~200 traces | succeeds at %d traces |", n)
-	w("| RPC on, randomness known | succeeds | succeeds at %d traces |", nKnown)
-	outcome := "FAILS"
-	if resFail.Success() {
-		outcome = "succeeded (!)"
-	}
-	w("| RPC on, randomness secret | fails at 20 000 | %s at %d traces (bit accuracy %.2f) |",
-		outcome, failN, resFail.BitAccuracy())
-	w("")
+// e2SecretTraces is the paper's failing campaign size for DPA against
+// RPC with secret randomness.
+const e2SecretTraces = 20000
 
-	// --- E3 ---
-	log.Print("E3: timing")
-	rep := sca.TimingAttack(curve, labSt.Timing, 500, rng.NewDRBG(*seed+4).Uint64)
-	w("## E3 — timing")
-	w("")
-	w("Ladder: constant %d cycles (variance %.0f). Double-and-add baseline:", rep.LadderCycles, rep.LadderVariance)
-	w("%d–%d cycles, latency/HW correlation %.3f, HW estimate error %.2f bits.",
-		rep.DAMinCycles, rep.DAMaxCycles, rep.DAHWCorrelation, rep.DARecoveredHWError)
-	w("")
+type e2Result struct {
+	off, known int // traces to success, -1 if never
+	secret     *sca.CPAResult
+}
 
-	// --- E4 ---
-	log.Print("E4: digit sweep")
+func computeE2(l *lab) (e2Result, error) {
+	var r e2Result
+	tgt, err := l.target(false)
+	if err != nil {
+		return r, err
+	}
+	if r.off, _, err = sca.TracesToSuccess(tgt, []int{50, 100, 150, 200, 300, 450, 700}, 6,
+		sca.CPAOptions{}, rng.NewDRBG(l.seed+1).Uint64); err != nil {
+		return r, err
+	}
+	if tgt, err = l.target(true); err != nil {
+		return r, err
+	}
+	if r.known, _, err = sca.TracesToSuccess(tgt, []int{100, 300, 700, 1500}, 6,
+		sca.CPAOptions{KnownMasks: true}, rng.NewDRBG(l.seed+2).Uint64); err != nil {
+		return r, err
+	}
+	if tgt, err = l.target(true); err != nil {
+		return r, err
+	}
+	camp, err := tgt.AcquireCampaign(e2SecretTraces, 160, 155, rng.NewDRBG(l.seed+3).Uint64)
+	if err != nil {
+		return r, err
+	}
+	r.secret, err = sca.CPA(camp, sca.CPAOptions{Bits: 6})
+	return r, err
+}
+
+type e4Result struct {
+	rows []area.DigitSweepRow
+	opt  int
+}
+
+func computeE4() (e4Result, error) {
 	rows, err := area.DigitSweep([]int{1, 2, 4, 8, 16, 32}, design.DefaultClockHz, 0.11)
 	if err != nil {
-		return err
+		return e4Result{}, err
 	}
-	w("## E4 — digit-size sweep")
-	w("")
-	w("| d | area [GE] | cycles | latency [ms] | power [µW] | energy [µJ] | area·energy | meets latency |")
-	w("|---|---|---|---|---|---|---|---|")
-	for _, r := range rows {
-		w("| %d | %.0f | %d | %.1f | %.1f | %.2f | %.0f | %v |",
-			r.D, r.AreaGE, r.Cycles, r.LatencyS*1e3, r.PowerW*1e6, r.EnergyJ*1e6, r.AreaEnergy, r.MeetsLatency)
-	}
-	if opt, err := area.OptimalDigit(rows); err == nil {
-		w("")
-		w("Optimum under the latency constraint: **d = %d** (paper: d = 4).", opt)
-	}
-	w("")
+	opt, err := area.OptimalDigit(rows)
+	return e4Result{rows: rows, opt: opt}, err
+}
 
-	// --- E6/E5 ---
-	w("## E5/E6 — storage and gate counts")
-	w("")
-	loop, ram := labSt.Ladder().RegisterPressure()
-	w("Ladder loop registers: **%d** (paper: six; Co-Z [6] needs %d). Post-processing RAM words: %d.",
-		loop, area.CoZRegisters, ram)
-	w("")
-	w("| module | GE |")
-	w("|---|---|")
-	for _, m := range area.ModuleGateCounts() {
-		w("| %s | %.0f |", m.Module, m.GE)
-	}
-	w("")
+type e5Result struct {
+	loop, ram    int
+	mplGE, cozGE float64
+}
 
-	// --- E7 ---
-	log.Print("E7: radio crossover")
+func computeE5(l *lab) e5Result {
+	loop, ram := l.st.Ladder().RegisterPressure()
+	return e5Result{loop: loop, ram: ram,
+		mplGE: area.RegisterStorageGE(loop, 163),
+		cozGE: area.RegisterStorageGE(area.CoZRegisters, 163)}
+}
+
+type e7Result struct {
+	sym, pk   string
+	rows      []radio.SweepRow
+	crossover float64
+}
+
+func computeE7() (e7Result, error) {
 	m := radio.DefaultModel()
 	costs := radio.PaperCosts()
-	if d, err := m.Crossover(radio.SymmetricKDC(), radio.PublicKeyLocal(), costs, 0, 100); err == nil {
-		w("## E7 — secret-key vs public-key energy")
-		w("")
-		w("Crossover at **%.1f m** backhaul distance: below it the AES+KDC", d)
-		w("option wins, above it the ECC-local option (4 × 5.1 µJ of")
-		w("computation, no online third party) wins.")
-		w("")
-	}
+	sym, pk := radio.SymmetricKDC(), radio.PublicKeyLocal()
+	d, err := m.Crossover(sym, pk, costs, 0, 100)
+	return e7Result{
+		sym: sym.Name, pk: pk.Name,
+		rows:      m.SweepScenarios(sym, pk, costs, []float64{0.5, 1, 2, 5, 10, 15, 20, 30, 50, 80}),
+		crossover: d,
+	}, err
+}
 
-	// --- E8 ---
-	log.Print("E8: privacy games")
-	s8, err := privacy.RunLinkingGame(privacy.GameConfig{Protocol: privacy.Schnorr, Rounds: 50, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	p8, err := privacy.RunLinkingGame(privacy.GameConfig{Protocol: privacy.PeetersHermans, Rounds: 50, Seed: *seed})
-	if err != nil {
-		return err
-	}
-	w("## E8 — privacy game (50 rounds)")
-	w("")
-	w("| protocol | linked | advantage |")
-	w("|---|---|---|")
-	w("| Schnorr | %d/%d | %.2f |", s8.Correct, s8.Rounds, s8.Advantage)
-	w("| Peeters–Hermans | %d/%d | %.2f |", p8.Correct, p8.Rounds, p8.Advantage)
-	w("")
+type e8Result struct {
+	schnorr, ph, corrupt *privacy.GameResult
+}
 
-	// --- E9 ---
-	log.Print("E9: SPA ablation")
-	spaAcc := func(mut func(*design.Point)) (float64, error) {
-		p := design.Defaults()
-		p.Seed = *seed
-		p.TRNGSeed = *seed + 5
-		p.XOnly = true
-		mut(&p)
-		st, err := p.Build()
-		if err != nil {
-			return 0, err
-		}
-		tgt, err := st.Target(key)
-		if err != nil {
-			return 0, err
-		}
-		r, err := sca.SPA(tgt, curve.Generator(), 0)
-		if err != nil {
-			return 0, err
-		}
-		return r.Accuracy(), nil
+func computeE8(seed uint64) (e8Result, error) {
+	var r e8Result
+	var err error
+	if r.schnorr, err = privacy.RunLinkingGame(privacy.GameConfig{Protocol: privacy.Schnorr, Rounds: 50, Seed: seed}); err != nil {
+		return r, err
 	}
-	accUnbal, err := spaAcc(func(p *design.Point) { p.BalancedMux = false })
-	if err != nil {
-		return err
+	if r.ph, err = privacy.RunLinkingGame(privacy.GameConfig{Protocol: privacy.PeetersHermans, Rounds: 50, Seed: seed}); err != nil {
+		return r, err
 	}
-	accGated, err := spaAcc(func(p *design.Point) { p.DataDepClockGating = true })
-	if err != nil {
-		return err
-	}
-	accProt, err := spaAcc(func(p *design.Point) {})
-	if err != nil {
-		return err
-	}
-	w("## E9 — single-trace SPA ablation")
-	w("")
-	w("| circuit design | bit accuracy |")
-	w("|---|---|")
-	w("| unbalanced mux selects | %.3f |", accUnbal)
-	w("| data-dependent clock gating | %.3f |", accGated)
-	w("| protected | %.3f |", accProt)
-	w("")
+	// The sanity row hands the linker the reader secret: it must win,
+	// so Peeters–Hermans' low advantage is the protocol's doing.
+	r.corrupt, err = privacy.RunLinkingGame(privacy.GameConfig{Protocol: privacy.PeetersHermans, Rounds: 12, Seed: seed, CorruptReader: true})
+	return r, err
+}
 
-	// --- E11 ---
-	log.Print("E11: session ordering")
-	src := rng.NewDRBG(*seed + 6).Uint64
-	mulp := &protocol.SoftwareMultiplier{Curve: curve, Rand: src}
-	rdr, err := protocol.NewReader(curve, mulp, src)
+// The circuit-level design points of E9 and E10.
+var (
+	unbalancedMux = func(p *design.Point) { p.BalancedMux = false }
+	clockGating   = func(p *design.Point) { p.DataDepClockGating = true }
+	protectedChip = func(p *design.Point) {}
+)
+
+// spaStack builds the E9/E10 design point: the chip, x-only like the
+// deployed microcode, with mut applied.
+func (l *lab) spaStack(mut func(*design.Point)) (*design.Stack, error) {
+	p := design.Defaults()
+	p.Seed = l.seed
+	p.TRNGSeed = l.seed + 5
+	p.XOnly = true
+	mut(&p)
+	return p.Build()
+}
+
+// spaAccuracy is single-trace SPA's key-bit accuracy against st.
+func (l *lab) spaAccuracy(st *design.Stack) (float64, error) {
+	tgt, err := st.Target(l.key)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	tag, err := protocol.NewTag(curve, mulp, src, rdr.Pub)
+	tgt.Ctx = l.ctx
+	r, err := sca.SPA(tgt, st.Curve.Generator(), 0)
 	if err != nil {
-		return err
+		return 0, err
+	}
+	return r.Accuracy(), nil
+}
+
+type e9Result struct {
+	unbalanced, gated, protected float64
+}
+
+func computeE9(l *lab) (e9Result, error) {
+	var r e9Result
+	for _, v := range []struct {
+		mut func(*design.Point)
+		acc *float64
+	}{{unbalancedMux, &r.unbalanced}, {clockGating, &r.gated}, {protectedChip, &r.protected}} {
+		st, err := l.spaStack(v.mut)
+		if err != nil {
+			return r, err
+		}
+		if *v.acc, err = l.spaAccuracy(st); err != nil {
+			return r, err
+		}
+	}
+	return r, nil
+}
+
+// e10Row prices one countermeasure choice against what one-trace SPA
+// achieves on it.
+type e10Row struct {
+	name        string
+	energyJ     float64 // per point multiplication, y-recovery included
+	vsChip      float64 // energyJ over the protected chip's
+	spaAccuracy float64
+	rpc         bool
+}
+
+// computeE10 is the paper's conclusion as a table: what each
+// countermeasure costs in energy, and what one-trace SPA achieves. The
+// protected chip is priced first, so every row carries its ratio to it.
+func computeE10(l *lab) ([]e10Row, error) {
+	// Energy is metered noise-free on its own key and mask streams.
+	energy := func(st *design.Stack) (float64, error) {
+		meas, err := st.MeasurePointMul(st.DeviceKey(l.seed+5), l.seed+4)
+		return meas.EnergyJ, err
+	}
+	chip, err := l.spaStack(protectedChip)
+	if err != nil {
+		return nil, err
+	}
+	base, err := energy(chip)
+	if err != nil {
+		return nil, err
+	}
+	variants := []struct {
+		name string
+		mut  func(*design.Point)
+	}{
+		{"no countermeasures at all", func(p *design.Point) {
+			p.RPC = false
+			p.BalancedMux = false
+			p.DataDepClockGating = true
+			p.InputIsolation = false
+			p.GlitchFree = false
+		}},
+		{"unbalanced muxes only", unbalancedMux},
+		{"data-dependent clock gating", clockGating},
+		{"the paper's chip (protected CMOS)", protectedChip},
+		{"protected + WDDL", func(p *design.Point) { p.Logic = "WDDL" }},
+		{"protected + SABL", func(p *design.Point) { p.Logic = "SABL" }},
+	}
+	rows := make([]e10Row, len(variants))
+	for i, v := range variants {
+		st, err := l.spaStack(v.mut)
+		if err != nil {
+			return nil, err
+		}
+		e, err := energy(st)
+		if err != nil {
+			return nil, err
+		}
+		acc, err := l.spaAccuracy(st)
+		if err != nil {
+			return nil, err
+		}
+		rows[i] = e10Row{name: v.name, energyJ: e, vsChip: e / base, spaAccuracy: acc, rpc: st.Point.RPC}
+	}
+	return rows, nil
+}
+
+type e11Result struct {
+	serverFirst, idFirst int // point multiplications wasted on a rogue server
+}
+
+func computeE11(l *lab) (e11Result, error) {
+	curve := l.st.Curve
+	mul := &protocol.SoftwareMultiplier{Curve: curve, Rand: l.src}
+	rdr, err := protocol.NewReader(curve, mul, l.src)
+	if err != nil {
+		return e11Result{}, err
+	}
+	tag, err := protocol.NewTag(curve, mul, l.src, rdr.Pub)
+	if err != nil {
+		return e11Result{}, err
 	}
 	rdr.Register(tag.Pub)
 	good, err := protocol.RunMutualAuth(tag, rdr, true, true)
 	if err != nil {
-		return err
+		return e11Result{}, err
 	}
 	bad, err := protocol.RunMutualAuth(tag, rdr, false, true)
 	if err != nil {
-		return err
+		return e11Result{}, err
 	}
+	return e11Result{serverFirst: good.DeviceLedger.PointMuls, idFirst: bad.DeviceLedger.PointMuls}, nil
+}
+
+type e12Result struct {
+	off, on *sca.TVLAResult
+}
+
+func computeE12(l *lab) (e12Result, error) {
+	var r e12Result
+	for _, v := range []struct {
+		rpc bool
+		res **sca.TVLAResult
+	}{{false, &r.off}, {true, &r.on}} {
+		tgt, err := l.target(v.rpc)
+		if err != nil {
+			return r, err
+		}
+		if *v.res, err = sca.TVLA(tgt, sca.FixedPoint(l.st.Curve), 200, 160, 157, l.randKey); err != nil {
+			return r, err
+		}
+	}
+	return r, nil
+}
+
+// e13Row is one field size under the ladder-multiplication formula.
+type e13Row struct {
+	m, securityBits, cycles int
+}
+
+// computeE13 evaluates m·11·(⌈m/4⌉+2): m ladder steps of 11 field
+// multiplications, each ⌈m/4⌉+2 cycles on the d = 4 MALU. It is a
+// formula, not a run of the simulator.
+func computeE13() []e13Row {
+	rows := []e13Row{{m: 131, securityBits: 65}, {m: 163, securityBits: 80}, {m: 233, securityBits: 112}, {m: 283, securityBits: 128}}
+	for i := range rows {
+		m := rows[i].m
+		rows[i].cycles = m * 11 * ((m+3)/4 + 2)
+	}
+	return rows
+}
+
+type e16Result struct {
+	intra, inter float64
+	stable       bool // the key reconstructs over 25 power-ups
+}
+
+func computeE16(seed uint64) (e16Result, error) {
+	dev := puf.New(puf.CellsNeeded, seed)
+	key, enr, err := puf.Enroll(dev, seed+7)
+	if err != nil {
+		return e16Result{}, err
+	}
+	r := e16Result{stable: true}
+	for i := 0; i < 25; i++ {
+		got, err := puf.Reconstruct(dev, enr)
+		if err != nil || got != key {
+			r.stable = false
+		}
+	}
+	r1, r2 := dev.Read(), dev.Read()
+	other := puf.New(puf.CellsNeeded, seed+999).Read()
+	r.intra, r.inter = puf.HammingFraction(r1, r2), puf.HammingFraction(r1, other)
+	return r, nil
+}
+
+// e17TracesPerSet is the masked scenario's TVLA set size.
+const e17TracesPerSet = 2000
+
+type e17Result struct {
+	unmasked1, masked1, masked2 *sca.TVLAResult
+	centeredN                   int // centered-product CPA traces to success, -1 if never
+	firstOrder                  *sca.CPAResult
+}
+
+// maskedTarget builds the E17 scenario: chip noise floor, RPC off,
+// residual CSWAP-select imbalance zeroed — that residue is a
+// control-path leak Boolean masking cannot cover, and it would
+// otherwise dominate both orders (see DESIGN.md §12).
+func (l *lab) maskedTarget(masked bool) (*sca.Target, error) {
+	p := design.Defaults()
+	p.Seed = l.seed
+	p.TRNGSeed = l.seed + 99
+	p.XOnly = true
+	p.RPC = false
+	p.ResidualImbalance = 0
+	if masked {
+		p.Masking = design.MaskingBoolean1
+	}
+	st, err := p.Build()
+	if err != nil {
+		return nil, err
+	}
+	tgt, err := st.Target(st.DeviceKey(l.seed))
+	if err != nil {
+		return nil, err
+	}
+	tgt.Ctx = l.ctx
+	return tgt, nil
+}
+
+func computeE17(l *lab) (e17Result, error) {
+	var r e17Result
+	fixed := sca.FixedPoint(l.st.Curve)
+	for _, v := range []struct {
+		masked bool
+		tvla   func(*sca.Target, ec.Point, int, int, int, func() modn.Scalar) (*sca.TVLAResult, error)
+		res    **sca.TVLAResult
+	}{{false, sca.TVLA, &r.unmasked1}, {true, sca.TVLA, &r.masked1}, {true, sca.TVLA2, &r.masked2}} {
+		tgt, err := l.maskedTarget(v.masked)
+		if err != nil {
+			return r, err
+		}
+		if *v.res, err = v.tvla(tgt, fixed, e17TracesPerSet, 160, 157, l.randKey); err != nil {
+			return r, err
+		}
+	}
+	tgt, err := l.maskedTarget(true)
+	if err != nil {
+		return r, err
+	}
+	if r.centeredN, _, err = sca.TracesToSuccess(tgt, []int{100, 300, 500, 700, 1000}, 4,
+		sca.CPAOptions{Preprocess: sca.PreprocessCenteredProduct}, rng.NewDRBG(l.seed+8).Uint64); err != nil {
+		return r, err
+	}
+	if tgt, err = l.maskedTarget(true); err != nil {
+		return r, err
+	}
+	camp, err := tgt.AcquireCampaign(1000, 160, 157, rng.NewDRBG(l.seed+8).Uint64)
+	if err != nil {
+		return r, err
+	}
+	r.firstOrder, err = sca.CPA(camp, sca.CPAOptions{Bits: 4})
+	return r, err
+}
+
+// render writes the report's markdown.
+func render(r *results, mans []loadedManifest, elapsed time.Duration) []byte {
+	var b bytes.Buffer
+	w := func(format string, a ...interface{}) { fmt.Fprintf(&b, format+"\n", a...) }
+
+	w("# Reproduction report")
+	w("")
+	w("Generated by `cmd/reportgen` (seed %d). Paper: Fan, Reparaz,", r.seed)
+	w("Rožić, Verbauwhede — *Low-Energy Encryption for Medical Devices*,")
+	w("DAC 2013. Simulated clock: 847.5 kHz, Vdd 1 V, K-163, d = 4 MALU.")
+	w("")
+
+	w("## E1 — operating point")
+	w("")
+	w("| quantity | paper | measured |")
+	w("|---|---|---|")
+	w("| power | 50.4 µW | %.2f µW |", r.e1.AvgPowerW*1e6)
+	w("| energy / PM | 5.1 µJ | %.3f µJ |", r.e1.EnergyJ*1e6)
+	w("| throughput | 9.8 PM/s | %.2f PM/s |", 1/r.e1.DurationS)
+	w("| cycles / PM | ~86 480 | %d |", r.e1.Cycles)
+	w("")
+
+	w("## E2 — DPA (first 6 key bits)")
+	w("")
+	w("| setting | paper | measured |")
+	w("|---|---|---|")
+	w("| RPC off | succeeds, ~200 traces | succeeds at %d traces |", r.e2.off)
+	w("| RPC on, randomness known | succeeds | succeeds at %d traces |", r.e2.known)
+	outcome := "FAILS"
+	if r.e2.secret.Success() {
+		outcome = "succeeded (!)"
+	}
+	w("| RPC on, randomness secret | fails at 20 000 | %s at %d traces (bit accuracy %.2f) |",
+		outcome, e2SecretTraces, r.e2.secret.BitAccuracy())
+	w("")
+
+	w("## E3 — timing")
+	w("")
+	w("Ladder: constant %d cycles (variance %.0f). Double-and-add baseline:", r.e3.LadderCycles, r.e3.LadderVariance)
+	w("%d–%d cycles, latency/HW correlation %.3f, HW estimate error %.2f bits.",
+		r.e3.DAMinCycles, r.e3.DAMaxCycles, r.e3.DAHWCorrelation, r.e3.DARecoveredHWError)
+	w("")
+
+	w("## E4 — digit-size sweep")
+	w("")
+	w("| d | area [GE] | cycles | latency [ms] | power [µW] | energy [µJ] | area·energy | meets latency |")
+	w("|---|---|---|---|---|---|---|---|")
+	for _, d := range r.e4.rows {
+		w("| %d | %.0f | %d | %.1f | %.1f | %.2f | %.0f | %v |",
+			d.D, d.AreaGE, d.Cycles, d.LatencyS*1e3, d.PowerW*1e6, d.EnergyJ*1e6, d.AreaEnergy, d.MeetsLatency)
+	}
+	w("")
+	w("Optimum under the latency constraint: **d = %d** (paper: d = 4).", r.e4.opt)
+	w("")
+
+	w("## E5/E6 — storage and gate counts")
+	w("")
+	w("Ladder loop registers: **%d** (paper: six; Co-Z [6] needs %d), %.0f GE of 163-bit storage against Co-Z's %.0f GE. Post-processing RAM words: %d.",
+		r.e5.loop, area.CoZRegisters, r.e5.mplGE, r.e5.cozGE, r.e5.ram)
+	w("")
+	w("| module | GE | source |")
+	w("|---|---|---|")
+	for _, m := range r.e6 {
+		w("| %s | %.0f | %s |", m.Module, m.GE, m.Source)
+	}
+	w("")
+
+	w("## E7 — secret-key vs public-key energy")
+	w("")
+	w("Crossover at **%.1f m** backhaul distance: below it the AES+KDC", r.e7.crossover)
+	w("option wins, above it the ECC-local option (4 × 5.1 µJ of")
+	w("computation, no online third party) wins.")
+	w("")
+	w("| backhaul [m] | %s [µJ] | %s [µJ] | cheapest |", r.e7.sym, r.e7.pk)
+	w("|---|---|---|---|")
+	for _, d := range r.e7.rows {
+		w("| %.1f | %.1f | %.1f | %s |", d.Meters, d.EnergyA*1e6, d.EnergyB*1e6, d.Cheapest)
+	}
+	w("")
+
+	w("## E8 — privacy game (%d rounds)", r.e8.schnorr.Rounds)
+	w("")
+	w("| protocol | linked | advantage |")
+	w("|---|---|---|")
+	for _, g := range []struct {
+		name string
+		res  *privacy.GameResult
+	}{
+		{"Schnorr", r.e8.schnorr},
+		{"Peeters–Hermans", r.e8.ph},
+		{"Peeters–Hermans, corrupt reader (sanity: the linker can win)", r.e8.corrupt},
+	} {
+		w("| %s | %d/%d | %.2f |", g.name, g.res.Correct, g.res.Rounds, g.res.Advantage)
+	}
+	w("")
+
+	w("## E9 — single-trace SPA ablation")
+	w("")
+	w("| circuit design | bit accuracy |")
+	w("|---|---|")
+	w("| unbalanced mux selects | %.3f |", r.e9.unbalanced)
+	w("| data-dependent clock gating | %.3f |", r.e9.gated)
+	w("| protected | %.3f |", r.e9.protected)
+	w("")
+
+	w("## E10 — countermeasure cost vs one-trace SPA")
+	w("")
+	w("> Making a device secure adds an extra design dimension. Indeed, for")
+	w("> the design of medical devices, a trade-off between security, power")
+	w("> and energy needs to be made. (the paper's conclusion)")
+	w("")
+	w("| design point | energy / PM [µJ] | vs chip | 1-trace SPA bit accuracy | RPC |")
+	w("|---|---|---|---|---|")
+	for _, c := range r.e10 {
+		w("| %s | %.2f | %.2f× | %.3f | %v |", c.name, c.energyJ*1e6, c.vsChip, c.spaAccuracy, c.rpc)
+	}
+	w("")
+
 	w("## E11 — rogue-server energy drain")
 	w("")
-	w("Server-first ordering wastes %d PMs; identification-first wastes %d —",
-		good.DeviceLedger.PointMuls, bad.DeviceLedger.PointMuls)
+	w("Server-first ordering wastes %d PMs; identification-first wastes %d —", r.e11.serverFirst, r.e11.idFirst)
 	w("the paper's ordering rule halves the drained energy.")
 	w("")
 
-	// --- E12 ---
-	log.Print("E12: TVLA")
-	gen := func() modn.Scalar { return sca.AlgorithmOneScalar(curve, src) }
-	tvlaOff, err := mkTarget(false)
-	if err != nil {
-		return err
-	}
-	tU, err := sca.TVLA(tvlaOff, sca.FixedPoint(curve), 200, 160, 157, gen)
-	if err != nil {
-		return err
-	}
-	tvlaOn, err := mkTarget(true)
-	if err != nil {
-		return err
-	}
-	tP, err := sca.TVLA(tvlaOn, sca.FixedPoint(curve), 200, 160, 157, gen)
-	if err != nil {
-		return err
-	}
 	w("## E12 — TVLA (200 traces/set, threshold 4.5)")
 	w("")
 	w("| configuration | max \\|t\\| | verdict |")
 	w("|---|---|---|")
-	w("| RPC off | %.2f | %s |", tU.MaxT, verdict(tU.Leaks))
-	w("| protected | %.2f | %s |", tP.MaxT, verdict(tP.Leaks))
+	w("| RPC off | %.2f | %s |", r.e12.off.MaxT, verdict(r.e12.off.Leaks))
+	w("| protected | %.2f | %s |", r.e12.on.MaxT, verdict(r.e12.on.Leaks))
 	w("")
 
-	// --- E14 ---
-	log.Print("E14: fault campaign")
-	frep, err := fault.Campaign(curve, labSt.Timing, 20, *seed)
-	if err != nil {
-		return err
-	}
-	w("## E14 — fault campaign (20 random single-bit glitches)")
+	w("## E13 — security level vs computational load")
 	w("")
-	w("Benign %d, detected %d, **escaped %d** (output validation).",
-		frep.Benign, frep.Detected, frep.Escaped)
-	w("")
-
-	// --- E16 ---
-	log.Print("E16: PUF")
-	dev := puf.New(puf.CellsNeeded, *seed)
-	kpuf, enr, err := puf.Enroll(dev, *seed+7)
-	if err != nil {
-		return err
-	}
-	stable := true
-	for i := 0; i < 25; i++ {
-		got, err := puf.Reconstruct(dev, enr)
-		if err != nil || got != kpuf {
-			stable = false
+	w("A formula, not a simulation: m · 11 · (⌈m/4⌉ + 2) MALU cycles per")
+	w("point multiplication at d = 4, i.e. m ladder steps of 11 field")
+	w("multiplications of ⌈m/4⌉ + 2 cycles each. It counts ladder")
+	for _, f := range r.e13 {
+		if f.m == 163 {
+			w("multiplications only: %d cycles at m = 163, against the %d", f.cycles, r.e1.Cycles)
 		}
 	}
-	r1, r2 := dev.Read(), dev.Read()
-	other := puf.New(puf.CellsNeeded, *seed+999).Read()
+	w("cycles/PM that E1 measures.")
+	w("")
+	w("| field | security [bit] | formula cycles / PM | relative |")
+	w("|---|---|---|---|")
+	for _, f := range r.e13 {
+		w("| GF(2^%d) | %d | %d | %.2f× |", f.m, f.securityBits, f.cycles, float64(f.cycles)/float64(r.e13[0].cycles))
+	}
+	w("")
+
+	w("## E14 — fault campaign (%d random single-bit glitches)", r.e14.Runs)
+	w("")
+	w("Benign %d, detected %d, **escaped %d** (output validation).", r.e14.Benign, r.e14.Detected, r.e14.Escaped)
+	w("")
+
 	w("## E16 — PUF key storage")
 	w("")
 	w("Intra-distance %.1f%%, inter-distance %.1f%%, key stable over 25 power-ups: %v.",
-		puf.HammingFraction(r1, r2)*100, puf.HammingFraction(r1, other)*100, stable)
+		r.e16.intra*100, r.e16.inter*100, r.e16.stable)
 	w("")
 
-	// --- E17 ---
-	log.Print("E17: masked datapath vs higher-order attacks")
-	mkMasked := func(masked bool) (*sca.Target, error) {
-		p := design.Defaults()
-		p.Seed = *seed
-		p.TRNGSeed = *seed + 99
-		p.XOnly = true
-		p.RPC = false
-		// The masked scenario: chip noise floor, residual CSWAP-select
-		// imbalance zeroed — that residue is a control-path leak Boolean
-		// masking cannot cover, and it would otherwise dominate both
-		// orders (see DESIGN.md §12).
-		p.ResidualImbalance = 0
-		if masked {
-			p.Masking = design.MaskingBoolean1
-		}
-		st, err := p.Build()
-		if err != nil {
-			return nil, err
-		}
-		tgt, err := st.Target(st.DeviceKey(*seed))
-		if err != nil {
-			return nil, err
-		}
-		tgt.Ctx = ctx
-		return tgt, nil
-	}
-	const maskN = 2000
-	runTVLA := func(masked bool, order int) (*sca.TVLAResult, error) {
-		tgt, err := mkMasked(masked)
-		if err != nil {
-			return nil, err
-		}
-		if order == 2 {
-			return sca.TVLA2(tgt, sca.FixedPoint(curve), maskN, 160, 157, gen)
-		}
-		return sca.TVLA(tgt, sca.FixedPoint(curve), maskN, 160, 157, gen)
-	}
-	tv1U, err := runTVLA(false, 1)
-	if err != nil {
-		return err
-	}
-	tv1M, err := runTVLA(true, 1)
-	if err != nil {
-		return err
-	}
-	tv2M, err := runTVLA(true, 2)
-	if err != nil {
-		return err
-	}
-	cpaTgt, err := mkMasked(true)
-	if err != nil {
-		return err
-	}
-	nMask, _, err := sca.TracesToSuccess(cpaTgt, []int{100, 300, 500, 700, 1000}, 4,
-		sca.CPAOptions{Preprocess: sca.PreprocessCenteredProduct}, rng.NewDRBG(*seed+8).Uint64)
-	if err != nil {
-		return err
-	}
-	foTgt, err := mkMasked(true)
-	if err != nil {
-		return err
-	}
-	foCamp, err := foTgt.AcquireCampaign(1000, 160, 157, rng.NewDRBG(*seed+8).Uint64)
-	if err != nil {
-		return err
-	}
-	foRes, err := sca.CPA(foCamp, sca.CPAOptions{Bits: 4})
-	if err != nil {
-		return err
-	}
-	w("## E17 — masked datapath vs higher-order attacks (%d traces/set)", maskN)
+	w("## E17 — masked datapath vs higher-order attacks (%d traces/set)", e17TracesPerSet)
 	w("")
 	w("First-order Boolean masking (`masking: boolean1`) carries every")
 	w("datapath word as two shares with fresh TRNG masks per trace; the")
@@ -475,33 +758,31 @@ func run(ctx context.Context, args []string) error {
 	w("")
 	w("| configuration | t-test order | max \\|t\\| | verdict |")
 	w("|---|---|---|---|")
-	w("| unmasked | 1 | %.2f | %s |", tv1U.MaxT, verdict(tv1U.Leaks))
-	w("| masked | 1 | %.2f | %s |", tv1M.MaxT, verdict(tv1M.Leaks))
-	w("| masked | 2 | %.2f | %s |", tv2M.MaxT, verdict(tv2M.Leaks))
+	w("| unmasked | 1 | %.2f | %s |", r.e17.unmasked1.MaxT, verdict(r.e17.unmasked1.Leaks))
+	w("| masked | 1 | %.2f | %s |", r.e17.masked1.MaxT, verdict(r.e17.masked1.Leaks))
+	w("| masked | 2 | %.2f | %s |", r.e17.masked2.MaxT, verdict(r.e17.masked2.Leaks))
 	w("")
 	foOutcome := "fails"
-	if foRes.Success() {
+	if r.e17.firstOrder.Success() {
 		foOutcome = "succeeded (!)"
 	}
 	maskDisclosure := "never (within 1000 traces)"
-	if nMask > 0 {
-		maskDisclosure = fmt.Sprintf("succeeds at %d traces", nMask)
+	if r.e17.centeredN > 0 {
+		maskDisclosure = fmt.Sprintf("succeeds at %d traces", r.e17.centeredN)
 	}
 	w("| attack on the masked datapath | traces to disclosure |")
 	w("|---|---|")
-	w("| first-order CPA | %s at 1000 traces (bit accuracy %.2f) |", foOutcome, foRes.BitAccuracy())
+	w("| first-order CPA | %s at 1000 traces (bit accuracy %.2f) |", foOutcome, r.e17.firstOrder.BitAccuracy())
 	w("| centered-product (2nd-order) CPA | %s |", maskDisclosure)
 	w("")
 
 	if len(mans) > 0 {
-		log.Printf("folding %d run manifest(s)", len(mans))
 		writeManifestAppendix(w, mans)
 	}
 
 	w("---")
-	w("Report generated in %s.", time.Since(start).Round(time.Millisecond))
-	log.Printf("wrote %s in %s", *out, time.Since(start).Round(time.Millisecond))
-	return nil
+	w("Report generated in %s.", elapsed.Round(time.Millisecond))
+	return b.Bytes()
 }
 
 // loadedManifest pairs a validated manifest with its source path.

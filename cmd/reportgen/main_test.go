@@ -1,0 +1,125 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"math"
+	"os"
+	"testing"
+
+	"medsec/internal/area"
+)
+
+// TestReportPinnedAndVerdictsHold computes every experiment once at
+// seed 1. The rendered report must equal the committed REPORT.md byte
+// for byte, bar the timing line. Each paper verdict is then checked on
+// the computed values, never on the text, so a wrong result cannot
+// pass by regenerating REPORT.md.
+func TestReportPinnedAndVerdictsHold(t *testing.T) {
+	r, err := compute(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want, err := os.ReadFile("../../REPORT.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := render(r, nil, 0)
+	if g, w := maskTiming(got), maskTiming(want); !bytes.Equal(g, w) {
+		gl, wl := bytes.Split(g, []byte("\n")), bytes.Split(w, []byte("\n"))
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var gi, wi []byte
+			if i < len(gl) {
+				gi = gl[i]
+			}
+			if i < len(wl) {
+				wi = wl[i]
+			}
+			if !bytes.Equal(gi, wi) {
+				t.Errorf("REPORT.md line %d differs (regenerate with `go run ./cmd/reportgen -seed 1`):\n got %q\nwant %q", i+1, gi, wi)
+				break
+			}
+		}
+	}
+
+	ladderRises := true
+	for i := 1; i < len(r.e13); i++ {
+		ladderRises = ladderRises && r.e13[i].cycles > r.e13[i-1].cycles
+	}
+	var ecc, sha float64
+	for _, m := range r.e6 {
+		switch m.Module {
+		case "ECC co-processor (d=4)":
+			ecc = m.GE
+		case "SHA-1":
+			sha = m.GE
+		}
+	}
+	e7 := r.e7.rows
+	for _, v := range []struct {
+		claim string
+		ok    bool
+		got   interface{}
+	}{
+		{"E1: 50.4 µW within 0.6 µW", math.Abs(r.e1.AvgPowerW*1e6-50.4) <= 0.6, r.e1.AvgPowerW * 1e6},
+		{"E1: 5.1 µJ per PM within 0.12 µJ", math.Abs(r.e1.EnergyJ*1e6-5.1) <= 0.12, r.e1.EnergyJ * 1e6},
+		{"E1: 9.8 PM/s within 0.15", math.Abs(1/r.e1.DurationS-9.8) <= 0.15, 1 / r.e1.DurationS},
+		{"E2: DPA with RPC off succeeds by 300 traces", r.e2.off > 0 && r.e2.off <= 300, r.e2.off},
+		{"E2: DPA with known RPC masks succeeds", r.e2.known > 0, r.e2.known},
+		{"E2: DPA with secret RPC masks fails at 20 000 traces", e2SecretTraces == 20000 && !r.e2.secret.Success(), r.e2.secret.BitAccuracy()},
+		{"E3: ladder cycle variance is 0", r.e3.LadderVariance == 0, r.e3.LadderVariance},
+		{"E4: the area·energy optimum is d = 4", r.e4.opt == 4, r.e4.opt},
+		{"E5: 6 loop registers, fewer than Co-Z's", r.e5.loop == 6 && r.e5.loop < area.CoZRegisters, r.e5.loop},
+		{"E6: ECC within 10% of 12 kGE", math.Abs(ecc-12000) <= 1200, ecc},
+		{"E6: SHA-1 is 5 527 GE", sha == 5527, sha},
+		{"E7: the crossover lies inside the sweep", e7[0].Meters < r.e7.crossover && r.e7.crossover < e7[len(e7)-1].Meters &&
+			e7[0].Cheapest == r.e7.sym && e7[len(e7)-1].Cheapest == r.e7.pk, r.e7.crossover},
+		{"E8: Schnorr links (advantage ≥ 0.9)", r.e8.schnorr.Advantage >= 0.9, r.e8.schnorr.Advantage},
+		{"E8: Peeters–Hermans hides (advantage ≤ 0.2)", r.e8.ph.Advantage <= 0.2, r.e8.ph.Advantage},
+		{"E8: a corrupt reader links (advantage ≥ 0.9)", r.e8.corrupt.Advantage >= 0.9, r.e8.corrupt.Advantage},
+		{"E9: unbalanced muxes fall to one trace", r.e9.unbalanced >= 0.95, r.e9.unbalanced},
+		{"E9: data-dependent clock gating falls to one trace", r.e9.gated >= 0.95, r.e9.gated},
+		{"E9: the protected chip resists one trace", r.e9.protected <= 0.65, r.e9.protected},
+		{"E10: one-trace SPA reads the key without the countermeasure", r.e10[0].spaAccuracy >= 0.95 &&
+			r.e10[1].spaAccuracy >= 0.95 && r.e10[2].spaAccuracy >= 0.95, r.e10},
+		{"E10: one-trace SPA fails with it", r.e10[3].spaAccuracy <= 0.65 &&
+			r.e10[4].spaAccuracy <= 0.65 && r.e10[5].spaAccuracy <= 0.65, r.e10},
+		{"E10: WDDL costs at least 2× the chip's energy", r.e10[4].vsChip >= 2, r.e10[4].vsChip},
+		{"E10: SABL costs at least 2× the chip's energy", r.e10[5].vsChip >= 2, r.e10[5].vsChip},
+		{"E11: server-first ordering wastes fewer PMs", r.e11.serverFirst < r.e11.idFirst, r.e11},
+		{"E12: RPC off leaks", r.e12.off.Leaks, r.e12.off.MaxT},
+		{"E12: the protected chip passes", !r.e12.on.Leaks, r.e12.on.MaxT},
+		{"E13: cost rises with m", ladderRises, r.e13},
+		{"E14: no fault escapes validation", r.e14.Escaped == 0, r.e14.Escaped},
+		{"E16: the PUF key is stable", r.e16.stable, r.e16.stable},
+		{"E16: intra-distance under 10%", r.e16.intra < 0.10, r.e16.intra},
+		{"E16: inter-distance within 40–60%", r.e16.inter >= 0.40 && r.e16.inter <= 0.60, r.e16.inter},
+		{"E17: first-order TVLA passes on the masked chip", !r.e17.masked1.Leaks, r.e17.masked1.MaxT},
+		{"E17: second-order TVLA convicts it", r.e17.masked2.Leaks, r.e17.masked2.MaxT},
+		{"E17: centered-product CPA convicts it", r.e17.centeredN > 0, r.e17.centeredN},
+		{"E17: first-order CPA fails on it", !r.e17.firstOrder.Success(), r.e17.firstOrder.BitAccuracy()},
+	} {
+		if !v.ok {
+			t.Errorf("%s: measured %+v", v.claim, v.got)
+		}
+	}
+
+	// A failed write is the run's error, not a silent exit 0.
+	if _, err := os.Stat("/dev/full"); err == nil {
+		if err := writeReport("/dev/full", r, nil, 0); err == nil {
+			t.Error("writing the report to /dev/full returned no error")
+		}
+	}
+}
+
+// maskTiming blanks the wall-clock "Report generated in" line.
+func maskTiming(report []byte) []byte {
+	lines := bytes.Split(report, []byte("\n"))
+	for i, l := range lines {
+		if bytes.HasPrefix(l, []byte("Report generated in ")) {
+			lines[i] = nil
+		}
+	}
+	return bytes.Join(lines, []byte("\n"))
+}

@@ -31,6 +31,6 @@
 // internal/tabular (table rendering).
 //
 // See DESIGN.md for the system inventory, EXPERIMENTS.md for the
-// paper-vs-measured record, bench_test.go for the per-experiment
-// regeneration harness, and examples/ for runnable applications.
+// paper-vs-measured record, cmd/reportgen for the experiment report
+// (REPORT.md) it cites, and examples/ for runnable applications.
 package medsec

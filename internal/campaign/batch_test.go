@@ -10,11 +10,11 @@ import (
 	"medsec/internal/trace"
 )
 
-// TestRunBatchMatchesRunAcrossLanes pins lane batching: the folded
+// TestRunLanesMatchSerial pins lane batching: the folded
 // sequence of the S = 1 engine is the serial reference's for every
 // lanes x workers combination, including lane counts that do not
 // divide the trace count.
-func TestRunBatchMatchesRunAcrossLanes(t *testing.T) {
+func TestRunLanesMatchSerial(t *testing.T) {
 	want := serialSeq(t, 0, 64)
 	for _, lanes := range []int{1, 2, 3, 4, 8} {
 		for _, w := range []int{1, 2, 7} {
@@ -25,11 +25,11 @@ func TestRunBatchMatchesRunAcrossLanes(t *testing.T) {
 	}
 }
 
-// TestRunBatchResumeRegroups pins resume safety: resuming mid-range —
+// TestRunLanesResumeRegroups pins resume safety: resuming mid-range —
 // at an offset that is not a multiple of the lane count, so every
 // batch boundary shifts — folds exactly the suffix of the
 // uninterrupted sequence.
-func TestRunBatchResumeRegroups(t *testing.T) {
+func TestRunLanesResumeRegroups(t *testing.T) {
 	want := serialSeq(t, 0, 64)
 	for _, resume := range []int{1, 7, 33} {
 		var seq [][3]float64
@@ -44,9 +44,9 @@ func TestRunBatchResumeRegroups(t *testing.T) {
 	}
 }
 
-// TestRunBatchEarlyStop pins per-sample early stop: the fold ends
+// TestRunLanesEarlyStop pins per-sample early stop: the fold ends
 // exactly at the stop index even when the stop lands mid-batch.
-func TestRunBatchEarlyStop(t *testing.T) {
+func TestRunLanesEarlyStop(t *testing.T) {
 	const stopAt = 23
 	for _, lanes := range []int{1, 4, 8} {
 		var folded []int

@@ -29,7 +29,7 @@ import (
 // here, to the CI smoke jobs, and keep its flag defaults on the
 // design constants.
 var expectedCmds = []string{
-	"designlab", "eccsim", "fleetlab", "linklab", "reportgen", "scalab", "sweeptab",
+	"designlab", "eccsim", "fleetlab", "linklab", "reportgen", "scalab",
 }
 
 func TestCmdRosterPinned(t *testing.T) {
