@@ -74,6 +74,8 @@ func TestAESShortBlockPanics(t *testing.T) {
 		func() { a.Encrypt(make([]byte, 15), make([]byte, 16)) },
 		func() { a.Encrypt(make([]byte, 16), make([]byte, 15)) },
 		func() { a.Decrypt(make([]byte, 15), make([]byte, 16)) },
+		func() { a.KeyStream(make([]byte, 16), 0) },
+		func() { a.KeyStream(make([]byte, 65), 0) },
 	} {
 		func() {
 			defer func() {
