@@ -51,3 +51,17 @@ func TestTVLAManifestCountersAgreeAcrossWorkers(t *testing.T) {
 		t.Fatalf("counters differ across worker counts:\n 2: %v\n 7: %v", counters[0], counters[1])
 	}
 }
+
+// TestTVLAForeignCheckpointRefusedByName writes a seed-3 TVLA
+// checkpoint, then resumes it at -seed 4: the resume must be refused
+// with the mismatching provenance field named.
+func TestTVLAForeignCheckpointRefusedByName(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "tvla.msckpt")
+	if err := run(context.Background(), []string{"tvla", "-traces", "20", "-seed", "3", "-checkpoint", ckpt}); err != nil {
+		t.Fatal(err)
+	}
+	err := run(context.Background(), []string{"tvla", "-traces", "20", "-seed", "4", "-checkpoint", ckpt, "-resume"})
+	if err == nil || !strings.Contains(err.Error(), "provenance mismatch on seed") {
+		t.Fatalf("seed-4 resume of a seed-3 checkpoint: err = %v, want a provenance mismatch on seed", err)
+	}
+}

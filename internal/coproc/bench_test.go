@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"medsec/internal/ec"
+	"medsec/internal/gf2m"
 	"medsec/internal/modn"
 	"medsec/internal/rng"
 )
@@ -15,21 +16,23 @@ var benchScalar = modn.MustScalarFromHex("2fe13c0537bbc11acaa07d793de4e6d5e5c94e
 // BenchmarkRunMALU measures one MUL instruction through the
 // digit-serial MALU model — operand load, ceil(163/d) digit cycles,
 // writeback — the single most executed code path in the simulator
-// (11 MALU ops per ladder iteration, 163 iterations per point mul).
+// (11 MALU ops per ladder iteration, 163 iterations per point mul),
+// after the two single-cycle loads that bring its operands in from the
+// constant ROM.
 func BenchmarkRunMALU(b *testing.B) {
 	cpu := NewCPU(DefaultTiming())
 	cpu.Probe = func(*CycleEvent) {}
 	d := rng.NewDRBG(7)
-	var snap Snapshot
-	snap.Regs[0] = ec.K163().RandomPoint(d.Uint64).X
-	snap.Regs[1] = ec.K163().RandomPoint(d.Uint64).Y
+	cpu.SetOperandConstants(ec.K163().RandomPoint(d.Uint64).X, ec.K163().RandomPoint(d.Uint64).Y, gf2m.Zero())
 	prog := &Program{Instrs: []Instr{
+		{Op: OpLoadConst, Rd: 0, Ra: ConstX, KeyBit: -1, Iteration: -1},
+		{Op: OpLoadConst, Rd: 1, Ra: ConstB, KeyBit: -1, Iteration: -1},
 		{Op: OpMul, Rd: 2, Ra: 0, Rb: 1, KeyBit: -1, Iteration: -1},
 	}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cpu.Resume(prog, benchScalar, snap); err != nil {
+		if _, err := cpu.Run(prog, benchScalar); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -144,8 +144,11 @@ func TestDigitSerialMALUMatchesFieldMul(t *testing.T) {
 	// The MALU's digit-serial algorithm must agree with gf2m.Mul for
 	// every supported digit size. The Probe keeps the run evented, so
 	// the product comes from the digit pipeline, not the quiet path.
+	// The operands enter through the constant ROM.
 	r := rand.New(rand.NewSource(3))
 	prog := &Program{Instrs: []Instr{
+		{Op: OpLoadConst, Rd: 0, Ra: ConstX, KeyBit: -1, Iteration: -1},
+		{Op: OpLoadConst, Rd: 1, Ra: ConstB, KeyBit: -1, Iteration: -1},
 		{Op: OpMul, Rd: 2, Ra: 0, Rb: 1, KeyBit: -1, Iteration: -1},
 		{Op: OpSqr, Rd: 3, Ra: 0, KeyBit: -1, Iteration: -1},
 	}}
@@ -156,7 +159,8 @@ func TestDigitSerialMALUMatchesFieldMul(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			a := gf2m.FromWords(r.Uint64(), r.Uint64(), r.Uint64())
 			b := gf2m.FromWords(r.Uint64(), r.Uint64(), r.Uint64())
-			if _, err := cpu.Resume(prog, modn.Zero(), Snapshot{Regs: [NumRegs]gf2m.Element{a, b}}); err != nil {
+			cpu.SetOperandConstants(a, b, gf2m.Zero())
+			if _, err := cpu.Run(prog, modn.Zero()); err != nil {
 				t.Fatal(err)
 			}
 			if !cpu.Reg(2).Equal(gf2m.Mul(a, b)) {
@@ -281,8 +285,11 @@ func TestRunErrors(t *testing.T) {
 func TestCSwapSemantics(t *testing.T) {
 	a := gf2m.FromUint64(0xaaaa)
 	b := gf2m.FromUint64(0x5555)
-	prog := &Program{Instrs: []Instr{{Op: OpCSwap, Rd: 0, Ra: 1, KeyBit: 0, Iteration: 0}}}
-	start := Snapshot{Regs: [NumRegs]gf2m.Element{a, b}}
+	prog := &Program{Instrs: []Instr{
+		{Op: OpLoadConst, Rd: 0, Ra: ConstX, KeyBit: -1, Iteration: -1},
+		{Op: OpLoadConst, Rd: 1, Ra: ConstB, KeyBit: -1, Iteration: -1},
+		{Op: OpCSwap, Rd: 0, Ra: 1, KeyBit: 0, Iteration: 0},
+	}}
 	for _, tc := range []struct {
 		key            uint64
 		wantR0, wantR1 gf2m.Element
@@ -293,7 +300,8 @@ func TestCSwapSemantics(t *testing.T) {
 		for _, probe := range []Probe{nil, func(*CycleEvent) {}} {
 			cpu := NewCPU(DefaultTiming())
 			cpu.Probe = probe
-			if _, err := cpu.Resume(prog, modn.FromUint64(tc.key), start); err != nil {
+			cpu.SetOperandConstants(a, b, gf2m.Zero())
+			if _, err := cpu.Run(prog, modn.FromUint64(tc.key)); err != nil {
 				t.Fatal(err)
 			}
 			if !cpu.Reg(0).Equal(tc.wantR0) || !cpu.Reg(1).Equal(tc.wantR1) {

@@ -24,8 +24,10 @@ const (
 	goldenPlainLadderHash = "104e7f644ba86637fb10ef5776717c338bd4894964d0e1631c2a76d7ffef2724"
 	// goldenWindowedHash: the windowed acquisition of
 	// TestLaneWindowedAcquisitionMatchesSerial — non-RPC x-only ladder,
-	// iterations 160..158 recorded, quiet prologue, prefix snapshot
-	// resumed on the even (fixed-key) lanes — for lanes 0..7 in order.
+	// iterations 160..158 recorded after a quiet prologue — for lanes
+	// 0..7 in order. It was recorded with the even (fixed-key) lanes
+	// resumed from a prefix snapshot; the quiet prologue alone
+	// reproduces it.
 	goldenWindowedHash = "c97bc865c52475c438e4b1f760ca8a7d43e144f80f1ece5ac7988694df840782"
 )
 
@@ -78,7 +80,7 @@ func checkPin(t *testing.T, name, got, want string) {
 // through the per-trace CPU.
 func TestGoldenMaskedLadderHash(t *testing.T) {
 	p := BuildLadderProgram(ProgramOptions{RPC: true, XOnly: true})
-	evs, regs, _ := captureMasked(t, p, benchScalar, 42, 7, nil)
+	evs, regs, _ := captureMasked(t, p, benchScalar, 42, 7)
 	eh := newEventHasher()
 	eh.addEvents(evs)
 	eh.addRegs(regs)
@@ -89,7 +91,7 @@ func TestGoldenMaskedLadderHash(t *testing.T) {
 // through the per-trace CPU.
 func TestGoldenPlainLadderHash(t *testing.T) {
 	p := BuildLadderProgram(ProgramOptions{XOnly: true})
-	evs, regs, _ := captureCPU(t, p, benchScalar, 42, nil)
+	evs, regs, _ := captureCPU(t, p, benchScalar, 42)
 	eh := newEventHasher()
 	eh.addEvents(evs)
 	eh.addRegs(regs)
@@ -99,8 +101,8 @@ func TestGoldenPlainLadderHash(t *testing.T) {
 // TestGoldenWindowedHash pins the campaign acquisition shape on one
 // 8-lane batch.
 func TestGoldenWindowedHash(t *testing.T) {
-	p, start, end, snap := windowedFixture(t)
-	streams, _, _ := runLanes(t, NewLaneCPU(DefaultTiming()), p, 8, start, end, windowedSnaps(&snap, 8))
+	p, start, end := windowedFixture()
+	streams, _, _ := runLanes(t, NewLaneCPU(DefaultTiming()), p, 8, start, end)
 	eh := newEventHasher()
 	for _, evs := range streams {
 		eh.addEvents(evs)
@@ -114,7 +116,7 @@ func TestGoldenTruncationHashes(t *testing.T) {
 	p := opcodePrograms()["mul"]
 	for i, max := range truncationCuts(DefaultTiming()) {
 		lc := NewLaneCPU(DefaultTiming())
-		streams, _, _ := runLanes(t, lc, p, 3, 0, max, nil)
+		streams, _, _ := runLanes(t, lc, p, 3, 0, max)
 		eh := newEventHasher()
 		for l, evs := range streams {
 			eh.addEvents(evs)

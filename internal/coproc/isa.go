@@ -437,34 +437,6 @@ func (p *Program) Spans(t Timing) []InstrSpan {
 	return out
 }
 
-// PrefixBoundary computes the longest program prefix that a campaign
-// over a fixed base point can snapshot once and reuse for every trace:
-// instructions [0, nInstr) retire entirely before limitCycle and draw
-// nothing from the TRNG port (the per-trace TRNG substream makes any
-// OpLoadRnd output trace-dependent, so the boundary stops at the first
-// one). cycle is the boundary's start cycle (== limitCycle when the
-// prefix reaches it exactly; limitCycle must be span-aligned for that).
-//
-// keyBits lists the scalar bit indices consulted by CSWAPs inside the
-// prefix, in execution order: the snapshot taken with a reference key
-// is valid for exactly those traces whose key agrees with the reference
-// on these bits. Under the paper's Algorithm 1 scalar convention
-// (bit 162 clear, bit 161 set for every fixed-length scalar) the
-// prefix through ladder iteration 161 is key-independent across an
-// entire fixed-vs-random campaign; the per-trace verification in the
-// SCA layer makes that an assertion rather than an assumption.
-func (p *Program) PrefixBoundary(t Timing, limitCycle int) (nInstr, cycle int, keyBits []int) {
-	for _, sp := range p.Spans(t) {
-		if sp.End > limitCycle || sp.Op == OpLoadRnd {
-			return sp.Index, sp.Start, keyBits
-		}
-		if sp.Op == OpCSwap && sp.KeyBit >= 0 {
-			keyBits = append(keyBits, sp.KeyBit)
-		}
-	}
-	return len(p.Instrs), p.CycleCount(t), keyBits
-}
-
 // IterationWindow returns the cycle interval [start, end) covering
 // ladder iterations fromIter down to toIter inclusive (iterations are
 // numbered 162 down to 0 in processing order). It panics if the range

@@ -17,8 +17,8 @@ import (
 // and per-instruction bookkeeping — identical across traces — can be
 // paid once per instruction instead of once per trace. This is the
 // software analogue of a multi-DUT acquisition harness: one pattern
-// generator clocking N chips, each with its own scan-chain preloaded
-// state and its own probe channel. The per-trace CPU (cpu.go) is a
+// generator clocking N chips out of reset, each with its own operand
+// constants and its own probe channel. The per-trace CPU (cpu.go) is a
 // width-1 view of the same machinery.
 //
 // The contract is strict bit-identity per lane: every lane's CycleEvent
@@ -66,9 +66,6 @@ type laneProgram struct {
 	src    *Program
 	timing Timing
 	instrs []laneInstr
-	// starts[i] is the static start cycle of instruction i;
-	// starts[len(instrs)] is the program's cycle count.
-	starts []int
 }
 
 // decodeSlot resolves an ISA operand address to a dense slot index.
@@ -89,7 +86,7 @@ func decodeProgram(p *Program, t Timing) (*laneProgram, error) {
 	if t.DigitSize <= 0 || t.DigitSize > maxDigitSize {
 		return nil, fmt.Errorf("coproc: unsupported digit size %d", t.DigitSize)
 	}
-	d := &laneProgram{src: p, timing: t, instrs: make([]laneInstr, len(p.Instrs)), starts: make([]int, len(p.Instrs)+1)}
+	d := &laneProgram{src: p, timing: t, instrs: make([]laneInstr, len(p.Instrs))}
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		li := laneInstr{op: in.Op, keyBit: in.KeyBit, iteration: in.Iteration, cost: t.InstrCycles(in.Op)}
@@ -134,19 +131,16 @@ func decodeProgram(p *Program, t Timing) (*laneProgram, error) {
 			}
 		}
 		d.instrs[i] = li
-		d.starts[i+1] = d.starts[i] + li.cost
 	}
 	return d, nil
 }
 
 // LaneRun configures one lane of a batched execution: one trace's
-// scalar, TRNG stream, operand constants, event sink and optional
-// starting snapshot.
+// scalar, TRNG stream, operand constants and event sink.
 type LaneRun struct {
 	// Key is the lane's scalar.
 	Key modn.Scalar
-	// Rand feeds the lane's OpLoadRnd port (required for RPC programs
-	// and for resuming randomized runs).
+	// Rand feeds the lane's OpLoadRnd port (required for RPC programs).
 	Rand func() uint64
 	// Sink receives the lane's CycleEvents, one call per evented cycle,
 	// in cycle order. The event struct is reused across cycles; the
@@ -156,20 +150,11 @@ type LaneRun struct {
 	// architectural update, before the next cycle starts.
 	Sink func(*CycleEvent)
 	// Consts is the lane's operand constant ROM (see OperandConstants).
-	// Ignored when Resume is set (the snapshot carries the ROM).
 	Consts [NumConsts]gf2m.Element
-	// Resume, when non-nil, starts the lane from a snapshot instead of
-	// the power-on state. Its Cycle must be the static start cycle of
-	// its Instr under the LaneCPU's Timing. Lanes may start at
-	// different instructions only inside the quiet prefix (each replays
-	// its own way to the latest start); past it, every lane must start
-	// at the same instruction.
-	Resume *Snapshot
 	// MaskRand feeds the lane's mask-refresh TRNG port; required when
 	// the LaneCPU runs Masked. It is deliberately a separate stream
 	// from Rand, so the RPC mask re-derivation contract
-	// (sca.Target.Masks, Snapshot.RandDraws) keeps holding on masked
-	// runs.
+	// (sca.Target.Masks) keeps holding on masked runs.
 	MaskRand func() uint64
 }
 
@@ -185,29 +170,18 @@ type laneState struct {
 	// masks carries the share-1 value of each writable slot on masked
 	// runs (the constant ROM above writableSlots is public and rides
 	// the operand bus unmasked).
-	masks     [writableSlots]gf2m.Element
-	key       modn.Scalar
-	rand      func() uint64
-	maskRand  func() uint64
-	sink      func(*CycleEvent)
-	randDraws int
-	maskDraws int
-	ev        CycleEvent
+	masks    [writableSlots]gf2m.Element
+	key      modn.Scalar
+	rand     func() uint64
+	maskRand func() uint64
+	sink     func(*CycleEvent)
+	ev       CycleEvent
 }
 
-// drawRand feeds OpLoadRnd while counting TRNG words so a Snapshot can
-// record how far into the stream the run has advanced.
-func (ls *laneState) drawRand() uint64 {
-	ls.randDraws++
-	return ls.rand()
-}
-
-// drawMaskElement draws one fresh 163-bit mask (three words, counted so
-// a Snapshot can fast-forward the stream on resume). Zero is a legal
-// mask: share refresh needs the masks uniform, not merely nonzero, or
-// the excluded value itself becomes a first-order bias.
+// drawMaskElement draws one fresh 163-bit mask (three words). Zero is
+// a legal mask: share refresh needs the masks uniform, not merely
+// nonzero, or the excluded value itself becomes a first-order bias.
 func (ls *laneState) drawMaskElement() gf2m.Element {
-	ls.maskDraws += 3
 	return gf2m.FromWords(ls.maskRand(), ls.maskRand(), ls.maskRand())
 }
 
@@ -258,18 +232,10 @@ type LaneCPU struct {
 	// edge). Cycle counts, Rand draws and results are identical to the
 	// unmasked datapath; only the power side channel changes.
 	Masked bool
-	// AtBoundary, when non-nil, is called at every instruction boundary
-	// of the lockstep phase, before instruction instr executes at cycle
-	// cycle. It may capture lanes with Snapshot; returning false ends
-	// the run cleanly at that boundary.
-	AtBoundary func(instr, cycle int) bool
 
 	prog  *laneProgram
 	lanes []laneState
 	cycle int
-	// next is the instruction the lanes execute next: the resume point
-	// a Snapshot records.
-	next int
 }
 
 // NewLaneCPU returns a batch runner with the given timing.
@@ -289,20 +255,6 @@ func (lc *LaneCPU) Result(l int, reg uint8) gf2m.Element {
 func (lc *LaneCPU) FlipBit(l, reg, bit int) {
 	r := &lc.lanes[l].slots[slotRegs+reg]
 	*r = r.SetBit(bit, r.Bit(bit)^1)
-}
-
-// Snapshot captures lane l's architectural state at the current
-// instruction boundary: from AtBoundary, or after a Run that completed
-// or stopped at a boundary.
-func (lc *LaneCPU) Snapshot(l int) Snapshot {
-	ls := &lc.lanes[l]
-	s := Snapshot{Instr: lc.next, Cycle: lc.cycle, RandDraws: ls.randDraws, MaskDraws: ls.maskDraws}
-	copy(s.Regs[:], ls.slots[slotRegs:])
-	copy(s.RAM[:], ls.slots[slotRAM:])
-	copy(s.Consts[:], ls.slots[slotConsts:])
-	copy(s.Masks[:], ls.masks[slotRegs:])
-	copy(s.RAMMasks[:], ls.masks[slotRAM:])
-	return s
 }
 
 // decoded returns the cached decode of p, refreshing it when the
@@ -328,9 +280,9 @@ func (lc *LaneCPU) quietAt(cycle, cost int) bool {
 		(lc.MaxCycles <= 0 || cycle+cost <= lc.MaxCycles)
 }
 
-// Run executes p over the given lanes and returns the shared final
-// cycle count: ErrStopped when MaxCycles ends the run early, nil when
-// the program completes or AtBoundary ends it at a boundary.
+// Run executes p over the given lanes from the power-on state and
+// returns the shared final cycle count: ErrStopped when MaxCycles ends
+// the run early, nil when the program completes.
 func (lc *LaneCPU) Run(p *Program, runs []LaneRun) (int, error) {
 	if len(runs) == 0 {
 		return 0, errors.New("coproc: lane run needs at least one lane")
@@ -339,25 +291,6 @@ func (lc *LaneCPU) Run(p *Program, runs []LaneRun) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// The lockstep phase starts at the latest snapshot instruction;
-	// lanes that start earlier replay the gap independently, which is
-	// only possible while the gap is quiet.
-	start := 0
-	for l := range runs {
-		snap := runs[l].Resume
-		if snap == nil {
-			continue
-		}
-		if snap.Instr < 0 || snap.Instr > len(d.instrs) {
-			return 0, fmt.Errorf("coproc: lane %d snapshot instruction %d out of program range", l, snap.Instr)
-		}
-		if want := d.starts[snap.Instr]; snap.Cycle != want {
-			return 0, fmt.Errorf("coproc: lane %d snapshot Cycle %d is not the start cycle %d of instruction %d under digit size %d (snapshot taken under another Timing?)",
-				l, snap.Cycle, want, snap.Instr, lc.Timing.DigitSize)
-		}
-		start = max(start, snap.Instr)
-	}
-
 	if cap(lc.lanes) < len(runs) {
 		lc.lanes = make([]laneState, len(runs))
 	}
@@ -369,42 +302,10 @@ func (lc *LaneCPU) Run(p *Program, runs []LaneRun) (int, error) {
 		if lc.Masked && ls.maskRand == nil {
 			return 0, fmt.Errorf("coproc: masked execution requires a mask TRNG source on lane %d (MaskRand)", l)
 		}
-		from := 0
-		if snap := r.Resume; snap != nil {
-			if snap.RandDraws > 0 && ls.rand == nil {
-				return 0, errors.New("coproc: resume of a randomized run requires a TRNG source")
-			}
-			if snap.MaskDraws > 0 && ls.maskRand == nil {
-				return 0, errors.New("coproc: resume of a masked run requires a mask TRNG source")
-			}
-			copy(ls.slots[slotRegs:slotRegs+NumRegs], snap.Regs[:])
-			copy(ls.slots[slotRAM:slotRAM+NumRAM], snap.RAM[:])
-			copy(ls.slots[slotConsts:slotConsts+NumConsts], snap.Consts[:])
-			copy(ls.masks[slotRegs:slotRegs+NumRegs], snap.Masks[:])
-			copy(ls.masks[slotRAM:slotRAM+NumRAM], snap.RAMMasks[:])
-			for i := 0; i < snap.RandDraws; i++ {
-				ls.rand()
-			}
-			ls.randDraws = snap.RandDraws
-			for i := 0; i < snap.MaskDraws; i++ {
-				ls.maskRand()
-			}
-			ls.maskDraws = snap.MaskDraws
-			from = snap.Instr
-		} else {
-			copy(ls.slots[slotConsts:slotConsts+NumConsts], r.Consts[:])
-		}
-		if from < start && !lc.quietAt(d.starts[start-1], d.instrs[start-1].cost) {
-			return 0, fmt.Errorf("coproc: lane %d starts at instruction %d, outside the quiet prefix before the lockstep start %d", l, from, start)
-		}
-		for idx := from; idx < start; idx++ {
-			if err := lc.quietExecLane(ls, &d.instrs[idx]); err != nil {
-				return 0, err
-			}
-		}
+		copy(ls.slots[slotConsts:], r.Consts[:])
 	}
-	lc.cycle = d.starts[start]
-	return lc.runLockstep(d, start)
+	lc.cycle = 0
+	return lc.runLockstep(d)
 }
 
 // quietExecLane performs one instruction's architectural effects on a
@@ -426,7 +327,7 @@ func (lc *LaneCPU) quietExecLane(ls *laneState, in *laneInstr) error {
 		if ls.rand == nil {
 			return errors.New("coproc: OpLoadRnd requires a TRNG source")
 		}
-		ls.slots[in.rd] = RandNonZeroElement(ls.drawRand)
+		ls.slots[in.rd] = RandNonZeroElement(ls.rand)
 	case OpCSwap:
 		if ls.key.Bit(in.keyBit) == 1 {
 			ls.slots[in.rd], ls.slots[in.ra] = ls.slots[in.ra], ls.slots[in.rd]
@@ -455,17 +356,13 @@ func (lc *LaneCPU) quietExecLane(ls *laneState, in *laneInstr) error {
 	return nil
 }
 
-// runLockstep executes instructions [from, end) on every lane. Per
-// instruction, every lane retires all its cycles (lane-major order:
-// the per-lane event streams are what must be ordered, and they are;
-// interleaving across lanes is unobservable since each lane has its
-// own sink), then the shared clock advances by the instruction cost.
-func (lc *LaneCPU) runLockstep(d *laneProgram, from int) (int, error) {
-	for idx := from; idx < len(d.instrs); idx++ {
-		lc.next = idx
-		if lc.AtBoundary != nil && !lc.AtBoundary(idx, lc.cycle) {
-			return lc.cycle, nil
-		}
+// runLockstep executes the program on every lane. Per instruction,
+// every lane retires all its cycles (lane-major order: the per-lane
+// event streams are what must be ordered, and they are; interleaving
+// across lanes is unobservable since each lane has its own sink), then
+// the shared clock advances by the instruction cost.
+func (lc *LaneCPU) runLockstep(d *laneProgram) (int, error) {
+	for idx := range d.instrs {
 		in := &d.instrs[idx]
 		if lc.quietAt(lc.cycle, in.cost) {
 			for l := range lc.lanes {
@@ -494,7 +391,6 @@ func (lc *LaneCPU) runLockstep(d *laneProgram, from int) (int, error) {
 			return lc.cycle, ErrStopped
 		}
 	}
-	lc.next = len(d.instrs)
 	return lc.cycle, nil
 }
 
@@ -554,7 +450,7 @@ func (lc *LaneCPU) execLane(ls *laneState, idx int, in *laneInstr, budget int) e
 			if ls.rand == nil {
 				return errors.New("coproc: OpLoadRnd requires a TRNG source")
 			}
-			v = RandNonZeroElement(ls.drawRand)
+			v = RandNonZeroElement(ls.rand)
 			// The TRNG port delivers the raw word stream; share
 			// splitting happens at the register-file write below.
 			busHW = v.Weight()

@@ -1,7 +1,6 @@
 package coproc
 
 import (
-	"strings"
 	"testing"
 
 	"medsec/internal/ec"
@@ -33,10 +32,9 @@ func cpuRegs(cpu *CPU) [NumRegs]gf2m.Element {
 	return r
 }
 
-// captureCPU runs one whole trace on the per-trace CPU (from snap when
-// non-nil) and returns its event stream, final register file and cycle
-// count.
-func captureCPU(t *testing.T, p *Program, key modn.Scalar, seed uint64, snap *Snapshot) ([]CycleEvent, [NumRegs]gf2m.Element, int) {
+// captureCPU runs one whole trace on the per-trace CPU and returns its
+// event stream, final register file and cycle count.
+func captureCPU(t *testing.T, p *Program, key modn.Scalar, seed uint64) ([]CycleEvent, [NumRegs]gf2m.Element, int) {
 	t.Helper()
 	curve := ec.K163()
 	cpu := NewCPU(DefaultTiming())
@@ -44,13 +42,7 @@ func captureCPU(t *testing.T, p *Program, key modn.Scalar, seed uint64, snap *Sn
 	cpu.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
 	var evs []CycleEvent
 	cpu.Probe = func(ev *CycleEvent) { evs = append(evs, *ev) }
-	var err error
-	var n int
-	if snap != nil {
-		n, err = cpu.Resume(p, key, *snap)
-	} else {
-		n, err = cpu.Run(p, key)
-	}
+	n, err := cpu.Run(p, key)
 	if err != nil {
 		t.Fatalf("cpu run: %v", err)
 	}
@@ -68,7 +60,7 @@ func regsOf(lc *LaneCPU, l int) [NumRegs]gf2m.Element {
 // runLanes executes the test traces (lane l: laneTestKey(l),
 // laneTestSeed(l)) through a LaneCPU and returns the per-lane captured
 // streams.
-func runLanes(t *testing.T, lc *LaneCPU, p *Program, nLanes int, quiet, max int, snaps []*Snapshot) ([][]CycleEvent, int, error) {
+func runLanes(t *testing.T, lc *LaneCPU, p *Program, nLanes int, quiet, max int) ([][]CycleEvent, int, error) {
 	t.Helper()
 	curve := ec.K163()
 	lc.QuietCycles = quiet
@@ -82,9 +74,6 @@ func runLanes(t *testing.T, lc *LaneCPU, p *Program, nLanes int, quiet, max int,
 			Rand:   rng.NewDRBG(laneTestSeed(l)).Uint64,
 			Sink:   func(ev *CycleEvent) { streams[l] = append(streams[l], *ev) },
 			Consts: OperandConstants(curve.Gx, curve.B, curve.Gy),
-		}
-		if snaps != nil {
-			runs[l].Resume = snaps[l]
 		}
 	}
 	n, err := lc.Run(p, runs)
@@ -135,9 +124,9 @@ func TestLaneMatchesSerialPerOpcode(t *testing.T) {
 	for name, p := range opcodePrograms() {
 		for _, nLanes := range []int{1, 2, 3, 4, 8} {
 			lc := NewLaneCPU(DefaultTiming())
-			streams, laneN, _ := runLanes(t, lc, p, nLanes, 0, 0, nil)
+			streams, laneN, _ := runLanes(t, lc, p, nLanes, 0, 0)
 			for l := 0; l < nLanes; l++ {
-				want, wantRegs, serialN := captureCPU(t, p, laneTestKey(t, l), laneTestSeed(l), nil)
+				want, wantRegs, serialN := captureCPU(t, p, laneTestKey(t, l), laneTestSeed(l))
 				diffStreams(t, name, streams[l], want)
 				if laneN != serialN {
 					t.Fatalf("%s: lane cycle count %d, CPU %d", name, laneN, serialN)
@@ -162,9 +151,9 @@ func TestLanePointMulMatchesSerial(t *testing.T) {
 		p := BuildLadderProgram(ProgramOptions{RPC: rpc, XOnly: true})
 		for _, nLanes := range []int{1, 3, 8} {
 			lc := NewLaneCPU(DefaultTiming())
-			streams, laneN, _ := runLanes(t, lc, p, nLanes, 0, 0, nil)
+			streams, laneN, _ := runLanes(t, lc, p, nLanes, 0, 0)
 			for l := 0; l < nLanes; l++ {
-				want, wantRegs, serialN := captureCPU(t, p, laneTestKey(t, l), laneTestSeed(l), nil)
+				want, wantRegs, serialN := captureCPU(t, p, laneTestKey(t, l), laneTestSeed(l))
 				diffStreams(t, "pointmul", streams[l], want)
 				if laneN != serialN {
 					t.Fatalf("rpc=%v: lane cycles %d CPU %d", rpc, laneN, serialN)
@@ -178,58 +167,31 @@ func TestLanePointMulMatchesSerial(t *testing.T) {
 }
 
 // windowedFixture is the acquisition configuration the campaigns use
-// on the unprotected microcode: iterations 160..158 recorded, and the
-// reference prefix snapshot (benchScalar, K-163 generator) that the
-// fixed-key lanes resume from.
-func windowedFixture(t *testing.T) (p *Program, start, end int, snap Snapshot) {
-	t.Helper()
+// on the unprotected microcode: iterations 160..158 recorded after a
+// quiet prologue.
+func windowedFixture() (p *Program, start, end int) {
 	p = BuildLadderProgram(ProgramOptions{RPC: false, XOnly: true})
-	tim := DefaultTiming()
-	start, end = p.IterationWindow(tim, 160, 158)
-	nInstr, cycle, _ := p.PrefixBoundary(tim, start)
-	if cycle == 0 {
-		t.Fatal("expected a nonzero prefix boundary")
-	}
-	curve := ec.K163()
-	ref := NewCPU(tim)
-	ref.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
-	snap, err := ref.SnapshotPrefix(p, benchScalar, nInstr)
-	if err != nil {
-		t.Fatalf("SnapshotPrefix: %v", err)
-	}
-	return p, start, end, snap
-}
-
-// windowedSnaps fans the prefix snapshot out to the even (fixed-key)
-// lanes of an nLanes batch; the random-key lanes replay the prefix.
-func windowedSnaps(snap *Snapshot, nLanes int) []*Snapshot {
-	snaps := make([]*Snapshot, nLanes)
-	for l := range snaps {
-		if l%2 == 0 {
-			snaps[l] = snap
-		}
-	}
-	return snaps
+	start, end = p.IterationWindow(DefaultTiming(), 160, 158)
+	return p, start, end
 }
 
 // TestLaneWindowedAcquisitionMatchesSerial pins the acquisition
 // configuration the campaigns use: QuietCycles prologue + MaxCycles
-// window, with a prefix snapshot fanned out to the usable lanes (the
-// even, fixed-key ones) while the random-key lanes replay the quiet
-// prefix — the exact mixed-resume shape of a TVLA batch. Each lane's
-// window must equal the same slice of a whole evented run. Lane counts
-// include 3 and 8 so non-dividing shapes are covered at the campaign
-// layer's batch remainder.
+// window over a batch that mixes fixed-key (even) and random-key (odd)
+// lanes — the shape of a TVLA batch. Each lane's window must equal the
+// same slice of a whole evented run. Lane counts include 3 and 8 so
+// non-dividing shapes are covered at the campaign layer's batch
+// remainder.
 func TestLaneWindowedAcquisitionMatchesSerial(t *testing.T) {
-	p, start, end, snap := windowedFixture(t)
+	p, start, end := windowedFixture()
 	for _, nLanes := range []int{1, 3, 8} {
 		lc := NewLaneCPU(DefaultTiming())
-		streams, _, laneErr := runLanes(t, lc, p, nLanes, start, end, windowedSnaps(&snap, nLanes))
+		streams, _, laneErr := runLanes(t, lc, p, nLanes, start, end)
 		if laneErr != ErrStopped {
 			t.Fatalf("lanes=%d: want ErrStopped at MaxCycles, got %v", nLanes, laneErr)
 		}
 		for l := 0; l < nLanes; l++ {
-			full, _, _ := captureCPU(t, p, laneTestKey(t, l), laneTestSeed(l), nil)
+			full, _, _ := captureCPU(t, p, laneTestKey(t, l), laneTestSeed(l))
 			diffStreams(t, "windowed", streams[l], full[start:end])
 		}
 	}
@@ -245,7 +207,7 @@ func TestLaneMidMALUTruncation(t *testing.T) {
 	for _, max := range truncationCuts(tim) {
 		for _, nLanes := range []int{1, 3} {
 			lc := NewLaneCPU(tim)
-			streams, laneN, err := runLanes(t, lc, p, nLanes, 0, max, nil)
+			streams, laneN, err := runLanes(t, lc, p, nLanes, 0, max)
 			if max < total && err != ErrStopped {
 				t.Fatalf("max=%d: want ErrStopped, got %v", max, err)
 			}
@@ -253,7 +215,7 @@ func TestLaneMidMALUTruncation(t *testing.T) {
 				t.Fatalf("max=%d: lanes stopped at cycle %d", max, laneN)
 			}
 			for l := 0; l < nLanes; l++ {
-				full, wantRegs, _ := captureCPU(t, p, laneTestKey(t, l), laneTestSeed(l), nil)
+				full, wantRegs, _ := captureCPU(t, p, laneTestKey(t, l), laneTestSeed(l))
 				diffStreams(t, "trunc", streams[l], full[:max])
 				if max < total {
 					wantRegs[2] = gf2m.Element{} // the MUL's destination, never written
@@ -263,51 +225,6 @@ func TestLaneMidMALUTruncation(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestLaneResumePastQuietPrefix pins mid-program resumes: lanes that
-// all start from the same snapshot past the quiet prefix run in
-// lockstep from it and reproduce the whole run's suffix, while a batch
-// that mixes such a start with a lane that would have to replay evented
-// instructions is refused by name.
-func TestLaneResumePastQuietPrefix(t *testing.T) {
-	p := BuildLadderProgram(ProgramOptions{RPC: true, XOnly: true})
-	tim := DefaultTiming()
-	mid, _ := p.IterationWindow(tim, 100, 100)
-	curve := ec.K163()
-	ref := NewCPU(tim)
-	ref.Rand = rng.NewDRBG(laneTestSeed(0)).Uint64
-	ref.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
-	snaps, _, err := ref.RunCheckpointed(p, laneTestKey(t, 0), func(_, cycle int) bool { return cycle == mid })
-	if err != nil || len(snaps) != 1 {
-		t.Fatalf("checkpoint at cycle %d: %d snapshots, err %v", mid, len(snaps), err)
-	}
-	full, wantRegs, _ := captureCPU(t, p, laneTestKey(t, 0), laneTestSeed(0), nil)
-
-	// Lanes 0 and 2 carry the same key, TRNG seed and snapshot.
-	lc := NewLaneCPU(tim)
-	streams := make([][]CycleEvent, 2)
-	runs := make([]LaneRun, 2)
-	for i := range runs {
-		i := i
-		runs[i] = LaneRun{Key: laneTestKey(t, 0), Rand: rng.NewDRBG(laneTestSeed(0)).Uint64, Resume: &snaps[0],
-			Sink: func(ev *CycleEvent) { streams[i] = append(streams[i], *ev) }}
-	}
-	if _, err := lc.Run(p, runs); err != nil {
-		t.Fatal(err)
-	}
-	for i := range runs {
-		diffStreams(t, "resume", streams[i], full[mid:])
-		if regsOf(lc, i) != wantRegs {
-			t.Fatalf("lane %d: resumed register file diverged", i)
-		}
-	}
-
-	runs[1] = LaneRun{Key: laneTestKey(t, 0), Rand: rng.NewDRBG(laneTestSeed(0)).Uint64,
-		Consts: OperandConstants(curve.Gx, curve.B, curve.Gy)}
-	if _, err := lc.Run(p, runs); err == nil || !strings.Contains(err.Error(), "outside the quiet prefix") {
-		t.Fatalf("mixed start past the quiet prefix: got %v", err)
 	}
 }
 

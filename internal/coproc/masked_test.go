@@ -14,9 +14,8 @@ import (
 // device TRNG stream the same lane draws.
 func maskTestSeed(l int) uint64 { return 7777 ^ (uint64(l)+1)*0xbf58476d1ce4e5b9 }
 
-// captureMasked runs one whole masked trace on the per-trace CPU
-// (from snap when non-nil).
-func captureMasked(t *testing.T, p *Program, key modn.Scalar, seed, maskSeed uint64, snap *Snapshot) ([]CycleEvent, [NumRegs]gf2m.Element, int) {
+// captureMasked runs one whole masked trace on the per-trace CPU.
+func captureMasked(t *testing.T, p *Program, key modn.Scalar, seed, maskSeed uint64) ([]CycleEvent, [NumRegs]gf2m.Element, int) {
 	t.Helper()
 	curve := ec.K163()
 	cpu := NewCPU(DefaultTiming())
@@ -26,13 +25,7 @@ func captureMasked(t *testing.T, p *Program, key modn.Scalar, seed, maskSeed uin
 	cpu.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
 	var evs []CycleEvent
 	cpu.Probe = func(ev *CycleEvent) { evs = append(evs, *ev) }
-	var err error
-	var n int
-	if snap != nil {
-		n, err = cpu.Resume(p, key, *snap)
-	} else {
-		n, err = cpu.Run(p, key)
-	}
+	n, err := cpu.Run(p, key)
 	if err != nil {
 		t.Fatalf("masked cpu run: %v", err)
 	}
@@ -41,7 +34,7 @@ func captureMasked(t *testing.T, p *Program, key modn.Scalar, seed, maskSeed uin
 
 // captureMaskedWindow runs one masked trace on a width-1 LaneCPU with a
 // quiet prologue and a MaxCycles window.
-func captureMaskedWindow(t *testing.T, p *Program, key modn.Scalar, seed, maskSeed uint64, quiet, max int, snap *Snapshot) []CycleEvent {
+func captureMaskedWindow(t *testing.T, p *Program, key modn.Scalar, seed, maskSeed uint64, quiet, max int) []CycleEvent {
 	t.Helper()
 	curve := ec.K163()
 	lc := NewLaneCPU(DefaultTiming())
@@ -54,7 +47,6 @@ func captureMaskedWindow(t *testing.T, p *Program, key modn.Scalar, seed, maskSe
 		MaskRand: rng.NewDRBG(maskSeed).Uint64,
 		Sink:     func(ev *CycleEvent) { evs = append(evs, *ev) },
 		Consts:   OperandConstants(curve.Gx, curve.B, curve.Gy),
-		Resume:   snap,
 	}}
 	if _, err := lc.Run(p, runs); err != nil && err != ErrStopped {
 		t.Fatalf("masked window: %v", err)
@@ -108,7 +100,7 @@ func TestMaskedMatchesUnmaskedArchitecture(t *testing.T) {
 // masks differ from zero.
 func TestMaskedEventInvariants(t *testing.T) {
 	p := opcodePrograms()["cswap"]
-	evs, _, _ := captureMasked(t, p, laneTestKey(t, 0), 42, 7, nil)
+	evs, _, _ := captureMasked(t, p, laneTestKey(t, 0), 42, 7)
 	for i, ev := range evs {
 		switch ev.Op {
 		case OpLoadConst:
@@ -154,7 +146,7 @@ func TestMaskedLaneMatchesSerial(t *testing.T) {
 				t.Fatalf("%s lanes=%d: %v", name, nLanes, err)
 			}
 			for l := 0; l < nLanes; l++ {
-				want, wantRegs, serialN := captureMasked(t, p, laneTestKey(t, l), laneTestSeed(l), maskTestSeed(l), nil)
+				want, wantRegs, serialN := captureMasked(t, p, laneTestKey(t, l), laneTestSeed(l), maskTestSeed(l))
 				diffStreams(t, "masked-"+name, streams[l], want)
 				if laneN != serialN {
 					t.Fatalf("%s: masked lane cycles %d, serial %d", name, laneN, serialN)
@@ -175,53 +167,14 @@ func TestMaskedQuietPrefixMatchesEvented(t *testing.T) {
 	p := BuildLadderProgram(ProgramOptions{RPC: false, XOnly: true})
 	start, end := p.IterationWindow(DefaultTiming(), 160, 158)
 	key := laneTestKey(t, 0)
-	full, _, _ := captureMasked(t, p, key, 42, 7, nil)
-	win := captureMaskedWindow(t, p, key, 42, 7, start, end, nil)
+	full, _, _ := captureMasked(t, p, key, 42, 7)
+	win := captureMaskedWindow(t, p, key, 42, 7, start, end)
 	diffStreams(t, "masked-window", win, full[start:end])
 }
 
-// TestMaskedSnapshotResume pins masked prefix snapshots: SnapshotPrefix
-// on a masked CPU captures mask state and stream positions, and a
-// resume fast-forwards both TRNG streams so the downstream events are
-// bit-identical to a straight-through masked run — on the per-trace
-// CPU and on a windowed lane.
-func TestMaskedSnapshotResume(t *testing.T) {
-	p := BuildLadderProgram(ProgramOptions{RPC: false, XOnly: true})
-	tim := DefaultTiming()
-	start, end := p.IterationWindow(tim, 160, 158)
-	nInstr, cycle, _ := p.PrefixBoundary(tim, start)
-	if cycle == 0 {
-		t.Fatal("expected a nonzero prefix boundary")
-	}
-	curve := ec.K163()
-	key := laneTestKey(t, 0)
-
-	ref := NewCPU(tim)
-	ref.Rand = rng.NewDRBG(42).Uint64
-	ref.Masked = true
-	ref.MaskRand = rng.NewDRBG(7).Uint64
-	ref.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
-	snap, err := ref.SnapshotPrefix(p, key, nInstr)
-	if err != nil {
-		t.Fatalf("masked SnapshotPrefix: %v", err)
-	}
-	if snap.MaskDraws == 0 {
-		t.Fatal("masked prefix snapshot recorded zero mask draws")
-	}
-
-	full, fullRegs, fullN := captureMasked(t, p, key, 42, 7, nil)
-	got, gotRegs, gotN := captureMasked(t, p, key, 42, 7, &snap)
-	diffStreams(t, "masked-resume", got, full[cycle:])
-	if gotN != fullN || gotRegs != fullRegs {
-		t.Fatalf("masked resume diverged: cycles %d/%d", gotN, fullN)
-	}
-	win := captureMaskedWindow(t, p, key, 42, 7, start, end, &snap)
-	diffStreams(t, "masked-lane-resume", win, full[start:end])
-}
-
 // TestMaskedRequiresMaskRand pins the configuration errors: masked
-// execution (per-trace CPU, lane, and masked-snapshot resume) without a mask
-// TRNG source must fail loudly, not silently run unmasked.
+// execution (per-trace CPU and lane) without a mask TRNG source must
+// fail loudly, not silently run unmasked.
 func TestMaskedRequiresMaskRand(t *testing.T) {
 	p := opcodePrograms()["add"]
 	curve := ec.K163()
@@ -238,12 +191,5 @@ func TestMaskedRequiresMaskRand(t *testing.T) {
 	runs := []LaneRun{{Key: benchScalar, Consts: OperandConstants(curve.Gx, curve.B, curve.Gy)}}
 	if _, err := lc.Run(p, runs); err == nil || !strings.Contains(err.Error(), "mask TRNG") {
 		t.Fatalf("lane masked run without MaskRand: got %v", err)
-	}
-
-	snap := Snapshot{MaskDraws: 3}
-	cpu2 := NewCPU(DefaultTiming())
-	cpu2.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
-	if _, err := cpu2.Resume(p, benchScalar, snap); err == nil || !strings.Contains(err.Error(), "mask TRNG") {
-		t.Fatalf("masked snapshot resume without MaskRand: got %v", err)
 	}
 }

@@ -139,133 +139,3 @@ func TestQuietFullRunMatchesEvented(t *testing.T) {
 		}
 	}
 }
-
-// TestPrefixBoundaryAndSnapshotPrefix pins the acquisition-prologue
-// contract on the unprotected (TRNG-free) microcode: PrefixBoundary
-// reaches a span-aligned limit exactly, reports the CSWAP key bits the
-// prefix consults, and a SnapshotPrefix + Resume reproduces the full
-// run's suffix — events, result and cycle count — bit for bit.
-func TestPrefixBoundaryAndSnapshotPrefix(t *testing.T) {
-	curve := ec.K163()
-	tim := DefaultTiming()
-	prog := BuildLadderProgram(ProgramOptions{XOnly: true})
-	d := rng.NewDRBG(17)
-	k := curve.Order.RandNonZero(d.Uint64)
-	p := curve.RandomPoint(d.Uint64)
-
-	limit, _ := prog.IterationWindow(tim, 156, 153)
-	nInstr, cycle, keyBits := prog.PrefixBoundary(tim, limit)
-	if cycle != limit {
-		t.Fatalf("span-aligned limit %d not reached exactly: boundary cycle %d", limit, cycle)
-	}
-	if nInstr <= 0 || nInstr >= len(prog.Instrs) {
-		t.Fatalf("degenerate prefix: %d instructions", nInstr)
-	}
-	// keyBits must be exactly the CSWAP key bits of the spans before the
-	// boundary, in execution order.
-	var want []int
-	for _, sp := range prog.Spans(tim) {
-		if sp.Index >= nInstr {
-			break
-		}
-		if sp.Op == OpCSwap && sp.KeyBit >= 0 {
-			want = append(want, sp.KeyBit)
-		}
-	}
-	if len(want) == 0 {
-		t.Fatal("prefix through iteration 157 consults no key bits — window too shallow for the test")
-	}
-	if len(keyBits) != len(want) {
-		t.Fatalf("keyBits = %v, want %v", keyBits, want)
-	}
-	for i := range want {
-		if keyBits[i] != want[i] {
-			t.Fatalf("keyBits = %v, want %v", keyBits, want)
-		}
-	}
-
-	// Reference full run.
-	type ev struct {
-		Cycle, Instr int
-		Op           Op
-		WriteHD      int
-	}
-	ref := NewCPU(tim)
-	ref.SetOperandConstants(p.X, curve.B, p.Y)
-	var refEvents []ev
-	ref.Probe = func(e *CycleEvent) {
-		refEvents = append(refEvents, ev{e.Cycle, e.InstrIndex, e.Op, e.WriteHD})
-	}
-	total, err := ref.Run(prog, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Prologue snapshot once, then resume.
-	pre := NewCPU(tim)
-	pre.SetOperandConstants(p.X, curve.B, p.Y)
-	snap, err := pre.SnapshotPrefix(prog, k, nInstr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Instr != nInstr || snap.Cycle != cycle {
-		t.Fatalf("snapshot at (%d, %d), want (%d, %d)", snap.Instr, snap.Cycle, nInstr, cycle)
-	}
-	cpu := NewCPU(tim)
-	cpu.SetOperandConstants(p.X, curve.B, p.Y)
-	var got []ev
-	cpu.Probe = func(e *CycleEvent) {
-		got = append(got, ev{e.Cycle, e.InstrIndex, e.Op, e.WriteHD})
-	}
-	n, err := cpu.Resume(prog, k, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != total {
-		t.Fatalf("resume ended at cycle %d, want %d", n, total)
-	}
-	if !cpu.ResultX(prog).Equal(ref.ResultX(prog)) || !cpu.ResultY(prog).Equal(ref.ResultY(prog)) {
-		t.Fatal("resumed result diverged from full run")
-	}
-	wantEv := refEvents[cycle:]
-	if len(got) != len(wantEv) {
-		t.Fatalf("resume saw %d events, want %d", len(got), len(wantEv))
-	}
-	for i := range got {
-		if got[i] != wantEv[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, got[i], wantEv[i])
-		}
-	}
-}
-
-// TestPrefixBoundaryStopsAtTRNG pins that the boundary never crosses an
-// OpLoadRnd: on the RPC microcode (whose mask loads are trace-dependent)
-// the longest checkpointable prefix ends at the first TRNG read, no
-// matter how deep the requested limit is.
-func TestPrefixBoundaryStopsAtTRNG(t *testing.T) {
-	tim := DefaultTiming()
-	prog := BuildLadderProgram(ProgramOptions{RPC: true, XOnly: true})
-	nInstr, cycle, _ := prog.PrefixBoundary(tim, prog.CycleCount(tim))
-	spans := prog.Spans(tim)
-	firstRnd := -1
-	for _, sp := range spans {
-		if sp.Op == OpLoadRnd {
-			firstRnd = sp.Index
-			break
-		}
-	}
-	if firstRnd < 0 {
-		t.Fatal("RPC program without OpLoadRnd")
-	}
-	if nInstr != firstRnd {
-		t.Fatalf("boundary %d, want first OpLoadRnd at %d", nInstr, firstRnd)
-	}
-	if cycle != spans[firstRnd].Start {
-		t.Fatalf("boundary cycle %d, want %d", cycle, spans[firstRnd].Start)
-	}
-	for _, sp := range spans[:nInstr] {
-		if sp.Op == OpLoadRnd {
-			t.Fatalf("prefix contains OpLoadRnd at instruction %d", sp.Index)
-		}
-	}
-}

@@ -121,15 +121,19 @@ func RunWithFault(curve *ec.Curve, tim coproc.Timing, k modn.Scalar, p ec.Point,
 	if !injected {
 		return 0, &InjectionError{Inj: inj, Reason: "cycle beyond program end"}
 	}
-	got := ec.Point{X: cpu.ResultX(prog), Y: cpu.ResultY(prog)}
+	return classify(curve, want, ec.Point{X: cpu.ResultX(prog), Y: cpu.ResultY(prog)}), nil
+}
 
+// classify grades a faulted result against the fault-free one under
+// output validation.
+func classify(curve *ec.Curve, want, got ec.Point) Result {
 	if got.Equal(want) {
-		return Benign, nil
+		return Benign
 	}
 	if err := ValidateOutput(curve, got); err != nil {
-		return Detected, nil
+		return Detected
 	}
-	return Escaped, nil
+	return Escaped
 }
 
 // ValidateOutput is the secure-zone exit check: the result must be a
@@ -156,7 +160,7 @@ type CampaignReport struct {
 // themselves fan out across workers. Each sample draws a fresh scalar
 // and base point — for an exhaustive map of the fault space of one
 // fixed computation, use Sweep, which shares a single reference run
-// and resumes faulted runs from checkpoints.
+// and runs each faulted run's prefix quietly.
 func Campaign(curve *ec.Curve, tim coproc.Timing, n int, seed uint64) (*CampaignReport, error) {
 	return CampaignWorkers(curve, tim, n, seed, 0)
 }

@@ -21,26 +21,22 @@ import (
 //
 // Two structural optimizations make exhaustive coverage affordable:
 //
-//   - one shared reference run per sweep (the historical code paid a
-//     full fault-free simulation per sample);
-//   - checkpoint/resume: the reference run is checkpointed at
-//     instruction boundaries (coproc.RunCheckpointed) and every faulted
-//     run resumes from the last checkpoint before its injection cycle
-//     (coproc.Resume), simulating only the suffix the fault can affect.
-//     For the late-iteration windows that matter for Bellcore-style
-//     attacks the suffix is a few dozen instructions, not the whole
-//     ladder.
+//   - one shared quiet reference run per sweep (Campaign pays a full
+//     fault-free simulation per sample);
+//   - a quiet prefix per faulted run: the instructions that retire
+//     before the injection cycle execute without event bookkeeping
+//     (coproc.LaneCPU.QuietCycles), so only the instruction holding
+//     the injection cycle and everything after it run evented.
 //
 // Determinism: jobs are enumerated in a fixed grid order and each
-// faulted run is a pure function of its injection (fresh CPU, fresh
-// TRNG stream fast-forwarded by the checkpoint), so the report is
-// bit-identical for any worker count.
+// faulted run is a pure function of its injection (power-on state,
+// TRNG stream re-seeded per run), so the report is bit-identical for
+// any worker count.
 type SweepConfig struct {
 	// FromIter/ToIter bound the ladder-iteration window swept,
 	// numbered in processing order from 162 down to 0; FromIter must
 	// be >= ToIter. The zero value sweeps the final iteration — the
-	// suffix a Bellcore-style attacker targets and the cheapest to
-	// resume.
+	// suffix a Bellcore-style attacker targets.
 	FromIter, ToIter int
 	// CycleStride/RegStride/BitStride stratify the grid: every Nth
 	// cycle of the window, every Nth register, every Nth bit. Values
@@ -62,9 +58,7 @@ type SweepConfig struct {
 	// folded with (done, total); done is monotone but may skip counts.
 	Progress func(done, total int)
 	// Metrics, when non-nil, receives sweep instrumentation: counters
-	// fault_injections (completed faulted runs),
-	// fault_checkpoint_resumed_cycles (simulation cycles skipped by
-	// resuming from the reference run's checkpoints) and the tally
+	// fault_injections (completed faulted runs) and the tally
 	// counters fault_benign / fault_detected / fault_escaped, plus a
 	// fault_grid_total gauge and the campaign_* engine instruments.
 	// Nil (the default) costs nothing; the report is bit-identical
@@ -147,13 +141,11 @@ func Sweep(curve *ec.Curve, tim coproc.Timing, cfg SweepConfig) (*SweepReport, e
 	p := curve.RandomPoint(d.Uint64)
 	trngSeed := cfg.Seed ^ 0xF1A7_5EED
 
-	// One reference run, checkpointed at every instruction boundary up
-	// to the window end (later checkpoints can never be resumed from).
+	// The fault-free result, from one quiet run.
 	ref := coproc.NewCPU(tim)
 	ref.Rand = rng.NewDRBG(trngSeed).Uint64
 	ref.SetOperandConstants(p.X, curve.B, p.Y)
-	snaps, _, err := ref.RunCheckpointed(prog, k, func(idx, cycle int) bool { return cycle < end })
-	if err != nil {
+	if _, err := ref.Run(prog, k); err != nil {
 		return nil, err
 	}
 	want := ec.Point{X: ref.ResultX(prog), Y: ref.ResultY(prog)}
@@ -173,7 +165,6 @@ func Sweep(curve *ec.Curve, tim coproc.Timing, cfg SweepConfig) (*SweepReport, e
 	// Instruments, resolved once per sweep (nil-safe no-ops when
 	// cfg.Metrics is nil).
 	mInjections := cfg.Metrics.Counter("fault_injections")
-	mResumedCycles := cfg.Metrics.Counter("fault_checkpoint_resumed_cycles")
 	cfg.Metrics.Gauge("fault_grid_total").Set(float64(total))
 
 	prepare := func(idx int) (Injection, error) {
@@ -182,45 +173,30 @@ func Sweep(curve *ec.Curve, tim coproc.Timing, cfg SweepConfig) (*SweepReport, e
 		b := idx % nBits
 		return Injection{Cycle: start + c*cs, Reg: r * rs, Bit: b * bs}, nil
 	}
+	// Each worker owns one faulted-run machine, built on its first job.
+	machines := make([]*sweepMachine, campaign.Workers(cfg.Workers))
+	consts := coproc.OperandConstants(p.X, curve.B, p.Y)
 	acquire := func(worker, idx int, inj Injection) (Result, error) {
 		if err := inj.validate(); err != nil {
 			return 0, err
 		}
-		// Resume from the last checkpoint at or before the injection
-		// cycle. Checkpoint cycles are strictly increasing instruction
-		// starts, so binary search finds it.
-		si := sort.Search(len(snaps), func(i int) bool { return snaps[i].Cycle > inj.Cycle }) - 1
-		if si < 0 {
-			return 0, &InjectionError{Inj: inj, Reason: "cycle before program start"}
+		m := machines[worker]
+		if m == nil {
+			m = &sweepMachine{lc: coproc.NewLaneCPU(tim), drbg: rng.NewDRBG(trngSeed)}
+			m.run[0] = coproc.LaneRun{Key: k, Rand: m.drbg.Uint64, Consts: consts, Sink: m.inject}
+			machines[worker] = m
 		}
 		mInjections.Inc()
-		// Every cycle before the resumed checkpoint is one the faulted
-		// run did not have to re-simulate — the sweep's headline saving.
-		mResumedCycles.Add(int64(snaps[si].Cycle))
-		cpu := coproc.NewCPU(tim)
-		cpu.Rand = rng.NewDRBG(trngSeed).Uint64
-		cpu.SetOperandConstants(p.X, curve.B, p.Y)
-		injected := false
-		cpu.Probe = func(ev *coproc.CycleEvent) {
-			if !injected && ev.Cycle == inj.Cycle {
-				cpu.FlipBit(inj.Reg, inj.Bit)
-				injected = true
-			}
-		}
-		if _, err := cpu.Resume(prog, k, snaps[si]); err != nil {
+		m.drbg.Reseed(trngSeed)
+		m.inj, m.injected = inj, false
+		m.lc.QuietCycles = inj.Cycle
+		if _, err := m.lc.Run(prog, m.run[:]); err != nil {
 			return 0, err
 		}
-		if !injected {
+		if !m.injected {
 			return 0, &InjectionError{Inj: inj, Reason: "cycle beyond program end"}
 		}
-		got := ec.Point{X: cpu.ResultX(prog), Y: cpu.ResultY(prog)}
-		if got.Equal(want) {
-			return Benign, nil
-		}
-		if err := ValidateOutput(curve, got); err != nil {
-			return Detected, nil
-		}
-		return Escaped, nil
+		return classify(curve, want, ec.Point{X: m.lc.Result(0, prog.ResultX), Y: m.lc.Result(0, prog.ResultY)}), nil
 	}
 	// tallyIn classifies one injection's result into a tally triple and
 	// the per-opcode breakdown.
@@ -259,7 +235,7 @@ func Sweep(curve *ec.Curve, tim coproc.Timing, cfg SweepConfig) (*SweepReport, e
 		progress = func(done int) { cfg.Progress(done, total) }
 	}
 	ccfg := campaign.Config{Workers: cfg.Workers, Shards: cfg.Shards, Progress: progress, Metrics: cfg.Metrics, Ctx: cfg.Ctx}
-	_, err = campaign.Run(0, total, ccfg, prepare, campaign.PerSample(acquire),
+	_, err := campaign.Run(0, total, ccfg, prepare, campaign.PerSample(acquire),
 		func(shard int) *shardTally { return &shardTally{byOp: map[coproc.Op]*Tally{}} },
 		func(shard int, st *shardTally, idx int, inj Injection, res Result) error {
 			tallyIn(&st.Tally, st.byOp, &st.escapes, inj, res)
@@ -294,6 +270,25 @@ func Sweep(curve *ec.Curve, tim coproc.Timing, cfg SweepConfig) (*SweepReport, e
 	cfg.Metrics.Counter("fault_detected").Add(int64(rep.Detected))
 	cfg.Metrics.Counter("fault_escaped").Add(int64(rep.Escaped))
 	return rep, nil
+}
+
+// sweepMachine is one worker's faulted-run state: a width-1 LaneCPU,
+// the TRNG it re-seeds per run, and the injection its sink fires.
+type sweepMachine struct {
+	lc       *coproc.LaneCPU
+	drbg     *rng.DRBG
+	run      [1]coproc.LaneRun
+	inj      Injection
+	injected bool
+}
+
+// inject is the faulted run's sink: it flips the target bit on the
+// injection cycle, after that cycle's architectural update.
+func (m *sweepMachine) inject(ev *coproc.CycleEvent) {
+	if !m.injected && ev.Cycle == m.inj.Cycle {
+		m.lc.FlipBit(0, m.inj.Reg, m.inj.Bit)
+		m.injected = true
+	}
 }
 
 // opAtCycle returns the opcode of the instruction executing at the

@@ -86,53 +86,57 @@ func TestSweepDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesRunWithFault cross-validates the checkpoint/resume
-// fast path against the historical full-simulation path: the same
-// injections on the same computation must classify identically.
+// TestSweepMatchesRunWithFault cross-validates the quiet-prefix fast
+// path against the full-simulation path: the same injections on the
+// same computation must classify identically. The windows sit at both
+// ends of the ladder: the final iteration, where the quiet prefix is
+// longest, and the first, where it is shortest.
 func TestSweepMatchesRunWithFault(t *testing.T) {
 	curve := ec.K163()
 	tim := coproc.DefaultTiming()
 	const seed = 13
-	cfg := SweepConfig{
-		FromIter: 0, ToIter: 0,
-		CycleStride: 241, RegStride: 3, BitStride: 82,
-		Seed: seed,
-	}
-	rep, err := Sweep(curve, tim, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, iter := range []int{0, 162} {
+		cfg := SweepConfig{
+			FromIter: iter, ToIter: iter,
+			CycleStride: 241, RegStride: 3, BitStride: 82,
+			Seed: seed,
+		}
+		rep, err := Sweep(curve, tim, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	// Replicate the sweep's computation and classify the same grid
-	// with RunWithFault (full reference + full faulted run each).
-	d := rng.NewDRBG(seed)
-	k := curve.Order.RandNonZero(d.Uint64)
-	p := curve.RandomPoint(d.Uint64)
-	trng := uint64(seed) ^ 0xF1A7_5EED
-	var slow Tally
-	for c := rep.WindowStart; c < rep.WindowEnd; c += 241 {
-		for r := 0; r < coproc.NumRegs; r += 3 {
-			for b := 0; b < 163; b += 82 {
-				res, err := RunWithFault(curve, tim, k, p, Injection{Cycle: c, Reg: r, Bit: b}, trng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				switch res {
-				case Benign:
-					slow.Benign++
-				case Detected:
-					slow.Detected++
-				case Escaped:
-					slow.Escaped++
+		// Replicate the sweep's computation and classify the same grid
+		// with RunWithFault (full reference + full faulted run each).
+		d := rng.NewDRBG(seed)
+		k := curve.Order.RandNonZero(d.Uint64)
+		p := curve.RandomPoint(d.Uint64)
+		trng := uint64(seed) ^ 0xF1A7_5EED
+		var slow Tally
+		for c := rep.WindowStart; c < rep.WindowEnd; c += 241 {
+			for r := 0; r < coproc.NumRegs; r += 3 {
+				for b := 0; b < 163; b += 82 {
+					res, err := RunWithFault(curve, tim, k, p, Injection{Cycle: c, Reg: r, Bit: b}, trng)
+					if err != nil {
+						t.Fatal(err)
+					}
+					switch res {
+					case Benign:
+						slow.Benign++
+					case Detected:
+						slow.Detected++
+					case Escaped:
+						slow.Escaped++
+					}
 				}
 			}
 		}
-	}
-	if slow != rep.Tally {
-		t.Fatalf("resume path %+v != full-simulation path %+v", rep.Tally, slow)
-	}
-	if slow.Runs() != rep.Total {
-		t.Fatalf("grid mismatch: %d vs %d", slow.Runs(), rep.Total)
+		if slow != rep.Tally {
+			t.Fatalf("iteration %d: quiet-prefix path %+v != full-simulation path %+v", iter, rep.Tally, slow)
+		}
+		if slow.Runs() != rep.Total {
+			t.Fatalf("iteration %d: grid mismatch: %d vs %d", iter, slow.Runs(), rep.Total)
+		}
 	}
 }
 
@@ -224,8 +228,9 @@ func BenchmarkCampaignPerInjection(b *testing.B) {
 	b.ReportMetric(float64(5*b.N)/b.Elapsed().Seconds(), "inj/s")
 }
 
-// BenchmarkSweepPerInjection prices the checkpoint/resume path: one
-// shared reference run, then suffix-only simulation per injection.
+// BenchmarkSweepPerInjection prices the quiet-prefix path: one shared
+// reference run, then a quiet prefix and an evented suffix per
+// injection.
 func BenchmarkSweepPerInjection(b *testing.B) {
 	curve := ec.K163()
 	tim := coproc.DefaultTiming()

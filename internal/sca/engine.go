@@ -63,21 +63,15 @@ func runCampaign[A any](t *Target, from, to int, cfg campaign.Config, plan *acqP
 type acqMetrics struct {
 	// traces counts completed acquisitions (fan-in over all workers).
 	traces *obs.Counter
-	// prologueSkipped accumulates the leading cycles per trace removed
-	// from the evented pipeline (quiet-executed or checkpoint-restored).
+	// prologueSkipped accumulates the leading cycles per trace the
+	// quiet prefix removed from the evented pipeline.
 	prologueSkipped *obs.Counter
-	// checkpointResumes / quietRuns split the prologue strategy per
-	// trace: resumed from a prefix snapshot vs quiet-executed from 0.
-	checkpointResumes *obs.Counter
-	quietRuns         *obs.Counter
 }
 
 func (t *Target) acqMetrics() acqMetrics {
 	return acqMetrics{
-		traces:            t.Metrics.Counter("sca_traces_acquired"),
-		prologueSkipped:   t.Metrics.Counter("sca_prologue_cycles_skipped"),
-		checkpointResumes: t.Metrics.Counter("sca_checkpoint_resumes"),
-		quietRuns:         t.Metrics.Counter("sca_quiet_runs"),
+		traces:          t.Metrics.Counter("sca_traces_acquired"),
+		prologueSkipped: t.Metrics.Counter("sca_prologue_cycles_skipped"),
 	}
 }
 

@@ -16,10 +16,9 @@ import (
 // Lane-batch determinism pins: Target.Lanes selects how many traces
 // one interpreter pass retires, and nothing else. Every campaign
 // statistic must be bit-identical across lane counts — including lane
-// counts that do not divide the trace count, mixed
-// checkpoint-resume/quiet-run batches (TVLA's fixed/random
-// interleaving), every worker/shard shape, and a campaign killed under
-// one lane count and resumed under another.
+// counts that do not divide the trace count, batches that mix fixed
+// and random keys (TVLA's interleaving), every worker/shard shape, and
+// a campaign killed under one lane count and resumed under another.
 
 var determinismLanes = []int{1, 4, 8}
 
@@ -41,8 +40,7 @@ func tvlaLanes(t *testing.T, workers, shards, lanes int) *TVLAResult {
 // TestTVLALaneDeterminism pins the tentpole contract over the full
 // engine-shape grid: lanes x workers x shards, all bit-identical to
 // the width-1 single-worker run at the same shard count. The TVLA
-// job stream interleaves fixed and random keys, so batches mix
-// snapshot-resumed and quiet-run lanes.
+// job stream interleaves fixed and random keys, so batches mix both.
 func TestTVLALaneDeterminism(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		base := tvlaLanes(t, 1, shards, 0)

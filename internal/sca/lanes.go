@@ -70,9 +70,8 @@ func (t *Target) newLaneScratch(lanes int) *laneScratch {
 }
 
 // acquireBatch runs one batch of acquisitions under a plan: per lane
-// the per-trace re-seeding, window setup, noise-stream alignment and
-// checkpoint-vs-quiet decision, then one LaneCPU run retires the whole
-// batch in lockstep.
+// the per-trace re-seeding, window setup and noise-stream alignment,
+// then one LaneCPU run retires the whole batch in lockstep.
 func (t *Target) acquireBatch(s *laneScratch, plan *acqPlan, jobs []acqJob, out []trace.Trace) error {
 	n := len(jobs)
 	for i := 0; i < n; i++ {
@@ -90,19 +89,11 @@ func (t *Target) acquireBatch(s *laneScratch, plan *acqPlan, jobs []acqJob, out 
 		// run.
 		sl.model.SkipCycles(plan.quiet)
 		r := &s.runs[i]
-		*r = coproc.LaneRun{Key: j.key, Rand: sl.randFn, Sink: sl.sinkFn}
+		*r = coproc.LaneRun{Key: j.key, Rand: sl.randFn, Sink: sl.sinkFn,
+			Consts: coproc.OperandConstants(j.point.X, t.Curve.B, j.point.Y)}
 		if t.Masked {
 			sl.maskDrbg.Reseed(t.maskSeed(j.dev))
 			r.MaskRand = sl.maskFn
-		}
-		if plan.usable(j.key) {
-			plan.met.checkpointResumes.Inc()
-			r.Resume = plan.snap
-		} else {
-			if plan.quiet > 0 {
-				plan.met.quietRuns.Inc()
-			}
-			r.Consts = coproc.OperandConstants(j.point.X, t.Curve.B, j.point.Y)
 		}
 	}
 	lc := s.lc

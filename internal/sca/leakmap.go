@@ -47,14 +47,11 @@ func LeakageMap(t *Target, p ec.Point, nPerSet, firstIter, lastIter int, randKey
 		return nil, errors.New("sca: leakage map needs at least 10 traces per set")
 	}
 	start, end := t.prog.IterationWindow(t.Timing, firstIter, lastIter)
-	plan, err := t.planFixedPoint(p, t.Key, start, end)
-	if err != nil {
-		return nil, err
-	}
+	plan := t.planWindow(start, end)
 	w := trace.NewOnlineWelch()
 	// Same sharded Welch reduction as the full-budget TVLA: fold per
 	// shard on the workers, merge in shard order.
-	_, err = runCampaign(t, 0, 2*nPerSet, t.engineConfig(), plan,
+	_, err := runCampaign(t, 0, 2*nPerSet, t.engineConfig(), plan,
 		t.fixedRandomPrepare(p, randKey),
 		func(shard int) *trace.OnlineWelch { return trace.NewOnlineWelch() },
 		welchShardFold[*trace.OnlineWelch], welchShardMerge(w))

@@ -43,23 +43,13 @@ func TestMetricsObserveNeverPerturb(t *testing.T) {
 	if got := reg.Counter("sca_traces_acquired").Value(); got != total {
 		t.Fatalf("sca_traces_acquired = %d, want %d", got, total)
 	}
-	// Every trace took exactly one prologue strategy: checkpoint resume
-	// (prefix CSWAP bits match the fixed key) or quiet run.
-	resumes := reg.Counter("sca_checkpoint_resumes").Value()
-	quiet := reg.Counter("sca_quiet_runs").Value()
-	if resumes+quiet != total {
-		t.Fatalf("prologue split %d+%d != %d traces", resumes, quiet, total)
+	// Every trace ran the same quiet prologue.
+	if inst.PrologueCyclesSkipped <= 0 {
+		t.Fatalf("PrologueCyclesSkipped = %d, want > 0 for a window at iteration 160", inst.PrologueCyclesSkipped)
 	}
-	// Fixed-set traces always match the reference key, so at least
-	// nPerSet resumes.
-	if resumes < nPerSet {
-		t.Fatalf("checkpoint resumes = %d, want >= %d (fixed set)", resumes, nPerSet)
-	}
-	if inst.PrologueCyclesSkipped > 0 {
-		want := int64(inst.PrologueCyclesSkipped) * total
-		if got := reg.Counter("sca_prologue_cycles_skipped").Value(); got != want {
-			t.Fatalf("sca_prologue_cycles_skipped = %d, want %d", got, want)
-		}
+	want := int64(inst.PrologueCyclesSkipped) * total
+	if got := reg.Counter("sca_prologue_cycles_skipped").Value(); got != want {
+		t.Fatalf("sca_prologue_cycles_skipped = %d, want %d", got, want)
 	}
 	// Engine-level accounting rode along on the same registry.
 	if got := reg.Counter("campaign_acquired").Value(); got != total {

@@ -190,8 +190,8 @@ func TestMaskedTVLADeterminismMatrix(t *testing.T) {
 				}
 			}
 			// The quiet-prologue plan must reproduce the full evented
-			// pipeline bit for bit on the masked path too (per-trace mask
-			// draws are replayed, never snapshotted).
+			// pipeline bit for bit on the masked path too (the quiet
+			// prefix replays each trace's mask draws).
 			noskip := run(order, 2, shards, 4, true)
 			if !reflect.DeepEqual(noskip.TCurve, ref.TCurve) {
 				t.Errorf("order=%d shards=%d: full-pipeline t-curve differs — masked quiet prologue drifts", order, shards)

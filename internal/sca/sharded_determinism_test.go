@@ -13,8 +13,8 @@ import (
 // Determinism pins: the sharded reduction must be bit-identical across
 // worker counts at a fixed shard count, reproduce the serial reference
 // loop exactly at S=1, and agree across shard counts to floating-point
-// rounding; the checkpointed/quiet acquisition prologue must leave
-// every recorded sample bit-identical to the full evented pipeline.
+// rounding; the quiet acquisition prologue must leave every recorded
+// sample bit-identical to the full evented pipeline.
 
 func tvlaWith(t *testing.T, workers, shards int, noSkip bool, firstIter, lastIter int) *TVLAResult {
 	t.Helper()
@@ -50,10 +50,7 @@ func serialTVLA(t *testing.T, tgt *Target, nPerSet, firstIter, lastIter int, ran
 	t.Helper()
 	p := FixedPoint(tgt.Curve)
 	start, end := tgt.Window(firstIter, lastIter)
-	plan, err := tgt.planFixedPoint(p, tgt.Key, start, end)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := tgt.planWindow(start, end)
 	prepare := tgt.fixedRandomPrepare(p, randKey)
 	s := tgt.newLaneScratch(1)
 	w := trace.NewOnlineWelch()
@@ -104,17 +101,15 @@ func TestTVLAShardCountAgreementToRounding(t *testing.T) {
 }
 
 // TestPrologueSkipDeterminismBitIdentical pins the acquisition-plan
-// contract: the quiet prologue and the prefix checkpoint change HOW
-// the pre-window cycles are simulated, never WHAT the window records.
-// Campaign traces, TVLA t-curves and SPA features must be
-// bit-identical with the planner enabled and disabled, for both the
-// protected (RPC, quiet-only) and unprotected (checkpointable)
-// microcode — including a deep window where fixed-key traces resume
-// from the checkpoint while random-key traces fall back to the quiet
-// full run.
+// contract: the quiet prologue changes HOW the pre-window cycles are
+// simulated, never WHAT the window records. Campaign traces, TVLA
+// t-curves and SPA features must be bit-identical with the planner
+// enabled and disabled, for both the protected (RPC) and unprotected
+// microcode, including a deep TVLA window over fixed- and random-key
+// traces.
 func TestPrologueSkipDeterminismBitIdentical(t *testing.T) {
 	for _, rpc := range []bool{false, true} {
-		// Campaign acquisition (random base points, quiet-only plan).
+		// Campaign acquisition (random base points).
 		camp := func(noSkip bool) *Campaign {
 			tgt := newDPATarget(t, rpc, 92)
 			tgt.noPrologueSkip = noSkip
@@ -133,8 +128,7 @@ func TestPrologueSkipDeterminismBitIdentical(t *testing.T) {
 			t.Errorf("rpc=%v: planner skipped %d prologue cycles, want > 0", rpc, skipped)
 		}
 
-		// TVLA over a deep window (fixed point: checkpoint eligible on
-		// the non-RPC program, quiet-only on RPC).
+		// TVLA over a deep window (fixed point).
 		tvla := func(noSkip bool) *TVLAResult {
 			tgt := newDPATarget(t, rpc, 93)
 			tgt.noPrologueSkip = noSkip

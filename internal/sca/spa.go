@@ -113,13 +113,8 @@ func spaAveraged(t *Target, p ec.Point, idx uint64, n int) (*SPAResult, error) {
 	}
 	start, end := t.prog.IterationWindow(t.Timing, 162, 0)
 	// The full-ladder window still has a (short) prologue before
-	// iteration 162; the plan skips it. The base point and key are
-	// fixed, so the prefix checkpoint applies when the program admits
-	// one.
-	plan, err := t.planFixedPoint(p, t.Key, start, end)
-	if err != nil {
-		return nil, err
-	}
+	// iteration 162; the plan runs it quietly.
+	plan := t.planWindow(start, end)
 	// Average through the campaign engine: each shard sums its traces
 	// in index order on the worker goroutines, and the shard sums are
 	// added in shard order.
@@ -139,7 +134,7 @@ func spaAveraged(t *Target, p ec.Point, idx uint64, n int) (*SPAResult, error) {
 	prepare := func(i int) (acqJob, error) {
 		return acqJob{key: t.Key, point: p, dev: idx + uint64(i)}, nil
 	}
-	_, err = runCampaign(t, 0, n, t.engineConfig(), plan, prepare,
+	_, err := runCampaign(t, 0, n, t.engineConfig(), plan, prepare,
 		func(shard int) *[]float64 { return new([]float64) },
 		func(shard int, sum *[]float64, i int, j acqJob, tr trace.Trace) error {
 			err := addInto(sum, tr.Samples)

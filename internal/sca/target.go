@@ -109,7 +109,6 @@ type Target struct {
 	Progress func(done int)
 	// Metrics, when non-nil, receives acquisition instrumentation:
 	// counters sca_traces_acquired / sca_prologue_cycles_skipped /
-	// sca_checkpoint_resumes / sca_quiet_runs /
 	// sca_earlystop_checks, TVLA gauges (sca_tvla_pairs,
 	// sca_tvla_max_t, sca_tvla_early_stopped), plus the campaign_*
 	// engine instruments (the registry is forwarded into
@@ -130,8 +129,8 @@ type Target struct {
 	Ckpt *CampaignCheckpoint
 
 	prog *coproc.Program
-	// noPrologueSkip disables the checkpointed/quiet acquisition
-	// prologue (see plan.go), so every trace re-simulates all cycles
+	// noPrologueSkip disables the quiet acquisition prologue (see
+	// plan.go), so every trace re-simulates all cycles
 	// before its window through the full evented pipeline. A test hook:
 	// the tests pin the planned window bit-identical against it.
 	noPrologueSkip bool
@@ -235,9 +234,8 @@ func (t *Target) AcquireCampaign(n int, firstIter, lastIter int, pointSrc func()
 // The campaign retains every trace, so the "reduction" is a positional
 // write: each completed acquisition lands directly in its own slot of
 // the preallocated set from the worker goroutine — trivially
-// order-independent. The base points vary per trace, so the
-// acquisition plan is quiet-prologue only (no checkpoint; see
-// plan.go). Target.Progress reports the campaign's cumulative size.
+// order-independent. Target.Progress reports the campaign's
+// cumulative size.
 func (t *Target) ExtendCampaign(c *Campaign, n int, pointSrc func() uint64) error {
 	from := c.Set.Len()
 	if n <= from {
@@ -277,7 +275,7 @@ func (t *Target) ExtendCampaign(c *Campaign, n int, pointSrc func() uint64) erro
 // campaign's acquisition plan removes from the evented simulation
 // pipeline (0 when the window starts at cycle 0) — campaign throughput accounting for progress headers.
 func (c *Campaign) PrologueCyclesSkipped() int {
-	return c.Target.planWindow(c.Start, c.End).skippedCycles()
+	return c.Target.planWindow(c.Start, c.End).quiet
 }
 
 // Prefix returns a view of the campaign's first n traces — the

@@ -46,14 +46,7 @@ func BuildTemplate(profiler *Target, p ec.Point, nProfile int) (*Template, error
 	}
 	start, end := profiler.prog.IterationWindow(profiler.Timing, 162, 0)
 	cswaps := cswapSampleIndices(profiler, start)
-	// The profiling keys share only the public Algorithm 1 bits, and
-	// the full-ladder prefix before iteration 162 consults no key bits
-	// at all — so the prologue checkpoint (when the program admits
-	// one) applies to every profiling trace.
-	plan, err := profiler.planFixedPoint(p, profiler.Key, start, end)
-	if err != nil {
-		return nil, err
-	}
+	plan := profiler.planWindow(start, end)
 	// Profiling acquisitions fan out over the campaign engine: each
 	// shard appends its labeled features in index order and the shard
 	// slices are concatenated in shard order — since every feature is
@@ -84,7 +77,7 @@ func BuildTemplate(profiler *Target, p ec.Point, nProfile int) (*Template, error
 		return acqJob{key: k, point: p, dev: uint64(1000 + i)}, nil
 	}
 	type classes struct{ f0, f1 []float64 }
-	_, err = runCampaign(profiler, 0, nProfile, profiler.engineConfig(), plan, prepare,
+	_, err := runCampaign(profiler, 0, nProfile, profiler.engineConfig(), plan, prepare,
 		func(shard int) *classes { return &classes{} },
 		func(shard int, cl *classes, i int, j acqJob, tr trace.Trace) error {
 			extract(j, tr, &cl.f0, &cl.f1)

@@ -37,8 +37,8 @@ type TVLAResult struct {
 	// campaign before the requested trace count.
 	EarlyStopped bool
 	// PrologueCyclesSkipped is the number of leading cycles per trace
-	// the acquisition plan removed from the evented simulation
-	// pipeline — checkpoint-restored or quietly executed (see plan.go).
+	// the acquisition plan executed quietly instead of through the
+	// evented simulation pipeline (see plan.go).
 	PrologueCyclesSkipped int
 	// Order is the statistical order of the t-test: 1 for the plain
 	// Welch test on the samples, 2 for the centered-product
@@ -136,19 +136,14 @@ func tvlaRun(t *Target, p ec.Point, nPerSet, checkEvery int, firstIter, lastIter
 		return nil, errors.New("sca: TVLA needs at least 10 traces per set")
 	}
 	start, end := t.prog.IterationWindow(t.Timing, firstIter, lastIter)
-	// The checkpoint is built against the fixed set's key; random-set
-	// traces whose prefix CSWAP bits differ fall back to the quiet
-	// full run per trace (plan.go).
-	plan, err := t.planFixedPoint(p, t.Key, start, end)
-	if err != nil {
-		return nil, err
-	}
+	plan := t.planWindow(start, end)
 	prepare := t.fixedRandomPrepare(p, randKey)
 	// total counts every folded trace, including a prefix restored from
 	// a checkpoint (Target.Ckpt) — the count an uninterrupted run of
 	// the same campaign would have reached.
 	var total int
 	var ts []float64
+	var err error
 	switch order {
 	case 1:
 		total, ts, err = tvlaLeg(t, trace.NewOnlineWelch(), "welch", trace.NewOnlineWelch, nPerSet, checkEvery, plan, prepare)
@@ -165,7 +160,7 @@ func tvlaRun(t *Target, p ec.Point, nPerSet, checkEvery int, firstIter, lastIter
 		TCurve:                ts,
 		CyclesPerTrace:        end,
 		EarlyStopped:          total < 2*nPerSet,
-		PrologueCyclesSkipped: plan.skippedCycles(),
+		PrologueCyclesSkipped: plan.quiet,
 		Order:                 order,
 	}
 	res.MaxT, res.MaxTSample = trace.MaxAbs(ts)

@@ -1,10 +1,12 @@
 // Package store is the durable, crash-safe campaign checkpoint store.
 //
 // A checkpoint file makes a long acquisition campaign survivable: the
-// engine snapshots its streaming accumulators (internal/trace,
-// internal/fault codecs) plus a provenance header at a configurable
-// trace interval, and a later process resumes from the snapshot and
-// produces output bit-identical to an uninterrupted run.
+// engine snapshots its streaming accumulators (internal/trace codecs)
+// plus a provenance header at a configurable trace interval, and a
+// later process resumes from the snapshot and produces output
+// bit-identical to an uninterrupted run. The internal/fault tally
+// codecs frame the same way, but no campaign writes one into a
+// checkpoint.
 //
 // # File format
 //
@@ -97,7 +99,7 @@ type Header struct {
 
 // Checkpoint is one decoded checkpoint file: provenance plus the
 // named accumulator blobs (each an inner frame owned by its own
-// codec — trace.OnlineWelch, fault.SweepReport, …).
+// codec — trace.OnlineWelch, trace.Set, …).
 type Checkpoint struct {
 	Header Header
 	Blobs  map[string][]byte
