@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"medsec/internal/area"
+	"medsec/internal/coproc"
 )
 
 // TestReportPinnedAndVerdictsHold computes every experiment once at
@@ -57,6 +58,19 @@ func TestReportPinnedAndVerdictsHold(t *testing.T) {
 		}
 	}
 	e7 := r.e7.rows
+	// E14 must sweep the ladder's first iteration and reach the
+	// program's last cycle, so the post-processing is graded too.
+	tim := coproc.DefaultTiming()
+	prog := coproc.BuildLadderProgram(coproc.ProgramOptions{RPC: true})
+	firstIter, _ := prog.IterationWindow(tim, 162, 162)
+	var e14Runs, e14Escaped int
+	var e14First, e14ToEnd bool
+	for _, win := range r.e14 {
+		e14Runs += win.rep.Runs()
+		e14Escaped += win.rep.Escaped
+		e14First = e14First || win.rep.WindowStart == firstIter
+		e14ToEnd = e14ToEnd || win.rep.WindowEnd == prog.CycleCount(tim)
+	}
 	for _, v := range []struct {
 		claim string
 		ok    bool
@@ -91,7 +105,10 @@ func TestReportPinnedAndVerdictsHold(t *testing.T) {
 		{"E12: RPC off leaks", r.e12.off.Leaks, r.e12.off.MaxT},
 		{"E12: the protected chip passes", !r.e12.on.Leaks, r.e12.on.MaxT},
 		{"E13: cost rises with m", ladderRises, r.e13},
-		{"E14: no fault escapes validation", r.e14.Escaped == 0, r.e14.Escaped},
+		{"E14: no fault escapes validation", e14Escaped == 0, e14Escaped},
+		{"E14: at least 2 000 injections", e14Runs >= 2000, e14Runs},
+		{"E14: a window starts at ladder iteration 162", e14First, firstIter},
+		{"E14: a window ends at the program's last cycle", e14ToEnd, prog.CycleCount(tim)},
 		{"E16: the PUF key is stable", r.e16.stable, r.e16.stable},
 		{"E16: intra-distance under 10%", r.e16.intra < 0.10, r.e16.intra},
 		{"E16: inter-distance within 40–60%", r.e16.inter >= 0.40 && r.e16.inter <= 0.60, r.e16.inter},

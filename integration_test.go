@@ -108,12 +108,16 @@ func TestFullStackScenario(t *testing.T) {
 	if len(distinct) != 1 {
 		t.Fatal("deployed chip is not constant time")
 	}
-	rep, err := fault.Campaign(curve, coproc.DefaultTiming(), 6, 5)
+	rep, err := fault.Sweep(curve, coproc.DefaultTiming(), fault.SweepConfig{
+		FromIter: 0, ToIter: -1,
+		CycleStride: 401, RegStride: 2, BitStride: 82,
+		Seed: 5,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Escaped != 0 {
-		t.Fatal("faulty results escaped output validation")
+		t.Fatalf("faulty results escaped output validation: %v", rep.Escapes)
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"medsec/internal/coproc"
 	"medsec/internal/core"
 	"medsec/internal/ec"
-	"medsec/internal/gf2m"
 	"medsec/internal/link"
 	"medsec/internal/modn"
 	"medsec/internal/obs"
@@ -469,20 +468,6 @@ func (s *Stack) ProgramFor(key modn.Scalar) (*coproc.Program, error) {
 		return coproc.BuildAtomicProgram(key)
 	}
 	return coproc.BuildLadderProgram(coproc.ProgramOptions{RPC: s.Point.RPC}), nil
-}
-
-// CyclesPerPointMul returns the cycle count of one full point
-// multiplication at this point's timing.
-func (s *Stack) CyclesPerPointMul() int {
-	return s.Ladder().CycleCount(s.Timing)
-}
-
-// GenericField exposes the generic-arithmetic path for this point's
-// field: a bit-width-agnostic GF(2^m) tower equivalent to the
-// fixed-width gf2m.Element fast path the coproc interpreter uses.
-// Cross-checks and security-level sweeps (internal/ecgen) build on it.
-func (s *Stack) GenericField() *gf2m.Field {
-	return gf2m.NISTK163Field()
 }
 
 // Measurement is one metered operation on the co-processor.

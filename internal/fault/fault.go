@@ -15,7 +15,6 @@ package fault
 import (
 	"fmt"
 
-	"medsec/internal/campaign"
 	"medsec/internal/coproc"
 	"medsec/internal/ec"
 	"medsec/internal/modn"
@@ -88,7 +87,9 @@ func (r Result) String() string {
 }
 
 // RunWithFault executes one point multiplication k*P with the given
-// injection and classifies the outcome under output validation.
+// injection and classifies the outcome under output validation. Both
+// the reference and the faulted run are simulated evented from cycle
+// 0, so it is the oracle Sweep's quiet-prefix path is tested against.
 func RunWithFault(curve *ec.Curve, tim coproc.Timing, k modn.Scalar, p ec.Point, inj Injection, trngSeed uint64) (Result, error) {
 	if err := inj.validate(); err != nil {
 		return 0, err
@@ -140,80 +141,4 @@ func classify(curve *ec.Curve, want, got ec.Point) Result {
 // finite point on the curve inside the prime-order subgroup.
 func ValidateOutput(curve *ec.Curve, p ec.Point) error {
 	return curve.Validate(p)
-}
-
-// CampaignReport aggregates a fault campaign.
-type CampaignReport struct {
-	Runs     int
-	Benign   int
-	Detected int
-	Escaped  int
-}
-
-// Campaign injects n random single-bit faults at uniformly random
-// cycles of the ladder phase and reports the outcome distribution. A
-// sound countermeasure shows Escaped == 0.
-//
-// The sampling runs on the campaign engine: randomness is drawn
-// serially in sample order (so the report is bit-identical to the
-// historical serial loop for the same seed) while the simulations
-// themselves fan out across workers. Each sample draws a fresh scalar
-// and base point — for an exhaustive map of the fault space of one
-// fixed computation, use Sweep, which shares a single reference run
-// and runs each faulted run's prefix quietly.
-func Campaign(curve *ec.Curve, tim coproc.Timing, n int, seed uint64) (*CampaignReport, error) {
-	return CampaignWorkers(curve, tim, n, seed, 0)
-}
-
-// campaignJob is one random sample: a full computation plus one fault.
-type campaignJob struct {
-	k    modn.Scalar
-	p    ec.Point
-	inj  Injection
-	trng uint64
-}
-
-// CampaignWorkers is Campaign with an explicit worker count (<= 0
-// selects GOMAXPROCS). The report is identical for any worker count.
-func CampaignWorkers(curve *ec.Curve, tim coproc.Timing, n int, seed uint64, workers int) (*CampaignReport, error) {
-	prog := coproc.BuildLadderProgram(coproc.ProgramOptions{RPC: true})
-	start, end := prog.IterationWindow(tim, 162, 0)
-	d := rng.NewDRBG(seed)
-	rep := &CampaignReport{}
-	prepare := func(idx int) (campaignJob, error) {
-		return campaignJob{
-			k: curve.Order.RandNonZero(d.Uint64),
-			p: curve.RandomPoint(d.Uint64),
-			inj: Injection{
-				Cycle: start + d.Intn(end-start),
-				Reg:   d.Intn(coproc.NumRegs),
-				Bit:   d.Intn(163),
-			},
-			trng: seed + uint64(idx),
-		}, nil
-	}
-	acquire := func(worker, idx int, job campaignJob) (Result, error) {
-		return RunWithFault(curve, tim, job.k, job.p, job.inj, job.trng)
-	}
-	// The integer tallies commute, but the serial fold (one shard) keeps
-	// the run a plain in-order loop.
-	_, err := campaign.Run(0, n, campaign.Config{Workers: workers, Shards: 1}, prepare, campaign.PerSample(acquire),
-		func(int) *CampaignReport { return rep },
-		func(_ int, rep *CampaignReport, _ int, _ campaignJob, res Result) error {
-			rep.Runs++
-			switch res {
-			case Benign:
-				rep.Benign++
-			case Detected:
-				rep.Detected++
-			case Escaped:
-				rep.Escaped++
-			}
-			return nil
-		},
-		func(int, *CampaignReport) error { return nil })
-	if err != nil {
-		return nil, err
-	}
-	return rep, nil
 }

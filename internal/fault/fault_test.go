@@ -17,8 +17,8 @@ func TestSingleFaultIsCaught(t *testing.T) {
 	// A fault on X0 at an iteration boundary is certainly live (the
 	// next MAdd reads it), must corrupt the result, and must be
 	// detected by output validation. (Faults landing on values that
-	// are overwritten before use are benign; the campaign test covers
-	// the distribution.)
+	// are overwritten before use are benign; the sweep tests cover the
+	// distribution.)
 	prog := coproc.BuildLadderProgram(coproc.ProgramOptions{RPC: true})
 	start, _ := prog.IterationWindow(tim, 100, 100)
 	res, err := RunWithFault(curve, tim, k, p, Injection{Cycle: start, Reg: 0, Bit: 80}, 7)
@@ -31,21 +31,31 @@ func TestSingleFaultIsCaught(t *testing.T) {
 }
 
 func TestFaultCampaignNeverEscapes(t *testing.T) {
-	// The countermeasure claim: across random single-bit faults, no
-	// corrupted result passes validation.
+	// The countermeasure claim where a valid-looking wrong output is
+	// likeliest: across single-bit faults in the final ladder iteration
+	// and the post-processing (inversion, y-recovery), no corrupted
+	// result passes validation.
 	curve := ec.K163()
-	rep, err := Campaign(curve, coproc.DefaultTiming(), 30, 99)
+	tim := coproc.DefaultTiming()
+	rep, err := Sweep(curve, tim, SweepConfig{
+		FromIter: 0, ToIter: -1,
+		CycleStride: 97, RegStride: 2, BitStride: 82,
+		Seed: 99,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if end := coproc.BuildLadderProgram(coproc.ProgramOptions{RPC: true}).CycleCount(tim); rep.WindowEnd != end {
+		t.Fatalf("window ends at cycle %d, want the program's end %d", rep.WindowEnd, end)
+	}
 	if rep.Escaped != 0 {
-		t.Fatalf("%d faulty results escaped validation", rep.Escaped)
+		t.Fatalf("%d faulty results escaped validation: %v", rep.Escaped, rep.Escapes)
 	}
 	if rep.Detected == 0 {
-		t.Fatal("campaign detected nothing; injector inert?")
+		t.Fatal("sweep detected nothing; injector inert?")
 	}
-	if rep.Runs != rep.Benign+rep.Detected+rep.Escaped {
-		t.Fatal("campaign bookkeeping broken")
+	if rep.Runs() != rep.Total {
+		t.Fatal("sweep bookkeeping broken")
 	}
 }
 

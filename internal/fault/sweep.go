@@ -8,21 +8,20 @@ import (
 	"medsec/internal/campaign"
 	"medsec/internal/coproc"
 	"medsec/internal/ec"
-	"medsec/internal/obs"
 	"medsec/internal/rng"
 )
 
-// Sweep is the exhaustive/stratified fault-space map. Where Campaign
-// samples random (computation, fault) pairs, Sweep fixes ONE
-// computation — one scalar, one base point, one TRNG stream, all
-// derived from the seed — and enumerates the (cycle × register × bit)
-// grid of single-bit faults over a ladder-iteration window, classifying
-// every injection as benign/detected/escaped under output validation.
+// Sweep is the fault engine: an exhaustive or stratified map of the
+// single-bit fault space of ONE computation — one scalar, one base
+// point, one TRNG stream, all derived from the seed. It enumerates the
+// (cycle × register × bit) grid of faults over a window of the
+// program, classifying every injection as benign/detected/escaped
+// under output validation.
 //
 // Two structural optimizations make exhaustive coverage affordable:
 //
-//   - one shared quiet reference run per sweep (Campaign pays a full
-//     fault-free simulation per sample);
+//   - one shared quiet reference run per sweep (RunWithFault pays a
+//     full evented fault-free simulation per injection);
 //   - a quiet prefix per faulted run: the instructions that retire
 //     before the injection cycle execute without event bookkeeping
 //     (coproc.LaneCPU.QuietCycles), so only the instruction holding
@@ -35,8 +34,10 @@ import (
 type SweepConfig struct {
 	// FromIter/ToIter bound the ladder-iteration window swept,
 	// numbered in processing order from 162 down to 0; FromIter must
-	// be >= ToIter. The zero value sweeps the final iteration — the
-	// suffix a Bellcore-style attacker targets.
+	// be >= ToIter and >= 0. ToIter = -1 extends the window past the
+	// ladder to the program's last cycle, through the Itoh–Tsujii
+	// inversion and y-recovery. The zero value sweeps the final
+	// iteration — the suffix a Bellcore-style attacker targets.
 	FromIter, ToIter int
 	// CycleStride/RegStride/BitStride stratify the grid: every Nth
 	// cycle of the window, every Nth register, every Nth bit. Values
@@ -57,13 +58,6 @@ type SweepConfig struct {
 	// Progress, when non-nil, is called serially as injections are
 	// folded with (done, total); done is monotone but may skip counts.
 	Progress func(done, total int)
-	// Metrics, when non-nil, receives sweep instrumentation: counters
-	// fault_injections (completed faulted runs) and the tally
-	// counters fault_benign / fault_detected / fault_escaped, plus a
-	// fault_grid_total gauge and the campaign_* engine instruments.
-	// Nil (the default) costs nothing; the report is bit-identical
-	// either way.
-	Metrics *obs.Registry
 	// Ctx, when non-nil, makes the sweep interruptible: on cancellation
 	// (SIGINT/SIGTERM in the CLIs) the engine drains its worker pool
 	// and Sweep returns campaign.ErrInterrupted. A nil Ctx (the
@@ -117,7 +111,7 @@ func (r *SweepReport) String() string {
 
 // Sweep runs the exhaustive fault-space map described on SweepConfig.
 func Sweep(curve *ec.Curve, tim coproc.Timing, cfg SweepConfig) (*SweepReport, error) {
-	if cfg.FromIter < cfg.ToIter || cfg.ToIter < 0 || cfg.FromIter > 162 {
+	if cfg.FromIter < cfg.ToIter || cfg.FromIter < 0 || cfg.FromIter > 162 || cfg.ToIter < -1 {
 		return nil, fmt.Errorf("fault: iteration window %d..%d invalid", cfg.FromIter, cfg.ToIter)
 	}
 	if cfg.Shards < 0 {
@@ -132,7 +126,10 @@ func Sweep(curve *ec.Curve, tim coproc.Timing, cfg SweepConfig) (*SweepReport, e
 	cs, rs, bs := strideOr1(cfg.CycleStride), strideOr1(cfg.RegStride), strideOr1(cfg.BitStride)
 
 	prog := coproc.BuildLadderProgram(coproc.ProgramOptions{RPC: true})
-	start, end := prog.IterationWindow(tim, cfg.FromIter, cfg.ToIter)
+	start, end := prog.IterationWindow(tim, cfg.FromIter, max(cfg.ToIter, 0))
+	if cfg.ToIter < 0 {
+		end = prog.CycleCount(tim)
+	}
 	spans := prog.Spans(tim)
 
 	// The swept computation, fixed for the whole grid.
@@ -162,11 +159,6 @@ func Sweep(curve *ec.Curve, tim coproc.Timing, cfg SweepConfig) (*SweepReport, e
 	rep := &SweepReport{Total: total, WindowStart: start, WindowEnd: end}
 	byOp := map[coproc.Op]*Tally{}
 
-	// Instruments, resolved once per sweep (nil-safe no-ops when
-	// cfg.Metrics is nil).
-	mInjections := cfg.Metrics.Counter("fault_injections")
-	cfg.Metrics.Gauge("fault_grid_total").Set(float64(total))
-
 	prepare := func(idx int) (Injection, error) {
 		c := idx / (nRegs * nBits)
 		r := (idx / nBits) % nRegs
@@ -186,7 +178,6 @@ func Sweep(curve *ec.Curve, tim coproc.Timing, cfg SweepConfig) (*SweepReport, e
 			m.run[0] = coproc.LaneRun{Key: k, Rand: m.drbg.Uint64, Consts: consts, Sink: m.inject}
 			machines[worker] = m
 		}
-		mInjections.Inc()
 		m.drbg.Reseed(trngSeed)
 		m.inj, m.injected = inj, false
 		m.lc.QuietCycles = inj.Cycle
@@ -234,7 +225,7 @@ func Sweep(curve *ec.Curve, tim coproc.Timing, cfg SweepConfig) (*SweepReport, e
 	if cfg.Progress != nil {
 		progress = func(done int) { cfg.Progress(done, total) }
 	}
-	ccfg := campaign.Config{Workers: cfg.Workers, Shards: cfg.Shards, Progress: progress, Metrics: cfg.Metrics, Ctx: cfg.Ctx}
+	ccfg := campaign.Config{Workers: cfg.Workers, Shards: cfg.Shards, Progress: progress, Ctx: cfg.Ctx}
 	_, err := campaign.Run(0, total, ccfg, prepare, campaign.PerSample(acquire),
 		func(shard int) *shardTally { return &shardTally{byOp: map[coproc.Op]*Tally{}} },
 		func(shard int, st *shardTally, idx int, inj Injection, res Result) error {
@@ -265,10 +256,6 @@ func Sweep(curve *ec.Curve, tim coproc.Timing, cfg SweepConfig) (*SweepReport, e
 		rep.ByOp = append(rep.ByOp, OpTally{Op: op, Tally: *t})
 	}
 	sort.Slice(rep.ByOp, func(i, j int) bool { return rep.ByOp[i].Op < rep.ByOp[j].Op })
-	// Outcome tallies (single Add per sweep, after the merge).
-	cfg.Metrics.Counter("fault_benign").Add(int64(rep.Benign))
-	cfg.Metrics.Counter("fault_detected").Add(int64(rep.Detected))
-	cfg.Metrics.Counter("fault_escaped").Add(int64(rep.Escaped))
 	return rep, nil
 }
 

@@ -12,9 +12,8 @@ import (
 )
 
 // TestSweepExhaustiveNoEscapes is the countermeasure claim at sweep
-// scale: a stratified grid over the final ladder iteration — more than
-// ten times the historical 30-sample campaign — classifies every
-// injection and none escapes output validation.
+// scale: a stratified grid over the final ladder iteration classifies
+// every injection and none escapes output validation.
 func TestSweepExhaustiveNoEscapes(t *testing.T) {
 	curve := ec.K163()
 	rep, err := Sweep(curve, coproc.DefaultTiming(), SweepConfig{
@@ -89,15 +88,17 @@ func TestSweepDeterminismAcrossWorkers(t *testing.T) {
 // TestSweepMatchesRunWithFault cross-validates the quiet-prefix fast
 // path against the full-simulation path: the same injections on the
 // same computation must classify identically. The windows sit at both
-// ends of the ladder: the final iteration, where the quiet prefix is
-// longest, and the first, where it is shortest.
+// ends of the ladder — the final iteration, where the quiet prefix is
+// longest, and the first, where it is shortest — and past it: the
+// final iteration through the post-processing, whose 7 889 cycles
+// [78 450, 86 339) hold 33 of the window's strided cycles.
 func TestSweepMatchesRunWithFault(t *testing.T) {
 	curve := ec.K163()
 	tim := coproc.DefaultTiming()
 	const seed = 13
-	for _, iter := range []int{0, 162} {
+	for _, win := range [][2]int{{0, 0}, {162, 162}, {0, -1}} {
 		cfg := SweepConfig{
-			FromIter: iter, ToIter: iter,
+			FromIter: win[0], ToIter: win[1],
 			CycleStride: 241, RegStride: 3, BitStride: 82,
 			Seed: seed,
 		}
@@ -132,10 +133,10 @@ func TestSweepMatchesRunWithFault(t *testing.T) {
 			}
 		}
 		if slow != rep.Tally {
-			t.Fatalf("iteration %d: quiet-prefix path %+v != full-simulation path %+v", iter, rep.Tally, slow)
+			t.Fatalf("window %v: quiet-prefix path %+v != full-simulation path %+v", win, rep.Tally, slow)
 		}
 		if slow.Runs() != rep.Total {
-			t.Fatalf("iteration %d: grid mismatch: %d vs %d", iter, slow.Runs(), rep.Total)
+			t.Fatalf("window %v: grid mismatch: %d vs %d", win, slow.Runs(), rep.Total)
 		}
 	}
 }
@@ -152,6 +153,9 @@ func TestSweepConfigValidation(t *testing.T) {
 	}
 	if _, err := Sweep(curve, tim, SweepConfig{ToIter: -1, FromIter: -1}); err == nil {
 		t.Fatal("negative window accepted")
+	}
+	if _, err := Sweep(curve, tim, SweepConfig{FromIter: 0, ToIter: -2}); err == nil {
+		t.Fatal("window end below the post-processing sentinel accepted")
 	}
 	for _, shards := range []int{-1, -8} {
 		_, err := Sweep(curve, tim, SweepConfig{Shards: shards})
@@ -186,46 +190,6 @@ func TestInjectionErrorTyped(t *testing.T) {
 			t.Fatal("empty error rendering")
 		}
 	}
-}
-
-// TestCampaignWorkersIdentical pins the rebuilt Campaign: the engine
-// version reproduces identical reports for any worker count (and, by
-// seed-draw order, the historical serial loop).
-func TestCampaignWorkersIdentical(t *testing.T) {
-	curve := ec.K163()
-	tim := coproc.DefaultTiming()
-	var ref *CampaignReport
-	for _, w := range []int{1, 2, 7} {
-		rep, err := CampaignWorkers(curve, tim, 6, 42, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = rep
-			continue
-		}
-		if *rep != *ref {
-			t.Fatalf("workers=%d: %+v != %+v", w, rep, ref)
-		}
-	}
-}
-
-// BenchmarkCampaignPerInjection prices the historical path: one full
-// reference run plus one full faulted run per random injection.
-func BenchmarkCampaignPerInjection(b *testing.B) {
-	curve := ec.K163()
-	tim := coproc.DefaultTiming()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := Campaign(curve, tim, 5, uint64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Runs != 5 {
-			b.Fatal("short campaign")
-		}
-	}
-	b.ReportMetric(float64(5*b.N)/b.Elapsed().Seconds(), "inj/s")
 }
 
 // BenchmarkSweepPerInjection prices the quiet-prefix path: one shared

@@ -4,9 +4,7 @@
 // engine snapshots its streaming accumulators (internal/trace codecs)
 // plus a provenance header at a configurable trace interval, and a
 // later process resumes from the snapshot and produces output
-// bit-identical to an uninterrupted run. The internal/fault tally
-// codecs frame the same way, but no campaign writes one into a
-// checkpoint.
+// bit-identical to an uninterrupted run.
 //
 // # File format
 //
@@ -14,7 +12,7 @@
 //	           header frame  (kind 32): JSON-encoded Header
 //	           blob frames…  (kind 33): uint32 name length + name +
 //	                         an inner frame owned by the state's own
-//	                         codec (trace/fault kinds)
+//	                         codec (trace kinds)
 //
 // Every frame reuses the trace package envelope — version byte, kind
 // byte, uint32 length, CRC-32(IEEE) over header+payload — so each
@@ -50,7 +48,8 @@ import (
 const Magic = "MSCKPT01"
 
 // Frame kinds used by this package (the trace envelope reserves
-// kinds ≥ 16 for packages other than trace; fault uses 16–17).
+// kinds ≥ 16 for packages other than trace; 16 and 17, once the
+// deleted internal/fault tally codecs, are retired and never reused).
 const (
 	KindHeader  byte = 32
 	KindBlob    byte = 33

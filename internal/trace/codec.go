@@ -42,11 +42,12 @@ import (
 const CodecVersion = 1
 
 // Frame kinds. Kinds 1–15 are reserved for package trace; other
-// packages framing their state with EncodeFrame (internal/fault's
-// sweep tallies) use kinds from 16 up. Kinds 3–5 are retired and
-// never reused, so an old frame is refused as a kind mismatch: 3 and 4
-// held the deleted difference-of-means and correlation accumulators,
-// 5 the trace set with per-sample iteration labels.
+// packages framing their state with EncodeFrame (internal/store's
+// checkpoint container) use kinds from 16 up. Kinds 3–5, 16 and 17 are
+// retired and never reused, so an old frame is refused as a kind
+// mismatch: 3 and 4 held the deleted difference-of-means and
+// correlation accumulators, 5 the trace set with per-sample iteration
+// labels, 16 and 17 internal/fault's deleted sweep-tally codecs.
 const (
 	KindOnlineStats   byte = 1
 	KindOnlineWelch   byte = 2
