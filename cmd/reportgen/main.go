@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,10 +29,12 @@ import (
 
 	"medsec/internal/area"
 	"medsec/internal/cliutil"
+	"medsec/internal/coproc"
 	"medsec/internal/core"
 	"medsec/internal/design"
 	"medsec/internal/ec"
 	"medsec/internal/fault"
+	"medsec/internal/gf2m"
 	"medsec/internal/modn"
 	"medsec/internal/obs"
 	"medsec/internal/privacy"
@@ -474,19 +477,73 @@ func computeE12(l *lab) (e12Result, error) {
 	return r, nil
 }
 
-// e13Row is one field size under the ladder-multiplication formula.
+// e13Row is one field size, counted from the chip's microcode.
 type e13Row struct {
 	m, securityBits, cycles int
 }
 
-// computeE13 evaluates m·11·(⌈m/4⌉+2): m ladder steps of 11 field
-// multiplications, each ⌈m/4⌉+2 cycles on the d = 4 MALU. It is a
-// formula, not a run of the simulator.
+// opMix counts instructions by opcode.
+type opMix map[coproc.Op]int
+
+// cycles prices the mix in GF(2^m) under t: a MUL or SQR streams
+// ⌈m/d⌉ digits through the MALU plus its fixed overhead (t.Digits is
+// fixed at m = 163), every other instruction is single-cycle.
+func (x opMix) cycles(m int, t coproc.Timing) int {
+	malu := (m+t.DigitSize-1)/t.DigitSize + t.MulOverhead
+	n := 0
+	for op, k := range x {
+		if op == coproc.OpMul || op == coproc.OpSqr {
+			n += k * malu
+		} else {
+			n += k * t.SingleCycle
+		}
+	}
+	return n
+}
+
+// ladderSections counts prog in three sections: the prologue before
+// the first ladder instruction, ladder iteration 0 (every iteration
+// runs the same mix), and the post-processing after the loop.
+func ladderSections(prog *coproc.Program) (pre, iter, post opMix) {
+	pre, iter, post = opMix{}, opMix{}, opMix{}
+	looped := false
+	for _, in := range prog.Instrs {
+		looped = looped || in.Iteration >= 0
+		switch {
+		case !looped:
+			pre[in.Op]++
+		case in.Iteration == 0:
+			iter[in.Op]++
+		case in.Iteration < 0:
+			post[in.Op]++
+		}
+	}
+	return pre, iter, post
+}
+
+// inversionMix is the Itoh–Tsujii inversion in GF(2^m) as the
+// microcode builds it: m−1 squarings, one MUL per step of the binary
+// addition chain to m−1 (⌊log₂(m−1)⌋ + wt(m−1) − 1 steps), and one
+// MOVE per step plus two.
+func inversionMix(m int) opMix {
+	n := uint(m - 1)
+	steps := bits.Len(n) + bits.OnesCount(n) - 2
+	return opMix{coproc.OpSqr: m - 1, coproc.OpMul: steps, coproc.OpMove: steps + 2}
+}
+
+// computeE13 counts one point multiplication per field size from E1's
+// GF(2^163) microcode (RPC, y-recovery): the prologue, m ladder
+// iterations, and the post-processing with its inversion rebuilt for
+// m. It runs nothing; only the m = 163 program exists, and E1 runs it.
 func computeE13() []e13Row {
+	t := coproc.DefaultTiming()
+	pre, iter, post := ladderSections(coproc.BuildLadderProgram(coproc.ProgramOptions{RPC: true}))
+	chipInv := inversionMix(gf2m.M)
 	rows := []e13Row{{m: 131, securityBits: 65}, {m: 163, securityBits: 80}, {m: 233, securityBits: 112}, {m: 283, securityBits: 128}}
 	for i := range rows {
 		m := rows[i].m
-		rows[i].cycles = m * 11 * ((m+3)/4 + 2)
+		rows[i].cycles = pre.cycles(m, t) + m*iter.cycles(m, t) +
+			post.cycles(m, t) - chipInv.cycles(m, t) + inversionMix(m).cycles(m, t)
 	}
 	return rows
 }
@@ -748,17 +805,20 @@ func render(r *results, mans []loadedManifest, elapsed time.Duration) []byte {
 
 	w("## E13 — security level vs computational load")
 	w("")
-	w("A formula, not a simulation: m · 11 · (⌈m/4⌉ + 2) MALU cycles per")
-	w("point multiplication at d = 4, i.e. m ladder steps of 11 field")
-	w("multiplications of ⌈m/4⌉ + 2 cycles each. It counts ladder")
+	w("Counted from the chip's program, not executed: each row takes the")
+	w("prologue, one ladder iteration and the post-processing of E1's")
+	w("GF(2^163) microcode, runs the iteration m times and rebuilds the")
+	w("Itoh–Tsujii inversion for m (m − 1 squarings, and one multiplication")
+	w("per step of the addition chain to m − 1). A MUL or SQR costs")
+	w("⌈m/4⌉ + 2 cycles on the d = 4 MALU, any other instruction 1.")
 	for _, f := range r.e13 {
-		if f.m == 163 {
-			w("multiplications only: %d cycles at m = 163, against the %d", f.cycles, r.e1.Cycles)
+		if f.m == gf2m.M {
+			w("The m = %d row counts %d cycles and E1 measures %d on the same", f.m, f.cycles, r.e1.Cycles)
 		}
 	}
-	w("cycles/PM that E1 measures.")
+	w("program; nothing executes at any other m.")
 	w("")
-	w("| field | security [bit] | formula cycles / PM | relative |")
+	w("| field | security [bit] | cycles / PM | relative |")
 	w("|---|---|---|---|")
 	for _, f := range r.e13 {
 		w("| GF(2^%d) | %d | %d | %.2f× |", f.m, f.securityBits, f.cycles, float64(f.cycles)/float64(r.e13[0].cycles))

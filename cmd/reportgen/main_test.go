@@ -5,10 +5,12 @@ import (
 	"context"
 	"math"
 	"os"
+	"reflect"
 	"testing"
 
 	"medsec/internal/area"
 	"medsec/internal/coproc"
+	"medsec/internal/gf2m"
 )
 
 // TestReportPinnedAndVerdictsHold computes every experiment once at
@@ -48,6 +50,16 @@ func TestReportPinnedAndVerdictsHold(t *testing.T) {
 	for i := 1; i < len(r.e13); i++ {
 		ladderRises = ladderRises && r.e13[i].cycles > r.e13[i-1].cycles
 	}
+	var e13Chip int
+	for _, f := range r.e13 {
+		if f.m == gf2m.M {
+			e13Chip = f.cycles
+		}
+	}
+	// The x-only post-processing is the inversion and one MUL, so it
+	// holds E13's addition-chain model to the microcode.
+	_, _, xOnlyPost := ladderSections(coproc.BuildLadderProgram(coproc.ProgramOptions{RPC: true, XOnly: true}))
+	xOnlyPost[coproc.OpMul]--
 	var ecc, sha float64
 	for _, m := range r.e6 {
 		switch m.Module {
@@ -105,6 +117,10 @@ func TestReportPinnedAndVerdictsHold(t *testing.T) {
 		{"E12: RPC off leaks", r.e12.off.Leaks, r.e12.off.MaxT},
 		{"E12: the protected chip passes", !r.e12.on.Leaks, r.e12.on.MaxT},
 		{"E13: cost rises with m", ladderRises, r.e13},
+		{"E13: the m = 163 row equals E1 and the program's CycleCount", e13Chip == r.e1.Cycles &&
+			e13Chip == prog.CycleCount(tim), e13Chip},
+		{"E13: the m = 163 inversion model is the x-only post-processing less its MUL",
+			reflect.DeepEqual(inversionMix(gf2m.M), xOnlyPost), [2]opMix{inversionMix(gf2m.M), xOnlyPost}},
 		{"E14: no fault escapes validation", e14Escaped == 0, e14Escaped},
 		{"E14: at least 2 000 injections", e14Runs >= 2000, e14Runs},
 		{"E14: a window starts at ladder iteration 162", e14First, firstIter},

@@ -145,7 +145,8 @@ func DigitSweep(digits []int, clockHz, latencyLimitS float64) ([]DigitSweepRow, 
 		if d <= 0 || d > 61 {
 			return nil, errors.New("area: digit size out of range")
 		}
-		tim := coproc.Timing{DigitSize: d, MulOverhead: 2, SingleCycle: 1}
+		tim := coproc.DefaultTiming()
+		tim.DigitSize = d
 		cycles := prog.CycleCount(tim)
 		lat := float64(cycles) / clockHz
 		p := PowerW(d)

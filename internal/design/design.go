@@ -346,7 +346,7 @@ func (p Point) Build() (*Stack, error) {
 			RPC:   p.RPC,
 			XOnly: p.XOnly,
 		},
-		Timing: coproc.Timing{DigitSize: p.DigitSize, MulOverhead: 2, SingleCycle: 1},
+		Timing: coproc.DefaultTiming(),
 		Power: power.Config{
 			Style:              style,
 			BalancedMux:        p.BalancedMux,
@@ -364,6 +364,7 @@ func (p Point) Build() (*Stack, error) {
 		Costs: radio.PaperCosts(),
 		Area:  area.DefaultGateModel().EstimateMasked(p.DigitSize, style.AreaFactor(), maskAreaFactor(p.Masking)),
 	}
+	s.Timing.DigitSize = p.DigitSize
 	s.ARQ.MaxTries = p.ARQMaxTries
 	s.ARQ.RetryBudget = p.ARQRetryBudget
 	switch p.Channel {

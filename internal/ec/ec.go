@@ -409,11 +409,6 @@ func (c *Curve) ScalarMulLadder(k modn.Scalar, p Point, opt LadderOptions) (Poin
 	return c.RecoverY(p, s), nil
 }
 
-// ScalarBaseMul computes k*G on the base point.
-func (c *Curve) ScalarBaseMul(k modn.Scalar, opt LadderOptions) (Point, error) {
-	return c.ScalarMulLadder(k, c.Generator(), opt)
-}
-
 // SolveY returns a y-coordinate for the given x if one exists:
 // substituting z = y/x reduces the curve equation to
 // z^2 + z = x + a + b/x^2, solvable iff Tr(x + a + b/x^2) = 0.

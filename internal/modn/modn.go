@@ -203,16 +203,6 @@ func (m *Modulus) Sub(s, t Scalar) Scalar {
 // Neg returns -s mod n.
 func (m *Modulus) Neg(s Scalar) Scalar { return m.Sub(Zero(), s) }
 
-// double512 doubles a 512-bit value in place.
-func double512(v *[2 * Words]uint64) {
-	var c uint64
-	for i := range v {
-		next := v[i] >> 63
-		v[i] = v[i]<<1 | c
-		c = next
-	}
-}
-
 // geq512 reports whether the 512-bit value v is >= the 512-bit value w.
 func geq512(v, w [2 * Words]uint64) bool {
 	for i := 2*Words - 1; i >= 0; i-- {

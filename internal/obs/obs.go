@@ -285,13 +285,3 @@ func (s Snapshot) CounterNames() []string {
 	sort.Strings(names)
 	return names
 }
-
-// GaugeNames returns the sorted gauge names.
-func (s Snapshot) GaugeNames() []string {
-	names := make([]string, 0, len(s.Gauges))
-	for n := range s.Gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}

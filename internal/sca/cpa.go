@@ -76,18 +76,6 @@ func (r *CPAResult) CorrectBits() int {
 	return n
 }
 
-// CorrectPrefix counts leading correct bits before the first error.
-func (r *CPAResult) CorrectPrefix() int {
-	n := 0
-	for i := range r.Recovered {
-		if r.Recovered[i] != r.True[i] {
-			break
-		}
-		n++
-	}
-	return n
-}
-
 // BitAccuracy is the fraction of recovered bits that are correct.
 func (r *CPAResult) BitAccuracy() float64 {
 	if len(r.Recovered) == 0 {

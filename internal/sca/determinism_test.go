@@ -147,23 +147,3 @@ func TestSPAProfiledDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
-
-func TestTemplateDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) *Template {
-		tgt := newDPATarget(t, false, 82)
-		tgt.Workers = workers
-		p := tgt.Curve.RandomPoint(rng.NewDRBG(11).Uint64)
-		tm, err := BuildTemplate(tgt, p, 6)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return tm
-	}
-	base := run(1)
-	for _, w := range determinismWorkers[1:] {
-		tm := run(w)
-		if *tm != *base {
-			t.Errorf("workers=%d: template %+v differs from serial %+v", w, tm, base)
-		}
-	}
-}

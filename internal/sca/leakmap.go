@@ -129,7 +129,3 @@ func (m *LeakMap) ByOp() map[string]int {
 
 // Leaks reports whether any point exceeded the threshold.
 func (m *LeakMap) Leaks() bool { return len(m.Points) > 0 }
-
-// FixedPointForMap is a convenience re-export so callers don't need
-// the ec import just for the default point.
-func FixedPointForMap(c *ec.Curve) ec.Point { return FixedPoint(c) }

@@ -400,7 +400,6 @@ func TestNegativeShardsRefused(t *testing.T) {
 		},
 		"AcquireCampaign": func() error { _, err := tgt.AcquireCampaign(4, 160, 158, src); return err },
 		"SPAProfiled":     func() error { _, err := SPAProfiled(tgt, p, 2); return err },
-		"BuildTemplate":   func() error { _, err := BuildTemplate(tgt, p, 2); return err },
 	} {
 		if err := run(); err == nil || !strings.Contains(err.Error(), "Target.Shards") {
 			t.Errorf("%s: err = %v, want a refusal naming Target.Shards", name, err)

@@ -200,30 +200,3 @@ func TestShardedCampaignDeterminismAcrossWorkers(t *testing.T) {
 		}
 	}
 }
-
-// TestTemplateShardedDeterminismMatchesLegacy pins that the sharded
-// template build (append-only features, concatenated in shard order)
-// reproduces the serial single-worker, single-shard template bit for
-// bit.
-func TestTemplateShardedDeterminismMatchesLegacy(t *testing.T) {
-	build := func(workers, shards int) *Template {
-		tgt := newDPATarget(t, false, 96)
-		tgt.Workers = workers
-		tgt.Shards = shards
-		p := tgt.Curve.RandomPoint(rng.NewDRBG(41).Uint64)
-		tm, err := BuildTemplate(tgt, p, 6)
-		if err != nil {
-			t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
-		}
-		return tm
-	}
-	legacy := build(1, 1)
-	for _, w := range determinismWorkers {
-		for _, shards := range []int{1, 4} {
-			tm := build(w, shards)
-			if *tm != *legacy {
-				t.Errorf("workers=%d shards=%d: template %+v differs from serial %+v", w, shards, tm, legacy)
-			}
-		}
-	}
-}

@@ -94,14 +94,13 @@ type Target struct {
 	// per-trace data streams or the statistics' fold order.
 	Lanes int
 	// Shards selects the reduction sharding of the bounded statistics
-	// campaigns (TVLA, leakage maps, SPA averaging, template
-	// profiling, campaign acquisition): 0 selects
-	// campaign.DefaultShards, and a positive value is part of the
-	// experiment definition (statistics agree across shard counts only
-	// to floating-point rounding, though never across worker counts,
-	// which are always bit-identical at fixed Shards). Negative values
-	// are refused. Early-stop campaigns (TVLAUntil, TVLA2Until) always
-	// fold serially, as one shard.
+	// campaigns (TVLA, leakage maps, SPA averaging, campaign
+	// acquisition): 0 selects campaign.DefaultShards, and a positive
+	// value is part of the experiment definition (statistics agree
+	// across shard counts only to floating-point rounding, though never
+	// across worker counts, which are always bit-identical at fixed
+	// Shards). Negative values are refused. Early-stop campaigns
+	// (TVLAUntil, TVLA2Until) always fold serially, as one shard.
 	Shards int
 	// Progress, when non-nil, is invoked as campaign traces are folded
 	// with the cumulative trace count (monotone; it may skip counts) —
