@@ -10,7 +10,10 @@ import (
 
 	"medsec/internal/area"
 	"medsec/internal/coproc"
+	"medsec/internal/ec"
 	"medsec/internal/gf2m"
+	"medsec/internal/rng"
+	"medsec/internal/sca"
 )
 
 // TestReportPinnedAndVerdictsHold computes every experiment once at
@@ -83,6 +86,21 @@ func TestReportPinnedAndVerdictsHold(t *testing.T) {
 		e14First = e14First || win.rep.WindowStart == firstIter
 		e14ToEnd = e14ToEnd || win.rep.WindowEnd == prog.CycleCount(tim)
 	}
+	// E3 prices each double-and-add key from the microcode's costs.
+	// Its first five keys, drawn from E3's stream at seed 1, must cost
+	// what the programs they build count, one key per TimingAttack.
+	keys, priced := rng.NewDRBG(1+4).Uint64, rng.NewDRBG(1+4).Uint64
+	var e3Priced [5][2]int
+	e3Exact := true
+	for i := range e3Priced {
+		k := ec.K163().Order.RandNonZero(keys)
+		da, err := coproc.BuildDoubleAndAddProgram(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e3Priced[i] = [2]int{sca.TimingAttack(ec.K163(), tim, 1, priced).DAMinCycles, da.CycleCount(tim)}
+		e3Exact = e3Exact && e3Priced[i][0] == e3Priced[i][1]
+	}
 	for _, v := range []struct {
 		claim string
 		ok    bool
@@ -95,6 +113,7 @@ func TestReportPinnedAndVerdictsHold(t *testing.T) {
 		{"E2: DPA with known RPC masks succeeds", r.e2.known > 0, r.e2.known},
 		{"E2: DPA with secret RPC masks fails at 20 000 traces", e2SecretTraces == 20000 && !r.e2.secret.Success(), r.e2.secret.BitAccuracy()},
 		{"E3: ladder cycle variance is 0", r.e3.LadderVariance == 0, r.e3.LadderVariance},
+		{"E3: 5 keys' priced latency equals their programs' CycleCount", e3Exact, e3Priced},
 		{"E4: the area·energy optimum is d = 4", r.e4.opt == 4, r.e4.opt},
 		{"E5: 6 loop registers, fewer than Co-Z's", r.e5.loop == 6 && r.e5.loop < area.CoZRegisters, r.e5.loop},
 		{"E6: ECC within 10% of 12 kGE", math.Abs(ecc-12000) <= 1200, ecc},

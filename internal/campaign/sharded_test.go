@@ -101,11 +101,11 @@ func TestRunShardedSingleShardDeterminismMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunShardedCrossShardAgreement pins the rounding contract across
+// TestRunCrossShardAgreement pins the rounding contract across
 // shard counts: different S reassociate the floating-point reduction,
 // so the statistics agree only to ~1e-12 relative — never exactly in
 // general, never worse than that.
-func TestRunShardedCrossShardAgreement(t *testing.T) {
+func TestRunCrossShardAgreement(t *testing.T) {
 	refMean, refVar := shardedStats(t, 3, 1, 0, 200, false)
 	for _, shards := range []int{4, 16} {
 		mean, vr := shardedStats(t, 3, shards, 0, 200, false)
@@ -132,11 +132,11 @@ func TestRunShardedCrossShardAgreement(t *testing.T) {
 	}
 }
 
-// TestRunShardedFoldOrderDeterminism asserts the mechanical invariants
+// TestRunFoldOrderDeterminism asserts the mechanical invariants
 // behind the determinism argument: every fold lands in the shard that
 // owns its index block, and folds within a shard arrive in strictly
 // increasing index order, regardless of worker or lane count.
-func TestRunShardedFoldOrderDeterminism(t *testing.T) {
+func TestRunFoldOrderDeterminism(t *testing.T) {
 	const from, to, shards = 5, 130, 6
 	lay := ShardingFor(from, to, shards)
 	for _, workers := range []int{1, 4, 9} {
@@ -234,10 +234,10 @@ func noFold(shard, acc, idx, job, out int) error { return nil }
 
 func noMerge(shard, acc int) error { return nil }
 
-// TestRunShardedErrorSkipsMerge pins the failure contract: an acquire
+// TestRunErrorSkipsMerge pins the failure contract: an acquire
 // or fold error aborts the run, surfaces out, and the merge phase never
 // runs on a partial reduction.
-func TestRunShardedErrorSkipsMerge(t *testing.T) {
+func TestRunErrorSkipsMerge(t *testing.T) {
 	boom := errors.New("boom")
 	merged := false
 	_, err := intRun(0, 50, Config{Workers: 4, Shards: 4},

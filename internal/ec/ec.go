@@ -155,13 +155,15 @@ func (c *Curve) ScalarMulDoubleAndAdd(k modn.Scalar, p Point) Point {
 }
 
 // DoubleAndAddOpCount returns the (doublings, additions) the leaky
-// baseline executes for scalar k — the quantity a timing attacker
-// observes. Exposed for the E3 timing experiment.
+// baseline's microcode (coproc.BuildDoubleAndAddProgram) executes for
+// scalar k — the quantity a timing attacker observes. The accumulator
+// starts at P after the top set bit, so that bit costs neither: k = 0
+// and k = 1 run none. Exposed for the E3 timing experiment.
 func DoubleAndAddOpCount(k modn.Scalar) (doubles, adds int) {
 	if k.BitLen() == 0 {
 		return 0, 0
 	}
-	return k.BitLen(), k.Weight()
+	return k.BitLen() - 1, k.Weight() - 1
 }
 
 // LadderState is the projective state of the x-only Montgomery

@@ -327,12 +327,13 @@ func TestValidate(t *testing.T) {
 
 func TestDoubleAndAddOpCount(t *testing.T) {
 	d, a := DoubleAndAddOpCount(modn.FromUint64(0b1011))
-	if d != 4 || a != 3 {
-		t.Fatalf("op count (%d,%d), want (4,3)", d, a)
+	if d != 3 || a != 2 {
+		t.Fatalf("op count (%d,%d), want (3,2)", d, a)
 	}
-	d, a = DoubleAndAddOpCount(modn.Zero())
-	if d != 0 || a != 0 {
-		t.Fatal("op count for zero scalar should be zero")
+	for _, k := range []modn.Scalar{modn.Zero(), modn.One()} {
+		if d, a := DoubleAndAddOpCount(k); d != 0 || a != 0 {
+			t.Fatalf("op count for k = %v is (%d,%d), want (0,0)", k, d, a)
+		}
 	}
 }
 

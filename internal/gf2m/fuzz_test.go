@@ -65,6 +65,52 @@ func FuzzMulCross(f *testing.F) {
 	})
 }
 
+// FuzzCLMULMatchesPortable: where the CPU has PCLMULQDQ, Mul, Sqr,
+// MulAcc, Precomp.Mul and Precomp.MulNoReduce take the carry-less
+// multiply; on arbitrary canonical operands each must return the words
+// of the comb and the squaring table, called directly in the same
+// binary. The seeds pair the structuredElements corners. Elsewhere the
+// exported functions are the comb and the table, and the target skips.
+func FuzzCLMULMatchesPortable(f *testing.F) {
+	if !hasCLMUL {
+		f.Skip("no PCLMULQDQ on this CPU or GOARCH: Mul and Sqr already take the comb and the squaring table")
+	}
+	es := structuredElements()
+	for _, a := range es[:10] {
+		for _, b := range es {
+			f.Add(a[0], a[1], a[2], b[0], b[1], b[2])
+		}
+	}
+	f.Fuzz(func(t *testing.T, a0, a1, a2, b0, b1, b2 uint64) {
+		a, b := FromWords(a0, a1, a2), FromWords(b0, b1, b2)
+		var comb Precomp
+		comb.build(b)
+		raw := comb.productComb(a)
+		want := reduce(raw)
+		if got := Mul(a, b); got != want {
+			t.Fatalf("Mul(%v, %v) = %v, the comb gives %v", a, b, got, want)
+		}
+		pb := Precompute(b)
+		if got := pb.Mul(a); got != want {
+			t.Fatalf("Precompute(%v).Mul(%v) = %v, the comb gives %v", b, a, got, want)
+		}
+		if got := pb.MulNoReduce(a); got != raw {
+			t.Fatalf("Precompute(%v).MulNoReduce(%v) = %x, the comb gives %x", b, a, got, raw)
+		}
+		acc := [6]uint64{b2, b1, b0, a2, a1, a0}
+		wantAcc := acc
+		for i := range wantAcc {
+			wantAcc[i] ^= raw[i]
+		}
+		if MulAcc(&acc, a, b); acc != wantAcc {
+			t.Fatalf("MulAcc(%v, %v) = %x, the comb gives %x", a, b, acc, wantAcc)
+		}
+		if got, want := Sqr(a), sqrTable(a); got != want {
+			t.Fatalf("Sqr(%v) = %v, the squaring table gives %v", a, got, want)
+		}
+	})
+}
+
 // FuzzReduce: arbitrary 6-word polynomials must reduce to canonical
 // form consistently with multiply-then-reduce identities.
 func FuzzReduce(f *testing.F) {

@@ -6,18 +6,22 @@
 //     NIST reduction pentanomial f(x) = x^163 + x^7 + x^6 + x^3 + 1, the
 //     field underlying the Koblitz curve K-163 used by the paper's
 //     elliptic-curve co-processor. Elements are stored as three 64-bit
-//     words in little-endian word order; multiplication is a
-//     whole-operand left-to-right comb with 4-bit windows (Precomp).
+//     words in little-endian word order. On amd64 CPUs with PCLMULQDQ,
+//     a 64×64-bit carry-less multiply, products and squares are built
+//     from that instruction and reduced with it. The portable path, for
+//     every other CPU and GOARCH, multiplies with a whole-operand
+//     left-to-right comb with 4-bit windows (Precomp) and squares by a
+//     byte table.
 //
 //   - Field / FE: a generic, variable-degree implementation supporting
-//     arbitrary reduction polynomials. It is used for parameter sweeps
-//     across security levels and doubles as an independent reference
-//     implementation for cross-testing the fast path.
+//     arbitrary reduction polynomials. It is the independent reference
+//     implementation the fixed path is cross-tested against.
 //
 // All fixed-path operations are branch-free with respect to operand
 // values (data-dependent branches are what the paper's timing- and
-// SPA-countermeasures forbid); table lookups are indexed by public loop
-// counters or operand bytes and nibbles. This is the simulator's host
+// SPA-countermeasures forbid), and PCLMULQDQ's latency does not depend
+// on its operands. Table lookups indexed by operand bytes and nibbles
+// remain only on the portable path. This is the simulator's host
 // arithmetic: the device's leakage is modelled in the coproc and power
 // packages, not in the timing of this code.
 package gf2m
@@ -110,28 +114,33 @@ func (e Element) normalize() Element {
 	return e
 }
 
-// Precomp is the comb table of one operand b for the left-to-right
-// comb multiplier with 4-bit windows (Hankerson–Menezes–Vanstone,
-// Alg. 2.36): entry u holds the product u·b for each of the sixteen
-// polynomials u of degree below 4. A canonical b has degree at most
-// 162, so every entry has degree at most 165 and fits in 3 words. The
-// entries are stored as three 16-word planes, one per product word.
+// Precomp is an operand b prepared for repeated products a·b.
 //
-// Mul builds a table per call. Precompute keeps one alive across every
-// product by a fixed operand (Sqrt's constant sqrt(x), the ladder's
-// x(P)), which skips the table construction entirely — the software
-// analogue of wiring one multiplicand into the MALU's partial-product
-// array. The whole-operand scan and the plane layout are pinned by
-// measurement: mulsweep_test.go keeps the rejected configurations,
-// the 3-word Karatsuba over per-word combs among them
-// (BenchmarkMulSweep; numbers in its header).
+// On an amd64 CPU with PCLMULQDQ it holds only b: the carry-less
+// multiply needs no table, so there are no planes to build.
+//
+// On the portable path it also holds the comb table of b for the
+// left-to-right comb multiplier with 4-bit windows
+// (Hankerson–Menezes–Vanstone, Alg. 2.36): entry u holds the product
+// u·b for each of the sixteen polynomials u of degree below 4. A
+// canonical b has degree at most 162, so every entry has degree at most
+// 165 and fits in 3 words. The entries are stored as three 16-word
+// planes, one per product word. The comb's Mul builds a table per call.
+// Precompute keeps one alive across every product by a fixed operand
+// (Sqrt's constant sqrt(x), the ladder's x(P)), which skips the table
+// construction entirely — the software analogue of wiring one
+// multiplicand into the MALU's partial-product array. The whole-operand
+// scan and the plane layout are pinned by measurement: mulsweep_test.go
+// keeps the rejected configurations, the 3-word Karatsuba over per-word
+// combs among them (BenchmarkMulSweep; numbers in its header).
 type Precomp struct {
+	b          Element
 	w0, w1, w2 [16]uint64
 }
 
-// build fills p with the comb table of b. Entry 0 stays zero; each even
-// entry is half its index's entry shifted up one bit, each odd entry
-// the even one below it plus b.
+// build fills p's planes with the comb table of b. Entry 0 stays zero;
+// each even entry is half its index's entry shifted up one bit, each
+// odd entry the even one below it plus b.
 func (p *Precomp) build(b Element) {
 	p.w0[1], p.w1[1], p.w2[1] = b[0], b[1], b[2]
 	for u := 2; u < 16; u += 2 {
@@ -145,22 +154,35 @@ func (p *Precomp) build(b Element) {
 	}
 }
 
-// Precompute builds the comb table of b.
+// Precompute prepares b for repeated products; on the portable path it
+// builds b's comb table.
 func Precompute(b Element) Precomp {
-	var p Precomp
-	p.build(b)
+	p := Precomp{b: b}
+	if !hasCLMUL {
+		p.build(b)
+	}
 	return p
 }
 
-// MulNoReduce returns the unreduced 6-word carry-less product a·b,
-// where p is b's comb table. It scans a's 4-bit windows from the top:
-// window s of every word selects one table entry, added at that word's
-// offset, and the 6-word accumulator shifts up 4 bits between window
-// positions. Word 2 of a canonical element holds only bits 0..34, so
-// its windows from bit 36 up are zero and skipped: 41 lookups and 15
-// shifts. That skip depends on the element encoding, not on operand
-// values, so the scan has no data-dependent branches.
+// MulNoReduce returns the unreduced 6-word carry-less product a·b.
 func (p *Precomp) MulNoReduce(a Element) [6]uint64 {
+	if hasCLMUL {
+		var c [6]uint64
+		productCLMUL(&c, &a, &p.b)
+		return c
+	}
+	return p.productComb(a)
+}
+
+// productComb is MulNoReduce on the portable path, over p's planes. It
+// scans a's 4-bit windows from the top: window s of every word selects
+// one table entry, added at that word's offset, and the 6-word
+// accumulator shifts up 4 bits between window positions. Word 2 of a
+// canonical element holds only bits 0..34, so its windows from bit 36
+// up are zero and skipped: 41 lookups and 15 shifts. That skip depends
+// on the element encoding, not on operand values, so the scan has no
+// data-dependent branches.
+func (p *Precomp) productComb(a Element) [6]uint64 {
 	var c0, c1, c2, c3, c4, c5 uint64
 	for s := uint(60); s > 32; s -= 4 {
 		u := a[0] >> s & 15
@@ -203,9 +225,14 @@ func (p *Precomp) MulNoReduce(a Element) [6]uint64 {
 	}
 }
 
-// Mul returns the reduced product a·b, where p is b's comb table.
+// Mul returns the reduced product a·b.
 func (p *Precomp) Mul(a Element) Element {
-	return reduce(p.MulNoReduce(a))
+	if hasCLMUL {
+		var r Element
+		mulCLMUL(&r, &a, &p.b)
+		return r
+	}
+	return reduce(p.productComb(a))
 }
 
 // MulAcc accumulates the unreduced product a·b into acc: acc ^= a·b.
@@ -215,9 +242,14 @@ func (p *Precomp) Mul(a Element) Element {
 // ladder uses this to pay one reduction per sum instead of one per
 // product.
 func MulAcc(acc *[6]uint64, a, b Element) {
-	var t Precomp
-	t.build(b)
-	c := t.MulNoReduce(a)
+	var c [6]uint64
+	if hasCLMUL {
+		productCLMUL(&c, &a, &b)
+	} else {
+		var t Precomp
+		t.build(b)
+		c = t.productComb(a)
+	}
 	for i := range acc {
 		acc[i] ^= c[i]
 	}
@@ -254,11 +286,21 @@ func reduce(c [6]uint64) Element {
 	return r
 }
 
-// Mul returns e * f in GF(2^163): f's comb table, e's windows.
+// Mul returns e * f in GF(2^163).
 func Mul(e, f Element) Element {
+	if hasCLMUL {
+		var r Element
+		mulCLMUL(&r, &e, &f)
+		return r
+	}
+	return mulComb(e, f)
+}
+
+// mulComb is Mul on the portable path: f's comb table, e's windows.
+func mulComb(e, f Element) Element {
 	var t Precomp
 	t.build(f)
-	return reduce(t.MulNoReduce(e))
+	return reduce(t.productComb(e))
 }
 
 // sqrSpread maps a byte b0..b7 to the 16-bit value with b's bits
@@ -293,6 +335,16 @@ func spread64(w uint64) (hi, lo uint64) {
 // coefficients with zeros, which is why hardware squarers are cheap
 // relative to general multipliers.
 func Sqr(e Element) Element {
+	if hasCLMUL {
+		var r Element
+		sqrCLMUL(&r, &e)
+		return r
+	}
+	return sqrTable(e)
+}
+
+// sqrTable is Sqr on the portable path: the interleave by byte table.
+func sqrTable(e Element) Element {
 	var c [6]uint64
 	c[1], c[0] = spread64(e[0])
 	c[3], c[2] = spread64(e[1])

@@ -8,17 +8,19 @@ import (
 // This file pins the fixed-path multiplier against the generic
 // bit-serial field (generic.go), which shares no code with it:
 // different multiplication algorithm (shift-and-add with interleaved
-// reduction vs a whole-operand 4-bit comb), different inversion,
-// different reduction. Any systematic error in the comb table, the
-// window scan, or the lazy-reduction helpers shows up as a divergence
-// here. The file keeps its name, and its tests theirs, from the 3-word
+// reduction vs PCLMULQDQ products where the CPU has them, a
+// whole-operand 4-bit comb elsewhere), different inversion, different
+// reduction. Any systematic error in the carry-less kernels, the comb
+// table, the window scan, or the lazy-reduction helpers shows up as a
+// divergence here. The file keeps its name, and its tests theirs, from the 3-word
 // Karatsuba multiplier the comb replaced (mulsweep_test.go).
 
 // structuredElements returns the adversarial corner inputs for the
 // multiplier: zero, one, every single-bit element, the all-ones
 // canonical element, and elements hugging the x^163 reduction
-// boundary, where the table's carries across words and the scan's
-// skipped top-word windows earn their keep.
+// boundary, where the table's carries across words, the scan's
+// skipped top-word windows and the carry-less fold's word boundaries
+// earn their keep.
 func structuredElements() []Element {
 	es := []Element{
 		Zero(),

@@ -6,8 +6,24 @@ import (
 	"medsec/internal/rng"
 )
 
-// Multiplier-configuration sweep. The production multiplier (Mul, the
-// comb-w4 row) pins three choices:
+// Multiplier-configuration sweep. Mul has two paths, and the sweep
+// measures the choices behind each.
+//
+// On amd64 CPUs with PCLMULQDQ, Mul is mulCLMUL (the clmul-9-fold
+// row): the 3×3-word schoolbook in nine PCLMULQDQ, then words 3-5 fold
+// down by three more against x^192 mod f = x^29·(x^7+x^6+x^3+1), and
+// word 2's top 29 bits once more in registers. Its rejected pairings
+// (clmul_amd64.s):
+//
+//   - clmul-6-fold: one level of 3-word Karatsuba (Dyka–Langendoerfer:
+//     6 word products instead of 9). The three saved products cost
+//     four shuffles and more XORs, and PCLMULQDQ issues one per cycle;
+//   - clmul-9-gpr and clmul-6-gpr: reduce() transcribed to
+//     general-purpose registers, shifting h = c >> 163 by 0, 3, 6 and
+//     7 bits word by word.
+//
+// The portable path (every other CPU and GOARCH, the comb-w4 row)
+// pins three choices:
 //
 //   - a whole-operand left-to-right comb (Hankerson–Menezes–Vanstone
 //     Alg. 2.36): one 16-entry table of u·b, 3 words per entry, then 41
@@ -20,10 +36,9 @@ import (
 // The variants below re-implement the rejected configurations so the
 // crossover stays measured, not asserted:
 //
-//   - karatsuba-w4 is the previous production multiplier: one level of
-//     3-word Karatsuba (Dyka–Langendoerfer: 6 word products instead of
-//     schoolbook's 9), each word product a 4-bit windowed comb over its
-//     own 16-entry table with a high-bits correction. That is six table
+//   - karatsuba-w4 is the comb's predecessor: one level of 3-word
+//     Karatsuba, each word product a 4-bit windowed comb over its own
+//     16-entry table with a high-bits correction. That is six table
 //     builds and 89 lookups per product. Karatsuba's saving is in
 //     hardware area; a software comb over the whole operand needs one
 //     table and no word products;
@@ -31,18 +46,34 @@ import (
 //   - schoolbook-w4 is the 9-product per-word comb;
 //   - comb-w4-rows is the production comb with [16][3]uint64 rows.
 //
-// On a shared 2-vCPU x86-64 host (go test -bench MulSweep -count 5,
-// medians) the sweep reads:
+// The sqr-table and sqr rows price the squarer the same way: the
+// portable byte-table interleave against Sqr, which is three
+// PCLMULQDQ and mulCLMUL's fold where the CPU has the instruction.
 //
-//	comb-w4 (pinned)    ~187 ns/op
-//	comb-w4-rows        ~268 ns/op  (same scan; the planes index one
-//	                                 16-word array per product word)
-//	karatsuba-w4        ~430 ns/op
-//	karatsuba-w2        ~578 ns/op  (2x lookups dominate)
-//	karatsuba-w8       ~2403 ns/op  (127 shift/XOR table builds
-//	                                 per operand word swamp the
-//	                                 halved lookups at one-shot use)
-//	schoolbook-w4       ~719 ns/op  (9 vs 6 word products)
+// On a shared 2-vCPU x86-64 host with PCLMULQDQ (go test -bench
+// MulSweep -count 5; medians, each row one product of fixed operands
+// per iteration) the sweep reads:
+//
+//	clmul-9-fold (Mul)   ~10.6 ns/op
+//	clmul-6-fold         ~11.9 ns/op
+//	clmul-9-gpr          ~14.4 ns/op  (the reduction is half the work)
+//	clmul-6-gpr          ~16.3 ns/op
+//	comb-w4 (portable)   ~211 ns/op
+//	comb-w4-rows         ~256 ns/op  (same scan; the planes index one
+//	                                  16-word array per product word)
+//	karatsuba-w4         ~448 ns/op
+//	karatsuba-w2         ~599 ns/op  (2x lookups dominate)
+//	karatsuba-w8        ~2548 ns/op  (127 shift/XOR table builds
+//	                                  per operand word swamp the
+//	                                  halved lookups at one-shot use)
+//	schoolbook-w4        ~644 ns/op  (9 vs 6 word products)
+//	sqr-table            ~48.2 ns/op
+//	sqr (PCLMULQDQ)      ~12.3 ns/op
+//
+// Chained, each product feeding the next (BenchmarkMul, BenchmarkSqr,
+// BenchmarkInv, medians of 5), the same host reads Mul 23.0 ns, Sqr
+// 19.4 ns and Inv 3.36 µs on the PCLMULQDQ path, against 203 ns,
+// 53.8 ns and 10.6 µs for the comb and the table.
 //
 // Correctness of every variant is pinned against the production path
 // in TestMulSweepVariantsAgree, so the benchmark numbers compare
@@ -302,6 +333,16 @@ func clmul64W8(x, y uint64) (uint64, uint64) {
 	return clmulTab8(&u, x, y)
 }
 
+// sweepRow is one PCLMULQDQ configuration of the reduced product.
+type sweepRow struct {
+	name string
+	mul  func(r, a, b *Element)
+}
+
+// clmulRows stays empty where the CPU has no PCLMULQDQ or the GOARCH
+// has no kernels (mulsweep_amd64_test.go fills it).
+var clmulRows []sweepRow
+
 func TestMulSweepVariantsAgree(t *testing.T) {
 	d := rng.NewDRBG(0x5eed)
 	for i := 0; i < 2000; i++ {
@@ -319,13 +360,19 @@ func TestMulSweepVariantsAgree(t *testing.T) {
 				t.Fatalf("%s: Mul(%v, %v) = %v, want %v", name, a, b, got, want)
 			}
 		}
+		for _, row := range clmulRows {
+			var got Element
+			if row.mul(&got, &a, &b); got != want {
+				t.Fatalf("%s: Mul(%v, %v) = %v, want %v", row.name, a, b, got, want)
+			}
+		}
 	}
 }
 
 func BenchmarkMulSweep(b *testing.B) {
 	b.Run("comb-w4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			benchSink = Mul(benchA, benchB)
+			benchSink = mulComb(benchA, benchB)
 		}
 	})
 	b.Run("comb-w4-rows", func(b *testing.B) {
@@ -351,6 +398,23 @@ func BenchmarkMulSweep(b *testing.B) {
 	b.Run("schoolbook-w4", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			benchSink = reduce(mulSchoolbook(benchA, benchB))
+		}
+	})
+	for _, row := range clmulRows {
+		b.Run(row.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				row.mul(&benchSink, &benchA, &benchB)
+			}
+		})
+	}
+	b.Run("sqr-table", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink = sqrTable(benchA)
+		}
+	})
+	b.Run("sqr", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink = Sqr(benchA)
 		}
 	})
 }

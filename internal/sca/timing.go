@@ -34,22 +34,26 @@ type TimingReport struct {
 	DARecoveredHWError float64
 }
 
-// DoubleAndAddCycleModel returns the cycle costs of one affine point
-// doubling and one affine addition on the same co-processor (each
-// needs a field inversion — an Itoh–Tsujii chain of 9 MUL + 162 SQR —
-// plus 2 MUL, 1 SQR and bookkeeping).
-func DoubleAndAddCycleModel(t coproc.Timing) (doubleCycles, addCycles int) {
-	malu := t.InstrCycles(coproc.OpMul)
-	inv := (9+162)*malu + 10*t.SingleCycle
-	op := inv + 2*malu + malu + 6*t.SingleCycle
-	return op, op
+// doubleAndAddCosts prices coproc.BuildDoubleAndAddProgram from its own
+// microcode: the k = 1 program runs only the set-up, k = 2 adds one
+// double block and k = 3 one double and one add block. A key k then
+// costs fixed + doubles·double + adds·add cycles, with the counts of
+// ec.DoubleAndAddOpCount.
+func doubleAndAddCosts(t coproc.Timing) (fixed, double, add int) {
+	cycles := func(k uint64) int {
+		// A nonzero scalar always builds.
+		p, _ := coproc.BuildDoubleAndAddProgram(modn.FromUint64(k))
+		return p.CycleCount(t)
+	}
+	c1, c2, c3 := cycles(1), cycles(2), cycles(3)
+	return c1, c2 - c1, c3 - c2
 }
 
 // TimingAttack measures both implementations over nKeys random keys.
 func TimingAttack(curve *ec.Curve, tim coproc.Timing, nKeys int, src func() uint64) *TimingReport {
 	prog := coproc.BuildLadderProgram(coproc.ProgramOptions{RPC: true})
 	ladder := prog.CycleCount(tim)
-	cDbl, cAdd := DoubleAndAddCycleModel(tim)
+	cFixed, cDbl, cAdd := doubleAndAddCosts(tim)
 
 	rep := &TimingReport{Keys: nKeys, LadderCycles: ladder}
 	var daCycles, hw []float64
@@ -57,7 +61,7 @@ func TimingAttack(curve *ec.Curve, tim coproc.Timing, nKeys int, src func() uint
 	for i := 0; i < nKeys; i++ {
 		k := curve.Order.RandNonZero(src)
 		doubles, adds := ec.DoubleAndAddOpCount(k)
-		cycles := doubles*cDbl + adds*cAdd
+		cycles := cFixed + doubles*cDbl + adds*cAdd
 		if cycles < rep.DAMinCycles {
 			rep.DAMinCycles = cycles
 		}
@@ -70,12 +74,12 @@ func TimingAttack(curve *ec.Curve, tim coproc.Timing, nKeys int, src func() uint
 	rep.DAHWCorrelation = pearsonScalar(daCycles, hw)
 
 	// The attacker inverts the latency model to estimate HW(k):
-	// latency = bits*cDbl + HW*cAdd, with bits read off the latency
-	// itself is not separable, so estimate assuming full-length keys
-	// (bitlen 162, the overwhelmingly likely case).
+	// latency = fixed + (bits-1)*cDbl + (HW-1)*cAdd, where bits read
+	// off the latency itself is not separable, so estimate assuming
+	// full-length keys (bitlen 162, the likeliest case).
 	var errSum float64
 	for i := range daCycles {
-		est := (daCycles[i] - 162*float64(cDbl)) / float64(cAdd)
+		est := 1 + (daCycles[i]-float64(cFixed)-161*float64(cDbl))/float64(cAdd)
 		errSum += math.Abs(est - hw[i])
 	}
 	rep.DARecoveredHWError = errSum / float64(len(daCycles))
