@@ -1,9 +1,9 @@
 package gf2m
 
 // hasCLMUL reports whether CPUID leaf 1 advertises PCLMULQDQ (ECX
-// bit 1). Where it does, Mul, Sqr, MulAcc and Precomp multiply with
-// the carry-less multiply instruction; elsewhere they take the comb and
-// the squaring table.
+// bit 1). Where it does, Mul, Sqr, MulAcc, Reduce and Precomp use the
+// carry-less multiply instruction; elsewhere they take the comb, the
+// squaring table and reduce().
 var hasCLMUL = cpuid1ECX()&(1<<1) != 0
 
 // cpuid1ECX returns ECX of CPUID leaf 1.
@@ -20,10 +20,17 @@ func mulCLMUL(r, a, b *Element)
 //go:noescape
 func sqrCLMUL(r, a *Element)
 
-// productCLMUL sets *c to the unreduced 6-word product a·b.
+// reduceCLMUL sets *r = c mod f by mulCLMUL's fold.
 //
 //go:noescape
-func productCLMUL(c *[6]uint64, a, b *Element)
+func reduceCLMUL(r *Element, c *[6]uint64)
+
+// mulAccCLMUL XORs the unreduced 6-word product a·b into *acc, 16
+// bytes at a time, so Reduce's copy of acc loads what it stored.
+// MulNoReduce passes a zero acc.
+//
+//go:noescape
+func mulAccCLMUL(acc *[6]uint64, a, b *Element)
 
 // The rejected pairings of product and reduction, kept so that
 // BenchmarkMulSweep measures them (numbers in mulsweep_test.go): the

@@ -270,13 +270,30 @@ TEXT ·sqrCLMUL(SB), NOSPLIT, $0-16
 	store
 	RET
 
-// func productCLMUL(c *[6]uint64, a, b *Element)
-TEXT ·productCLMUL(SB), NOSPLIT, $0-24
-	MOVQ  c+0(FP), DI
+// func reduceCLMUL(r *Element, c *[6]uint64)
+TEXT ·reduceCLMUL(SB), NOSPLIT, $0-16
+	MOVQ  r+0(FP), DI
+	MOVQ  c+8(FP), SI
+	MOVOU (SI), X4
+	MOVOU 16(SI), X5
+	MOVOU 32(SI), X6
+	reduceFold
+	store
+	RET
+
+// func mulAccCLMUL(acc *[6]uint64, a, b *Element)
+TEXT ·mulAccCLMUL(SB), NOSPLIT, $0-24
+	MOVQ  acc+0(FP), DI
 	MOVQ  a+8(FP), SI
 	MOVQ  b+16(FP), DX
 	load
 	product9
+	MOVOU (DI), X0
+	MOVOU 16(DI), X1
+	MOVOU 32(DI), X2
+	PXOR  X0, X4
+	PXOR  X1, X5
+	PXOR  X2, X6
 	MOVOU X4, (DI)
 	MOVOU X5, 16(DI)
 	MOVOU X6, 32(DI)

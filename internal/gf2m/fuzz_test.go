@@ -66,11 +66,12 @@ func FuzzMulCross(f *testing.F) {
 }
 
 // FuzzCLMULMatchesPortable: where the CPU has PCLMULQDQ, Mul, Sqr,
-// MulAcc, Precomp.Mul and Precomp.MulNoReduce take the carry-less
-// multiply; on arbitrary canonical operands each must return the words
-// of the comb and the squaring table, called directly in the same
-// binary. The seeds pair the structuredElements corners. Elsewhere the
-// exported functions are the comb and the table, and the target skips.
+// MulAcc, Reduce, Precomp.Mul and Precomp.MulNoReduce take the
+// carry-less multiply; on arbitrary canonical operands each must
+// return the words of the comb, the squaring table and reduce(),
+// called directly in the same binary. The seeds pair the
+// structuredElements corners. Elsewhere the exported functions are the
+// portable ones, and the target skips.
 func FuzzCLMULMatchesPortable(f *testing.F) {
 	if !hasCLMUL {
 		f.Skip("no PCLMULQDQ on this CPU or GOARCH: Mul and Sqr already take the comb and the squaring table")
@@ -104,6 +105,12 @@ func FuzzCLMULMatchesPortable(f *testing.F) {
 		}
 		if MulAcc(&acc, a, b); acc != wantAcc {
 			t.Fatalf("MulAcc(%v, %v) = %x, the comb gives %x", a, b, acc, wantAcc)
+		}
+		// Any 6 words of degree at most 324 (Reduce's bound), not only a
+		// product.
+		c := [6]uint64{a0, a1, a2, b0, b1, b2 & (1<<5 - 1)}
+		if got, want := Reduce(c), reduce(c); got != want {
+			t.Fatalf("Reduce(%x) = %v, reduce() gives %v", c, got, want)
 		}
 		if got, want := Sqr(a), sqrTable(a); got != want {
 			t.Fatalf("Sqr(%v) = %v, the squaring table gives %v", a, got, want)

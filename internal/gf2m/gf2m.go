@@ -168,7 +168,7 @@ func Precompute(b Element) Precomp {
 func (p *Precomp) MulNoReduce(a Element) [6]uint64 {
 	if hasCLMUL {
 		var c [6]uint64
-		productCLMUL(&c, &a, &p.b)
+		mulAccCLMUL(&c, &a, &p.b)
 		return c
 	}
 	return p.productComb(a)
@@ -242,14 +242,13 @@ func (p *Precomp) Mul(a Element) Element {
 // ladder uses this to pay one reduction per sum instead of one per
 // product.
 func MulAcc(acc *[6]uint64, a, b Element) {
-	var c [6]uint64
 	if hasCLMUL {
-		productCLMUL(&c, &a, &b)
-	} else {
-		var t Precomp
-		t.build(b)
-		c = t.productComb(a)
+		mulAccCLMUL(acc, &a, &b)
+		return
 	}
+	var t Precomp
+	t.build(b)
+	c := t.productComb(a)
 	for i := range acc {
 		acc[i] ^= c[i]
 	}
@@ -561,8 +560,16 @@ func MustFromHex(s string) Element {
 	return e
 }
 
-// Reduce exposes polynomial reduction of a 6-word value for tests.
-func Reduce(c [6]uint64) Element { return reduce(c) }
+// Reduce reduces a 6-word polynomial of degree at most 324, such as a
+// MulAcc sum, modulo f(x).
+func Reduce(c [6]uint64) Element {
+	if hasCLMUL {
+		var r Element
+		reduceCLMUL(&r, &c)
+		return r
+	}
+	return reduce(c)
+}
 
 // ShlMod returns e * x^s mod f(x) for small shift amounts 0 <= s <= 61.
 // This is the per-cycle operation of the digit-serial multiplier
