@@ -17,7 +17,8 @@ import (
 //
 //   - clmul-6-fold: one level of 3-word Karatsuba (Dyka–Langendoerfer:
 //     6 word products instead of 9). The three saved products cost
-//     four shuffles and more XORs, and PCLMULQDQ issues one per cycle;
+//     four shuffles and more XORs, and the CPU starts one PCLMULQDQ per
+//     cycle;
 //   - clmul-9-gpr and clmul-6-gpr: reduce() transcribed to
 //     general-purpose registers, shifting h = c >> 163 by 0, 3, 6 and
 //     7 bits word by word.
