@@ -3,7 +3,6 @@ package coproc
 import (
 	"errors"
 	"fmt"
-
 	"math/bits"
 
 	"medsec/internal/gf2m"
@@ -195,10 +194,10 @@ func (ls *laneState) maskOfSlot(a uint8) gf2m.Element {
 }
 
 // LaneCPU executes a program over N lanes at once. Configure Timing,
-// MaxCycles, QuietCycles and Masked (they are shared: the ladder's
-// control flow is key- and data-independent, so every lane retires the
-// same instruction at the same cycle), then call Run with one LaneRun
-// per trace. The zero value is usable.
+// MaxCycles, QuietCycles, Record and Masked (they are shared: the
+// ladder's control flow is key- and data-independent, so every lane
+// retires the same instruction at the same cycle), then call Run with
+// one LaneRun per trace. The zero value is usable.
 type LaneCPU struct {
 	Timing Timing
 	// MaxCycles stops execution early when positive — the SCA
@@ -221,6 +220,21 @@ type LaneCPU struct {
 	// (Program.Spans/IterationWindow): an instruction straddling it runs
 	// evented for all its cycles.
 	QuietCycles int
+	// Record, when non-nil, lists the only cycles that are evented, in
+	// strictly ascending order (Run refuses any other). An instruction
+	// holding no recorded cycle executes quietly, as before QuietCycles.
+	// A MUL or SQR whose only recorded cycle is its writeback computes
+	// its product with the one-shot field multiplier, makes the
+	// quiet path's mask draws and emits just the writeback event. Any
+	// other instruction holding a recorded cycle, and one straddling
+	// MaxCycles, runs the evented pipeline and delivers only its
+	// recorded cycles. Delivered events, architectural state and the
+	// TRNG and mask draws are those of the fully evented run. This
+	// extends the quiet prologue to every cycle no observer reads: a
+	// CPA campaign records the writeback cycles its statistic
+	// correlates (sca.Campaign.Cycles), a fault sweep its injection
+	// cycle. Nil delivers every cycle from QuietCycles on.
+	Record []int
 	// Masked enables the first-order Boolean-masked datapath for every
 	// lane: each register-file and RAM location is carried as two shares
 	// (value XOR mask, mask), with the mask refreshed from the lane's
@@ -236,6 +250,14 @@ type LaneCPU struct {
 	prog  *laneProgram
 	lanes []laneState
 	cycle int
+	// While a lane runs an instruction holding recorded cycles, its
+	// sink is swapped for filter (forwardRecorded, bound once), which
+	// passes to out, the lane's own sink, only the cycles in only; next
+	// indexes the first of them the lane has not yet reached.
+	filter func(*CycleEvent)
+	out    func(*CycleEvent)
+	only   []int
+	next   int
 }
 
 // NewLaneCPU returns a batch runner with the given timing.
@@ -287,6 +309,12 @@ func (lc *LaneCPU) Run(p *Program, runs []LaneRun) (int, error) {
 	if len(runs) == 0 {
 		return 0, errors.New("coproc: lane run needs at least one lane")
 	}
+	for i := 1; i < len(lc.Record); i++ {
+		if lc.Record[i] <= lc.Record[i-1] {
+			return 0, fmt.Errorf("coproc: LaneCPU.Record is not strictly ascending: cycle %d at index %d follows %d",
+				lc.Record[i], i, lc.Record[i-1])
+		}
+	}
 	d, err := lc.decoded(p)
 	if err != nil {
 		return 0, err
@@ -336,24 +364,52 @@ func (lc *LaneCPU) quietExecLane(ls *laneState, in *laneInstr) error {
 			}
 		}
 		return nil
-	case OpSqr:
-		ls.slots[in.rd] = gf2m.Sqr(ls.slots[in.ra])
-	case OpMul:
-		ls.slots[in.rd] = gf2m.Mul(ls.slots[in.ra], ls.slots[in.rb])
+	case OpSqr, OpMul:
+		lc.quietMALULane(ls, in)
+		return nil
 	}
 	if lc.Masked {
-		if in.op == OpMul || in.op == OpSqr {
-			// Match the evented digit pipeline's draw schedule: one
-			// accumulator refresh per digit cycle (discarded — the
-			// accumulator mask dies with the instruction), then the
-			// writeback refresh that becomes the destination's mask.
-			for j := lc.Timing.Digits(); j > 0; j-- {
-				ls.drawMaskElement()
-			}
-		}
 		ls.masks[in.rd] = ls.drawMaskElement()
 	}
 	return nil
+}
+
+// quietMALULane retires a MUL or SQR without events: the one-shot
+// field multiplier's product and, on masked runs, the digit pipeline's
+// mask-draw schedule — one accumulator refresh per digit cycle
+// (discarded: the accumulator mask dies with the instruction), then
+// the writeback refresh that becomes the destination's mask.
+func (lc *LaneCPU) quietMALULane(ls *laneState, in *laneInstr) {
+	if in.op == OpSqr {
+		ls.slots[in.rd] = gf2m.Sqr(ls.slots[in.ra])
+	} else {
+		ls.slots[in.rd] = gf2m.Mul(ls.slots[in.ra], ls.slots[in.rb])
+	}
+	if lc.Masked {
+		for j := lc.Timing.Digits(); j > 0; j-- {
+			ls.drawMaskElement()
+		}
+		ls.masks[in.rd] = ls.drawMaskElement()
+	}
+}
+
+// writebackLane retires a MUL or SQR whose only recorded cycle is its
+// writeback: quietMALULane's product and draws, then the writeback
+// event runMALULane emits on the instruction's last cycle.
+func (lc *LaneCPU) writebackLane(ls *laneState, idx int, in *laneInstr) {
+	old, om := ls.slots[in.rd], ls.masks[in.rd]
+	lc.quietMALULane(ls, in)
+	v := ls.slots[in.rd]
+	ls.resetEvent(idx, in)
+	if lc.Masked {
+		setMaskedWrite(&ls.ev, old, om, v, ls.masks[in.rd])
+		ls.ev.RegsClocked = 2
+	} else {
+		ls.ev.WriteHD = gf2m.HammingDistance(old, v)
+		ls.ev.Write01 = zeroToOne(old, v)
+		ls.ev.RegsClocked = 1
+	}
+	ls.emit(lc.cycle + in.cost - 1)
 }
 
 // runLockstep executes the program on every lane. Per instruction,
@@ -362,27 +418,57 @@ func (lc *LaneCPU) quietExecLane(ls *laneState, in *laneInstr) error {
 // across lanes is unobservable since each lane has its own sink), then
 // the shared clock advances by the instruction cost.
 func (lc *LaneCPU) runLockstep(d *laneProgram) (int, error) {
+	rec := lc.Record
 	for idx := range d.instrs {
 		in := &d.instrs[idx]
-		if lc.quietAt(lc.cycle, in.cost) {
+		end := lc.cycle + in.cost
+		stopped := lc.MaxCycles > 0 && end > lc.MaxCycles
+		// win is the instruction's share of the record list.
+		var win []int
+		if lc.Record != nil {
+			for len(rec) > 0 && rec[0] < lc.cycle {
+				rec = rec[1:]
+			}
+			n := 0
+			for n < len(rec) && rec[n] < end {
+				n++
+			}
+			win = rec[:n]
+		}
+		switch {
+		// Before QuietCycles, or no recorded cycle and retiring before
+		// MaxCycles: architectural effects only.
+		case lc.quietAt(lc.cycle, in.cost) || (lc.Record != nil && len(win) == 0 && !stopped):
 			for l := range lc.lanes {
 				if err := lc.quietExecLane(&lc.lanes[l], in); err != nil {
 					return lc.cycle, err
 				}
 			}
-			lc.cycle += in.cost
+			lc.cycle = end
+			continue
+		// Recorded only at a MUL or SQR writeback: one product, one event.
+		case !stopped && len(win) == 1 && win[0] == end-1 && (in.op == OpMul || in.op == OpSqr):
+			for l := range lc.lanes {
+				lc.writebackLane(&lc.lanes[l], idx, in)
+			}
+			lc.cycle = end
 			continue
 		}
 		// Number of event cycles this instruction retires before a
 		// MaxCycles stop (same for every lane).
 		budget := in.cost
-		stopped := false
-		if lc.MaxCycles > 0 && lc.cycle+budget > lc.MaxCycles {
+		if stopped {
 			budget = lc.MaxCycles - lc.cycle
-			stopped = true
 		}
 		for l := range lc.lanes {
-			if err := lc.execLane(&lc.lanes[l], idx, in, budget); err != nil {
+			ls := &lc.lanes[l]
+			var err error
+			if lc.Record != nil && ls.sink != nil {
+				err = lc.execRecorded(ls, idx, in, budget, win)
+			} else {
+				err = lc.execLane(ls, idx, in, budget)
+			}
+			if err != nil {
 				return lc.cycle, err
 			}
 		}
@@ -392,6 +478,28 @@ func (lc *LaneCPU) runLockstep(d *laneProgram) (int, error) {
 		}
 	}
 	return lc.cycle, nil
+}
+
+// execRecorded is execLane delivering only the recorded cycles in win.
+func (lc *LaneCPU) execRecorded(ls *laneState, idx int, in *laneInstr, budget int, win []int) error {
+	if lc.filter == nil {
+		lc.filter = lc.forwardRecorded
+	}
+	lc.out, lc.only, lc.next = ls.sink, win, 0
+	ls.sink = lc.filter
+	err := lc.execLane(ls, idx, in, budget)
+	ls.sink = lc.out
+	return err
+}
+
+// forwardRecorded is the filter sink. A lane emits every cycle of an
+// instruction once, in ascending order, so one cursor into the
+// instruction's recorded cycles tells them apart.
+func (lc *LaneCPU) forwardRecorded(ev *CycleEvent) {
+	if lc.next < len(lc.only) && lc.only[lc.next] == ev.Cycle {
+		lc.next++
+		lc.out(ev)
+	}
 }
 
 // emit stamps the cycle number and delivers the lane's event.

@@ -89,7 +89,7 @@ func (r Result) String() string {
 // RunWithFault executes one point multiplication k*P with the given
 // injection and classifies the outcome under output validation. Both
 // the reference and the faulted run are simulated evented from cycle
-// 0, so it is the oracle Sweep's quiet-prefix path is tested against.
+// 0, so it is the oracle Sweep's record-list path is tested against.
 func RunWithFault(curve *ec.Curve, tim coproc.Timing, k modn.Scalar, p ec.Point, inj Injection, trngSeed uint64) (Result, error) {
 	if err := inj.validate(); err != nil {
 		return 0, err

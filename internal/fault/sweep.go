@@ -22,15 +22,16 @@ import (
 //
 //   - one shared quiet reference run per sweep (RunWithFault pays a
 //     full evented fault-free simulation per injection);
-//   - a quiet prefix per faulted run: the instructions that retire
-//     before the injection cycle execute without event bookkeeping
-//     (coproc.LaneCPU.QuietCycles), so only the instruction holding
-//     the injection cycle and everything after it run evented.
+//   - one evented cycle per faulted run: the run records only its
+//     injection cycle (coproc.LaneCPU.Record), so every instruction
+//     before and after the one holding it executes without event
+//     bookkeeping.
 //
 // Determinism: jobs are enumerated in a fixed grid order and each
 // faulted run is a pure function of its injection (power-on state,
-// TRNG stream re-seeded per run), so the report is bit-identical for
-// any worker count.
+// TRNG stream re-seeded per run), and the tallies fold by integer
+// counting and in-order escape-list concatenation, so the report is
+// bit-identical for any worker count.
 type SweepConfig struct {
 	// FromIter/ToIter bound the ladder-iteration window swept,
 	// numbered in processing order from 162 down to 0; FromIter must
@@ -45,19 +46,9 @@ type SweepConfig struct {
 	CycleStride, RegStride, BitStride int
 	// Workers is the campaign pool size; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Shards selects the sharded reduction of the sweep tallies: 0
-	// selects campaign.DefaultShards, a positive value fixes the shard
-	// count, and negative values are refused. The fold is pure integer
-	// counting and escape-list concatenation, so unlike the
-	// floating-point campaigns the sweep report is bit-identical for any
-	// worker AND any shard count.
-	Shards int
 	// Seed derives the swept computation: scalar, base point and the
 	// device TRNG stream.
 	Seed uint64
-	// Progress, when non-nil, is called serially as injections are
-	// folded with (done, total); done is monotone but may skip counts.
-	Progress func(done, total int)
 	// Ctx, when non-nil, makes the sweep interruptible: on cancellation
 	// (SIGINT/SIGTERM in the CLIs) the engine drains its worker pool
 	// and Sweep returns campaign.ErrInterrupted. A nil Ctx (the
@@ -113,9 +104,6 @@ func (r *SweepReport) String() string {
 func Sweep(curve *ec.Curve, tim coproc.Timing, cfg SweepConfig) (*SweepReport, error) {
 	if cfg.FromIter < cfg.ToIter || cfg.FromIter < 0 || cfg.FromIter > 162 || cfg.ToIter < -1 {
 		return nil, fmt.Errorf("fault: iteration window %d..%d invalid", cfg.FromIter, cfg.ToIter)
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("fault: SweepConfig.Shards = %d is negative (0 selects campaign.DefaultShards)", cfg.Shards)
 	}
 	strideOr1 := func(s int) int {
 		if s <= 0 {
@@ -176,11 +164,12 @@ func Sweep(curve *ec.Curve, tim coproc.Timing, cfg SweepConfig) (*SweepReport, e
 		if m == nil {
 			m = &sweepMachine{lc: coproc.NewLaneCPU(tim), drbg: rng.NewDRBG(trngSeed)}
 			m.run[0] = coproc.LaneRun{Key: k, Rand: m.drbg.Uint64, Consts: consts, Sink: m.inject}
+			m.lc.Record = m.record[:]
 			machines[worker] = m
 		}
 		m.drbg.Reseed(trngSeed)
 		m.inj, m.injected = inj, false
-		m.lc.QuietCycles = inj.Cycle
+		m.record[0] = inj.Cycle
 		if _, err := m.lc.Run(prog, m.run[:]); err != nil {
 			return 0, err
 		}
@@ -215,17 +204,13 @@ func Sweep(curve *ec.Curve, tim coproc.Timing, cfg SweepConfig) (*SweepReport, e
 	// Sharded reduction: per-shard tallies, opcode maps and escape lists
 	// fold on the worker goroutines and merge in shard order. Counts add
 	// and the escape lists concatenate (each shard's in grid order), so
-	// the merged report is bit-identical for any worker or shard count.
+	// the merged report is bit-identical for any worker count.
 	type shardTally struct {
 		Tally
 		byOp    map[coproc.Op]*Tally
 		escapes []Injection
 	}
-	var progress func(done int)
-	if cfg.Progress != nil {
-		progress = func(done int) { cfg.Progress(done, total) }
-	}
-	ccfg := campaign.Config{Workers: cfg.Workers, Shards: cfg.Shards, Progress: progress, Ctx: cfg.Ctx}
+	ccfg := campaign.Config{Workers: cfg.Workers, Ctx: cfg.Ctx}
 	_, err := campaign.Run(0, total, ccfg, prepare, campaign.PerSample(acquire),
 		func(shard int) *shardTally { return &shardTally{byOp: map[coproc.Op]*Tally{}} },
 		func(shard int, st *shardTally, idx int, inj Injection, res Result) error {
@@ -259,12 +244,14 @@ func Sweep(curve *ec.Curve, tim coproc.Timing, cfg SweepConfig) (*SweepReport, e
 	return rep, nil
 }
 
-// sweepMachine is one worker's faulted-run state: a width-1 LaneCPU,
-// the TRNG it re-seeds per run, and the injection its sink fires.
+// sweepMachine is one worker's faulted-run state: a width-1 LaneCPU
+// evented only at the injection cycle (its record list), the TRNG it
+// re-seeds per run, and the injection its sink fires.
 type sweepMachine struct {
 	lc       *coproc.LaneCPU
 	drbg     *rng.DRBG
 	run      [1]coproc.LaneRun
+	record   [1]int
 	inj      Injection
 	injected bool
 }

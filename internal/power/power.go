@@ -243,10 +243,10 @@ func (m *Model) Reinit(cfg Config) {
 // simulated cycles without evaluating any energy: exactly the noise
 // draws n CycleEnergy/CycleComponents calls would consume (one Gaussian
 // sample per cycle when NoiseSigma > 0, none otherwise) are skipped via
-// rng.Gaussian.Skip. The quiet-prefix/checkpointed acquisition paths
-// call this for the cycles the CPU no longer reports, so the recorded
-// window's noise is bit-identical to a run that simulated — and
-// discarded — every prefix cycle.
+// rng.Gaussian.Skip. The quiet-prefix and record-list acquisition
+// paths call this for the cycles the CPU no longer reports, so the
+// recorded samples' noise is bit-identical to a run that simulated —
+// and discarded — every other cycle.
 func (m *Model) SkipCycles(n int) {
 	if n > 0 && m.cfg.NoiseSigma > 0 {
 		m.noise.Skip(n)

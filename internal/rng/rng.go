@@ -256,9 +256,10 @@ func (g *Gaussian) Fill(dst []float64) {
 // cache ends in the same fresh/cached phase. Only the transcendental
 // work (log, sqrt, sin, cos) is elided — a skipped cycle costs two
 // xorshift draws per pair instead of a full Box–Muller evaluation.
-// The quiet-prefix acquisition path uses this to keep the measurement
-// noise stream of a windowed trace bit-identical to an unwindowed run
-// that simply discarded the out-of-window samples.
+// The quiet-prefix and record-list acquisition paths use this to keep
+// the measurement noise stream of a windowed or recorded trace
+// bit-identical to an unwindowed run that simply discarded the other
+// samples.
 func (g *Gaussian) Skip(n int) {
 	if n <= 0 {
 		return

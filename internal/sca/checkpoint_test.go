@@ -4,14 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"medsec/internal/campaign"
 	"medsec/internal/modn"
 	"medsec/internal/rng"
 	"medsec/internal/store"
+	"medsec/internal/trace"
 )
 
 // The checkpoint/resume contract these tests pin: a campaign killed
@@ -315,5 +318,48 @@ func TestTracesToSuccessKillResume(t *testing.T) {
 	}
 	if n2 != refN || !reflect.DeepEqual(res2.Recovered, refRes.Recovered) {
 		t.Fatal("Complete-checkpoint re-evaluation drifted from the uninterrupted run")
+	}
+}
+
+// TestTracesToSuccessRefusesMisshapenCheckpoint pins that a restored
+// trace set must hold Campaign.Cycles-length traces. Outside a git
+// checkout both runs stamp GitSHA "unknown", so the header of a
+// full-window checkpoint written by an older acquisition matches; the
+// search must refuse it by path and lengths rather than read its first
+// samples as writeback columns.
+func TestTracesToSuccessRefusesMisshapenCheckpoint(t *testing.T) {
+	sizes := []int{12, 24}
+	const bits = 2
+	hdr := ckptHeader(8)
+	hdr.Kind, hdr.GitSHA = "dpa", "unknown"
+	path := filepath.Join(t.TempDir(), "dpa.ckpt")
+	ck := &CampaignCheckpoint{Path: path, Header: hdr, Resume: true}
+
+	tgt := newDPATarget(t, false, 8)
+	tgt.Ckpt = ck
+	camp := tgt.NewCampaign(160, 160-bits+1)
+	window := camp.End - camp.Start
+	var set trace.Set
+	for i := 0; i < sizes[0]; i++ {
+		set.Add(trace.Trace{Samples: make([]float64, window), StartCycle: camp.Start})
+	}
+	blob, err := set.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := ck.campHeader(0, sizes[len(sizes)-1], 0)
+	h.Watermark = sizes[0]
+	if err := ck.write(h, map[string][]byte{"set": blob}); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, err = TracesToSuccess(tgt, sizes, bits, CPAOptions{}, rng.NewDRBG(9).Uint64)
+	if err == nil {
+		t.Fatal("a full-window checkpoint seeded a campaign that records writeback cycles")
+	}
+	for _, want := range []string{path, fmt.Sprint(window), fmt.Sprint(len(camp.Cycles))} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("refusal %q does not name %q", err, want)
+		}
 	}
 }

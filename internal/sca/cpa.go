@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"medsec/internal/campaign"
@@ -204,12 +205,13 @@ func (m *mirror) step(bit uint, x, b gf2m.Element, collect func(writePred)) {
 	}
 }
 
-// iterWriteColumns returns, for one ladder iteration, the campaign
-// sample column of each mirror write's writeback cycle, indexed by
-// write (see firstWriteOffset); -1 marks a write whose writeback falls
-// outside the acquisition window. spans is the target program's
-// Spans(Timing).
-func (c *Campaign) iterWriteColumns(spans []coproc.InstrSpan, iter int) [mirrorWrites]int {
+// iterWriteCycles returns the writeback cycle of each mirror write of
+// ladder iteration iter, indexed by write (see firstWriteOffset): the
+// last cycle of the instruction at offset firstWriteOffset+w when it
+// is a MUL, SQR, ADD or MOVE, -1 otherwise. spans is the target
+// program's Spans(Timing). It is the rule for what a campaign records
+// (NewCampaign) and where the CPA reads each write (iterWriteColumns).
+func iterWriteCycles(spans []coproc.InstrSpan, iter int) [mirrorWrites]int {
 	var out [mirrorWrites]int
 	for w := range out {
 		out[w] = -1
@@ -235,10 +237,24 @@ func (c *Campaign) iterWriteColumns(spans []coproc.InstrSpan, iter int) [mirrorW
 		}
 		switch sp.Op {
 		case coproc.OpMul, coproc.OpSqr, coproc.OpAdd, coproc.OpMove:
-			if col := sp.End - 1 - c.Start; col >= 0 && col < c.Set.SampleLen() {
-				out[w] = col
-			}
+			out[w] = sp.End - 1
 		}
+	}
+	return out
+}
+
+// iterWriteColumns returns, for one ladder iteration, the campaign
+// sample column of each mirror write's writeback cycle (its index in
+// c.Cycles), indexed by write; -1 marks a write the campaign does not
+// record.
+func (c *Campaign) iterWriteColumns(spans []coproc.InstrSpan, iter int) [mirrorWrites]int {
+	out := iterWriteCycles(spans, iter)
+	for w, cyc := range out {
+		col, ok := slices.BinarySearch(c.Cycles, cyc)
+		if cyc < 0 || !ok || col >= c.Set.SampleLen() {
+			col = -1
+		}
+		out[w] = col
 	}
 	return out
 }
@@ -274,6 +290,12 @@ func fanOut(workers, n int, f func(lo, hi int)) {
 // multiplication's worth of leading bits pins down the whole scalar in
 // practice; recovering a handful of bits per campaign is the standard
 // evaluation shortcut.
+//
+// Those writeback cycles are the only samples the attack reads, so
+// they are the only ones a campaign acquires (Campaign.Cycles): each
+// write's column is its cycle's index there, and a trace holds 15
+// samples per attacked iteration rather than the iteration's ~480
+// cycles.
 //
 // CPA is one of the attacks that genuinely needs a retained trace.Set:
 // recovering bit b requires re-correlating every trace after the bit
@@ -560,6 +582,16 @@ func TracesToSuccess(t *Target, sizes []int, bits int, opt CPAOptions, pointSrc 
 		if camp.Set.Len() != prev.Header.Watermark {
 			return -1, nil, fmt.Errorf("sca: checkpoint %s trace set holds %d traces, watermark says %d",
 				ck.Path, camp.Set.Len(), prev.Header.Watermark)
+		}
+		// The header cannot tell traces recorded at other cycles apart
+		// (two runs outside a git checkout both report GitSHA
+		// "unknown"), so the shape is checked here: a full-window trace
+		// would otherwise be read as writeback columns.
+		for i, tr := range camp.Set.Traces {
+			if len(tr.Samples) != len(camp.Cycles) {
+				return -1, nil, fmt.Errorf("sca: checkpoint %s trace %d holds %d samples, this campaign records %d per trace",
+					ck.Path, i, len(tr.Samples), len(camp.Cycles))
+			}
 		}
 		// Re-derive the attacker's point stream: points are drawn
 		// serially in index order (one RandomPoint call per trace), so

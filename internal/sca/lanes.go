@@ -74,6 +74,14 @@ func (t *Target) newLaneScratch(lanes int) *laneScratch {
 // then one LaneCPU run retires the whole batch in lockstep.
 func (t *Target) acquireBatch(s *laneScratch, plan *acqPlan, jobs []acqJob, out []trace.Trace) error {
 	n := len(jobs)
+	// The cycles before the first evented one emit no events, so each
+	// lane's noise stream must be advanced past the draws those events
+	// would have consumed to keep the recorded samples bit-identical to
+	// a full evented run.
+	skip := plan.quiet
+	if len(plan.record) > 0 {
+		skip = plan.record[0]
+	}
 	for i := 0; i < n; i++ {
 		j := &jobs[i]
 		sl := s.slots[i]
@@ -81,13 +89,9 @@ func (t *Target) acquireBatch(s *laneScratch, plan *acqPlan, jobs []acqJob, out 
 		pcfg := t.Power
 		pcfg.Seed ^= (j.dev + 1) * 0xbf58476d1ce4e5b9
 		sl.model.Reinit(pcfg)
-		sl.col.Start, sl.col.End = plan.start, plan.end
+		sl.col.Start, sl.col.End, sl.col.Record = plan.start, plan.end, plan.record
 		sl.col.Begin()
-		// The skipped prefix emits no cycle events, so each lane's noise
-		// stream must be advanced past the draws those events would have
-		// consumed to keep the window bit-identical to a full evented
-		// run.
-		sl.model.SkipCycles(plan.quiet)
+		sl.model.SkipCycles(skip)
 		r := &s.runs[i]
 		*r = coproc.LaneRun{Key: j.key, Rand: sl.randFn, Sink: sl.sinkFn,
 			Consts: coproc.OperandConstants(j.point.X, t.Curve.B, j.point.Y)}
@@ -104,6 +108,7 @@ func (t *Target) acquireBatch(s *laneScratch, plan *acqPlan, jobs []acqJob, out 
 		lc.MaxCycles = plan.end
 	}
 	lc.QuietCycles = plan.quiet
+	lc.Record = plan.record
 	if _, err := lc.Run(t.prog, s.runs[:n]); err != nil && !errors.Is(err, coproc.ErrStopped) {
 		return err
 	}

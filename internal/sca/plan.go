@@ -14,9 +14,18 @@ package sca
 // measurement-noise stream is re-aligned with power.Model.SkipCycles,
 // which replays the skipped draws' consumption pattern exactly.
 //
-// The unexported Target.noPrologueSkip hook disables the quiet prefix
-// so the tests can pin the planned window against the full evented
-// pipeline.
+// A CPA campaign goes one step further: it records only the cycles
+// its statistic reads (Campaign.Cycles, the writeback cycle of every
+// register write in the attacked iterations). The plan hands that list
+// to the CPU (coproc.LaneCPU.Record), which events nothing else, and to
+// the collector (trace.Collector.Record), which draws each recorded
+// cycle's noise after skipping the draws of the cycles since the
+// previous one. A trace then holds one sample per recorded cycle,
+// bit-identical to the full evented run's sample at that cycle.
+//
+// The unexported Target.noPrologueSkip hook disables both the quiet
+// prefix and the record list, so the tests can pin the planned
+// acquisition against the full evented pipeline.
 
 // acqPlan is one campaign's acquisition plan over a fixed cycle
 // window.
@@ -26,6 +35,9 @@ type acqPlan struct {
 	// event bookkeeping; equal to start when the plan skips the
 	// prologue, 0 otherwise.
 	quiet int
+	// record, when non-nil, lists the only cycles acquired (ascending);
+	// each trace then holds one sample per entry instead of the window.
+	record []int
 	// met is the campaign's acquisition-counter bundle, resolved once
 	// at plan construction (zero value when Target.Metrics is nil —
 	// fully inert).
@@ -37,6 +49,16 @@ func (t *Target) planWindow(start, end int) *acqPlan {
 	p := &acqPlan{start: start, end: end, met: t.acqMetrics()}
 	if !t.noPrologueSkip && start > 0 {
 		p.quiet = start
+	}
+	return p
+}
+
+// planCycles builds the plan for a campaign that keeps only the given
+// cycles of window [start, end).
+func (t *Target) planCycles(start, end int, cycles []int) *acqPlan {
+	p := t.planWindow(start, end)
+	if !t.noPrologueSkip {
+		p.record = cycles
 	}
 	return p
 }

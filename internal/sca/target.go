@@ -128,10 +128,11 @@ type Target struct {
 	Ckpt *CampaignCheckpoint
 
 	prog *coproc.Program
-	// noPrologueSkip disables the quiet acquisition prologue (see
-	// plan.go), so every trace re-simulates all cycles
-	// before its window through the full evented pipeline. A test hook:
-	// the tests pin the planned window bit-identical against it.
+	// noPrologueSkip disables the quiet acquisition prologue and a
+	// campaign's record list (see plan.go), so every trace re-simulates
+	// every cycle up to its window's end through the full evented
+	// pipeline. A test hook: the tests pin the planned acquisition
+	// bit-identical against it.
 	noPrologueSkip bool
 }
 
@@ -183,7 +184,8 @@ func (t *Target) Window(firstIter, lastIter int) (start, end int) {
 
 // Campaign is an acquisition campaign: N traces over a fixed cycle
 // window with known (attacker-chosen or at least attacker-visible)
-// input points.
+// input points. A trace holds one sample per entry of Cycles, the only
+// cycles of the window the CPA reads.
 type Campaign struct {
 	Target *Target
 	Set    *trace.Set
@@ -193,12 +195,25 @@ type Campaign struct {
 	// FirstIter/LastIter are the ladder iterations the window covers
 	// (FirstIter is processed first, i.e. the larger index).
 	FirstIter, LastIter int
+	// Cycles lists the recorded cycles, ascending: the writeback cycle
+	// of every mirror write of iterations FirstIter..LastIter (15 per
+	// iteration). Sample column i of every trace is cycle Cycles[i].
+	Cycles []int
 }
 
 // NewCampaign returns an empty campaign over the given ladder
 // iteration window; grow it with ExtendCampaign.
 func (t *Target) NewCampaign(firstIter, lastIter int) *Campaign {
 	start, end := t.prog.IterationWindow(t.Timing, firstIter, lastIter)
+	spans := t.prog.Spans(t.Timing)
+	var cycles []int
+	for iter := firstIter; iter >= lastIter; iter-- {
+		for _, cyc := range iterWriteCycles(spans, iter) {
+			if cyc >= 0 {
+				cycles = append(cycles, cyc)
+			}
+		}
+	}
 	return &Campaign{
 		Target:    t,
 		Set:       &trace.Set{},
@@ -206,6 +221,7 @@ func (t *Target) NewCampaign(firstIter, lastIter int) *Campaign {
 		End:       end,
 		FirstIter: firstIter,
 		LastIter:  lastIter,
+		Cycles:    cycles,
 	}
 }
 
@@ -230,17 +246,34 @@ func (t *Target) AcquireCampaign(n int, firstIter, lastIter int, pointSrc func()
 // because trace i is a pure function of index i, the extended campaign
 // is identical to one acquired at size n in a single call.
 //
-// The campaign retains every trace, so the "reduction" is a positional
-// write: each completed acquisition lands directly in its own slot of
-// the preallocated set from the worker goroutine — trivially
-// order-independent. Target.Progress reports the campaign's
-// cumulative size.
+// Each trace is acquired at c.Cycles only (see plan.go). The campaign
+// retains every trace, so the "reduction" is a positional write: each
+// completed acquisition is copied into its own slot of one backing
+// array per extension from the worker goroutine — trivially
+// order-independent — and its pooled buffer goes back for reuse.
+// Target.Progress reports the campaign's cumulative size.
 func (t *Target) ExtendCampaign(c *Campaign, n int, pointSrc func() uint64) error {
 	from := c.Set.Len()
 	if n <= from {
 		return nil
 	}
-	plan := t.planWindow(c.Start, c.End)
+	plan := t.planCycles(c.Start, c.End, c.Cycles)
+	// keep copies a trace's samples at c.Cycles into its slot; without
+	// a record list the trace holds the whole window.
+	keep := func(dst []float64, tr trace.Trace) { copy(dst, tr.Samples) }
+	if plan.record == nil {
+		keep = func(dst []float64, tr trace.Trace) {
+			for i, cyc := range c.Cycles {
+				dst[i] = tr.Samples[cyc-c.Start]
+			}
+		}
+	}
+	k := len(c.Cycles)
+	startCycle := c.Start
+	if k > 0 {
+		startCycle = c.Cycles[0]
+	}
+	backing := make([]float64, (n-from)*k)
 	prepare := func(idx int) (acqJob, error) {
 		return acqJob{key: t.Key, point: t.Curve.RandomPoint(pointSrc), dev: uint64(idx)}, nil
 	}
@@ -253,7 +286,11 @@ func (t *Target) ExtendCampaign(c *Campaign, n int, pointSrc func() uint64) erro
 	_, err := runCampaign(t, from, n, cfg, plan, prepare,
 		func(shard int) struct{} { return struct{}{} },
 		func(shard int, _ struct{}, idx int, j acqJob, tr trace.Trace) error {
-			c.Set.Traces[idx] = tr
+			i := (idx - from) * k
+			samples := backing[i : i+k : i+k]
+			keep(samples, tr)
+			tr.Release()
+			c.Set.Traces[idx] = trace.Trace{Samples: samples, StartCycle: startCycle}
 			c.Points[idx] = j.point
 			return nil
 		},
@@ -293,5 +330,6 @@ func (c *Campaign) Prefix(n int) *Campaign {
 		End:       c.End,
 		FirstIter: c.FirstIter,
 		LastIter:  c.LastIter,
+		Cycles:    c.Cycles,
 	}
 }

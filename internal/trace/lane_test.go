@@ -108,3 +108,94 @@ func TestBatchCollectorBitIdentical(t *testing.T) {
 		got.Release()
 	}
 }
+
+// TestCollectorRecordedMatchesReferenceProbe pins the collector's
+// record mode: at a list of cycles — the writebacks a CPA reads,
+// back-to-back ADD and MOVE cycles, and in one iteration digit cycles
+// between them —
+// the samples it keeps equal the per-cycle CycleEnergy reference's at
+// those cycles, noise stream included, for every logic style and for
+// zero noise. It records from a LaneCPU evented only at those cycles
+// (the campaign shape) and from a fully evented CPU, whose other
+// cycles it ignores.
+func TestCollectorRecordedMatchesReferenceProbe(t *testing.T) {
+	curve := ec.K163()
+	prog := coproc.BuildLadderProgram(coproc.ProgramOptions{RPC: true, XOnly: true})
+	tim := coproc.DefaultTiming()
+	var record []int
+	for _, sp := range prog.Spans(tim) {
+		if sp.Iteration > 160 || sp.Iteration < 158 {
+			continue
+		}
+		switch sp.Op {
+		case coproc.OpMul, coproc.OpSqr:
+			if sp.Iteration == 158 {
+				record = append(record, sp.Start+5)
+			}
+			record = append(record, sp.End-1)
+		case coproc.OpAdd, coproc.OpMove:
+			record = append(record, sp.End-1)
+		}
+	}
+	_, end := prog.IterationWindow(tim, 160, 158)
+
+	cfgs := []power.Config{power.ProtectedChip(5), power.UnprotectedChip(5)}
+	wddl := power.ProtectedChip(5)
+	wddl.Style = power.WDDL
+	quietCfg := power.ProtectedChip(5)
+	quietCfg.NoiseSigma = 0
+	cfgs = append(cfgs, wddl, quietCfg)
+
+	k := curve.Order.RandNonZero(rng.NewDRBG(99).Uint64)
+	consts := coproc.OperandConstants(curve.Gx, curve.B, curve.Gy)
+	for ci, cfg := range cfgs {
+		ref := NewCollector(power.NewModel(cfg), 0, 0)
+		cpu := coproc.NewCPU(tim)
+		cpu.Rand = rng.NewDRBG(7).Uint64
+		cpu.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
+		cpu.Probe = ref.referenceProbe()
+		if _, err := cpu.Run(prog, k); err != nil {
+			t.Fatal(err)
+		}
+		full := ref.Take()
+
+		recorded := func(evented bool) Trace {
+			model := power.NewModel(cfg)
+			col := NewCollector(model, 0, 0)
+			col.Record = record
+			sink := col.LaneSink()
+			model.SkipCycles(record[0])
+			if evented {
+				cpu := coproc.NewCPU(tim)
+				cpu.Rand = rng.NewDRBG(7).Uint64
+				cpu.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
+				cpu.Probe = sink
+				if _, err := cpu.Run(prog, k); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				lc := coproc.NewLaneCPU(tim)
+				lc.MaxCycles, lc.Record = end, record
+				runs := []coproc.LaneRun{{Key: k, Rand: rng.NewDRBG(7).Uint64, Sink: sink, Consts: consts}}
+				if _, err := lc.Run(prog, runs); err != coproc.ErrStopped {
+					t.Fatalf("recorded run: got %v, want ErrStopped", err)
+				}
+			}
+			return col.Take()
+		}
+		for _, evented := range []bool{false, true} {
+			got := recorded(evented)
+			if len(got.Samples) != len(record) || got.StartCycle != record[0] {
+				t.Fatalf("cfg %d evented=%v: %d samples from cycle %d, want %d from %d",
+					ci, evented, len(got.Samples), got.StartCycle, len(record), record[0])
+			}
+			for i, cyc := range record {
+				if got.Samples[i] != full.Samples[cyc] {
+					t.Fatalf("cfg %d evented=%v cycle %d: recorded %.18g != reference %.18g",
+						ci, evented, cyc, got.Samples[i], full.Samples[cyc])
+				}
+			}
+			got.Release()
+		}
+	}
+}

@@ -100,18 +100,27 @@ func (t *Trace) Release() {
 const noiseRingLen = 256
 
 // Collector records a power trace through a power model over a cycle
-// window (see LaneSink).
+// window, or at a list of cycles (see LaneSink).
 type Collector struct {
 	Model *power.Model
 	// Start and End bound the recorded cycle window [Start, End);
 	// End <= 0 records to the end of the run.
 	Start, End int
+	// Record, when non-nil, replaces the window: the collector keeps
+	// one sample at each of these cycles (strictly ascending) and
+	// ignores every other event. The model's noise stream must stand at
+	// cycle Record[0] when the run starts (power.Model.SkipCycles), the
+	// way the quiet prologue leaves it at the window start; the sink
+	// then skips the draws of the cycles between recorded ones.
+	Record []int
 
 	trace Trace
 
 	// Noise ring of the sink; ringPos == noiseRingLen means empty.
 	ring    [noiseRingLen]float64
 	ringPos int
+	// next is the cycle the noise stream stands at in record mode.
+	next int
 }
 
 // NewCollector creates a collector over the given model and window.
@@ -133,9 +142,19 @@ func NewCollector(model *power.Model, start, end int) *Collector {
 // TestLaneSinkMatchesReferenceProbe. Sample buffers come from a
 // process-wide pool; hand them back with Trace.Release once the trace
 // has been consumed.
+//
+// In record mode (Record non-nil) each recorded cycle draws its noise
+// alone: the draws of the unrecorded cycles since the previous one are
+// skipped unevaluated, then one is drawn, so a run that delivers only
+// the recorded cycles (coproc.LaneCPU.Record) records the samples a
+// fully evented run would at those cycles.
 func (c *Collector) LaneSink() coproc.Probe {
 	c.Begin()
 	return func(ev *coproc.CycleEvent) {
+		if c.Record != nil {
+			c.recordCycle(ev)
+			return
+		}
 		var n float64
 		if c.Model.NoiseEnabled() {
 			if c.ringPos == noiseRingLen {
@@ -152,6 +171,19 @@ func (c *Collector) LaneSink() coproc.Probe {
 	}
 }
 
+// recordCycle is the record-mode sink.
+func (c *Collector) recordCycle(ev *coproc.CycleEvent) {
+	k := len(c.trace.Samples)
+	if k == len(c.Record) || ev.Cycle != c.Record[k] {
+		return
+	}
+	var n [1]float64
+	c.Model.SkipCycles(ev.Cycle - c.next)
+	c.Model.FillNoise(n[:])
+	c.next = ev.Cycle + 1
+	c.trace.Samples = append(c.trace.Samples, (c.Model.CycleBaseEnergy(ev)+n[0])*c.Model.ClockHz())
+}
+
 // Begin resets the collector for a fresh acquisition, drawing a
 // zero-length sample buffer from the shared pool. The campaign
 // engine's per-worker scratch collectors call Begin once per trace and
@@ -166,6 +198,9 @@ func (c *Collector) Begin() {
 	}
 	c.trace = Trace{StartCycle: c.Start, Samples: s}
 	c.ringPos = noiseRingLen
+	if len(c.Record) > 0 {
+		c.trace.StartCycle, c.next = c.Record[0], c.Record[0]
+	}
 }
 
 // Take returns the recorded trace and resets the collector.
