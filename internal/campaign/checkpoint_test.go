@@ -230,7 +230,7 @@ func TestRunShardedResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-func TestRunShardedCheckpointSnapshotConsistency(t *testing.T) {
+func TestRunCheckpointSnapshotConsistency(t *testing.T) {
 	const n, shards, every = 64, 4, 16
 	lay := ShardingFor(0, n, shards)
 	var mu sync.Mutex
@@ -342,7 +342,7 @@ func TestRunShardedInterruptWritesFinalCheckpointAndResumes(t *testing.T) {
 	}
 }
 
-func TestRunShardedResumeValidation(t *testing.T) {
+func TestRunResumeValidation(t *testing.T) {
 	if _, _, err := runShardedCampaign(t, 40, 2, 4, []int{0, 0}, 0, nil, nil); err == nil {
 		t.Fatal("wrong cursor count accepted")
 	}

@@ -67,10 +67,10 @@ func TestRunShardedDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunShardedSingleShardDeterminismMatchesSerial pins that S=1
+// TestRunSingleShardDeterminismMatchesSerial pins that S=1
 // reproduces the serial reference loop bit for bit: one shard means one
 // cursor over the whole range.
-func TestRunShardedSingleShardDeterminismMatchesSerial(t *testing.T) {
+func TestRunSingleShardDeterminismMatchesSerial(t *testing.T) {
 	acquire := func(worker, idx int, job uint64) (trace.Trace, error) {
 		v := float64(idx)*1.5 + float64(job)
 		return trace.Trace{Samples: []float64{v, v * v}}, nil

@@ -1,6 +1,7 @@
 package coproc
 
 import (
+	"fmt"
 	"testing"
 
 	"medsec/internal/ec"
@@ -58,6 +59,28 @@ func BenchmarkPointMul(b *testing.B) {
 		if i == 0 {
 			b.ReportMetric(float64(n), "cycles/PM")
 		}
+	}
+}
+
+// BenchmarkPointMulByDigitSize is BenchmarkPointMul at each digit size
+// designlab's grids reach. Per MUL the MALU builds a partial-product
+// table of 16·⌈d/4⌉ entries and streams ⌈163/d⌉ digit cycles through
+// it, so the table's share of the cost grows with d.
+func BenchmarkPointMulByDigitSize(b *testing.B) {
+	curve := ec.K163()
+	prog := BuildLadderProgram(ProgramOptions{XOnly: true})
+	for _, d := range []int{1, 2, 4, 8, 16, 32, 61} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			cpu := NewCPU(Timing{DigitSize: d, MulOverhead: 2, SingleCycle: 1})
+			cpu.Probe = func(*CycleEvent) {}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cpu.SetOperandConstants(curve.Gx, curve.B, curve.Gy)
+				if _, err := cpu.Run(prog, benchScalar); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -2,9 +2,11 @@ package coproc
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"medsec/internal/gf2m"
+	"medsec/internal/rng"
 )
 
 // Interpreter pins. Each constant is a SHA-256 (eventHasher) over event
@@ -123,5 +125,88 @@ func TestGoldenTruncationHashes(t *testing.T) {
 			eh.addRegs(regsOf(lc, l))
 		}
 		checkPin(t, "truncation hash", eh.sum(), goldenTruncationHashes[i])
+	}
+}
+
+// maluGoldenDigitSizes are the digit sizes TestGoldenMALUDigitSizes
+// pins: every d up to 5 (less than, one, and more than one nibble), 7
+// (a full nibble and a partial one), the powers of two designlab's
+// grids use, and the largest size the interpreter accepts.
+var maluGoldenDigitSizes = []int{1, 2, 3, 4, 5, 7, 8, 16, 32, 61}
+
+// goldenMALUHashes pins maluDigitHash at each of maluGoldenDigitSizes
+// (same index): the plain datapath, then the masked one. They were
+// recorded from the shift-table digit loop (shiftTableProduct) before
+// the nibble table replaced it.
+var goldenMALUHashes = [][2]string{
+	{"27b2db5f5584934b29591826f3b16bf9115110588a24c2c802194d60ac171676", "5ea368ab952760a8a7e4f7203b1ef3bb926c18aea1ef6ae317f82b4cdfb18ffd"},
+	{"d9bfb180dab4a0ea3cf689447e9be25ed71be41008ac3a93ce687352abbbb12b", "7b840f5ab7a4150e2be954302654fb34fcedb677cb8e6e3b452168e741c15ebb"},
+	{"ac35351ecd89558e4ab56e6ecb451cca2d1e55ea86b2dd426cd89ac446fee7e0", "a14f41db1128f34332527f1b0fd86dce67f9098f3eed24926e207d01241a4c0c"},
+	{"f818375fba8e594d615179bca66187355db9498d925df8d24af96687cdfdc661", "8be4810d98adff564f437869a3fdf4e0bcbac62cad2297b009d9b58826648b18"},
+	{"acc28514065165e0665ca51ac41417e5b95aa8137a7b7fd5632be2b97294058d", "64487044a565e0570c476d704c7d4affb82d20fd680622fa0789b502b65e11a7"},
+	{"ebe232363a40bbe96480faa62481cab2e35ba43b6063a03e0b05b35d86661671", "3b6cb5c0cf516c3573d06689acc654f1ad3d3d6a6cd165168a84e13211991e49"},
+	{"d7c884b33e82386fe7a2f4ea69765a963c46f046d2fdbc19c4fe66946b226828", "bdcd84e445166ca3b83589056168514bd911c540d8b02be07e3c2772cdc374bc"},
+	{"a2407e4be9afbd07f6560b51a5dfedec993161816549fafd2e9b924dff050298", "8786fc3f1fc47ef4238d5f0b60863d31ad0f38fb9ebcba106576c205b5832238"},
+	{"810f679854146f2c8ef6ec8ecaec7b84a50bf21e9e57da2a1636d45774efd5af", "2cead2f0d9c764085452de60aabca07d9cc0454ed137a3baa8e5490bea161799"},
+	{"66fab52cc215f1547008c2d53a3d6a8ae24ff1f3f58d797601138fd0c1703314", "7d40ab5b0874f0e9524139e49fd22f0581731020ee68362f359e9db9b3c066a3"},
+}
+
+// maluGoldenConsts returns lane l's constant ROM for the digit-size
+// pins: random full-width operands on lanes 0..2, and on lane 3 the
+// all-ones element as x and b (every digit, every nibble set) with the
+// top coefficient alone as y.
+func maluGoldenConsts(l int) [NumConsts]gf2m.Element {
+	if l == 3 {
+		ones := gf2m.FromWords(^uint64(0), ^uint64(0), ^uint64(0))
+		return OperandConstants(ones, ones, gf2m.Zero().SetBit(gf2m.M-1, 1))
+	}
+	d := rng.NewDRBG(uint64(l) + 0xd161)
+	el := func() gf2m.Element { return gf2m.FromWords(d.Uint64(), d.Uint64(), d.Uint64()) }
+	return OperandConstants(el(), el(), el())
+}
+
+// maluDigitHash runs opcodePrograms' "mul" and "sqr" programs fully
+// evented at digit size d over four lanes of maluGoldenConsts (mask
+// stream DRBG(7) on every lane when masked) and hashes each lane's
+// events, then its register file, program by program.
+func maluDigitHash(t *testing.T, d int, masked bool) string {
+	t.Helper()
+	eh := newEventHasher()
+	for _, name := range []string{"mul", "sqr"} {
+		lc := NewLaneCPU(Timing{DigitSize: d, MulOverhead: 2, SingleCycle: 1})
+		lc.Masked = masked
+		streams := make([][]CycleEvent, 4)
+		runs := make([]LaneRun, len(streams))
+		for l := range runs {
+			l := l
+			runs[l] = LaneRun{
+				Key:    benchScalar,
+				Sink:   func(ev *CycleEvent) { streams[l] = append(streams[l], *ev) },
+				Consts: maluGoldenConsts(l),
+			}
+			if masked {
+				runs[l].MaskRand = rng.NewDRBG(7).Uint64
+			}
+		}
+		if _, err := lc.Run(opcodePrograms()[name], runs); err != nil {
+			t.Fatalf("d=%d %s: %v", d, name, err)
+		}
+		for l, evs := range streams {
+			eh.addEvents(evs)
+			eh.addRegs(regsOf(lc, l))
+		}
+	}
+	return eh.sum()
+}
+
+// TestGoldenMALUDigitSizes pins the evented MUL and SQR streams, plain
+// and masked, across digit sizes: the ladder pins above run the chip's
+// d = 4 alone.
+func TestGoldenMALUDigitSizes(t *testing.T) {
+	for i, d := range maluGoldenDigitSizes {
+		for m, masked := range []bool{false, true} {
+			checkPin(t, fmt.Sprintf("MALU hash at d=%d masked=%v", d, masked),
+				maluDigitHash(t, d, masked), goldenMALUHashes[i][m])
+		}
 	}
 }

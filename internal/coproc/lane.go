@@ -42,9 +42,19 @@ const (
 	writableSlots = slotConsts
 )
 
-// maxDigitSize bounds Timing.DigitSize; shift tables are stack arrays
-// of this size.
+// maxDigitSize bounds Timing.DigitSize: a digit fits one word, spans at
+// most two words of its operand and at most maxNibbles rows of the
+// nibble table, and the accumulator shift acc·x^d needs one reduction
+// fold.
 const maxDigitSize = 61
+
+// maxNibbles is the number of 4-bit nibbles in the widest digit: the
+// row count of nibbleTable.
+const maxNibbles = (maxDigitSize + 3) / 4
+
+// topWordMask masks the valid bits of an element's top word (bits
+// 128..162).
+const topWordMask = 1<<(gf2m.M-128) - 1
 
 // ErrStopped is returned when LaneCPU.MaxCycles aborted the run
 // (expected during SCA trace acquisition).
@@ -250,6 +260,10 @@ type LaneCPU struct {
 	prog  *laneProgram
 	lanes []laneState
 	cycle int
+	// tab holds the partial products of the MUL or SQR a lane is
+	// streaming through the MALU; runMALULane rebuilds it per
+	// instruction and lane.
+	tab nibbleTable
 	// While a lane runs an instruction holding recorded cycles, its
 	// sink is swapped for filter (forwardRecorded, bound once), which
 	// passes to out, the lane's own sink, only the cycles in only; next
@@ -626,15 +640,15 @@ func (lc *LaneCPU) execLane(ls *laneState, idx int, in *laneInstr, budget int) e
 // multiplier: the operand-load cycle(s), one cycle per digit (MSD
 // first), then the writeback cycle.
 //
-// The per-digit recurrence acc' = acc·x^d + a·digit is computed from a
-// shift table S[i] = a·x^i mod f precomputed once per instruction —
-// exactly the partial products the hardware MALU wires into its
-// digit-serial array — so each digit cycle pays one accumulator shift
-// plus at most d table XORs instead of rebuilding every shifted
-// operand. The accumulator values, and therefore the AccHD/Acc01
-// switching activity derived from them, are bit-identical to the
-// reference per-digit product (pinned by TestGoldenTraceHash and the
-// MALU cross-check tests).
+// Each digit cycle computes the recurrence acc' = acc·x^d + a·digit
+// mod f in scalar words: the shift and its one reduction fold are
+// gf2m.ShlMod's, inlined, and the partial product a·digit is one XOR
+// per 4-bit nibble of the digit from the nibble table built for a once
+// per instruction — the rows the hardware MALU's digit-serial array
+// selects. The accumulator values, and therefore the AccHD/Acc01
+// switching activity derived from them, are those of the reference
+// per-digit product (pinned by TestGoldenTraceHash,
+// TestGoldenMALUDigitSizes and FuzzMALUMatchesReference).
 func (lc *LaneCPU) runMALULane(ls *laneState, idx int, in *laneInstr, a, b gf2m.Element, budget int) {
 	t := lc.Timing
 	// Masked mode: the digit-serial array is duplicated per share, the
@@ -672,17 +686,16 @@ func (lc *LaneCPU) runMALULane(ls *laneState, idx int, in *laneInstr, a, b gf2m.
 		cycle++
 		budget--
 	}
-	var shifts [maxDigitSize]gf2m.Element
-	shifts[0] = a
-	for i := 1; i < t.DigitSize; i++ {
-		shifts[i] = gf2m.ShlMod(shifts[i-1], 1)
-	}
-	var acc gf2m.Element
-	// accMask is the accumulator's live share-1 value (masked mode);
-	// starts at zero with the zeroed accumulator and is refreshed from
-	// the mask stream every digit cycle.
-	var accMask gf2m.Element
 	d := t.DigitSize
+	tab := &lc.tab
+	tab.build(a, d)
+	// s and r are the accumulator shift's word-internal shift counts,
+	// masked so the shifts compile without an out-of-range fix-up.
+	s := uint(d) & 63
+	r := (64 - s) & 63
+	// The accumulator starts at zero; m0..m2 is its live share-1 value
+	// (masked mode), zero with it and refreshed every digit cycle.
+	var acc0, acc1, acc2, m0, m1, m2 uint64
 	// One reset serves the whole digit loop: every cycle emits the same
 	// constant fields (instr, op, iteration, RegsClocked, zeroed
 	// write/swap counters) and only the accumulator fields vary, so
@@ -698,31 +711,31 @@ func (lc *LaneCPU) runMALULane(ls *laneState, idx int, in *laneInstr, a, b gf2m.
 		if budget <= 0 {
 			return
 		}
-		digit := extractDigit(b, j, d)
-		// Partial product a·digit as an XOR over the shift table (the
-		// set bits of the digit select rows of the MALU array).
-		next := gf2m.ShlMod(acc, uint(d))
-		for dg := digit; dg != 0; dg &= dg - 1 {
-			next = gf2m.Add(next, shifts[bits.TrailingZeros64(dg)])
-		}
+		digit := extractDigit(&b, j, d)
+		// acc·x^d mod f: the overflow h above x^163 has degree below
+		// d <= 61, so one fold of h·(x^7+x^6+x^3+1) reduces it.
+		c2 := acc2<<s | acc1>>r
+		h := c2>>35 | acc2>>r<<29
+		p0, p1, p2 := tab.product(digit, d)
+		n0 := acc0<<s ^ h ^ h<<3 ^ h<<6 ^ h<<7 ^ p0
+		n1 := acc1<<s | acc0>>r ^ h>>61 ^ h>>58 ^ h>>57 ^ p1
+		n2 := c2&topWordMask ^ p2
 		if lc.Masked {
 			nm := ls.drawMaskElement()
-			ls.ev.AccHD = gf2m.HammingDistance(gf2m.Add(acc, accMask), gf2m.Add(next, nm)) +
-				gf2m.HammingDistance(accMask, nm)
-			ls.ev.Acc01 = zeroToOne(gf2m.Add(acc, accMask), gf2m.Add(next, nm)) +
-				zeroToOne(accMask, nm)
+			hd, up := flips(acc0^m0, acc1^m1, acc2^m2, n0^nm[0], n1^nm[1], n2^nm[2])
+			mhd, mup := flips(m0, m1, m2, nm[0], nm[1], nm[2])
+			ls.ev.AccHD, ls.ev.Acc01 = hd+mhd, up+mup
 			// Each share's digit selects rows of its own MALU array.
-			ls.ev.DigitHW = bits.OnesCount64(extractDigit(maskedB, j, d)) +
-				bits.OnesCount64(extractDigit(mb, j, d))
+			ls.ev.DigitHW = bits.OnesCount64(extractDigit(&maskedB, j, d)) +
+				bits.OnesCount64(extractDigit(&mb, j, d))
 			ls.ev.BusHW = ls.ev.DigitHW
-			accMask = nm
+			m0, m1, m2 = nm[0], nm[1], nm[2]
 		} else {
-			ls.ev.AccHD = gf2m.HammingDistance(acc, next)
-			ls.ev.Acc01 = zeroToOne(acc, next)
+			ls.ev.AccHD, ls.ev.Acc01 = flips(acc0, acc1, acc2, n0, n1, n2)
 			ls.ev.DigitHW = bits.OnesCount64(digit)
 			ls.ev.BusHW = ls.ev.DigitHW // the digit bus toggles with the operand
 		}
-		acc = next
+		acc0, acc1, acc2 = n0, n1, n2
 		ls.emit(cycle)
 		cycle++
 		budget--
@@ -730,6 +743,7 @@ func (lc *LaneCPU) runMALULane(ls *laneState, idx int, in *laneInstr, a, b gf2m.
 	if budget <= 0 {
 		return
 	}
+	acc := gf2m.Element{acc0, acc1, acc2}
 	old := ls.slots[in.rd]
 	ls.resetEvent(idx, in)
 	if lc.Masked {
@@ -746,10 +760,57 @@ func (lc *LaneCPU) runMALULane(ls *laneState, idx int, in *laneInstr, a, b gf2m.
 	ls.emit(cycle)
 }
 
+// nibbleTable holds the MALU's partial products for one multiplicand
+// a: entry u of row k is a·u·x^(4k) mod f, for each of the sixteen
+// polynomials u of degree below 4. The partial product a·digit of a
+// d-bit digit is then the XOR of one entry per nibble of the digit.
+// Entry 0 of every row is the zero product, which build never writes.
+type nibbleTable [maxNibbles][16]gf2m.Element
+
+// build fills the entries a d-bit digit can select: ⌈d/4⌉ rows, the
+// last only as far as the digit's top bit reaches.
+func (tab *nibbleTable) build(a gf2m.Element, d int) {
+	s0, s1, s2 := a[0], a[1], a[2] // a·x^i
+	for i := 0; i < d; i++ {
+		row := &tab[i>>2&(maxNibbles-1)]
+		bit := 1 << (i & 3)
+		// The entries whose top set bit is bit: a·x^i plus each
+		// entry below it.
+		for u := 0; u < bit; u++ {
+			row[bit|u] = gf2m.Element{s0 ^ row[u][0], s1 ^ row[u][1], s2 ^ row[u][2]}
+		}
+		// a·x^(i+1) = a·x^i·x mod f, with x^163 = x^7 + x^6 + x^3 + 1.
+		top := s2 >> (gf2m.M - 1 - 128)
+		s2 = (s2<<1 | s1>>63) & topWordMask
+		s1 = s1<<1 | s0>>63
+		s0 = s0<<1 ^ -top&0xc9
+	}
+}
+
+// product returns the words of a·digit mod f for a d-bit digit from a
+// table built for a at digit size d.
+func (tab *nibbleTable) product(digit uint64, d int) (p0, p1, p2 uint64) {
+	for k := 0; k < (d+3)>>2; k++ {
+		e := &tab[k&(maxNibbles-1)][digit&15]
+		p0, p1, p2 = p0^e[0], p1^e[1], p2^e[2]
+		digit >>= 4
+	}
+	return p0, p1, p2
+}
+
+// flips returns the Hamming distance and the 0->1 transition count of
+// the update (o0, o1, o2) -> (n0, n1, n2): gf2m.HammingDistance and
+// zeroToOne on an element's words.
+func flips(o0, o1, o2, n0, n1, n2 uint64) (hd, up int) {
+	hd = bits.OnesCount64(o0^n0) + bits.OnesCount64(o1^n1) + bits.OnesCount64(o2^n2)
+	up = bits.OnesCount64(^o0&n0) + bits.OnesCount64(^o1&n1) + bits.OnesCount64(^o2&n2)
+	return hd, up
+}
+
 // extractDigit returns bits [j*d, (j+1)*d) of e as a small integer,
 // reading whole words instead of single bits: the digit straddles at
 // most two words since d <= 61.
-func extractDigit(e gf2m.Element, j, d int) uint64 {
+func extractDigit(e *gf2m.Element, j, d int) uint64 {
 	lo := j * d
 	w, s := lo>>6, uint(lo)&63
 	v := e[w] >> s

@@ -216,8 +216,9 @@ func Defaults() Point {
 	}
 }
 
-// maxDigitSize mirrors the coproc interpreter's bound (shift tables
-// are stack arrays sized for d <= 61).
+// maxDigitSize mirrors the coproc interpreter's bound: up to d = 61 a
+// digit fits one word and 16 nibble-table rows, and the accumulator
+// shift acc·x^d needs one reduction fold.
 const maxDigitSize = 61
 
 // Validate checks every knob and names the offending one in the

@@ -573,8 +573,9 @@ func Reduce(c [6]uint64) Element {
 
 // ShlMod returns e * x^s mod f(x) for small shift amounts 0 <= s <= 61.
 // This is the per-cycle operation of the digit-serial multiplier
-// (shift the accumulator by the digit size, then reduce), exposed here
-// so the co-processor model and the field agree exactly.
+// (shift the accumulator by the digit size, then reduce). The
+// co-processor model inlines the same fold on an accumulator held in
+// scalar words; its tests hold that loop to ShlMod.
 func ShlMod(e Element, s uint) Element {
 	if s == 0 {
 		return e
