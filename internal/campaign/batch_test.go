@@ -101,11 +101,11 @@ func shardedFold(t *testing.T, workers, shards, lanes, from, to int, resume []in
 	return merged
 }
 
-// TestRunShardedBatchMatchesRunSharded pins the sharded batch path:
+// TestRunBatchShapesAgree pins the sharded batch path:
 // merged per-shard reductions are bit-identical for every lanes x
 // workers x shards combination (same shard blocks, same in-shard fold
 // order).
-func TestRunShardedBatchMatchesRunSharded(t *testing.T) {
+func TestRunBatchShapesAgree(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		want := shardedFold(t, 1, shards, 1, 0, 61, nil, nil)
 		for _, lanes := range []int{1, 3, 8} {
@@ -118,11 +118,11 @@ func TestRunShardedBatchMatchesRunSharded(t *testing.T) {
 	}
 }
 
-// TestRunShardedBatchResume pins mid-shard resume: cursors at
+// TestRunBatchMidShardResume pins mid-shard resume: cursors at
 // arbitrary offsets inside each block (not lane-aligned) restore the
 // checkpointed accumulator state, regroup the remaining indices, and
 // still merge bit-identically to the uninterrupted run.
-func TestRunShardedBatchResume(t *testing.T) {
+func TestRunBatchMidShardResume(t *testing.T) {
 	const from, to, shards = 0, 61, 4
 	want := shardedFold(t, 1, shards, 1, from, to, nil, nil)
 	lay := ShardingFor(from, to, shards)

@@ -47,12 +47,12 @@ func shardedStats(t *testing.T, workers, shards, from, to int, shake bool) ([]fl
 	return mean, vr
 }
 
-// TestRunShardedDeterminismAcrossWorkers pins the engine's core
+// TestRunMultiShardDeterminismAcrossWorkers pins the engine's core
 // contract: at a FIXED shard count, the merged statistics are
 // bit-identical for any worker count — shard membership is a pure
 // function of the index and folds are serialized per shard in index
 // order, so scheduling never touches the reduction tree.
-func TestRunShardedDeterminismAcrossWorkers(t *testing.T) {
+func TestRunMultiShardDeterminismAcrossWorkers(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		refMean, refVar := shardedStats(t, 1, shards, 3, 120, true)
 		for _, workers := range []int{2, 7, 13} {

@@ -117,92 +117,132 @@ func newMirror(x, lambda, mu gf2m.Element, rpc bool) mirror {
 	return m
 }
 
-func zeroToOne(old, new gf2m.Element) float64 {
-	d := gf2m.Add(old, new)
-	// Positions flipping 0->1 are flips AND new.
-	n := 0
-	for i := 0; i < gf2m.Words; i++ {
-		n += bits.OnesCount64(d[i] & new[i])
-	}
-	return float64(n)
-}
-
-// writePred is one predicted register write: the instruction offset
-// within the iteration's microcode, the predicted 0->1 count (the
-// first-order model) and the predicted Hamming distance (the
-// second-order model — under Boolean masking the write's variance,
-// which the centered product estimates, is an affine function of
-// HD(old, new)).
-type writePred struct {
-	offset int
-	w01    float64
-	hd     float64
-}
-
-// step reports mirrorWrites register writes per iteration, at the
-// consecutive instruction offsets firstWriteOffset, firstWriteOffset+1,
-// ...: write w of an iteration is instruction firstWriteOffset+w.
+// An iteration makes mirrorWrites register writes, at the consecutive
+// instruction offsets firstWriteOffset, firstWriteOffset+1, ...: write
+// w of an iteration is instruction firstWriteOffset+w.
 const (
 	firstWriteOffset = 2
 	mirrorWrites     = 15
 )
 
-// step advances the mirror through one ladder iteration with the given
-// key-bit guess, reporting each writing instruction's offset and
-// predicted 0->1 transitions. The instruction sequence mirrors
-// BuildLadderProgram exactly (asserted by tests against the real
-// microcode).
-func (m *mirror) step(bit uint, x, b gf2m.Element, collect func(writePred)) {
-	wr := func(offset int, dst int, v gf2m.Element) {
-		if collect != nil {
-			collect(writePred{
-				offset: offset,
-				w01:    zeroToOne(m.r[dst], v),
-				hd:     float64(gf2m.HammingDistance(m.r[dst], v)),
-			})
-		}
-		m.r[dst] = v
-	}
+// step advances the mirror through one ladder iteration under key bit
+// bit, replaying BuildLadderProgram's instruction sequence exactly
+// (asserted by tests against the real microcode). It predicts nothing:
+// CPA uses it to replay the known and the decided bits.
+func (m *mirror) step(bit uint, x, b gf2m.Element) {
+	r := &m.r
 	// 0,1: CSWAP (renaming; no write power in the protected design).
 	if bit == 1 {
-		m.r[0], m.r[2] = m.r[2], m.r[0]
-		m.r[1], m.r[3] = m.r[3], m.r[1]
+		r[0], r[2] = r[2], r[0]
+		r[1], r[3] = r[3], r[1]
 	}
-	// 2: MUL T0 = X0*Z1
-	wr(2, 4, gf2m.Mul(m.r[0], m.r[3]))
-	// 3: MUL T1 = X1*Z0
-	wr(3, 5, gf2m.Mul(m.r[2], m.r[1]))
-	// 4: ADD Z1 = T0+T1
-	wr(4, 3, gf2m.Add(m.r[4], m.r[5]))
-	// 5: SQR Z1 = Z1^2
-	wr(5, 3, gf2m.Sqr(m.r[3]))
-	// 6: MUL T0 = T0*T1
-	wr(6, 4, gf2m.Mul(m.r[4], m.r[5]))
-	// 7: MUL X1 = x*Z1
-	wr(7, 2, gf2m.Mul(x, m.r[3]))
-	// 8: ADD X1 = X1+T0
-	wr(8, 2, gf2m.Add(m.r[2], m.r[4]))
-	// 9: SQR X0 = X0^2
-	wr(9, 0, gf2m.Sqr(m.r[0]))
-	// 10: SQR Z0 = Z0^2
-	wr(10, 1, gf2m.Sqr(m.r[1]))
-	// 11: MUL T1 = X0*Z0
-	wr(11, 5, gf2m.Mul(m.r[0], m.r[1]))
-	// 12: SQR X0 = X0^2
-	wr(12, 0, gf2m.Sqr(m.r[0]))
-	// 13: SQR Z0 = Z0^2
-	wr(13, 1, gf2m.Sqr(m.r[1]))
-	// 14: MUL Z0 = b*Z0
-	wr(14, 1, gf2m.Mul(b, m.r[1]))
-	// 15: ADD X0 = X0+Z0
-	wr(15, 0, gf2m.Add(m.r[0], m.r[1]))
-	// 16: MOVE Z0 = T1
-	wr(16, 1, m.r[5])
+	r[4] = gf2m.Mul(r[0], r[3])              // 2: MUL T0 = X0*Z1
+	r[5] = gf2m.Mul(r[2], r[1])              // 3: MUL T1 = X1*Z0
+	r[3] = gf2m.Sqr(gf2m.Add(r[4], r[5]))    // 4: ADD Z1 = T0+T1; 5: SQR Z1 = Z1^2
+	r[4] = gf2m.Mul(r[4], r[5])              // 6: MUL T0 = T0*T1
+	r[2] = gf2m.Add(gf2m.Mul(x, r[3]), r[4]) // 7: MUL X1 = x*Z1; 8: ADD X1 = X1+T0
+	r[0] = gf2m.Sqr(r[0])                    // 9: SQR X0 = X0^2
+	r[1] = gf2m.Sqr(r[1])                    // 10: SQR Z0 = Z0^2
+	r[5] = gf2m.Mul(r[0], r[1])              // 11: MUL T1 = X0*Z0
+	r[0] = gf2m.Sqr(r[0])                    // 12: SQR X0 = X0^2
+	r[1] = gf2m.Mul(b, gf2m.Sqr(r[1]))       // 13: SQR Z0 = Z0^2; 14: MUL Z0 = b*Z0
+	r[0] = gf2m.Add(r[0], r[1])              // 15: ADD X0 = X0+Z0
+	r[1] = r[5]                              // 16: MOVE Z0 = T1
 	// 17,18: CSWAP out.
 	if bit == 1 {
-		m.r[0], m.r[2] = m.r[2], m.r[0]
-		m.r[1], m.r[3] = m.r[3], m.r[1]
+		r[0], r[2] = r[2], r[0]
+		r[1], r[3] = r[3], r[1]
 	}
+}
+
+// activity is the predicted power of a register write from old to new:
+// its 0->1 transitions (the first-order model), or with hd its bit
+// flips, HD(old, new) (the second-order model — under Boolean masking
+// the write's variance, which the centered product estimates, is an
+// affine function of HD).
+func activity(old, new gf2m.Element, hd bool) float64 {
+	d0, d1, d2 := old[0]^new[0], old[1]^new[1], old[2]^new[2]
+	if !hd {
+		d0, d1, d2 = d0&new[0], d1&new[1], d2&new[2]
+	}
+	return float64(bits.OnesCount64(d0) + bits.OnesCount64(d1) + bits.OnesCount64(d2))
+}
+
+// stepBoth advances the mirror through one ladder iteration under both
+// key-bit guesses: next0 and next1 receive the mirrors step(0, x, b)
+// and step(1, x, b) leave (either may be m itself), and pred[g][w] is
+// write w's activity under guess g.
+//
+// The two guesses run the same add half (instructions 2-8) with T0 and
+// T1 exchanged: guess 1's CSWAP swaps (X0, Z0) with (X1, Z1), so its
+// X0·Z1 is guess 0's X1·Z0 and the other way round, and every later
+// value of the half is symmetric in the two products. Only the
+// registers they overwrite differ. So the half's four
+// multiplications and one squaring are computed once, and a bit costs
+// 8 Mul + 9 Sqr for both guesses instead of 12 + 10.
+func (m *mirror) stepBoth(x, b gf2m.Element, hd bool, next0, next1 *mirror, pred *[2][mirrorWrites]float64) {
+	r := &m.r
+	p0, p1 := &pred[0], &pred[1]
+	u := gf2m.Mul(r[0], r[3]) // guess 0's T0 = X0*Z1, guess 1's T1 = X1*Z0
+	v := gf2m.Mul(r[2], r[1]) // guess 0's T1, guess 1's T0
+	// 2: MUL T0 = X0*Z1
+	p0[0], p1[0] = activity(r[4], u, hd), activity(r[4], v, hd)
+	// 3: MUL T1 = X1*Z0
+	p0[1], p1[1] = activity(r[5], v, hd), activity(r[5], u, hd)
+	// 4: ADD Z1 = T0+T1 (Z1 is register 3 under guess 0, 1 under guess 1)
+	z := gf2m.Add(u, v)
+	p0[2], p1[2] = activity(r[3], z, hd), activity(r[1], z, hd)
+	// 5: SQR Z1 = Z1^2
+	s := gf2m.Sqr(z)
+	p0[3] = activity(z, s, hd)
+	p1[3] = p0[3]
+	// 6: MUL T0 = T0*T1
+	t := gf2m.Mul(u, v)
+	p0[4], p1[4] = activity(u, t, hd), activity(v, t, hd)
+	// 7: MUL X1 = x*Z1 (X1 is register 2 under guess 0, 0 under guess 1)
+	xs := gf2m.Mul(x, s)
+	p0[5], p1[5] = activity(r[2], xs, hd), activity(r[0], xs, hd)
+	// 8: ADD X1 = X1+T0
+	x1 := gf2m.Add(xs, t)
+	p0[6] = activity(xs, x1, hd)
+	p1[6] = p0[6]
+
+	// The double half runs on each guess's own X0 and Z0; the CSWAP out
+	// returns guess 1's to registers 2 and 3.
+	x00, z00 := double(p0, r[0], r[1], v, b, hd)
+	x01, z01 := double(p1, r[2], r[3], u, b, hd)
+	next0.r[0], next0.r[1], next0.r[2], next0.r[3], next0.r[4], next0.r[5] = x00, z00, x1, s, t, z00
+	next1.r[0], next1.r[1], next1.r[2], next1.r[3], next1.r[4], next1.r[5] = x1, s, x01, z01, t, z01
+}
+
+// double is the double half of an iteration (instructions 9-16) on
+// X0 = a and Z0 = c, with T1 holding t1: it stores writes 7-14's
+// activity in p and returns the new X0 and Z0, which T1 also holds.
+func double(p *[mirrorWrites]float64, a, c, t1, b gf2m.Element, hd bool) (x0, z0 gf2m.Element) {
+	// 9: SQR X0 = X0^2
+	a2 := gf2m.Sqr(a)
+	p[7] = activity(a, a2, hd)
+	// 10: SQR Z0 = Z0^2
+	c2 := gf2m.Sqr(c)
+	p[8] = activity(c, c2, hd)
+	// 11: MUL T1 = X0*Z0
+	z0 = gf2m.Mul(a2, c2)
+	p[9] = activity(t1, z0, hd)
+	// 12: SQR X0 = X0^2
+	a4 := gf2m.Sqr(a2)
+	p[10] = activity(a2, a4, hd)
+	// 13: SQR Z0 = Z0^2
+	c4 := gf2m.Sqr(c2)
+	p[11] = activity(c2, c4, hd)
+	// 14: MUL Z0 = b*Z0
+	bc4 := gf2m.Mul(b, c4)
+	p[12] = activity(c4, bc4, hd)
+	// 15: ADD X0 = X0+Z0
+	x0 = gf2m.Add(a4, bc4)
+	p[13] = activity(a4, x0, hd)
+	// 16: MOVE Z0 = T1
+	p[14] = activity(bc4, z0, hd)
+	return x0, z0
 }
 
 // iterWriteCycles returns the writeback cycle of each mirror write of
@@ -282,6 +322,108 @@ func fanOut(workers, n int, f func(lo, hi int)) {
 	wg.Wait()
 }
 
+// corrSums are the running sums of one Pearson correlation between a
+// hypothesis column and a sample column: Σh, Σx, Σh², Σx² and Σhx.
+type corrSums struct{ h, x, hh, xx, hx float64 }
+
+// add folds traces [lo, hi) into the sums, each a serial sum in trace
+// order. Sums resumed at trace m therefore make exactly the additions
+// a pass from trace 0 makes.
+func (s *corrSums) add(h []float64, traces []trace.Trace, col, lo, hi int) {
+	sh, sx, shh, sxx, shx := s.h, s.x, s.hh, s.xx, s.hx
+	for i := lo; i < hi; i++ {
+		x := traces[i].Samples[col]
+		sh += h[i]
+		sx += x
+		shh += h[i] * h[i]
+		sxx += x * x
+		shx += h[i] * x
+	}
+	*s = corrSums{sh, sx, shh, sxx, shx}
+}
+
+// rho is the correlation over n traces: 0 when either side is constant.
+func (s *corrSums) rho(n int) float64 {
+	fn := float64(n)
+	cov := s.hx - s.h*s.x/fn
+	vh := s.hh - s.h*s.h/fn
+	vx := s.xx - s.x*s.x/fn
+	if vh <= 0 || vx <= 0 {
+		return 0
+	}
+	return cov / math.Sqrt(vh*vx)
+}
+
+// cpaLevel is one attacked level of an analysis: the bits decided
+// above it and its 2 guesses × 15 writes correlation sums, indexed
+// 2·write + guess.
+type cpaLevel struct {
+	decided []uint
+	sums    [2 * mirrorWrites]corrSums
+}
+
+// cpaMemo carries a campaign's correlation sums from one CPA to the
+// next on a longer view of it (see Campaign): the levels of the last
+// stored analysis, the configuration it ran under, and the identity of
+// the m traces it summed — the address of each one's first sample, in
+// index order. Stored levels are never modified, so a loaded slice
+// stays valid after the lock is released.
+type cpaMemo struct {
+	mu         sync.Mutex
+	knownMasks bool
+	prefix     []uint
+	summed     []*float64
+	levels     []cpaLevel
+}
+
+// holds reports whether the memo's sums were taken under this
+// configuration over the leading traces of traces (as many as both
+// have). The caller holds mu.
+func (mm *cpaMemo) holds(knownMasks bool, prefix []uint, traces []trace.Trace) bool {
+	if len(mm.summed) == 0 || mm.knownMasks != knownMasks || !slices.Equal(mm.prefix, prefix) {
+		return false
+	}
+	for i := range min(len(mm.summed), len(traces)) {
+		if &traces[i].Samples[0] != mm.summed[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// load returns the levels an analysis of traces may resume and the
+// trace count m they cover, and whether the analysis should save its
+// own levels. A view no longer than the memo's is analysed in full and
+// leaves the memo as it is; so does any centered-product analysis,
+// which never calls load.
+func (mm *cpaMemo) load(knownMasks bool, prefix []uint, traces []trace.Trace) (levels []cpaLevel, m int, save bool) {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	switch {
+	case !mm.holds(knownMasks, prefix, traces):
+		return nil, 0, true
+	case len(traces) <= len(mm.summed):
+		return nil, 0, false
+	}
+	return mm.levels, len(mm.summed), true
+}
+
+// save records the levels of an analysis of traces, unless an
+// analysis of a view at least as long already has.
+func (mm *cpaMemo) save(knownMasks bool, prefix []uint, traces []trace.Trace, levels []cpaLevel) {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	if !mm.holds(knownMasks, prefix, traces) {
+		mm.knownMasks, mm.prefix, mm.summed = knownMasks, slices.Clone(prefix), mm.summed[:0]
+	} else if len(traces) <= len(mm.summed) {
+		return
+	}
+	for _, tr := range traces[len(mm.summed):] {
+		mm.summed = append(mm.summed, &tr.Samples[0])
+	}
+	mm.levels = levels
+}
+
 // CPA runs the iterative white-box correlation attack: per attacked
 // bit, it replays the iteration's microcode under both guesses,
 // predicts each register write's 0->1 transitions, correlates each
@@ -298,16 +440,30 @@ func fanOut(workers, n int, f func(lo, hi int)) {
 // cycles.
 //
 // CPA is one of the attacks that genuinely needs a retained trace.Set:
-// recovering bit b requires re-correlating every trace after the bit
-// b-1 decision, so the statistic is inherently multi-pass and cannot
-// stream the traces away. Acquisition fans out through the parallel
-// engine (AcquireCampaign), and the analysis fans out over the same
-// Target.Workers pool: each worker replays the mirrors of one
-// contiguous trace range, then computes a share of each bit's
-// correlations. The result is bit-identical for any worker count,
-// because every mirror and hypothesis slot has exactly one writer and
-// every correlation is one serial sum in trace order; the mean |rho|
-// per guess is summed serially in write order.
+// bit b's hypotheses depend on the bits decided before it, so the
+// statistic is multi-pass and cannot stream the traces away. It need
+// not re-correlate every trace, though. A level's hypothesis for trace
+// i depends only on i and on the bits decided above the level, and
+// each correlation is five serial sums in trace order, so the sums
+// over a view's first m traces are exact prefixes of the sums over
+// any longer view. A CPA on a view of a campaign grown by
+// ExtendCampaign therefore resumes, at every level whose decided bits
+// are unchanged, the sums an earlier CPA of a shorter view left in the
+// campaign's memo, and replays and correlates only the new traces. At
+// the first level whose decided bits changed, the older traces are
+// replayed from their initial mirror along the new bits and summed
+// from zero. The result is bit-identical to an analysis from scratch.
+// The centered-product mode, whose column means change with n, and a
+// view no longer than the memo's are analysed in full.
+//
+// Acquisition fans out through the parallel engine (AcquireCampaign),
+// and the analysis fans out over the same Target.Workers pool: each
+// worker replays the mirrors of one contiguous trace range, then
+// computes a share of each bit's correlations. The result is
+// bit-identical for any worker count, because every mirror and
+// hypothesis slot has exactly one writer and every correlation is one
+// serial sum in trace order; the mean |rho| per guess is summed
+// serially in write order.
 func CPA(c *Campaign, opt CPAOptions) (*CPAResult, error) {
 	if opt.Bits <= 0 {
 		return nil, errors.New("sca: CPA needs a positive bit count")
@@ -324,9 +480,17 @@ func CPA(c *Campaign, opt CPAOptions) (*CPAResult, error) {
 		return nil, fmt.Errorf("sca: campaign window (iters %d..%d) does not cover attacked bits %d..%d",
 			c.FirstIter, c.LastIter, firstAttacked, firstAttacked-opt.Bits+1)
 	}
-	n := c.Set.Len()
+	traces := c.Set.Traces
+	n := len(traces)
 	if n < 2 {
 		return nil, errors.New("sca: need at least two traces")
+	}
+	// The correlations index every trace's samples directly, so the set
+	// must be rectangular and non-empty.
+	for _, tr := range traces {
+		if len(tr.Samples) == 0 || len(tr.Samples) != len(traces[0].Samples) {
+			return nil, trace.ErrEmptySet
+		}
 	}
 	curve := c.Target.Curve
 	workers := campaign.Workers(c.Target.Workers)
@@ -340,31 +504,27 @@ func CPA(c *Campaign, opt CPAOptions) (*CPAResult, error) {
 		}
 	}
 
+	// The levels an earlier analysis of a shorter view left in the
+	// campaign's memo, over its first m traces.
+	centered := opt.Preprocess == PreprocessCenteredProduct
+	var prior []cpaLevel
+	m, save := 0, false
+	if c.memo != nil && !centered {
+		prior, m, save = c.memo.load(opt.KnownMasks, opt.KnownPrefix, traces)
+	}
+
 	// Attacker mirrors per trace: states[g][i] is trace i's mirror
 	// after the bits decided so far with the current bit guessed g.
 	// cur is the slice of the decided guess (states[0] before the first
-	// bit); each bit copies cur[i] out before overwriting both slots of
-	// trace i, so cur may alias either slice.
+	// bit), valid for traces [have, n). stepBoth reads trace i's mirror
+	// in full before it writes either of the trace's slots, so cur may
+	// alias either slice.
 	rpc := c.Target.prog.RPC
 	states := [2][]mirror{make([]mirror, n), make([]mirror, n)}
-	cur := states[0]
-	fanOut(workers, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var lambda, mu gf2m.Element
-			if rpc && opt.KnownMasks {
-				lambda, mu = c.Target.Masks(uint64(i))
-			}
-			m := newMirror(c.Points[i].X, lambda, mu, rpc)
-			for _, pb := range opt.KnownPrefix {
-				m.step(pb, c.Points[i].X, curve.B, nil)
-			}
-			cur[i] = m
-		}
-	})
+	cur, have := states[0], n
 
 	// Hypothesis columns, reused across bits: hyp[g][w][i] is trace i's
 	// prediction for write w under guess g.
-	centered := opt.Preprocess == PreprocessCenteredProduct
 	var hyp [2][mirrorWrites][]float64
 	backing := make([]float64, 2*mirrorWrites*n)
 	for g := range hyp {
@@ -382,7 +542,7 @@ func CPA(c *Campaign, opt CPAOptions) (*CPAResult, error) {
 	var z [mirrorWrites][]float64
 	if centered {
 		colMean = make([]float64, c.Set.SampleLen())
-		for _, tr := range c.Set.Traces {
+		for _, tr := range traces {
 			for i, v := range tr.Samples {
 				colMean[i] += v
 			}
@@ -399,27 +559,53 @@ func CPA(c *Campaign, opt CPAOptions) (*CPAResult, error) {
 
 	spans := c.Target.prog.Spans(c.Target.Timing)
 	res := &CPAResult{FirstIter: firstAttacked}
-	for b := 0; b < opt.Bits; b++ {
+	levels := make([]cpaLevel, opt.Bits)
+	for b := range levels {
 		iter := firstAttacked - b
 		cols := c.iterWriteColumns(spans, iter)
 
-		// Both guesses for every trace, in the worker owning the trace.
+		// Resume the level's sums over the first m traces if the bits
+		// decided above it are the prior analysis's; otherwise start
+		// from zero, and replay the traces that hold no mirror at this
+		// level from their initial mirror along the known and decided
+		// bits.
+		lvl := &levels[b]
+		start := 0
+		if b < len(prior) && slices.Equal(prior[b].decided, res.Recovered) {
+			start, lvl.sums = m, prior[b].sums
+		}
+		if start < have {
+			fanOut(workers, have-start, func(lo, hi int) {
+				for i := start + lo; i < start+hi; i++ {
+					var lambda, mu gf2m.Element
+					if rpc && opt.KnownMasks {
+						lambda, mu = c.Target.Masks(uint64(i))
+					}
+					x := c.Points[i].X
+					mr := newMirror(x, lambda, mu, rpc)
+					for _, bit := range opt.KnownPrefix {
+						mr.step(bit, x, curve.B)
+					}
+					for _, bit := range res.Recovered {
+						mr.step(bit, x, curve.B)
+					}
+					cur[i] = mr
+				}
+			})
+		}
+		have = start
+
+		// Both guesses for traces [start, n), in the worker owning the
+		// trace.
 		from := cur
-		fanOut(workers, n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				x := c.Points[i].X
-				prev := from[i]
-				for g := uint(0); g <= 1; g++ {
-					m := prev
-					h := &hyp[g]
-					m.step(g, x, curve.B, func(w writePred) {
-						v := w.w01
-						if centered {
-							v = w.hd
-						}
-						h[w.offset-firstWriteOffset][i] = v
-					})
-					states[g][i] = m
+		fanOut(workers, n-start, func(lo, hi int) {
+			var pred [2][mirrorWrites]float64
+			for i := start + lo; i < start+hi; i++ {
+				from[i].stepBoth(c.Points[i].X, curve.B, centered, &states[0][i], &states[1][i], &pred)
+				for g := range pred {
+					for w, v := range pred[g] {
+						hyp[g][w][i] = v
+					}
 				}
 			}
 		})
@@ -429,7 +615,7 @@ func CPA(c *Campaign, opt CPAOptions) (*CPAResult, error) {
 				if col < 0 {
 					continue
 				}
-				for i, tr := range c.Set.Traces {
+				for i, tr := range traces {
 					d := tr.Samples[col] - colMean[col]
 					z[w][i] = d * d
 				}
@@ -440,7 +626,6 @@ func CPA(c *Campaign, opt CPAOptions) (*CPAResult, error) {
 		// trace order. Jobs run write-major so a worker's consecutive
 		// jobs read the same sample column.
 		var rho [2 * mirrorWrites]float64
-		var errs [2 * mirrorWrites]error
 		fanOut(workers, len(rho), func(lo, hi int) {
 			for j := lo; j < hi; j++ {
 				w, g := j/2, j%2
@@ -450,15 +635,11 @@ func CPA(c *Campaign, opt CPAOptions) (*CPAResult, error) {
 				if centered {
 					rho[j] = pearsonScalar(hyp[g][w], z[w])
 				} else {
-					rho[j], errs[j] = trace.PearsonAt(c.Set, hyp[g][w], cols[w])
+					lvl.sums[j].add(hyp[g][w], traces, cols[w], start, n)
+					rho[j] = lvl.sums[j].rho(n)
 				}
 			}
 		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
 		var scores [2]float64
 		for g := range scores {
 			var sum float64
@@ -482,6 +663,13 @@ func CPA(c *Campaign, opt CPAOptions) (*CPAResult, error) {
 		res.True = append(res.True, c.Target.Key.Bit(iter))
 		res.Scores = append(res.Scores, [2]float64{scores[bit], scores[1-bit]})
 		cur = states[bit]
+	}
+	if save {
+		decided := slices.Clone(res.Recovered)
+		for b := range levels {
+			levels[b].decided = decided[:b:b]
+		}
+		c.memo.save(opt.KnownMasks, opt.KnownPrefix, traces, levels)
 	}
 	return res, nil
 }

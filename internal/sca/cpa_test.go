@@ -5,28 +5,72 @@ import (
 	"reflect"
 	"testing"
 
+	"medsec/internal/coproc"
 	"medsec/internal/ec"
 	"medsec/internal/gf2m"
+	"medsec/internal/modn"
 	"medsec/internal/rng"
 )
 
 // TestMirrorStepWriteLayout pins the layout CPA indexes its
-// hypothesis columns by: one step reports mirrorWrites writes, at the
-// consecutive offsets from firstWriteOffset, under either guess.
+// hypothesis columns by: stepBoth's prediction w under guess g is the
+// activity the simulator reports at write w's writeback cycle
+// (iterWriteCycles) when the key bit is g — the 0->1 count, and the
+// Hamming distance in the second-order model — and the mirror it
+// leaves under guess g is the one step leaves.
 func TestMirrorStepWriteLayout(t *testing.T) {
 	curve := ec.K163()
-	p := curve.RandomPoint(rng.NewDRBG(30).Uint64)
-	for _, bit := range []uint{0, 1} {
-		m := newMirror(p.X, gf2m.Element{}, gf2m.Element{}, false)
-		var offsets []int
-		m.step(bit, p.X, curve.B, func(w writePred) { offsets = append(offsets, w.offset) })
-		if len(offsets) != mirrorWrites {
-			t.Fatalf("bit %d: step reports %d writes, want %d", bit, len(offsets), mirrorWrites)
+	for _, rpc := range []bool{false, true} {
+		tgt := newDPATarget(t, rpc, 42)
+		spans := tgt.Program().Spans(tgt.Timing)
+		p := curve.RandomPoint(rng.NewDRBG(30).Uint64)
+		var lambda, mu gf2m.Element
+		if rpc {
+			lambda, mu = tgt.Masks(5)
 		}
-		for w, off := range offsets {
-			if off != firstWriteOffset+w {
-				t.Fatalf("bit %d: write %d at offset %d, want %d", bit, w, off, firstWriteOffset+w)
+		// writes runs the device on key and returns each cycle's
+		// reported write activity.
+		writes := func(key modn.Scalar) map[int][2]int {
+			out := map[int][2]int{}
+			cpu := coproc.NewCPU(tgt.Timing)
+			cpu.Rand = rng.NewDRBG(tgt.traceSeed(5)).Uint64
+			cpu.SetOperandConstants(p.X, curve.B, p.Y)
+			cpu.Probe = func(ev *coproc.CycleEvent) { out[ev.Cycle] = [2]int{ev.Write01, ev.WriteHD} }
+			if _, err := cpu.Run(tgt.Program(), key); err != nil {
+				t.Fatal(err)
 			}
+			return out
+		}
+		m := newMirror(p.X, lambda, mu, rpc)
+		for _, bit := range DefaultKnownPrefix() {
+			m.step(bit, p.X, curve.B)
+		}
+		for iter := 160; iter >= 157; iter-- {
+			var next [2]mirror
+			var w01, hd [2][mirrorWrites]float64
+			m.stepBoth(p.X, curve.B, false, &next[0], &next[1], &w01)
+			m.stepBoth(p.X, curve.B, true, &next[0], &next[1], &hd)
+			for g := uint(0); g <= 1; g++ {
+				key := tgt.Key
+				key[iter>>6] &^= 1 << (iter & 63)
+				key[iter>>6] |= uint64(g) << (iter & 63)
+				ev := writes(key)
+				for w, cyc := range iterWriteCycles(spans, iter) {
+					if cyc < 0 {
+						t.Fatalf("iteration %d: write %d has no writeback cycle", iter, w)
+					}
+					if got := ev[cyc]; float64(got[0]) != w01[g][w] || float64(got[1]) != hd[g][w] {
+						t.Fatalf("rpc=%v iteration %d guess %d write %d: predicted 0->1 %v and HD %v, the device wrote %v",
+							rpc, iter, g, w, w01[g][w], hd[g][w], got)
+					}
+				}
+				want := m
+				want.step(g, p.X, curve.B)
+				if next[g] != want {
+					t.Fatalf("rpc=%v iteration %d guess %d: stepBoth and step leave different mirrors", rpc, iter, g)
+				}
+			}
+			m = next[tgt.Key.Bit(iter)]
 		}
 	}
 }
@@ -116,6 +160,36 @@ func BenchmarkCPA(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := CPA(camp, CPAOptions{Bits: bits}); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCPALadder prices the analysis the way a traces-to-disclosure
+// search runs it: one 4 000-trace campaign against the RPC target,
+// attacked on every prefix of the benchmark's size ladder up to 4 000
+// traces. Each iteration starts from an empty memo, as a new campaign
+// does, so it pays for the whole ladder.
+func BenchmarkCPALadder(b *testing.B) {
+	const bits = 6
+	sizes := []int{25, 50, 100, 150, 200, 300, 450, 700, 1000, 2000, 4000}
+	tgt := newDPATarget(b, true, 315)
+	first := 162 - len(DefaultKnownPrefix())
+	camp, err := tgt.AcquireCampaign(sizes[len(sizes)-1], first, first-bits+1, rng.NewDRBG(34).Uint64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 0} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			tgt.Workers = workers
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				camp.memo = &cpaMemo{}
+				for _, n := range sizes {
+					if _, err := CPA(camp.Prefix(n), CPAOptions{Bits: bits}); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

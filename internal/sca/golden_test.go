@@ -66,3 +66,54 @@ func TestCPAGoldenScores(t *testing.T) {
 		})
 	}
 }
+
+// ladderSizes is the size ladder TestCPAGoldenLadder grows its
+// campaigns through.
+var ladderSizes = []int{25, 50, 100, 150, 200, 300, 450, 700}
+
+// TestCPAGoldenLadder pins the CPA on every prefix of one campaign
+// grown by ExtendCampaign, the way TracesToSuccess and the benchmark's
+// size ladder call it: the digest chains cpaDigest over the sizes of
+// ladderSizes. The secret-randomness and KnownMasks ladders both flip
+// the level-0 decision between sizes, so the pin covers analyses
+// reached after a changed decision as well as an unchanged one. The
+// constants were recorded from the CPA that analysed every prefix from
+// scratch and must never be edited.
+func TestCPAGoldenLadder(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		target func(t *testing.T) *Target
+		last   int
+		opt    CPAOptions
+		want   string
+	}{
+		{"rpc-secret", func(t *testing.T) *Target { return newDPATarget(t, true, 301) },
+			155, CPAOptions{Bits: 6}, "c4a4353ebcca2f271a7936c62bc2af32931fcd225e3688d61ead5ff463a84b77"},
+		{"rpc-known-masks", func(t *testing.T) *Target { return newDPATarget(t, true, 301) },
+			155, CPAOptions{Bits: 6, KnownMasks: true}, "03ba539354536934182c7f6a35f197757d58a613bed51d47c926856709e34a5d"},
+		{"rpc-off", func(t *testing.T) *Target { return newDPATarget(t, false, 302) },
+			155, CPAOptions{Bits: 6}, "faa1f6ca626ef173d4a1105096d0048d2213508ce919287d10392bf980e030a8"},
+		{"boolean1-centered-product", func(t *testing.T) *Target { return newMaskedTarget(t, 303, true) },
+			158, CPAOptions{Bits: 3, Preprocess: PreprocessCenteredProduct}, "5ee308f7d6f5bc85b8ee7a47c4f4f37588c1735ab202219a4df6baa67d3f77e4"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tgt := tc.target(t)
+			camp := tgt.NewCampaign(160, tc.last)
+			points := rng.NewDRBG(31).Uint64
+			h := sha256.New()
+			for _, n := range ladderSizes {
+				if err := tgt.ExtendCampaign(camp, n, points); err != nil {
+					t.Fatal(err)
+				}
+				res, err := CPA(camp.Prefix(n), tc.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.Write([]byte(cpaDigest(res)))
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("ladder digest %s, recorded %s", got, tc.want)
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package sca
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"medsec/internal/modn"
 	"medsec/internal/power"
 	"medsec/internal/rng"
+	"medsec/internal/trace"
 )
 
 func generateKey(curve *ec.Curve, src func() uint64) modn.Scalar {
@@ -48,7 +50,7 @@ func TestMirrorTracksMicrocodeRegisters(t *testing.T) {
 		}
 		m := newMirror(p.X, lambda, mu, rpc)
 		for i := 162; i >= 0; i-- {
-			m.step(tgt.Key.Bit(i), p.X, curve.B, nil)
+			m.step(tgt.Key.Bit(i), p.X, curve.B)
 		}
 
 		cpu := coproc.NewCPU(tgt.Timing)
@@ -340,6 +342,14 @@ func TestCPAInputValidation(t *testing.T) {
 	// Wrong prefix must be rejected, not silently mis-attacked.
 	if _, err := CPA(camp, CPAOptions{Bits: 1, KnownPrefix: []uint{1, 1}}); err == nil {
 		t.Fatal("wrong key prefix accepted")
+	}
+	// So must a ragged set, in either mode, before any column is read.
+	ragged := *camp
+	ragged.Set = &trace.Set{Traces: append(camp.Set.Traces[:3:3], trace.Trace{Samples: camp.Set.Traces[3].Samples[:1]})}
+	for _, pre := range []string{PreprocessNone, PreprocessCenteredProduct} {
+		if _, err := CPA(&ragged, CPAOptions{Bits: 1, Preprocess: pre}); !errors.Is(err, trace.ErrEmptySet) {
+			t.Fatalf("preprocess %q: ragged set gave %v, want trace.ErrEmptySet", pre, err)
+		}
 	}
 }
 

@@ -186,6 +186,21 @@ func (t *Target) Window(firstIter, lastIter int) (start, end int) {
 // window with known (attacker-chosen or at least attacker-visible)
 // input points. A trace holds one sample per entry of Cycles, the only
 // cycles of the window the CPA reads.
+//
+// A campaign made by NewCampaign carries a memo that its Prefix views
+// share: for each attacked level, the bits decided above it, the
+// trace count m its sums cover, and the sums of its 30 guess × write
+// correlations. A CPA on a view of more than m traces resumes those
+// sums wherever its decided bits agree (see CPA), with results
+// bit-identical to an analysis from scratch. The memo assumes traces
+// and points reach the campaign only through ExtendCampaign's append:
+// an in-place write to a retained sample or point is outside this
+// contract and leaves stale sums behind. A view whose first m traces
+// are not the ones summed (a replaced Set, a restored checkpoint) is
+// analysed from scratch, and so is any view under another KnownMasks
+// or KnownPrefix. A Campaign literal has no memo and is always
+// analysed from scratch. The memo is locked, so concurrent CPAs on
+// views of one campaign are safe.
 type Campaign struct {
 	Target *Target
 	Set    *trace.Set
@@ -199,6 +214,8 @@ type Campaign struct {
 	// of every mirror write of iterations FirstIter..LastIter (15 per
 	// iteration). Sample column i of every trace is cycle Cycles[i].
 	Cycles []int
+
+	memo *cpaMemo
 }
 
 // NewCampaign returns an empty campaign over the given ladder
@@ -222,6 +239,7 @@ func (t *Target) NewCampaign(firstIter, lastIter int) *Campaign {
 		FirstIter: firstIter,
 		LastIter:  lastIter,
 		Cycles:    cycles,
+		memo:      &cpaMemo{},
 	}
 }
 
@@ -331,5 +349,6 @@ func (c *Campaign) Prefix(n int) *Campaign {
 		FirstIter: c.FirstIter,
 		LastIter:  c.LastIter,
 		Cycles:    c.Cycles,
+		memo:      c.memo,
 	}
 }

@@ -1,16 +1,16 @@
 // Package trace implements power-trace acquisition from the
 // co-processor simulator and the statistics the side-channel workflow
 // of the paper's Fig. 4 runs on it: per-sample means and variances,
-// Welch's t-test (TVLA leakage assessment) at first and second order,
-// and Pearson correlation at a known point of interest (CPA).
+// and Welch's t-test (TVLA leakage assessment) at first and second
+// order. The CPA's correlations run in internal/sca, on the Set a CPA
+// campaign retains.
 //
 // Campaigns fold traces into the streaming accumulators (stream.go:
 // OnlineStats, OnlineWelch; stream2.go: OnlineMoments, OnlineWelch2),
 // which consume one trace at a time in O(window) memory and back the
 // parallel campaign engine in internal/campaign. The batch forms over
 // a retained Set (WelchT, MeanTrace, CenterSquare) are the oracles the
-// streaming forms are tested against, to 1e-12; PearsonAt is the one
-// batch statistic a campaign runs, on the Set a CPA campaign retains.
+// streaming forms are tested against, to 1e-12.
 //
 // A Trace is the simulated counterpart of one oscilloscope capture:
 // one power sample per clock cycle over a configurable cycle window.
@@ -330,38 +330,6 @@ func WelchT(a, b *Set) ([]float64, error) {
 		out[i] = (ma[i] - mb[i]) / denom
 	}
 	return out, nil
-}
-
-// PearsonAt computes the Pearson correlation between the hypothesis
-// vector h and the single sample column col — the CPA statistic at a
-// known point of interest (e.g. a specific writeback cycle).
-func PearsonAt(s *Set, h []float64, col int) (float64, error) {
-	if err := s.validate(); err != nil {
-		return 0, err
-	}
-	if len(h) != s.Len() {
-		return 0, errors.New("trace: hypothesis length mismatch")
-	}
-	if col < 0 || col >= s.SampleLen() {
-		return 0, errors.New("trace: column out of range")
-	}
-	n := float64(s.Len())
-	var sh, sx, shh, sxx, shx float64
-	for ti, t := range s.Traces {
-		x := t.Samples[col]
-		sh += h[ti]
-		sx += x
-		shh += h[ti] * h[ti]
-		sxx += x * x
-		shx += h[ti] * x
-	}
-	cov := shx - sh*sx/n
-	vh := shh - sh*sh/n
-	vx := sxx - sx*sx/n
-	if vh <= 0 || vx <= 0 {
-		return 0, nil
-	}
-	return cov / math.Sqrt(vh*vx), nil
 }
 
 // MaxAbs returns the maximum absolute value in xs and its index;

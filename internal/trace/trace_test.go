@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -88,6 +89,41 @@ func TestWelchTNoLeakStaysBelowThreshold(t *testing.T) {
 	if maxT, _ := MaxAbs(ts); maxT > 4.5 {
 		t.Fatalf("identical distributions flagged: t=%.2f", maxT)
 	}
+}
+
+// PearsonAt is the textbook one-pass Pearson correlation between the
+// hypothesis vector h and the single sample column col: the statistic
+// the CPA (internal/sca) computes at each write's writeback cycle, there
+// with sums it can resume as its campaign grows. The tests below pin
+// the formula's behaviour: it finds the correlated column, refuses
+// malformed input, and reads constant data as 0, not NaN.
+func PearsonAt(s *Set, h []float64, col int) (float64, error) {
+	if err := s.validate(); err != nil {
+		return 0, err
+	}
+	if len(h) != s.Len() {
+		return 0, errors.New("trace: hypothesis length mismatch")
+	}
+	if col < 0 || col >= s.SampleLen() {
+		return 0, errors.New("trace: column out of range")
+	}
+	n := float64(s.Len())
+	var sh, sx, shh, sxx, shx float64
+	for ti, t := range s.Traces {
+		x := t.Samples[col]
+		sh += h[ti]
+		sx += x
+		shh += h[ti] * h[ti]
+		sxx += x * x
+		shx += h[ti] * x
+	}
+	cov := shx - sh*sx/n
+	vh := shh - sh*sh/n
+	vx := sxx - sx*sx/n
+	if vh <= 0 || vx <= 0 {
+		return 0, nil
+	}
+	return cov / math.Sqrt(vh*vx), nil
 }
 
 func TestPearsonFindsCorrelatedSample(t *testing.T) {
