@@ -43,6 +43,7 @@ import (
 	"medsec/internal/radio"
 	"medsec/internal/rng"
 	"medsec/internal/sca"
+	"medsec/internal/soc"
 )
 
 func main() {
@@ -109,6 +110,7 @@ type results struct {
 	e12  e12Result
 	e13  []e13Row
 	e14  []e14Window
+	e15  e15Result
 	e16  e16Result
 	e17  e17Result
 }
@@ -160,6 +162,7 @@ func compute(ctx context.Context, seed uint64) (*results, error) {
 		{"E12: TVLA", func() (err error) { r.e12, err = computeE12(l); return }},
 		{"E13: security level", func() error { r.e13 = computeE13(); return nil }},
 		{"E14: fault sweep", func() (err error) { r.e14, err = computeE14(l); return }},
+		{"E15: ISA security", func() (err error) { r.e15, err = computeE15(seed); return }},
 		{"E16: PUF", func() (err error) { r.e16, err = computeE16(seed); return }},
 		{"E17: masked datapath vs higher-order attacks", func() (err error) { r.e17, err = computeE17(l); return }},
 	}
@@ -577,6 +580,89 @@ func computeE14(l *lab) ([]e14Window, error) {
 	return out, nil
 }
 
+// E15 runs e15Scripts command scripts of e15Commands commands each.
+const e15Scripts, e15Commands = 500, 10
+
+type e15Result struct {
+	exposures int            // observations holding the key's bytes
+	cycles    [2]map[int]int // cycle count -> completed runs, k·P and x-only
+	zeroXOnly soc.Status     // status after an x-only run with a zero key
+}
+
+// computeE15 drives the co-processor's MCU command interface (soc)
+// with random command scripts drawn from the report seed. Each script
+// gets a fresh device, key and point, writes the key, then issues
+// random commands. Every result, status, cycle count and error the
+// interface returns is searched for the key's low 20 bytes, and the
+// cycle counts of completed runs are collected per operation: exposing
+// them is safe only if the key does not move them.
+func computeE15(seed uint64) (e15Result, error) {
+	curve := ec.K163()
+	src := rng.NewDRBG(seed + 15).Uint64
+	r := e15Result{cycles: [2]map[int]int{{}, {}}}
+	for i := 0; i < e15Scripts; i++ {
+		d := soc.NewDevice(src())
+		key := curve.Order.RandNonZero(src)
+		p := curve.RandomPoint(src)
+		if err := d.WriteKey(key); err != nil {
+			return r, err
+		}
+		var seen [][]byte
+		for c := 0; c < e15Commands; c++ {
+			var err error
+			switch op := src() % 7; op {
+			case 0:
+				err = d.WriteKey(key)
+			case 1:
+				err = d.WritePoint(p)
+			case 2, 3:
+				start := d.StartPointMul
+				if op == 3 {
+					start = d.StartXOnly
+				}
+				if err = start(); err == nil {
+					r.cycles[op-2][d.Cycles()]++
+				}
+			case 4:
+				var res ec.Point
+				if res, err = d.ReadResult(); err == nil {
+					seen = append(seen, res.X.Bytes(), res.Y.Bytes())
+				}
+			case 5:
+				var x gf2m.Element
+				if x, err = d.ReadResultX(); err == nil {
+					seen = append(seen, x.Bytes())
+				}
+			case 6:
+				d.ClearKey()
+			}
+			if err != nil {
+				seen = append(seen, []byte(err.Error()))
+			}
+			cyc := d.Cycles()
+			seen = append(seen, []byte{byte(d.Poll())}, []byte{byte(cyc), byte(cyc >> 8), byte(cyc >> 16)})
+		}
+		keyBytes := key.Bytes()[modn.ByteLen-20:]
+		for _, b := range seen {
+			if bytes.Contains(b, keyBytes) {
+				r.exposures++
+			}
+		}
+	}
+	d := soc.NewDevice(src())
+	if err := d.WriteKey(modn.Zero()); err != nil {
+		return r, err
+	}
+	if err := d.WritePoint(curve.RandomPoint(src)); err != nil {
+		return r, err
+	}
+	if err := d.StartXOnly(); err != nil {
+		return r, err
+	}
+	r.zeroXOnly = d.Poll()
+	return r, nil
+}
+
 type e16Result struct {
 	intra, inter float64
 	stable       bool // the key reconstructs over 25 power-ups
@@ -855,6 +941,31 @@ func render(r *results, mans []loadedManifest, elapsed time.Duration) []byte {
 	}
 	w("")
 	w("**Escaped %d** of %d.", e14Escaped, e14Runs)
+	w("")
+
+	w("## E15 — ISA security (%d command scripts)", e15Scripts)
+	w("")
+	w("Random scripts of %d commands (write key, write point, start k·P,", e15Commands)
+	w("start x-only, read result, read x, clear key) drive the")
+	w("co-processor's MCU interface, each on a fresh device, key and point.")
+	w("Every result, status, cycle count and error read back is searched")
+	w("for the key's low 20 bytes.")
+	w("")
+	w("| operation | completed runs | distinct cycle counts |")
+	w("|---|---|---|")
+	for i, op := range []string{"k·P", "x-only k·P"} {
+		var runs int
+		var counts []int
+		for c, n := range r.e15.cycles[i] {
+			runs += n
+			counts = append(counts, c)
+		}
+		sort.Ints(counts)
+		w("| %s | %d | %d: %s cycles |", op, runs, len(counts), strings.Trim(fmt.Sprint(counts), "[]"))
+	}
+	w("")
+	w("**Key-byte exposures: %d.** A zero key through the x-only path ends in", r.e15.exposures)
+	w("status **%s**.", r.e15.zeroXOnly)
 	w("")
 
 	w("## E16 — PUF key storage")

@@ -14,6 +14,7 @@ import (
 	"medsec/internal/gf2m"
 	"medsec/internal/rng"
 	"medsec/internal/sca"
+	"medsec/internal/soc"
 )
 
 // TestReportPinnedAndVerdictsHold computes every experiment once at
@@ -144,6 +145,9 @@ func TestReportPinnedAndVerdictsHold(t *testing.T) {
 		{"E14: at least 2 000 injections", e14Runs >= 2000, e14Runs},
 		{"E14: a window starts at ladder iteration 162", e14First, firstIter},
 		{"E14: a window ends at the program's last cycle", e14ToEnd, prog.CycleCount(tim)},
+		{"E15: no command script exposes the key's bytes", r.e15.exposures == 0, r.e15.exposures},
+		{"E15: k·P and x-only k·P each take one cycle count", len(r.e15.cycles[0]) == 1 && len(r.e15.cycles[1]) == 1, r.e15.cycles},
+		{"E15: a zero key through the x-only path faults", r.e15.zeroXOnly == soc.StatusFault, r.e15.zeroXOnly},
 		{"E16: the PUF key is stable", r.e16.stable, r.e16.stable},
 		{"E16: intra-distance under 10%", r.e16.intra < 0.10, r.e16.intra},
 		{"E16: inter-distance within 40–60%", r.e16.inter >= 0.40 && r.e16.inter <= 0.60, r.e16.inter},

@@ -24,11 +24,10 @@
 //
 // Supporting substrates: internal/gf2m (binary fields),
 // internal/modn (scalar arithmetic), internal/lightcrypto (AES-128,
-// SHA-1), internal/rng (DRBG, Gaussian noise, entropy health tests),
-// internal/trace (power traces and statistics), internal/privacy
-// (linking games), internal/radio (communication energy),
-// internal/area (gate counts and the digit-size trade-off),
-// internal/tabular (table rendering).
+// SHA-1), internal/rng (DRBG, Gaussian noise), internal/trace (power
+// traces and statistics), internal/privacy (linking games),
+// internal/radio (communication energy), internal/area (gate counts
+// and the digit-size trade-off), internal/tabular (table rendering).
 //
 // See DESIGN.md for the system inventory, EXPERIMENTS.md for the
 // paper-vs-measured record, cmd/reportgen for the experiment report

@@ -86,16 +86,12 @@ func (e Estimate) TotalGE() float64 {
 	return e.RegFileGE + e.MALUGE + e.ControlGE
 }
 
-// Estimate prices a design point: digit size d with the datapath built
-// in a logic style costing logicFactor times CMOS area. At factor 1
-// the total equals ECCProcessorGE(d).
-func (g GateModel) Estimate(d int, logicFactor float64) Estimate {
-	return g.EstimateMasked(d, logicFactor, 1)
-}
-
-// EstimateMasked is Estimate with a masking datapath multiplier on top
-// of the logic style: the two factors compose, because the shares are
-// built from the same protected cells as the unmasked datapath.
+// EstimateMasked prices a design point: digit size d with the datapath
+// built in a logic style costing logicFactor times CMOS area, and a
+// masking datapath multiplier on top of the logic style. The two
+// factors compose, because the shares are built from the same
+// protected cells as the unmasked datapath. At factors 1 the total
+// equals ECCProcessorGE(d).
 func (g GateModel) EstimateMasked(d int, logicFactor, maskFactor float64) Estimate {
 	return Estimate{
 		DigitSize:   d,

@@ -73,19 +73,3 @@ func (c Cell) SecurityLifetimeYears(w Workload) (float64, error) {
 	}
 	return budget / annual, nil
 }
-
-// LifetimeImpactYears compares the whole-device lifetime with and
-// without the security workload: baseline lifetime is capacity over
-// (base load + self-discharge); with security the workload adds to the
-// drain. baseLoadW is the therapy/housekeeping power (a pacemaker
-// draws ~10-30 µW).
-func (c Cell) LifetimeImpactYears(baseLoadW float64, w Workload) (without, with float64, err error) {
-	if baseLoadW <= 0 {
-		return 0, 0, errors.New("battery: base load must be positive")
-	}
-	const secondsPerYear = 365 * 24 * 3600.0
-	baseAnnual := baseLoadW*secondsPerYear + c.CapacityJ*c.SelfDischargePerYear
-	without = c.CapacityJ / baseAnnual
-	with = c.CapacityJ / (baseAnnual + w.PerYearJ())
-	return without, with, nil
-}

@@ -113,9 +113,6 @@ func New(cfg Config) (*Coprocessor, error) {
 	}, nil
 }
 
-// Config returns the instance configuration.
-func (c *Coprocessor) Config() Config { return c.cfg }
-
 // Curve returns the configured curve.
 func (c *Coprocessor) Curve() *ec.Curve { return c.cfg.Curve }
 

@@ -154,10 +154,10 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 	if c.Curve().Name != "K-163" {
 		t.Fatal("default curve not K-163")
 	}
-	if c.Config().Timing.DigitSize != 4 {
+	if c.cfg.Timing.DigitSize != 4 {
 		t.Fatal("default digit size not 4")
 	}
-	if c.Config().Power.ClockHz != power.DefaultClockHz {
+	if c.cfg.Power.ClockHz != power.DefaultClockHz {
 		t.Fatal("default clock not applied")
 	}
 	bad := DefaultConfig(1)

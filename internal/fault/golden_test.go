@@ -37,3 +37,15 @@ func TestGoldenSweepReport(t *testing.T) {
 		t.Fatalf("sweep report changed:\n%s\npinned:\n%s", got, goldenSweepReport)
 	}
 }
+
+// String renders the report summary with the per-class breakdown, the
+// form goldenSweepReport pins.
+func (r *SweepReport) String() string {
+	s := fmt.Sprintf("sweep: %d injections over cycles [%d,%d): %d benign, %d detected, %d escaped",
+		r.Runs(), r.WindowStart, r.WindowEnd, r.Benign, r.Detected, r.Escaped)
+	for _, ot := range r.ByOp {
+		s += fmt.Sprintf("\n  %-8v %5d benign %5d detected %5d escaped",
+			ot.Op, ot.Benign, ot.Detected, ot.Escaped)
+	}
+	return s
+}

@@ -89,17 +89,6 @@ type SweepReport struct {
 	Escapes []Injection
 }
 
-// String renders the report summary with the per-class breakdown.
-func (r *SweepReport) String() string {
-	s := fmt.Sprintf("sweep: %d injections over cycles [%d,%d): %d benign, %d detected, %d escaped",
-		r.Runs(), r.WindowStart, r.WindowEnd, r.Benign, r.Detected, r.Escaped)
-	for _, ot := range r.ByOp {
-		s += fmt.Sprintf("\n  %-8v %5d benign %5d detected %5d escaped",
-			ot.Op, ot.Benign, ot.Detected, ot.Escaped)
-	}
-	return s
-}
-
 // Sweep runs the exhaustive fault-space map described on SweepConfig.
 func Sweep(curve *ec.Curve, tim coproc.Timing, cfg SweepConfig) (*SweepReport, error) {
 	if cfg.FromIter < cfg.ToIter || cfg.FromIter < 0 || cfg.FromIter > 162 || cfg.ToIter < -1 {

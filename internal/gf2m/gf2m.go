@@ -1,21 +1,18 @@
 // Package gf2m implements arithmetic in binary extension fields GF(2^m).
 //
-// The package provides two implementations:
+// Element is a fast, fixed-size implementation of GF(2^163) with the
+// NIST reduction pentanomial f(x) = x^163 + x^7 + x^6 + x^3 + 1, the
+// field underlying the Koblitz curve K-163 used by the paper's
+// elliptic-curve co-processor. Elements are stored as three 64-bit
+// words in little-endian word order. On amd64 CPUs with PCLMULQDQ, a
+// 64×64-bit carry-less multiply, products and squares are built from
+// that instruction and reduced with it. The portable path, for every
+// other CPU and GOARCH, multiplies with a whole-operand left-to-right
+// comb with 4-bit windows (Precomp) and squares by a byte table.
 //
-//   - Element: a fast, fixed-size implementation of GF(2^163) with the
-//     NIST reduction pentanomial f(x) = x^163 + x^7 + x^6 + x^3 + 1, the
-//     field underlying the Koblitz curve K-163 used by the paper's
-//     elliptic-curve co-processor. Elements are stored as three 64-bit
-//     words in little-endian word order. On amd64 CPUs with PCLMULQDQ,
-//     a 64×64-bit carry-less multiply, products and squares are built
-//     from that instruction and reduced with it. The portable path, for
-//     every other CPU and GOARCH, multiplies with a whole-operand
-//     left-to-right comb with 4-bit windows (Precomp) and squares by a
-//     byte table.
-//
-//   - Field / FE: a generic, variable-degree implementation supporting
-//     arbitrary reduction polynomials. It is the independent reference
-//     implementation the fixed path is cross-tested against.
+// The package's tests hold it to an independent reference, a generic
+// variable-degree field with arbitrary reduction polynomials
+// (generic_ref_test.go).
 //
 // All fixed-path operations are branch-free with respect to operand
 // values (data-dependent branches are what the paper's timing- and
@@ -75,17 +72,6 @@ func (e Element) SetBit(i int, b uint) Element {
 	w, s := i>>6, uint(i)&63
 	e[w] = e[w]&^(1<<s) | uint64(b&1)<<s
 	return e
-}
-
-// Degree returns the degree of the polynomial representation of e, or
-// -1 for the zero element.
-func (e Element) Degree() int {
-	for w := Words - 1; w >= 0; w-- {
-		if e[w] != 0 {
-			return w*64 + 63 - bits.LeadingZeros64(e[w])
-		}
-	}
-	return -1
 }
 
 // Weight returns the Hamming weight (number of nonzero coefficients).

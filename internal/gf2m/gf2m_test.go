@@ -1,6 +1,7 @@
 package gf2m
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -303,6 +304,17 @@ func TestBitAndSetBit(t *testing.T) {
 	if e.SetBit(163, 1) != e || e.SetBit(-1, 1) != e || e.Bit(163) != 0 || e.Bit(-1) != 0 {
 		t.Fatal("out-of-range bit access not inert")
 	}
+}
+
+// Degree returns the degree of the polynomial representation of e, or
+// -1 for the zero element.
+func (e Element) Degree() int {
+	for w := Words - 1; w >= 0; w-- {
+		if e[w] != 0 {
+			return w*64 + 63 - bits.LeadingZeros64(e[w])
+		}
+	}
+	return -1
 }
 
 func TestDegreeAndWeight(t *testing.T) {

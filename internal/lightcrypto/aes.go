@@ -11,9 +11,9 @@
 // encrypts four counter blocks at once with AESENC (ctr_amd64.s);
 // elsewhere it loops Encrypt, the standard 32-bit table-driven cipher
 // with one 256-entry round table built at init from the S-box. Encrypt
-// also serves CTR, CBC-MAC and Seal/Open. Decrypt and SHA-1 favour
-// clarity over speed. Both primitives are cross-checked against
-// crypto/aes and crypto/sha1 in the tests.
+// also serves CTR, CBC-MAC and Seal/Open. SHA-1 favours clarity over
+// speed. Both primitives are cross-checked against crypto/aes and
+// crypto/sha1 in the tests.
 //
 // The AES-NI keystream makes no key-dependent table lookups. Encrypt,
 // like the byte-at-a-time rounds it replaced, is not constant-time
@@ -37,10 +37,10 @@ const AESBlockSize = 16
 // AESKeySize is the AES-128 key size in bytes.
 const AESKeySize = 16
 
-// sbox and invSbox are generated at init from the algebraic
-// definition (inversion in GF(2^8) followed by the affine map) rather
-// than pasted as literals, so a table typo is structurally impossible.
-var sbox, invSbox [256]byte
+// sbox is generated at init from the algebraic definition (inversion
+// in GF(2^8) followed by the affine map) rather than pasted as
+// literals, so a table typo is structurally impossible.
+var sbox [256]byte
 
 func init() {
 	// Multiplicative inverse table in GF(2^8) with the AES polynomial
@@ -64,7 +64,6 @@ func init() {
 		// Affine transformation: s = x ^ rotl(x,1..4) ^ 0x63.
 		s := x ^ rotlByte(x, 1) ^ rotlByte(x, 2) ^ rotlByte(x, 3) ^ rotlByte(x, 4) ^ 0x63
 		sbox[i] = s
-		invSbox[s] = byte(i)
 	}
 }
 
@@ -158,47 +157,6 @@ func subWord(w uint32) uint32 {
 		uint32(sbox[w>>8&0xff])<<8 | uint32(sbox[w&0xff])
 }
 
-// state is the AES state as a 4x4 column-major byte matrix.
-type state [16]byte
-
-func (s *state) addRoundKey(rk []uint32) {
-	for c := 0; c < 4; c++ {
-		w := rk[c]
-		s[4*c+0] ^= byte(w >> 24)
-		s[4*c+1] ^= byte(w >> 16)
-		s[4*c+2] ^= byte(w >> 8)
-		s[4*c+3] ^= byte(w)
-	}
-}
-
-func (s *state) subBytes(box *[256]byte) {
-	for i := range s {
-		s[i] = box[s[i]]
-	}
-}
-
-func (s *state) invShiftRows() {
-	for r := 1; r < 4; r++ {
-		var row [4]byte
-		for c := 0; c < 4; c++ {
-			row[c] = s[4*((c-r+4)%4)+r]
-		}
-		for c := 0; c < 4; c++ {
-			s[4*c+r] = row[c]
-		}
-	}
-}
-
-func (s *state) invMixColumns() {
-	for c := 0; c < 4; c++ {
-		a0, a1, a2, a3 := s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]
-		s[4*c+0] = gmul(a0, 14) ^ gmul(a1, 11) ^ gmul(a2, 13) ^ gmul(a3, 9)
-		s[4*c+1] = gmul(a0, 9) ^ gmul(a1, 14) ^ gmul(a2, 11) ^ gmul(a3, 13)
-		s[4*c+2] = gmul(a0, 13) ^ gmul(a1, 9) ^ gmul(a2, 14) ^ gmul(a3, 11)
-		s[4*c+3] = gmul(a0, 11) ^ gmul(a1, 13) ^ gmul(a2, 9) ^ gmul(a3, 14)
-	}
-}
-
 // Encrypt encrypts one 16-byte block: dst = AES-128(src). dst and src
 // may overlap.
 //
@@ -239,26 +197,6 @@ func (a *AES) Encrypt(dst, src []byte) {
 func finalColumn(c0, c1, c2, c3 uint32) uint32 {
 	return uint32(sbox[c0>>24])<<24 | uint32(sbox[byte(c1>>16)])<<16 |
 		uint32(sbox[byte(c2>>8)])<<8 | uint32(sbox[byte(c3)])
-}
-
-// Decrypt decrypts one 16-byte block.
-func (a *AES) Decrypt(dst, src []byte) {
-	if len(src) < AESBlockSize || len(dst) < AESBlockSize {
-		panic("lightcrypto: short AES block")
-	}
-	var s state
-	copy(s[:], src[:16])
-	s.addRoundKey(a.rk[40:44])
-	for round := 9; round >= 1; round-- {
-		s.invShiftRows()
-		s.subBytes(&invSbox)
-		s.addRoundKey(a.rk[4*round : 4*round+4])
-		s.invMixColumns()
-	}
-	s.invShiftRows()
-	s.subBytes(&invSbox)
-	s.addRoundKey(a.rk[0:4])
-	copy(dst[:16], s[:])
 }
 
 // CTR encrypts or decrypts msg with AES-128 in counter mode using the

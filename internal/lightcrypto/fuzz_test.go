@@ -28,8 +28,8 @@ func FuzzSHA1AgainstStdlib(f *testing.F) {
 // FuzzAESAgainstStdlib differentially fuzzes the table-driven AES-128
 // against crypto/aes. The inputs are zero-padded or truncated to one
 // 16-byte key and one 16-byte block. Encrypt must match the stdlib,
-// encrypting in place (dst and src the same slice) must give the same
-// bytes, and Decrypt must invert it.
+// and encrypting in place (dst and src the same slice) must give the
+// same bytes.
 func FuzzAESAgainstStdlib(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte("\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f"),
@@ -57,11 +57,6 @@ func FuzzAESAgainstStdlib(f *testing.F) {
 		ours.Encrypt(inPlace[:], inPlace[:])
 		if inPlace != want {
 			t.Fatalf("key %x block %x: in-place Encrypt %x, want %x", key, block, inPlace, want)
-		}
-		var back [16]byte
-		ours.Decrypt(back[:], got[:])
-		if back != block {
-			t.Fatalf("key %x block %x: Decrypt(Encrypt) = %x", key, block, back)
 		}
 	})
 }

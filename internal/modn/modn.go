@@ -104,9 +104,6 @@ func bitLen(v Scalar) int {
 	return 0
 }
 
-// BitLen returns the bit length of the modulus.
-func (m *Modulus) BitLen() int { return m.bits }
-
 // N returns the modulus value as a Scalar.
 func (m *Modulus) N() Scalar { return m.n }
 

@@ -43,8 +43,8 @@ func TestParseHexMatchesBig(t *testing.T) {
 	if toBig(n.N()).Cmp(want) != 0 {
 		t.Fatalf("modulus parse mismatch: %v vs %v", toBig(n.N()), want)
 	}
-	if n.BitLen() != want.BitLen() {
-		t.Fatalf("BitLen = %d, want %d", n.BitLen(), want.BitLen())
+	if n.N().BitLen() != want.BitLen() {
+		t.Fatalf("BitLen = %d, want %d", n.N().BitLen(), want.BitLen())
 	}
 }
 

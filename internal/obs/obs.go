@@ -30,14 +30,13 @@
 //
 // # Snapshot determinism
 //
-// Registry.Snapshot returns plain maps; Snapshot.JSON marshals them
-// with encoding/json, which sorts map keys, so two snapshots of equal
-// state serialize byte-identically. The manifest layer (manifest.go)
-// builds on that to make -metrics output diffable across runs.
+// Registry.Snapshot returns plain maps; encoding/json sorts map keys,
+// so two snapshots of equal state serialize byte-identically. The
+// manifest layer (manifest.go) builds on that to make -metrics output
+// diffable across runs.
 package obs
 
 import (
-	"encoding/json"
 	"math"
 	"sort"
 	"sync"
@@ -263,25 +262,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.Snapshot()
 	}
 	return s
-}
-
-// JSON serializes the snapshot with sorted keys and trailing newline —
-// the stable wire form the manifest embeds.
-func (s Snapshot) JSON() ([]byte, error) {
-	buf, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, '\n'), nil
-}
-
-// CounterNames returns the sorted counter names — deterministic
-// iteration order for report tables.
-func (s Snapshot) CounterNames() []string {
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

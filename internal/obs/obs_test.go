@@ -2,8 +2,7 @@ package obs
 
 import (
 	"bytes"
-	"expvar"
-	"strings"
+	"encoding/json"
 	"sync"
 	"testing"
 )
@@ -76,7 +75,7 @@ func TestNilSafety(t *testing.T) {
 	if s.Counters == nil || s.Gauges == nil || s.Histograms == nil {
 		t.Fatal("nil registry snapshot has nil maps")
 	}
-	if _, err := s.JSON(); err != nil {
+	if _, err := json.Marshal(s); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -173,11 +172,11 @@ func TestSnapshotDeterminism(t *testing.T) {
 		r.Histogram("h", []float64{1, 2}).Observe(1.5)
 		return r
 	}
-	j1, err := build([]string{"a", "b", "c"}).Snapshot().JSON()
+	j1, err := json.MarshalIndent(build([]string{"a", "b", "c"}).Snapshot(), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := build([]string{"c", "b", "a"}).Snapshot().JSON()
+	j2, err := json.MarshalIndent(build([]string{"c", "b", "a"}).Snapshot(), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,25 +187,5 @@ func TestSnapshotDeterminism(t *testing.T) {
 	ia, ib, ic := bytes.Index(j1, []byte(`"a"`)), bytes.Index(j1, []byte(`"b"`)), bytes.Index(j1, []byte(`"c"`))
 	if !(ia < ib && ib < ic) {
 		t.Fatalf("counter keys not sorted in JSON:\n%s", j1)
-	}
-	names := build(nil).Snapshot().CounterNames()
-	if strings.Join(names, ",") != "a,b,c" {
-		t.Fatalf("CounterNames = %v, want [a b c]", names)
-	}
-}
-
-// TestExpvarBridge checks the optional expvar export renders the live
-// snapshot and tolerates double publication.
-func TestExpvarBridge(t *testing.T) {
-	r := New()
-	r.Counter("bridge_hits").Add(7)
-	r.PublishExpvar("obs_test_bridge")
-	r.PublishExpvar("obs_test_bridge") // second publish must not panic
-	v := expvar.Get("obs_test_bridge")
-	if v == nil {
-		t.Fatal("expvar variable not published")
-	}
-	if !strings.Contains(v.String(), "bridge_hits") {
-		t.Fatalf("expvar render missing counter: %s", v.String())
 	}
 }

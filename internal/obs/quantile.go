@@ -57,61 +57,6 @@ func (hs HistogramSnapshot) validate() error {
 	return nil
 }
 
-// NewHistogramFromSnapshot reconstructs a live histogram from a frozen
-// snapshot (the shard-resume path: a restored histogram continues
-// observing exactly where the checkpoint stopped).
-func NewHistogramFromSnapshot(hs HistogramSnapshot) (*Histogram, error) {
-	if err := hs.validate(); err != nil {
-		return nil, err
-	}
-	h := NewHistogram(hs.Bounds)
-	for i, c := range hs.Counts {
-		h.buckets[i].Store(c)
-	}
-	h.count.Store(hs.Count)
-	h.sumBits.Store(math.Float64bits(hs.Sum))
-	return h, nil
-}
-
-// MergeSnapshot folds a frozen shard histogram into h. Bucket counts
-// and Count add exactly (integers), so any merge order and any
-// partition of the observation stream produce identical counts — the
-// property the fleet shard-merge tests pin. Sum is a float
-// accumulation and is therefore only order-independent up to rounding;
-// derived reports that must be byte-stable under re-sharding use
-// bucket counts, never Sum.
-func (h *Histogram) MergeSnapshot(hs HistogramSnapshot) error {
-	if h == nil {
-		return fmt.Errorf("obs: MergeSnapshot on nil histogram")
-	}
-	if err := hs.validate(); err != nil {
-		return err
-	}
-	if !boundsEqual(h.bounds, hs.Bounds) {
-		return fmt.Errorf("obs: histogram bounds mismatch: %v vs %v", h.bounds, hs.Bounds)
-	}
-	for i, c := range hs.Counts {
-		h.buckets[i].Add(c)
-	}
-	h.count.Add(hs.Count)
-	for {
-		old := h.sumBits.Load()
-		nxt := math.Float64bits(math.Float64frombits(old) + hs.Sum)
-		if h.sumBits.CompareAndSwap(old, nxt) {
-			break
-		}
-	}
-	return nil
-}
-
-// Merge folds another live histogram into h (bounds must match).
-func (h *Histogram) Merge(o *Histogram) error {
-	if o == nil {
-		return nil
-	}
-	return h.MergeSnapshot(o.Snapshot())
-}
-
 // NewHistogramSnapshot returns an empty snapshot over the given
 // ascending bounds — the offline (single-goroutine) histogram form
 // accumulator structs embed directly: Observe/Merge on a snapshot
@@ -206,13 +151,4 @@ func (hs HistogramSnapshot) Quantile(q float64) float64 {
 		return math.NaN()
 	}
 	return hs.Bounds[len(hs.Bounds)-1]
-}
-
-// Quantile estimates the q-quantile of the live histogram (NaN on nil
-// or empty).
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return math.NaN()
-	}
-	return h.Snapshot().Quantile(q)
 }

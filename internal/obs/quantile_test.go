@@ -37,13 +37,12 @@ func TestMergedShardsEqualSingleStream(t *testing.T) {
 		}
 		// Merge in a scrambled order to pin order independence.
 		order := r.Perm(shards)
-		merged := NewHistogram(latencyBounds)
+		got := NewHistogramSnapshot(latencyBounds)
 		for _, s := range order {
-			if err := merged.Merge(parts[s]); err != nil {
+			if err := got.Merge(parts[s].Snapshot()); err != nil {
 				t.Fatal(err)
 			}
 		}
-		got := merged.Snapshot()
 		if !reflect.DeepEqual(got.Counts, want.Counts) || got.Count != want.Count {
 			t.Fatalf("shards=%d: merged counts differ from single stream", shards)
 		}
@@ -58,8 +57,8 @@ func TestMergedShardsEqualSingleStream(t *testing.T) {
 // TestMergeAssociative pins (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c) on counts.
 func TestMergeAssociative(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	mk := func() *Histogram {
-		h := NewHistogram(latencyBounds)
+	mk := func() HistogramSnapshot {
+		h := NewHistogramSnapshot(latencyBounds)
 		for i := 0; i < 500; i++ {
 			h.Observe(r.Float64() * 1200)
 		}
@@ -67,32 +66,27 @@ func TestMergeAssociative(t *testing.T) {
 	}
 	a, b, c := mk(), mk(), mk()
 
-	left := NewHistogram(latencyBounds)
-	for _, h := range []*Histogram{a, b} {
+	left := NewHistogramSnapshot(latencyBounds)
+	for _, h := range []HistogramSnapshot{a, b, c} {
 		if err := left.Merge(h); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := left.Merge(c); err != nil {
-		t.Fatal(err)
-	}
 
-	bc := NewHistogram(latencyBounds)
-	for _, h := range []*Histogram{b, c} {
+	bc := NewHistogramSnapshot(latencyBounds)
+	for _, h := range []HistogramSnapshot{b, c} {
 		if err := bc.Merge(h); err != nil {
 			t.Fatal(err)
 		}
 	}
-	right := NewHistogram(latencyBounds)
-	if err := right.Merge(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := right.Merge(bc); err != nil {
-		t.Fatal(err)
+	right := NewHistogramSnapshot(latencyBounds)
+	for _, h := range []HistogramSnapshot{a, bc} {
+		if err := right.Merge(h); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	ls, rs := left.Snapshot(), right.Snapshot()
-	if !reflect.DeepEqual(ls.Counts, rs.Counts) || ls.Count != rs.Count {
+	if !reflect.DeepEqual(left.Counts, right.Counts) || left.Count != right.Count {
 		t.Fatal("merge is not associative on bucket counts")
 	}
 }
@@ -100,49 +94,50 @@ func TestMergeAssociative(t *testing.T) {
 // TestMergeRejectsBoundMismatch pins that incompatible histograms
 // refuse to merge instead of silently misbinning.
 func TestMergeRejectsBoundMismatch(t *testing.T) {
-	a := NewHistogram([]float64{1, 2, 3})
-	b := NewHistogram([]float64{1, 2, 4})
+	a := NewHistogramSnapshot([]float64{1, 2, 3})
+	b := NewHistogramSnapshot([]float64{1, 2, 4})
 	if err := a.Merge(b); err == nil {
 		t.Fatal("merge accepted mismatched bounds")
 	}
-	c := NewHistogram([]float64{1, 2})
+	c := NewHistogramSnapshot([]float64{1, 2})
 	if err := a.Merge(c); err == nil {
 		t.Fatal("merge accepted different bound counts")
 	}
-	if err := a.MergeSnapshot(HistogramSnapshot{Bounds: []float64{1, 2, 3}, Counts: []int64{1, 0, 0}, Count: 2}); err == nil {
+	if err := a.Merge(HistogramSnapshot{Bounds: []float64{1, 2, 3}, Counts: []int64{1, 0, 0}, Count: 2}); err == nil {
 		t.Fatal("merge accepted a snapshot whose counts do not sum to Count")
 	}
 }
 
-// TestSnapshotRoundTrip pins NewHistogramFromSnapshot as the exact
-// inverse of Snapshot, including continued observation afterwards.
+// TestSnapshotRoundTrip pins that merging a frozen snapshot into an
+// empty one restores it exactly, including continued observation
+// afterwards, and that a malformed snapshot is refused.
 func TestSnapshotRoundTrip(t *testing.T) {
 	h := NewHistogram(latencyBounds)
 	for i := 0; i < 100; i++ {
 		h.Observe(float64(i * 13 % 700))
 	}
 	hs := h.Snapshot()
-	restored, err := NewHistogramFromSnapshot(hs)
-	if err != nil {
+	restored := NewHistogramSnapshot(latencyBounds)
+	if err := restored.Merge(hs); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(restored.Snapshot(), hs) {
+	if !reflect.DeepEqual(restored, hs) {
 		t.Fatal("restore is not the inverse of snapshot")
 	}
 	h.Observe(42)
 	restored.Observe(42)
-	a, b := h.Snapshot(), restored.Snapshot()
-	if !reflect.DeepEqual(a.Counts, b.Counts) || a.Count != b.Count {
+	if a := h.Snapshot(); !reflect.DeepEqual(a.Counts, restored.Counts) || a.Count != restored.Count {
 		t.Fatal("restored histogram diverges on continued observation")
 	}
-	if _, err := NewHistogramFromSnapshot(HistogramSnapshot{Bounds: []float64{1}, Counts: []int64{1}}); err == nil {
+	empty := NewHistogramSnapshot([]float64{1})
+	if err := empty.Merge(HistogramSnapshot{Bounds: []float64{1}, Counts: []int64{1}}); err == nil {
 		t.Fatal("restore accepted a malformed snapshot")
 	}
 }
 
 // TestSnapshotObserveMatchesLive pins that the offline snapshot form
-// bins exactly like the live atomic histogram, and that
-// snapshot-to-snapshot Merge agrees with the live merge.
+// bins exactly like the live atomic histogram, and that a
+// snapshot-to-snapshot Merge keeps every observation.
 func TestSnapshotObserveMatchesLive(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	live := NewHistogram(latencyBounds)
@@ -286,7 +281,7 @@ func TestQuantileMergedShardEdges(t *testing.T) {
 // distribution: uniform counts over [0, 100) in 10 buckets.
 func TestQuantileEstimator(t *testing.T) {
 	bounds := []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	h := NewHistogram(bounds)
+	h := NewHistogramSnapshot(bounds)
 	for i := 0; i < 1000; i++ {
 		h.Observe(float64(i) / 10) // 0.0 .. 99.9 uniformly
 	}
@@ -302,11 +297,11 @@ func TestQuantileEstimator(t *testing.T) {
 			t.Fatalf("q%.2f = %v, want %v ± %v", c.q, got, c.want, c.tol)
 		}
 	}
-	if !math.IsNaN(NewHistogram(bounds).Quantile(0.5)) {
+	if !math.IsNaN(NewHistogramSnapshot(bounds).Quantile(0.5)) {
 		t.Fatal("empty histogram must estimate NaN")
 	}
 	var nilH *Histogram
-	if !math.IsNaN(nilH.Quantile(0.5)) {
+	if !math.IsNaN(nilH.Snapshot().Quantile(0.5)) {
 		t.Fatal("nil histogram must estimate NaN")
 	}
 	// Overflow observations clamp to the largest finite bound.

@@ -214,9 +214,6 @@ func NewModel(cfg Config) *Model {
 	}
 }
 
-// Config returns the model's configuration.
-func (m *Model) Config() Config { return m.cfg }
-
 // Reinit resets the model in place to the state NewModel(cfg) would
 // produce, without allocating: the embedded Gaussian noise source is
 // re-seeded rather than replaced. The campaign engine's per-worker
@@ -465,9 +462,6 @@ func (mt *Meter) Probe() coproc.Probe {
 		mt.cycles++
 	}
 }
-
-// Reset clears the accumulated measurement.
-func (mt *Meter) Reset() { mt.totalJ, mt.cycles = 0, 0 }
 
 // EnergyJ returns the accumulated energy in joules.
 func (mt *Meter) EnergyJ() float64 { return mt.totalJ }

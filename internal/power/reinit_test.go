@@ -25,8 +25,8 @@ func TestModelReinitMatchesNew(t *testing.T) {
 	}
 	recycled.Reinit(cfgB)
 	fresh := NewModel(cfgB)
-	if recycled.Config() != fresh.Config() {
-		t.Fatalf("Reinit config %+v != NewModel config %+v", recycled.Config(), fresh.Config())
+	if recycled.cfg != fresh.cfg {
+		t.Fatalf("Reinit config %+v != NewModel config %+v", recycled.cfg, fresh.cfg)
 	}
 	for round := 0; round < 50; round++ {
 		for i := range evs {
@@ -40,7 +40,7 @@ func TestModelReinitMatchesNew(t *testing.T) {
 	// Zero fields in the config get the same defaults as NewModel.
 	recycled.Reinit(Config{})
 	fresh = NewModel(Config{})
-	if recycled.Config() != fresh.Config() {
-		t.Fatalf("defaulting diverged: %+v vs %+v", recycled.Config(), fresh.Config())
+	if recycled.cfg != fresh.cfg {
+		t.Fatalf("defaulting diverged: %+v vs %+v", recycled.cfg, fresh.cfg)
 	}
 }

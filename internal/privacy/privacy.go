@@ -34,17 +34,6 @@ const (
 	Schnorr
 )
 
-func (k Kind) String() string {
-	switch k {
-	case PeetersHermans:
-		return "Peeters-Hermans"
-	case Schnorr:
-		return "Schnorr"
-	default:
-		return "unknown"
-	}
-}
-
 // GameConfig parametrizes a linking game.
 type GameConfig struct {
 	Protocol Kind

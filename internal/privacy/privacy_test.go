@@ -52,11 +52,3 @@ func TestGameValidation(t *testing.T) {
 		t.Fatal("unknown protocol accepted")
 	}
 }
-
-func TestKindString(t *testing.T) {
-	for _, k := range []Kind{PeetersHermans, Schnorr, Kind(9)} {
-		if k.String() == "" {
-			t.Fatal("empty kind name")
-		}
-	}
-}

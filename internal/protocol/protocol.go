@@ -70,15 +70,6 @@ type Ledger struct {
 	RxBits    int
 }
 
-// Add accumulates another ledger into l.
-func (l *Ledger) Add(o Ledger) {
-	l.PointMuls += o.PointMuls
-	l.ModMuls += o.ModMuls
-	l.AESBlocks += o.AESBlocks
-	l.TxBits += o.TxBits
-	l.RxBits += o.RxBits
-}
-
 // Message sizes on the wire (bits). Points are compressed (1 control
 // byte + 21 coordinate bytes); scalars are the 21-byte big-endian
 // field width (163 significant bits).

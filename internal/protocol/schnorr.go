@@ -64,7 +64,9 @@ func (t *SchnorrTag) Respond(challenge []byte) ([]byte, error) {
 	return encodeScalar(s), nil
 }
 
-// SchnorrVerifier verifies Schnorr transcripts against a public key.
+// SchnorrVerifier is the reader's side of a Schnorr identification: it
+// draws the challenges. The check of a transcript, Verify, lives in the
+// package's tests; the privacy game only links transcripts.
 type SchnorrVerifier struct {
 	Curve  *ec.Curve
 	Mul    PointMultiplier
@@ -77,35 +79,4 @@ func (v *SchnorrVerifier) Challenge() []byte {
 	e := v.Curve.Order.RandNonZero(v.Rand)
 	v.Ledger.TxBits += ScalarBits
 	return encodeScalar(e)
-}
-
-// Verify checks s·P == R + e·X for the claimed public key.
-func (v *SchnorrVerifier) Verify(pub ec.Point, commit, challenge, response []byte) (bool, error) {
-	v.Ledger.RxBits += PointBits + ScalarBits
-	R, err := v.Curve.Decompress(commit)
-	if err != nil {
-		return false, err
-	}
-	if err := v.Curve.Validate(R); err != nil {
-		return false, err
-	}
-	e, err := decodeScalar(challenge)
-	if err != nil {
-		return false, err
-	}
-	s, err := decodeScalar(response)
-	if err != nil {
-		return false, err
-	}
-	sP, err := v.Mul.ScalarMul(s, v.Curve.Generator())
-	v.Ledger.PointMuls++
-	if err != nil {
-		return false, err
-	}
-	eX, err := v.Mul.ScalarMul(e, pub)
-	v.Ledger.PointMuls++
-	if err != nil {
-		return false, err
-	}
-	return sP.Equal(v.Curve.Add(R, eX)), nil
 }

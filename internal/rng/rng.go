@@ -3,9 +3,8 @@
 // seedable DRBG built on AES-128 in counter mode (used for protocol
 // nonces, the randomized-projective-coordinates masks, the masked
 // datapath's per-cycle mask refresh and the lossy link's fault and
-// jitter draws), a fast xorshift generator with a Box–Muller Gaussian
-// sampler (used by the power model for measurement noise), and
-// SP 800-90B-style health tests for an on-chip entropy source.
+// jitter draws), and a fast xorshift generator with a Box–Muller
+// Gaussian sampler (used by the power model for measurement noise).
 //
 // Everything is deterministic given a seed so that every experiment in
 // this module is exactly reproducible.
@@ -13,7 +12,6 @@ package rng
 
 import (
 	"encoding/binary"
-	"errors"
 	"math"
 
 	"medsec/internal/lightcrypto"
@@ -282,71 +280,4 @@ func (g *Gaussian) Skip(n int) {
 		// the value the next Sample call would return.
 		g.Sample()
 	}
-}
-
-// HealthTester implements the two continuous health tests of
-// NIST SP 800-90B (§4.4) over a stream of entropy-source samples:
-// the repetition count test and the adaptive proportion test. The
-// paper's protocol level lists RNGs among the primitives that need
-// engineering care; an unmonitored entropy source silently breaking
-// would void the DPA countermeasure (the chip's mask randomness).
-type HealthTester struct {
-	// CutoffRepetition is the repetition-count alarm threshold.
-	CutoffRepetition int
-	// WindowSize and CutoffProportion parametrize the adaptive
-	// proportion test.
-	WindowSize       int
-	CutoffProportion int
-
-	last      byte
-	runLen    int
-	windowRef byte
-	windowPos int
-	windowCnt int
-	started   bool
-}
-
-// ErrEntropyFailure signals a health-test alarm.
-var ErrEntropyFailure = errors.New("rng: entropy source health test failed")
-
-// NewHealthTester returns a tester with cutoffs appropriate for a
-// nominally full-entropy byte source (false-positive probability
-// around 2^-30 per the SP 800-90B formulas).
-func NewHealthTester() *HealthTester {
-	return &HealthTester{
-		CutoffRepetition: 5, // ceil(1 + 30/8) for H = 8 bits/sample
-		WindowSize:       512,
-		CutoffProportion: 13, // generous for 8-bit samples
-	}
-}
-
-// Ingest feeds one sample; it returns ErrEntropyFailure if either
-// continuous test alarms.
-func (h *HealthTester) Ingest(sample byte) error {
-	// Repetition count test.
-	if h.started && sample == h.last {
-		h.runLen++
-		if h.runLen >= h.CutoffRepetition {
-			return ErrEntropyFailure
-		}
-	} else {
-		h.last = sample
-		h.runLen = 1
-	}
-	// Adaptive proportion test: count occurrences of the first sample
-	// of each window within that window.
-	if !h.started || h.windowPos == h.WindowSize {
-		h.windowRef = sample
-		h.windowPos = 0
-		h.windowCnt = 0
-	}
-	h.windowPos++
-	if sample == h.windowRef {
-		h.windowCnt++
-		if h.windowCnt >= h.CutoffProportion {
-			return ErrEntropyFailure
-		}
-	}
-	h.started = true
-	return nil
 }

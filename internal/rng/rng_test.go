@@ -146,54 +146,6 @@ func TestGaussianTails(t *testing.T) {
 	}
 }
 
-func TestHealthTesterPassesGoodSource(t *testing.T) {
-	h := NewHealthTester()
-	d := NewDRBG(33)
-	buf := make([]byte, 100000)
-	d.Read(buf)
-	for i, b := range buf {
-		if err := h.Ingest(b); err != nil {
-			t.Fatalf("healthy source alarmed at sample %d: %v", i, err)
-		}
-	}
-}
-
-func TestHealthTesterCatchesStuckSource(t *testing.T) {
-	h := NewHealthTester()
-	var err error
-	for i := 0; i < 10; i++ {
-		if err = h.Ingest(0xAA); err != nil {
-			break
-		}
-	}
-	if err != ErrEntropyFailure {
-		t.Fatal("stuck-at source not detected by repetition count test")
-	}
-}
-
-func TestHealthTesterCatchesBiasedSource(t *testing.T) {
-	// A source that emits the window reference value far too often but
-	// never twice in a row (defeating the repetition test alone).
-	h := NewHealthTester()
-	d := NewDRBG(44)
-	var err error
-	for i := 0; i < 100000 && err == nil; i++ {
-		var b byte
-		if i%3 == 0 {
-			b = 0x11 // 33% of mass on one value
-		} else {
-			b = byte(d.Uint64())
-			if b == 0x11 {
-				b = 0x12
-			}
-		}
-		err = h.Ingest(b)
-	}
-	if err != ErrEntropyFailure {
-		t.Fatal("biased source not detected by adaptive proportion test")
-	}
-}
-
 func BenchmarkDRBGUint64(b *testing.B) {
 	d := NewDRBG(1)
 	for i := 0; i < b.N; i++ {

@@ -341,7 +341,7 @@ func TestTracesToSuccessRefusesMisshapenCheckpoint(t *testing.T) {
 	window := camp.End - camp.Start
 	var set trace.Set
 	for i := 0; i < sizes[0]; i++ {
-		set.Add(trace.Trace{Samples: make([]float64, window), StartCycle: camp.Start})
+		set.Traces = append(set.Traces, trace.Trace{Samples: make([]float64, window), StartCycle: camp.Start})
 	}
 	blob, err := set.MarshalBinary()
 	if err != nil {

@@ -536,7 +536,7 @@ func CPA(c *Campaign, opt CPAOptions) (*CPAResult, error) {
 
 	// Centered-product preprocessing: per-column campaign means once,
 	// then per bit the centered-square columns z[w] ((x−µ)², the
-	// products trace.CenterSquare forms for a whole trace) of the write
+	// products trace's CenterSquare oracle forms for a whole trace) of the write
 	// cycles the attack actually correlates, shared by both guesses.
 	var colMean []float64
 	var z [mirrorWrites][]float64

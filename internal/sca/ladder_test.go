@@ -119,7 +119,7 @@ func TestCPALadderMatchesFresh(t *testing.T) {
 				for i, v := range tr.Samples {
 					s[i] = -v
 				}
-				neg.Add(trace.Trace{Samples: s, StartCycle: tr.StartCycle})
+				neg.Traces = append(neg.Traces, trace.Trace{Samples: s, StartCycle: tr.StartCycle})
 			}
 			camp.Set = neg
 			check("replaced set", camp.Prefix(900), secret)

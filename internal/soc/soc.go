@@ -20,7 +20,6 @@ import (
 	"medsec/internal/ec"
 	"medsec/internal/gf2m"
 	"medsec/internal/modn"
-	"medsec/internal/power"
 	"medsec/internal/rng"
 )
 
@@ -54,7 +53,6 @@ func (s Status) String() string {
 type Device struct {
 	curve *ec.Curve
 	tim   coproc.Timing
-	pcfg  power.Config
 	trng  *rng.DRBG
 
 	// Write-only key register: there is deliberately no method that
@@ -77,7 +75,6 @@ func NewDevice(seed uint64) *Device {
 	return &Device{
 		curve: ec.K163(),
 		tim:   coproc.DefaultTiming(),
-		pcfg:  power.ProtectedChip(seed),
 		trng:  rng.NewDRBG(seed),
 	}
 }
@@ -149,10 +146,11 @@ func (d *Device) start(xOnly bool) error {
 	d.xOnly = xOnly
 	if xOnly {
 		d.resultX = cpu.ResultX(prog)
-		// x-only results cannot be curve-validated alone; check that a
-		// point with this x exists on the curve (it must, for honest
-		// computations on valid inputs).
-		if _, ok := d.curve.SolveY(d.resultX); !ok && !d.resultX.IsZero() {
+		// An x-only result cannot be curve-validated alone. No point of
+		// the odd prime-order subgroup has x = 0 (the only such point
+		// has order 2), so x = 0 is infinity or a fault; any other x
+		// must solve the curve equation.
+		if _, ok := d.curve.SolveY(d.resultX); !ok || d.resultX.IsZero() {
 			d.status = StatusFault
 			return nil
 		}

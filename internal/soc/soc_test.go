@@ -211,8 +211,8 @@ func TestStatusString(t *testing.T) {
 }
 
 func TestZeroKeyXOnlyFaults(t *testing.T) {
-	// k = 0 gives the point at infinity; the x-only path cannot
-	// represent it and must not report Done with a bogus value.
+	// k = 0 gives the point at infinity. Neither path can represent it,
+	// and neither may report Done with a bogus value.
 	d := NewDevice(30)
 	curve := ec.K163()
 	src := rng.NewDRBG(31).Uint64
@@ -222,11 +222,21 @@ func TestZeroKeyXOnlyFaults(t *testing.T) {
 	if err := d.WritePoint(curve.RandomPoint(src)); err != nil {
 		t.Fatal(err)
 	}
+	// 0*P = O: full path validation rejects it -> fault state.
 	if err := d.StartPointMul(); err != nil {
 		t.Fatal(err)
 	}
-	// 0*P = O: full path validation rejects it -> fault state.
 	if d.Poll() != StatusFault {
 		t.Fatalf("0*P produced status %v, want fault", d.Poll())
+	}
+	// The x-only path computes x = 0, which no subgroup point has.
+	if err := d.StartXOnly(); err != nil {
+		t.Fatal(err)
+	}
+	if d.Poll() != StatusFault {
+		t.Fatalf("x-only 0*P produced status %v, want fault", d.Poll())
+	}
+	if x, err := d.ReadResultX(); err != ErrSequence {
+		t.Fatalf("x-only 0*P read back x = %v", x)
 	}
 }

@@ -34,11 +34,6 @@ func (t *Table) Row(cells ...interface{}) {
 	t.rows = append(t.rows, row)
 }
 
-// RowStrings appends a preformatted row.
-func (t *Table) RowStrings(cells ...string) {
-	t.rows = append(t.rows, cells)
-}
-
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) {
 	widths := make([]int, len(t.header))
@@ -79,11 +74,4 @@ func pad(s string, w int) string {
 		return s
 	}
 	return s + strings.Repeat(" ", w-len(s))
-}
-
-// String renders to a string.
-func (t *Table) String() string {
-	var b strings.Builder
-	t.Render(&b)
-	return b.String()
 }

@@ -5,11 +5,18 @@ import (
 	"testing"
 )
 
+// render renders tb to a string.
+func render(tb *Table) string {
+	var b strings.Builder
+	tb.Render(&b)
+	return b.String()
+}
+
 func TestRenderAlignment(t *testing.T) {
 	tb := New("name", "value")
 	tb.Row("short", 1)
 	tb.Row("a-much-longer-name", 3.14159)
-	out := tb.String()
+	out := render(tb)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("got %d lines", len(lines))
@@ -32,23 +39,15 @@ func TestRenderAlignment(t *testing.T) {
 func TestFloatFormatting(t *testing.T) {
 	tb := New("v")
 	tb.Row(50.400000001)
-	if !strings.Contains(tb.String(), "50.4") {
-		t.Fatalf("float not compacted: %s", tb.String())
-	}
-}
-
-func TestRowStrings(t *testing.T) {
-	tb := New("a", "b")
-	tb.RowStrings("x", "y")
-	if !strings.Contains(tb.String(), "x  y") {
-		t.Fatalf("RowStrings broken: %q", tb.String())
+	if !strings.Contains(render(tb), "50.4") {
+		t.Fatalf("float not compacted: %s", render(tb))
 	}
 }
 
 func TestShortRow(t *testing.T) {
 	tb := New("a", "b", "c")
-	tb.RowStrings("only")
-	out := tb.String()
+	tb.Row("only")
+	out := render(tb)
 	if !strings.Contains(out, "only") {
 		t.Fatal("short row dropped")
 	}

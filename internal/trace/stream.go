@@ -7,14 +7,14 @@ import (
 
 // Streaming accumulators.
 //
-// A batch statistic over a retained Set (WelchT) holds every trace of
-// a campaign in memory — O(n·window) — and makes a second pass to form
-// the statistic. TVLA's moments are order-independent one-pass
-// statistics, so TVLA campaigns (10 000 traces per set at paper scale)
-// stream instead: each accumulator below consumes one trace at a
-// time, keeps O(window) state, and reproduces its batch oracle to
-// floating-point rounding (the property tests assert agreement to
-// 1e-12).
+// A batch statistic over a retained Set (the tests' WelchT) holds
+// every trace of a campaign in memory — O(n·window) — and makes a
+// second pass to form the statistic. TVLA's moments are
+// order-independent one-pass statistics, so TVLA campaigns (10 000
+// traces per set at paper scale) stream instead: each accumulator
+// below consumes one trace at a time, keeps O(window) state, and
+// reproduces its batch oracle to floating-point rounding (the property
+// tests assert agreement to 1e-12).
 //
 // Numerical note: OnlineStats uses Welford's algorithm, which is
 // numerically *better* conditioned than the two-pass batch mean/var.

@@ -38,10 +38,6 @@ type OnlineMoments struct {
 	m4   []float64
 }
 
-// NewOnlineMoments returns an empty accumulator; the sample length is
-// fixed by the first Add.
-func NewOnlineMoments() *OnlineMoments { return &OnlineMoments{} }
-
 // Add consumes one trace's samples.
 func (o *OnlineMoments) Add(samples []float64) error {
 	if o.mean == nil {
@@ -113,45 +109,8 @@ func (o *OnlineMoments) Merge(other *OnlineMoments) error {
 	return nil
 }
 
-// N returns the number of traces consumed.
-func (o *OnlineMoments) N() int { return o.n }
-
 // SampleLen returns the per-trace sample count (0 before the first Add).
 func (o *OnlineMoments) SampleLen() int { return len(o.mean) }
-
-// Mean returns a copy of the per-sample running mean.
-func (o *OnlineMoments) Mean() ([]float64, error) {
-	if o.n == 0 {
-		return nil, ErrEmptySet
-	}
-	return append([]float64(nil), o.mean...), nil
-}
-
-// CentralMoment returns a copy of the per-sample central moment of the
-// given order (2, 3 or 4), normalized by n (population convention,
-// like OnlineStats.Variance).
-func (o *OnlineMoments) CentralMoment(order int) ([]float64, error) {
-	if o.n == 0 {
-		return nil, ErrEmptySet
-	}
-	var src []float64
-	switch order {
-	case 2:
-		src = o.m2
-	case 3:
-		src = o.m3
-	case 4:
-		src = o.m4
-	default:
-		return nil, ErrEmptySet
-	}
-	out := make([]float64, len(src))
-	inv := 1 / float64(o.n)
-	for i, v := range src {
-		out[i] = v * inv
-	}
-	return out, nil
-}
 
 // OnlineWelch2 is the streaming second-order (centered-product) TVLA:
 // Welch's t-test on the centered-squared traces of two populations,
@@ -219,21 +178,4 @@ func (w *OnlineWelch2) MaxT() (float64, int) {
 		return 0, -1
 	}
 	return MaxAbs(ts)
-}
-
-// CenterSquare replaces each sample by its centered product
-// (x−μ)·(x−μ) about the given per-column means. It is OnlineWelch2's
-// test oracle: Welch's t on a retained set centered this way is what
-// the second-order t-test computes from moment state alone. The
-// centered-product CPA (internal/sca) forms the same products itself,
-// only for the write cycles it correlates.
-func CenterSquare(samples, mean []float64) error {
-	if len(samples) != len(mean) {
-		return ErrSampleMismatch
-	}
-	for i, v := range samples {
-		d := v - mean[i]
-		samples[i] = d * d
-	}
-	return nil
 }

@@ -9,8 +9,9 @@
 // OnlineStats, OnlineWelch; stream2.go: OnlineMoments, OnlineWelch2),
 // which consume one trace at a time in O(window) memory and back the
 // parallel campaign engine in internal/campaign. The batch forms over
-// a retained Set (WelchT, MeanTrace, CenterSquare) are the oracles the
-// streaming forms are tested against, to 1e-12.
+// a retained Set (WelchT, MeanTrace, CenterSquare, in the package's
+// tests) are the oracles the streaming forms are checked against, to
+// 1e-12.
 //
 // A Trace is the simulated counterpart of one oscilloscope capture:
 // one power sample per clock cycle over a configurable cycle window.
@@ -222,9 +223,6 @@ var ErrEmptySet = errors.New("trace: empty or ragged trace set")
 // Len returns the number of traces.
 func (s *Set) Len() int { return len(s.Traces) }
 
-// Add appends a trace.
-func (s *Set) Add(t Trace) { s.Traces = append(s.Traces, t) }
-
 // Prefix returns a view of the first n traces (all of them when
 // n >= Len). The view ALIASES the receiver: the Trace headers and the
 // underlying sample slices are shared, so mutating samples through
@@ -249,87 +247,6 @@ func (s *Set) SampleLen() int {
 		return 0
 	}
 	return len(s.Traces[0].Samples)
-}
-
-// validate checks the set is non-empty and rectangular.
-func (s *Set) validate() error {
-	if len(s.Traces) == 0 || len(s.Traces[0].Samples) == 0 {
-		return ErrEmptySet
-	}
-	n := len(s.Traces[0].Samples)
-	for _, t := range s.Traces {
-		if len(t.Samples) != n {
-			return ErrEmptySet
-		}
-	}
-	return nil
-}
-
-// MeanTrace returns the per-sample mean across the set.
-func (s *Set) MeanTrace() ([]float64, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	n := s.SampleLen()
-	mean := make([]float64, n)
-	for _, t := range s.Traces {
-		for i, v := range t.Samples {
-			mean[i] += v
-		}
-	}
-	inv := 1 / float64(len(s.Traces))
-	for i := range mean {
-		mean[i] *= inv
-	}
-	return mean, nil
-}
-
-// meanVar returns per-sample mean and (population) variance.
-func (s *Set) meanVar() (mean, variance []float64, err error) {
-	mean, err = s.MeanTrace()
-	if err != nil {
-		return nil, nil, err
-	}
-	variance = make([]float64, len(mean))
-	for _, t := range s.Traces {
-		for i, v := range t.Samples {
-			d := v - mean[i]
-			variance[i] += d * d
-		}
-	}
-	inv := 1 / float64(len(s.Traces))
-	for i := range variance {
-		variance[i] *= inv
-	}
-	return mean, variance, nil
-}
-
-// WelchT computes the per-sample Welch t-statistic between two sets —
-// the TVLA fixed-vs-random leakage test. |t| > 4.5 is the customary
-// evidence-of-leakage threshold.
-func WelchT(a, b *Set) ([]float64, error) {
-	ma, va, err := a.meanVar()
-	if err != nil {
-		return nil, err
-	}
-	mb, vb, err := b.meanVar()
-	if err != nil {
-		return nil, err
-	}
-	if len(ma) != len(mb) {
-		return nil, ErrEmptySet
-	}
-	na, nb := float64(a.Len()), float64(b.Len())
-	out := make([]float64, len(ma))
-	for i := range ma {
-		denom := math.Sqrt(va[i]/na + vb[i]/nb)
-		if denom == 0 {
-			out[i] = 0
-			continue
-		}
-		out[i] = (ma[i] - mb[i]) / denom
-	}
-	return out, nil
 }
 
 // MaxAbs returns the maximum absolute value in xs and its index;
