@@ -195,7 +195,7 @@ func TestRunInterruptWritesFinalCheckpointAndResumes(t *testing.T) {
 	}
 }
 
-func TestRunShardedResumeMatchesUninterrupted(t *testing.T) {
+func TestRunMultiShardResumeMatchesUninterrupted(t *testing.T) {
 	const n, shards = 40, 4
 	want := serialFold(n)
 	lay := ShardingFor(0, n, shards)
@@ -277,7 +277,7 @@ func TestRunCheckpointSnapshotConsistency(t *testing.T) {
 	}
 }
 
-func TestRunShardedInterruptWritesFinalCheckpointAndResumes(t *testing.T) {
+func TestRunMultiShardInterruptWritesFinalCheckpointAndResumes(t *testing.T) {
 	const n, shards = 80, 4
 	want := serialFold(n)
 	lay := ShardingFor(0, n, shards)

@@ -278,9 +278,9 @@ func TestRunErrorSkipsMerge(t *testing.T) {
 	}
 }
 
-// TestRunShardedProgressMonotone pins the Progress contract: values
+// TestRunMultiShardProgressMonotone pins the Progress contract: values
 // are strictly increasing and end at the campaign size.
-func TestRunShardedProgressMonotone(t *testing.T) {
+func TestRunMultiShardProgressMonotone(t *testing.T) {
 	var seen []int
 	var mu sync.Mutex
 	n, err := intRun(0, 64, Config{Workers: 4, Shards: 4, Progress: func(done int) {

@@ -365,32 +365,121 @@ func (c *Curve) SolveY(x gf2m.Element) (gf2m.Element, bool) {
 	if x.IsZero() {
 		return gf2m.Sqrt(c.B), true
 	}
-	rhs := gf2m.Add(gf2m.Add(x, c.A), gf2m.Div(c.B, gf2m.Sqr(x)))
-	if gf2m.Trace(rhs) != 0 {
+	z, ok := c.solveZ(x, gf2m.Div(c.B, gf2m.Sqr(x)))
+	if !ok {
 		return gf2m.Zero(), false
 	}
-	z := gf2m.HalfTrace(rhs)
 	return gf2m.Mul(x, z), true
 }
 
+// solveZ returns z = H(x + a + b/x^2), given bx = b/x^2 for x != 0. It
+// solves z^2 + z = x + a + b/x^2 when that has a solution, which it
+// reports, and y = x·z is then a y-coordinate for x.
+func (c *Curve) solveZ(x, bx gf2m.Element) (gf2m.Element, bool) {
+	rhs := gf2m.Add(gf2m.Add(x, c.A), bx)
+	if gf2m.Trace(rhs) != 0 {
+		return gf2m.Zero(), false
+	}
+	return gf2m.HalfTrace(rhs), true
+}
+
 // RandomPoint returns a uniformly random point of the prime-order
-// subgroup (cofactor-cleared), never O and never the order-2 point.
+// subgroup (cofactor-cleared), never O and never the order-2 point: a
+// RandomPoints draw of one.
 func (c *Curve) RandomPoint(src func() uint64) Point {
-	for {
-		x := gf2m.FromWords(src(), src(), src())
-		y, ok := c.SolveY(x)
-		if !ok {
+	var p [1]Point
+	c.RandomPoints(p[:], src)
+	return p[0]
+}
+
+// pointBlock is the most candidates RandomPoints solves with one
+// shared inversion.
+const pointBlock = 64
+
+// RandomPoints fills dst with uniformly random points of the
+// prime-order subgroup, never O and never the order-2 point. A
+// candidate is x = three words of src; it is kept when
+// z^2 + z = x + a + b/x^2 has a solution (see SolveY) and the point
+// (x, x·z), its cofactor cleared, is neither O nor has x = 0. dst
+// receives the kept points in draw order, so a call fills dst as
+// len(dst) calls of RandomPoint would, and leaves src on the same word.
+//
+// Candidates are drawn in blocks of at most min(pointBlock, points
+// still needed): every point takes at least one candidate, so no word
+// past the last kept candidate is drawn. One Inv serves a block: the
+// nonzero x^2 are inverted together (Montgomery's trick). The first
+// doubling of the cofactor clearing needs no inversion either: with
+// y = x·z, 2P has λ = x + z and, since z^2 + z = x + a + b/x^2,
+// x(2P) = λ^2 + λ + a = x^2 + b/x^2, the field elements Double gives.
+func (c *Curve) RandomPoints(dst []Point, src func() uint64) {
+	var xs, sq, inv [pointBlock]gf2m.Element
+	for len(dst) > 0 {
+		k := min(pointBlock, len(dst))
+		for i := range xs[:k] {
+			xs[i] = gf2m.FromWords(src(), src(), src())
+			sq[i] = gf2m.Sqr(xs[i])
+		}
+		invertNonZero(inv[:k], sq[:k])
+		n := 0
+		for i, x := range xs[:k] {
+			if p, ok := c.candidatePoint(x, sq[i], inv[i]); ok {
+				dst[n] = p
+				n++
+			}
+		}
+		dst = dst[n:]
+	}
+}
+
+// candidatePoint is RandomPoints' test of one candidate x, given x^2
+// and its inverse: the cofactor-cleared point, or false when x is
+// rejected.
+func (c *Curve) candidatePoint(x, xx, invXX gf2m.Element) (Point, bool) {
+	if x.IsZero() {
+		// (0, sqrt(b)) has order 2.
+		return Point{}, false
+	}
+	bx := gf2m.Mul(c.B, invXX)
+	z, ok := c.solveZ(x, bx)
+	if !ok {
+		return Point{}, false
+	}
+	if c.Cofactor < 2 {
+		return Point{X: x, Y: gf2m.Mul(x, z)}, true
+	}
+	x2 := gf2m.Add(xx, bx)
+	if x2.IsZero() {
+		return Point{}, false
+	}
+	lambda := gf2m.Add(x, z)
+	p := Point{X: x2, Y: gf2m.Add(xx, gf2m.Mul(gf2m.Add(lambda, gf2m.One()), x2))}
+	for h := c.Cofactor >> 1; h > 1; h >>= 1 {
+		p = c.Double(p)
+	}
+	if p.Inf || p.X.IsZero() {
+		return Point{}, false
+	}
+	return p, true
+}
+
+// invertNonZero sets inv[i] = 1/s[i] for every nonzero s[i], and
+// inv[i] = 0 where s[i] = 0, with one Inv (Montgomery's trick).
+// Inversion is exact, so each inv[i] equals gf2m.Inv(s[i]).
+func invertNonZero(inv, s []gf2m.Element) {
+	acc := gf2m.One()
+	for i, e := range s {
+		inv[i] = acc
+		if !e.IsZero() {
+			acc = gf2m.Mul(acc, e)
+		}
+	}
+	a := gf2m.Inv(acc)
+	for i := len(s) - 1; i >= 0; i-- {
+		if s[i].IsZero() {
+			inv[i] = gf2m.Zero()
 			continue
 		}
-		p := Point{X: x, Y: y}
-		// Clear the cofactor to land in the prime-order subgroup.
-		for h := c.Cofactor; h > 1; h >>= 1 {
-			p = c.Double(p)
-		}
-		if p.Inf || p.X.IsZero() {
-			continue
-		}
-		return p
+		inv[i], a = gf2m.Mul(a, inv[i]), gf2m.Mul(a, s[i])
 	}
 }
 
@@ -418,11 +507,11 @@ func (c *Curve) Decompress(b []byte) (Point, error) {
 	if x.IsZero() {
 		return Point{}, errors.New("ec: x = 0 not decodable")
 	}
-	y, ok := c.SolveY(x)
+	z, ok := c.solveZ(x, gf2m.Div(c.B, gf2m.Sqr(x)))
 	if !ok {
 		return Point{}, errors.New("ec: no point with this x-coordinate")
 	}
-	z := gf2m.Div(y, x)
+	y := gf2m.Mul(x, z)
 	if z.Bit(0) != uint(b[0]&1) {
 		y = gf2m.Add(y, x) // the conjugate solution
 	}

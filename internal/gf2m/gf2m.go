@@ -9,6 +9,10 @@
 // that instruction and reduced with it. The portable path, for every
 // other CPU and GOARCH, multiplies with a whole-operand left-to-right
 // comb with 4-bit windows (Precomp) and squares by a byte table.
+// Squaring is GF(2)-linear, so a run of n squarings is a fixed
+// 163×163 bit matrix, and so is the half-trace: HalfTrace and Inv's
+// runs of 20, 40 and 81 squarings apply such matrices, built once at
+// package init (linmap.go).
 //
 // The package's tests hold it to an independent reference, a generic
 // variable-degree field with arbitrary reduction polynomials
@@ -17,10 +21,13 @@
 // All fixed-path operations are branch-free with respect to operand
 // values (data-dependent branches are what the paper's timing- and
 // SPA-countermeasures forbid), and PCLMULQDQ's latency does not depend
-// on its operands. Table lookups indexed by operand bytes and nibbles
-// remain only on the portable path. This is the simulator's host
-// arithmetic: the device's leakage is modelled in the coproc and power
-// packages, not in the timing of this code.
+// on its operands. A matrix is applied by masking each column with
+// all ones or all zeros from one operand bit and XORing it in, so no
+// branch and no memory index depends on the operand. Table lookups
+// indexed by operand bytes and nibbles remain only on the portable
+// path. This is the simulator's host arithmetic: the device's leakage
+// is modelled in the coproc and power packages, not in the timing of
+// this code.
 package gf2m
 
 import "math/bits"
@@ -348,8 +355,10 @@ func sqrN(e Element, n int) Element {
 // Inv returns the multiplicative inverse of e, computed with the
 // Itoh–Tsujii addition chain for m-1 = 162
 // (1,2,4,5,10,20,40,80,81,162): 9 multiplications and 162 squarings.
-// Inv of the zero element returns zero (the caller is expected to
-// guard; protocols in this module never invert zero).
+// The runs of 20, 40 and 81 squarings go through their linear maps;
+// a run of 10 is cheaper squared out. Inv of the zero element returns
+// zero (the caller is expected to guard; protocols in this module
+// never invert zero).
 func Inv(e Element) Element {
 	b1 := e                     // e^(2^1 - 1)
 	b2 := Mul(sqrN(b1, 1), b1)  // e^(2^2 - 1)
@@ -357,11 +366,11 @@ func Inv(e Element) Element {
 	b5 := Mul(sqrN(b4, 1), b1)  // e^(2^5 - 1)
 	b10 := Mul(sqrN(b5, 5), b5) // e^(2^10 - 1)
 	b20 := Mul(sqrN(b10, 10), b10)
-	b40 := Mul(sqrN(b20, 20), b20)
-	b80 := Mul(sqrN(b40, 40), b40)
+	b40 := Mul(sqr20.apply(b20), b20)
+	b80 := Mul(sqr40.apply(b40), b40)
 	b81 := Mul(sqrN(b80, 1), b1)
-	b162 := Mul(sqrN(b81, 81), b81) // e^(2^162 - 1)
-	return Sqr(b162)                // e^(2^163 - 2) = e^-1
+	b162 := Mul(sqr81.apply(b81), b81) // e^(2^162 - 1)
+	return Sqr(b162)                   // e^(2^163 - 2) = e^-1
 }
 
 // Div returns e / f = e * f^-1.
@@ -415,29 +424,19 @@ func Sqrt(e Element) Element {
 }
 
 // traceVec has bit i set iff Tr(x^i) = 1; the trace of an arbitrary
-// element is then the parity of (e AND traceVec). Computed once at
-// package init from the definition Tr(c) = sum c^(2^i).
+// element is then the parity of (e AND traceVec). It is read off the
+// half-trace's columns: for odd m, H(e)² + H(e) = e + Tr(e).
 var traceVec Element
 
 func init() {
-	for i := 0; i < M; i++ {
-		var xi Element
-		xi = xi.SetBit(i, 1)
-		if traceByDefinition(xi) == 1 {
-			traceVec = traceVec.SetBit(i, 1)
-		}
+	sqr20.buildSqrRun(20)
+	sqr40.buildSqrRun(40)
+	sqr81.buildSqrRun(81)
+	halfTrace.buildHalfTrace()
+	for i, h := range &halfTrace {
+		t := Add(Add(Sqr(h), h), Zero().SetBit(i, 1))
+		traceVec = traceVec.SetBit(i, uint(t[0]))
 	}
-}
-
-func traceByDefinition(e Element) uint {
-	s := e
-	t := e
-	for i := 1; i < M; i++ {
-		t = Sqr(t)
-		s = Add(s, t)
-	}
-	// The trace lies in GF(2), so s is 0 or 1.
-	return uint(s[0] & 1)
 }
 
 // Trace returns the absolute trace Tr(e) in {0, 1}.
@@ -449,16 +448,9 @@ func Trace(e Element) uint {
 // HalfTrace returns H(e) = sum_{i=0}^{(m-1)/2} e^(2^(2i)). For odd m,
 // if Tr(e) = 0 then z = H(e) solves z^2 + z = e; this is how the curve
 // layer solves for y-coordinates (point decompression, y-recovery
-// checks). If Tr(e) = 1 the equation has no solution.
-func HalfTrace(e Element) Element {
-	h := e
-	t := e
-	for i := 1; i <= (M-1)/2; i++ {
-		t = Sqr(Sqr(t))
-		h = Add(h, t)
-	}
-	return h
-}
+// checks). If Tr(e) = 1 the equation has no solution. H is GF(2)-linear,
+// so it is one application of its map instead of 162 squarings.
+func HalfTrace(e Element) Element { return halfTrace.apply(e) }
 
 // Bytes returns the big-endian 21-byte encoding of e (ceil(163/8)).
 func (e Element) Bytes() []byte {

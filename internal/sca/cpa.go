@@ -781,15 +781,13 @@ func TracesToSuccess(t *Target, sizes []int, bits int, opt CPAOptions, pointSrc 
 					ck.Path, i, len(tr.Samples), len(camp.Cycles))
 			}
 		}
-		// Re-derive the attacker's point stream: points are drawn
-		// serially in index order (one RandomPoint call per trace), so
-		// replaying the source over the restored prefix regenerates
-		// Points exactly and leaves pointSrc positioned for the next
-		// extension.
+		// Re-derive the attacker's point stream: the points are the
+		// source's draws in index order, whatever the RandomPoints
+		// calls they were split into, so one call over the restored
+		// prefix regenerates Points exactly and leaves pointSrc
+		// positioned for the next extension.
 		camp.Points = make([]ec.Point, prev.Header.Watermark)
-		for i := range camp.Points {
-			camp.Points[i] = t.Curve.RandomPoint(pointSrc)
-		}
+		t.Curve.RandomPoints(camp.Points, pointSrc)
 		resumedN = prev.Header.Watermark
 		complete = prev.Header.Complete
 	}

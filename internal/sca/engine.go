@@ -16,8 +16,10 @@ import (
 //
 //   - everything a trace depends on besides its index is packed into
 //     an acqJob by a prepare callback that runs serially in index
-//     order — so shared attacker streams (point selection, random TVLA
-//     keys) are drawn in a fixed order;
+//     order — so shared attacker streams (random TVLA keys) are drawn
+//     in a fixed order; a CPA campaign's points are drawn in index
+//     order before the engine runs (ExtendCampaign), and its prepare
+//     only reads them;
 //   - the device-side randomness (TRNG masks, measurement noise) never
 //     depends on acquisition order: Target derives both purely from
 //     the trace index (traceSeed / Power.Seed mixing);

@@ -264,6 +264,12 @@ func (t *Target) AcquireCampaign(n int, firstIter, lastIter int, pointSrc func()
 // because trace i is a pure function of index i, the extended campaign
 // is identical to one acquired at size n in a single call.
 //
+// The extension's n - from points are drawn before the engine runs, by
+// one Curve.RandomPoints call into c.Points[from:], which draws what
+// that many RandomPoint calls would; the engine's prepare only reads
+// them. An extension that fails leaves c.Points at from points, but
+// pointSrc past all n - from.
+//
 // Each trace is acquired at c.Cycles only (see plan.go). The campaign
 // retains every trace, so the "reduction" is a positional write: each
 // completed acquisition is copied into its own slot of one backing
@@ -292,24 +298,24 @@ func (t *Target) ExtendCampaign(c *Campaign, n int, pointSrc func() uint64) erro
 		startCycle = c.Cycles[0]
 	}
 	backing := make([]float64, (n-from)*k)
+	c.Points = append(c.Points, make([]ec.Point, n-from)...)
+	t.Curve.RandomPoints(c.Points[from:], pointSrc)
 	prepare := func(idx int) (acqJob, error) {
-		return acqJob{key: t.Key, point: t.Curve.RandomPoint(pointSrc), dev: uint64(idx)}, nil
+		return acqJob{key: t.Key, point: c.Points[idx], dev: uint64(idx)}, nil
 	}
 	cfg := t.engineConfig()
 	if t.Progress != nil {
 		cfg.Progress = func(done int) { t.Progress(from + done) }
 	}
 	c.Set.Traces = append(c.Set.Traces, make([]trace.Trace, n-from)...)
-	c.Points = append(c.Points, make([]ec.Point, n-from)...)
 	_, err := runCampaign(t, from, n, cfg, plan, prepare,
 		func(shard int) struct{} { return struct{}{} },
-		func(shard int, _ struct{}, idx int, j acqJob, tr trace.Trace) error {
+		func(shard int, _ struct{}, idx int, _ acqJob, tr trace.Trace) error {
 			i := (idx - from) * k
 			samples := backing[i : i+k : i+k]
 			keep(samples, tr)
 			tr.Release()
 			c.Set.Traces[idx] = trace.Trace{Samples: samples, StartCycle: startCycle}
-			c.Points[idx] = j.point
 			return nil
 		},
 		func(shard int, _ struct{}) error { return nil })

@@ -146,11 +146,7 @@ func (d *Device) start(xOnly bool) error {
 	d.xOnly = xOnly
 	if xOnly {
 		d.resultX = cpu.ResultX(prog)
-		// An x-only result cannot be curve-validated alone. No point of
-		// the odd prime-order subgroup has x = 0 (the only such point
-		// has order 2), so x = 0 is infinity or a fault; any other x
-		// must solve the curve equation.
-		if _, ok := d.curve.SolveY(d.resultX); !ok || d.resultX.IsZero() {
+		if !d.subgroupX(d.resultX) {
 			d.status = StatusFault
 			return nil
 		}
@@ -163,6 +159,17 @@ func (d *Device) start(xOnly bool) error {
 	}
 	d.status = StatusDone
 	return nil
+}
+
+// subgroupX is the x-only result check: an x cannot be validated
+// alone, so x must solve the curve equation and the point (x, y) with
+// the solved y must pass the full path's Validate. That refuses x = 0
+// (the order-2 point; infinity after a fault) and an x whose points lie
+// outside the prime-order subgroup, which an x-only ladder of a
+// subgroup point never ends on.
+func (d *Device) subgroupX(x gf2m.Element) bool {
+	y, ok := d.curve.SolveY(x)
+	return ok && d.curve.Validate(ec.Point{X: x, Y: y}) == nil
 }
 
 // Poll returns the device status.

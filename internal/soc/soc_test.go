@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"medsec/internal/ec"
+	"medsec/internal/gf2m"
 	"medsec/internal/modn"
 	"medsec/internal/rng"
 )
@@ -238,5 +239,32 @@ func TestZeroKeyXOnlyFaults(t *testing.T) {
 	}
 	if x, err := d.ReadResultX(); err != ErrSequence {
 		t.Fatalf("x-only 0*P read back x = %v", x)
+	}
+}
+
+// TestXOnlyFaultsOutsideSubgroup holds start's x-only check to the full
+// path's Validate: an x that solves the curve equation but whose points
+// lie outside the prime-order subgroup (here Tr(x) = 0 != Tr(a) = 1)
+// must fault, as must x = 0; the x of a subgroup point passes.
+func TestXOnlyFaultsOutsideSubgroup(t *testing.T) {
+	d := NewDevice(1)
+	curve := ec.K163()
+	x := gf2m.MustFromHex("1039013160ea0cdd07dafae17d205275dc92e4a88")
+	y, ok := curve.SolveY(x)
+	if !ok {
+		t.Fatal("x solves no curve equation; the case is vacuous")
+	}
+	if curve.Validate(ec.Point{X: x, Y: y}) == nil {
+		t.Fatal("(x, y) passes Validate; the case is vacuous")
+	}
+	if d.subgroupX(x) {
+		t.Fatalf("x-only check accepts %v, outside the subgroup", x)
+	}
+	if d.subgroupX(gf2m.Zero()) {
+		t.Fatal("x-only check accepts x = 0")
+	}
+	p := curve.RandomPoint(rng.NewDRBG(5).Uint64)
+	if !d.subgroupX(p.X) || !d.subgroupX(curve.Gx) {
+		t.Fatal("x-only check refuses the x of a subgroup point")
 	}
 }
