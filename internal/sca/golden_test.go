@@ -7,6 +7,8 @@ import (
 	"math"
 	"testing"
 
+	"medsec/internal/modn"
+	"medsec/internal/power"
 	"medsec/internal/rng"
 )
 
@@ -113,6 +115,106 @@ func TestCPAGoldenLadder(t *testing.T) {
 			}
 			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
 				t.Errorf("ladder digest %s, recorded %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// tvlaDigest hashes what a TVLAResult decides: the traces per set, the
+// early-stop flag and the IEEE-754 bits of every t-curve point.
+func tvlaDigest(r *TVLAResult) string {
+	h := sha256.New()
+	var buf [8]byte
+	binary.BigEndian.PutUint64(buf[:], uint64(r.TracesPerSet))
+	h.Write(buf[:])
+	if r.EarlyStopped {
+		h.Write([]byte{1})
+	}
+	for _, v := range r.TCurve {
+		binary.BigEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// leakMapDigest hashes a LeakMap: every located point's cycle,
+// attribution and t bits, then the assessed sample count and max |t|.
+func leakMapDigest(m *LeakMap) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.BigEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, p := range m.Points {
+		put(uint64(p.Cycle))
+		put(math.Float64bits(p.TStat))
+		put(uint64(p.InstrIdx))
+		put(uint64(p.Op))
+		put(uint64(p.Iteration))
+		put(uint64(p.KeyBit))
+	}
+	put(uint64(m.Samples))
+	put(math.Float64bits(m.MaxT))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestTVLAGoldenCurves pins the t-curves of small campaigns through
+// every fixed-vs-random entry point: first-order TVLA folded in one
+// shard and in the default sharded layout, second-order TVLA2 on the
+// masked target, TVLAUntil stopping early, and LeakageMap. The
+// determinism tests only compare campaigns with each other; this pin
+// ties their bits to recorded values. The constants were recorded from
+// the separate early-stop and sharded fold legs and must never be
+// edited.
+func TestTVLAGoldenCurves(t *testing.T) {
+	run := func(t *testing.T, tgt *Target, shards int, f func(*Target, func() modn.Scalar) (*TVLAResult, error)) string {
+		tgt.Shards = shards
+		res, err := f(tgt, algKeyStream(tgt.Curve, 41))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tvlaDigest(res)
+	}
+	tvla := func(tgt *Target, key func() modn.Scalar) (*TVLAResult, error) {
+		return TVLA(tgt, FixedPoint(tgt.Curve), 20, 160, 158, key)
+	}
+	for _, tc := range []struct {
+		name string
+		got  func(t *testing.T) string
+		want string
+	}{
+		{"tvla-one-shard", func(t *testing.T) string { return run(t, newDPATarget(t, false, 311), 1, tvla) }, "3fd915460cbd496e4d37bab44e32c63e14f811721c417bdb1981b456506650bf"},
+		{"tvla-sharded", func(t *testing.T) string { return run(t, newDPATarget(t, false, 311), 0, tvla) }, "a2df730902fb70401bf72580f4e6311e88934546ae5b7bb08617a7d0fefffe01"},
+		{"tvla2-masked", func(t *testing.T) string {
+			return run(t, newMaskedTarget(t, 312, true), 0, func(tgt *Target, key func() modn.Scalar) (*TVLAResult, error) {
+				return TVLA2(tgt, FixedPoint(tgt.Curve), 20, 160, 158, key)
+			})
+		}, "c2050e34c8f739d1ffb438c85038d6a92774c20ff80fa53564771dbb20a5e83e"},
+		{"tvla-until-early", func(t *testing.T) string {
+			return run(t, newDPATarget(t, false, 80), 0, func(tgt *Target, key func() modn.Scalar) (*TVLAResult, error) {
+				res, err := TVLAUntil(tgt, FixedPoint(tgt.Curve), 120, 5, 160, 158, key)
+				if err == nil && !res.EarlyStopped {
+					t.Fatalf("fixture did not stop early (max |t| %g)", res.MaxT)
+				}
+				return res, err
+			})
+		}, "47d4d1c8b231972f63a5cb5802a781c0350dcea5932a56ace8d89c83c2eff9b9"},
+		{"leakmap", func(t *testing.T) string {
+			tgt, curve, gen := leakTarget(t, func(c *power.Config) { c.BalancedMux = false })
+			m, err := LeakageMap(tgt, FixedPoint(curve), 30, 160, 157, gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !m.Leaks() {
+				t.Fatal("the unbalanced-mux fixture located no leak")
+			}
+			return leakMapDigest(m)
+		}, "453f8391c5a595561bd862de09a87d91f2ff7637304e64fadbf740596a29e43c"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.got(t); got != tc.want {
+				t.Errorf("digest %s, recorded %s", got, tc.want)
 			}
 		})
 	}
