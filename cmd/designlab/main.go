@@ -321,15 +321,11 @@ func evalPoint(st *design.Stack, idx int, seed uint64, reps, tvlaN, lanes int, c
 		if err != nil {
 			return r, err
 		}
-		sumJ += st.Radio.TxEnergy(out.PhyTxBits, st.Point.DistanceM) +
-			st.Radio.RxEnergy(out.PhyRxBits) +
-			float64(out.Ledger.PointMuls)*pm.EnergyJ +
-			float64(out.Ledger.ModMuls)*st.Costs.ModMulJ +
-			float64(out.Ledger.AESBlocks)*st.Costs.AESBlockJ
+		eJ, latS := st.SessionPrice(out.Ledger, out.PhyTxBits, out.PhyRxBits, pm)
+		sumJ += eJ
 		if out.Completed {
 			completed++
-			sumLat += float64(out.Ledger.PointMuls)*float64(pm.Cycles)/st.Point.ClockHz +
-				float64(out.PhyTxBits+out.PhyRxBits)/design.DefaultBitrateBps
+			sumLat += latS
 		}
 	}
 	r.SessionJ = sumJ / float64(reps)

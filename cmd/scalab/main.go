@@ -63,8 +63,9 @@
 // produces the byte-identical final report an uninterrupted run would
 // have printed; a -resume against a checkpoint from a different seed,
 // design point, campaign kind or code revision is refused by name.
-// Growing -traces between runs extends a completed tvla -early
-// campaign in a new process.
+// Growing -traces between runs extends a completed one-shard tvla
+// campaign (-early, or -shards 1) in a new process; a sharded
+// campaign's checkpoint pins its budget.
 //
 // Every subcommand accepts -metrics out.json: the run then carries a
 // live internal/obs registry through the acquisition stack and writes
@@ -80,8 +81,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"sort"
 	"time"
 
 	"medsec/internal/campaign"
@@ -109,28 +112,29 @@ func main() {
 	log.SetPrefix("scalab: ")
 	ctx, stop := cliutil.SignalContext()
 	defer stop()
-	if err := run(ctx, os.Args[1:]); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		log.Print(err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, args []string) error {
+// run executes one subcommand and writes its report to w.
+func run(ctx context.Context, args []string, w io.Writer) error {
 	if len(args) < 1 {
 		return usageError()
 	}
 	sub, rest := args[0], args[1:]
 	switch sub {
 	case "dpa":
-		return dpaCmd(ctx, rest)
+		return dpaCmd(ctx, rest, w)
 	case "spa":
-		return spaCmd(ctx, rest)
+		return spaCmd(ctx, rest, w)
 	case "timing":
-		return timingCmd(rest)
+		return timingCmd(rest, w)
 	case "tvla":
-		return tvlaCmd(ctx, rest)
+		return tvlaCmd(ctx, rest, w)
 	case "leakmap":
-		return leakmapCmd(ctx, rest)
+		return leakmapCmd(ctx, rest, w)
 	default:
 		return usageError()
 	}
@@ -323,7 +327,7 @@ func newMeter(tgt *sca.Target, reg *obs.Registry) *meter {
 // (cyclesPerTrace is the acquisition window end — every trace
 // simulates the ladder from cycle 0 through the window). With a live
 // registry the figures also land in the manifest as gauges.
-func (m *meter) report(cyclesPerTrace int) {
+func (m *meter) report(w io.Writer, cyclesPerTrace int) {
 	fmt.Fprint(os.Stderr, "\r\033[K")
 	el := time.Since(m.start)
 	if m.acquired == 0 || el <= 0 {
@@ -332,11 +336,11 @@ func (m *meter) report(cyclesPerTrace int) {
 	sec := el.Seconds()
 	m.reg.Gauge("traces_per_sec").Set(float64(m.acquired) / sec)
 	m.reg.Gauge("simulated_cycles_per_sec").Set(float64(m.acquired) * float64(cyclesPerTrace) / sec)
-	fmt.Printf("\ncampaign throughput: %d traces in %.2fs (%.0f traces/s, %.2e simulated cycles/s)\n",
+	fmt.Fprintf(w, "\ncampaign throughput: %d traces in %.2fs (%.0f traces/s, %.2e simulated cycles/s)\n",
 		m.acquired, sec, float64(m.acquired)/sec, float64(m.acquired)*float64(cyclesPerTrace)/sec)
 }
 
-func dpaCmd(ctx context.Context, args []string) (err error) {
+func dpaCmd(ctx context.Context, args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("dpa", flag.ContinueOnError)
 	traces := fs.Int("traces", 20000, "maximum campaign size")
 	bits := fs.Int("bits", 6, "key bits to recover")
@@ -399,7 +403,7 @@ func dpaCmd(ctx context.Context, args []string) (err error) {
 		sizes = append(sizes, *traces)
 	}
 	dpaFirstIter := 162 - len(sca.DefaultKnownPrefix())
-	fmt.Printf("DPA/CPA: RPC=%v known-masks=%v masking=%s preprocess=%q, recovering %d bits, up to %d traces, seed=%d, prologue cycles skipped per trace=%d\n",
+	fmt.Fprintf(w, "DPA/CPA: RPC=%v known-masks=%v masking=%s preprocess=%q, recovering %d bits, up to %d traces, seed=%d, prologue cycles skipped per trace=%d\n",
 		*rpc, *known, *masking, *preprocess, *bits, *traces, *seed,
 		tgt.NewCampaign(dpaFirstIter, dpaFirstIter-*bits+1).PrologueCyclesSkipped())
 	m := newMeter(tgt, reg)
@@ -419,13 +423,13 @@ func dpaCmd(ctx context.Context, args []string) (err error) {
 	t.Row("recovered bits", fmt.Sprint(res.Recovered))
 	t.Row("true bits", fmt.Sprint(res.True))
 	t.Row("bit accuracy", fmt.Sprintf("%.2f", res.BitAccuracy()))
-	t.Render(os.Stdout)
+	t.Render(w)
 	_, end := tgt.Window(dpaFirstIter, dpaFirstIter-*bits+1)
-	m.report(end)
+	m.report(w, end)
 	return nil
 }
 
-func spaCmd(ctx context.Context, args []string) (err error) {
+func spaCmd(ctx context.Context, args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("spa", flag.ContinueOnError)
 	balanced := fs.Bool("balanced", true, "balanced mux control encoding (Fig. 3)")
 	gating := fs.Bool("gating", false, "data-dependent clock gating")
@@ -459,7 +463,7 @@ func spaCmd(ctx context.Context, args []string) (err error) {
 		if *microcode != "compare" {
 			return fmt.Errorf("-microcode %q unsupported (want \"compare\" or empty)", *microcode)
 		}
-		return microcodeSPA(*seed, reg)
+		return microcodeSPA(w, *seed, reg)
 	}
 	tgt, curve, _, err := newTarget(true, *seed, func(p *design.Point) {
 		p.BalancedMux = *balanced
@@ -477,7 +481,7 @@ func spaCmd(ctx context.Context, args []string) (err error) {
 	// SPA averages the full ladder, so the only prologue the planner
 	// can remove is the short pre-ladder setup (load/format
 	// instructions before iteration 162).
-	fmt.Printf("SPA: seed=%d, prologue cycles skipped per trace=%d\n",
+	fmt.Fprintf(w, "SPA: seed=%d, prologue cycles skipped per trace=%d\n",
 		*seed, tgt.NewCampaign(162, 0).PrologueCyclesSkipped())
 	var res *sca.SPAResult
 	if *profile > 1 {
@@ -495,7 +499,7 @@ func spaCmd(ctx context.Context, args []string) (err error) {
 	t.Row("classified bits", len(res.Recovered))
 	t.Row("bit accuracy", fmt.Sprintf("%.3f", res.Accuracy()))
 	t.Row("cluster separation (sigma)", fmt.Sprintf("%.2f", res.MeanAbsFeatureGap()))
-	t.Render(os.Stdout)
+	t.Render(w)
 	return nil
 }
 
@@ -504,7 +508,7 @@ func spaCmd(ctx context.Context, args []string) (err error) {
 // the shape classifier (coproc.ShapeClasses) and the block-length key
 // reader (coproc.DoubleAndAddKeyFromShape) against the plain
 // double-and-add, the Giraud–Verneuil atomic repair, and the ladder.
-func microcodeSPA(seed uint64, reg *obs.Registry) error {
+func microcodeSPA(w io.Writer, seed uint64, reg *obs.Registry) error {
 	st, err := design.Defaults().Build()
 	if err != nil {
 		return err
@@ -561,9 +565,9 @@ func microcodeSPA(seed uint64, reg *obs.Registry) error {
 	}
 	t.Row(design.MicrocodeAtomic, len(atc), distinct(atc), outcome)
 
-	fmt.Printf("operation-flow SPA: shape classification of the scalar-mult microcodes, seed=%d, %d key bits processed\n\n",
+	fmt.Fprintf(w, "operation-flow SPA: shape classification of the scalar-mult microcodes, seed=%d, %d key bits processed\n\n",
 		seed, len(trueBits))
-	t.Render(os.Stdout)
+	t.Render(w)
 
 	reg.Gauge("spa_shape_classes_ladder").Set(float64(distinct(lc)))
 	reg.Gauge("spa_shape_classes_double_and_add").Set(float64(distinct(dac)))
@@ -573,7 +577,7 @@ func microcodeSPA(seed uint64, reg *obs.Registry) error {
 	return nil
 }
 
-func timingCmd(args []string) (err error) {
+func timingCmd(args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("timing", flag.ContinueOnError)
 	keys := fs.Int("keys", 1000, "random keys to measure")
 	seed := fs.Uint64("seed", 1, "experiment seed")
@@ -604,7 +608,7 @@ func timingCmd(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("timing attack: %d keys, seed=%d\n", *keys, *seed)
+	fmt.Fprintf(w, "timing attack: %d keys, seed=%d\n", *keys, *seed)
 	rep := sca.TimingAttack(st.Curve, st.Timing, *keys, rng.NewDRBG(*seed).Uint64)
 	reg.Counter("timing_keys_measured").Add(int64(*keys))
 	reg.Gauge("timing_ladder_cycles").Set(float64(rep.LadderCycles))
@@ -615,11 +619,11 @@ func timingCmd(args []string) (err error) {
 	t.Row("double-and-add baseline",
 		fmt.Sprintf("%d..%d cycles", rep.DAMinCycles, rep.DAMaxCycles),
 		fmt.Sprintf("latency/HW corr %.3f, HW error %.2f bits", rep.DAHWCorrelation, rep.DARecoveredHWError))
-	t.Render(os.Stdout)
+	t.Render(w)
 	return nil
 }
 
-func leakmapCmd(ctx context.Context, args []string) (err error) {
+func leakmapCmd(ctx context.Context, args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("leakmap", flag.ContinueOnError)
 	traces := fs.Int("traces", 200, "traces per set")
 	balanced := fs.Bool("balanced", true, "balanced mux control encoding")
@@ -669,11 +673,11 @@ func leakmapCmd(ctx context.Context, args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("leakage map: seed=%d, %d cycles assessed, max |t| = %.2f, threshold %.1f, prologue cycles skipped per trace=%d\n\n",
+	fmt.Fprintf(w, "leakage map: seed=%d, %d cycles assessed, max |t| = %.2f, threshold %.1f, prologue cycles skipped per trace=%d\n\n",
 		*seed, m.Samples, m.MaxT, m.Threshold,
 		tgt.NewCampaign(160, 157).PrologueCyclesSkipped())
 	if !m.Leaks() {
-		fmt.Println("no significant key-dependent leakage located")
+		fmt.Fprintln(w, "no significant key-dependent leakage located")
 		return nil
 	}
 	t := tabular.New("rank", "cycle", "|t|", "instruction", "iteration", "key bit")
@@ -687,15 +691,21 @@ func leakmapCmd(ctx context.Context, args []string) (err error) {
 		}
 		t.Row(i+1, p.Cycle, fmt.Sprintf("%.1f", tv), p.Op.String(), p.Iteration, p.KeyBit)
 	}
-	t.Render(os.Stdout)
-	fmt.Println("\nby circuit block:")
-	for op, n := range m.ByOp() {
-		fmt.Printf("  %-6s %d leaky cycles\n", op, n)
+	t.Render(w)
+	fmt.Fprintln(w, "\nby circuit block:")
+	byOp := m.ByOp()
+	ops := make([]string, 0, len(byOp))
+	for op := range byOp {
+		ops = append(ops, op)
+	}
+	sort.Strings(ops)
+	for _, op := range ops {
+		fmt.Fprintf(w, "  %-6s %d leaky cycles\n", op, byOp[op])
 	}
 	return nil
 }
 
-func tvlaCmd(ctx context.Context, args []string) (err error) {
+func tvlaCmd(ctx context.Context, args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("tvla", flag.ContinueOnError)
 	traces := fs.Int("traces", 500, "traces per set")
 	rpc := fs.Bool("rpc", true, "randomized projective coordinates enabled")
@@ -794,7 +804,7 @@ func tvlaCmd(ctx context.Context, args []string) (err error) {
 		verdict = "FAIL (leakage detected)"
 	}
 	t.Row("verdict", verdict)
-	t.Render(os.Stdout)
-	m.report(res.CyclesPerTrace)
+	t.Render(w)
+	m.report(w, res.CyclesPerTrace)
 	return nil
 }

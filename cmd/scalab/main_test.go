@@ -1,14 +1,21 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"medsec/internal/campaign"
 	"medsec/internal/obs"
+	"medsec/internal/store"
 )
 
 // TestRunRefusesNegativeShards drives the CLI entry point in process: a
@@ -16,7 +23,7 @@ import (
 // before any acquisition starts.
 func TestRunRefusesNegativeShards(t *testing.T) {
 	for _, sub := range []string{"dpa", "spa", "tvla", "leakmap"} {
-		err := run(context.Background(), []string{sub, "-shards", "-1"})
+		err := run(context.Background(), []string{sub, "-shards", "-1"}, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "-shards") {
 			t.Errorf("scalab %s -shards -1: err = %v, want a refusal naming -shards", sub, err)
 		}
@@ -32,7 +39,7 @@ func TestTVLAManifestCountersAgreeAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{2, 7} {
 		path := filepath.Join(t.TempDir(), fmt.Sprintf("manifest%d.json", workers))
 		args := []string{"tvla", "-traces", "64", "-workers", fmt.Sprint(workers), "-metrics", path}
-		if err := run(context.Background(), args); err != nil {
+		if err := run(context.Background(), args, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		m, err := obs.ReadManifest(path)
@@ -57,11 +64,134 @@ func TestTVLAManifestCountersAgreeAcrossWorkers(t *testing.T) {
 // with the mismatching provenance field named.
 func TestTVLAForeignCheckpointRefusedByName(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "tvla.msckpt")
-	if err := run(context.Background(), []string{"tvla", "-traces", "20", "-seed", "3", "-checkpoint", ckpt}); err != nil {
+	if err := run(context.Background(), []string{"tvla", "-traces", "20", "-seed", "3", "-checkpoint", ckpt}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	err := run(context.Background(), []string{"tvla", "-traces", "20", "-seed", "4", "-checkpoint", ckpt, "-resume"})
+	err := run(context.Background(), []string{"tvla", "-traces", "20", "-seed", "4", "-checkpoint", ckpt, "-resume"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "provenance mismatch on seed") {
 		t.Fatalf("seed-4 resume of a seed-3 checkpoint: err = %v, want a provenance mismatch on seed", err)
+	}
+}
+
+// report runs scalab in process and returns its report without the
+// timing-dependent throughput line, the last thing a campaign prints.
+func report(t *testing.T, args ...string) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := run(context.Background(), args, &buf); err != nil {
+		t.Fatalf("scalab %v: %v", args, err)
+	}
+	out := buf.String()
+	if i := strings.Index(out, "\ncampaign throughput:"); i >= 0 {
+		out = out[:i]
+	}
+	return out
+}
+
+// TestReportsIndependentOfShape byte-compares the reports of one
+// campaign run at several -workers/-shards/-lanes shapes: first-order
+// tvla, second-order tvla on the masked target, and leakmap. Workers
+// and lanes never change a result; a shard count reassociates the fold
+// only below the printed precision.
+func TestReportsIndependentOfShape(t *testing.T) {
+	shapes := [][]string{
+		{"-workers", "1", "-lanes", "1"},
+		{"-workers", "2", "-lanes", "4"},
+		{"-workers", "7", "-shards", "4", "-lanes", "4"},
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string // a line every report must hold
+	}{
+		{"tvla", []string{"tvla", "-traces", "600", "-seed", "5"}, "verdict"},
+		{"tvla-order2-masked", []string{"tvla", "-traces", "800", "-order", "2", "-masking", "boolean1", "-rpc=false", "-seed", "3"},
+			"FAIL (leakage detected)"},
+		{"leakmap", []string{"leakmap", "-traces", "200", "-balanced=false", "-seed", "5"}, "by circuit block:"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := report(t, append(tc.args, shapes[0]...)...)
+			if !strings.Contains(ref, tc.want) {
+				t.Fatalf("report holds no %q:\n%s", tc.want, ref)
+			}
+			for _, shape := range shapes[1:] {
+				if got := report(t, append(tc.args, shape...)...); got != ref {
+					t.Errorf("%v: report differs from %v:\n%s\n---\n%s", shape, shapes[0], got, ref)
+				}
+			}
+		})
+	}
+}
+
+// killAtFirstCheckpoint runs scalab with the given -checkpoint file
+// and cancels its context, as SIGINT does, once the first periodic
+// checkpoint exists. It fails unless the run was cut short: a run that
+// finished first would test only the completed-checkpoint
+// short-circuit.
+func killAtFirstCheckpoint(t *testing.T, path string, args ...string) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, args, io.Discard) }()
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for {
+		select {
+		case err := <-done:
+			t.Fatalf("scalab %v ended (err %v) before its first checkpoint was written", args, err)
+		case <-tick.C:
+			if _, err := os.Stat(path); err != nil {
+				continue
+			}
+			cancel()
+			if err := <-done; !errors.Is(err, campaign.ErrInterrupted) {
+				t.Fatalf("scalab %v killed at its first checkpoint returned %v, want an interrupt", args, err)
+			}
+			ck, err := store.Read(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ck.Header.Complete {
+				t.Fatalf("scalab %v killed at its first checkpoint left a finished one", args)
+			}
+			return
+		}
+	}
+}
+
+// TestTVLAKillResume kills a tvla campaign once its first checkpoint
+// is on disk, resumes it at another worker and lane count, and
+// byte-compares the report with an uninterrupted run's: for four
+// shards, one shard, and the early-stop fold (which does not stop with
+// RPC on).
+func TestTVLAKillResume(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"shards-4", []string{"-shards", "4"}},
+		{"shards-1", []string{"-shards", "1"}},
+		{"early", []string{"-early"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append([]string{"tvla", "-traces", "1500", "-seed", "3"}, tc.args...)
+			path := filepath.Join(t.TempDir(), "tvla.msckpt")
+			ref := report(t, append(args, "-workers", "2", "-lanes", "4")...)
+			killAtFirstCheckpoint(t, path, append(args, "-workers", "1", "-lanes", "8",
+				"-checkpoint", path, "-checkpoint-interval", "50")...)
+			manifest := filepath.Join(t.TempDir(), "manifest.json")
+			got := report(t, append(args, "-workers", "7", "-lanes", "1", "-checkpoint", path, "-resume", "-metrics", manifest)...)
+			if got != ref {
+				t.Fatalf("resumed report differs from the uninterrupted run:\n%s\n---\n%s", got, ref)
+			}
+			m, err := obs.ReadManifest(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := m.Metrics.Counters["sca_traces_acquired"]; n >= 3000 {
+				t.Fatalf("the resumed run acquired %d traces; it must skip the checkpointed prefix", n)
+			}
+		})
 	}
 }

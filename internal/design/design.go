@@ -613,6 +613,23 @@ func (s *Stack) RunAuthSession(seed uint64, reg *obs.Registry) (SessionOutcome, 
 	}, nil
 }
 
+// SessionPrice prices one session on this point. The energy is the
+// device's physical radio bill — phyTxBits sent over the point's
+// distance and phyRxBits received, framing and ACKs included — plus
+// the ledger's computation, each point multiplication at pm's measured
+// energy: radio.Model.LedgerEnergy over the PHY bits. The latency is
+// pm's cycles per point multiplication at the point's clock plus the
+// bits on air at DefaultBitrateBps.
+func (s *Stack) SessionPrice(led protocol.Ledger, phyTxBits, phyRxBits int, pm Measurement) (energyJ, latencyS float64) {
+	costs := s.Costs
+	costs.PointMulJ = pm.EnergyJ
+	led.TxBits, led.RxBits = phyTxBits, phyRxBits
+	energyJ = s.Radio.LedgerEnergy(led, s.Point.DistanceM, costs)
+	latencyS = float64(led.PointMuls)*float64(pm.Cycles)/s.Point.ClockHz +
+		float64(phyTxBits+phyRxBits)/DefaultBitrateBps
+	return energyJ, latencyS
+}
+
 // MixSeed derives the per-session seed for grid cell (cell, rep) from
 // a campaign seed — a SplitMix-style avalanche so neighboring cells
 // get uncorrelated streams. This is the historical linksim mixer;

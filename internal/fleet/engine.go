@@ -59,19 +59,13 @@ func (o RunOptions) deviceRange(total int) (lo, hi int) {
 	return lo, hi
 }
 
-// cohortNominal is a cohort's nominal energy/timing calibration: one
-// noise-free point multiplication measured on the cohort's design
-// point, priced once and reused for every device in the cohort (the
-// per-cohort analogue of designlab's evalPoint pricing).
-type cohortNominal struct {
-	pmEnergyJ float64
-	pmCycles  int
-}
-
-// nominals measures each cohort's point-mul cost once, serially, in
-// cohort order — a pure function of the config.
-func nominals(cfg Config, cache *design.Cache) ([]cohortNominal, error) {
-	out := make([]cohortNominal, len(cfg.Cohorts))
+// nominals measures each cohort's nominal energy/timing calibration:
+// one noise-free point multiplication on the cohort's design point,
+// measured once, serially, in cohort order — a pure function of the
+// config — and reused for every device in the cohort (the per-cohort
+// analogue of designlab's evalPoint pricing).
+func nominals(cfg Config, cache *design.Cache) ([]design.Measurement, error) {
+	out := make([]design.Measurement, len(cfg.Cohorts))
 	for i, co := range cfg.Cohorts {
 		st, err := cache.Build(co.Point)
 		if err != nil {
@@ -82,7 +76,7 @@ func nominals(cfg Config, cache *design.Cache) ([]cohortNominal, error) {
 		if err != nil {
 			return nil, err
 		}
-		out[i] = cohortNominal{pmEnergyJ: pm.EnergyJ, pmCycles: pm.Cycles}
+		out[i] = pm
 	}
 	return out, nil
 }
@@ -110,7 +104,7 @@ func newLab(cache *design.Cache) *lab {
 // the pooled pair and folds it into out. The parties persist across
 // the device's sessions (keys are generated once per device, as on a
 // real implant); only the channel is reborn per session.
-func (l *lab) session(st *design.Stack, nom cohortNominal, dev *protocol.Tag,
+func (l *lab) session(st *design.Stack, pm design.Measurement, dev *protocol.Tag,
 	rdr *protocol.Reader, seed uint64, storm bool, out *deviceOutcome) error {
 	if err := l.pair.Reset(st.Channel, st.ARQ, seed); err != nil {
 		return err
@@ -123,11 +117,7 @@ func (l *lab) session(st *design.Stack, nom cohortNominal, dev *protocol.Tag,
 		return err
 	}
 	stats := l.pair.A().Stats()
-	eJ := st.Radio.TxEnergy(stats.PhyTxBits(), st.Point.DistanceM) +
-		st.Radio.RxEnergy(stats.PhyRxBits()) +
-		float64(res.DeviceLedger.PointMuls)*nom.pmEnergyJ +
-		float64(res.DeviceLedger.ModMuls)*st.Costs.ModMulJ +
-		float64(res.DeviceLedger.AESBlocks)*st.Costs.AESBlockJ
+	eJ, latS := st.SessionPrice(res.DeviceLedger, stats.PhyTxBits(), stats.PhyRxBits(), pm)
 	out.energyPJ += int64(math.Round(eJ * 1e12))
 	out.retries += int64(stats.Retries)
 	if storm {
@@ -141,8 +131,6 @@ func (l *lab) session(st *design.Stack, nom cohortNominal, dev *protocol.Tag,
 		} else {
 			out.completed++
 		}
-		latS := float64(res.DeviceLedger.PointMuls)*float64(nom.pmCycles)/st.Point.ClockHz +
-			float64(stats.PhyTxBits()+stats.PhyRxBits())/design.DefaultBitrateBps
 		out.latencyUS = append(out.latencyUS, int64(math.Round(latS*1e6)))
 	} else if res.AbortStage == protocol.StageLink {
 		out.linkAborts++
@@ -156,14 +144,14 @@ func (l *lab) session(st *design.Stack, nom cohortNominal, dev *protocol.Tag,
 // (cache hit for all but the first device of a build identity),
 // generate the device's keys once, run the duty-cycle sessions plus
 // the re-auth storm, then price the battery.
-func (l *lab) device(cfg Config, noms []cohortNominal, idx int) (deviceOutcome, error) {
+func (l *lab) device(cfg Config, noms []design.Measurement, idx int) (deviceOutcome, error) {
 	dp := cfg.deviceParams(idx)
 	if err := l.cache.BuildInto(&l.stack, dp.point); err != nil {
 		return deviceOutcome{}, err
 	}
 	st := &l.stack
 	out := deviceOutcome{cohort: dp.cohort}
-	nom := noms[dp.cohort]
+	pm := noms[dp.cohort]
 
 	src := rng.NewDRBG(design.MixSeed(cfg.Seed, idx, streamParties)).Uint64
 	mul := &protocol.SoftwareMultiplier{Curve: st.Curve, Rand: src}
@@ -179,7 +167,7 @@ func (l *lab) device(cfg Config, noms []cohortNominal, idx int) (deviceOutcome, 
 
 	for rep := 0; rep < cfg.SessionsPerDevice; rep++ {
 		seed := design.MixSeed(cfg.Seed, idx, streamSession+rep)
-		if err := l.session(st, nom, dev, rdr, seed, false, &out); err != nil {
+		if err := l.session(st, pm, dev, rdr, seed, false, &out); err != nil {
 			return deviceOutcome{}, err
 		}
 	}
@@ -190,7 +178,7 @@ func (l *lab) device(cfg Config, noms []cohortNominal, idx int) (deviceOutcome, 
 		sst := &l.storm
 		for rep := 0; rep < cfg.Storm.Sessions; rep++ {
 			seed := design.MixSeed(cfg.Seed, idx, streamStorm+rep)
-			if err := l.session(sst, nom, dev, rdr, seed, true, &out); err != nil {
+			if err := l.session(sst, pm, dev, rdr, seed, true, &out); err != nil {
 				return deviceOutcome{}, err
 			}
 		}

@@ -166,10 +166,8 @@ func Run(cfg GridConfig) (*GridReport, error) {
 		c.MeanLedgerJ += model.LedgerEnergy(out.Ledger, c.Distance, costs)
 		// Physical cost: every bit the device radio moved (payload +
 		// framing + ACKs) plus the same computation.
-		c.MeanPhyJ += model.TxEnergy(out.PhyTxBits, c.Distance) + model.RxEnergy(out.PhyRxBits) +
-			float64(out.Ledger.PointMuls)*costs.PointMulJ +
-			float64(out.Ledger.ModMuls)*costs.ModMulJ +
-			float64(out.Ledger.AESBlocks)*costs.AESBlockJ
+		phyJ, _ := stacks[j.cell].SessionPrice(out.Ledger, out.PhyTxBits, out.PhyRxBits, design.Measurement{EnergyJ: costs.PointMulJ})
+		c.MeanPhyJ += phyJ
 		if cfg.Progress != nil {
 			cfg.Progress(idx+1, total)
 		}

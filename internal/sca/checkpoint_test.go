@@ -176,35 +176,60 @@ func TestTVLAUntilKillResumeMatchesUninterrupted(t *testing.T) {
 	sameTVLA(t, "until-short-circuit", res2, ref)
 }
 
-// TestTVLASerialCrossProcessExtend: a Complete checkpoint of the
-// serial early-stop leg at a smaller budget seeds a larger campaign —
-// the cross-process extension case — and the extended result is
-// bit-identical to a single uninterrupted run at the larger budget. A
-// check interval beyond the budget never fires, so both runs are
-// full-budget serial folds, equal to TVLA at one shard.
+// TestTVLASerialCrossProcessExtend: a Complete checkpoint of a
+// one-shard campaign at a smaller budget seeds a larger campaign — the
+// cross-process extension case — and the extended result is
+// bit-identical to a single uninterrupted run at the larger budget.
+// Both rows fold one shard: the early-stop leg with a check interval
+// beyond the budget (it never fires), and a full-budget TVLA at
+// Target.Shards = 1; each equals TVLA at one shard.
 func TestTVLASerialCrossProcessExtend(t *testing.T) {
 	ref, err := tvlaCkpt(t, 79, 8, 3, 1, 14, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr := ckptHeader(79)
-	hdr.Kind = "tvla-until"
-	run := func(nPerSet int, ck *CampaignCheckpoint) *TVLAResult {
-		tgt := newDPATarget(t, false, 79)
-		tgt.Workers = 3
-		tgt.Ckpt = ck
-		src := rng.NewDRBG(8).Uint64
-		res, err := TVLAUntil(tgt, FixedPoint(tgt.Curve), nPerSet, 1000, 160, 158,
-			func() modn.Scalar { return AlgorithmOneScalar(tgt.Curve, src) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	for _, tc := range []struct {
+		name, kind string
+		campaign   func(tgt *Target, nPerSet int, randKey func() modn.Scalar) (*TVLAResult, error)
+	}{
+		{"until", "tvla-until", func(tgt *Target, nPerSet int, randKey func() modn.Scalar) (*TVLAResult, error) {
+			return TVLAUntil(tgt, FixedPoint(tgt.Curve), nPerSet, 1000, 160, 158, randKey)
+		}},
+		{"tvla-one-shard", "tvla", func(tgt *Target, nPerSet int, randKey func() modn.Scalar) (*TVLAResult, error) {
+			tgt.Shards = 1
+			return TVLA(tgt, FixedPoint(tgt.Curve), nPerSet, 160, 158, randKey)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hdr := ckptHeader(79)
+			hdr.Kind = tc.kind
+			first := 0 // the first progress report of the latest run
+			run := func(nPerSet int, ck *CampaignCheckpoint) *TVLAResult {
+				tgt := newDPATarget(t, false, 79)
+				tgt.Workers = 3
+				tgt.Ckpt = ck
+				first = 0
+				tgt.Progress = func(done int) {
+					if first == 0 {
+						first = done
+					}
+				}
+				src := rng.NewDRBG(8).Uint64
+				res, err := tc.campaign(tgt, nPerSet, func() modn.Scalar { return AlgorithmOneScalar(tgt.Curve, src) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			path := filepath.Join(t.TempDir(), "extend.ckpt")
+			run(10, &CampaignCheckpoint{Path: path, Every: 5, Header: hdr})
+			res := run(14, &CampaignCheckpoint{Path: path, Every: 5, Header: hdr, Resume: true})
+			if first <= 20 {
+				t.Fatalf("the extension reported %d folded traces first; it must resume past the stored 20", first)
+			}
+			sameTVLA(t, "extend", res, ref)
+		})
 	}
-	path := filepath.Join(t.TempDir(), "extend.ckpt")
-	run(10, &CampaignCheckpoint{Path: path, Every: 5, Header: hdr})
-	res := run(14, &CampaignCheckpoint{Path: path, Every: 5, Header: hdr, Resume: true})
-	sameTVLA(t, "extend", res, ref)
 }
 
 // TestTVLACheckpointProvenanceMismatchRefused: resuming under a

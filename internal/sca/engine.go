@@ -93,27 +93,10 @@ func (t *Target) fixedRandomPrepare(p ec.Point, randKey func() modn.Scalar) camp
 	}
 }
 
-// welchStat abstracts the two streaming fixed-vs-random accumulators —
-// first-order trace.OnlineWelch and second-order trace.OnlineWelch2 —
-// so the TVLA campaign legs (early-stop fold, sharded reduction,
-// checkpoint marshal/restore) are written once and instantiated per
-// statistical order. The self-referential constraint (W appears in its
-// own Merge parameter) is the usual Go shape for "pointer type with
-// these methods".
-type welchStat[W any] interface {
-	AddA(samples []float64) error
-	AddB(samples []float64) error
-	Merge(other W) error
-	T() ([]float64, error)
-	MaxT() (float64, int)
-	MarshalBinary() ([]byte, error)
-	UnmarshalBinary(data []byte) error
-}
-
 // welchShardFold folds the alternating fixed/random stream into a
 // Welch accumulator: even indices into set A, odd into set B. The
 // trace is not retained, so its pooled buffers go back for reuse.
-func welchShardFold[W welchStat[W]](shard int, acc W, idx int, j acqJob, tr trace.Trace) error {
+func welchShardFold[P any, PP trace.Population[P]](shard int, acc *trace.Welch[P, PP], idx int, j acqJob, tr trace.Trace) error {
 	var err error
 	if idx%2 == 0 {
 		err = acc.AddA(tr.Samples)
@@ -122,10 +105,4 @@ func welchShardFold[W welchStat[W]](shard int, acc W, idx int, j acqJob, tr trac
 	}
 	tr.Release()
 	return err
-}
-
-// welchShardMerge folds the per-shard accumulators into w in shard
-// order — the campaign's final reduction.
-func welchShardMerge[W welchStat[W]](w W) func(shard int, acc W) error {
-	return func(shard int, acc W) error { return w.Merge(acc) }
 }

@@ -39,26 +39,17 @@ type LeakMap struct {
 
 // LeakageMap runs a fixed-vs-random-key t-test over the given ladder
 // iteration window and attributes each significant cycle to the
-// microcode instruction executing there. Like TVLA it streams the
-// campaign through the parallel engine into an online Welch
-// accumulator — no trace set is retained.
+// microcode instruction executing there. It runs TVLA's first-order
+// fold leg — the campaign streams through the parallel engine into an
+// online Welch accumulator, no trace set is retained, and a
+// Target.Ckpt checkpoints it as it does TVLA.
 func LeakageMap(t *Target, p ec.Point, nPerSet, firstIter, lastIter int, randKey func() modn.Scalar) (*LeakMap, error) {
 	if nPerSet < 10 {
 		return nil, errors.New("sca: leakage map needs at least 10 traces per set")
 	}
 	start, end := t.prog.IterationWindow(t.Timing, firstIter, lastIter)
 	plan := t.planWindow(start, end)
-	w := trace.NewOnlineWelch()
-	// Same sharded Welch reduction as the full-budget TVLA: fold per
-	// shard on the workers, merge in shard order.
-	_, err := runCampaign(t, 0, 2*nPerSet, t.engineConfig(), plan,
-		t.fixedRandomPrepare(p, randKey),
-		func(shard int) *trace.OnlineWelch { return trace.NewOnlineWelch() },
-		welchShardFold[*trace.OnlineWelch], welchShardMerge(w))
-	if err != nil {
-		return nil, err
-	}
-	ts, err := w.T()
+	_, ts, err := tvlaFold[trace.OnlineStats](t, "welch", 2*nPerSet, 0, plan, t.fixedRandomPrepare(p, randKey))
 	if err != nil {
 		return nil, err
 	}

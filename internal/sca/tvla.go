@@ -7,6 +7,7 @@ import (
 	"medsec/internal/campaign"
 	"medsec/internal/ec"
 	"medsec/internal/modn"
+	"medsec/internal/store"
 	"medsec/internal/trace"
 )
 
@@ -95,7 +96,10 @@ func TVLA2Until(t *Target, p ec.Point, maxPerSet, checkEvery int, firstIter, las
 // as |t| > TVLAThreshold — leaky designs are convicted in tens of
 // traces instead of the full budget. The campaign folds serially (one
 // shard, whatever Target.Shards says), so the stopping point is
-// deterministic for any worker or lane count. Because the engine may
+// deterministic for any worker or lane count, and its checkpoints are
+// one-shard ones: a finished campaign that did not stop grows to a
+// larger budget in a later process, one that stopped keeps its verdict
+// at any budget. Because the engine may
 // prepare a few indices past the stop, randKey's stream is advanced by
 // a bounded, scheduling-dependent amount once the campaign stops; do
 // not share randKey's source with a later campaign after an
@@ -107,30 +111,6 @@ func TVLAUntil(t *Target, p ec.Point, maxPerSet, checkEvery int, firstIter, last
 	return tvlaRun(t, p, maxPerSet, checkEvery, firstIter, lastIter, 1, randKey)
 }
 
-// tvlaLeg dispatches one order's campaign between the early-stop and
-// full-budget engine legs — the generic core shared by both
-// statistical orders (blobKey namespaces the checkpoint blobs per
-// order).
-func tvlaLeg[W welchStat[W]](t *Target, w W, blobKey string, mk func() W, nPerSet, checkEvery int, plan *acqPlan, prepare campaign.PrepareFunc[acqJob]) (int, []float64, error) {
-	var total int
-	var err error
-	if checkEvery > 0 {
-		// "Stop once |t| exceeds the threshold after pair k" needs one
-		// in-order fold: the serial (single-shard) leg.
-		total, err = tvlaUntil(t, w, blobKey, 2*nPerSet, checkEvery, plan, prepare)
-	} else {
-		// Full-budget campaign: reduce through per-shard Welch
-		// accumulators folded on the worker goroutines and merged in
-		// shard order.
-		total, err = tvlaSharded(t, w, blobKey, mk, 2*nPerSet, plan, prepare)
-	}
-	if err != nil {
-		return total, nil, err
-	}
-	ts, err := w.T()
-	return total, ts, err
-}
-
 func tvlaRun(t *Target, p ec.Point, nPerSet, checkEvery int, firstIter, lastIter, order int, randKey func() modn.Scalar) (*TVLAResult, error) {
 	if nPerSet < 10 {
 		return nil, errors.New("sca: TVLA needs at least 10 traces per set")
@@ -138,17 +118,14 @@ func tvlaRun(t *Target, p ec.Point, nPerSet, checkEvery int, firstIter, lastIter
 	start, end := t.prog.IterationWindow(t.Timing, firstIter, lastIter)
 	plan := t.planWindow(start, end)
 	prepare := t.fixedRandomPrepare(p, randKey)
-	// total counts every folded trace, including a prefix restored from
-	// a checkpoint (Target.Ckpt) — the count an uninterrupted run of
-	// the same campaign would have reached.
 	var total int
 	var ts []float64
 	var err error
 	switch order {
 	case 1:
-		total, ts, err = tvlaLeg(t, trace.NewOnlineWelch(), "welch", trace.NewOnlineWelch, nPerSet, checkEvery, plan, prepare)
+		total, ts, err = tvlaFold[trace.OnlineStats](t, "welch", 2*nPerSet, checkEvery, plan, prepare)
 	case 2:
-		total, ts, err = tvlaLeg(t, trace.NewOnlineWelch2(), "welch2", trace.NewOnlineWelch2, nPerSet, checkEvery, plan, prepare)
+		total, ts, err = tvlaFold[trace.OnlineMoments](t, "welch2", 2*nPerSet, checkEvery, plan, prepare)
 	default:
 		return nil, fmt.Errorf("sca: unsupported TVLA order %d (want 1 or 2)", order)
 	}
@@ -184,3 +161,155 @@ func tvlaRun(t *Target, p ec.Point, nPerSet, checkEvery int, firstIter, lastIter
 
 // FixedPoint returns a deterministic base point for TVLA campaigns.
 func FixedPoint(c *ec.Curve) ec.Point { return c.Generator() }
+
+// errEarlyStop is the early-stop fold sentinel: the running t-curve
+// crossed TVLAThreshold at a check point, so the campaign is over.
+var errEarlyStop = errors.New("sca: early stop")
+
+// tvlaFold runs one fixed-vs-random campaign of `to` traces on the
+// engine — the only fold leg of TVLA, TVLA2, their early-stop forms
+// and LeakageMap — and returns the t-curve with the total folded trace
+// count, including any prefix restored from a checkpoint (Target.Ckpt):
+// the count an uninterrupted run of the same campaign would have
+// reached. Even indices fold into population A, odd ones into B.
+//
+// It folds Target.Shards shards on the worker goroutines and merges
+// them in shard order. With checkEvery > 0 it folds one shard in index
+// order, and after every checkEvery-th completed pair (but not before
+// 10 pairs) stops once the running |t| exceeds TVLAThreshold, so the
+// stopping pair is the same at any worker or lane count.
+//
+// One checkpoint rule covers every shape. A one-shard campaign records
+// its watermark and no cursors, so a later process may grow a finished
+// one to a larger budget; a sharded one records its cursors. A running
+// checkpoint holds one blob per shard ("<blobKey>.<shard>"), a finished
+// one the merged accumulator ("<blobKey>"). blobKey ("welch" at first
+// order, "welch2" at second) keeps one order's checkpoint from seeding
+// the other.
+func tvlaFold[P any, PP trace.Population[P]](t *Target, blobKey string, to, checkEvery int,
+	plan *acqPlan, prepare campaign.PrepareFunc[acqJob]) (int, []float64, error) {
+	ck := t.Ckpt
+	cfg := t.engineConfig()
+	if checkEvery > 0 {
+		cfg.Shards = 1
+	}
+	lay := campaign.ShardingFor(0, to, cfg.Shards)
+	header := func(mark int, cursors []int, complete bool) store.Header {
+		h := ck.campHeader(0, to, lay.N)
+		h.Watermark, h.Complete = mark, complete
+		if lay.N > 1 {
+			h.Cursors = cursors
+		}
+		return h
+	}
+	prev, err := ck.load(0, to, lay.N)
+	if err != nil {
+		return 0, nil, err
+	}
+	w := new(trace.Welch[P, PP])
+	accs := make([]*trace.Welch[P, PP], lay.N)
+	for s := range accs {
+		accs[s] = new(trace.Welch[P, PP])
+	}
+	restore := func(acc *trace.Welch[P, PP], key string) error {
+		if err := acc.UnmarshalBinary(prev.Blobs[key]); err != nil {
+			return fmt.Errorf("sca: checkpoint %s %s blob: %w", ck.Path, key, err)
+		}
+		return nil
+	}
+	resumed := 0
+	if prev != nil {
+		h := prev.Header
+		switch {
+		case !h.Complete:
+			for s, acc := range accs {
+				if err := restore(acc, fmt.Sprintf("%s.%d", blobKey, s)); err != nil {
+					return 0, nil, err
+				}
+			}
+		case h.Watermark < h.To || h.To == to:
+			// A finished campaign: either it stopped early (the verdict
+			// stands at any budget) or it covered exactly this range.
+			if err := restore(w, blobKey); err != nil {
+				return 0, nil, err
+			}
+			ts, err := w.T()
+			return h.Watermark, ts, err
+		default:
+			// A finished one-shard campaign at a smaller budget: the
+			// fold continues from its merged accumulator.
+			if err := restore(accs[0], blobKey); err != nil {
+				return 0, nil, err
+			}
+		}
+		resumed = h.Watermark
+		cfg.Resume = h.Cursors
+		if cfg.Resume == nil {
+			cfg.Resume = []int{resumed}
+		}
+	}
+	if ck.enabled() {
+		cfg.CheckpointEvery = ck.Every
+		// The hook runs holding every shard lock: each accumulator is
+		// exactly its shard's folded prefix when it fires.
+		cfg.Checkpoint = func(cursors []int) error {
+			blobs := make(map[string][]byte, lay.N)
+			mark := 0
+			for s, acc := range accs {
+				blob, err := acc.MarshalBinary()
+				if err != nil {
+					return err
+				}
+				blobs[fmt.Sprintf("%s.%d", blobKey, s)] = blob
+				lo, _ := lay.Bounds(s)
+				mark += cursors[s] - lo
+			}
+			return ck.write(header(mark, cursors, false), blobs)
+		}
+	}
+	fold := welchShardFold[P, PP]
+	stopAt := to
+	if checkEvery > 0 {
+		checks := t.Metrics.Counter("sca_earlystop_checks")
+		fold = func(s int, acc *trace.Welch[P, PP], idx int, j acqJob, tr trace.Trace) error {
+			if err := welchShardFold(s, acc, idx, j, tr); err != nil || idx%2 == 0 {
+				return err
+			}
+			if pairs := idx/2 + 1; pairs >= 10 && pairs%checkEvery == 0 {
+				checks.Inc()
+				if mx, _ := acc.MaxT(); mx > TVLAThreshold {
+					stopAt = idx + 1
+					return errEarlyStop
+				}
+			}
+			return nil
+		}
+	}
+	folded, err := runCampaign(t, 0, to, cfg, plan, prepare,
+		func(s int) *trace.Welch[P, PP] { return accs[s] }, fold,
+		func(_ int, acc *trace.Welch[P, PP]) error { return w.Merge(acc) })
+	total := resumed + folded
+	if errors.Is(err, errEarlyStop) {
+		// The engine skips the merge after a fold error; the one shard
+		// holds the whole stopped campaign.
+		total, err = stopAt, w.Merge(accs[0])
+	}
+	if err != nil {
+		return total, nil, err
+	}
+	if ck.enabled() {
+		blob, err := w.MarshalBinary()
+		if err != nil {
+			return total, nil, err
+		}
+		ends := make([]int, lay.N)
+		for s := range ends {
+			_, ends[s] = lay.Bounds(s)
+		}
+		if err := ck.write(header(total, ends, true), map[string][]byte{blobKey: blob}); err != nil {
+			return total, nil, err
+		}
+	}
+	ts, err := w.T()
+	return total, ts, err
+}

@@ -94,9 +94,6 @@ func WelchT(a, b *Set) ([]float64, error) {
 // fixed by the first Add.
 func NewOnlineMoments() *OnlineMoments { return &OnlineMoments{} }
 
-// N returns the number of traces consumed.
-func (o *OnlineMoments) N() int { return o.n }
-
 // Mean returns a copy of the per-sample running mean.
 func (o *OnlineMoments) Mean() ([]float64, error) {
 	if o.n == 0 {

@@ -163,6 +163,20 @@ func (r *payloadReader) floats(n int, what string) []float64 {
 	return out
 }
 
+// frame reads one uint32-length-prefixed inner frame.
+func (r *payloadReader) frame(what string) []byte {
+	n := r.uint32(what + " length")
+	if r.err == nil && (int(n) < 0 || r.off+int(n) > len(r.b)) {
+		r.fail(what + " frame")
+	}
+	if r.err != nil {
+		return nil
+	}
+	b := r.b[r.off : r.off+int(n)]
+	r.off += int(n)
+	return b
+}
+
 // done reports decoding success: no sticky error and no trailing
 // payload bytes.
 func (r *payloadReader) done() error {
@@ -195,191 +209,116 @@ func countLen(n uint64, l uint32) error {
 	return nil
 }
 
+// encodeMoments frames a per-population accumulator: its trace count,
+// its sample length, then each per-sample vector in turn.
+func encodeMoments(kind byte, n int, vecs ...[]float64) []byte {
+	l := len(vecs[0])
+	p := make([]byte, 0, 12+8*l*len(vecs))
+	p = binary.LittleEndian.AppendUint64(p, uint64(n))
+	p = binary.LittleEndian.AppendUint32(p, uint32(l))
+	for _, v := range vecs {
+		p = appendFloats(p, v)
+	}
+	return EncodeFrame(kind, p)
+}
+
+// decodeMoments reverses encodeMoments, reading one vector per name.
+func decodeMoments(data []byte, kind byte, names ...string) (int, [][]float64, error) {
+	payload, err := DecodeFrame(data, kind)
+	if err != nil {
+		return 0, nil, err
+	}
+	r := &payloadReader{b: payload}
+	n := r.uint64("trace count")
+	l := r.uint32("sample length")
+	vecs := make([][]float64, len(names))
+	for i, name := range names {
+		vecs[i] = r.floats(int(l), name)
+	}
+	if err := r.done(); err != nil {
+		return 0, nil, err
+	}
+	if err := countLen(n, l); err != nil {
+		return 0, nil, err
+	}
+	return int(n), vecs, nil
+}
+
 // MarshalBinary serializes the accumulator (see the package codec
 // notes for the frame layout).
 func (o *OnlineStats) MarshalBinary() ([]byte, error) {
-	p := make([]byte, 0, 12+16*len(o.mean))
-	p = binary.LittleEndian.AppendUint64(p, uint64(o.n))
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(o.mean)))
-	p = appendFloats(p, o.mean)
-	p = appendFloats(p, o.m2)
-	return EncodeFrame(KindOnlineStats, p), nil
+	return encodeMoments(KindOnlineStats, o.n, o.mean, o.m2), nil
 }
 
 // UnmarshalBinary restores the accumulator from MarshalBinary output,
 // replacing the receiver's state. Corrupt input returns an error
 // wrapping ErrCodec and leaves the receiver untouched.
 func (o *OnlineStats) UnmarshalBinary(data []byte) error {
-	payload, err := DecodeFrame(data, KindOnlineStats)
+	n, v, err := decodeMoments(data, KindOnlineStats, "mean vector", "m2 vector")
 	if err != nil {
 		return err
 	}
-	r := &payloadReader{b: payload}
-	n := r.uint64("trace count")
-	l := r.uint32("sample length")
-	mean := r.floats(int(l), "mean vector")
-	m2 := r.floats(int(l), "m2 vector")
-	if err := r.done(); err != nil {
-		return err
-	}
-	if err := countLen(n, l); err != nil {
-		return err
-	}
-	o.n = int(n)
-	o.mean = mean
-	o.m2 = m2
-	return nil
-}
-
-// MarshalBinary serializes the two-population accumulator as a frame
-// whose payload is the two length-prefixed OnlineStats frames.
-func (w *OnlineWelch) MarshalBinary() ([]byte, error) {
-	a, err := w.A.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	b, err := w.B.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	p := make([]byte, 0, 8+len(a)+len(b))
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(a)))
-	p = append(p, a...)
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(b)))
-	p = append(p, b...)
-	return EncodeFrame(KindOnlineWelch, p), nil
-}
-
-// UnmarshalBinary restores the two-population accumulator.
-func (w *OnlineWelch) UnmarshalBinary(data []byte) error {
-	payload, err := DecodeFrame(data, KindOnlineWelch)
-	if err != nil {
-		return err
-	}
-	r := &payloadReader{b: payload}
-	la := r.uint32("population A length")
-	if r.err == nil && (int(la) < 0 || r.off+int(la) > len(r.b)) {
-		r.fail("population A frame")
-	}
-	var ablob []byte
-	if r.err == nil {
-		ablob = r.b[r.off : r.off+int(la)]
-		r.off += int(la)
-	}
-	lb := r.uint32("population B length")
-	if r.err == nil && (int(lb) < 0 || r.off+int(lb) > len(r.b)) {
-		r.fail("population B frame")
-	}
-	var bblob []byte
-	if r.err == nil {
-		bblob = r.b[r.off : r.off+int(lb)]
-		r.off += int(lb)
-	}
-	if err := r.done(); err != nil {
-		return err
-	}
-	var next OnlineWelch
-	if err := next.A.UnmarshalBinary(ablob); err != nil {
-		return err
-	}
-	if err := next.B.UnmarshalBinary(bblob); err != nil {
-		return err
-	}
-	*w = next
+	o.n, o.mean, o.m2 = n, v[0], v[1]
 	return nil
 }
 
 // MarshalBinary serializes the degree-4 moment accumulator.
 func (o *OnlineMoments) MarshalBinary() ([]byte, error) {
-	p := make([]byte, 0, 12+32*len(o.mean))
-	p = binary.LittleEndian.AppendUint64(p, uint64(o.n))
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(o.mean)))
-	p = appendFloats(p, o.mean)
-	p = appendFloats(p, o.m2)
-	p = appendFloats(p, o.m3)
-	p = appendFloats(p, o.m4)
-	return EncodeFrame(KindOnlineMoments, p), nil
+	return encodeMoments(KindOnlineMoments, o.n, o.mean, o.m2, o.m3, o.m4), nil
 }
 
 // UnmarshalBinary restores the degree-4 moment accumulator, replacing
 // the receiver's state. Corrupt input returns an error wrapping
 // ErrCodec and leaves the receiver untouched.
 func (o *OnlineMoments) UnmarshalBinary(data []byte) error {
-	payload, err := DecodeFrame(data, KindOnlineMoments)
+	n, v, err := decodeMoments(data, KindOnlineMoments, "mean vector", "m2 vector", "m3 vector", "m4 vector")
 	if err != nil {
 		return err
 	}
-	r := &payloadReader{b: payload}
-	n := r.uint64("trace count")
-	l := r.uint32("sample length")
-	mean := r.floats(int(l), "mean vector")
-	m2 := r.floats(int(l), "m2 vector")
-	m3 := r.floats(int(l), "m3 vector")
-	m4 := r.floats(int(l), "m4 vector")
-	if err := r.done(); err != nil {
-		return err
-	}
-	if err := countLen(n, l); err != nil {
-		return err
-	}
-	o.n = int(n)
-	o.mean, o.m2, o.m3, o.m4 = mean, m2, m3, m4
+	o.n, o.mean, o.m2, o.m3, o.m4 = n, v[0], v[1], v[2], v[3]
 	return nil
 }
 
-// MarshalBinary serializes the second-order two-population accumulator
-// as a frame whose payload is the two length-prefixed OnlineMoments
-// frames — the same composition OnlineWelch uses.
-func (w *OnlineWelch2) MarshalBinary() ([]byte, error) {
-	a, err := w.A.MarshalBinary()
-	if err != nil {
-		return nil, err
+// pairKind is the frame kind of a Welch pair over this accumulator.
+func (*OnlineStats) pairKind() byte { return KindOnlineWelch }
+
+func (*OnlineMoments) pairKind() byte { return KindOnlineWelch2 }
+
+// MarshalBinary serializes the two-population accumulator as a frame
+// whose payload is the two length-prefixed population frames, of kind
+// KindOnlineWelch at first order and KindOnlineWelch2 at second.
+func (w *Welch[P, PP]) MarshalBinary() ([]byte, error) {
+	p := []byte{}
+	for _, pop := range []PP{&w.A, &w.B} {
+		blob, err := pop.MarshalBinary()
+		if err != nil {
+			return nil, err
+		}
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(blob)))
+		p = append(p, blob...)
 	}
-	b, err := w.B.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	p := make([]byte, 0, 8+len(a)+len(b))
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(a)))
-	p = append(p, a...)
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(b)))
-	p = append(p, b...)
-	return EncodeFrame(KindOnlineWelch2, p), nil
+	return EncodeFrame(PP(&w.A).pairKind(), p), nil
 }
 
-// UnmarshalBinary restores the second-order two-population accumulator.
-func (w *OnlineWelch2) UnmarshalBinary(data []byte) error {
-	payload, err := DecodeFrame(data, KindOnlineWelch2)
+// UnmarshalBinary restores the two-population accumulator, replacing
+// the receiver's state. Corrupt input returns an error wrapping
+// ErrCodec and leaves the receiver untouched.
+func (w *Welch[P, PP]) UnmarshalBinary(data []byte) error {
+	var next Welch[P, PP]
+	payload, err := DecodeFrame(data, PP(&next.A).pairKind())
 	if err != nil {
 		return err
 	}
 	r := &payloadReader{b: payload}
-	la := r.uint32("population A length")
-	if r.err == nil && (int(la) < 0 || r.off+int(la) > len(r.b)) {
-		r.fail("population A frame")
-	}
-	var ablob []byte
-	if r.err == nil {
-		ablob = r.b[r.off : r.off+int(la)]
-		r.off += int(la)
-	}
-	lb := r.uint32("population B length")
-	if r.err == nil && (int(lb) < 0 || r.off+int(lb) > len(r.b)) {
-		r.fail("population B frame")
-	}
-	var bblob []byte
-	if r.err == nil {
-		bblob = r.b[r.off : r.off+int(lb)]
-		r.off += int(lb)
-	}
+	a := r.frame("population A")
+	b := r.frame("population B")
 	if err := r.done(); err != nil {
 		return err
 	}
-	var next OnlineWelch2
-	if err := next.A.UnmarshalBinary(ablob); err != nil {
+	if err := PP(&next.A).UnmarshalBinary(a); err != nil {
 		return err
 	}
-	if err := next.B.UnmarshalBinary(bblob); err != nil {
+	if err := PP(&next.B).UnmarshalBinary(b); err != nil {
 		return err
 	}
 	*w = next

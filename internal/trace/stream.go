@@ -128,61 +128,86 @@ func (o *OnlineStats) Variance() ([]float64, error) {
 	return out, nil
 }
 
-// OnlineWelch is the streaming two-population Welch t-test — the TVLA
-// fixed-vs-random assessment without retaining either trace set.
-type OnlineWelch struct {
-	A, B OnlineStats
+// welchTerms returns the compared statistic's mean and population
+// variance at sample i: the sample mean and variance (n > 0).
+func (o *OnlineStats) welchTerms(i int) (mean, variance float64) {
+	return o.mean[i], o.m2[i] / float64(o.n)
 }
 
-// NewOnlineWelch returns an empty two-population accumulator.
+// Population is the per-population accumulator a Welch test compares:
+// OnlineStats compares the populations' means (first-order TVLA),
+// OnlineMoments their centered squares (second-order TVLA). Only the
+// accumulators of this package satisfy it.
+type Population[P any] interface {
+	*P
+	Add(samples []float64) error
+	Merge(other *P) error
+	N() int
+	SampleLen() int
+	MarshalBinary() ([]byte, error)
+	UnmarshalBinary(data []byte) error
+	welchTerms(i int) (mean, variance float64)
+	pairKind() byte
+}
+
+// Welch is the streaming two-population Welch t-test — the TVLA
+// fixed-vs-random assessment without retaining either trace set, at
+// the order its per-population accumulator P sets.
+type Welch[P any, PP Population[P]] struct {
+	A, B P
+}
+
+// OnlineWelch is the first-order test: Welch's t on the samples.
+type OnlineWelch = Welch[OnlineStats, *OnlineStats]
+
+// NewOnlineWelch returns an empty first-order accumulator.
 func NewOnlineWelch() *OnlineWelch { return &OnlineWelch{} }
 
 // AddA consumes one trace of the first population (e.g. fixed key).
-func (w *OnlineWelch) AddA(samples []float64) error { return w.A.Add(samples) }
+func (w *Welch[P, PP]) AddA(samples []float64) error { return PP(&w.A).Add(samples) }
 
 // AddB consumes one trace of the second population (e.g. random keys).
-func (w *OnlineWelch) AddB(samples []float64) error { return w.B.Add(samples) }
+func (w *Welch[P, PP]) AddB(samples []float64) error { return PP(&w.B).Add(samples) }
 
 // Merge folds another two-population accumulator into w (population A
 // with A, B with B) — see OnlineStats.Merge for the combination rule
 // and its accuracy contract.
-func (w *OnlineWelch) Merge(other *OnlineWelch) error {
+func (w *Welch[P, PP]) Merge(other *Welch[P, PP]) error {
 	if other == nil {
 		return nil
 	}
-	if err := w.A.Merge(&other.A); err != nil {
+	if err := PP(&w.A).Merge(&other.A); err != nil {
 		return err
 	}
-	return w.B.Merge(&other.B)
+	return PP(&w.B).Merge(&other.B)
 }
 
-// T returns the per-sample Welch t-statistic, matching the batch
-// WelchT: t = (mA-mB) / sqrt(vA/nA + vB/nB) with population variances,
-// and 0 where the denominator vanishes.
-func (w *OnlineWelch) T() ([]float64, error) {
-	if w.A.n == 0 || w.B.n == 0 {
+// T returns the per-sample Welch t-statistic of the compared
+// statistic, t = (mA-mB) / sqrt(vA/nA + vB/nB) with population
+// variances (at first order the batch WelchT), and 0 where the
+// denominator vanishes or is NaN.
+func (w *Welch[P, PP]) T() ([]float64, error) {
+	a, b := PP(&w.A), PP(&w.B)
+	if a.N() == 0 || b.N() == 0 || a.SampleLen() != b.SampleLen() {
 		return nil, ErrEmptySet
 	}
-	if w.A.SampleLen() != w.B.SampleLen() {
-		return nil, ErrEmptySet
-	}
-	na, nb := float64(w.A.n), float64(w.B.n)
-	out := make([]float64, w.A.SampleLen())
+	na, nb := float64(a.N()), float64(b.N())
+	out := make([]float64, a.SampleLen())
 	for i := range out {
-		va := w.A.m2[i] / na
-		vb := w.B.m2[i] / nb
+		ma, va := a.welchTerms(i)
+		mb, vb := b.welchTerms(i)
 		denom := math.Sqrt(va/na + vb/nb)
-		if denom == 0 {
+		if denom == 0 || math.IsNaN(denom) {
 			continue
 		}
-		out[i] = (w.A.mean[i] - w.B.mean[i]) / denom
+		out[i] = (ma - mb) / denom
 	}
 	return out, nil
 }
 
 // MaxT returns the largest |t| and its sample index ((0, -1) when
 // undefined) — the streaming early-stop predicate for TVLA campaigns.
-func (w *OnlineWelch) MaxT() (float64, int) {
+func (w *Welch[P, PP]) MaxT() (float64, int) {
 	ts, err := w.T()
 	if err != nil {
 		return 0, -1

@@ -1,7 +1,5 @@
 package trace
 
-import "math"
-
 // Second-order streaming statistics.
 //
 // A first-order-masked implementation carries every sensitive value v
@@ -109,73 +107,25 @@ func (o *OnlineMoments) Merge(other *OnlineMoments) error {
 	return nil
 }
 
+// N returns the number of traces consumed.
+func (o *OnlineMoments) N() int { return o.n }
+
 // SampleLen returns the per-trace sample count (0 before the first Add).
 func (o *OnlineMoments) SampleLen() int { return len(o.mean) }
 
-// OnlineWelch2 is the streaming second-order (centered-product) TVLA:
-// Welch's t-test on the centered-squared traces of two populations,
-// computed from degree-4 moment state without retaining either set.
-type OnlineWelch2 struct {
-	A, B OnlineMoments
+// welchTerms returns the compared statistic's mean and population
+// variance at sample i: the centered square's mean CM2 and its
+// variance CM4 − CM2² (n > 0).
+func (o *OnlineMoments) welchTerms(i int) (mean, variance float64) {
+	n := float64(o.n)
+	cm2 := o.m2[i] / n
+	return cm2, o.m4[i]/n - cm2*cm2
 }
 
-// NewOnlineWelch2 returns an empty two-population accumulator.
+// OnlineWelch2 is the second-order (centered-product) test: Welch's t
+// on the centered-squared traces of two populations, computed from
+// degree-4 moment state without retaining either set.
+type OnlineWelch2 = Welch[OnlineMoments, *OnlineMoments]
+
+// NewOnlineWelch2 returns an empty second-order accumulator.
 func NewOnlineWelch2() *OnlineWelch2 { return &OnlineWelch2{} }
-
-// AddA consumes one trace of the first population (e.g. fixed key).
-func (w *OnlineWelch2) AddA(samples []float64) error { return w.A.Add(samples) }
-
-// AddB consumes one trace of the second population (e.g. random keys).
-func (w *OnlineWelch2) AddB(samples []float64) error { return w.B.Add(samples) }
-
-// Merge folds another two-population accumulator into w (population A
-// with A, B with B).
-func (w *OnlineWelch2) Merge(other *OnlineWelch2) error {
-	if other == nil {
-		return nil
-	}
-	if err := w.A.Merge(&other.A); err != nil {
-		return err
-	}
-	return w.B.Merge(&other.B)
-}
-
-// T returns the per-sample second-order t-statistic — the mean of each
-// population's centered-squared trace is its CM2, the variance is
-// CM4 − CM2², and the Welch denominator follows. 0 where the
-// denominator vanishes, matching the first-order convention.
-func (w *OnlineWelch2) T() ([]float64, error) {
-	if w.A.n == 0 || w.B.n == 0 {
-		return nil, ErrEmptySet
-	}
-	if w.A.SampleLen() != w.B.SampleLen() {
-		return nil, ErrEmptySet
-	}
-	na, nb := float64(w.A.n), float64(w.B.n)
-	out := make([]float64, w.A.SampleLen())
-	for i := range out {
-		cm2a := w.A.m2[i] / na
-		cm4a := w.A.m4[i] / na
-		cm2b := w.B.m2[i] / nb
-		cm4b := w.B.m4[i] / nb
-		va := cm4a - cm2a*cm2a
-		vb := cm4b - cm2b*cm2b
-		denom := math.Sqrt(va/na + vb/nb)
-		if denom == 0 || math.IsNaN(denom) {
-			continue
-		}
-		out[i] = (cm2a - cm2b) / denom
-	}
-	return out, nil
-}
-
-// MaxT returns the largest |t2| and its sample index ((0, -1) when
-// undefined) — the streaming early-stop predicate for second-order
-// TVLA campaigns.
-func (w *OnlineWelch2) MaxT() (float64, int) {
-	ts, err := w.T()
-	if err != nil {
-		return 0, -1
-	}
-	return MaxAbs(ts)
-}

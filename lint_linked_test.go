@@ -52,7 +52,6 @@ var unlinkedAllowed = map[string]string{
 	"internal/power.UnprotectedChip":             "trace's lane tests (lane_test.go)",
 	"internal/power.Model.CyclePower":            "trace's per-cycle reference probe (oracle_test.go)",
 	"internal/trace.NewOnlineStats":              "the campaign engine's tests fold into it",
-	"internal/trace.OnlineStats.N":               "store's checkpoint tests read it",
 	"internal/trace.OnlineStats.Mean":            "the campaign engine's tests read it",
 	"internal/trace.OnlineStats.Variance":        "the campaign engine's tests read it",
 	"internal/sca.VerifyConstantTime":            "the root integration test",
@@ -130,6 +129,17 @@ func symbolKey(sym, mainPkg string) string {
 		return pkg + "." + parts[0] + "." + parts[1] // T.M
 	}
 	return pkg + "." + parts[0]
+}
+
+// textSymbol returns the name on a `go tool nm` line of a text (code)
+// symbol: everything after the address and the type letter. A generic
+// instantiation over a struct shape carries spaces in its name
+// ("campaign.Run[go.shape.struct { … },…]"), so the name is the rest
+// of the line, not one field.
+func textSymbol(line string) (string, bool) {
+	_, rest, _ := strings.Cut(strings.TrimSpace(line), " ")
+	typ, name, ok := strings.Cut(rest, " ")
+	return name, ok && (typ == "T" || typ == "t") && name != ""
 }
 
 // goTool runs the go command in dir and returns its standard output.
@@ -217,9 +227,8 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 	for exe, pkg := range mainPkg {
 		nm := goTool(t, ".", "tool", "nm", filepath.Join(bin, exe))
 		for _, line := range strings.Split(string(nm), "\n") {
-			f := strings.Fields(line)
-			if len(f) == 3 && (f[1] == "T" || f[1] == "t") {
-				if k := symbolKey(f[2], pkg); k != "" {
+			if sym, ok := textSymbol(line); ok {
+				if k := symbolKey(sym, pkg); k != "" {
 					linked[k] = true
 				}
 			}
@@ -247,5 +256,31 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 	}
 	if len(unlinked) > 0 {
 		t.Logf("%d unlinked functions", len(unlinked))
+	}
+}
+
+// TestTextSymbolKeepsStructShapes pins the nm line parse on the names
+// a whitespace split would drop: an instantiation over a struct shape
+// keeps its whole name and maps to the function declaring it.
+func TestTextSymbolKeepsStructShapes(t *testing.T) {
+	for _, tc := range []struct {
+		line, want string
+	}{
+		{"  4c8e20 T medsec/internal/campaign.Run[go.shape.struct { medsec/internal/sca.key medsec/internal/modn.Scalar; medsec/internal/sca.dev uint64 },go.shape.struct { Samples []float64; StartCycle int },go.shape.*uint8]",
+			"internal/campaign.Run"},
+		{"  51a0c0 t medsec/internal/trace.(*Welch[go.shape.struct { medsec/internal/trace.n int; medsec/internal/trace.mean []float64 },go.shape.*uint8]).AddA",
+			"internal/trace.Welch.AddA"},
+		{"  401000 T medsec/internal/gf2m.Mul", "internal/gf2m.Mul"},
+		{"  5f0000 D medsec/internal/gf2m.sqrTable", ""},
+		{"         U runtime.memmove", ""},
+	} {
+		sym, ok := textSymbol(tc.line)
+		got := ""
+		if ok {
+			got = symbolKey(sym, "cmd/scalab")
+		}
+		if got != tc.want {
+			t.Errorf("%q: key %q, want %q", tc.line, got, tc.want)
+		}
 	}
 }
