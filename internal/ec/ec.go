@@ -223,12 +223,13 @@ func randNonZero(src func() uint64) gf2m.Element {
 	}
 }
 
-// ladder is what one ladder run precomputes: the comb table of the
-// fixed affine x(P) and, unless √b = 1, that of √b. In characteristic 2,
-// X⁴ + b·Z⁴ = (X² + √b·Z²)², so MDouble's X' costs one squaring plus a
-// multiplication by √b, and none when √b = 1. That holds on K-163,
-// whose b = 1 is what the paper's Koblitz choice buys. The branch reads
-// a public curve constant, never key or mask data.
+// ladder is what one ladder run precomputes: x(P) prepared for its
+// product in every step (on the portable path, its comb table) and,
+// unless √b = 1, √b. In characteristic 2, X⁴ + b·Z⁴ = (X² + √b·Z²)², so
+// the doubling's X' costs one squaring plus a multiplication by √b, and
+// none when √b = 1. That holds on K-163, whose b = 1 is what the paper's
+// Koblitz choice buys. The branch reads a public curve constant, never
+// key or mask data.
 type ladder struct {
 	x          gf2m.Precomp
 	sqrtB      gf2m.Precomp
@@ -245,42 +246,58 @@ func newLadder(x, b gf2m.Element) ladder {
 	return l
 }
 
-// add is MAdd with x(P)'s comb table, reducing x*Z3 + t1*t2 once.
-func (l *ladder) add(xa, za, xb, zb gf2m.Element) (x3, z3 gf2m.Element) {
-	t1 := gf2m.Mul(xa, zb)
-	t2 := gf2m.Mul(xb, za)
-	z3 = gf2m.Sqr(gf2m.Add(t1, t2))
-	acc := l.x.MulNoReduce(z3)
-	gf2m.MulAcc(&acc, t1, t2)
-	return gf2m.Reduce(acc), z3
+// cswap exchanges (X0, Z0) and (X1, Z1) when mask is all ones and
+// leaves them when it is zero: the chip's CSWAP, as XORs under a mask,
+// with no branch and no memory index on the mask.
+func (s *LadderState) cswap(mask uint64) {
+	for i := range s.X0 {
+		t := (s.X0[i] ^ s.X1[i]) & mask
+		s.X0[i] ^= t
+		s.X1[i] ^= t
+		t = (s.Z0[i] ^ s.Z1[i]) & mask
+		s.Z0[i] ^= t
+		s.Z1[i] ^= t
+	}
 }
 
-// double is MDouble with X' = (X² + √b·Z²)².
-func (l *ladder) double(x, z gf2m.Element) (x2, z2 gf2m.Element) {
-	xx := gf2m.Sqr(x)
-	zz := gf2m.Sqr(z)
-	z2 = gf2m.Mul(xx, zz)
+// step is one ladder iteration in fixed slots, Step's bit = 0 branch:
+// slot 1 becomes x(R0 + R1) by MAdd, with x·Z3 + t1·t2 reduced once,
+// and slot 0 doubles in place by MDouble with X' = (X² + √b·Z²)². MAdd
+// is symmetric in its two operands, so on a state whose slots were
+// swapped it computes Step's bit = 1 branch. Every field operation is
+// exact, so the state equals Step's word for word.
+func (l *ladder) step(s *LadderState) {
+	var t1, t2 gf2m.Element
+	var acc [6]uint64
+	gf2m.MulTo(&t1, &s.X0, &s.Z1)
+	gf2m.MulTo(&t2, &s.X1, &s.Z0)
+	s.Z1 = gf2m.Add(t1, t2)
+	gf2m.SqrTo(&s.Z1, &s.Z1)
+	l.x.MulNoReduce(&acc, &s.Z1)
+	gf2m.MulAcc(&acc, &t1, &t2)
+	gf2m.Reduce(&s.X1, &acc)
+
+	gf2m.SqrTo(&s.X0, &s.X0)
+	gf2m.SqrTo(&s.Z0, &s.Z0)
+	t1 = s.Z0
 	if !l.sqrtBIsOne {
-		zz = l.sqrtB.Mul(zz)
+		l.sqrtB.MulTo(&t1, &t1)
 	}
-	return gf2m.Sqr(gf2m.Add(xx, zz)), z2
-}
-
-// step is Step on the ladder's precomputed tables. Every field
-// operation is exact, so it yields the same projective state as Step.
-func (l *ladder) step(s *LadderState, bit uint) {
-	if bit == 1 {
-		s.X0, s.Z0 = l.add(s.X0, s.Z0, s.X1, s.Z1)
-		s.X1, s.Z1 = l.double(s.X1, s.Z1)
-	} else {
-		s.X1, s.Z1 = l.add(s.X0, s.Z0, s.X1, s.Z1)
-		s.X0, s.Z0 = l.double(s.X0, s.Z0)
-	}
+	t1 = gf2m.Add(s.X0, t1)
+	gf2m.MulTo(&s.Z0, &s.X0, &s.Z0)
+	gf2m.SqrTo(&s.X0, &t1)
 }
 
 // ladderX runs the complete x-only ladder over all 163 bit positions
 // and returns the final projective state. λ and μ are drawn before
 // anything else, so the caller's random stream is consumed as always.
+//
+// The loop keeps R0 and R1 in fixed slots swapped whenever the bit
+// just processed was 1: before each step it swaps on the bit XOR the
+// previous one, and one last swap on the final bit puts R0 back in slot
+// 0. The chip's microcode swaps in and out on each bit; both reach the
+// same state. Either bit value runs the same instructions on the same
+// addresses: the key bit only builds the all-ones-or-zero swap mask.
 func (c *Curve) ladderX(k modn.Scalar, x gf2m.Element, opt LadderOptions) LadderState {
 	var lambda, mu gf2m.Element
 	switch {
@@ -292,9 +309,14 @@ func (c *Curve) ladderX(k modn.Scalar, x gf2m.Element, opt LadderOptions) Ladder
 	}
 	s := NewLadderState(x, lambda, mu)
 	l := newLadder(x, c.B)
+	var prev uint64
 	for i := LadderBits - 1; i >= 0; i-- {
-		l.step(&s, k.Bit(i))
+		bit := uint64(k.Bit(i))
+		s.cswap(-(bit ^ prev))
+		l.step(&s)
+		prev = bit
 	}
+	s.cswap(-prev)
 	return s
 }
 

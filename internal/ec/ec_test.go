@@ -189,7 +189,8 @@ func TestIsKoblitz(t *testing.T) {
 	if l.sqrtBIsOne {
 		t.Fatal("B-163 wrongly recognized as Koblitz")
 	}
-	if !gf2m.Sqr(l.sqrtB.Mul(gf2m.One())).Equal(b.B) {
+	sqrtB := gf2m.One()
+	if l.sqrtB.MulTo(&sqrtB, &sqrtB); !gf2m.Sqr(sqrtB).Equal(b.B) {
 		t.Fatal("B-163 ladder's √b table does not square to b")
 	}
 }

@@ -54,27 +54,29 @@ func FuzzMulCross(f *testing.F) {
 			t.Fatalf("Mul diverged from generic field: got %v, want %v", got, want)
 		}
 		pa := Precompute(a)
-		if got := pa.Mul(b); !got.Equal(want) {
-			t.Fatal("Precomp.Mul diverged from generic field")
+		var got Element
+		if pa.MulTo(&got, &b); !got.Equal(want) {
+			t.Fatal("Precomp.MulTo diverged from generic field")
 		}
 		var acc [6]uint64
-		MulAcc(&acc, a, b)
-		if got := Reduce(acc); !got.Equal(want) {
+		MulAcc(&acc, &a, &b)
+		if Reduce(&got, &acc); !got.Equal(want) {
 			t.Fatal("MulAcc+Reduce diverged from generic field")
 		}
 	})
 }
 
-// FuzzCLMULMatchesPortable: where the CPU has PCLMULQDQ, Mul, Sqr,
-// MulAcc, Reduce, Precomp.Mul and Precomp.MulNoReduce take the
-// carry-less multiply; on arbitrary canonical operands each must
-// return the words of the comb, the squaring table and reduce(),
-// called directly in the same binary. The seeds pair the
-// structuredElements corners. Elsewhere the exported functions are the
-// portable ones, and the target skips.
+// FuzzCLMULMatchesPortable: where the CPU has PCLMULQDQ, every field
+// kernel (MulTo, SqrTo, MulAcc, Reduce, Precomp.MulTo and
+// Precomp.MulNoReduce, and the value forms Mul and Sqr over them)
+// takes the carry-less multiply; on arbitrary canonical operands each
+// must return the words of the comb, the squaring table and reduce(),
+// called directly in the same binary, also when the result aliases an
+// operand. The seeds pair the structuredElements corners. Elsewhere the
+// exported functions are the portable ones, and the target skips.
 func FuzzCLMULMatchesPortable(f *testing.F) {
 	if !hasCLMUL {
-		f.Skip("no PCLMULQDQ on this CPU or GOARCH: Mul and Sqr already take the comb and the squaring table")
+		f.Skip("no PCLMULQDQ on this CPU or GOARCH: the field kernels already take the comb and the squaring table")
 	}
 	es := structuredElements()
 	for _, a := range es[:10] {
@@ -91,29 +93,52 @@ func FuzzCLMULMatchesPortable(f *testing.F) {
 		if got := Mul(a, b); got != want {
 			t.Fatalf("Mul(%v, %v) = %v, the comb gives %v", a, b, got, want)
 		}
-		pb := Precompute(b)
-		if got := pb.Mul(a); got != want {
-			t.Fatalf("Precompute(%v).Mul(%v) = %v, the comb gives %v", b, a, got, want)
+		var got Element
+		if MulTo(&got, &a, &b); got != want {
+			t.Fatalf("MulTo(r, %v, %v) = %v, the comb gives %v", a, b, got, want)
 		}
-		if got := pb.MulNoReduce(a); got != raw {
-			t.Fatalf("Precompute(%v).MulNoReduce(%v) = %x, the comb gives %x", b, a, got, raw)
+		got = a
+		if MulTo(&got, &got, &b); got != want {
+			t.Fatalf("MulTo(&a, &a, %v) with a = %v gives %v, the comb gives %v", b, a, got, want)
+		}
+		got = b
+		if MulTo(&got, &a, &got); got != want {
+			t.Fatalf("MulTo(&b, %v, &b) with b = %v gives %v, the comb gives %v", a, b, got, want)
+		}
+		pb := Precompute(b)
+		got = a
+		if pb.MulTo(&got, &got); got != want {
+			t.Fatalf("Precompute(%v).MulTo(&a, &a) with a = %v gives %v, the comb gives %v", b, a, got, want)
+		}
+		var c [6]uint64
+		if pb.MulNoReduce(&c, &a); c != raw {
+			t.Fatalf("Precompute(%v).MulNoReduce(c, %v) = %x, the comb gives %x", b, a, c, raw)
 		}
 		acc := [6]uint64{b2, b1, b0, a2, a1, a0}
 		wantAcc := acc
 		for i := range wantAcc {
 			wantAcc[i] ^= raw[i]
 		}
-		if MulAcc(&acc, a, b); acc != wantAcc {
-			t.Fatalf("MulAcc(%v, %v) = %x, the comb gives %x", a, b, acc, wantAcc)
+		if MulAcc(&acc, &a, &b); acc != wantAcc {
+			t.Fatalf("MulAcc(acc, %v, %v) = %x, the comb gives %x", a, b, acc, wantAcc)
 		}
 		// Any 6 words of degree at most 324 (Reduce's bound), not only a
 		// product.
-		c := [6]uint64{a0, a1, a2, b0, b1, b2 & (1<<5 - 1)}
-		if got, want := Reduce(c), reduce(c); got != want {
-			t.Fatalf("Reduce(%x) = %v, reduce() gives %v", c, got, want)
+		c = [6]uint64{a0, a1, a2, b0, b1, b2 & (1<<5 - 1)}
+		if Reduce(&got, &c); got != reduce(c) {
+			t.Fatalf("Reduce(r, %x) = %v, reduce() gives %v", c, got, reduce(c))
 		}
-		if got, want := Sqr(a), sqrTable(a); got != want {
-			t.Fatalf("Sqr(%v) = %v, the squaring table gives %v", a, got, want)
+		sq := sqrTable(a)
+		if got := Sqr(a); got != sq {
+			t.Fatalf("Sqr(%v) = %v, the squaring table gives %v", a, got, sq)
+		}
+		got = a
+		if SqrTo(&got, &got); got != sq {
+			t.Fatalf("SqrTo(&a, &a) with a = %v gives %v, the squaring table gives %v", a, got, sq)
+		}
+		got = a
+		if MulTo(&got, &got, &got); got != sq {
+			t.Fatalf("MulTo(&a, &a, &a) with a = %v gives %v, the squaring table gives %v", a, got, sq)
 		}
 	})
 }
@@ -126,12 +151,13 @@ func FuzzReduce(f *testing.F) {
 	f.Fuzz(func(t *testing.T, c0, c1, c2, c3, c4, c5 uint64) {
 		// Keep within the degree bound reduce() documents (<= 324).
 		c5 &= 1<<5 - 1
-		r := Reduce([6]uint64{c0, c1, c2, c3, c4, c5})
+		var r, again Element
+		Reduce(&r, &[6]uint64{c0, c1, c2, c3, c4, c5})
 		if r.Degree() >= M {
 			t.Fatalf("reduce left degree %d", r.Degree())
 		}
 		// Reducing an already-reduced value is the identity.
-		if again := Reduce([6]uint64{r[0], r[1], r[2], 0, 0, 0}); !again.Equal(r) {
+		if Reduce(&again, &[6]uint64{r[0], r[1], r[2], 0, 0, 0}); !again.Equal(r) {
 			t.Fatal("reduce not idempotent on canonical values")
 		}
 	})

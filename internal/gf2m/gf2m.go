@@ -157,14 +157,14 @@ func Precompute(b Element) Precomp {
 	return p
 }
 
-// MulNoReduce returns the unreduced 6-word carry-less product a·b.
-func (p *Precomp) MulNoReduce(a Element) [6]uint64 {
+// MulNoReduce sets *c to the unreduced 6-word carry-less product a·b.
+func (p *Precomp) MulNoReduce(c *[6]uint64, a *Element) {
 	if hasCLMUL {
-		var c [6]uint64
-		mulAccCLMUL(&c, &a, &p.b)
-		return c
+		*c = [6]uint64{}
+		mulAccCLMUL(c, a, &p.b)
+		return
 	}
-	return p.productComb(a)
+	*c = p.productComb(*a)
 }
 
 // productComb is MulNoReduce on the portable path, over p's planes. It
@@ -218,30 +218,29 @@ func (p *Precomp) productComb(a Element) [6]uint64 {
 	}
 }
 
-// Mul returns the reduced product a·b.
-func (p *Precomp) Mul(a Element) Element {
+// MulTo sets *r = a·b. r may alias a.
+func (p *Precomp) MulTo(r, a *Element) {
 	if hasCLMUL {
-		var r Element
-		mulCLMUL(&r, &a, &p.b)
-		return r
+		mulCLMUL(r, a, &p.b)
+		return
 	}
-	return reduce(p.productComb(a))
+	*r = reduce(p.productComb(*a))
 }
 
 // MulAcc accumulates the unreduced product a·b into acc: acc ^= a·b.
 // Reduction mod f(x) is GF(2)-linear, so a multi-term sum can be
-// accumulated unreduced and folded once at the end —
+// accumulated unreduced and folded once at the end:
 // Reduce(Σ aᵢ·bᵢ) == Σ Mul(aᵢ, bᵢ) bit-for-bit. The curve layer's
 // ladder uses this to pay one reduction per sum instead of one per
 // product.
-func MulAcc(acc *[6]uint64, a, b Element) {
+func MulAcc(acc *[6]uint64, a, b *Element) {
 	if hasCLMUL {
-		mulAccCLMUL(acc, &a, &b)
+		mulAccCLMUL(acc, a, b)
 		return
 	}
 	var t Precomp
-	t.build(b)
-	c := t.productComb(a)
+	t.build(*b)
+	c := t.productComb(*a)
 	for i := range acc {
 		acc[i] ^= c[i]
 	}
@@ -278,14 +277,21 @@ func reduce(c [6]uint64) Element {
 	return r
 }
 
+// MulTo sets *r = a·b in GF(2^163). r may alias a or b: every kernel
+// reads both operands before it writes r.
+func MulTo(r, a, b *Element) {
+	if hasCLMUL {
+		mulCLMUL(r, a, b)
+		return
+	}
+	*r = mulComb(*a, *b)
+}
+
 // Mul returns e * f in GF(2^163).
 func Mul(e, f Element) Element {
-	if hasCLMUL {
-		var r Element
-		mulCLMUL(&r, &e, &f)
-		return r
-	}
-	return mulComb(e, f)
+	var r Element
+	MulTo(&r, &e, &f)
+	return r
 }
 
 // mulComb is Mul on the portable path: f's comb table, e's windows.
@@ -323,16 +329,22 @@ func spread64(w uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// Sqr returns e^2. Squaring a GF(2^m) polynomial interleaves its
-// coefficients with zeros, which is why hardware squarers are cheap
-// relative to general multipliers.
-func Sqr(e Element) Element {
+// SqrTo sets *r = a². r may alias a. Squaring a GF(2^m) polynomial
+// interleaves its coefficients with zeros, which is why hardware
+// squarers are cheap relative to general multipliers.
+func SqrTo(r, a *Element) {
 	if hasCLMUL {
-		var r Element
-		sqrCLMUL(&r, &e)
-		return r
+		sqrCLMUL(r, a)
+		return
 	}
-	return sqrTable(e)
+	*r = sqrTable(*a)
+}
+
+// Sqr returns e^2.
+func Sqr(e Element) Element {
+	var r Element
+	SqrTo(&r, &e)
+	return r
 }
 
 // sqrTable is Sqr on the portable path: the interleave by byte table.
@@ -420,7 +432,8 @@ func compactEven(w uint64) uint64 {
 func Sqrt(e Element) Element {
 	even := Element{compactEven(e[0]) | compactEven(e[1])<<32, compactEven(e[2]), 0}
 	odd := Element{compactEven(e[0]>>1) | compactEven(e[1]>>1)<<32, compactEven(e[2] >> 1), 0}
-	return Add(even, sqrtXTab.Mul(odd))
+	sqrtXTab.MulTo(&odd, &odd)
+	return Add(even, odd)
 }
 
 // traceVec has bit i set iff Tr(x^i) = 1; the trace of an arbitrary
@@ -538,15 +551,14 @@ func MustFromHex(s string) Element {
 	return e
 }
 
-// Reduce reduces a 6-word polynomial of degree at most 324, such as a
-// MulAcc sum, modulo f(x).
-func Reduce(c [6]uint64) Element {
+// Reduce sets *r to the 6-word polynomial *c, of degree at most 324
+// (such as a MulAcc sum), reduced modulo f(x).
+func Reduce(r *Element, c *[6]uint64) {
 	if hasCLMUL {
-		var r Element
-		reduceCLMUL(&r, &c)
-		return r
+		reduceCLMUL(r, c)
+		return
 	}
-	return reduce(c)
+	*r = reduce(*c)
 }
 
 // ShlMod returns e * x^s mod f(x) for small shift amounts 0 <= s <= 61.

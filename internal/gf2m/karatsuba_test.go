@@ -41,19 +41,33 @@ func structuredElements() []Element {
 }
 
 // crossCheckPair verifies every public multiplication surface on one
-// operand pair against the generic field.
+// operand pair against the generic field, the pointer forms also with
+// a result that aliases an operand.
 func crossCheckPair(t *testing.T, f *Field, a, b Element) {
 	t.Helper()
 	want := f.ToElement(f.Mul(f.FromElement(a), f.FromElement(b)))
-	if got := Mul(a, b); !got.Equal(want) {
+	got := Mul(a, b)
+	if !got.Equal(want) {
 		t.Fatalf("Mul(%v, %v) = %v, generic says %v", a, b, got, want)
 	}
-	pa := Precompute(a)
-	if got := pa.Mul(b); !got.Equal(want) {
-		t.Fatalf("Precompute(%v).Mul(%v) diverged from generic", a, b)
+	got = a
+	if MulTo(&got, &got, &b); !got.Equal(want) {
+		t.Fatalf("MulTo(&a, &a, %v) with a = %v diverged from generic", b, a)
 	}
-	if got := Reduce(pa.MulNoReduce(b)); !got.Equal(want) {
-		t.Fatalf("Precompute(%v).MulNoReduce(%v) diverged from generic", a, b)
+	got = b
+	if MulTo(&got, &a, &got); !got.Equal(want) {
+		t.Fatalf("MulTo(&b, %v, &b) with b = %v diverged from generic", a, b)
+	}
+	pa := Precompute(a)
+	got = b
+	if pa.MulTo(&got, &got); !got.Equal(want) {
+		t.Fatalf("Precompute(%v).MulTo(&b, &b) with b = %v diverged from generic", a, b)
+	}
+	var c [6]uint64
+	pa.MulNoReduce(&c, &b)
+	got = a
+	if Reduce(&got, &c); !got.Equal(want) {
+		t.Fatalf("Precompute(%v).MulNoReduce(c, %v) diverged from generic", a, b)
 	}
 }
 
@@ -67,10 +81,16 @@ func TestKaratsubaCrossGenericStructured(t *testing.T) {
 			crossCheckPair(t, f, es[i], b)
 		}
 	}
-	// The table-driven squarer on the same corners.
+	// The table-driven squarer on the same corners, in place too.
 	for _, e := range es {
-		if got, want := Sqr(e), f.ToElement(f.Sqr(f.FromElement(e))); !got.Equal(want) {
+		want := f.ToElement(f.Sqr(f.FromElement(e)))
+		got := Sqr(e)
+		if !got.Equal(want) {
 			t.Fatalf("Sqr(%v) = %v, generic says %v", e, got, want)
+		}
+		got = e
+		if SqrTo(&got, &got); !got.Equal(want) {
+			t.Fatalf("SqrTo(&e, &e) with e = %v gives %v, generic says %v", e, got, want)
 		}
 	}
 }
@@ -94,10 +114,11 @@ func TestMulAccLazyReduction(t *testing.T) {
 		sum := Zero()
 		for j := 0; j < n; j++ {
 			a, b := randElement(r), randElement(r)
-			MulAcc(&acc, a, b)
+			MulAcc(&acc, &a, &b)
 			sum = Add(sum, Mul(a, b))
 		}
-		if got := Reduce(acc); !got.Equal(sum) {
+		var got Element
+		if Reduce(&got, &acc); !got.Equal(sum) {
 			t.Fatalf("lazy-reduced %d-term sum diverged from reduced-per-term sum", n)
 		}
 	}
