@@ -31,17 +31,3 @@ func reduceCLMUL(r *Element, c *[6]uint64)
 //
 //go:noescape
 func mulAccCLMUL(acc *[6]uint64, a, b *Element)
-
-// The rejected pairings of product and reduction, kept so that
-// BenchmarkMulSweep measures them (numbers in mulsweep_test.go): the
-// schoolbook reduced in general-purpose registers, and the 6-product
-// Karatsuba reduced either way.
-//
-//go:noescape
-func mulCLMUL9GPR(r, a, b *Element)
-
-//go:noescape
-func mulCLMUL6GPR(r, a, b *Element)
-
-//go:noescape
-func mulCLMUL6Fold(r, a, b *Element)

@@ -119,25 +119,6 @@
 	SHLQ $1, h; \
 	XORQ h, r
 
-// foldWord XORs the 2-word product h·(x^7 + x^6 + x^3 + 1) into lo
-// and hi. Clobbers t.
-#define foldWord(h, lo, hi, t) \
-	MOVQ h, t; \
-	XORQ t, lo; \
-	SHLQ $3, t; \
-	XORQ t, lo; \
-	SHLQ $3, t; \
-	XORQ t, lo; \
-	SHLQ $1, t; \
-	XORQ t, lo; \
-	MOVQ h, t; \
-	SHRQ $57, t; \
-	XORQ t, hi; \
-	SHRQ $1, t; \
-	XORQ t, hi; \
-	SHRQ $3, t; \
-	XORQ t, hi
-
 // reduceFold reduces X4-X6 mod f(x) = x^163 + x^7 + x^6 + x^3 + 1
 // into R8 = r0 and X4 = [r1, r2]. x^192 = x^29·x^163 ≡
 // x^29·(x^7+x^6+x^3+1) = P, so c3, c4 and c5 fold down by one
@@ -170,38 +151,6 @@
 	MOVQ       AX, X5; \
 	PUNPCKLQDQ X5, X4
 
-// reduceGPR reduces X4-X6 into R8 = r0 and X4 = [r1, r2] the way
-// reduce() in gf2m.go does, in general-purpose registers: h = c >> 163
-// folds into words 0-2, then word 2's bits 35-41 fold into word 0.
-#define reduceGPR \
-	MOVQ       X4, R8; \
-	MOVHLPS    X4, X4; \
-	MOVQ       X4, R9; \
-	MOVQ       X5, R10; \
-	MOVHLPS    X5, X5; \
-	MOVQ       X5, R11; \
-	MOVQ       X6, R12; \
-	MOVHLPS    X6, X6; \
-	MOVQ       X6, R13; \
-	MOVQ       R10, AX; \
-	SHRQ       $35, R11, AX; \
-	MOVQ       R11, BX; \
-	SHRQ       $35, R12, BX; \
-	MOVQ       R12, CX; \
-	SHRQ       $35, R13, CX; \
-	MOVQ       $0x7ffffffff, DX; \
-	ANDQ       DX, R10; \
-	foldWord(AX, R8, R9, SI); \
-	foldWord(BX, R9, R10, SI); \
-	foldTail(CX, R10); \
-	MOVQ       R10, BX; \
-	SHRQ       $35, BX; \
-	ANDQ       DX, R10; \
-	foldTail(BX, R8); \
-	MOVQ       R9, X4; \
-	MOVQ       R10, X5; \
-	PUNPCKLQDQ X5, X4
-
 // store writes R8 = r0 and X4 = [r1, r2] to the Element at (DI).
 #define store \
 	MOVQ  R8, (DI); \
@@ -222,39 +171,6 @@ TEXT ·mulCLMUL(SB), NOSPLIT, $0-24
 	MOVQ b+16(FP), DX
 	load
 	product9
-	reduceFold
-	store
-	RET
-
-// func mulCLMUL9GPR(r, a, b *Element)
-TEXT ·mulCLMUL9GPR(SB), NOSPLIT, $0-24
-	MOVQ r+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	load
-	product9
-	reduceGPR
-	store
-	RET
-
-// func mulCLMUL6GPR(r, a, b *Element)
-TEXT ·mulCLMUL6GPR(SB), NOSPLIT, $0-24
-	MOVQ r+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	load
-	product6
-	reduceGPR
-	store
-	RET
-
-// func mulCLMUL6Fold(r, a, b *Element)
-TEXT ·mulCLMUL6Fold(SB), NOSPLIT, $0-24
-	MOVQ r+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	load
-	product6
 	reduceFold
 	store
 	RET

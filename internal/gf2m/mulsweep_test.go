@@ -6,22 +6,14 @@ import (
 	"medsec/internal/rng"
 )
 
-// Multiplier-configuration sweep. Mul has two paths, and the sweep
-// measures the choices behind each.
-//
-// On amd64 CPUs with PCLMULQDQ, Mul is mulCLMUL (the clmul-9-fold
-// row): the 3×3-word schoolbook in nine PCLMULQDQ, then words 3-5 fold
-// down by three more against x^192 mod f = x^29·(x^7+x^6+x^3+1), and
-// word 2's top 29 bits once more in registers. Its rejected pairings
-// (clmul_amd64.s):
-//
-//   - clmul-6-fold: one level of 3-word Karatsuba (Dyka–Langendoerfer:
-//     6 word products instead of 9). The three saved products cost
-//     four shuffles and more XORs, and the CPU starts one PCLMULQDQ per
-//     cycle;
-//   - clmul-9-gpr and clmul-6-gpr: reduce() transcribed to
-//     general-purpose registers, shifting h = c >> 163 by 0, 3, 6 and
-//     7 bits word by word.
+// Multiplier-configuration sweep of the portable path. On amd64 CPUs
+// with PCLMULQDQ, Mul is mulCLMUL: the 3×3-word schoolbook in nine
+// PCLMULQDQ, then words 3-5 fold down by three more against
+// x^192 mod f = x^29·(x^7+x^6+x^3+1), and word 2's top 29 bits once
+// more in registers. Its rejected pairings (the 6-product Karatsuba,
+// and either product reduced in general-purpose registers) were
+// measured by this sweep and deleted; CHANGES.md holds their last
+// numbers.
 //
 // The portable path (every other CPU and GOARCH, the comb-w4 row)
 // pins three choices:
@@ -55,10 +47,6 @@ import (
 // MulSweep -count 5; medians, each row one product of fixed operands
 // per iteration) the sweep reads:
 //
-//	clmul-9-fold (Mul)   ~10.6 ns/op
-//	clmul-6-fold         ~11.9 ns/op
-//	clmul-9-gpr          ~14.4 ns/op  (the reduction is half the work)
-//	clmul-6-gpr          ~16.3 ns/op
 //	comb-w4 (portable)   ~211 ns/op
 //	comb-w4-rows         ~256 ns/op  (same scan; the planes index one
 //	                                  16-word array per product word)
@@ -334,16 +322,6 @@ func clmul64W8(x, y uint64) (uint64, uint64) {
 	return clmulTab8(&u, x, y)
 }
 
-// sweepRow is one PCLMULQDQ configuration of the reduced product.
-type sweepRow struct {
-	name string
-	mul  func(r, a, b *Element)
-}
-
-// clmulRows stays empty where the CPU has no PCLMULQDQ or the GOARCH
-// has no kernels (mulsweep_amd64_test.go fills it).
-var clmulRows []sweepRow
-
 func TestMulSweepVariantsAgree(t *testing.T) {
 	d := rng.NewDRBG(0x5eed)
 	for i := 0; i < 2000; i++ {
@@ -359,12 +337,6 @@ func TestMulSweepVariantsAgree(t *testing.T) {
 		} {
 			if got := reduce(raw); got != want {
 				t.Fatalf("%s: Mul(%v, %v) = %v, want %v", name, a, b, got, want)
-			}
-		}
-		for _, row := range clmulRows {
-			var got Element
-			if row.mul(&got, &a, &b); got != want {
-				t.Fatalf("%s: Mul(%v, %v) = %v, want %v", row.name, a, b, got, want)
 			}
 		}
 	}
@@ -401,13 +373,6 @@ func BenchmarkMulSweep(b *testing.B) {
 			benchSink = reduce(mulSchoolbook(benchA, benchB))
 		}
 	})
-	for _, row := range clmulRows {
-		b.Run(row.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				row.mul(&benchSink, &benchA, &benchB)
-			}
-		})
-	}
 	b.Run("sqr-table", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			benchSink = sqrTable(benchA)
