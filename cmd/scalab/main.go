@@ -112,27 +112,28 @@ func main() {
 	log.SetPrefix("scalab: ")
 	ctx, stop := cliutil.SignalContext()
 	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		log.Print(err)
 		os.Exit(1)
 	}
 }
 
-// run executes one subcommand and writes its report to w.
-func run(ctx context.Context, args []string, w io.Writer) error {
+// run executes one subcommand and writes its report to w and a
+// campaign's progress line to progress.
+func run(ctx context.Context, args []string, w, progress io.Writer) error {
 	if len(args) < 1 {
 		return usageError()
 	}
 	sub, rest := args[0], args[1:]
 	switch sub {
 	case "dpa":
-		return dpaCmd(ctx, rest, w)
+		return dpaCmd(ctx, rest, w, progress)
 	case "spa":
 		return spaCmd(ctx, rest, w)
 	case "timing":
 		return timingCmd(rest, w)
 	case "tvla":
-		return tvlaCmd(ctx, rest, w)
+		return tvlaCmd(ctx, rest, w, progress)
 	case "leakmap":
 		return leakmapCmd(ctx, rest, w)
 	default:
@@ -303,21 +304,22 @@ func profileFlags(fs *flag.FlagSet) (cpu, mem *string) {
 	return cpu, mem
 }
 
-// meter wires a progress line onto a target and accounts campaign
-// throughput: acquired trace count (via the engine's progress
-// callback) and wall-clock time.
+// meter wires a progress line, written to progress, onto a target and
+// accounts campaign throughput: acquired trace count (via the engine's
+// progress callback) and wall-clock time.
 type meter struct {
 	start    time.Time
 	acquired int
 	reg      *obs.Registry
+	progress io.Writer
 }
 
-func newMeter(tgt *sca.Target, reg *obs.Registry) *meter {
-	m := &meter{start: time.Now(), reg: reg}
+func newMeter(tgt *sca.Target, reg *obs.Registry, progress io.Writer) *meter {
+	m := &meter{start: time.Now(), reg: reg, progress: progress}
 	tgt.Progress = func(done int) {
 		m.acquired = done
 		if done%200 == 0 {
-			fmt.Fprintf(os.Stderr, "\racquired %d traces...", done)
+			fmt.Fprintf(progress, "\racquired %d traces...", done)
 		}
 	}
 	return m
@@ -328,7 +330,7 @@ func newMeter(tgt *sca.Target, reg *obs.Registry) *meter {
 // simulates the ladder from cycle 0 through the window). With a live
 // registry the figures also land in the manifest as gauges.
 func (m *meter) report(w io.Writer, cyclesPerTrace int) {
-	fmt.Fprint(os.Stderr, "\r\033[K")
+	fmt.Fprint(m.progress, "\r\033[K")
 	el := time.Since(m.start)
 	if m.acquired == 0 || el <= 0 {
 		return
@@ -340,7 +342,7 @@ func (m *meter) report(w io.Writer, cyclesPerTrace int) {
 		m.acquired, sec, float64(m.acquired)/sec, float64(m.acquired)*float64(cyclesPerTrace)/sec)
 }
 
-func dpaCmd(ctx context.Context, args []string, w io.Writer) (err error) {
+func dpaCmd(ctx context.Context, args []string, w, progress io.Writer) (err error) {
 	fs := flag.NewFlagSet("dpa", flag.ContinueOnError)
 	traces := fs.Int("traces", 20000, "maximum campaign size")
 	bits := fs.Int("bits", 6, "key bits to recover")
@@ -406,7 +408,7 @@ func dpaCmd(ctx context.Context, args []string, w io.Writer) (err error) {
 	fmt.Fprintf(w, "DPA/CPA: RPC=%v known-masks=%v masking=%s preprocess=%q, recovering %d bits, up to %d traces, seed=%d, prologue cycles skipped per trace=%d\n",
 		*rpc, *known, *masking, *preprocess, *bits, *traces, *seed,
 		tgt.NewCampaign(dpaFirstIter, dpaFirstIter-*bits+1).PrologueCyclesSkipped())
-	m := newMeter(tgt, reg)
+	m := newMeter(tgt, reg, progress)
 	n, res, err := sca.TracesToSuccess(tgt, sizes, *bits,
 		sca.CPAOptions{KnownMasks: *known, Preprocess: *preprocess}, rng.NewDRBG(*seed+5).Uint64)
 	if err != nil {
@@ -705,7 +707,7 @@ func leakmapCmd(ctx context.Context, args []string, w io.Writer) (err error) {
 	return nil
 }
 
-func tvlaCmd(ctx context.Context, args []string, w io.Writer) (err error) {
+func tvlaCmd(ctx context.Context, args []string, w, progress io.Writer) (err error) {
 	fs := flag.NewFlagSet("tvla", flag.ContinueOnError)
 	traces := fs.Int("traces", 500, "traces per set")
 	rpc := fs.Bool("rpc", true, "randomized projective coordinates enabled")
@@ -770,7 +772,7 @@ func tvlaCmd(ctx context.Context, args []string, w io.Writer) (err error) {
 	tgt.Ckpt = ck
 	src := rng.NewDRBG(*seed + 9).Uint64
 	randKey := func() modn.Scalar { return sca.AlgorithmOneScalar(curve, src) }
-	m := newMeter(tgt, reg)
+	m := newMeter(tgt, reg, progress)
 	var res *sca.TVLAResult
 	switch {
 	case *order == 2 && *early:

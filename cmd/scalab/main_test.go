@@ -23,7 +23,7 @@ import (
 // before any acquisition starts.
 func TestRunRefusesNegativeShards(t *testing.T) {
 	for _, sub := range []string{"dpa", "spa", "tvla", "leakmap"} {
-		err := run(context.Background(), []string{sub, "-shards", "-1"}, io.Discard)
+		err := run(context.Background(), []string{sub, "-shards", "-1"}, io.Discard, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "-shards") {
 			t.Errorf("scalab %s -shards -1: err = %v, want a refusal naming -shards", sub, err)
 		}
@@ -39,7 +39,7 @@ func TestTVLAManifestCountersAgreeAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{2, 7} {
 		path := filepath.Join(t.TempDir(), fmt.Sprintf("manifest%d.json", workers))
 		args := []string{"tvla", "-traces", "64", "-workers", fmt.Sprint(workers), "-metrics", path}
-		if err := run(context.Background(), args, io.Discard); err != nil {
+		if err := run(context.Background(), args, io.Discard, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		m, err := obs.ReadManifest(path)
@@ -64,10 +64,10 @@ func TestTVLAManifestCountersAgreeAcrossWorkers(t *testing.T) {
 // with the mismatching provenance field named.
 func TestTVLAForeignCheckpointRefusedByName(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "tvla.msckpt")
-	if err := run(context.Background(), []string{"tvla", "-traces", "20", "-seed", "3", "-checkpoint", ckpt}, io.Discard); err != nil {
+	if err := run(context.Background(), []string{"tvla", "-traces", "20", "-seed", "3", "-checkpoint", ckpt}, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	err := run(context.Background(), []string{"tvla", "-traces", "20", "-seed", "4", "-checkpoint", ckpt, "-resume"}, io.Discard)
+	err := run(context.Background(), []string{"tvla", "-traces", "20", "-seed", "4", "-checkpoint", ckpt, "-resume"}, io.Discard, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "provenance mismatch on seed") {
 		t.Fatalf("seed-4 resume of a seed-3 checkpoint: err = %v, want a provenance mismatch on seed", err)
 	}
@@ -78,7 +78,7 @@ func TestTVLAForeignCheckpointRefusedByName(t *testing.T) {
 func report(t *testing.T, args ...string) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := run(context.Background(), args, &buf); err != nil {
+	if err := run(context.Background(), args, &buf, io.Discard); err != nil {
 		t.Fatalf("scalab %v: %v", args, err)
 	}
 	out := buf.String()
@@ -125,15 +125,16 @@ func TestReportsIndependentOfShape(t *testing.T) {
 
 // killAtFirstCheckpoint runs scalab with the given -checkpoint file
 // and cancels its context, as SIGINT does, once the first periodic
-// checkpoint exists. It fails unless the run was cut short: a run that
+// checkpoint exists, and returns the header of the checkpoint the
+// killed run left. It fails unless the run was cut short: a run that
 // finished first would test only the completed-checkpoint
 // short-circuit.
-func killAtFirstCheckpoint(t *testing.T, path string, args ...string) {
+func killAtFirstCheckpoint(t *testing.T, path string, args ...string) store.Header {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
-	go func() { done <- run(ctx, args, io.Discard) }()
+	go func() { done <- run(ctx, args, io.Discard, io.Discard) }()
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
 	for {
@@ -155,7 +156,7 @@ func killAtFirstCheckpoint(t *testing.T, path string, args ...string) {
 			if ck.Header.Complete {
 				t.Fatalf("scalab %v killed at its first checkpoint left a finished one", args)
 			}
-			return
+			return ck.Header
 		}
 	}
 }
@@ -193,5 +194,33 @@ func TestTVLAKillResume(t *testing.T) {
 				t.Fatalf("the resumed run acquired %d traces; it must skip the checkpointed prefix", n)
 			}
 		})
+	}
+}
+
+// TestDPAKillResume kills the DPA traces-to-success search once its
+// first checkpoint is on disk, resumes it at another worker count, and
+// byte-compares the report with an uninterrupted run's. With RPC on,
+// four bits are not recovered within 4 000 traces, so the search grows
+// its campaign through the whole size ladder (25, 50, 100, ... 4 000)
+// and checkpoints after each size; at one worker the first checkpoint
+// lands long before the last size. The resumed run must acquire only
+// the traces past the killed run's watermark.
+func TestDPAKillResume(t *testing.T) {
+	args := []string{"dpa", "-traces", "4000", "-bits", "4", "-seed", "3"}
+	path := filepath.Join(t.TempDir(), "dpa.msckpt")
+	ref := report(t, append(args, "-workers", "7")...)
+	killed := killAtFirstCheckpoint(t, path, append(args, "-workers", "1", "-checkpoint", path)...)
+	manifest := filepath.Join(t.TempDir(), "manifest.json")
+	got := report(t, append(args, "-workers", "7", "-checkpoint", path, "-resume", "-metrics", manifest)...)
+	if got != ref {
+		t.Fatalf("resumed report differs from the uninterrupted run:\n%s\n---\n%s", got, ref)
+	}
+	m, err := obs.ReadManifest(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, want := m.Metrics.Counters["sca_traces_acquired"], int64(4000-killed.Watermark); killed.Watermark == 0 || n != want {
+		t.Fatalf("the resumed run acquired %d traces from a checkpoint at %d; want %d, the checkpointed prefix skipped",
+			n, killed.Watermark, want)
 	}
 }
