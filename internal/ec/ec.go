@@ -13,6 +13,12 @@
 //   - constant-structure ladder (timing / SPA), and
 //   - randomized projective coordinates (DPA).
 //
+// The software ladder is constant-time as the chip's is: each step
+// swaps the two projective points under an all-ones-or-zero mask built
+// from the key bit, as the chip's CSWAP does, then adds and doubles in
+// fixed slots. No branch and no memory index depends on a key bit, in
+// the Go step or in the amd64 assembly ladder.
+//
 // A deliberately leaky double-and-add baseline is included for the
 // timing-attack experiment (E3).
 package ec
@@ -291,13 +297,9 @@ func (l *ladder) step(s *LadderState) {
 // ladderX runs the complete x-only ladder over all 163 bit positions
 // and returns the final projective state. λ and μ are drawn before
 // anything else, so the caller's random stream is consumed as always.
-//
-// The loop keeps R0 and R1 in fixed slots swapped whenever the bit
-// just processed was 1: before each step it swaps on the bit XOR the
-// previous one, and one last swap on the final bit puts R0 back in slot
-// 0. The chip's microcode swaps in and out on each bit; both reach the
-// same state. Either bit value runs the same instructions on the same
-// addresses: the key bit only builds the all-ones-or-zero swap mask.
+// On K-163, on an amd64 CPU with PCLMULQDQ, the loop is one assembly
+// call (ladder_amd64.s); elsewhere it is ladder.steps. Both reach the
+// Step loop's state word for word.
 func (c *Curve) ladderX(k modn.Scalar, x gf2m.Element, opt LadderOptions) LadderState {
 	var lambda, mu gf2m.Element
 	switch {
@@ -309,15 +311,27 @@ func (c *Curve) ladderX(k modn.Scalar, x gf2m.Element, opt LadderOptions) Ladder
 	}
 	s := NewLadderState(x, lambda, mu)
 	l := newLadder(x, c.B)
+	l.run(&s, &x, &k)
+	return s
+}
+
+// steps runs the ladder over all LadderBits bits of k on s. It keeps
+// R0 and R1 in fixed slots, swapped whenever the bit just processed was
+// 1: before each step it swaps on the bit XOR the previous one, and
+// one last swap on the final bit puts R0 back in slot 0. The chip's
+// microcode swaps in and out on each bit; both reach the same state.
+// There is no branch on a key bit: either bit value runs the same
+// instructions on the same addresses, and the bit only builds the
+// all-ones-or-zero swap mask.
+func (l *ladder) steps(s *LadderState, k *modn.Scalar) {
 	var prev uint64
 	for i := LadderBits - 1; i >= 0; i-- {
 		bit := uint64(k.Bit(i))
 		s.cswap(-(bit ^ prev))
-		l.step(&s)
+		l.step(s)
 		prev = bit
 	}
 	s.cswap(-prev)
-	return s
 }
 
 // XOnlyScalarMul returns the affine x-coordinate of k*P given only the

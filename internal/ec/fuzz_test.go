@@ -56,14 +56,16 @@ func recoverYFromAffine(p Point, x0, x1 gf2m.Element) Point {
 	return Point{X: x0, Y: y0}
 }
 
-// FuzzLadderMatchesStep: the ladder's precomputed step must reach the
-// same projective state as the documented Step formulas, word for
-// word, and the shared-inversion y-recovery must give the point that
-// Div, Div and the two-x recovery formula give — on K-163, where the
-// doubling skips its multiply by √b = 1, and on B-163, where it does
-// not. The scalar is reduced mod n, or mirrored to n−1−k; the seeds
-// reach k = 0, 1, n−2 and n−1, so both early returns and the shared
-// inversion run. λ = 0 or μ = 0 is the unit representation.
+// FuzzLadderMatchesStep: the ladder (ladderX, which on K-163 runs the
+// assembly ladder where the CPU has PCLMULQDQ) and its Go loop
+// (ladder.steps) must reach the same projective state as the
+// documented Step formulas, word for word, and the shared-inversion
+// y-recovery must give the point that Div, Div and the two-x recovery
+// formula give — on K-163, where the doubling skips its multiply by
+// √b = 1, and on B-163, where it does not. The scalar is reduced mod n,
+// or mirrored to n−1−k; the seeds reach k = 0, 1, n−2 and n−1, so both
+// early returns and the shared inversion run. λ = 0 or μ = 0 is the
+// unit representation.
 func FuzzLadderMatchesStep(f *testing.F) {
 	for _, mirror := range []bool{false, true} {
 		f.Add(uint64(0), uint64(0), uint64(0), mirror, uint64(1), uint64(0), uint64(0))
@@ -86,6 +88,11 @@ func FuzzLadderMatchesStep(f *testing.F) {
 			}
 			if got := c.ladderX(k, p.X, opt); got != want {
 				t.Fatalf("%s k=%v: ladder state %+v, Step loop %+v", c.Name, k, got, want)
+			}
+			loop := NewLadderState(p.X, opt.FixedLambda, opt.FixedMu)
+			l := newLadder(p.X, c.B)
+			if l.steps(&loop, &k); loop != want {
+				t.Fatalf("%s k=%v: Go ladder loop state %+v, Step loop %+v", c.Name, k, loop, want)
 			}
 
 			var wantP Point

@@ -46,44 +46,6 @@
 	PXOR      X12, X11; \
 	spread(X7, X11, X8)
 
-// product6 is one level of 3-word Karatsuba (Dyka–Langendoerfer): with
-// Dij = (ai+aj)(bi+bj),
-//
-//	a·b = D00 + (D01+D00+D11)·X + (D02+D00+D11+D22)·X²
-//	          + (D12+D11+D22)·X³ + D22·X⁴
-//
-// over X = x^64: six word products. Clobbers X7-X12.
-#define product6 \
-	MOVOU      X0, X4; \
-	PCLMULQDQ  $0x00, X2, X4; \
-	MOVOU      X1, X5; \
-	PCLMULQDQ  $0x00, X3, X5; \
-	MOVOU      X1, X6; \
-	PCLMULQDQ  $0x11, X3, X6; \
-	MOVOU      X0, X7; \
-	PUNPCKLQDQ X0, X7; \
-	PXOR       X1, X7; \
-	MOVOU      X2, X8; \
-	PUNPCKLQDQ X2, X8; \
-	PXOR       X3, X8; \
-	PSHUFD     $0x4e, X1, X9; \
-	PXOR       X1, X9; \
-	PSHUFD     $0x4e, X3, X10; \
-	PXOR       X3, X10; \
-	PCLMULQDQ  $0x00, X10, X9; \
-	MOVOU      X7, X11; \
-	PCLMULQDQ  $0x11, X8, X11; \
-	PCLMULQDQ  $0x00, X8, X7; \
-	MOVOU      X4, X12; \
-	PXOR       X5, X12; \
-	PXOR       X12, X7; \
-	PXOR       X12, X11; \
-	PXOR       X6, X11; \
-	PXOR       X5, X9; \
-	PXOR       X6, X9; \
-	MOVOU      X11, X5; \
-	spread(X7, X9, X8)
-
 // spread adds m1 at word 1 and m3 at word 3: X4 ^= m1·X, X5 ^= m1/X
 // and m3·X, X6 ^= m3/X. Clobbers m1, m3 and t.
 #define spread(m1, m3, t) \
