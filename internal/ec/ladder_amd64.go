@@ -5,13 +5,6 @@ import (
 	"medsec/internal/modn"
 )
 
-// hasCLMUL reports whether CPUID leaf 1 advertises PCLMULQDQ (ECX
-// bit 1), which ladderB1CLMUL multiplies with.
-var hasCLMUL = cpuid1ECX()&(1<<1) != 0
-
-// cpuid1ECX returns ECX of CPUID leaf 1.
-func cpuid1ECX() uint32
-
 // ladderB1CLMUL runs the LadderBits steps of the ladder over k on s
 // in one call, for a curve with √b = 1 and x(P) = *x: the loop of
 // ladder.steps with ladder.step and the swaps in assembly, the state
@@ -23,7 +16,7 @@ func ladderB1CLMUL(s *LadderState, x *gf2m.Element, k *modn.Scalar)
 // run is ladder.steps, or on a curve with √b = 1 (K-163) and a CPU
 // with PCLMULQDQ, ladderB1CLMUL, which reaches the same state.
 func (l *ladder) run(s *LadderState, x *gf2m.Element, k *modn.Scalar) {
-	if hasCLMUL && l.sqrtBIsOne {
+	if gf2m.HasCLMUL() && l.sqrtBIsOne {
 		ladderB1CLMUL(s, x, k)
 		return
 	}

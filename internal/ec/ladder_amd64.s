@@ -16,9 +16,10 @@
 //
 // product9 is the 3×3-word schoolbook. One level of 3-word Karatsuba
 // (six word products, Dyka–Langendoerfer) in its place, with the
-// operand sums built in registers or loaded from memory, ran the
-// ladder no faster on a shared 2-vCPU Sapphire Rapids host: the saved
-// products cost as many shuffles, loads and XORs.
+// operand sums built by shuffles or from separate loads, ran the
+// ladder no faster on a shared 2-vCPU Intel Xeon host (family 6,
+// model 143), where the loop is bound by throughput: the three saved
+// products per multiplication came back as shuffles, loads and XORs.
 
 // loadA reads the element at o(DI) into X0-X1, loadB into X2-X3.
 #define loadA(o) \
@@ -202,14 +203,6 @@ DATA foldConsts<>+8(SB)/8, $0xc9
 DATA foldConsts<>+16(SB)/8, $0x7ffffffff
 DATA foldConsts<>+24(SB)/8, $0
 GLOBL foldConsts<>(SB), RODATA|NOPTR, $32
-
-// func cpuid1ECX() uint32
-TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	MOVL CX, ret+0(FP)
-	RET
 
 // func ladderB1CLMUL(s *LadderState, x *gf2m.Element, k *modn.Scalar)
 //

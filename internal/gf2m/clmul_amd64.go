@@ -1,9 +1,9 @@
 package gf2m
 
 // hasCLMUL reports whether CPUID leaf 1 advertises PCLMULQDQ (ECX
-// bit 1). Where it does, Mul, Sqr, MulAcc, Reduce and Precomp use the
-// carry-less multiply instruction; elsewhere they take the comb, the
-// squaring table and reduce().
+// bit 1). Where it does, MulTo, SqrTo, MulAcc, Reduce and Precomp's
+// products use the carry-less multiply instruction; elsewhere they take
+// the comb, the squaring table and reduce().
 var hasCLMUL = cpuid1ECX()&(1<<1) != 0
 
 // cpuid1ECX returns ECX of CPUID leaf 1.
@@ -26,7 +26,7 @@ func sqrCLMUL(r, a *Element)
 func reduceCLMUL(r *Element, c *[6]uint64)
 
 // mulAccCLMUL XORs the unreduced 6-word product a·b into *acc, 16
-// bytes at a time, so Reduce's copy of acc loads what it stored.
+// bytes at a time, so reduceCLMUL, reading acc, loads what it stored.
 // MulNoReduce passes a zero acc.
 //
 //go:noescape

@@ -2,9 +2,9 @@
 
 package gf2m
 
-// hasCLMUL is false off amd64: Mul, Sqr, MulAcc, Reduce and Precomp
-// take the comb, the squaring table and reduce(), and the PCLMULQDQ
-// kernels below are never called.
+// hasCLMUL is false off amd64: MulTo, SqrTo, MulAcc, Reduce and
+// Precomp's products take the comb, the squaring table and reduce(),
+// and the PCLMULQDQ kernels below are never called.
 const hasCLMUL = false
 
 func mulCLMUL(r, a, b *Element)                 { panic("gf2m: no PCLMULQDQ kernel on this GOARCH") }

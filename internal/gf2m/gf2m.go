@@ -14,6 +14,14 @@
 // runs of 20, 40 and 81 squarings apply such matrices, built once at
 // package init (linmap.go).
 //
+// Each kernel has a pointer form that writes its result through a
+// pointer: MulTo, SqrTo, MulAcc and Reduce (over a 6-word unreduced
+// sum), Precomp.MulTo and Precomp.MulNoReduce. A result may alias an
+// operand. Each makes the one PCLMULQDQ-or-portable choice, and the
+// value forms Mul and Sqr are inlinable wrappers over MulTo and SqrTo,
+// so a caller that keeps its operands in place (the curve layer's
+// ladder) copies nothing through the call.
+//
 // The package's tests hold it to an independent reference, a generic
 // variable-degree field with arbitrary reduction polynomials
 // (generic_ref_test.go).
@@ -107,6 +115,11 @@ func (e Element) normalize() Element {
 	return e
 }
 
+// HasCLMUL reports whether the field kernels run on PCLMULQDQ: an
+// amd64 CPU that has the instruction. The curve layer's assembly
+// ladder multiplies with it too.
+func HasCLMUL() bool { return hasCLMUL }
+
 // Precomp is an operand b prepared for repeated products a·b.
 //
 // On an amd64 CPU with PCLMULQDQ it holds only b: the carry-less
@@ -120,12 +133,13 @@ func (e Element) normalize() Element {
 // 165 and fits in 3 words. The entries are stored as three 16-word
 // planes, one per product word. The comb's Mul builds a table per call.
 // Precompute keeps one alive across every product by a fixed operand
-// (Sqrt's constant sqrt(x), the ladder's x(P)), which skips the table
-// construction entirely — the software analogue of wiring one
-// multiplicand into the MALU's partial-product array. The whole-operand
-// scan and the plane layout are pinned by measurement: mulsweep_test.go
-// keeps the rejected configurations, the 3-word Karatsuba over per-word
-// combs among them (BenchmarkMulSweep; numbers in its header).
+// (Sqrt's constant sqrt(x), the portable ladder's x(P) and √b), which
+// skips the table construction entirely — the software analogue of
+// wiring one multiplicand into the MALU's partial-product array. The
+// whole-operand scan and the plane layout are pinned by measurement:
+// mulsweep_test.go keeps the rejected configurations, the 3-word
+// Karatsuba over per-word combs among them (BenchmarkMulSweep; numbers
+// in its header).
 type Precomp struct {
 	b          Element
 	w0, w1, w2 [16]uint64
