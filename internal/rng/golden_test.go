@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"math"
 	"testing"
 )
 
@@ -105,5 +106,82 @@ func TestDRBGGoldenRefills(t *testing.T) {
 
 	if got := hex.EncodeToString(h.Sum(nil)); got != goldenDRBGRefills {
 		t.Fatalf("DRBG refill stream changed:\n  got    %s\n  pinned %s", got, goldenDRBGRefills)
+	}
+}
+
+// goldenGaussianStreams is a SHA-256 over the runs of
+// TestGaussianGoldenStreams, recorded from the Skip loop that stepped
+// one generator at a time. The measurement noise of every simulated
+// trace is drawn from this sampler, and a CPA or TVLA verdict rests on
+// it, so a change here moves every trace golden built on top. Fix the
+// code, never the constant.
+const goldenGaussianStreams = "f7a862df7e41d21948fbf0f101797d76d77d059b1b01f4104a21805a7c10f8b6"
+
+// putF64 folds the IEEE bits of one draw into the hasher.
+func putF64(h hash.Hash, v float64) { putU64(h, math.Float64bits(v)) }
+
+// dpaGap is the i-th gap of a record list in the shape of a CPA
+// campaign's writeback cycles: mostly 42 unrecorded cycles, some 46
+// and some back-to-back (0).
+func dpaGap(i int) int {
+	switch {
+	case i%3 == 2:
+		return 0
+	case i%17 == 0:
+		return 46
+	default:
+		return 42
+	}
+}
+
+// TestGaussianGoldenStreams pins the Gaussian sampler bit for bit.
+// For each seed:
+//   - Fill runs of odd and even lengths, so the spare crosses both
+//     phases between calls;
+//   - skip-then-draw along a CPA record list: Skip(1053), then one
+//     Sample after each of 89 gaps of 42, 46 and 0;
+//   - skip-then-draw along odd gaps (1, 21, 43, 525) entered with a
+//     spare pending, each followed by a Fill of 3;
+//   - Skip(0) and even skips with a spare pending;
+//   - the final xorshift state.
+func TestGaussianGoldenStreams(t *testing.T) {
+	h := sha256.New()
+	for _, seed := range []uint64{0, 1, 0x9d2c5680, 1 << 63, ^uint64(0)} {
+		g := NewGaussian(seed)
+		for _, n := range []int{1, 2, 3, 8, 255, 256} {
+			buf := make([]float64, n)
+			g.Fill(buf)
+			for _, v := range buf {
+				putF64(h, v)
+			}
+		}
+
+		g.Skip(1053)
+		putF64(h, g.Sample())
+		for i := 0; i < 89; i++ {
+			g.Skip(dpaGap(i))
+			putF64(h, g.Sample())
+		}
+
+		var three [3]float64
+		for _, gap := range []int{1, 21, 43, 525} {
+			putF64(h, g.Sample()) // leaves a spare pending
+			g.Skip(gap)
+			g.Fill(three[:])
+			for _, v := range three {
+				putF64(h, v)
+			}
+		}
+		for _, gap := range []int{0, 2, 42, 526} {
+			putF64(h, g.Sample())
+			g.Skip(gap)
+			putF64(h, g.Sample())
+		}
+		putU64(h, g.src.s0)
+		putU64(h, g.src.s1)
+	}
+
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenGaussianStreams {
+		t.Fatalf("Gaussian streams changed:\n  got    %s\n  pinned %s", got, goldenGaussianStreams)
 	}
 }
