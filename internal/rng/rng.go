@@ -254,10 +254,9 @@ func (g *Gaussian) Fill(dst []float64) {
 // cache ends in the same fresh/cached phase. Only the transcendental
 // work (log, sqrt, sin, cos) is elided — a skipped cycle costs two
 // xorshift draws per pair instead of a full Box–Muller evaluation.
-// The quiet-prefix and record-list acquisition paths use this to keep
-// the measurement noise stream of a windowed or recorded trace
-// bit-identical to an unwindowed run that simply discarded the other
-// samples.
+// SkipLanes is its lockstep form over the samplers of a lane batch,
+// which the measurement-noise pass (power.Samples) uses to skip the
+// cycles a windowed or recorded trace does not keep.
 func (g *Gaussian) Skip(n int) {
 	if n <= 0 {
 		return
@@ -266,16 +265,8 @@ func (g *Gaussian) Skip(n int) {
 		g.hasSpare = false
 		n--
 	}
-	for ; n >= 2; n -= 2 {
-		// One fresh pair: u (with the zero-rejection loop) and v.
-		// Float64() is zero exactly when the top 53 bits of the raw
-		// draw are, so the rejection test runs on integers — same
-		// draws consumed, no float conversion.
-		for g.src.Uint64()>>11 == 0 {
-		}
-		g.src.Uint64()
-	}
-	if n == 1 {
+	g.src.skipPairs(n / 2)
+	if n&1 == 1 {
 		// Odd remainder: a real draw, so the spare cache holds exactly
 		// the value the next Sample call would return.
 		g.Sample()
