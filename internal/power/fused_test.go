@@ -59,47 +59,83 @@ func TestCycleBaseEnergyMatchesComponents(t *testing.T) {
 	for ci, cfg := range fusedTestConfigs() {
 		ref := NewModel(cfg)
 		fused := NewModel(cfg)
-		noise := make([]float64, len(evs))
-		fused.FillNoise(noise)
+		draw := NewModel(cfg)
 		for i := range evs {
 			want := ref.CycleComponents(&evs[i])
 			base := fused.CycleBaseEnergy(&evs[i])
-			if got := base + noise[i]; got != want.Total() {
+			if got := base + draw.CycleComponents(&evs[i]).Noise; got != want.Total() {
 				t.Fatalf("cfg %d ev %d: fused %.18g != serial %.18g", ci, i, got, want.Total())
 			}
 		}
 	}
 }
 
-// TestFillNoiseMatchesSerialDraws pins FillNoise against the exact
-// noise terms sequential CycleComponents calls produce, across refill
-// phases (odd block sizes force the Box–Muller spare cache through
-// both states).
+// TestFillNoiseMatchesSerialDraws pins Samples, the noise pass that
+// replaced FillNoise, against per-cycle CyclePower over a run that
+// evaluates every cycle: for every configuration, at batch widths of 1,
+// 3, 8 and 9 lanes (one lane in three without noise), along windows
+// that start at odd and even cycles and cross the pass's 256-draw
+// block, and along record lists with odd and even gaps, back-to-back
+// cycles and a first cycle of 0, each kept sample must equal the
+// reference's at its cycle, bit for bit.
 func TestFillNoiseMatchesSerialDraws(t *testing.T) {
-	ev := coproc.CycleEvent{Op: coproc.OpNop}
-	for _, blocks := range [][]int{{1}, {2}, {3, 5}, {7, 1, 256}, {64, 63, 1}} {
-		ref := NewModel(ProtectedChip(31))
-		fused := NewModel(ProtectedChip(31))
-		for _, n := range blocks {
-			buf := make([]float64, n)
-			fused.FillNoise(buf)
-			for i, got := range buf {
-				want := ref.CycleComponents(&ev).Noise
-				if got != want {
-					t.Fatalf("blocks %v draw %d: fill %.18g != serial %.18g", blocks, i, got, want)
-				}
-			}
+	evs := fusedTestEvents(1200)
+	cfgs := fusedTestConfigs()
+	want := make([][]float64, len(cfgs))
+	for ci, cfg := range cfgs {
+		ref := NewModel(cfg)
+		for i := range evs {
+			want[ci] = append(want[ci], ref.CyclePower(&evs[i]))
 		}
 	}
-	// With noise disabled, FillNoise zeroes without consuming draws.
-	cfg := ProtectedChip(31)
-	cfg.NoiseSigma = 0
-	m := NewModel(cfg)
-	buf := []float64{1, 2, 3}
-	m.FillNoise(buf)
-	for i, v := range buf {
-		if v != 0 {
-			t.Fatalf("disabled noise: buf[%d] = %g, want 0", i, v)
+	window := func(start, n int) []int {
+		cycles := make([]int, n)
+		for k := range cycles {
+			cycles[k] = start + k
+		}
+		return cycles
+	}
+	plans := []struct {
+		start  int
+		record []int
+	}{
+		{start: 0}, {start: 1}, {start: 77}, {start: 1053},
+		{record: []int{0, 1, 5, 6, 7, 49, 50, 92, 138, 139}},
+		{record: []int{3, 46, 88, 131, 132, 600, 601, 602, 1199}},
+		{record: window(400, 300)},
+	}
+	for _, lanes := range []int{1, 3, 8, 9} {
+		for pi, p := range plans {
+			cycles := p.record
+			if cycles == nil {
+				cycles = window(p.start, min(len(evs)-p.start, 700))
+			}
+			models := make([]*Model, lanes)
+			energies := make([][]float64, lanes)
+			for l := range models {
+				cfg := cfgs[l%len(cfgs)]
+				if l%3 == 1 {
+					cfg.NoiseSigma = 0
+				}
+				models[l] = NewModel(cfg)
+				for _, c := range cycles {
+					energies[l] = append(energies[l], models[l].CycleBaseEnergy(&evs[c]))
+				}
+			}
+			Samples(models, energies, p.start, p.record)
+			for l := range models {
+				ci := l % len(cfgs)
+				for k, c := range cycles {
+					w := want[ci][c]
+					if l%3 == 1 {
+						w = NewModel(models[l].cfg).CyclePower(&evs[c])
+					}
+					if energies[l][k] != w {
+						t.Fatalf("%d lanes, plan %d, lane %d, cycle %d: pass %.18g != serial %.18g",
+							lanes, pi, l, c, energies[l][k], w)
+					}
+				}
+			}
 		}
 	}
 }

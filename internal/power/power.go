@@ -236,20 +236,6 @@ func (m *Model) Reinit(cfg Config) {
 	m.nominalJ = 59.47e-12
 }
 
-// SkipCycles advances the model's measurement-noise stream past n
-// simulated cycles without evaluating any energy: exactly the noise
-// draws n CycleEnergy/CycleComponents calls would consume (one Gaussian
-// sample per cycle when NoiseSigma > 0, none otherwise) are skipped via
-// rng.Gaussian.Skip. The quiet-prefix and record-list acquisition
-// paths call this for the cycles the CPU no longer reports, so the
-// recorded samples' noise is bit-identical to a run that simulated —
-// and discarded — every other cycle.
-func (m *Model) SkipCycles(n int) {
-	if n > 0 && m.cfg.NoiseSigma > 0 {
-		m.noise.Skip(n)
-	}
-}
-
 // CycleEnergy returns the energy in joules consumed during the cycle
 // described by ev, including measurement noise: CycleComponents' Total,
 // summed in the same order.
@@ -386,30 +372,79 @@ func (m *Model) cycleEnergy(ev *coproc.CycleEvent, terms *Components) float64 {
 	return ((leak + clock) + datapath) + control
 }
 
-// NoiseEnabled reports whether the configuration draws measurement
-// noise (one Gaussian sample per metered cycle).
-func (m *Model) NoiseEnabled() bool { return m.cfg.NoiseSigma > 0 }
+// sampleChunk is the number of lanes Samples skips together: the 8
+// generators rng.SkipLanes's AVX2 kernel steps at once.
+const sampleChunk = 8
 
-// ClockHz returns the configured core clock frequency.
-func (m *Model) ClockHz() float64 { return m.cfg.ClockHz }
+// Samples turns one lane batch's noise-free cycle energies into power
+// samples in watts, in place. energies[l] holds lane l's
+// CycleBaseEnergy values at the ascending cycles record[k], or at
+// cycles start, start+1, ... when record is nil, and every lane holds
+// as many. Each lane's noise stream must stand at cycle 0, as NewModel
+// and Reinit leave it: the sample at cycle c takes draw c, so it is bit
+// for bit what CyclePower returns at cycle c in a run that evaluates
+// every cycle. The draws of the cycles between kept ones are skipped
+// for all lanes at once (rng.SkipLanes); a run of consecutive kept
+// cycles is drawn with rng.Gaussian.Fill, and each sample is
+// (energy + v·NoiseSigma·nominal)·ClockHz, CycleEnergy's sum in its
+// order. A lane with NoiseSigma 0 draws nothing.
+func Samples(models []*Model, energies [][]float64, start int, record []int) {
+	for lo := 0; lo < len(models); lo += sampleChunk {
+		hi := min(lo+sampleChunk, len(models))
+		samplesChunk(models[lo:hi], energies[lo:hi], start, record)
+	}
+}
 
-// FillNoise writes the next len(dst) measurement-noise energy terms in
-// joules into dst: exactly the Noise component the next len(dst)
-// CycleComponents calls would produce, drawn from the same Gaussian
-// stream (rng.Gaussian.Fill) and scaled by the same expression in the
-// same order. When NoiseSigma is 0 it zeroes dst without consuming any
-// draws, matching CycleComponents' skip. The lane-batched sink calls
-// this once per block of cycles instead of sampling per cycle.
-func (m *Model) FillNoise(dst []float64) {
-	if m.cfg.NoiseSigma <= 0 {
-		for i := range dst {
-			dst[i] = 0
+// samplesChunk is Samples over at most sampleChunk lanes.
+func samplesChunk(models []*Model, energies [][]float64, start int, record []int) {
+	var noisy [sampleChunk]*rng.Gaussian
+	gs := noisy[:0]
+	for l, m := range models {
+		if m.cfg.NoiseSigma > 0 {
+			gs = append(gs, m.noise)
+			continue
 		}
+		for k, e := range energies[l] {
+			energies[l][k] = e * m.cfg.ClockHz
+		}
+	}
+	if len(gs) == 0 {
 		return
 	}
-	m.noise.Fill(dst)
-	for i, v := range dst {
-		dst[i] = v * m.cfg.NoiseSigma * m.nominalJ
+	var draws [256]float64
+	at := 0 // the cycle every noisy lane's stream stands at
+	for k, n := 0, len(energies[0]); k < n; {
+		c, run := start+k, n-k
+		if record != nil {
+			c, run = record[k], 1
+			for k+run < n && record[k+run] == c+run {
+				run++
+			}
+		}
+		rng.SkipLanes(gs, c-at)
+		for l, m := range models {
+			if m.cfg.NoiseSigma > 0 {
+				m.addNoise(energies[l][k:k+run], draws[:])
+			}
+		}
+		at, k = c+run, k+run
+	}
+}
+
+// addNoise draws the noise of len(e) consecutive cycles, in blocks of
+// len(draws), and turns their energies into samples.
+func (m *Model) addNoise(e, draws []float64) {
+	sigma, nominal, hz := m.cfg.NoiseSigma, m.nominalJ, m.cfg.ClockHz
+	for len(e) > 0 {
+		d := draws[:min(len(e), len(draws))]
+		m.noise.Fill(d)
+		for i, v := range d {
+			// The conversion rounds the noise term on its own before
+			// the sum; a fused multiply-add (arm64) would change the
+			// sample's bits.
+			e[i] = (e[i] + float64(v*sigma*nominal)) * hz
+		}
+		e = e[len(d):]
 	}
 }
 

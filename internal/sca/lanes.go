@@ -16,6 +16,9 @@ import (
 // device state — TRNG DRBG, power model with its noise substream,
 // collector — re-seeded per trace from the trace index, so a lane's
 // recorded trace does not depend on which batch or lane retired it.
+// The lanes share the record list, so after the run one noise pass
+// (trace.TakeBatch) skips each gap in all lanes' noise streams at once;
+// the skip leaves every stream where its own skip would.
 // Target.Lanes <= 1 runs width-1 batches; coproc's lane property tests
 // pin every lane's stream independent of the batch width and of its
 // position in the batch. Every campaign statistic is therefore
@@ -50,10 +53,12 @@ func (t *Target) newLaneSlot() *laneSlot {
 }
 
 // laneScratch is one worker's batched acquisition state: a shared
-// LaneCPU plus one laneSlot per lane.
+// LaneCPU plus one laneSlot per lane, and the slots' collectors in lane
+// order for the noise pass.
 type laneScratch struct {
 	lc    *coproc.LaneCPU
 	slots []*laneSlot
+	cols  []*trace.Collector
 	runs  []coproc.LaneRun
 }
 
@@ -61,27 +66,23 @@ func (t *Target) newLaneScratch(lanes int) *laneScratch {
 	s := &laneScratch{
 		lc:    coproc.NewLaneCPU(t.Timing),
 		slots: make([]*laneSlot, lanes),
+		cols:  make([]*trace.Collector, lanes),
 		runs:  make([]coproc.LaneRun, lanes),
 	}
 	for i := range s.slots {
 		s.slots[i] = t.newLaneSlot()
+		s.cols[i] = s.slots[i].col
 	}
 	return s
 }
 
 // acquireBatch runs one batch of acquisitions under a plan: per lane
-// the per-trace re-seeding, window setup and noise-stream alignment,
-// then one LaneCPU run retires the whole batch in lockstep.
+// the per-trace re-seeding and window setup, then one LaneCPU run
+// retires the whole batch in lockstep, and one noise pass over the
+// batch (trace.TakeBatch) turns the recorded base energies into
+// samples, skipping the unrecorded cycles' draws for all lanes at once.
 func (t *Target) acquireBatch(s *laneScratch, plan *acqPlan, jobs []acqJob, out []trace.Trace) error {
 	n := len(jobs)
-	// The cycles before the first evented one emit no events, so each
-	// lane's noise stream must be advanced past the draws those events
-	// would have consumed to keep the recorded samples bit-identical to
-	// a full evented run.
-	skip := plan.quiet
-	if len(plan.record) > 0 {
-		skip = plan.record[0]
-	}
 	for i := 0; i < n; i++ {
 		j := &jobs[i]
 		sl := s.slots[i]
@@ -91,7 +92,6 @@ func (t *Target) acquireBatch(s *laneScratch, plan *acqPlan, jobs []acqJob, out 
 		sl.model.Reinit(pcfg)
 		sl.col.Start, sl.col.End, sl.col.Record = plan.start, plan.end, plan.record
 		sl.col.Begin()
-		sl.model.SkipCycles(skip)
 		r := &s.runs[i]
 		*r = coproc.LaneRun{Key: j.key, Rand: sl.randFn, Sink: sl.sinkFn,
 			Consts: coproc.OperandConstants(j.point.X, t.Curve.B, j.point.Y)}
@@ -112,10 +112,10 @@ func (t *Target) acquireBatch(s *laneScratch, plan *acqPlan, jobs []acqJob, out 
 	if _, err := lc.Run(t.prog, s.runs[:n]); err != nil && !errors.Is(err, coproc.ErrStopped) {
 		return err
 	}
+	trace.TakeBatch(s.cols[:n], out[:n])
 	for i := 0; i < n; i++ {
 		plan.met.traces.Inc()
 		plan.met.prologueSkipped.Add(int64(plan.quiet))
-		out[i] = s.slots[i].col.Take()
 	}
 	return nil
 }

@@ -10,17 +10,20 @@ package sca
 // recorded samples bit-identical: cycles [0, start) execute
 // architecturally but emit no events (coproc.LaneCPU.QuietCycles). The
 // field values are exactly the evented pipeline's; only the per-cycle
-// bookkeeping and the power evaluation disappear. The
-// measurement-noise stream is re-aligned with power.Model.SkipCycles,
-// which replays the skipped draws' consumption pattern exactly.
+// bookkeeping and the power evaluation disappear. The measurement
+// noise needs no re-alignment: the collectors store noise-free base
+// energies during the run, and the batch's noise pass after it
+// (trace.TakeBatch) gives the sample at cycle c draw c of its trace's
+// stream, skipping the draws of every cycle it did not keep for all
+// lanes at once (rng.SkipLanes).
 //
 // A CPA campaign goes one step further: it records only the cycles
 // its statistic reads (Campaign.Cycles, the writeback cycle of every
 // register write in the attacked iterations). The plan hands that list
 // to the CPU (coproc.LaneCPU.Record), which events nothing else, and to
-// the collector (trace.Collector.Record), which draws each recorded
-// cycle's noise after skipping the draws of the cycles since the
-// previous one. A trace then holds one sample per recorded cycle,
+// the collector (trace.Collector.Record), which keeps the base energy
+// of each recorded cycle; the noise pass skips the draws of the cycles
+// in between. A trace then holds one sample per recorded cycle,
 // bit-identical to the full evented run's sample at that cycle.
 //
 // The unexported Target.noPrologueSkip hook disables both the quiet

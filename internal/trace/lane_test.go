@@ -59,10 +59,9 @@ func TestLaneSinkMatchesReferenceProbe(t *testing.T) {
 
 // TestBatchCollectorBitIdentical pins the collectors of one lane batch
 // in the campaign acquisition shape — quiet prologue up to the window,
-// MaxCycles at its end, each lane's noise stream advanced past the
-// skipped cycles with SkipCycles — against per-trace reference probes
-// that evaluate every cycle of a whole run: same samples, with and
-// without noise.
+// MaxCycles at its end, one TakeBatch noise pass over the batch —
+// against per-trace reference probes that evaluate every cycle of a
+// whole run: same samples, with and without noise.
 func TestBatchCollectorBitIdentical(t *testing.T) {
 	curve := ec.K163()
 	prog := coproc.BuildLadderProgram(coproc.ProgramOptions{RPC: true, XOnly: true})
@@ -79,13 +78,14 @@ func TestBatchCollectorBitIdentical(t *testing.T) {
 		cols[l] = NewCollector(model, start, end)
 		runs[l] = coproc.LaneRun{Key: keys[l], Rand: rng.NewDRBG(uint64(7 + l)).Uint64, Sink: cols[l].LaneSink(),
 			Consts: coproc.OperandConstants(curve.Gx, curve.B, curve.Gy)}
-		model.SkipCycles(start)
 	}
 	lc := coproc.NewLaneCPU(tim)
 	lc.QuietCycles, lc.MaxCycles = start, end
 	if _, err := lc.Run(prog, runs); err != coproc.ErrStopped {
 		t.Fatalf("windowed batch: got %v, want ErrStopped", err)
 	}
+	batch := make([]Trace, len(cols))
+	TakeBatch(cols, batch)
 	for l, cfg := range cfgs {
 		ref := NewCollector(power.NewModel(cfg), start, end)
 		cpu := coproc.NewCPU(tim)
@@ -95,7 +95,7 @@ func TestBatchCollectorBitIdentical(t *testing.T) {
 		if _, err := cpu.Run(prog, keys[l]); err != nil {
 			t.Fatal(err)
 		}
-		want, got := ref.Take(), cols[l].Take()
+		want, got := ref.Take(), batch[l]
 		if len(got.Samples) != end-start || len(want.Samples) != end-start {
 			t.Fatalf("lane %d: %d samples, reference %d, window %d", l, len(got.Samples), len(want.Samples), end-start)
 		}
@@ -164,7 +164,6 @@ func TestCollectorRecordedMatchesReferenceProbe(t *testing.T) {
 			col := NewCollector(model, 0, 0)
 			col.Record = record
 			sink := col.LaneSink()
-			model.SkipCycles(record[0])
 			if evented {
 				cpu := coproc.NewCPU(tim)
 				cpu.Rand = rng.NewDRBG(7).Uint64
@@ -196,6 +195,71 @@ func TestCollectorRecordedMatchesReferenceProbe(t *testing.T) {
 				}
 			}
 			got.Release()
+		}
+	}
+}
+
+// TestTakeBatchMatchesTake pins the lockstep noise pass to the pass
+// each collector runs alone: one LaneCPU run of 1, 3, 8 and 9 lanes
+// (a partial chunk, a full one and a second chunk) feeds two collectors
+// per lane over fresh models, and TakeBatch over one set must equal
+// Take on each of the other, bit for bit, in window mode and in record
+// mode, with every third lane's NoiseSigma 0.
+func TestTakeBatchMatchesTake(t *testing.T) {
+	curve := ec.K163()
+	prog := coproc.BuildLadderProgram(coproc.ProgramOptions{RPC: true, XOnly: true})
+	tim := coproc.DefaultTiming()
+	start, end := prog.IterationWindow(tim, 162, 161)
+	var record []int
+	for _, sp := range prog.Spans(tim) {
+		if sp.Iteration <= 162 && sp.Iteration >= 161 && sp.Op != coproc.OpCSwap {
+			record = append(record, sp.End-1)
+		}
+	}
+	consts := coproc.OperandConstants(curve.Gx, curve.B, curve.Gy)
+	for _, lanes := range []int{1, 3, 8, 9} {
+		for _, rec := range [][]int{nil, record} {
+			batch := make([]*Collector, lanes)
+			alone := make([]*Collector, lanes)
+			runs := make([]coproc.LaneRun, lanes)
+			for l := range runs {
+				cfg := power.ProtectedChip(uint64(40 + l))
+				if l%3 == 1 {
+					cfg.NoiseSigma = 0
+				}
+				batch[l] = NewCollector(power.NewModel(cfg), start, end)
+				alone[l] = NewCollector(power.NewModel(cfg), start, end)
+				batch[l].Record, alone[l].Record = rec, rec
+				a, b := batch[l].LaneSink(), alone[l].LaneSink()
+				runs[l] = coproc.LaneRun{Key: curve.Order.RandNonZero(rng.NewDRBG(uint64(60 + l)).Uint64),
+					Rand: rng.NewDRBG(uint64(70 + l)).Uint64, Consts: consts,
+					Sink: func(ev *coproc.CycleEvent) { a(ev); b(ev) }}
+			}
+			lc := coproc.NewLaneCPU(tim)
+			lc.QuietCycles, lc.MaxCycles, lc.Record = start, end, rec
+			if rec != nil {
+				lc.QuietCycles = 0
+			}
+			if _, err := lc.Run(prog, runs); err != coproc.ErrStopped {
+				t.Fatalf("%d lanes: got %v, want ErrStopped", lanes, err)
+			}
+			got := make([]Trace, lanes)
+			TakeBatch(batch, got)
+			for l := range got {
+				want := alone[l].Take()
+				if len(got[l].Samples) == 0 || len(got[l].Samples) != len(want.Samples) || got[l].StartCycle != want.StartCycle {
+					t.Fatalf("%d lanes, record %v, lane %d: %d samples from %d, alone %d from %d", lanes, rec != nil, l,
+						len(got[l].Samples), got[l].StartCycle, len(want.Samples), want.StartCycle)
+				}
+				for k := range want.Samples {
+					if got[l].Samples[k] != want.Samples[k] {
+						t.Fatalf("%d lanes, record %v, lane %d, sample %d: batch %.18g != alone %.18g",
+							lanes, rec != nil, l, k, got[l].Samples[k], want.Samples[k])
+					}
+				}
+				got[l].Release()
+				want.Release()
+			}
 		}
 	}
 }
