@@ -30,6 +30,17 @@ func TestRunRefusesNegativeShards(t *testing.T) {
 	}
 }
 
+// TestDPARefusesCheckpointInterval pins that dpa takes no
+// -checkpoint-interval: its traces-to-success search checkpoints after
+// every evaluated size, so the flag is refused by name instead of
+// being accepted and ignored.
+func TestDPARefusesCheckpointInterval(t *testing.T) {
+	err := run(context.Background(), []string{"dpa", "-checkpoint-interval", "100"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-checkpoint-interval") {
+		t.Fatalf("scalab dpa -checkpoint-interval 100: err = %v, want a refusal naming -checkpoint-interval", err)
+	}
+}
+
 // TestTVLAManifestCountersAgreeAcrossWorkers runs an instrumented
 // `scalab tvla -traces 64 -metrics` at 2 and 7 workers and reads both
 // manifests back. Atomic counter adds commute, so the counter maps
