@@ -6,21 +6,16 @@
 // re-authentication storms, and the battery-lifetime consequence of
 // each cohort's security energy.
 //
-//	fleetlab run   [-devices 1000] [-fleet fleet.json] [-sessions 0]
-//	               [-storm -1] [-loss 0.1] [-seed 1] [-workers 0]
-//	               [-shards 0] [-shard i/N] [-o out] [-checkpoint f]
-//	               [-checkpoint-interval 1000] [-resume] [-metrics m.json]
-//	fleetlab merge [-o out] [-metrics m.json] shard.ckpt...
+//	fleetlab run [-devices 1000] [-fleet fleet.json] [-sessions 0]
+//	             [-storm -1] [-loss 0.1] [-seed 1] [-workers 0]
+//	             [-shards 0] [-o out] [-checkpoint f]
+//	             [-checkpoint-interval 1000] [-resume] [-metrics m.json]
 //
 // The engine's contract is byte-identity: the rendered report is the
-// same for any -workers count, any -shards reduction layout, and any
-// cross-process partition of the device range. `run -shard i/N`
-// simulates the i-th of N contiguous device blocks and writes a
-// mergeable shard checkpoint (internal/store format) to -o; `merge`
-// folds N such shards into the report a single process would have
-// printed, byte for byte, in any argument order. Every per-device
-// quantity is a pure function of (config, device index), so shards
-// never communicate.
+// same for any -workers count and any -shards reduction layout,
+// because every per-device quantity is a pure function of (config,
+// device index) and every report field is an exact integer. -o writes
+// the rendered report to a file.
 //
 // Throughput comes from the design-layer build cache (each distinct
 // hardware configuration pays Point.Build once per process; the
@@ -31,9 +26,9 @@
 // cost and the cache-hit path as their own ledger rows
 // (design.build_us, design.cache_buildinto_ns).
 //
-// Long runs are crash-safe: -checkpoint + -checkpoint-interval write
-// durable accumulator snapshots every N devices and once more on
-// SIGINT/SIGTERM; -resume continues from the snapshot and produces
+// Long runs are crash-safe: -checkpoint writes durable accumulator
+// snapshots every -checkpoint-interval devices (0: none) and once more
+// on SIGINT/SIGTERM; -resume continues from the snapshot and produces
 // the byte-identical final report. A -resume against a checkpoint
 // from a different fleet config or code revision is refused by name.
 //
@@ -45,13 +40,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"time"
 
 	"medsec/internal/cliutil"
@@ -80,19 +73,14 @@ func run(ctx context.Context, args []string) error {
 	if len(args) < 1 {
 		return usageError()
 	}
-	sub, rest := args[0], args[1:]
-	switch sub {
-	case "run":
-		return runCmd(ctx, rest)
-	case "merge":
-		return mergeCmd(rest)
-	default:
+	if args[0] != "run" {
 		return usageError()
 	}
+	return runCmd(ctx, args[1:])
 }
 
 func usageError() error {
-	return fmt.Errorf("usage: fleetlab <run|merge> [flags]")
+	return fmt.Errorf("usage: fleetlab run [flags]")
 }
 
 // fleetFlags registers run's fleet-config flags and returns a loader
@@ -153,10 +141,9 @@ func runCmd(ctx context.Context, args []string) error {
 	var (
 		workers   = fs.Int("workers", 0, "simulation workers (0 = GOMAXPROCS); any value gives byte-identical reports")
 		shards    = fs.Int("shards", 0, "reduction shards (0 = engine default; must be >= 0); any layout gives byte-identical reports")
-		shardSpec = fs.String("shard", "", "simulate device block i/N (e.g. 0/4) and write a mergeable shard checkpoint to -o")
-		out       = fs.String("o", "", "output path: full runs write the rendered report; -shard runs write the shard checkpoint")
-		ckpt      = fs.String("checkpoint", "", "write crash-safe accumulator snapshots to this file")
-		ckptEvery = fs.Int("checkpoint-interval", design.DefaultCheckpointInterval, "devices between checkpoint writes")
+		out       = fs.String("o", "", "write the rendered report to this file")
+		ckpt      = fs.String("checkpoint", "", "write crash-safe accumulator snapshots to this file (final write on SIGINT/SIGTERM)")
+		ckptEvery = fs.Int("checkpoint-interval", design.DefaultCheckpointInterval, "devices between checkpoint writes (0 = only the final write)")
 		resume    = fs.Bool("resume", false, "continue from the -checkpoint file (refused on config or code drift)")
 		metrics   = fs.String("metrics", "", "write a run manifest (flags + metric snapshot) to this JSON file")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -168,6 +155,9 @@ func runCmd(ctx context.Context, args []string) error {
 	if *shards < 0 {
 		return fmt.Errorf("-shards must be >= 0 (0 = engine default), got %d", *shards)
 	}
+	if *resume && *ckpt == "" {
+		return errors.New("-resume needs -checkpoint")
+	}
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
 		return err
@@ -178,13 +168,6 @@ func runCmd(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	shardIdx, shardCount, err := parseShard(*shardSpec)
-	if err != nil {
-		return err
-	}
-	if shardCount > 0 && *out == "" {
-		return fmt.Errorf("-shard requires -o (the shard checkpoint path for fleetlab merge)")
-	}
 
 	var reg *obs.Registry
 	if *metrics != "" {
@@ -194,16 +177,11 @@ func runCmd(ctx context.Context, args []string) error {
 	total := cfg.TotalDevices()
 	fmt.Printf("fleetlab: seed=%d devices=%d cohorts=%d workers=%d shards=%d\n",
 		cfg.Seed, total, len(cfg.Cohorts), *workers, *shards)
-	if shardCount > 0 {
-		fmt.Printf("fleetlab: cross-process shard %d/%d\n", shardIdx, shardCount)
-	}
 
 	start := time.Now()
 	rep, err := fleet.Run(cfg, fleet.RunOptions{
 		Workers:         *workers,
 		Shards:          *shards,
-		ShardIndex:      shardIdx,
-		ShardCount:      shardCount,
 		Metrics:         reg,
 		Ctx:             ctx,
 		Progress:        progressPrinter(total),
@@ -220,14 +198,9 @@ func runCmd(ctx context.Context, args []string) error {
 	cs := rep.CacheStats
 	sessions := sessionCount(rep)
 	fmt.Printf("\n%d devices, %d sessions in %.2fs (%.0f sessions/s); build cache: %d distinct builds, %.1f%% hit rate\n",
-		rep.Devices(), sessions, elapsed, float64(sessions)/elapsed, cs.Size, 100*cs.HitRate())
+		total, sessions, elapsed, float64(sessions)/elapsed, cs.Size, 100*cs.HitRate())
 
-	if shardCount > 0 {
-		if err := fleet.WriteShard(*out, rep, shardCount); err != nil {
-			return err
-		}
-		fmt.Printf("shard checkpoint written to %s\n", *out)
-	} else if *out != "" {
+	if *out != "" {
 		if err := os.WriteFile(*out, []byte(rep.Render()), 0o644); err != nil {
 			return err
 		}
@@ -242,87 +215,6 @@ func runCmd(ctx context.Context, args []string) error {
 		}
 	}
 	return nil
-}
-
-func mergeCmd(args []string) error {
-	fs := flag.NewFlagSet("fleetlab merge", flag.ContinueOnError)
-	out := fs.String("o", "", "write the merged rendered report to this file")
-	metrics := fs.String("metrics", "", "write a merge manifest to this JSON file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	paths, err := expandGlobs(fs.Args())
-	if err != nil {
-		return err
-	}
-	if len(paths) == 0 {
-		return fmt.Errorf("usage: fleetlab merge [-o out] shard.ckpt...")
-	}
-
-	rep, err := fleet.MergeShards(paths)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("fleetlab: merged %d shards covering %d devices\n", len(paths), rep.Devices())
-	fmt.Print(rep.Render())
-
-	if *out != "" {
-		if err := os.WriteFile(*out, []byte(rep.Render()), 0o644); err != nil {
-			return err
-		}
-	}
-	if *metrics != "" {
-		reg := obs.New()
-		reg.Counter("fleet_merge_shards").Add(int64(len(paths)))
-		reg.Counter("fleet_devices").Add(int64(rep.Devices()))
-		if err := obs.NewManifest("fleetlab", "merge", rep.Config.Seed, fs, reg).Write(*metrics); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// parseShard parses "-shard i/N" into (i, N). Empty means the whole
-// fleet (0, 0).
-func parseShard(s string) (idx, count int, err error) {
-	if s == "" {
-		return 0, 0, nil
-	}
-	a, b, ok := strings.Cut(s, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf("-shard %q: want i/N (e.g. 0/4)", s)
-	}
-	if idx, err = strconv.Atoi(a); err != nil {
-		return 0, 0, fmt.Errorf("-shard %q: %v", s, err)
-	}
-	if count, err = strconv.Atoi(b); err != nil {
-		return 0, 0, fmt.Errorf("-shard %q: %v", s, err)
-	}
-	if count < 1 || idx < 0 || idx >= count {
-		return 0, 0, fmt.Errorf("-shard %q: want 0 <= i < N", s)
-	}
-	return idx, count, nil
-}
-
-// expandGlobs resolves each argument as a glob when it contains glob
-// metacharacters, otherwise passes it through verbatim.
-func expandGlobs(args []string) ([]string, error) {
-	var out []string
-	for _, a := range args {
-		if !strings.ContainsAny(a, "*?[") {
-			out = append(out, a)
-			continue
-		}
-		m, err := filepath.Glob(a)
-		if err != nil {
-			return nil, fmt.Errorf("%q: %v", a, err)
-		}
-		if len(m) == 0 {
-			return nil, fmt.Errorf("%q matched no files", a)
-		}
-		out = append(out, m...)
-	}
-	return out, nil
 }
 
 // progressPrinter reports completed devices at ~5% increments so a

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,19 +38,11 @@ func TestRunReportIndependentOfWorkersAndShards(t *testing.T) {
 	}
 }
 
-// TestMergeOfShardRunsMatchesSingleProcess pins the scale-out contract
-// at the CLI surface: three -shard i/3 runs, each at a different worker
-// count, merged in scrambled order, reproduce the single-process report
-// byte for byte.
-func TestMergeOfShardRunsMatchesSingleProcess(t *testing.T) {
-	dir := t.TempDir()
-	shard := func(i int) string { return filepath.Join(dir, fmt.Sprintf("s%d.ckpt", i)) }
-	for i := 0; i < 3; i++ {
-		runFleetlab(t, shard(i), "run", "-devices", "61", "-seed", "9", "-workers", fmt.Sprint(i+1), "-shard", fmt.Sprintf("%d/3", i))
-	}
-	merged := runFleetlab(t, filepath.Join(dir, "merged.txt"), "merge", shard(2), shard(0), shard(1))
-	single := runFleetlab(t, filepath.Join(dir, "single.txt"), "run", "-devices", "61", "-seed", "9", "-workers", "2")
-	if !bytes.Equal(merged, single) {
-		t.Fatalf("merged shard report differs from the single-process report:\n%s\n---\n%s", merged, single)
+// TestResumeNeedsCheckpoint: -resume without a -checkpoint file to
+// resume from is refused by name before the run starts.
+func TestResumeNeedsCheckpoint(t *testing.T) {
+	err := run(context.Background(), []string{"run", "-devices", "4", "-resume"})
+	if err == nil || err.Error() != "-resume needs -checkpoint" {
+		t.Fatalf("err = %v, want -resume needs -checkpoint", err)
 	}
 }

@@ -227,9 +227,9 @@ type Config struct {
 	// length must equal the resolved shard count and every cursor must
 	// lie inside its shard's block.
 	Resume []int
-	// Checkpoint, when non-nil together with CheckpointEvery > 0, is
-	// called whenever the folded count (resumed + new) crosses a
-	// CheckpointEvery multiple, and once more after an interrupt. The
+	// Checkpoint, when non-nil, is called whenever the folded count
+	// (resumed + new) crosses a CheckpointEvery multiple (if
+	// CheckpointEvery > 0), and once more after an interrupt. The
 	// hook receives the per-shard cursors, taken and held under every
 	// shard lock — the accumulators the caller closes over are exactly
 	// the folded prefixes [lo_s, cursors[s]) for the whole call.

@@ -152,6 +152,9 @@ func (a *Accum) Merge(o *Accum) error {
 		return fmt.Errorf("fleet: merging %d cohorts into %d", len(o.Cohorts), len(a.Cohorts))
 	}
 	for i := range a.Cohorts {
+		if o.Cohorts[i] == nil {
+			return fmt.Errorf("fleet: merging a nil cohort %d", i)
+		}
 		if err := a.Cohorts[i].merge(o.Cohorts[i]); err != nil {
 			return err
 		}

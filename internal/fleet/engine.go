@@ -25,38 +25,17 @@ type RunOptions struct {
 	// fleet accumulator is integer-exact, results are bit-identical
 	// across shard counts, not merely rounding-equal.
 	Shards int
-	// ShardIndex/ShardCount select a cross-process slice: this
-	// invocation simulates the ShardIndex-th of ShardCount contiguous
-	// device blocks (0/0 or 0/1 means the whole fleet).
-	ShardIndex, ShardCount int
 	// Metrics, Ctx, Progress follow campaign.Config semantics.
 	Metrics  *obs.Registry
 	Ctx      context.Context
 	Progress func(done int)
-	// CheckpointPath + CheckpointEvery enable periodic crash-safe
-	// checkpoints; Resume continues from an existing checkpoint file
-	// at CheckpointPath.
+	// CheckpointPath enables crash-safe checkpoints: one every
+	// CheckpointEvery devices (<= 0: none) and a final one when Ctx is
+	// cancelled. Resume continues from the checkpoint file at
+	// CheckpointPath.
 	CheckpointPath  string
 	CheckpointEvery int
 	Resume          bool
-}
-
-// deviceRange resolves the global device index range this invocation
-// owns.
-func (o RunOptions) deviceRange(total int) (lo, hi int) {
-	if o.ShardCount <= 1 {
-		return 0, total
-	}
-	block := (total + o.ShardCount - 1) / o.ShardCount
-	lo = o.ShardIndex * block
-	hi = lo + block
-	if hi > total {
-		hi = total
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
 }
 
 // nominals measures each cohort's nominal energy/timing calibration:
@@ -213,11 +192,10 @@ func (l *lab) device(cfg Config, noms []design.Measurement, idx int) (deviceOutc
 	return out, nil
 }
 
-// Run simulates this invocation's device range and returns its
-// report. The result is bit-identical for any Workers and Shards
-// (integer accumulators; campaign.Run index-order folds), and
-// a full-fleet report equals the merge of any cross-process shard
-// partition byte for byte.
+// Run simulates the whole fleet and returns its report. The result is
+// bit-identical for any Workers and Shards (integer accumulators;
+// campaign.Run index-order folds), and a resumed run's equals an
+// uninterrupted run's.
 func Run(cfg Config, opt RunOptions) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -230,7 +208,7 @@ func Run(cfg Config, opt RunOptions) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := opt.deviceRange(cfg.TotalDevices())
+	total := cfg.TotalDevices()
 
 	workers := campaign.Workers(opt.Workers)
 	labs := make([]*lab, workers)
@@ -238,7 +216,7 @@ func Run(cfg Config, opt RunOptions) (*Report, error) {
 		labs[w] = newLab(cache)
 	}
 
-	lay := campaign.ShardingFor(lo, hi, opt.Shards)
+	lay := campaign.ShardingFor(0, total, opt.Shards)
 	accums := make([]*Accum, lay.N)
 
 	scfg := campaign.Config{
@@ -248,25 +226,23 @@ func Run(cfg Config, opt RunOptions) (*Report, error) {
 		Metrics:  opt.Metrics,
 		Ctx:      opt.Ctx,
 	}
-	if opt.CheckpointPath != "" && opt.CheckpointEvery > 0 {
+	if opt.CheckpointPath != "" {
 		scfg.CheckpointEvery = opt.CheckpointEvery
 		scfg.Checkpoint = func(cursors []int) error {
-			return writeCheckpoint(opt.CheckpointPath, cfg, opt, lo, hi, lay, cursors, accums, false)
+			return writeCheckpoint(opt.CheckpointPath, cfg, lay, cursors, accums)
 		}
 	}
 	if opt.Resume {
-		cursors, restored, err := readCheckpoint(opt.CheckpointPath, cfg, opt, lo, hi, lay)
+		cursors, restored, err := readCheckpoint(opt.CheckpointPath, cfg, lay)
 		if err != nil {
 			return nil, err
 		}
 		scfg.Resume = cursors
-		for s, a := range restored {
-			accums[s] = a
-		}
+		copy(accums, restored)
 	}
 
 	merged := newAccum(cfg)
-	_, err = campaign.Run(lo, hi, scfg,
+	_, err = campaign.Run(0, total, scfg,
 		func(idx int) (int, error) { return idx, nil },
 		campaign.PerSample(func(w, idx int, _ int) (deviceOutcome, error) {
 			return labs[w].device(cfg, noms, idx)
@@ -292,7 +268,7 @@ func Run(cfg Config, opt RunOptions) (*Report, error) {
 		opt.Metrics.Counter("fleet_build_cache_hits").Add(cs.Hits)
 		opt.Metrics.Counter("fleet_build_cache_misses").Add(cs.Misses)
 		opt.Metrics.Gauge("fleet_build_cache_hit_rate").Set(cs.HitRate())
-		opt.Metrics.Counter("fleet_devices").Add(int64(hi - lo))
+		opt.Metrics.Counter("fleet_devices").Add(int64(total))
 	}
-	return &Report{Config: cfg, From: lo, To: hi, Accum: merged, CacheStats: cache.Stats()}, nil
+	return &Report{Config: cfg, Accum: merged, CacheStats: cache.Stats()}, nil
 }

@@ -6,10 +6,10 @@
 //
 // The paper evaluates its energy/security trade-offs per device; the
 // deployment it targets is a hospital network or national fleet of
-// pacemakers. This package answers the population questions a single
-// run cannot: the p99 authentication latency under 10% loss, the
-// fleet-wide security energy budget, the fraction of devices whose
-// battery outlives its spec.
+// pacemakers. This package answers the population questions a
+// single-device run cannot: the p99 authentication latency under 10%
+// loss, the fleet-wide security energy budget, the fraction of
+// devices whose battery outlives its spec.
 //
 // # Determinism and merge semantics
 //
@@ -20,14 +20,11 @@
 // lifetime to centi-years — because integer addition is associative
 // and commutative where float addition is not. A fleet report is
 // therefore bit-identical for any worker count, any internal shard
-// count, and any cross-process shard partition: simulating devices
-// [0, N) in one process or merging S disjoint shard checkpoints
-// produces byte-identical rendered reports (the CI fleet-smoke job
-// diffs them).
+// count, and a run killed and resumed from its checkpoint.
 //
 // # Throughput
 //
-// Three mechanisms keep a million-device fleet tractable: the
+// Three mechanisms keep a large fleet tractable in one process: the
 // design.Cache builds each distinct hardware configuration exactly
 // once (devices differ per-cohort only in specialization knobs — loss
 // jitter, distance, seeds); each worker owns a pooled session lab
@@ -86,9 +83,9 @@ type StormConfig struct {
 }
 
 // Config is one fleet experiment. The JSON-visible fields are the
-// experiment identity — they are embedded in shard checkpoints and
-// compared on merge/resume. Runtime knobs (workers, shards, paths)
-// live in RunOptions, never in the identity.
+// experiment identity — they are embedded in checkpoints and compared
+// on resume. Runtime knobs (workers, shards, paths) live in
+// RunOptions, never in the identity.
 type Config struct {
 	Cohorts []Cohort `json:"cohorts"`
 	// SessionsPerDevice is the number of nominal-channel sessions each

@@ -53,152 +53,27 @@ func TestDeterminismMatrix(t *testing.T) {
 	}
 }
 
-// TestCrossProcessMergeByteIdentical pins the scale-out contract: any
-// cross-process partition of the device range, merged through shard
-// artifacts on disk, reproduces the single-process report byte for
-// byte — including uneven 3-way splits.
-func TestCrossProcessMergeByteIdentical(t *testing.T) {
-	cfg := testFleet(11)
-	single, err := Run(cfg, RunOptions{Workers: 2})
+// TestAccumMergeAssociativeOrderIndependent pins the algebra the
+// shard machinery relies on, directly on accumulators: each part
+// folds the device outcomes of one third of the fleet.
+func TestAccumMergeAssociativeOrderIndependent(t *testing.T) {
+	cfg := testFleet(9)
+	cache := design.NewCache()
+	noms, err := nominals(cfg, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	for _, shardCount := range []int{2, 3} {
-		paths := make([]string, 0, shardCount)
-		for s := 0; s < shardCount; s++ {
-			rep, err := Run(cfg, RunOptions{
-				Workers: 1 + s, Shards: 1 + s, // runtime knobs must not matter
-				ShardIndex: s, ShardCount: shardCount,
-			})
+	l := newLab(cache)
+	parts := make([]*Accum, 3)
+	for s := range parts {
+		parts[s] = newAccum(cfg)
+		for idx := 3 * s; idx < 3*s+3; idx++ {
+			out, err := l.device(cfg, noms, idx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(dir, "shard-"+string(rune('a'+s))+".ckpt")
-			if err := WriteShard(path, rep, shardCount); err != nil {
-				t.Fatal(err)
-			}
-			paths = append(paths, path)
+			parts[s].fold(out)
 		}
-		// Merge in reversed path order: order independence is part of
-		// the contract.
-		rev := make([]string, len(paths))
-		for i, p := range paths {
-			rev[len(paths)-1-i] = p
-		}
-		merged, err := MergeShards(rev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameReport(t, "cross-process merge", single, merged)
-	}
-}
-
-// TestShardRangesAndCoverage pins the shard-partition refusals: gaps,
-// overlaps, and config drift are errors, not silent misfolds.
-func TestShardRangesAndCoverage(t *testing.T) {
-	cfg := testFleet(6)
-	dir := t.TempDir()
-	write := func(name string, shardIndex, shardCount int, c Config) string {
-		rep, err := Run(c, RunOptions{ShardIndex: shardIndex, ShardCount: shardCount})
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name)
-		if err := WriteShard(path, rep, shardCount); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	a := write("a.ckpt", 0, 2, cfg)
-	b := write("b.ckpt", 1, 2, cfg)
-	if _, err := MergeShards([]string{a, b}); err != nil {
-		t.Fatalf("clean 2-way merge failed: %v", err)
-	}
-	if _, err := MergeShards([]string{a}); err == nil {
-		t.Fatal("merge accepted incomplete coverage")
-	}
-	if _, err := MergeShards([]string{a, a}); err == nil {
-		t.Fatal("merge accepted overlapping shards")
-	}
-	drift := cfg
-	drift.Seed = 43
-	c := write("c.ckpt", 1, 2, drift)
-	if _, err := MergeShards([]string{a, c}); err == nil {
-		t.Fatal("merge accepted shards from different configs")
-	}
-}
-
-// TestMergeRefusalsNameFileAndField pins the diagnostics of every
-// MergeShards refusal: each error must name the offending shard
-// file(s), the device interval in dispute, and — for config drift —
-// the differing config field. A bare "gap or overlap" costs the
-// operator of a 40-shard campaign an afternoon of header dumps.
-func TestMergeRefusalsNameFileAndField(t *testing.T) {
-	cfg := testFleet(6)
-	dir := t.TempDir()
-	write := func(name string, shardIndex, shardCount int, c Config) string {
-		rep, err := Run(c, RunOptions{ShardIndex: shardIndex, ShardCount: shardCount})
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name)
-		if err := WriteShard(path, rep, shardCount); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	// A 3-way partition of the 6-device fleet: [0,2), [2,4), [4,6).
-	s0 := write("s0.ckpt", 0, 3, cfg)
-	s1 := write("s1.ckpt", 1, 3, cfg)
-	s2 := write("s2.ckpt", 2, 3, cfg)
-	// And a 2-way partition of the same fleet for overlaps: [0,3).
-	h0 := write("h0.ckpt", 0, 2, cfg)
-
-	wantErr := func(what string, paths []string, fragments ...string) {
-		t.Helper()
-		_, err := MergeShards(paths)
-		if err == nil {
-			t.Fatalf("%s: merge succeeded", what)
-		}
-		for _, f := range fragments {
-			if !strings.Contains(err.Error(), f) {
-				t.Errorf("%s: error %q does not name %q", what, err, f)
-			}
-		}
-	}
-
-	// Overlap: the duplicated shard and the one it collides with are
-	// both named, with the colliding range.
-	wantErr("duplicate shard", []string{s0, s1, s1, s2}, "s1.ckpt", "overlapping", "[2, 4)")
-	// Overlap across partitions: h0 [0,3) collides with s1 [2,4).
-	wantErr("cross-partition overlap", []string{s0, s1, s2, h0}, "h0.ckpt", "s0.ckpt", "overlapping")
-	// Gap in the middle names the missing interval and the shard that
-	// starts after it.
-	wantErr("middle gap", []string{s0, s2}, "gap", "[2, 4)", "s2.ckpt")
-	// Gap at the tail names the last shard present.
-	wantErr("tail gap", []string{s0, s1}, "gap", "[4, 6)", "s1.ckpt")
-	// Foreign config names both files and the drifted field.
-	drift := cfg
-	drift.Seed = 99
-	d1 := write("d1.ckpt", 1, 3, drift)
-	wantErr("config drift", []string{s0, d1, s2}, "d1.ckpt", "s0.ckpt", `"seed"`, "99")
-	// The reference shard is whichever file comes first: drift is
-	// symmetric.
-	wantErr("config drift reversed", []string{d1, s0, s2}, "s0.ckpt", "d1.ckpt", `"seed"`)
-}
-
-// TestAccumMergeAssociativeOrderIndependent pins the algebra the
-// shard machinery relies on, directly on accumulators.
-func TestAccumMergeAssociativeOrderIndependent(t *testing.T) {
-	cfg := testFleet(9)
-	parts := make([]*Accum, 3)
-	for s := 0; s < 3; s++ {
-		rep, err := Run(cfg, RunOptions{ShardIndex: s, ShardCount: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts[s] = rep.Accum
 	}
 	orders := [][]int{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}}
 	var ref *Accum

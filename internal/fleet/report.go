@@ -8,25 +8,18 @@ import (
 	"medsec/internal/design"
 )
 
-// Report is one invocation's (or one merge's) result: the experiment
-// config, the device range covered, and the folded accumulator.
+// Report is one run's result over the whole fleet: the experiment
+// config and the folded accumulator.
 type Report struct {
 	Config Config `json:"config"`
-	// From/To is the global device range this report covers (the full
-	// fleet for a single-process run or a completed merge).
-	From int `json:"from"`
-	To   int `json:"to"`
 	// Accum is the folded fleet state.
 	Accum *Accum `json:"accum"`
 	// CacheStats reports the design build cache's effectiveness for
-	// the producing run (zero value after a merge — merges build
-	// nothing). Not part of the rendered report: cache behaviour may
-	// legitimately differ across partitions; results may not.
+	// the producing run. Not part of the rendered report: a resumed
+	// run specializes only the devices it simulates, so its counts
+	// differ; its results may not.
 	CacheStats design.CacheStats `json:"cache_stats,omitempty"`
 }
-
-// Devices returns the number of devices the report covers.
-func (r *Report) Devices() int { return r.To - r.From }
 
 // pct renders a ratio of two exact integers as a percentage.
 func pct(num, den int64) string {
@@ -39,8 +32,8 @@ func pct(num, den int64) string {
 // Render formats the fleet report. Every number is derived from
 // integer accumulator fields or histogram bucket counts — never from
 // a float running sum — so the rendering is byte-identical across
-// worker counts, internal shard counts, and cross-process partitions
-// of the same fleet.
+// worker counts, internal shard counts, and kill-and-resume of the
+// same fleet.
 func (r *Report) Render() string {
 	var b strings.Builder
 	t := r.Accum.totals()
@@ -49,7 +42,7 @@ func (r *Report) Render() string {
 	if r.Config.Storm != nil {
 		fmt.Fprintf(&b, " + %d storm sessions (loss +%.2f)", r.Config.Storm.Sessions, r.Config.Storm.LossBoost)
 	}
-	fmt.Fprintf(&b, "\ndevices [%d, %d)\n\n", r.From, r.To)
+	fmt.Fprintf(&b, "\ndevices [0, %d)\n\n", r.Config.TotalDevices())
 
 	fmt.Fprintf(&b, "%-14s %8s %9s %6s %6s %8s %8s %8s %8s %9s %7s %7s\n",
 		"cohort", "devices", "sessions", "ok%", "storm%", "p50 s", "p95 s", "p99 s",
