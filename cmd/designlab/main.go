@@ -49,6 +49,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -71,7 +72,7 @@ func main() {
 	log.SetPrefix("designlab: ")
 	ctx, stop := cliutil.SignalContext()
 	defer stop()
-	if err := run(ctx, os.Args[1:]); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		log.Print(err)
 		os.Exit(1)
 	}
@@ -90,7 +91,9 @@ type result struct {
 	CPATraces  int // traces to disclosure; -1 = never succeeded; -2 = not attacked
 }
 
-func run(ctx context.Context, args []string) error {
+// run sweeps one grid and writes the table, the frontier line and the
+// manifest note to w.
+func run(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("designlab", flag.ContinueOnError)
 	var (
 		gridFile    = fs.String("grid", "", "JSON file holding an array of design points (overrides -d/-logic/-rpc)")
@@ -148,7 +151,7 @@ func run(ctx context.Context, args []string) error {
 		stacks[i] = st
 	}
 
-	fmt.Printf("designlab: seed=%d points=%d reps=%d tvla=%d cpa=%q\n\n",
+	fmt.Fprintf(w, "designlab: seed=%d points=%d reps=%d tvla=%d cpa=%q\n\n",
 		*seed, len(pts), *reps, *tvlaN, *cpaSizes)
 
 	// Evaluate the grid on the campaign engine: acquisition is a pure
@@ -195,7 +198,7 @@ func run(ctx context.Context, args []string) error {
 			fmt.Sprintf("%.0f%%", r.Completion*100),
 			mark)
 	}
-	t.Render(os.Stdout)
+	t.Render(w)
 
 	var names []string
 	for i := range pts {
@@ -203,8 +206,8 @@ func run(ctx context.Context, args []string) error {
 			names = append(names, pts[i].Name)
 		}
 	}
-	fmt.Printf("\nPareto frontier (%d of %d points): %s\n", len(names), len(pts), strings.Join(names, ", "))
-	fmt.Println("(a frontier point is beaten on no axis — energy, area, latency, leakage — by any other)")
+	fmt.Fprintf(w, "\nPareto frontier (%d of %d points): %s\n", len(names), len(pts), strings.Join(names, ", "))
+	fmt.Fprintln(w, "(a frontier point is beaten on no axis — energy, area, latency, leakage — by any other)")
 
 	if *manifestDir != "" {
 		if err := os.MkdirAll(*manifestDir, 0o755); err != nil {
@@ -218,7 +221,7 @@ func run(ctx context.Context, args []string) error {
 				return err
 			}
 		}
-		fmt.Printf("wrote %d frontier manifest(s) to %s\n", len(names), *manifestDir)
+		fmt.Fprintf(w, "wrote %d frontier manifest(s) to %s\n", len(names), *manifestDir)
 	}
 	return nil
 }

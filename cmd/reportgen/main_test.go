@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"medsec/internal/area"
@@ -178,4 +181,31 @@ func maskTiming(report []byte) []byte {
 		}
 	}
 	return bytes.Join(lines, []byte("\n"))
+}
+
+// TestManifestAppendixFoldsDesignlabFrontier loads a frontier manifest
+// that designlab's 2×2 grid (-d 1,4 -logic cmos,wddl -rpc on -reps 4
+// -tvla 20) wrote, through the loader -manifests uses, and folds it
+// into the report appendix: the run gets a provenance row and a
+// `### designlab frontier` section holding its point and metrics.
+func TestManifestAppendixFoldsDesignlabFrontier(t *testing.T) {
+	mans, err := loadManifests(filepath.Join("testdata", "frontier_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	writeManifestAppendix(func(format string, a ...interface{}) { fmt.Fprintf(&b, format+"\n", a...) }, mans)
+	got := b.String()
+	for _, want := range []string{
+		"| `frontier_00_d1-cmos-rpc_on.json` | designlab frontier | 1 |",
+		"### designlab frontier (`frontier_00_d1-cmos-rpc_on.json`)",
+		`"name":"d1-cmos-rpc_on"`,
+		"| designlab_frontier_points | 1 |",
+		"| designlab_session_energy_j | 0.000152046 |",
+		"| designlab_tvla_max_t | 5.01799 |",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("appendix holds no %q:\n%s", want, got)
+		}
+	}
 }
