@@ -587,12 +587,9 @@ func timingCmd(args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("timing", flag.ContinueOnError)
 	keys := fs.Int("keys", 1000, "random keys to measure")
 	seed := fs.Uint64("seed", 1, "experiment seed")
-	// Accepted for interface uniformity: the timing attack measures
-	// whole-ladder cycle counts without the campaign engine, so the
-	// reduction layout has nothing to shard and no trace stream to
-	// lane-batch.
-	_ = shardsFlag(fs)
-	_ = lanesFlag(fs)
+	// No -shards or -lanes: the timing attack measures whole-ladder
+	// cycle counts without the campaign engine, so there is no fold to
+	// shard and no trace stream to lane-batch.
 	metrics := metricsFlag(fs)
 	cpuProf, memProf := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {

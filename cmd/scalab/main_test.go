@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -38,6 +39,18 @@ func TestDPARefusesCheckpointInterval(t *testing.T) {
 	err := run(context.Background(), []string{"dpa", "-checkpoint-interval", "100"}, io.Discard, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "-checkpoint-interval") {
 		t.Fatalf("scalab dpa -checkpoint-interval 100: err = %v, want a refusal naming -checkpoint-interval", err)
+	}
+}
+
+// TestTimingRefusesCampaignFlags pins that timing takes neither
+// -shards nor -lanes: it runs no campaign, so each flag is refused by
+// name instead of being accepted and ignored.
+func TestTimingRefusesCampaignFlags(t *testing.T) {
+	for _, flag := range []string{"-shards", "-lanes"} {
+		err := run(context.Background(), []string{"timing", "-keys", "4", flag, "1"}, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("scalab timing %s 1: err = %v, want a refusal naming %s", flag, err, flag)
+		}
 	}
 }
 
@@ -129,6 +142,44 @@ func TestReportsIndependentOfShape(t *testing.T) {
 				if got := report(t, append(tc.args, shape...)...); got != ref {
 					t.Errorf("%v: report differs from %v:\n%s\n---\n%s", shape, shapes[0], got, ref)
 				}
+			}
+		})
+	}
+}
+
+// TestMaskingGates holds the Boolean-masked datapath and the atomic
+// microcode to their claims. On the masked target without RPC, at
+// 2 000 traces per set, first-order TVLA finds no leak and second-order
+// TVLA finds the one masking moved; the centered-product CPA recovers
+// all 4 key bits within 1 000 traces. The atomic double-and-add
+// collapses to one block shape class that reveals no key bit, where
+// plain double-and-add spells out all 161.
+func TestMaskingGates(t *testing.T) {
+	masked := []string{"-masking", "boolean1", "-rpc=false", "-seed", "1"}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want []string // fragments the report must hold
+		row  string   // if set, a regexp one report line must match
+	}{
+		{"tvla-order1-flat", append([]string{"tvla", "-traces", "2000"}, masked...),
+			[]string{"PASS (no evidence of leakage)"}, ""},
+		{"tvla-order2-leaks", append([]string{"tvla", "-traces", "2000", "-order", "2"}, masked...),
+			[]string{"FAIL (leakage detected)"}, ""},
+		{"cpa-centered-product", append([]string{"dpa", "-traces", "1000", "-bits", "4", "-preprocess", "centered-product"}, masked...),
+			[]string{"SUCCEEDS", "bit accuracy             1.00"}, ""},
+		{"spa-atomic", []string{"spa", "-microcode", "compare", "-seed", "1"},
+			[]string{"0/161 key bits", "161/161 key bits"}, `(?m)^atomic +240 +1 `},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := report(t, tc.args...)
+			for _, want := range tc.want {
+				if !strings.Contains(got, want) {
+					t.Errorf("report holds no %q:\n%s", want, got)
+				}
+			}
+			if tc.row != "" && !regexp.MustCompile(tc.row).MatchString(got) {
+				t.Errorf("no report line matches %q:\n%s", tc.row, got)
 			}
 		})
 	}

@@ -26,8 +26,8 @@ import (
 )
 
 // expectedCmds is the full cmd/ roster. Adding a command? Add it
-// here, to the CI smoke jobs, and keep its flag defaults on the
-// design constants.
+// here, give it in-process Go tests on its run, and keep its flag
+// defaults on the design constants.
 var expectedCmds = []string{
 	"designlab", "eccsim", "fleetlab", "linklab", "reportgen", "scalab",
 }
@@ -39,7 +39,7 @@ func TestCmdRosterPinned(t *testing.T) {
 	}
 	sort.Strings(got)
 	if strings.Join(got, ",") != strings.Join(expectedCmds, ",") {
-		t.Fatalf("cmd/ roster drifted:\n got %v\nwant %v\n(update expectedCmds, the CI smoke jobs, and the flag lint together)", got, expectedCmds)
+		t.Fatalf("cmd/ roster drifted:\n got %v\nwant %v\n(update expectedCmds, the command's tests, and the flag lint together)", got, expectedCmds)
 	}
 }
 
