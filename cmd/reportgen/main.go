@@ -30,7 +30,6 @@ import (
 	"medsec/internal/area"
 	"medsec/internal/cliutil"
 	"medsec/internal/coproc"
-	"medsec/internal/core"
 	"medsec/internal/design"
 	"medsec/internal/ec"
 	"medsec/internal/fault"
@@ -96,7 +95,7 @@ func writeReport(path string, r *results, mans []loadedManifest, elapsed time.Du
 // results holds every value the report prints, one field per E-number.
 type results struct {
 	seed uint64
-	e1   core.Report
+	e1   design.Measurement
 	e2   e2Result
 	e3   *sca.TimingReport
 	e4   e4Result
@@ -197,21 +196,21 @@ func (l *lab) target(rpc bool) (*sca.Target, error) {
 func (l *lab) randKey() modn.Scalar { return sca.AlgorithmOneScalar(l.st.Curve, l.src) }
 
 // computeE1 meters one noise-free point multiplication on the chip.
-func computeE1(seed uint64) (core.Report, error) {
+func computeE1(seed uint64) (design.Measurement, error) {
 	p := design.Defaults()
 	p.Seed = seed
 	p.TRNGSeed = seed
 	p.NoiseSigma = 0
 	st, err := p.Build()
 	if err != nil {
-		return core.Report{}, err
+		return design.Measurement{}, err
 	}
 	chip, err := st.Chip()
 	if err != nil {
-		return core.Report{}, err
+		return design.Measurement{}, err
 	}
-	if _, err := chip.PointMul(chip.GenerateScalar(), chip.Curve().Generator()); err != nil {
-		return core.Report{}, err
+	if _, err := chip.ScalarMul(chip.GenerateScalar(), chip.Curve().Generator()); err != nil {
+		return design.Measurement{}, err
 	}
 	return chip.Last, nil
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log"
 
-	"medsec/internal/core"
 	"medsec/internal/design"
 	"medsec/internal/protocol"
 	"medsec/internal/radio"
@@ -21,7 +20,7 @@ import (
 
 type sensor struct {
 	name string
-	chip *core.Coprocessor
+	chip *design.Chip
 	tag  *protocol.Tag
 }
 

@@ -32,7 +32,7 @@ func main() {
 
 	// One point multiplication k*G on the simulated hardware.
 	k := chip.GenerateScalar()
-	point, err := chip.PointMul(k, chip.Curve().Generator())
+	point, err := chip.ScalarMul(k, chip.Curve().Generator())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"medsec/internal/coproc"
-	"medsec/internal/core"
+	"medsec/internal/design"
 	"medsec/internal/ec"
 	"medsec/internal/fault"
 	"medsec/internal/modn"
@@ -35,7 +35,12 @@ func TestFullStackScenario(t *testing.T) {
 	}
 
 	// --- The implant's co-processor and the clinic's reader. ---
-	chip, err := core.New(core.DefaultConfig(0xBEEF))
+	pt := design.Defaults()
+	pt.Seed = 0xBEEF
+	pt.TRNGSeed = 0xBEEF
+	pt.XOnly = true // the audit's target runs the x-only ladder
+	st := pt.MustBuild()
+	chip, err := st.Chip()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +104,10 @@ func TestFullStackScenario(t *testing.T) {
 	// --- Security audit: the deployed configuration must resist the
 	// standard attacks. ---
 	key := chip.GenerateScalar()
-	tgt := chip.EvaluationTarget(key)
+	tgt, err := st.Target(key)
+	if err != nil {
+		t.Fatal(err)
+	}
 	keys := []modn.Scalar{key, chip.GenerateScalar(), modn.FromUint64(3)}
 	distinct, err := sca.VerifyConstantTime(tgt, keys, curve.Generator())
 	if err != nil {

@@ -7,7 +7,7 @@
 // Build() turns a Point into a Stack: the coproc timing model, the
 // circuit-level power configuration, the lossy link and ARQ policy,
 // the radio energy model, the battery spec and the gate-area estimate,
-// plus constructors for the chip (core.Coprocessor), the side-channel
+// plus constructors for the metered chip (Chip), the side-channel
 // target (sca.Target) and instrumented authentication sessions
 // (protocol over link). Every cmd and example constructs its stack
 // through this package, so a design-space explorer (cmd/designlab) can
@@ -22,7 +22,6 @@ import (
 	"medsec/internal/area"
 	"medsec/internal/battery"
 	"medsec/internal/coproc"
-	"medsec/internal/core"
 	"medsec/internal/ec"
 	"medsec/internal/link"
 	"medsec/internal/modn"
@@ -404,26 +403,6 @@ func (p Point) MustBuild() *Stack {
 	return s
 }
 
-// Chip mints the metered co-processor (core layer) for this point.
-// Only the ladder microcode runs on the chip's fixed control store.
-func (s *Stack) Chip() (*core.Coprocessor, error) {
-	if s.Point.Microcode != MicrocodeLadder {
-		return nil, fmt.Errorf("design: Microcode %q has no chip control store (only %q)",
-			s.Point.Microcode, MicrocodeLadder)
-	}
-	if s.Point.Masking != MaskingNone {
-		return nil, fmt.Errorf("design: the core-layer chip has no %q datapath (only %q); evaluate masked points through Target",
-			s.Point.Masking, MaskingNone)
-	}
-	return core.New(core.Config{
-		Curve:    s.Curve,
-		Timing:   s.Timing,
-		RPC:      s.Point.RPC,
-		Power:    s.Power,
-		TRNGSeed: s.Point.TRNGSeed,
-	})
-}
-
 // Target mints a side-channel evaluation target holding the given
 // key. The target inherits the point's program options, timing,
 // power configuration and TRNG seed, and acquires lane-batched at
@@ -470,82 +449,6 @@ func (s *Stack) ProgramFor(key modn.Scalar) (*coproc.Program, error) {
 		return coproc.BuildAtomicProgram(key)
 	}
 	return coproc.BuildLadderProgram(coproc.ProgramOptions{RPC: s.Point.RPC}), nil
-}
-
-// Measurement is one metered operation on the co-processor.
-type Measurement struct {
-	Cycles    int
-	EnergyJ   float64
-	AvgPowerW float64
-	DurationS float64
-}
-
-// MeasurePointMul runs one noise-free point multiplication of the
-// generator under the power meter and returns its cost. The measured
-// program is the full ladder (including y-recovery) — or the
-// double-and-add microcode when selected — at the point's RPC
-// setting; randSeed seeds the RPC mask stream. NoiseSigma is forced
-// to 0 so the reading is the chip's nominal energy, not one noisy
-// sample.
-func (s *Stack) MeasurePointMul(key modn.Scalar, randSeed uint64) (Measurement, error) {
-	return s.measure(key, randSeed, func(model *power.Model, run func(coproc.Probe) error) (Measurement, error) {
-		meter := power.NewMeter(model)
-		if err := run(meter.Probe()); err != nil {
-			return Measurement{}, err
-		}
-		return Measurement{
-			Cycles:    meter.Cycles(),
-			EnergyJ:   meter.EnergyJ(),
-			AvgPowerW: meter.AvgPowerW(),
-			DurationS: meter.DurationS(),
-		}, nil
-	})
-}
-
-// MeasureBreakdown is MeasurePointMul with the component-resolved
-// meter: it returns the per-component energy split of one point
-// multiplication. The two meters accumulate floating point in
-// different orders, so callers that pin outputs must keep using the
-// same meter they always did.
-func (s *Stack) MeasureBreakdown(key modn.Scalar, randSeed uint64) (power.Components, int, error) {
-	var comps power.Components
-	var cycles int
-	_, err := s.measure(key, randSeed, func(model *power.Model, run func(coproc.Probe) error) (Measurement, error) {
-		bm := power.NewBreakdownMeter(model)
-		if err := run(bm.Probe()); err != nil {
-			return Measurement{}, err
-		}
-		comps, cycles = bm.Totals(), bm.Cycles()
-		return Measurement{}, nil
-	})
-	return comps, cycles, err
-}
-
-func (s *Stack) measure(key modn.Scalar, randSeed uint64,
-	meter func(model *power.Model, run func(coproc.Probe) error) (Measurement, error)) (Measurement, error) {
-	prog, err := s.ProgramFor(key)
-	if err != nil {
-		return Measurement{}, err
-	}
-	pcfg := s.Power
-	pcfg.NoiseSigma = 0
-	model := power.NewModel(pcfg)
-	return meter(model, func(probe coproc.Probe) error {
-		cpu := coproc.NewCPU(s.Timing)
-		cpu.Rand = rng.NewDRBG(randSeed).Uint64
-		if s.Masked() {
-			// The masked datapath switches both shares, so the measured
-			// energy carries the real masking overhead — no fudge factor.
-			// The mask stream is seeded independently of the RPC stream,
-			// mirroring sca.Target's maskSeed split.
-			cpu.Masked = true
-			cpu.MaskRand = rng.NewDRBG(randSeed ^ 0xd1342543de82ef95).Uint64
-		}
-		cpu.Probe = probe
-		cpu.SetOperandConstants(s.Curve.Gx, s.Curve.B, s.Curve.Gy)
-		_, err := cpu.Run(prog, key)
-		return err
-	})
 }
 
 // Pair mints one instrumented link pair (device side A, server side

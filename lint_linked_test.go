@@ -43,23 +43,22 @@ var unlinkedAllowed = map[string]string{
 	// clmul_noasm.go builds off amd64 only, where the false constant
 	// hasCLMUL keeps the linker from ever reaching these stubs. On
 	// amd64 the same names are assembly, which the lint skips.
-	"internal/gf2m.mulCLMUL":                     "stub behind hasCLMUL = false",
-	"internal/gf2m.sqrCLMUL":                     "stub behind hasCLMUL = false",
-	"internal/gf2m.mulAccCLMUL":                  "stub behind hasCLMUL = false",
-	"internal/gf2m.reduceCLMUL":                  "stub behind hasCLMUL = false",
-	"internal/modn.MustScalarFromHex":            "fixed scalars in the coproc and ec tests",
-	"internal/modn.Modulus.Neg":                  "negated scalars in the ec tests",
-	"internal/power.UnprotectedChip":             "trace's lane tests (lane_test.go)",
-	"internal/power.Model.CyclePower":            "trace's per-cycle reference probe (oracle_test.go)",
-	"internal/trace.NewOnlineStats":              "the campaign engine's tests fold into it",
-	"internal/trace.OnlineStats.Mean":            "the campaign engine's tests read it",
-	"internal/trace.OnlineStats.Variance":        "the campaign engine's tests read it",
-	"internal/sca.VerifyConstantTime":            "the root integration test",
-	"internal/sca.SuccessRateCurve":              "kept for E2's verdicts over many keys (ROADMAP); sca_test.go calls it",
-	"internal/core.DefaultConfig":                "the root integration test",
-	"internal/core.Coprocessor.EvaluationTarget": "the root integration test",
-	"internal/coproc.CPU.FlipBit":                "fault's RunWithFault oracle (fault_ref_test.go)",
-	"internal/link.Endpoint.RetriesLeft":         "protocol's transport tests (transport_test.go)",
+	"internal/gf2m.mulCLMUL":              "stub behind hasCLMUL = false",
+	"internal/gf2m.sqrCLMUL":              "stub behind hasCLMUL = false",
+	"internal/gf2m.mulAccCLMUL":           "stub behind hasCLMUL = false",
+	"internal/gf2m.reduceCLMUL":           "stub behind hasCLMUL = false",
+	"internal/modn.MustScalarFromHex":     "fixed scalars in the coproc and ec tests",
+	"internal/modn.Modulus.Neg":           "negated scalars in the ec tests",
+	"internal/power.UnprotectedChip":      "trace's lane tests (lane_test.go)",
+	"internal/power.ProtectedChip":        "the trace and sca tests' lab configurations, design's TestDefaultsMatchProtectedChip",
+	"internal/power.Model.CyclePower":     "trace's per-cycle reference probe (oracle_test.go)",
+	"internal/trace.NewOnlineStats":       "the campaign engine's tests fold into it",
+	"internal/trace.OnlineStats.Mean":     "the campaign engine's tests read it",
+	"internal/trace.OnlineStats.Variance": "the campaign engine's tests read it",
+	"internal/sca.VerifyConstantTime":     "the root integration test",
+	"internal/sca.SuccessRateCurve":       "kept for E2's verdicts over many keys (ROADMAP); sca_test.go calls it",
+	"internal/coproc.CPU.FlipBit":         "fault's RunWithFault oracle (fault_ref_test.go)",
+	"internal/link.Endpoint.RetriesLeft":  "protocol's transport tests (transport_test.go)",
 }
 
 // modulePath is the import path prefix of this module's packages.
