@@ -19,8 +19,9 @@
 //	                     encoding, clock gating, isolation, glitches
 //	internal/sca       – the Fig. 4 evaluation workflow: CPA/DPA, SPA,
 //	                     timing analysis, TVLA
-//	internal/core      – the integrated co-processor (the paper's
-//	                     contribution) with energy reporting
+//	internal/design    – one validated design point across the four
+//	                     levels; Stack.Chip() mints the integrated,
+//	                     metered co-processor (the paper's contribution)
 //
 // Supporting substrates: internal/gf2m (binary fields),
 // internal/modn (scalar arithmetic), internal/lightcrypto (AES-128,

@@ -30,7 +30,8 @@ import (
 
 // PointMultiplier abstracts who performs scalar multiplications: pure
 // software (SoftwareMultiplier) or the simulated co-processor
-// (internal/core.Coprocessor), which also accounts energy.
+// (design.Chip, minted by design.Stack.Chip), which also accounts
+// energy.
 type PointMultiplier interface {
 	// ScalarMul returns k*P.
 	ScalarMul(k modn.Scalar, p ec.Point) (ec.Point, error)
